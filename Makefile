@@ -8,9 +8,9 @@ GO ?= go
 # just these under the race detector for a fast concurrency gate.
 RACE_PKGS = ./internal/core/ ./internal/mpi/ ./internal/rtfab/ ./internal/shmfab/ ./internal/stats/ ./internal/trace/ ./internal/traffic/
 
-.PHONY: check fmt vet build test race conformance fault-soak bench bench-backends tune tune-guard doclint par par-guard compile compile-guard qos soak soak-guard scale scale-guard zoo zoo-guard perf perf-guard
+.PHONY: check fmt vet build test bench-check bench-suite race conformance fault-soak bench bench-backends tune tune-guard doclint par par-guard compile compile-guard qos soak soak-guard scale scale-guard zoo zoo-guard perf perf-guard
 
-check: fmt vet build test doclint tune-guard par-guard compile-guard soak-guard scale-guard zoo-guard perf-guard
+check: fmt vet build test bench-check doclint tune-guard par-guard compile-guard soak-guard scale-guard zoo-guard perf-guard
 
 # Fails (and lists the offenders) if any file is not gofmt-clean.
 fmt:
@@ -25,6 +25,18 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# The benchmark is a module of its own (repro/bench, nested under bench/), so
+# `./...` above never reaches it: vet and test it separately, or an API break
+# under it goes unseen until the benchmark is next run.
+bench-check:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
+# The repository's benchmark (BENCHMARK.json): every workload on every
+# backend, end-to-end metrics. See bench/README.md for flags.
+bench-suite:
+	$(GO) run -C bench repro/bench
 
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)

@@ -215,7 +215,7 @@ func NewEndpoint(rank int, hca verbs.HCA, cfg Config) (*Endpoint, error) {
 		onSendCQE: make(map[uint64]func(verbs.CQE)),
 		types:     newTypeRegistry(),
 		layouts:   newLayoutCache(),
-		progs:     newProgramCache(),
+		progs:     &programCache{},
 	}
 	ep.recvQ.init()
 	ep.unexp.init()
@@ -302,9 +302,14 @@ func (ep *Endpoint) Engine() *simtime.Engine { return ep.eng }
 // identity shipped in Multi-W layout exchanges.
 func (ep *Endpoint) CommitType(t *datatype.Type) int { return ep.types.commit(t) }
 
-// FreeType releases a datatype's index for reuse; the next type committed to
-// the same index gets a bumped version so peers' caches detect staleness.
-func (ep *Endpoint) FreeType(t *datatype.Type) { ep.types.free(t) }
+// FreeType releases a datatype's index for reuse and drops the index's
+// compiled programs; the next type committed to the same index gets a bumped
+// version so peers' caches detect staleness.
+func (ep *Endpoint) FreeType(t *datatype.Type) {
+	if idx, ok := ep.types.free(t); ok {
+		ep.progs.free(idx)
+	}
+}
 
 func (ep *Endpoint) accountReg(ops mem.RegOps) {
 	atomic.AddInt64(&ep.ctr.Registrations, ops.Registrations)

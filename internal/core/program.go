@@ -9,7 +9,7 @@ import (
 // This file wires the datatype compiler into the endpoint: every layout walk
 // the schemes perform — serial pack/unpack, parallel segment collection,
 // WR chunking, OGR block enumeration, scheme-selection layout summaries —
-// goes through a compiled program cached per (type index, version, count).
+// goes through a compiled program cached per (type index, count).
 // Config.InterpretedPack reverts every helper to the interpreted cursor.
 
 // regFlattenLimit caps the run enumeration a user-buffer registration pays.
@@ -31,12 +31,11 @@ func (ep *Endpoint) programFor(t *datatype.Type, count int) *datatype.Program {
 		return nil
 	}
 	idx := ep.types.commit(t)
-	k := progKey{idx: idx, ver: ep.types.version(idx), count: count}
-	if p := ep.progs.get(k); p != nil {
+	if p := ep.progs.get(idx, count); p != nil {
 		return p
 	}
 	p := datatype.Compile(t, count)
-	ep.progs.put(k, p)
+	ep.progs.put(idx, count, p)
 	return p
 }
 

@@ -26,9 +26,9 @@ func TestProgramCacheReuse(t *testing.T) {
 	}
 }
 
-// TestProgramCacheVersionInvalidation checks the index-reuse hazard the
-// (idx, version) key exists for: after FreeType, a new type that reuses the
-// freed index must not resurrect the old type's cached program.
+// TestProgramCacheVersionInvalidation checks the index-reuse hazard: FreeType
+// drops the index's programs, so a new type that reuses the freed index must
+// not resurrect the old type's cached program.
 func TestProgramCacheVersionInvalidation(t *testing.T) {
 	w := newTestWorld(t, 1, DefaultConfig(), 48<<20)
 	ep := w.eps[0]
@@ -49,6 +49,43 @@ func TestProgramCacheVersionInvalidation(t *testing.T) {
 	}
 	if pb.Type() != b || pb.Bytes() != b.Size()*2 {
 		t.Fatalf("program after reuse compiled for the wrong type: %s", pb)
+	}
+}
+
+// TestProgramCacheFreeDropsPrograms checks that short-lived types leave
+// nothing behind: through 10 000 commit -> compile -> free cycles the cache
+// never holds more than the one live type's program, and its slot storage
+// is reused rather than regrown.
+func TestProgramCacheFreeDropsPrograms(t *testing.T) {
+	w := newTestWorld(t, 1, DefaultConfig(), 48<<20)
+	ep := w.eps[0]
+	for i := 0; i < 10000; i++ {
+		v := datatype.Must(datatype.TypeVector(4+i%7, 1, 3, datatype.Int32))
+		if p := ep.programFor(v, 1); p.Type() != v {
+			t.Fatalf("cycle %d: program compiled for the wrong type: %s", i, p)
+		}
+		if ep.progs.n != 1 {
+			t.Fatalf("cycle %d: cache holds %d programs with one live type", i, ep.progs.n)
+		}
+		ep.FreeType(v)
+		if ep.progs.n != 0 {
+			t.Fatalf("cycle %d: FreeType left %d programs cached", i, ep.progs.n)
+		}
+	}
+	if len(ep.progs.byIdx) != 1 {
+		t.Fatalf("cache grew to %d slots for one reused index", len(ep.progs.byIdx))
+	}
+	ep.FreeType(datatype.Int32) // never committed: a no-op
+
+	// Several counts of one type are all dropped with it.
+	v := datatype.Must(datatype.TypeVector(4, 1, 3, datatype.Int32))
+	p1, p2, p3 := ep.programFor(v, 1), ep.programFor(v, 2), ep.programFor(v, 3)
+	if ep.progs.n != 3 || ep.programFor(v, 1) != p1 || ep.programFor(v, 2) != p2 || ep.programFor(v, 3) != p3 {
+		t.Fatalf("three counts of one type: %d programs cached, or a miss", ep.progs.n)
+	}
+	ep.FreeType(v)
+	if ep.progs.n != 0 || ep.progs.get(0, 1) != nil || ep.progs.get(0, 2) != nil {
+		t.Fatalf("FreeType left %d programs of a multi-count type", ep.progs.n)
 	}
 }
 

@@ -41,27 +41,18 @@ func (tr *typeRegistry) commit(t *datatype.Type) int {
 // version returns the current version of an index.
 func (tr *typeRegistry) version(idx int) uint32 { return tr.vers[idx] }
 
-// free releases a type's index for reuse. Freeing an uncommitted type is a
-// no-op, matching MPI_Type_free's tolerance of any committed handle.
-func (tr *typeRegistry) free(t *datatype.Type) {
-	idx, ok := tr.idxOf[t]
+// free releases a type's index for reuse and returns it; ok is false for an
+// uncommitted type, which is a no-op, matching MPI_Type_free's tolerance of
+// any committed handle.
+func (tr *typeRegistry) free(t *datatype.Type) (idx int, ok bool) {
+	idx, ok = tr.idxOf[t]
 	if !ok {
-		return
+		return 0, false
 	}
 	delete(tr.idxOf, t)
 	tr.types[idx] = nil
 	tr.freeIdx = append(tr.freeIdx, idx)
-}
-
-// progKey identifies a compiled layout program: the rank-local type index,
-// the index's version (so index reuse after FreeType can never resurrect a
-// stale program), and the instance count. Counts are cached exactly — the
-// count-classes of interest (1 and the application's steady-state counts)
-// are few, and an exact key keeps programs byte-exact replays.
-type progKey struct {
-	idx   int
-	ver   uint32
-	count int
+	return idx, true
 }
 
 // progCacheCap bounds the per-endpoint program cache; on overflow the whole
@@ -69,26 +60,80 @@ type progKey struct {
 // path).
 const progCacheCap = 1024
 
+// cachedProg is one compiled layout program of a type index. Counts are
+// cached exactly — the count-classes of interest (1 and the application's
+// steady-state counts) are few, and an exact key keeps programs byte-exact
+// replays.
+type cachedProg struct {
+	count int
+	p     *datatype.Program
+}
+
+// progSlot holds the programs of one type index. Most types are only ever
+// used at one count, so the first program sits inline and costs the slot no
+// allocation; further counts go to the list.
+type progSlot struct {
+	one  cachedProg
+	more []cachedProg
+}
+
 // programCache memoizes datatype.Compile per endpoint so recompilation
-// never sits on the pack hot path. Entries are invalidated implicitly by
-// the (idx, version) key when a type index is reused.
+// never sits on the pack hot path. Programs are held by type index and
+// dropped when FreeType releases the index, so index reuse can never
+// resurrect a stale program and a stream of short-lived types holds no
+// dead programs.
 type programCache struct {
-	m map[progKey]*datatype.Program
+	byIdx []progSlot
+	n     int // programs held across all indices
 }
 
-func newProgramCache() *programCache {
-	return &programCache{m: make(map[progKey]*datatype.Program)}
+// get returns the cached program for (idx, count), or nil.
+func (pc *programCache) get(idx, count int) *datatype.Program {
+	if idx >= len(pc.byIdx) {
+		return nil
+	}
+	sl := &pc.byIdx[idx]
+	if sl.one.count == count {
+		return sl.one.p // nil when the slot is empty
+	}
+	for _, e := range sl.more {
+		if e.count == count {
+			return e.p
+		}
+	}
+	return nil
 }
-
-// get returns the cached program for (idx, ver, count), or nil.
-func (pc *programCache) get(k progKey) *datatype.Program { return pc.m[k] }
 
 // put caches a program, clearing the epoch first when at capacity.
-func (pc *programCache) put(k progKey, p *datatype.Program) {
-	if len(pc.m) >= progCacheCap {
-		pc.m = make(map[progKey]*datatype.Program)
+func (pc *programCache) put(idx, count int, p *datatype.Program) {
+	if pc.n >= progCacheCap {
+		for i := range pc.byIdx {
+			pc.free(i)
+		}
 	}
-	pc.m[k] = p
+	for len(pc.byIdx) <= idx {
+		pc.byIdx = append(pc.byIdx, progSlot{})
+	}
+	if sl := &pc.byIdx[idx]; sl.one.p == nil {
+		sl.one = cachedProg{count, p}
+	} else {
+		sl.more = append(sl.more, cachedProg{count, p})
+	}
+	pc.n++
+}
+
+// free drops every program of idx, keeping the slot's storage for the next
+// type committed to the index.
+func (pc *programCache) free(idx int) {
+	if idx >= len(pc.byIdx) {
+		return
+	}
+	sl := &pc.byIdx[idx]
+	if sl.one.p != nil {
+		pc.n -= 1 + len(sl.more)
+	}
+	clear(sl.more)
+	*sl = progSlot{more: sl.more[:0]}
 }
 
 // layoutKey identifies a peer's datatype in the layout caches.

@@ -86,6 +86,8 @@ type Program struct {
 	lens []int64 // ProgIndexed run lengths; nil when uniform (runLen applies)
 
 	ascending bool // runs are emitted in non-decreasing offset order
+
+	lo, hi int64 // every run lies in [lo, hi): min run offset, max run end
 }
 
 // Compile canonicalizes count instances of t into a layout program. It never
@@ -109,6 +111,14 @@ func Compile(t *Type, count int) *Program {
 			p.dims = dims
 			p.runs = runs
 			p.ascending = stridedAscending(dims, block)
+			p.lo, p.hi = off, off+block
+			for _, d := range dims {
+				if reach := (d.n - 1) * d.stride; reach < 0 {
+					p.lo += reach
+				} else {
+					p.hi += reach
+				}
+			}
 			if len(dims) == 0 {
 				p.kind = ProgContig
 			} else {
@@ -129,9 +139,11 @@ func Compile(t *Type, count int) *Program {
 	p.kind = ProgIndexed
 	p.runs = int64(len(blocks))
 	p.offs = make([]int64, len(blocks))
+	p.lo, p.hi = blocks[0].Off, blocks[0].Off+blocks[0].Len
 	uniform := true
 	for i, b := range blocks {
 		p.offs[i] = b.Off
+		p.lo, p.hi = min(p.lo, b.Off), max(p.hi, b.Off+b.Len)
 		if i == 0 {
 			p.runLen = b.Len
 		} else {
@@ -264,6 +276,12 @@ func (p *Program) Dims() int { return len(p.dims) }
 // Ascending reports whether the program emits runs in non-decreasing offset
 // order, letting consumers skip sorting (OGR grouping).
 func (p *Program) Ascending() bool { return p.ascending }
+
+// Bounds returns the offset range [lo, hi) every run of the program lies in
+// (lo is some run's start, hi some run's end), so a replay engine can
+// range-check a whole message once instead of once per run. Empty and
+// ProgGeneric programs report (0, 0).
+func (p *Program) Bounds() (lo, hi int64) { return p.lo, p.hi }
 
 // RunAt returns run i's (offset, length) by random access, the replay form
 // the parallel engine shards. It panics on ProgGeneric programs (use a
@@ -447,4 +465,87 @@ func (c *ProgCursor) advance() bool {
 		return true
 	}
 	return false // ProgContig has a single run
+}
+
+// RunBatch is a stretch of whole runs handed out in one cursor step. Run j
+// (0 <= j < K) starts at Offs[j] when Offs is set (indexed programs; the
+// slices alias the program's tables and are read-only), else at
+// Base + j*Stride (one stride level of a strided program). Every run is
+// RunLen bytes unless Lens gives per-run lengths (varied indexed tables).
+type RunBatch struct {
+	K            int
+	RunLen       int64
+	Base, Stride int64
+	Offs, Lens   []int64
+}
+
+// Run returns run j's offset and length.
+func (b *RunBatch) Run(j int) (off, n int64) {
+	n = b.RunLen
+	if b.Lens != nil {
+		n = b.Lens[j]
+	}
+	if b.Offs != nil {
+		return b.Offs[j], n
+	}
+	return b.Base + int64(j)*b.Stride, n
+}
+
+// NextBatch consumes as many whole runs as fit in max bytes without leaving
+// the current stride level (strided) or run table (indexed) and returns them
+// as one batch; the runs, their order and the bytes consumed are exactly
+// what that many Next calls would yield. K is 0 — and the cursor untouched —
+// when no whole run is available: the cursor stands inside a run, max is
+// shorter than the next run, the message is done, or the program is
+// ProgGeneric. Callers then take one Next step and retry.
+func (c *ProgCursor) NextBatch(max int64) (b RunBatch) {
+	p := c.p
+	if c.gen != nil || c.remaining == 0 {
+		return b
+	}
+	fresh := c.left == 0 // the current run is spent: the batch starts at the next one
+	first := c.runIdx
+	if fresh {
+		first++
+	}
+	switch {
+	case p.lens != nil:
+		if !fresh && c.left != p.lens[first] {
+			return b
+		}
+		var bytes int64
+		last := first
+		for ; last < p.runs && bytes+p.lens[last] <= max; last++ {
+			bytes += p.lens[last]
+		}
+		if last == first {
+			return b
+		}
+		b = RunBatch{K: int(last - first), Offs: p.offs[first:last], Lens: p.lens[first:last]}
+		c.remaining -= bytes
+	case !fresh && c.left != p.runLen, max < p.runLen:
+		return b
+	case p.kind == ProgContig:
+		b = RunBatch{K: 1, RunLen: p.runLen, Base: p.off0}
+		c.remaining = 0
+	case p.kind == ProgIndexed:
+		k := min(max/p.runLen, p.runs-first)
+		b = RunBatch{K: int(k), RunLen: p.runLen, Offs: p.offs[first : first+k]}
+		c.remaining -= k * p.runLen
+	default:
+		if fresh {
+			c.advance() // cannot fail: remaining > 0
+		}
+		d := p.dims[len(p.dims)-1]
+		j := &c.idx[len(p.dims)-1]
+		k := min(max/p.runLen, d.n-*j)
+		b = RunBatch{K: int(k), RunLen: p.runLen, Base: c.base, Stride: d.stride}
+		*j += k - 1
+		c.base += (k - 1) * d.stride
+		c.remaining -= k * p.runLen
+	}
+	// Park on the batch's last run, spent; the next step advances past it.
+	c.runIdx = first + int64(b.K) - 1
+	c.left = 0
+	return b
 }

@@ -196,7 +196,8 @@ func drain(w RunWalker) ([]Block, int64) {
 }
 
 // TestCompileRandomDifferential fuzzes random nested types against the
-// cursor: whatever the compiler decides, the replay must match.
+// cursor: whatever the compiler decides, the replay must match — through
+// Next, through NextBatch, and through any interleaving of the two.
 func TestCompileRandomDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	randType := func() *Type {
@@ -234,6 +235,27 @@ func TestCompileRandomDifferential(t *testing.T) {
 		cur := NewCursor(dt, count)
 		for {
 			max := int64(1 + rng.Intn(64))
+			if rng.Intn(2) == 0 {
+				// A batch is that many whole-run steps of the cursor, within
+				// max bytes; mid-run (or with nothing that fits) it is empty.
+				before := pc.Remaining()
+				b := pc.NextBatch(max)
+				var bytes int64
+				for j := 0; j < b.K; j++ {
+					off, n := b.Run(j)
+					o2, n2, ok2 := cur.Next(1 << 62)
+					if !ok2 || off != o2 || n != n2 {
+						t.Fatalf("trial %d (%v, count %d, kind %v): batch run %d/%d (%d,%d) vs cursor (%d,%d,%v)",
+							trial, dt, count, p.Kind(), j, b.K, off, n, o2, n2, ok2)
+					}
+					bytes += n
+				}
+				if bytes > max || before-pc.Remaining() != bytes {
+					t.Fatalf("trial %d (%v, count %d, kind %v): batch of %d B under max %d consumed %d B",
+						trial, dt, count, p.Kind(), bytes, max, before-pc.Remaining())
+				}
+				continue
+			}
 			o1, n1, ok1 := pc.Next(max)
 			o2, n2, ok2 := cur.Next(max)
 			if o1 != o2 || n1 != n2 || ok1 != ok2 {
@@ -258,11 +280,20 @@ func TestRunAtMatchesSequence(t *testing.T) {
 		if int64(len(seq)) != p.Runs() {
 			t.Fatalf("%s: cursor drained %d runs, program claims %d", sh.name, len(seq), p.Runs())
 		}
+		var lo, hi int64
 		for i, b := range seq {
 			off, n := p.RunAt(int64(i))
 			if off != b.Off || n != b.Len {
 				t.Errorf("%s: RunAt(%d) = (%d,%d), sequence (%d,%d)", sh.name, i, off, n, b.Off, b.Len)
 			}
+			if i == 0 {
+				lo, hi = b.Off, b.Off+b.Len
+			}
+			lo, hi = min(lo, b.Off), max(hi, b.Off+b.Len)
+		}
+		// Bounds is tight: the lowest run start and the highest run end.
+		if gotLo, gotHi := p.Bounds(); gotLo != lo || gotHi != hi {
+			t.Errorf("%s: Bounds() = [%d,%d), runs cover [%d,%d)", sh.name, gotLo, gotHi, lo, hi)
 		}
 	}
 }

@@ -179,9 +179,11 @@ func (m *Memory) AllocatedBytes() int64 {
 }
 
 // Bytes returns the byte slice backing [a, a+n). It panics on out-of-range
-// access, which in the simulation indicates a protocol bug.
+// access, which in the simulation indicates a protocol bug. An address a
+// negative datatype offset carried below zero (wrapped high) is out of range
+// like any other.
 func (m *Memory) Bytes(a Addr, n int64) []byte {
-	if a == 0 || int64(a)+n > int64(len(m.data)) || n < 0 {
+	if int64(a) <= 0 || n < 0 || n > int64(len(m.data))-int64(a) {
 		panic(fmt.Sprintf("mem %s: access [%#x,+%d) out of range", m.name, a, n))
 	}
 	return m.data[a : int64(a)+n : int64(a)+n]
@@ -189,7 +191,7 @@ func (m *Memory) Bytes(a Addr, n int64) []byte {
 
 // CheckRange validates [a, a+n) without returning the data.
 func (m *Memory) CheckRange(a Addr, n int64) error {
-	if a == 0 || n < 0 || int64(a)+n > int64(len(m.data)) {
+	if int64(a) <= 0 || n < 0 || n > int64(len(m.data))-int64(a) {
 		return fmt.Errorf("mem %s: range [%#x,+%d) out of bounds", m.name, a, n)
 	}
 	return nil

@@ -4,24 +4,38 @@
 // and how many contiguous runs each step touched so callers can charge the
 // modeled copy cost (bandwidth plus per-run startup).
 //
-// An engine walks its layout one of two ways: the interpreted datatype
-// Cursor (re-walking the dataloop tree) or a compiled layout Program
-// replayed through a ProgCursor (O(1) advance, no allocation on reset).
-// Both emit the identical run sequence, so staging bytes and run statistics
-// do not depend on which walk a caller picked.
+// A pack or unpack step moves its bytes through three tiers:
+//
+//   - the batch kernels (kernels.go): whole runs of a compiled layout
+//     Program, handed out a stride level or run-table window at a time by
+//     ProgCursor.NextBatch, range-checked once against the program's bounds
+//     and copied by a loop specialised on the run length (fixed-width moves
+//     for 1/2/4/8/16 B runs, copy() otherwise);
+//   - the per-run tail: a run that the head or tail of the caller's buffer
+//     splits, and every run of a ProgGeneric program, takes one
+//     Next + mem.Bytes + copy() step;
+//   - the interpreted oracle: engines built without a program (NewPacker,
+//     NewUnpacker) walk the dataloop tree through datatype.Cursor, one
+//     per-run step at a time. Tests and Config.InterpretedPack use it as the
+//     reference the other two are held to.
+//
+// All three emit the Cursor's run sequence, so staging bytes and the
+// (bytes, runs) statistics do not depend on the tier that moved them.
 package pack
 
 import (
+	"math"
+
 	"repro/internal/datatype"
 	"repro/internal/mem"
 )
 
-// Packer copies a (type, count) message out of a user buffer into contiguous
-// destinations, any number of bytes at a time.
-type Packer struct {
+// engine is what Packer and Unpacker share: one message in simulated memory
+// and the walk over its layout. Only the copy direction differs.
+type engine struct {
 	mem   *mem.Memory
 	base  mem.Addr
-	t     *datatype.Type
+	t     *datatype.Type // the interpreted walk's message, for Reset
 	count int
 
 	prog *datatype.Program   // non-nil: replay the compiled program
@@ -29,156 +43,122 @@ type Packer struct {
 	cur  *datatype.Cursor    // interpreted walk state (when prog == nil)
 }
 
+func newProgramEngine(m *mem.Memory, base mem.Addr, prog *datatype.Program) engine {
+	e := engine{mem: m, base: base, prog: prog}
+	e.pc.Reset(prog)
+	return e
+}
+
+// Reset rewinds the engine to the start of its message so it can be reused.
+// Resetting a program engine over a canonical program allocates nothing.
+func (e *engine) Reset() {
+	if e.prog != nil {
+		e.pc.Reset(e.prog)
+		return
+	}
+	e.cur = datatype.NewCursor(e.t, e.count)
+}
+
+// next takes one per-run step of the walk. (The engine calls its walks
+// concretely, never through datatype.RunWalker: through the interface it
+// would escape, and a packer a caller keeps on its stack would cost an
+// allocation.)
+func (e *engine) next(max int64) (off, n int64, ok bool) {
+	if e.prog != nil {
+		return e.pc.Next(max)
+	}
+	return e.cur.Next(max)
+}
+
+// Remaining reports the message bytes not yet packed or unpacked.
+func (e *engine) Remaining() int64 {
+	if e.prog != nil {
+		return e.pc.Remaining()
+	}
+	return e.cur.Remaining()
+}
+
+// Done reports whether the whole message has been packed or unpacked.
+func (e *engine) Done() bool { return e.Remaining() == 0 }
+
+// transfer moves the next len(buf) bytes of the message (or fewer if the
+// message ends) between the user buffer and buf — out of the user buffer
+// when packing, into it when scatter is set — and returns the bytes moved
+// and the contiguous runs touched. Whole runs of a compiled program move a
+// batch at a time through the kernels; a run split by the head or tail of
+// buf, and every run of an interpreted or generic walk, takes the per-run
+// step. Both yield the run sequence of the interpreted Cursor, so (n, runs)
+// do not depend on the tier.
+func (e *engine) transfer(buf []byte, scatter bool) (n int64, runs int) {
+	var span []byte // user memory over the program's bounds, mapped at the first batch
+	var lo int64
+	for n < int64(len(buf)) {
+		rest := buf[n:]
+		if e.prog != nil {
+			if b := e.pc.NextBatch(int64(len(rest))); b.K > 0 {
+				if span == nil {
+					var hi int64
+					lo, hi = e.prog.Bounds()
+					span = e.mem.Bytes(addrAt(e.base, lo), hi-lo)
+				}
+				n += copyBatch(span, lo, rest, &b, scatter)
+				runs += b.K
+				continue
+			}
+		}
+		off, k, ok := e.next(int64(len(rest)))
+		if !ok {
+			break
+		}
+		dst, src := dir(scatter, rest[:k], e.mem.Bytes(addrAt(e.base, off), k))
+		copy(dst, src)
+		n += k
+		runs++
+	}
+	return n, runs
+}
+
+// Packer copies a (type, count) message out of a user buffer into contiguous
+// destinations, any number of bytes at a time.
+type Packer struct{ engine }
+
 // NewPacker creates a packer over the message (base, count, t) in m using
 // the interpreted cursor walk.
 func NewPacker(m *mem.Memory, base mem.Addr, t *datatype.Type, count int) *Packer {
-	return &Packer{mem: m, base: base, t: t, count: count, cur: datatype.NewCursor(t, count)}
+	return &Packer{engine{mem: m, base: base, t: t, count: count, cur: datatype.NewCursor(t, count)}}
 }
 
 // NewProgramPacker creates a packer over the message (base, prog) in m that
 // replays the compiled layout program instead of walking the dataloop tree.
 // The program is shared and immutable; the packer keeps private cursor state.
 func NewProgramPacker(m *mem.Memory, base mem.Addr, prog *datatype.Program) *Packer {
-	p := &Packer{mem: m, base: base, t: prog.Type(), count: prog.Count(), prog: prog}
-	p.pc.Reset(prog)
-	return p
+	return &Packer{newProgramEngine(m, base, prog)}
 }
-
-// Reset rewinds the packer to the start of its message so it can be reused.
-// Resetting a program packer over a canonical program allocates nothing.
-func (p *Packer) Reset() {
-	if p.prog != nil {
-		p.pc.Reset(p.prog)
-		return
-	}
-	p.cur = datatype.NewCursor(p.t, p.count)
-}
-
-// walker returns the packer's layout walk as the shared streaming interface.
-func (p *Packer) walker() datatype.RunWalker {
-	if p.prog != nil {
-		return &p.pc
-	}
-	return p.cur
-}
-
-// Remaining reports unpacked bytes left.
-func (p *Packer) Remaining() int64 { return p.walker().Remaining() }
-
-// Done reports whether the whole message has been packed.
-func (p *Packer) Done() bool { return p.walker().Done() }
 
 // PackTo fills dst with the next len(dst) bytes of the message (or fewer if
 // the message ends), returning the bytes written and the number of
 // contiguous runs touched.
-func (p *Packer) PackTo(dst []byte) (n int64, runs int) {
-	if p.prog != nil {
-		// Compiled replay: the concrete cursor advance is a counter
-		// increment plus an add per run (see datatype.ProgCursor).
-		for int64(len(dst))-n > 0 {
-			off, k, ok := p.pc.Next(int64(len(dst)) - n)
-			if !ok {
-				break
-			}
-			copy(dst[n:n+k], p.mem.Bytes(addrAt(p.base, off), k))
-			n += k
-			runs++
-		}
-		return n, runs
-	}
-	for int64(len(dst))-n > 0 {
-		off, k, ok := p.cur.Next(int64(len(dst)) - n)
-		if !ok {
-			break
-		}
-		src := p.mem.Bytes(addrAt(p.base, off), k)
-		copy(dst[n:n+k], src)
-		n += k
-		runs++
-	}
-	return n, runs
-}
+func (p *Packer) PackTo(dst []byte) (n int64, runs int) { return p.transfer(dst, false) }
 
 // Unpacker copies contiguous staging bytes back into a noncontiguous user
 // buffer, any number of bytes at a time.
-type Unpacker struct {
-	mem   *mem.Memory
-	base  mem.Addr
-	t     *datatype.Type
-	count int
-
-	prog *datatype.Program
-	pc   datatype.ProgCursor
-	cur  *datatype.Cursor
-}
+type Unpacker struct{ engine }
 
 // NewUnpacker creates an unpacker over the message (base, count, t) in m
 // using the interpreted cursor walk.
 func NewUnpacker(m *mem.Memory, base mem.Addr, t *datatype.Type, count int) *Unpacker {
-	return &Unpacker{mem: m, base: base, t: t, count: count, cur: datatype.NewCursor(t, count)}
+	return &Unpacker{engine{mem: m, base: base, t: t, count: count, cur: datatype.NewCursor(t, count)}}
 }
 
 // NewProgramUnpacker creates an unpacker over the message (base, prog) in m
 // that replays the compiled layout program.
 func NewProgramUnpacker(m *mem.Memory, base mem.Addr, prog *datatype.Program) *Unpacker {
-	u := &Unpacker{mem: m, base: base, t: prog.Type(), count: prog.Count(), prog: prog}
-	u.pc.Reset(prog)
-	return u
+	return &Unpacker{newProgramEngine(m, base, prog)}
 }
-
-// Reset rewinds the unpacker to the start of its message so it can be
-// reused. Resetting a program unpacker over a canonical program allocates
-// nothing.
-func (u *Unpacker) Reset() {
-	if u.prog != nil {
-		u.pc.Reset(u.prog)
-		return
-	}
-	u.cur = datatype.NewCursor(u.t, u.count)
-}
-
-// walker returns the unpacker's layout walk as the shared streaming
-// interface.
-func (u *Unpacker) walker() datatype.RunWalker {
-	if u.prog != nil {
-		return &u.pc
-	}
-	return u.cur
-}
-
-// Remaining reports bytes left to unpack.
-func (u *Unpacker) Remaining() int64 { return u.walker().Remaining() }
-
-// Done reports whether the whole message has been unpacked.
-func (u *Unpacker) Done() bool { return u.walker().Done() }
 
 // UnpackFrom scatters src into the next len(src) bytes' worth of message
 // positions, returning bytes consumed and contiguous runs touched.
-func (u *Unpacker) UnpackFrom(src []byte) (n int64, runs int) {
-	if u.prog != nil {
-		for int64(len(src))-n > 0 {
-			off, k, ok := u.pc.Next(int64(len(src)) - n)
-			if !ok {
-				break
-			}
-			copy(u.mem.Bytes(addrAt(u.base, off), k), src[n:n+k])
-			n += k
-			runs++
-		}
-		return n, runs
-	}
-	for int64(len(src))-n > 0 {
-		off, k, ok := u.cur.Next(int64(len(src)) - n)
-		if !ok {
-			break
-		}
-		dst := u.mem.Bytes(addrAt(u.base, off), k)
-		copy(dst, src[n:n+k])
-		n += k
-		runs++
-	}
-	return n, runs
-}
+func (u *Unpacker) UnpackFrom(src []byte) (n int64, runs int) { return u.transfer(src, true) }
 
 // addrAt applies a possibly negative datatype offset to a base address.
 func addrAt(base mem.Addr, off int64) mem.Addr {
@@ -212,9 +192,15 @@ func ProgramBlocks(base mem.Addr, prog *datatype.Program, limit int) ([]mem.Bloc
 		trunc = true
 	}
 	out := make([]mem.Block, runs)
-	for i := int64(0); i < runs; i++ {
-		off, n := prog.RunAt(i)
-		out[i] = mem.Block{Addr: addrAt(base, off), Len: n}
+	var c datatype.ProgCursor
+	c.Reset(prog)
+	for i := 0; i < len(out); {
+		b := c.NextBatch(math.MaxInt64) // never mid-run, so every step is a batch
+		for j := 0; j < b.K && i < len(out); j++ {
+			off, n := b.Run(j)
+			out[i] = mem.Block{Addr: addrAt(base, off), Len: n}
+			i++
+		}
 	}
 	return out, trunc
 }

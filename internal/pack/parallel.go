@@ -126,18 +126,28 @@ type runRef struct {
 
 // collectRuns advances the layout walk by up to want bytes, appending the
 // contiguous runs in layout order to refs (reusing its capacity), and
-// returns the extended slice plus the bytes consumed. The Next sequence is
-// exactly the serial engine's — whether the walker is an interpreted Cursor
-// or a compiled ProgCursor — so the run count (and thus the modeled per-run
-// cost) is identical to PackTo/UnpackFrom.
-func collectRuns(w datatype.RunWalker, base mem.Addr, want int64, refs []runRef) ([]runRef, int64) {
+// returns the extended slice plus the bytes consumed. The run sequence is
+// exactly transfer's — whole runs a batch at a time, split runs one Next
+// step at a time — so the run count (and thus the modeled per-run cost) is
+// identical to PackTo/UnpackFrom.
+func (e *engine) collectRuns(want int64, refs []runRef) ([]runRef, int64) {
 	var n int64
-	for want-n > 0 {
-		off, k, ok := w.Next(want - n)
+	for n < want {
+		if e.prog != nil {
+			if b := e.pc.NextBatch(want - n); b.K > 0 {
+				for j := 0; j < b.K; j++ {
+					off, k := b.Run(j)
+					refs = append(refs, runRef{addr: addrAt(e.base, off), off: n, n: k})
+					n += k
+				}
+				continue
+			}
+		}
+		off, k, ok := e.next(want - n)
 		if !ok {
 			break
 		}
-		refs = append(refs, runRef{addr: addrAt(base, off), off: n, n: k})
+		refs = append(refs, runRef{addr: addrAt(e.base, off), off: n, n: k})
 		n += k
 	}
 	return refs, n
@@ -234,7 +244,7 @@ func (p *ParallelPacker) Pack(dst []byte) ParStats {
 		p.stats = append(p.stats[:0], ShardStat{Bytes: n, Runs: runs})
 		return ParStats{Bytes: n, Runs: runs, Shards: p.stats}
 	}
-	refs, n := collectRuns(p.walker(), p.base, int64(len(dst)), p.refs[:0])
+	refs, n := p.collectRuns(int64(len(dst)), p.refs[:0])
 	p.refs = refs
 	p.shards = shardRuns(refs, n, p.opt.Workers, p.opt.minShard(), p.shards[:0])
 	p.stats = p.stats[:0]
@@ -302,7 +312,7 @@ func (u *ParallelUnpacker) Unpack(src []byte) ParStats {
 		u.stats = append(u.stats[:0], ShardStat{Bytes: n, Runs: runs})
 		return ParStats{Bytes: n, Runs: runs, Shards: u.stats}
 	}
-	refs, n := collectRuns(u.walker(), u.base, int64(len(src)), u.refs[:0])
+	refs, n := u.collectRuns(int64(len(src)), u.refs[:0])
 	u.refs = refs
 	u.shards = shardRuns(refs, n, u.opt.Workers, u.opt.minShard(), u.shards[:0])
 	u.stats = u.stats[:0]

@@ -17,6 +17,9 @@
 //     or scheduling change.
 //   - ns/op on a wall-clock row never fails the gate — it is recorded and
 //     reported for humans, because CI machines are not comparable.
+//   - a ratio row (pack time over raw copy() time, same process) fails past
+//     its pinned ceiling: machine speed cancels out of the quotient, so the
+//     pack-vs-copy expectation is enforceable where a bare wall time is not.
 //
 // EXPERIMENTS.md §perf maps the suite's rows onto the paper's Figures 7–9.
 package perfgate
@@ -36,6 +39,10 @@ const (
 	KindVirtual = "virtual"
 	// KindWall marks wall-clock measurements; ns/op is advisory only.
 	KindWall = "wall"
+	// KindRatio marks a quotient of two wall-clock measurements taken in
+	// the same process (pack time over raw copy() time). Machine speed
+	// cancels, so the row carries a pinned ceiling and that is enforced.
+	KindRatio = "ratio"
 )
 
 // Comparison tolerances. Exported so the gate's policy is inspectable and
@@ -67,6 +74,10 @@ type Row struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	// ZeroAlloc pins AllocsPerOp to exactly zero.
 	ZeroAlloc bool `json:"zero_alloc,omitempty"`
+	// Ratio is a KindRatio row's measurement and Ceiling the value it must
+	// not exceed; the ceiling enforced is the committed baseline's.
+	Ratio   float64 `json:"ratio,omitempty"`
+	Ceiling float64 `json:"ceiling,omitempty"`
 }
 
 // Report is the committed artifact: the full suite, sorted by row name.
@@ -155,6 +166,11 @@ func Compare(base, cur Report) []Problem {
 				out = append(out, Problem{Row: b.Name, Fatal: true,
 					Msg: fmt.Sprintf("virtual ns/op %.0f exceeds baseline %.0f (+%d%%)",
 						c.NsPerOp, b.NsPerOp, int(NsSlack*100))})
+			}
+		case KindRatio:
+			if c.Ratio > b.Ceiling {
+				out = append(out, Problem{Row: b.Name, Fatal: true,
+					Msg: fmt.Sprintf("ratio %.1f exceeds pinned ceiling %.0f", c.Ratio, b.Ceiling)})
 			}
 		case KindWall:
 			if b.NsPerOp > 0 && c.NsPerOp > b.NsPerOp*2 {

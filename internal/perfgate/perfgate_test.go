@@ -93,6 +93,22 @@ func TestCompareWallDriftIsAdvisory(t *testing.T) {
 	}
 }
 
+// A ratio row is enforced against the committed ceiling, not against the
+// previous measurement and not against whatever ceiling the current run
+// carries: drifting under the ceiling passes, crossing it fails.
+func TestCompareRatioCeiling(t *testing.T) {
+	base := Report{Rows: []Row{{Name: "packratio/v", Kind: KindRatio, Ratio: 15, Ceiling: 30}}}
+	cur := Report{Rows: []Row{{Name: "packratio/v", Kind: KindRatio, Ratio: 29.9, Ceiling: 1000}}}
+	if ps := Compare(base, cur); len(ps) != 0 {
+		t.Fatalf("ratio under the ceiling flagged: %v", ps)
+	}
+	cur.Rows[0].Ratio = 30.1
+	p := findProblem(t, Compare(base, cur), "packratio/v")
+	if !p.Fatal || !strings.Contains(p.Msg, "ceiling") {
+		t.Fatalf("ratio past the ceiling not fatal: %+v", p)
+	}
+}
+
 func TestCompareMissingAndNewRows(t *testing.T) {
 	base := Report{Rows: []Row{row("gone", KindWall, 1, 0, false)}}
 	cur := Report{Rows: []Row{row("fresh", KindWall, 1, 0, false)}}
@@ -138,7 +154,59 @@ func TestWallRowMeasuresZeroAllocClosure(t *testing.T) {
 	if r.AllocsPerOp != 0 || !r.ZeroAlloc || r.Kind != KindWall {
 		t.Fatalf("wallRow on a pure closure: %+v", r)
 	}
-	if n != wallRuns+1 {
-		t.Fatalf("wallRow ran closure %d times, want %d", n, wallRuns+1)
+	if want := wallBatches*wallRuns + 1; n != want {
+		t.Fatalf("wallRow ran closure %d times, want %d", n, want)
 	}
 }
+
+// A stray allocation in one batch (the process-global counter picks up
+// runtime background work) must not fail a zero-alloc row; an allocation in
+// every batch must show.
+func TestWallRowIgnoresOneDirtyBatch(t *testing.T) {
+	calls := 0
+	r := wallRow("probe", true, func() {
+		if calls++; calls == 2 {
+			allocSink = make([]byte, 64)
+		}
+	})
+	if r.AllocsPerOp != 0 {
+		t.Fatalf("one stray allocation reads %.3f allocs/op", r.AllocsPerOp)
+	}
+	r = wallRow("probe", true, func() { allocSink = make([]byte, 64) })
+	if r.AllocsPerOp < 1 {
+		t.Fatalf("a closure that always allocates reads %.3f allocs/op", r.AllocsPerOp)
+	}
+}
+
+// spin is a fixed amount of arithmetic the compiler cannot drop.
+func spin(n int) {
+	for i := 0; i < n; i++ {
+		spinSink += uint64(i) * 2654435761
+	}
+}
+
+var spinSink uint64
+
+// A reading over the ceiling is retaken and the lowest kept: a numerator
+// that is ten times too slow only while the first reading is taken (the way
+// a burst of interference is) must not leave the row over its ceiling.
+func TestRatioRowRetakesDisturbedReading(t *testing.T) {
+	calls := 0
+	num := func() {
+		if calls++; calls <= wallBatches*wallRuns+1 {
+			spin(20000)
+			return
+		}
+		spin(2000)
+	}
+	r := ratioRow("packratio/probe", 8, num, func() { spin(1000) })
+	if r.Kind != KindRatio || r.Ceiling != 8 || r.Ratio <= 0 || r.Ratio > 8 {
+		t.Fatalf("ratio row after one disturbed reading: %+v", r)
+	}
+	if calls <= wallBatches*wallRuns+1 {
+		t.Fatal("the disturbed reading was not retaken")
+	}
+}
+
+// allocSink keeps the test allocations on the heap.
+var allocSink []byte

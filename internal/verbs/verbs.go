@@ -4,19 +4,23 @@
 // and immediate data), the QP/CQ/HCA interfaces, and the hardware cost
 // model.
 //
-// Two backends implement the contract:
+// Three backends implement the contract:
 //
 //   - internal/ib: the deterministic discrete-event simulator. One engine
 //     drives every node; virtual time comes from the calibrated cost model,
 //     and runs are bit-for-bit reproducible.
+//   - internal/shmfab: the shared-memory intra-node fabric. Every rank is a
+//     partition of one arena, RDMA operations are direct copies priced as
+//     initiator CPU time by a zero-link model, on the same virtual-time
+//     engine and just as reproducible.
 //   - internal/rtfab: the real-time concurrent fabric. Each rank's node is
 //     driven by its own goroutine, queue pairs and completion paths are
 //     bounded channels, and RDMA operations are actual copies into the peer
 //     node's memory arena under the same per-region registration checks.
 //
 // Protocol code (internal/core, internal/mpi) holds only these interface
-// types, so the same scheme implementations run — and are tested — on both
-// substrates.
+// types, so the same scheme implementations run — and are tested — on all
+// three substrates.
 package verbs
 
 import (
