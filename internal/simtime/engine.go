@@ -3,10 +3,11 @@
 //
 // The engine advances a virtual clock by executing events in (time, sequence)
 // order. Rank programs (MPI processes, in this repository) run as Process
-// coroutines: goroutines that execute in strict alternation with the engine,
-// so the whole simulation is logically single-threaded and bit-for-bit
-// reproducible. A process blocks by sleeping for a virtual duration or by
-// waiting on a Signal; protocol state machines run as plain scheduled events.
+// coroutines that execute in strict alternation with the engine, on the
+// thread of whoever drives it, so the whole simulation is single-threaded
+// and bit-for-bit reproducible. A process blocks by sleeping for a virtual
+// duration or by waiting on a Signal; protocol state machines run as plain
+// scheduled events.
 package simtime
 
 import (
@@ -125,13 +126,12 @@ type Engine struct {
 	seq    int64
 	events eventHeap
 	live   []*Process // spawned processes that have not finished
-	yield  chan struct{}
 	inRun  bool
 }
 
 // NewEngine returns an engine with an empty event queue at time zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.

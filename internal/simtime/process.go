@@ -7,9 +7,9 @@ import "fmt"
 // explicit (Sleep, Wait, process completion), which makes process code
 // race-free by construction and keeps the simulation deterministic.
 type Process struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
+	eng  *Engine
+	name string
+	co   *coro
 	// blocked is true while the process is parked waiting for a wake event.
 	blocked bool
 	done    bool
@@ -19,38 +19,32 @@ type Process struct {
 // the current virtual time, after already-pending events. Spawn may be called
 // before Run, from event context, or from another process.
 func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
-	p := &Process{eng: e, name: name, resume: make(chan struct{})}
+	p := &Process{eng: e, name: name}
 	e.live = append(e.live, p)
 	e.Schedule(0, func() { p.start(fn) })
 	return p
 }
 
-// start launches the process goroutine and transfers control to it.
+// start creates the process coroutine and transfers control to it.
 // Runs in engine event context.
 func (p *Process) start(fn func(p *Process)) {
-	go func() {
-		<-p.resume
+	p.co = newCoro(func() {
 		fn(p)
 		p.done = true
 		p.eng.removeLive(p)
-		p.eng.yield <- struct{}{}
-	}()
+	})
 	p.transfer()
 }
 
 // transfer hands control to the process and blocks the engine until the
 // process yields (blocks or finishes). Runs in engine event context.
-func (p *Process) transfer() {
-	p.resume <- struct{}{}
-	<-p.eng.yield
-}
+func (p *Process) transfer() { p.co.resume() }
 
 // park yields control back to the engine and blocks until woken.
 // Runs in process context.
 func (p *Process) park() {
 	p.blocked = true
-	p.eng.yield <- struct{}{}
-	<-p.resume
+	p.co.suspend()
 }
 
 // wake schedules the process to resume at the current virtual time.
@@ -85,9 +79,7 @@ func (p *Process) Sleep(d Duration) {
 		p.blocked = false
 		p.transfer()
 	})
-	p.blocked = true
-	p.eng.yield <- struct{}{}
-	<-p.resume
+	p.park()
 }
 
 // WaitUntil suspends the process until absolute virtual time t. If t is not
