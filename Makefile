@@ -4,9 +4,11 @@
 
 GO ?= go
 
-# The packages the observability Recorder/Registry reach; `make race` runs
-# just these under the race detector for a fast concurrency gate.
-RACE_PKGS = ./internal/core/ ./internal/mpi/ ./internal/rtfab/ ./internal/shmfab/ ./internal/stats/ ./internal/trace/ ./internal/traffic/
+# The packages the observability Recorder/Registry reach, plus the fabric
+# kernel, its three backends and the verb-level contract suite that drives
+# them; `make race` runs just these under the race detector for a fast
+# concurrency gate.
+RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/ib/ ./internal/mpi/ ./internal/rtfab/ ./internal/shmfab/ ./internal/stats/ ./internal/trace/ ./internal/traffic/ ./internal/verbs/
 
 .PHONY: check fmt vet build test bench-check bench-suite race conformance fault-soak bench bench-backends tune tune-guard doclint par par-guard compile compile-guard qos soak soak-guard scale scale-guard zoo zoo-guard perf perf-guard
 
@@ -67,8 +69,8 @@ tune-guard:
 		{ echo "BENCH_tuner.json drifted from 'make tune' output"; exit 1; }
 
 # Documentation floor: package comments everywhere under internal/, and a
-# doc comment on every exported symbol of the strict packages (core, pack,
-# perfgate, qos, verbs).
+# doc comment on every exported symbol of the strict packages (core, fabric,
+# pack, perfgate, qos, verbs).
 doclint:
 	$(GO) run ./cmd/doclint
 

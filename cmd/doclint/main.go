@@ -4,8 +4,9 @@
 //   - every package under internal/ must open with a real package comment
 //     (more than one line of actual prose, not a lint pragma);
 //   - in the packages that form the public surface of the datatype engine
-//     and its hot path (internal/pack, internal/verbs, internal/core,
-//     internal/qos, internal/perfgate), every exported top-level symbol and
+//     and its hot path (internal/pack, internal/verbs, internal/fabric,
+//     internal/core, internal/qos, internal/perfgate), every exported
+//     top-level symbol and
 //     every exported method must carry a doc comment.
 //
 // `make doclint` runs it over the module; a bare exported symbol fails CI.
@@ -26,6 +27,7 @@ import (
 // comment, not just the package clause.
 var strictPkgs = map[string]bool{
 	"internal/core":     true,
+	"internal/fabric":   true,
 	"internal/pack":     true,
 	"internal/perfgate": true,
 	"internal/qos":      true,

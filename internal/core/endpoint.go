@@ -188,7 +188,10 @@ type Endpoint struct {
 	gate   *qos.Gate
 	qosPol qos.Policy
 
-	onSendCQE map[uint64]func(verbs.CQE)
+	// Completion records of posted descriptors (wr.go): wrTab is indexed by
+	// the low half of the work-request ID, wrFree holds the recycled ones.
+	wrTab  []*wrRec
+	wrFree []*wrRec
 
 	types   *typeRegistry
 	layouts *layoutCache
@@ -204,18 +207,17 @@ type opKey struct {
 // wired afterwards with ConnectPeers.
 func NewEndpoint(rank int, hca verbs.HCA, cfg Config) (*Endpoint, error) {
 	ep := &Endpoint{
-		rank:      rank,
-		node:      fmt.Sprintf("rank%d", rank),
-		eng:       hca.Engine(),
-		hca:       hca,
-		model:     hca.Model(),
-		memory:    hca.Mem(),
-		cfg:       cfg,
-		ctr:       hca.Counters(),
-		onSendCQE: make(map[uint64]func(verbs.CQE)),
-		types:     newTypeRegistry(),
-		layouts:   newLayoutCache(),
-		progs:     &programCache{},
+		rank:    rank,
+		node:    fmt.Sprintf("rank%d", rank),
+		eng:     hca.Engine(),
+		hca:     hca,
+		model:   hca.Model(),
+		memory:  hca.Mem(),
+		cfg:     cfg,
+		ctr:     hca.Counters(),
+		types:   newTypeRegistry(),
+		layouts: newLayoutCache(),
+		progs:   &programCache{},
 	}
 	ep.recvQ.init()
 	ep.unexp.init()
@@ -379,26 +381,12 @@ func (ep *Endpoint) announceReady(dst int, s *annSlot, fn func()) {
 	}
 }
 
-// sendCtrl posts a control message to a peer.
-func (ep *Endpoint) sendCtrl(dst int, payload []byte, onCQE func(verbs.CQE)) {
+// sendCtrl posts a control message to a peer. Its completion carries
+// nothing to do, so it is posted without a completion record (WRID 0).
+func (ep *Endpoint) sendCtrl(dst int, payload []byte) {
 	atomic.AddInt64(&ep.ctr.CtrlMessages, 1)
-	wrid := ep.hca.WRID()
-	if onCQE != nil {
-		ep.onSendCQE[wrid] = onCQE
-	}
-	if err := ep.qps[dst].PostSend(verbs.SendWR{WRID: wrid, Op: verbs.OpSend, Inline: payload}); err != nil {
+	if err := ep.qps[dst].PostSend(verbs.SendWR{Op: verbs.OpSend, Inline: payload}); err != nil {
 		panic(fmt.Sprintf("core: ctrl send failed: %v", err))
-	}
-}
-
-func (ep *Endpoint) handleSendCQE(e verbs.CQE) {
-	if cb, ok := ep.onSendCQE[e.WRID]; ok {
-		delete(ep.onSendCQE, e.WRID)
-		cb(e)
-		return
-	}
-	if e.Err != nil {
-		panic(fmt.Sprintf("core rank %d: unhandled send error: %v", ep.rank, e.Err))
 	}
 }
 
@@ -586,7 +574,7 @@ func (ep *Endpoint) eagerSend(req *Request, ctx int, buf mem.Addr, count int, dt
 	t0 := ep.tnow()
 	end := ep.hca.ChargeCPUNamed(cost, "pack")
 	ep.announceReady(dst, slot, func() {
-		ep.sendCtrl(dst, w.buf, nil)
+		ep.sendCtrl(dst, w.buf)
 		ep.putBuf(w.buf)
 	})
 	// The eager send completes once the data has left the user buffer.
@@ -719,7 +707,7 @@ func (ep *Endpoint) DebugState() string {
 		ep.rank, ep.activeSends, ep.activeRecvs, ep.recvQ.len(), ep.unexp.len(),
 		ep.packPool.available(), ep.packPool.totalSlots(), ep.packPool.pendingWaiters(),
 		ep.unpackPool.available(), ep.unpackPool.totalSlots(), ep.unpackPool.pendingWaiters(),
-		len(ep.onSendCQE), ep.poolStatsString())
+		ep.wrLive(), ep.poolStatsString())
 }
 
 // DebugOps lists in-flight operation details (diagnostics only).

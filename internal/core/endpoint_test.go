@@ -224,8 +224,8 @@ func TestPoolBalanceAfterBurst(t *testing.T) {
 				if ps := ep.PoolStats(); ps.LiveSendOps != 0 || ps.LiveRecvOps != 0 {
 					t.Fatalf("rank %d leaked pooled ops: %+v", ep.Rank(), ps)
 				}
-				if len(ep.onSendCQE) != 0 {
-					t.Fatalf("rank %d leaked %d CQE callbacks", ep.Rank(), len(ep.onSendCQE))
+				if ep.wrLive() != 0 {
+					t.Fatalf("rank %d leaked %d completion records", ep.Rank(), ep.wrLive())
 				}
 			}
 		})

@@ -1,13 +1,9 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"errors"
 	"fmt"
-
-	"repro/internal/fault"
-	"repro/internal/verbs"
+	"sync/atomic"
 )
 
 // Structured error propagation for the transfer schemes.
@@ -35,52 +31,6 @@ var errOpAborted = errors.New("core: descriptor abandoned after op abort")
 // data paths then trade pipelining for retry-safe, order-preserving posting;
 // with injection off, behavior is bit-identical to the fault-free engine.
 func (ep *Endpoint) faultMode() bool { return ep.hca.Injector() != nil }
-
-// postRetry posts one descriptor to the peer at dst, retrying transient
-// faults (post failures and error completions) with bounded backoff.
-// Each attempt gets a fresh WRID. done runs exactly once: with nil after a
-// successful completion, or with the final error. cancelled is consulted
-// before every attempt so an aborted op stops re-posting into memory that
-// is about to be released.
-func (ep *Endpoint) postRetry(dst int, wr verbs.SendWR, cancelled func() bool, done func(error)) {
-	attempt := 0
-	var try func()
-	retry := func(err error) bool {
-		if !fault.IsTransient(err) || attempt >= ep.cfg.FaultRetryLimit || cancelled() {
-			return false
-		}
-		attempt++
-		atomic.AddInt64(&ep.ctr.FaultRetries, 1)
-		ep.eng.Schedule(ep.cfg.retryBackoff(attempt), try)
-		return true
-	}
-	try = func() {
-		if cancelled() {
-			done(errOpAborted)
-			return
-		}
-		wr.WRID = ep.hca.WRID()
-		wrid := wr.WRID
-		ep.onSendCQE[wrid] = func(e verbs.CQE) {
-			if e.Err == nil {
-				done(nil)
-				return
-			}
-			if retry(e.Err) {
-				return
-			}
-			done(e.Err)
-		}
-		if err := ep.qps[dst].PostSend(wr); err != nil {
-			delete(ep.onSendCQE, wrid)
-			if retry(err) {
-				return
-			}
-			done(err)
-		}
-	}
-	try()
-}
 
 // --- Sender-side abort -------------------------------------------------------
 
@@ -126,29 +76,39 @@ func (ep *Endpoint) finalizeSendAbort(op *sendOp) {
 		w := ep.ctrlW()
 		w.u8(kindSendFail)
 		w.u32(op.id)
-		ep.sendCtrl(op.dst, w.buf, nil)
+		ep.sendCtrl(op.dst, w.buf)
 	}
 	ep.qosDrain() // a dead op releases nothing later; re-check parked work
 	ep.retireSend(op)
 }
 
 // sendWRResolved accounts one finally-resolved descriptor (completed, failed
-// past retry, or abandoned) of a send op and advances its state machine:
-// rest runs on success, failures start or continue the abort drain.
-func (ep *Endpoint) sendWRResolved(op *sendOp, err error, rest func()) {
+// past retry, or abandoned) of a send op and reports whether the op's state
+// machine should advance: failures start or continue the abort drain
+// instead.
+func (ep *Endpoint) sendWRResolved(op *sendOp, err error) bool {
 	op.wrsLeft--
 	if err != nil && !op.failed {
 		ep.abortSend(op, err)
-		return
+		return false
 	}
 	if op.failed {
 		if op.wrsLeft == 0 {
 			ep.finalizeSendAbort(op)
 		}
-		return
+		return false
 	}
-	if rest != nil {
-		rest()
+	return true
+}
+
+// advanceSend runs the op's onWRsDone continuation once its whole
+// descriptor population has been posted (the allPosted guard) and has
+// drained.
+func (ep *Endpoint) advanceSend(op *sendOp) {
+	if op.allPosted && op.wrsLeft == 0 && op.onWRsDone != nil {
+		fn := op.onWRsDone
+		op.onWRsDone = nil
+		fn()
 	}
 }
 
@@ -164,11 +124,7 @@ func (ep *Endpoint) donePosting(op *sendOp) {
 		}
 		return
 	}
-	if op.wrsLeft == 0 && op.onWRsDone != nil {
-		fn := op.onWRsDone
-		op.onWRsDone = nil
-		fn()
-	}
+	ep.advanceSend(op)
 }
 
 // --- Receiver-side abort -----------------------------------------------------
@@ -216,7 +172,7 @@ func (ep *Endpoint) finalizeRecvAbort(op *recvOp) {
 		w := ep.ctrlW()
 		w.u8(kindRecvFail)
 		w.u32(op.key.op)
-		ep.sendCtrl(op.key.src, w.buf, nil)
+		ep.sendCtrl(op.key.src, w.buf)
 	}
 	ep.qosDrain() // a dead op releases nothing later; re-check parked work
 	ep.retireRecv(op)
@@ -224,21 +180,19 @@ func (ep *Endpoint) finalizeRecvAbort(op *recvOp) {
 
 // recvWRResolved is sendWRResolved for receiver-initiated descriptors
 // (P-RRS scatter reads).
-func (ep *Endpoint) recvWRResolved(op *recvOp, err error, rest func()) {
+func (ep *Endpoint) recvWRResolved(op *recvOp, err error) bool {
 	op.wrsLeft--
 	if err != nil && !op.failed {
 		ep.abortRecv(op, err, true)
-		return
+		return false
 	}
 	if op.failed {
 		if op.wrsLeft == 0 {
 			ep.finalizeRecvAbort(op)
 		}
-		return
+		return false
 	}
-	if rest != nil {
-		rest()
-	}
+	return true
 }
 
 // --- Cross-rank failure notices ----------------------------------------------

@@ -47,8 +47,8 @@ func checkNoLeaks(t *testing.T, w *testWorld) {
 		if ps := ep.PoolStats(); ps.LiveSendOps != 0 || ps.LiveRecvOps != 0 {
 			t.Errorf("rank %d: pooled ops not recycled at quiescence: %+v", ep.Rank(), ps)
 		}
-		if len(ep.onSendCQE) != 0 {
-			t.Errorf("rank %d: %d leaked CQE callbacks", ep.Rank(), len(ep.onSendCQE))
+		if ep.wrLive() != 0 {
+			t.Errorf("rank %d: %d leaked completion records", ep.Rank(), ep.wrLive())
 		}
 		for _, pl := range []struct {
 			name string

@@ -2,19 +2,17 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/datatype"
 	"repro/internal/ib"
 	"repro/internal/mem"
-	"repro/internal/rtfab"
 	"repro/internal/simtime"
 	"repro/internal/verbs"
 )
 
-// newTestWorldModel is newTestWorld with a custom cost model — the boundary
-// tests shrink MaxPostBatch and MaxSGE independently.
+// newTestWorldModel is newTestWorld with a custom cost model — the chunking
+// test shrinks MaxPostBatch.
 func newTestWorldModel(t *testing.T, n int, cfg Config, memSize int64, model ib.Model) *testWorld {
 	t.Helper()
 	eng := simtime.NewEngine()
@@ -31,105 +29,6 @@ func newTestWorldModel(t *testing.T, n int, cfg Config, memSize int64, model ib.
 	}
 	ConnectPeers(eps)
 	return &testWorld{eng: eng, eps: eps}
-}
-
-// postBatchHarness is one backend's raw QP pair plus registered source and
-// destination buffers for hand-built list posts.
-type postBatchHarness struct {
-	qp       verbs.QP
-	src, dst mem.Addr
-	lkey     uint32
-	rkey     uint32
-}
-
-// TestMaxPostBatchDistinctFromMaxSGE pins the fix for the limit the callers
-// used to conflate: MaxPostBatch bounds descriptors per doorbell and MaxSGE
-// bounds one descriptor's gather list. With MaxSGE = 4 and MaxPostBatch = 8
-// on both backends, a full batch of full-gather descriptors (32 SGEs in
-// total) must be accepted — the batch limit counts descriptors, not SGEs —
-// while one descriptor too many is rejected at the verbs boundary.
-func TestMaxPostBatchDistinctFromMaxSGE(t *testing.T) {
-	model := verbs.DefaultModel()
-	model.MaxSGE = 4
-	model.MaxPostBatch = 8
-
-	build := map[string]func(t *testing.T) postBatchHarness{
-		"sim": func(t *testing.T) postBatchHarness {
-			eng := simtime.NewEngine()
-			fab := ib.NewFabric(eng, model)
-			ma := mem.NewMemory("a", 1<<20)
-			mb := mem.NewMemory("b", 1<<20)
-			ha := fab.AddHCA("a", ma, nil)
-			hb := fab.AddHCA("b", mb, nil)
-			qa, _ := ha.Connect(hb, ha.NewCQ(), ha.NewCQ(), hb.NewCQ(), hb.NewCQ())
-			return newPostBatchBufs(t, qa, ma, mb)
-		},
-		"rt": func(t *testing.T) postBatchHarness {
-			fab := rtfab.New(model)
-			ma := mem.NewMemory("a", 1<<20)
-			mb := mem.NewMemory("b", 1<<20)
-			na := fab.AddNode("a", ma, nil)
-			nb := fab.AddNode("b", mb, nil)
-			qa, _ := na.Connect(nb, na.NewCQ(), na.NewCQ(), nb.NewCQ(), nb.NewCQ())
-			return newPostBatchBufs(t, qa, ma, mb)
-		},
-	}
-
-	for backend, mk := range build {
-		t.Run(backend, func(t *testing.T) {
-			h := mk(t)
-			wr := func(nSGE int) verbs.SendWR {
-				w := verbs.SendWR{Op: verbs.OpRDMAWrite, RemoteAddr: h.dst, RKey: h.rkey}
-				for s := 0; s < nSGE; s++ {
-					w.SGL = append(w.SGL, verbs.SGE{
-						Addr: h.src + mem.Addr(64*s), Len: 64, Key: h.lkey})
-				}
-				return w
-			}
-			list := func(nWR, nSGE int) []verbs.SendWR {
-				wrs := make([]verbs.SendWR, nWR)
-				for i := range wrs {
-					wrs[i] = wr(nSGE)
-				}
-				return wrs
-			}
-
-			// MaxPostBatch descriptors, each with a full MaxSGE gather list:
-			// 32 SGEs in one doorbell, and it must be accepted.
-			if err := h.qp.PostSendList(list(model.MaxPostBatch, model.MaxSGE)); err != nil {
-				t.Fatalf("full batch of full-gather descriptors rejected: %v", err)
-			}
-			// One descriptor past the batch limit: rejected, naming the limit.
-			err := h.qp.PostSendList(list(model.MaxPostBatch+1, 1))
-			if err == nil {
-				t.Fatalf("list of %d descriptors accepted past MaxPostBatch %d",
-					model.MaxPostBatch+1, model.MaxPostBatch)
-			}
-			if !strings.Contains(err.Error(), "MaxPostBatch") {
-				t.Fatalf("rejection does not name MaxPostBatch: %v", err)
-			}
-			// Singleton posts are not doorbell batches: they bypass the limit
-			// even when a list of the same size would not.
-			if err := h.qp.PostSend(wr(model.MaxSGE)); err != nil {
-				t.Fatalf("single post rejected: %v", err)
-			}
-		})
-	}
-}
-
-func newPostBatchBufs(t *testing.T, qp verbs.QP, ma, mb *mem.Memory) postBatchHarness {
-	t.Helper()
-	src := ma.MustAlloc(64 << 10)
-	dst := mb.MustAlloc(64 << 10)
-	srcReg, err := ma.Reg().Register(src, 64<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstReg, err := mb.Reg().Register(dst, 64<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return postBatchHarness{qp: qp, src: src, dst: dst, lkey: srcReg.LKey, rkey: dstReg.RKey}
 }
 
 // TestPostBatchChunkingEndToEnd shrinks MaxPostBatch to 3 and sends a

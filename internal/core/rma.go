@@ -187,8 +187,9 @@ func (ep *Endpoint) postRMAWRs(dst int, wrs []verbs.SendWR, regions []*mem.Regio
 	}
 	if ep.cfg.ListPost && len(wrs) > 1 && !ep.faultMode() {
 		for i := range wrs {
-			wrs[i].WRID = ep.hca.WRID()
-			ep.onSendCQE[wrs[i].WRID] = func(e verbs.CQE) { resolve(e.Err) }
+			rec := ep.getWR(wrCall, dst, 0)
+			rec.done = resolve
+			wrs[i].WRID = rec.id()
 		}
 		batches := chunkBatches(wrs, ep.model.MaxPostBatch, nil)
 		for bi, batch := range batches {
@@ -197,7 +198,7 @@ func (ep *Endpoint) postRMAWRs(dst int, wrs []verbs.SendWR, regions []*mem.Regio
 				// NIC; already-posted batches resolve through their CQEs.
 				for _, b := range batches[bi:] {
 					for i := range b {
-						delete(ep.onSendCQE, b[i].WRID)
+						ep.dropWR(b[i].WRID)
 						resolve(err)
 					}
 				}
@@ -208,7 +209,7 @@ func (ep *Endpoint) postRMAWRs(dst int, wrs []verbs.SendWR, regions []*mem.Regio
 		return
 	}
 	for i := range wrs {
-		ep.postRetry(dst, wrs[i], func() bool { return false }, resolve)
+		ep.postRetry(dst, &wrs[i], nil, resolve)
 	}
 }
 

@@ -284,7 +284,7 @@ func (ep *Endpoint) rndvSend(req *Request, ctx int, buf mem.Addr, count int, dt 
 			} else {
 				w.u8(0)
 			}
-			ep.sendCtrl(dst, w.buf, nil)
+			ep.sendCtrl(dst, w.buf)
 		})
 	}
 
@@ -387,7 +387,7 @@ func (ep *Endpoint) recvStagedSetup(op *recvOp, segSize int64) {
 		w.i64(op.eff)
 		w.i64(segSize)
 		w.segRefs(refs)
-		ep.sendCtrl(op.key.src, w.buf, nil)
+		ep.sendCtrl(op.key.src, w.buf)
 		ep.span(schemeName(&ctsSpanName, op.scheme), "handshake", op.key.op, op.eff, op.tStart)
 	}
 
@@ -549,7 +549,7 @@ func (ep *Endpoint) recvMultiWSetup(op *recvOp) {
 				w.u8(0)
 			}
 			w.regRefs(refs)
-			ep.sendCtrl(op.key.src, w.buf, nil)
+			ep.sendCtrl(op.key.src, w.buf)
 			ep.span("cts Multi-W", "handshake", op.key.op, op.eff, op.tStart)
 		})
 }
@@ -581,7 +581,7 @@ func (ep *Endpoint) recvPRRSSetup(op *recvOp) {
 			w.u8(uint8(SchemePRRS))
 			w.i64(op.eff)
 			w.i64(op.segSize)
-			ep.sendCtrl(op.key.src, w.buf, nil)
+			ep.sendCtrl(op.key.src, w.buf)
 			ep.span("cts P-RRS", "handshake", op.key.op, op.eff, op.tStart)
 		})
 }

@@ -88,93 +88,77 @@ func (ep *Endpoint) postWRs(op *sendOp, dst int, wrs []verbs.SendWR, list bool, 
 	if onAll != nil {
 		op.onWRsDone = onAll
 	}
-	advance := func() {
-		if op.allPosted && op.wrsLeft == 0 && op.onWRsDone != nil {
-			fn := op.onWRsDone
-			op.onWRsDone = nil
-			fn()
-		}
-	}
 	lane := ep.laneFor(op.eff)
-	if list && len(wrs) > 1 && !ep.faultMode() {
-		op.wrsLeft += len(wrs)
+	if !list || len(wrs) <= 1 || ep.faultMode() {
 		for i := range wrs {
-			wrs[i].WRID = ep.hca.WRID()
 			wrs[i].Lane = uint8(lane)
-			n := wrPayload(&wrs[i])
-			ep.onSendCQE[wrs[i].WRID] = func(e verbs.CQE) {
-				ep.laneRelease(dst, 1, n)
-				ep.sendWRResolved(op, e.Err, advance)
-			}
+			rec := ep.getWR(wrSendData, dst, wrPayload(&wrs[i]))
+			rec.sop = op
+			op.wrsLeft++
+			ep.postSingle(rec, &wrs[i], lane)
 		}
-		// Bulk doorbells split at the lane window, not just the adapter
-		// limit, so each batch is one window-sized unit for the arbiter.
-		// The batch scratch is swapped out for the loop: submitLane grants
-		// can run synchronously and an abort inside one can reenter
-		// postWRs (abortSend → qosDrain → a parked transfer), which would
-		// otherwise clobber the shared backing mid-iteration.
-		scratch := ep.batchScratch
-		ep.batchScratch = nil
-		batches := chunkBatches(wrs, ep.laneChunkLimit(lane), scratch[:0])
-		for _, batch := range batches {
-			batch := batch
-			var batchBytes int64
-			for i := range batch {
-				batchBytes += wrPayload(&batch[i])
-			}
-			ep.submitLane(dst, lane, len(batch), batchBytes, func() {
-				if op.failed {
-					// Aborted while the batch waited for window room: the
-					// descriptors never reach the NIC, but their charge and
-					// wrsLeft accounting must still resolve.
-					for i := range batch {
-						delete(ep.onSendCQE, batch[i].WRID)
-					}
-					ep.laneRelease(dst, len(batch), batchBytes)
-					for range batch {
-						ep.sendWRResolved(op, errOpAborted, advance)
-					}
-					return
-				}
-				if err := ep.qps[dst].PostSendList(batch); err != nil {
-					// This batch never reached the NIC. Later batches clean
-					// themselves up through the op.failed path above when
-					// their grants fire.
-					for i := range batch {
-						delete(ep.onSendCQE, batch[i].WRID)
-					}
-					ep.laneRelease(dst, len(batch), batchBytes)
-					op.wrsLeft -= len(batch)
-					ep.abortSend(op, err)
-					return
-				}
-				ep.observeBatch(len(batch))
-			})
-		}
-		for i := range batches {
-			batches[i] = nil
-		}
-		ep.batchScratch = batches[:0]
 		return
 	}
-	cancelled := func() bool { return op.failed }
+	op.wrsLeft += len(wrs)
 	for i := range wrs {
-		wr := wrs[i]
-		wr.Lane = uint8(lane)
-		n := wrPayload(&wr)
-		op.wrsLeft++
-		ep.submitLane(dst, lane, 1, n, func() {
-			if op.failed {
-				ep.laneRelease(dst, 1, n)
-				ep.sendWRResolved(op, errOpAborted, advance)
-				return
-			}
-			ep.postRetry(dst, wr, cancelled, func(err error) {
-				ep.laneRelease(dst, 1, n)
-				ep.sendWRResolved(op, err, advance)
-			})
-		})
+		rec := ep.getWR(wrSendData, dst, wrPayload(&wrs[i]))
+		rec.sop = op
+		wrs[i].WRID, wrs[i].Lane = rec.id(), uint8(lane)
 	}
+	// Bulk doorbells split at the lane window, not just the adapter limit,
+	// so each batch is one window-sized unit for the arbiter. The batch
+	// scratch is swapped out for the loop: lane grants can run synchronously
+	// and an abort inside one can reenter postWRs (abortSend → qosDrain → a
+	// parked transfer), which would otherwise clobber the shared backing
+	// mid-iteration.
+	scratch := ep.batchScratch
+	ep.batchScratch = nil
+	batches := chunkBatches(wrs, ep.laneChunkLimit(lane), scratch[:0])
+	for _, batch := range batches {
+		if ep.lanes == nil {
+			// No arbiter: no grant closure, and nobody reads the charge.
+			ep.postBatch(op, dst, batch, 0)
+			continue
+		}
+		batch := batch
+		var batchBytes int64
+		for i := range batch {
+			batchBytes += wrPayload(&batch[i])
+		}
+		ep.submitLane(dst, lane, len(batch), batchBytes, func() { ep.postBatch(op, dst, batch, batchBytes) })
+	}
+	for i := range batches {
+		batches[i] = nil
+	}
+	ep.batchScratch = batches[:0]
+}
+
+// postBatch rings one doorbell for a batch of op's list-posted descriptors
+// once the lane arbiter has granted it (at once, with service mode off).
+func (ep *Endpoint) postBatch(op *sendOp, dst int, batch []verbs.SendWR, batchBytes int64) {
+	err := errOpAborted
+	if !op.failed {
+		if err = ep.qps[dst].PostSendList(batch); err == nil {
+			ep.observeBatch(len(batch))
+			return
+		}
+	}
+	// The batch never reached the NIC — the op was aborted while it waited
+	// for window room, or the doorbell was rejected (later batches then take
+	// the first branch when their grants fire). Its descriptors' records,
+	// charge and wrsLeft accounting must still resolve.
+	for i := range batch {
+		ep.dropWR(batch[i].WRID)
+	}
+	ep.laneRelease(dst, len(batch), batchBytes)
+	if op.failed {
+		for range batch {
+			ep.sendWRResolved(op, errOpAborted)
+		}
+		return
+	}
+	op.wrsLeft -= len(batch)
+	ep.abortSend(op, err)
 }
 
 // postGroupsChained posts descriptor groups strictly sequentially: group k+1
@@ -208,7 +192,6 @@ func (ep *Endpoint) postGroupsChained(op *sendOp, groups [][]verbs.SendWR, onAll
 // so a retried descriptor can never let the immediate announce data that has
 // not landed. then runs after the whole group (fence included) completes.
 func (ep *Endpoint) postGroupFenced(op *sendOp, wrs []verbs.SendWR, then func()) {
-	cancelled := func() bool { return op.failed }
 	last := len(wrs) - 1
 	var fence *verbs.SendWR
 	if last > 0 && wrs[last].Op == verbs.OpRDMAWriteImm {
@@ -223,22 +206,23 @@ func (ep *Endpoint) postGroupFenced(op *sendOp, wrs []verbs.SendWR, then func())
 			return
 		}
 		op.wrsLeft++
-		ep.postRetry(op.dst, *fence, cancelled, func(err error) {
-			ep.sendWRResolved(op, err, then)
+		ep.postRetry(op.dst, fence, op, func(err error) {
+			if ep.sendWRResolved(op, err) {
+				then()
+			}
 		})
 	}
 	pending := len(wrs)
 	op.wrsLeft += len(wrs)
+	resolved := func(err error) {
+		if ep.sendWRResolved(op, err) {
+			if pending--; pending == 0 {
+				dataDone()
+			}
+		}
+	}
 	for i := range wrs {
-		wr := wrs[i]
-		ep.postRetry(op.dst, wr, cancelled, func(err error) {
-			ep.sendWRResolved(op, err, func() {
-				pending--
-				if pending == 0 {
-					dataDone()
-				}
-			})
-		})
+		ep.postRetry(op.dst, &wrs[i], op, resolved)
 	}
 }
 
@@ -434,8 +418,10 @@ func (ep *Endpoint) sendBCSPUPData(op *sendOp, segSize int64, nSegs int, refs []
 					w := buildSeg(k)
 					k++
 					op.wrsLeft++
-					ep.postRetry(op.dst, w[0], func() bool { return op.failed }, func(err error) {
-						ep.sendWRResolved(op, err, next)
+					ep.postRetry(op.dst, &w[0], op, func(err error) {
+						if ep.sendWRResolved(op, err) {
+							next()
+						}
 					})
 				}
 				next()
@@ -497,14 +483,14 @@ func (ep *Endpoint) sendBCSPUPData(op *sendOp, segSize int64, nSegs int, refs []
 				// longer references it.
 				ep.releaseSeg(ep.packPool, s)
 				ep.mark("seg-complete", "segment", op.id)
-				ep.sendWRResolved(op, err, func() {
+				if ep.sendWRResolved(op, err) {
 					if ep.faultMode() {
 						step()
 					}
 					if op.allPosted && op.wrsLeft == 0 {
 						ep.finishSend(op)
 					}
-				})
+				}
 			}
 			ep.submitLane(op.dst, lane, 1, n, func() {
 				if op.failed {
@@ -512,7 +498,7 @@ func (ep *Endpoint) sendBCSPUPData(op *sendOp, segSize int64, nSegs int, refs []
 					resolve(errOpAborted)
 					return
 				}
-				ep.postRetry(op.dst, wr, func() bool { return op.failed }, func(err error) {
+				ep.postRetry(op.dst, &wr, op, func(err error) {
 					ep.laneRelease(op.dst, 1, n)
 					resolve(err)
 				})
@@ -603,24 +589,11 @@ func (ep *Endpoint) sendBCSPUPBatched(op *sendOp, packer *pack.ParallelPacker, s
 			lane := ep.laneFor(op.eff)
 			var batchBytes int64
 			for i := range wrs {
-				wrs[i].WRID = ep.hca.WRID()
-				wrs[i].Lane = uint8(lane)
 				n := wrs[i].SGL[0].Len
 				batchBytes += n
-				s := segs[i]
-				ep.onSendCQE[wrs[i].WRID] = func(e verbs.CQE) {
-					// The slot is released at resolution either way: on
-					// success the data has left it, on abort the descriptor
-					// no longer references it.
-					ep.releaseSeg(ep.packPool, s)
-					ep.laneRelease(op.dst, 1, n)
-					ep.mark("seg-complete", "segment", op.id)
-					ep.sendWRResolved(op, e.Err, func() {
-						if op.allPosted && op.wrsLeft == 0 {
-							ep.finishSend(op)
-						}
-					})
-				}
+				rec := ep.getWR(wrSendSeg, op.dst, n)
+				rec.sop, rec.seg = op, segs[i]
+				wrs[i].WRID, wrs[i].Lane = rec.id(), uint8(lane)
 			}
 			// The doorbell itself is one lane unit: bulk batches wait for
 			// window room while the packed slots stay charged to this op.
@@ -629,7 +602,7 @@ func (ep *Endpoint) sendBCSPUPBatched(op *sendOp, packer *pack.ParallelPacker, s
 					// Aborted while waiting for window room: slots and
 					// charge return, the descriptors never post.
 					for i := range wrs {
-						delete(ep.onSendCQE, wrs[i].WRID)
+						ep.dropWR(wrs[i].WRID)
 						ep.releaseSeg(ep.packPool, segs[i])
 					}
 					ep.laneRelease(op.dst, b, batchBytes)
@@ -643,7 +616,7 @@ func (ep *Endpoint) sendBCSPUPBatched(op *sendOp, packer *pack.ParallelPacker, s
 					// The whole doorbell was rejected: nothing reached the
 					// NIC, so the batch's slots go straight back.
 					for i := range wrs {
-						delete(ep.onSendCQE, wrs[i].WRID)
+						ep.dropWR(wrs[i].WRID)
 						ep.releaseSeg(ep.packPool, segs[i])
 					}
 					ep.laneRelease(op.dst, b, batchBytes)
@@ -723,7 +696,7 @@ func (ep *Endpoint) sendPRRSData(op *sendOp, segSize int64) {
 		w.u64(uint64(addr))
 		w.u32(key)
 		w.i64(n)
-		ep.sendCtrl(op.dst, w.buf, nil)
+		ep.sendCtrl(op.dst, w.buf)
 	}
 
 	if op.sContig {
@@ -834,33 +807,13 @@ func (ep *Endpoint) handleSegReady(src int, r *ctrlReader) {
 		return
 	}
 	atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
-	cancelled := func() bool { return op.failed }
 	lane := ep.laneFor(op.eff)
 	for i := range wrs {
-		wr := wrs[i]
-		wr.Lane = uint8(lane)
-		bytes := wrPayload(&wr)
+		wrs[i].Lane = uint8(lane)
+		rec := ep.getWR(wrRecvRead, src, wrPayload(&wrs[i]))
+		rec.rop = op
 		op.wrsLeft++
-		ep.submitLane(src, lane, 1, bytes, func() {
-			if op.failed {
-				ep.laneRelease(src, 1, bytes)
-				ep.recvWRResolved(op, errOpAborted, nil)
-				return
-			}
-			ep.postRetry(src, wr, cancelled, func(err error) {
-				ep.laneRelease(src, 1, bytes)
-				ep.recvWRResolved(op, err, func() {
-					op.bytesRead += bytes
-					if op.bytesRead == op.eff {
-						w := ep.ctrlW()
-						w.u8(kindDone)
-						w.u32(id)
-						ep.sendCtrl(src, w.buf, nil)
-						ep.finishRecv(op)
-					}
-				})
-			})
-		})
+		ep.postSingle(rec, &wrs[i], lane)
 	}
 }
 

@@ -102,7 +102,7 @@ func TestRandomTrafficSoak(t *testing.T) {
 		}
 		// Resource balance.
 		for _, ep := range w.eps {
-			if ep.activeSends != 0 || ep.activeRecvs != 0 || len(ep.onSendCQE) != 0 {
+			if ep.activeSends != 0 || ep.activeRecvs != 0 || ep.wrLive() != 0 {
 				return false
 			}
 			if ep.packPool.enabled && ep.packPool.available() != ep.packPool.totalSlots() {
@@ -220,7 +220,7 @@ func randomTrafficFaultSoak(t *testing.T, seed int64) bool {
 			}
 		}
 		for _, ep := range w.eps {
-			if ep.activeSends != 0 || ep.activeRecvs != 0 || len(ep.onSendCQE) != 0 {
+			if ep.activeSends != 0 || ep.activeRecvs != 0 || ep.wrLive() != 0 {
 				return false
 			}
 			if ep.packPool.enabled && ep.packPool.available() != ep.packPool.totalSlots() {

@@ -1,0 +1,221 @@
+package core
+
+import (
+	"fmt"
+	"sync/atomic"
+
+	"repro/internal/fault"
+	"repro/internal/qos"
+	"repro/internal/verbs"
+)
+
+// Completion records (DESIGN.md §16). Every descriptor the endpoint posts
+// with something to do at its completion owns one wrRec from post to final
+// resolution. The record is typed — it says what kind of descriptor it
+// stands for and carries that kind's operands — so resolving a descriptor
+// is a table lookup and a switch, not a map probe and a closure call, and
+// the records recycle through the endpoint like every other warm-path
+// object. The work-request ID the fabric echoes IS the table index (low 32
+// bits) plus the record's generation (high 32 bits), so a completion finds
+// its record in O(1) and a stale one can never be mistaken for a live one.
+// WRID 0 means "no record": control sends, whose completions carry nothing
+// to do.
+
+// wrKind says what resolving a descriptor means.
+type wrKind uint8
+
+const (
+	wrFree wrKind = iota // on the free list
+	// wrSendData is a data descriptor of a send op: its lane charge returns
+	// and the op's descriptor countdown advances (onWRsDone at zero).
+	wrSendData
+	// wrSendSeg is a BC-SPUP segment write: as wrSendData, and the pack-pool
+	// slot it read from returns; the op finishes at zero.
+	wrSendSeg
+	// wrRecvRead is a P-RRS scatter read of a receive op.
+	wrRecvRead
+	// wrCall runs done(err): RMA descriptors and the fault-mode chained
+	// pipelines, whose continuations are per segment, not per descriptor.
+	wrCall
+)
+
+// wrRec is one posted descriptor's completion record.
+type wrRec struct {
+	ep   *Endpoint
+	slot uint32
+	gen  uint32
+	kind wrKind
+
+	peer  int
+	bytes int64 // gather-list bytes: the lane charge to return
+	sop   *sendOp
+	rop   *recvOp
+	seg   seg
+	done  func(error)
+
+	// Single posts keep their descriptor here: the lane arbiter may grant
+	// it later, and transient faults re-post it. try (bound once per record
+	// as tryFn) is that grant and that retry timer.
+	single  bool
+	wr      verbs.SendWR
+	attempt int
+	tryFn   func()
+}
+
+// id is the work-request ID that leads a completion back to this record.
+func (rec *wrRec) id() uint64 { return uint64(rec.gen)<<32 | uint64(rec.slot) }
+
+// getWR takes a completion record for a descriptor of the given kind headed
+// to peer.
+func (ep *Endpoint) getWR(kind wrKind, peer int, bytes int64) *wrRec {
+	var rec *wrRec
+	if n := len(ep.wrFree); n > 0 {
+		rec = ep.wrFree[n-1]
+		ep.wrFree = ep.wrFree[:n-1]
+	} else {
+		if len(ep.wrTab) == 0 {
+			ep.wrTab = append(ep.wrTab, nil) // slot 0 is "no record"
+		}
+		rec = &wrRec{ep: ep, slot: uint32(len(ep.wrTab))}
+		rec.tryFn = rec.try
+		ep.wrTab = append(ep.wrTab, rec)
+	}
+	rec.gen++
+	rec.kind, rec.peer, rec.bytes = kind, peer, bytes
+	return rec
+}
+
+// lookupWR returns the live record a completion's WRID names, or nil for
+// WRID 0.
+func (ep *Endpoint) lookupWR(wrid uint64) *wrRec {
+	if wrid == 0 {
+		return nil
+	}
+	slot := uint32(wrid)
+	if int(slot) >= len(ep.wrTab) || ep.wrTab[slot].kind == wrFree || ep.wrTab[slot].id() != wrid {
+		panic(fmt.Sprintf("core rank %d: completion for stale work request %#x", ep.rank, wrid))
+	}
+	return ep.wrTab[slot]
+}
+
+// putWR recycles a record; its old WRID is dead from here on.
+func (ep *Endpoint) putWR(rec *wrRec) {
+	*rec = wrRec{ep: ep, slot: rec.slot, gen: rec.gen, tryFn: rec.tryFn}
+	ep.wrFree = append(ep.wrFree, rec)
+}
+
+// wrLive counts the completion records out with posted descriptors; zero
+// when the endpoint is quiet.
+func (ep *Endpoint) wrLive() int { return max(len(ep.wrTab)-1, 0) - len(ep.wrFree) }
+
+// dropWR recycles the record of a descriptor that never reached the NIC;
+// the caller settles its accounting.
+func (ep *Endpoint) dropWR(wrid uint64) { ep.putWR(ep.lookupWR(wrid)) }
+
+// cancelled reports whether the record's op has failed, so an abandoned
+// descriptor stops re-posting into memory that is about to be released.
+func (rec *wrRec) cancelled() bool {
+	return (rec.sop != nil && rec.sop.failed) || (rec.rop != nil && rec.rop.failed)
+}
+
+// postSingle posts the record's descriptor on its own — through the lane
+// arbiter when service mode is on — retrying transient faults (post
+// failures and error completions) with bounded backoff. The record resolves
+// exactly once: with nil after a successful completion, or with the final
+// error.
+func (ep *Endpoint) postSingle(rec *wrRec, wr *verbs.SendWR, lane qos.Lane) {
+	rec.single, rec.wr = true, *wr
+	if ep.lanes == nil || ep.faultMode() {
+		rec.try()
+		return
+	}
+	ep.submitLane(rec.peer, lane, 1, rec.bytes, rec.tryFn)
+}
+
+// try is one posting attempt. Each attempt gets a fresh WRID.
+func (rec *wrRec) try() {
+	ep := rec.ep
+	if rec.cancelled() {
+		ep.resolveWR(rec, errOpAborted)
+		return
+	}
+	rec.gen++
+	rec.wr.WRID = rec.id()
+	if err := ep.qps[rec.peer].PostSend(rec.wr); err != nil && !ep.retryWR(rec, err) {
+		ep.resolveWR(rec, err)
+	}
+}
+
+// retryWR schedules another attempt after a transient fault and reports
+// whether it did.
+func (ep *Endpoint) retryWR(rec *wrRec, err error) bool {
+	if !fault.IsTransient(err) || rec.attempt >= ep.cfg.FaultRetryLimit || rec.cancelled() {
+		return false
+	}
+	rec.attempt++
+	atomic.AddInt64(&ep.ctr.FaultRetries, 1)
+	ep.eng.Schedule(ep.cfg.retryBackoff(rec.attempt), rec.tryFn)
+	return true
+}
+
+// postRetry posts one descriptor whose resolution is a plain continuation:
+// done runs exactly once, with nil or the final error. op, when not nil, is
+// the send op whose failure abandons the descriptor.
+func (ep *Endpoint) postRetry(dst int, wr *verbs.SendWR, op *sendOp, done func(error)) {
+	rec := ep.getWR(wrCall, dst, 0)
+	rec.sop, rec.done = op, done
+	rec.single, rec.wr = true, *wr
+	rec.try()
+}
+
+func (ep *Endpoint) handleSendCQE(e verbs.CQE) {
+	rec := ep.lookupWR(e.WRID)
+	if rec == nil {
+		if e.Err != nil {
+			panic(fmt.Sprintf("core rank %d: unhandled send error: %v", ep.rank, e.Err))
+		}
+		return
+	}
+	if e.Err != nil && rec.single && ep.retryWR(rec, e.Err) {
+		return
+	}
+	ep.resolveWR(rec, e.Err)
+}
+
+// resolveWR is a descriptor's final resolution — completed, failed past
+// retry, or abandoned: the record recycles, then its kind's continuation
+// runs.
+func (ep *Endpoint) resolveWR(rec *wrRec, err error) {
+	kind, peer, bytes, sop, rop, sg, done := rec.kind, rec.peer, rec.bytes, rec.sop, rec.rop, rec.seg, rec.done
+	ep.putWR(rec)
+	switch kind {
+	case wrSendData:
+		ep.laneRelease(peer, 1, bytes)
+		if ep.sendWRResolved(sop, err) {
+			ep.advanceSend(sop)
+		}
+	case wrSendSeg:
+		// The slot is released at resolution either way: on success the
+		// data has left it, on abort the descriptor no longer references it.
+		ep.releaseSeg(ep.packPool, sg)
+		ep.laneRelease(peer, 1, bytes)
+		ep.mark("seg-complete", "segment", sop.id)
+		if ep.sendWRResolved(sop, err) && sop.allPosted && sop.wrsLeft == 0 {
+			ep.finishSend(sop)
+		}
+	case wrRecvRead:
+		ep.laneRelease(peer, 1, bytes)
+		if ep.recvWRResolved(rop, err) {
+			rop.bytesRead += bytes
+			if rop.bytesRead == rop.eff {
+				w := ep.ctrlW()
+				w.u8(kindDone)
+				w.u32(rop.key.op)
+				ep.sendCtrl(peer, w.buf)
+				ep.finishRecv(rop)
+			}
+		}
+	case wrCall:
+		done(err)
+	}
+}

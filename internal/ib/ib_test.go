@@ -1,7 +1,6 @@
 package ib
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/mem"
@@ -40,212 +39,6 @@ func newPair(t *testing.T, model Model) *pair {
 	}
 	p.qa, p.qb = Connect(a, b, p.aSend, p.aRecv, p.bSend, p.bRecv)
 	return p
-}
-
-func TestChannelSend(t *testing.T) {
-	p := newPair(t, DefaultModel())
-	payload := []byte("hello derived datatypes")
-	p.qb.PostRecv(RecvWR{WRID: 7})
-	if err := p.qa.PostSend(SendWR{WRID: 1, Op: OpSend, Inline: payload, Imm: 42}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	se, ok := p.aSend.Poll()
-	if !ok || se.WRID != 1 || se.Err != nil {
-		t.Fatalf("send completion = %+v ok=%v", se, ok)
-	}
-	re, ok := p.bRecv.Poll()
-	if !ok || re.WRID != 7 || re.Err != nil {
-		t.Fatalf("recv completion = %+v ok=%v", re, ok)
-	}
-	if !bytes.Equal(re.Data, payload) {
-		t.Fatalf("payload = %q, want %q", re.Data, payload)
-	}
-	if re.Imm != 42 || !re.HasImm {
-		t.Fatalf("imm = %d hasImm=%v", re.Imm, re.HasImm)
-	}
-	if re.Bytes != int64(len(payload)) {
-		t.Fatalf("bytes = %d", re.Bytes)
-	}
-}
-
-func TestSendStallsWithoutRecvCredit(t *testing.T) {
-	p := newPair(t, DefaultModel())
-	if err := p.qa.PostSend(SendWR{WRID: 1, Op: OpSend, Inline: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.bRecv.Poll(); ok {
-		t.Fatal("completion generated without a receive credit")
-	}
-	// Posting the credit later releases the stalled arrival.
-	p.qb.PostRecv(RecvWR{WRID: 9})
-	if err := p.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	re, ok := p.bRecv.Poll()
-	if !ok || re.WRID != 9 {
-		t.Fatalf("stalled arrival not delivered: %+v ok=%v", re, ok)
-	}
-}
-
-func TestRDMAWrite(t *testing.T) {
-	p := newPair(t, DefaultModel())
-	src := p.memA.MustAlloc(4096)
-	dst := p.memB.MustAlloc(4096)
-	srcReg, err := p.memA.Reg().Register(src, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dstReg, err := p.memB.Reg().Register(dst, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data := p.memA.Bytes(src, 4096)
-	for i := range data {
-		data[i] = byte(i * 7)
-	}
-	err = p.qa.PostSend(SendWR{
-		WRID: 3, Op: OpRDMAWrite,
-		SGL:        []SGE{{Addr: src, Len: 4096, Key: srcReg.LKey}},
-		RemoteAddr: dst, RKey: dstReg.RKey,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	se, ok := p.aSend.Poll()
-	if !ok || se.Err != nil {
-		t.Fatalf("send completion: %+v ok=%v", se, ok)
-	}
-	if !bytes.Equal(p.memB.Bytes(dst, 4096), data) {
-		t.Fatal("RDMA write data mismatch")
-	}
-	// Plain RDMA write must not generate a receive-side completion.
-	if _, ok := p.bRecv.Poll(); ok {
-		t.Fatal("plain RDMA write consumed a receive credit")
-	}
-}
-
-func TestRDMAWriteGather(t *testing.T) {
-	p := newPair(t, DefaultModel())
-	// Three disjoint source blocks gathered into one contiguous remote write.
-	blocks := make([]SGE, 3)
-	var want []byte
-	for i := range blocks {
-		a := p.memA.MustAlloc(256)
-		r, err := p.memA.Reg().Register(a, 256)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs := p.memA.Bytes(a, 256)
-		for j := range bs {
-			bs[j] = byte(i*100 + j)
-		}
-		want = append(want, bs...)
-		blocks[i] = SGE{Addr: a, Len: 256, Key: r.LKey}
-	}
-	dst := p.memB.MustAlloc(768)
-	dstReg, _ := p.memB.Reg().Register(dst, 768)
-	p.qb.PostRecv(RecvWR{WRID: 11})
-	err := p.qa.PostSend(SendWR{
-		WRID: 4, Op: OpRDMAWriteImm, SGL: blocks,
-		RemoteAddr: dst, RKey: dstReg.RKey, Imm: 99,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(p.memB.Bytes(dst, 768), want) {
-		t.Fatal("gathered write mismatch")
-	}
-	re, ok := p.bRecv.Poll()
-	if !ok || re.Imm != 99 || !re.HasImm || re.Bytes != 768 {
-		t.Fatalf("immediate completion = %+v ok=%v", re, ok)
-	}
-}
-
-func TestRDMAWriteUnregisteredTargetFails(t *testing.T) {
-	p := newPair(t, DefaultModel())
-	src := p.memA.MustAlloc(128)
-	srcReg, _ := p.memA.Reg().Register(src, 128)
-	dst := p.memB.MustAlloc(128) // never registered
-	err := p.qa.PostSend(SendWR{
-		WRID: 5, Op: OpRDMAWrite,
-		SGL:        []SGE{{Addr: src, Len: 128, Key: srcReg.LKey}},
-		RemoteAddr: dst, RKey: 12345,
-	})
-	if err != nil {
-		t.Fatal(err) // post succeeds; the failure is remote
-	}
-	if err := p.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	se, ok := p.aSend.Poll()
-	if !ok || se.Err == nil {
-		t.Fatalf("expected remote access error, got %+v ok=%v", se, ok)
-	}
-}
-
-func TestRDMAWriteUnregisteredSourceRejectedAtPost(t *testing.T) {
-	p := newPair(t, DefaultModel())
-	src := p.memA.MustAlloc(128) // not registered
-	dst := p.memB.MustAlloc(128)
-	dstReg, _ := p.memB.Reg().Register(dst, 128)
-	err := p.qa.PostSend(SendWR{
-		Op:         OpRDMAWrite,
-		SGL:        []SGE{{Addr: src, Len: 128, Key: 777}},
-		RemoteAddr: dst, RKey: dstReg.RKey,
-	})
-	if err == nil {
-		t.Fatal("post with bad lkey accepted")
-	}
-}
-
-func TestRDMAReadScatter(t *testing.T) {
-	p := newPair(t, DefaultModel())
-	// Remote contiguous source on b, scattered into three local blocks on a.
-	src := p.memB.MustAlloc(768)
-	srcReg, _ := p.memB.Reg().Register(src, 768)
-	want := p.memB.Bytes(src, 768)
-	for i := range want {
-		want[i] = byte(255 - i%251)
-	}
-	sgl := make([]SGE, 3)
-	for i := range sgl {
-		a := p.memA.MustAlloc(256)
-		r, _ := p.memA.Reg().Register(a, 256)
-		sgl[i] = SGE{Addr: a, Len: 256, Key: r.LKey}
-	}
-	err := p.qa.PostSend(SendWR{
-		WRID: 6, Op: OpRDMARead, SGL: sgl,
-		RemoteAddr: src, RKey: srcReg.RKey,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	se, ok := p.aSend.Poll()
-	if !ok || se.Err != nil || se.Bytes != 768 {
-		t.Fatalf("read completion = %+v ok=%v", se, ok)
-	}
-	var got []byte
-	for _, s := range sgl {
-		got = append(got, p.memA.Bytes(s.Addr, s.Len)...)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("scattered read mismatch")
-	}
 }
 
 func TestReadSlowerThanWrite(t *testing.T) {
@@ -322,32 +115,6 @@ func TestListPostCheaperThanSinglePosts(t *testing.T) {
 	listed := run(true)
 	if listed >= single {
 		t.Fatalf("list post (%v) should beat single posts (%v)", listed, single)
-	}
-}
-
-func TestInOrderDelivery(t *testing.T) {
-	p := newPair(t, DefaultModel())
-	const n = 20
-	for i := 0; i < n; i++ {
-		p.qb.PostRecv(RecvWR{WRID: uint64(i)})
-	}
-	for i := 0; i < n; i++ {
-		if err := p.qa.PostSend(SendWR{WRID: uint64(i), Op: OpSend,
-			Inline: []byte{byte(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		e, ok := p.bRecv.Poll()
-		if !ok {
-			t.Fatalf("missing completion %d", i)
-		}
-		if e.WRID != uint64(i) || e.Data[0] != byte(i) {
-			t.Fatalf("out of order: completion %d got WRID %d data %d", i, e.WRID, e.Data[0])
-		}
 	}
 }
 

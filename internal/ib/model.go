@@ -2,8 +2,9 @@
 // completion queues, send/receive channel semantics, RDMA read/write memory
 // semantics with gather/scatter and immediate data) over a deterministic
 // discrete-event fabric. It is the simulator implementation of the
-// backend-neutral contract in internal/verbs; internal/rtfab is the
-// real-time concurrent implementation.
+// backend-neutral contract in internal/verbs: the queue-pair state machine
+// of internal/fabric on one shared engine, priced by this package's link
+// model (fabric.go).
 //
 // Payload bytes are really copied between the simulated nodes' memories, so
 // protocol bugs corrupt data and fail tests; timing comes from a calibrated
@@ -17,7 +18,7 @@ package ib
 import "repro/internal/verbs"
 
 // Model aliases the backend-neutral cost model in internal/verbs; the
-// parameter set and the cost functions live there so both backends (and the
+// parameter set and the cost functions live there so every backend (and the
 // protocol layers) share one definition.
 type Model = verbs.Model
 

@@ -8,18 +8,24 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datatype"
+	"repro/internal/ib"
 	"repro/internal/mem"
 	"repro/internal/mpi"
 	"repro/internal/pack"
+	"repro/internal/shmfab"
+	"repro/internal/simtime"
 	"repro/internal/tuner"
+	"repro/internal/verbs"
 )
 
 // The micro-suite has two halves, mirroring how the paper measures (Figures
-// 7–9): wall-clock rows exercise the software path below the fabric —
+// 7–9): wall-clock rows exercise the software path one layer at a time —
 // pack/unpack replay of compiled layouts, descriptor building, doorbell
-// batching, scheme decisions — where the zero-allocation invariant is pinned;
-// virtual-time rows run whole two-rank worlds per scheme on the deterministic
-// backends, where end-to-end latency regressions are enforced.
+// batching, scheme decisions, and the verbs boundary itself (a list post
+// driven to its last completion handler) — where the zero-allocation
+// invariant is pinned; virtual-time rows run whole two-rank worlds per scheme
+// on the deterministic backends, where end-to-end latency regressions are
+// enforced.
 
 // Wall-row iteration counts: enough to average out timer granularity while
 // keeping the whole suite under a couple of seconds.
@@ -175,6 +181,63 @@ func descriptorRows() []Row {
 	return rows
 }
 
+// fabricRows measures the verbs boundary on the two virtual-time backends:
+// one warm list post of 64 one-SGE 512-byte writes (a Multi-W doorbell),
+// driven until its last completion handler has run. Every descriptor rides
+// a recycled in-flight record through the fabric kernel, so the row is
+// pinned at zero allocations.
+func fabricRows() ([]Row, error) {
+	const n, blk, memBytes = 64, 512, 1 << 20
+	var rows []Row
+	for _, backend := range []string{mpi.BackendSim, mpi.BackendSHM} {
+		eng := simtime.NewEngine()
+		var a, b verbs.HCA
+		if backend == mpi.BackendSim {
+			fab := ib.NewFabric(eng, ib.DefaultModel())
+			a = fab.AddHCA("a", mem.NewMemory("a", memBytes), nil)
+			b = fab.AddHCA("b", mem.NewMemory("b", memBytes), nil)
+		} else {
+			fab := shmfab.New(eng, shmfab.DefaultModel(), 2, memBytes)
+			a, b = fab.AddNode("a", nil), fab.AddNode("b", nil)
+		}
+		sendCQ := a.NewCQ()
+		qa, _ := a.Connect(b, sendCQ, a.NewCQ(), b.NewCQ(), b.NewCQ())
+		src, dst := a.Mem().MustAlloc(n*blk), b.Mem().MustAlloc(n*blk)
+		sreg, err := a.Mem().Reg().Register(src, n*blk)
+		if err != nil {
+			return nil, err
+		}
+		dreg, err := b.Mem().Reg().Register(dst, n*blk)
+		if err != nil {
+			return nil, err
+		}
+		wrs := make([]verbs.SendWR, n)
+		for i := range wrs {
+			off := mem.Addr(i * blk)
+			wrs[i] = verbs.SendWR{Op: verbs.OpRDMAWrite, SGL: []verbs.SGE{{Addr: src + off, Len: blk, Key: sreg.LKey}},
+				RemoteAddr: dst + off, RKey: dreg.RKey}
+		}
+		done := 0
+		sendCQ.SetHandler(func(e verbs.CQE) {
+			if e.Err != nil {
+				panic(e.Err)
+			}
+			done++
+		})
+		name := "fabric/" + backend + "/write64"
+		rows = append(rows, wallRow(name, true, func() {
+			done = 0
+			if err := qa.PostSendList(wrs); err != nil {
+				panic(err)
+			}
+			if err := eng.Run(); err != nil || done != n {
+				panic(fmt.Sprintf("%s: %d of %d completions, err %v", name, done, n, err))
+			}
+		}))
+	}
+	return rows, nil
+}
+
 // tunerRow measures one warm exploitation decision of the adaptive selector
 // (Quiet, no exploration: the deterministic production configuration).
 func tunerRow() Row {
@@ -262,6 +325,11 @@ func Suite() (Report, error) {
 	r.Rows = append(r.Rows, packRows()...)
 	r.Rows = append(r.Rows, descriptorRows()...)
 	r.Rows = append(r.Rows, tunerRow())
+	fabric, err := fabricRows()
+	if err != nil {
+		return r, err
+	}
+	r.Rows = append(r.Rows, fabric...)
 
 	// A 256 KiB sparse vector (512 runs of 512 B) is the pinned rendezvous
 	// payload: large enough that every scheme takes its real data path,

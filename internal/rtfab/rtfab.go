@@ -1,6 +1,7 @@
 // Package rtfab is the real-time concurrent implementation of the verbs
 // contract in internal/verbs, the counterpart to the deterministic simulator
-// in internal/ib.
+// in internal/ib. The queue-pair state machine is internal/fabric's; this
+// package is the executor that runs its stages on real goroutines.
 //
 // Each node (rank) is driven by its own goroutine. A node owns a private
 // simtime.Engine used purely as a serialized executor: process coroutines,
@@ -11,14 +12,17 @@
 // completion acks) is a closure enqueued into the target node's FIFO inbox
 // and executed by that node's driver goroutine.
 //
-// This single-writer discipline is the backend's memory model: all writes to
-// a node's arena, registration table and queue-pair state happen on that
-// node's driver goroutine, so the schemes' actual payload copies are
-// race-free by construction while still overlapping in real time across
-// nodes. RDMA operations really move bytes: a write gathers from the
-// initiator's arena on the initiator, and the responder's driver performs
-// the registration check and the copy into its own arena; a read is the
-// mirror image. Channel FIFO order per sender preserves the transport's
+// The backend's memory model is single-owner hand-over: a node's
+// registration table and queue-pair state are touched only on its own
+// driver, and an in-flight descriptor (with the registered memory it names)
+// belongs to whichever driver the inbox last handed it to. RDMA operations
+// really move bytes, and the responder's driver moves them: it checks the
+// remote key against its own table, then copies straight between the two
+// arenas — out of the initiator's gather list for a write, into its scatter
+// list for a read. That is safe for the reason real RDMA is: the verbs
+// contract keeps those buffers untouched until the send completion, and the
+// inbox hand-offs order the initiator's accesses before and after the
+// responder's. Inbox FIFO order per sender preserves the transport's
 // non-overtaking guarantee, which the protocol layers' matching rules
 // require.
 //
@@ -37,11 +41,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fault"
+	"repro/internal/fabric"
 	"repro/internal/mem"
 	"repro/internal/simtime"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/verbs"
 )
 
@@ -57,7 +60,7 @@ const DefaultTimeout = 30 * time.Second
 // and completion accounting, and the watchdog bounds true wedges.
 type inbox struct {
 	mu   sync.Mutex
-	q    []func()
+	q    fabric.Ring[func()]
 	wake chan struct{}
 }
 
@@ -67,7 +70,7 @@ func newInbox() *inbox { return &inbox{wake: make(chan struct{}, 1)} }
 // what the transport's non-overtaking guarantee rests on.
 func (b *inbox) put(fn func()) {
 	b.mu.Lock()
-	b.q = append(b.q, fn)
+	b.q.Push(fn)
 	b.mu.Unlock()
 	select {
 	case b.wake <- struct{}{}:
@@ -79,33 +82,41 @@ func (b *inbox) put(fn func()) {
 func (b *inbox) take() (func(), bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.q) == 0 {
+	if b.q.Len() == 0 {
 		return nil, false
 	}
-	fn := b.q[0]
-	b.q[0] = nil
-	b.q = b.q[1:]
-	return fn, true
+	return b.q.Pop(), true
 }
 
 func (b *inbox) len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.q)
+	return b.q.Len()
 }
+
+// The queue-pair state machine is internal/fabric's; this package is its
+// executor for nodes that really run concurrently.
+type (
+	// Node is one rank's HCA and host: a private engine, a memory arena, and
+	// a driver goroutine that serializes all of the node's work.
+	Node = fabric.Node
+	// QP is one end of a reliable connection.
+	QP = fabric.QP
+	// CQ is a completion queue.
+	CQ = fabric.CQ
+)
 
 // Fabric is a real-time fabric: a set of nodes exchanging work over
 // goroutines and channels. Create nodes and connections first, then Run.
+// SetTracer, SetInjector, Injector and Model come from the embedded kernel
+// fabric; the injector must be concurrency-safe (fault.Injector is), and
+// traced intervals carry wall-clock start stamps (relative to the fabric's
+// construction, see WallClock) with the virtual CPU cost as their length —
+// real concurrency across nodes, modeled cost per activity.
 type Fabric struct {
-	model    verbs.Model
-	injector *fault.Injector
-	nodes    []*Node
-
-	// tracer receives host-CPU activity intervals; timestamps are wall-clock
-	// nanoseconds since epoch (see WallClock). The Recorder is
-	// concurrency-safe, so every driver goroutine records into it directly.
-	tracer *trace.Recorder
-	epoch  time.Time
+	*fabric.Fabric
+	drivers []*driver // by node index
+	epoch   time.Time
 
 	started bool
 	quit    chan struct{}
@@ -118,20 +129,22 @@ type Fabric struct {
 	activity atomic.Int64
 }
 
+// driver is the goroutine side of one node: the inbox other nodes hand it
+// work through, and whether it is parked.
+type driver struct {
+	fab   *Fabric
+	node  *Node
+	inbox *inbox
+	idle  atomic.Bool
+}
+
 // New creates a fabric with the given cost model (used for structural limits
 // and host-side accounting; timing is the wall clock).
 func New(model verbs.Model) *Fabric {
-	if model.MaxSGE <= 0 {
-		model.MaxSGE = 1
-	}
-	return &Fabric{model: model, quit: make(chan struct{}), epoch: time.Now()}
+	f := &Fabric{quit: make(chan struct{}), epoch: time.Now()}
+	f.Fabric = fabric.New("rtfab", model, unpriced{}, (*hops)(f))
+	return f
 }
-
-// SetTracer attaches an activity recorder. Unlike the simulator's
-// virtual-time traces, intervals carry wall-clock start stamps (relative to
-// the fabric's construction) with the virtual CPU cost as their length —
-// real concurrency across nodes, modeled cost per activity.
-func (f *Fabric) SetTracer(t *trace.Recorder) { f.tracer = t }
 
 // WallClock returns nanoseconds of real time since the fabric was created,
 // the timestamp base for traces and histograms on this backend. Safe to call
@@ -140,136 +153,94 @@ func (f *Fabric) WallClock() simtime.Time {
 	return simtime.Time(time.Since(f.epoch))
 }
 
-// Model returns the fabric's cost model.
-func (f *Fabric) Model() *verbs.Model { return &f.model }
-
-// SetInjector attaches a fault injector shared by every node. The injector
-// must be concurrency-safe (fault.Injector is). Pass nil to disable.
-func (f *Fabric) SetInjector(in *fault.Injector) { f.injector = in }
-
-// Injector returns the attached fault injector, or nil.
-func (f *Fabric) Injector() *fault.Injector { return f.injector }
-
-// Node is one rank's HCA and host: a private engine, a memory arena, and a
-// driver goroutine that serializes all of the node's work. It implements
-// verbs.HCA.
-type Node struct {
-	fab      *Fabric
-	idx      int
-	name     string
-	mem      *mem.Memory
-	eng      *simtime.Engine
-	cpu      *simtime.Resource
-	counters *stats.Counters
-	inbox    *inbox
-	idle     atomic.Bool
-	nextQP   int
-	nextWRID uint64
-}
-
-// AddNode attaches a node to the fabric. counters may be nil. Must be called
-// before Run.
+// AddNode attaches a node with a private engine — the serialized execution
+// context all of the node's protocol work runs in. counters may be nil. Must
+// be called before Run.
 func (f *Fabric) AddNode(name string, memory *mem.Memory, counters *stats.Counters) *Node {
-	if f.started {
-		panic("rtfab: AddNode after Run")
-	}
-	if counters == nil {
-		counters = &stats.Counters{}
-	}
-	n := &Node{
-		fab:      f,
-		idx:      len(f.nodes),
-		name:     name,
-		mem:      memory,
-		eng:      simtime.NewEngine(),
-		cpu:      simtime.NewResource(name + ".cpu"),
-		counters: counters,
-		inbox:    newInbox(),
-	}
-	f.nodes = append(f.nodes, n)
+	n := f.Attach(name, simtime.NewEngine(), memory, counters)
+	f.drivers = append(f.drivers, &driver{fab: f, node: n, inbox: newInbox()})
 	return n
 }
 
-// Name returns the node name.
-func (n *Node) Name() string { return n.name }
+// unpriced is the kernel's pricing policy when timing is the wall clock:
+// nothing is reserved, every stage is due at once. (Posting still charges
+// the node's virtual CPU in the kernel, which orders host-side steps
+// exactly as on the simulator without consuming wall time.)
+type unpriced struct{}
 
-// Index returns the node's position in the fabric.
-func (n *Node) Index() int { return n.idx }
-
-// Mem returns the node's memory arena.
-func (n *Node) Mem() *mem.Memory { return n.mem }
-
-// Counters returns the node's statistics counters.
-func (n *Node) Counters() *stats.Counters { return n.counters }
-
-// Model returns the fabric cost model.
-func (n *Node) Model() *verbs.Model { return &n.fab.model }
-
-// Injector returns the fabric's fault injector, or nil.
-func (n *Node) Injector() *fault.Injector { return n.fab.injector }
-
-// Engine returns the node's private engine — the serialized execution
-// context all of this node's protocol work runs in.
-func (n *Node) Engine() *simtime.Engine { return n.eng }
-
-// WRID returns a fresh work-request ID, unique per node.
-func (n *Node) WRID() uint64 {
-	n.nextWRID++
-	return n.nextWRID
+// Launch implements fabric.Pricing.
+func (unpriced) Launch(_ *QP, _ *verbs.SendWR, _ int64, ready simtime.Time) fabric.Plan {
+	return fabric.Plan{Deliver: ready}
 }
 
-// ChargeCPU reserves the host CPU for d on the node's virtual clock and
-// returns the time the work finishes. The reservation orders host-side
-// protocol steps exactly as on the simulator; it does not consume wall time.
-func (n *Node) ChargeCPU(d simtime.Duration) simtime.Time {
-	return n.ChargeCPUNamed(d, "host")
+// Fault implements fabric.Pricing: the error completion is asynchronous but
+// immediate.
+func (unpriced) Fault(qp *QP, _ *verbs.SendWR, _ simtime.Time) simtime.Time {
+	return qp.Node().Engine().Now()
 }
 
-// ChargeCPUNamed is ChargeCPU with an activity label for the tracer.
-func (n *Node) ChargeCPUNamed(d simtime.Duration, name string) simtime.Time {
-	_, end := n.cpu.Acquire(n.eng.Now(), d)
-	if t := n.fab.tracer; t != nil && d > 0 {
-		at := n.fab.WallClock()
-		t.Add(n.name, trace.LaneCPU, name, at, at+simtime.Time(d))
-	}
-	return end
+// hops is the kernel's executor over the fabric's inboxes: every stage that
+// changes node is a closure handed to the target's driver — the payload is
+// moved and registration is checked on the responder's driver, the
+// completion is pushed on the initiator's. FIFO order per sender gives the
+// transport's non-overtaking guarantee. The closures are the kernel's
+// pre-bound stage methods, so a hop allocates nothing.
+type hops Fabric
+
+// Deliver implements fabric.Executor; the virtual time is not used.
+func (h *hops) Deliver(dst *Node, _ simtime.Time, fn func()) { (*Fabric)(h).exec(dst, fn) }
+
+// Return implements fabric.Executor.
+func (h *hops) Return(dst *Node, fn func()) { (*Fabric)(h).exec(dst, fn) }
+
+// Trains implements fabric.Executor: a fault-free post crosses the node
+// boundary as ONE delivery plus ONE ack instead of a pair per descriptor —
+// the real-time analogue of the simulator's per-entry list-post discount,
+// and where batching buys its wall-clock win.
+func (h *hops) Trains() bool { return true }
+
+// Stamp implements fabric.Executor: wall-clock start, virtual length.
+func (h *hops) Stamp(start, end simtime.Time) (simtime.Time, simtime.Time) {
+	at := (*Fabric)(h).WallClock()
+	return at, at + (end - start)
 }
 
 // exec enqueues fn for execution on n's driver goroutine. FIFO per sender;
 // never blocks (see inbox).
 func (f *Fabric) exec(n *Node, fn func()) {
 	f.inflight.Add(1)
-	n.inbox.put(fn)
+	f.drivers[n.Index()].inbox.put(fn)
 }
 
 // drive is the node's driver loop: drain the private engine and the inbox,
 // then block for cross-node work or shutdown.
-func (n *Node) drive() {
-	defer n.fab.wg.Done()
+func (d *driver) drive() {
+	defer d.fab.wg.Done()
+	eng := d.node.Engine()
 	for {
-		for n.eng.Step() {
+		for eng.Step() {
 		}
-		if fn, ok := n.inbox.take(); ok {
-			n.fab.activity.Add(1)
+		if fn, ok := d.inbox.take(); ok {
+			d.fab.activity.Add(1)
 			fn()
-			n.fab.inflight.Add(-1)
+			d.fab.inflight.Add(-1)
 			continue
 		}
-		n.idle.Store(true)
+		d.idle.Store(true)
 		// Recheck after publishing idleness: a put between the take above and
 		// the Store would otherwise only be noticed via its wake token.
-		if fn, ok := n.inbox.take(); ok {
-			n.fab.activity.Add(1)
-			n.idle.Store(false)
+		if fn, ok := d.inbox.take(); ok {
+			d.fab.activity.Add(1)
+			d.idle.Store(false)
 			fn()
-			n.fab.inflight.Add(-1)
+			d.fab.inflight.Add(-1)
 			continue
 		}
 		select {
-		case <-n.inbox.wake:
-			n.fab.activity.Add(1)
-			n.idle.Store(false)
-		case <-n.fab.quit:
+		case <-d.inbox.wake:
+			d.fab.activity.Add(1)
+			d.idle.Store(false)
+		case <-d.fab.quit:
 			return
 		}
 	}
@@ -286,12 +257,13 @@ func (f *Fabric) Run(timeout time.Duration) error {
 		panic("rtfab: Run called twice")
 	}
 	f.started = true
+	f.Seal()
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
-	for _, n := range f.nodes {
+	for _, d := range f.drivers {
 		f.wg.Add(1)
-		go n.drive()
+		go d.drive()
 	}
 	err := f.awaitQuiesce(time.Now().Add(timeout))
 	close(f.quit)
@@ -300,9 +272,9 @@ func (f *Fabric) Run(timeout time.Duration) error {
 		return err
 	}
 	var blocked []string
-	for _, n := range f.nodes {
-		for _, name := range n.eng.Blocked() {
-			blocked = append(blocked, n.name+"/"+name)
+	for _, n := range f.Nodes() {
+		for _, name := range n.Engine().Blocked() {
+			blocked = append(blocked, n.Name()+"/"+name)
 		}
 	}
 	if len(blocked) > 0 {
@@ -336,8 +308,8 @@ func (f *Fabric) awaitQuiesce(deadline time.Time) error {
 }
 
 func (f *Fabric) allIdle() bool {
-	for _, n := range f.nodes {
-		if !n.idle.Load() {
+	for _, d := range f.drivers {
+		if !d.idle.Load() {
 			return false
 		}
 	}
@@ -348,15 +320,8 @@ func (f *Fabric) allIdle() bool {
 func (f *Fabric) debugState() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "inflight=%d", f.inflight.Load())
-	for _, n := range f.nodes {
-		fmt.Fprintf(&b, " %s(idle=%v queued=%d)", n.name, n.idle.Load(), n.inbox.len())
+	for _, d := range f.drivers {
+		fmt.Fprintf(&b, " %s(idle=%v queued=%d)", d.node.Name(), d.idle.Load(), d.inbox.len())
 	}
 	return b.String()
 }
-
-// Compile-time checks that the real-time fabric satisfies the verbs contract.
-var (
-	_ verbs.HCA = (*Node)(nil)
-	_ verbs.QP  = (*QP)(nil)
-	_ verbs.CQ  = (*CQ)(nil)
-)

@@ -1,7 +1,6 @@
 package rtfab
 
 import (
-	"bytes"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -30,148 +29,6 @@ func pair(t *testing.T, credits int) (*Fabric, [2]*Node, [2]verbs.QP, [4]verbs.C
 		q1.PostRecv(verbs.RecvWR{})
 	}
 	return f, nodes, [2]verbs.QP{q0, q1}, cqs
-}
-
-func TestChannelSendDelivers(t *testing.T) {
-	f, nodes, qps, cqs := pair(t, 4)
-	var got []byte
-	nodes[0].Engine().Spawn("sender", func(p *simtime.Process) {
-		if err := qps[0].PostSend(verbs.SendWR{WRID: 1, Op: verbs.OpSend, Inline: []byte("hi rt"), Imm: 9}); err != nil {
-			t.Error(err)
-			return
-		}
-		e := cqs[0].WaitPoll(p)
-		if e.Err != nil || e.WRID != 1 || e.Op != verbs.OpSend {
-			t.Errorf("bad send CQE: %+v", e)
-		}
-	})
-	nodes[1].Engine().Spawn("receiver", func(p *simtime.Process) {
-		e := cqs[3].WaitPoll(p)
-		if e.Err != nil || e.Op != verbs.OpRecv || !e.HasImm || e.Imm != 9 {
-			t.Errorf("bad recv CQE: %+v", e)
-		}
-		got = append([]byte(nil), e.Data...)
-	})
-	if err := f.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "hi rt" {
-		t.Fatalf("delivered %q", got)
-	}
-	if nodes[1].Counters().Completions == 0 {
-		t.Fatal("no completions counted on receiver")
-	}
-}
-
-func TestRDMAWriteWithImm(t *testing.T) {
-	f, nodes, qps, cqs := pair(t, 4)
-	src := nodes[0].Mem().MustAlloc(4096)
-	dst := nodes[1].Mem().MustAlloc(4096)
-	for i, b := range nodes[0].Mem().Bytes(src, 4096) {
-		_ = b
-		nodes[0].Mem().Bytes(src, 4096)[i] = byte(i * 7)
-	}
-	lr, err := nodes[0].Mem().Reg().Register(src, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := nodes[1].Mem().Reg().Register(dst, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes[0].Engine().Spawn("writer", func(p *simtime.Process) {
-		wr := verbs.SendWR{
-			WRID: 2, Op: verbs.OpRDMAWriteImm,
-			SGL:        []verbs.SGE{{Addr: src, Len: 4096, Key: lr.LKey}},
-			RemoteAddr: dst, RKey: rr.RKey, Imm: 77,
-		}
-		if err := qps[0].PostSend(wr); err != nil {
-			t.Error(err)
-			return
-		}
-		e := cqs[0].WaitPoll(p)
-		if e.Err != nil || e.Bytes != 4096 {
-			t.Errorf("bad write CQE: %+v", e)
-		}
-	})
-	var imm uint32
-	nodes[1].Engine().Spawn("watcher", func(p *simtime.Process) {
-		e := cqs[3].WaitPoll(p)
-		if e.Err != nil || !e.HasImm {
-			t.Errorf("bad imm CQE: %+v", e)
-		}
-		imm = e.Imm
-	})
-	if err := f.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if imm != 77 {
-		t.Fatalf("imm = %d", imm)
-	}
-	want := nodes[0].Mem().Bytes(src, 4096)
-	if !bytes.Equal(nodes[1].Mem().Bytes(dst, 4096), want) {
-		t.Fatal("write did not deliver identical bytes")
-	}
-}
-
-func TestRDMARead(t *testing.T) {
-	f, nodes, qps, cqs := pair(t, 4)
-	local := nodes[0].Mem().MustAlloc(2048)
-	remote := nodes[1].Mem().MustAlloc(2048)
-	rbuf := nodes[1].Mem().Bytes(remote, 2048)
-	for i := range rbuf {
-		rbuf[i] = byte(255 - i%251)
-	}
-	lr, _ := nodes[0].Mem().Reg().Register(local, 2048)
-	rr, _ := nodes[1].Mem().Reg().Register(remote, 2048)
-	nodes[0].Engine().Spawn("reader", func(p *simtime.Process) {
-		wr := verbs.SendWR{
-			WRID: 3, Op: verbs.OpRDMARead,
-			SGL:        []verbs.SGE{{Addr: local, Len: 1024, Key: lr.LKey}, {Addr: local + 1024, Len: 1024, Key: lr.LKey}},
-			RemoteAddr: remote, RKey: rr.RKey,
-		}
-		if err := qps[0].PostSend(wr); err != nil {
-			t.Error(err)
-			return
-		}
-		e := cqs[0].WaitPoll(p)
-		if e.Err != nil || e.Op != verbs.OpRDMARead || e.Bytes != 2048 {
-			t.Errorf("bad read CQE: %+v", e)
-		}
-	})
-	if err := f.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(nodes[0].Mem().Bytes(local, 2048), rbuf) {
-		t.Fatal("read did not scatter identical bytes")
-	}
-}
-
-func TestRemoteAccessErrorCompletes(t *testing.T) {
-	f, nodes, qps, cqs := pair(t, 4)
-	src := nodes[0].Mem().MustAlloc(512)
-	dst := nodes[1].Mem().MustAlloc(512)
-	lr, _ := nodes[0].Mem().Reg().Register(src, 512)
-	// Deliberately wrong rkey: the responder must reject and the initiator
-	// must see an error CQE rather than hang.
-	nodes[0].Engine().Spawn("writer", func(p *simtime.Process) {
-		wr := verbs.SendWR{
-			WRID: 4, Op: verbs.OpRDMAWrite,
-			SGL:        []verbs.SGE{{Addr: src, Len: 512, Key: lr.LKey}},
-			RemoteAddr: dst, RKey: 9999,
-		}
-		if err := qps[0].PostSend(wr); err != nil {
-			t.Error(err)
-			return
-		}
-		e := cqs[0].WaitPoll(p)
-		if e.Err == nil {
-			t.Error("expected error CQE for bad rkey")
-		}
-	})
-	if err := f.Run(0); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // Two nodes ping-pong concurrently over channel semantics while a third

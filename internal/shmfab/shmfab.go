@@ -21,7 +21,7 @@
 package shmfab
 
 import (
-	"repro/internal/fault"
+	"repro/internal/fabric"
 	"repro/internal/mem"
 	"repro/internal/simtime"
 	"repro/internal/stats"
@@ -29,164 +29,113 @@ import (
 	"repro/internal/verbs"
 )
 
-// Model aliases the backend-neutral cost model.
-type Model = verbs.Model
+// The queue-pair state machine is internal/fabric's; this package supplies
+// the arena placement and the CPU-copy pricing, and keeps the names its
+// users hold.
+type (
+	// Node is one rank's view of the shared-memory fabric: its arena
+	// partition and its host CPU. It satisfies verbs.HCA so protocol code
+	// cannot tell it from an adapter — except through the cost profile.
+	Node = fabric.Node
+	// QP is one end of a connection between two partitions of the arena.
+	QP = fabric.QP
+	// CQ is a completion queue.
+	CQ = fabric.CQ
+
+	// Model aliases the backend-neutral cost model.
+	Model = verbs.Model
+	// SGE is a scatter/gather element.
+	SGE = verbs.SGE
+	// SendWR is a send-queue work request.
+	SendWR = verbs.SendWR
+	// RecvWR is a receive credit.
+	RecvWR = verbs.RecvWR
+	// Opcode identifies a work-request operation.
+	Opcode = verbs.Opcode
+	// CQE is a completion queue entry.
+	CQE = verbs.CQE
+)
+
+// Work-request opcodes.
+const (
+	// OpSend is the channel-semantics send.
+	OpSend = verbs.OpSend
+	// OpRDMAWrite is the one-sided write (a cross-partition copy here).
+	OpRDMAWrite = verbs.OpRDMAWrite
+	// OpRDMAWriteImm is a write that also consumes a remote receive credit.
+	OpRDMAWriteImm = verbs.OpRDMAWriteImm
+	// OpRDMARead is the one-sided read.
+	OpRDMARead = verbs.OpRDMARead
+	// OpRecv marks receive-side completions.
+	OpRecv = verbs.OpRecv
+)
 
 // Fabric is one node's worth of ranks sharing a memory arena. The only
-// contention point is each rank's host CPU — there are no ports.
+// contention point is each rank's host CPU — there are no ports. SetTracer,
+// SetInjector, Injector and Model come from the embedded kernel fabric.
 type Fabric struct {
-	eng      *simtime.Engine
-	model    Model
-	arena    *mem.Arena
-	nodes    []*Node
-	tracer   *trace.Recorder
-	injector *fault.Injector
+	*fabric.Fabric
+	eng   *simtime.Engine
+	arena *mem.Arena
 }
 
 // New creates a shared-memory fabric on the given engine: one arena of ranks
 // partitions of perRankBytes each. Nodes are attached with AddNode, which
 // hands out the partitions in order.
 func New(eng *simtime.Engine, model Model, ranks int, perRankBytes int64) *Fabric {
-	if model.MaxSGE <= 0 {
-		model.MaxSGE = 1
-	}
 	return &Fabric{
-		eng:   eng,
-		model: model,
-		arena: mem.NewArena(ranks, perRankBytes),
+		Fabric: fabric.New("shmfab", model, cpuCopy{}, fabric.Shared{}),
+		eng:    eng,
+		arena:  mem.NewArena(ranks, perRankBytes),
 	}
 }
-
-// SetTracer attaches an activity recorder; all nodes' CPU intervals are
-// recorded into it. Pass nil to disable (the default).
-func (f *Fabric) SetTracer(r *trace.Recorder) { f.tracer = r }
-
-// SetInjector attaches a fault injector. Injection covers RDMA descriptors
-// (post failures, error completions, delayed completions) on every node;
-// channel-semantics sends are exempt so control traffic keeps the
-// transport's reliable ordering. Pass nil to disable (the default).
-func (f *Fabric) SetInjector(in *fault.Injector) { f.injector = in }
-
-// Injector returns the attached fault injector, or nil.
-func (f *Fabric) Injector() *fault.Injector { return f.injector }
 
 // Engine returns the shared simulation engine.
 func (f *Fabric) Engine() *simtime.Engine { return f.eng }
 
-// Model returns the fabric's cost model.
-func (f *Fabric) Model() *Model { return &f.model }
-
 // Arena returns the shared backing store (for partition-layout tests).
 func (f *Fabric) Arena() *mem.Arena { return f.arena }
-
-// Node is one rank's view of the shared-memory fabric: its arena partition
-// and its host CPU. It satisfies verbs.HCA so protocol code cannot tell it
-// from an adapter — except through the cost profile.
-type Node struct {
-	fab      *Fabric
-	idx      int
-	name     string
-	mem      *mem.Memory
-	cpu      *simtime.Resource
-	counters *stats.Counters
-	nextQP   int
-	nextWRID uint64
-}
 
 // AddNode attaches the next rank to the fabric, carving its partition out of
 // the shared arena. counters may be nil.
 func (f *Fabric) AddNode(name string, counters *stats.Counters) *Node {
-	if counters == nil {
-		counters = &stats.Counters{}
-	}
-	n := &Node{
-		fab:      f,
-		idx:      len(f.nodes),
-		name:     name,
-		mem:      f.arena.Partition(len(f.nodes), name),
-		cpu:      simtime.NewResource(name + ".cpu"),
-		counters: counters,
-	}
-	f.nodes = append(f.nodes, n)
-	return n
+	return f.Attach(name, f.eng, f.arena.Partition(len(f.Nodes()), name), counters)
 }
 
-// Name returns the node name.
-func (n *Node) Name() string { return n.name }
-
-// Index returns the node's position in the fabric.
-func (n *Node) Index() int { return n.idx }
-
-// Mem returns the node's arena partition.
-func (n *Node) Mem() *mem.Memory { return n.mem }
-
-// CPU returns the node's host CPU resource.
-func (n *Node) CPU() *simtime.Resource { return n.cpu }
-
-// Counters returns the node's statistics counters.
-func (n *Node) Counters() *stats.Counters { return n.counters }
-
-// Model returns the fabric cost model.
-func (n *Node) Model() *Model { return &n.fab.model }
-
-// Injector returns the fabric's fault injector, or nil when fault injection
-// is off.
-func (n *Node) Injector() *fault.Injector { return n.fab.injector }
-
-// Engine returns the shared simulation engine.
-func (n *Node) Engine() *simtime.Engine { return n.fab.eng }
-
-// WRID returns a fresh work-request ID, unique per node.
-func (n *Node) WRID() uint64 {
-	n.nextWRID++
-	return n.nextWRID
-}
-
-// ChargeCPU reserves the host CPU for d starting no earlier than now and
-// returns the time the work finishes.
-func (n *Node) ChargeCPU(d simtime.Duration) simtime.Time {
-	return n.ChargeCPUNamed(d, "host")
-}
-
-// ChargeCPUNamed is ChargeCPU with an activity label for the tracer.
-func (n *Node) ChargeCPUNamed(d simtime.Duration, name string) simtime.Time {
-	start, end := n.cpu.Acquire(n.fab.eng.Now(), d)
-	n.fab.tracer.Add(n.name, trace.LaneCPU, name, start, end)
-	return end
-}
-
-// NewCQ creates a completion queue on this node (verbs.HCA).
-func (n *Node) NewCQ() verbs.CQ { return NewCQ(n) }
-
-// Connect implements verbs.HCA: it creates a connected queue pair between
-// this node and peer, which must be a shmfab.Node on the same fabric.
-func (n *Node) Connect(peer verbs.HCA, sendCQ, recvCQ, peerSendCQ, peerRecvCQ verbs.CQ) (verbs.QP, verbs.QP) {
-	p, ok := peer.(*Node)
-	if !ok {
-		panic("shmfab: Connect to a non-shared-memory HCA")
-	}
-	return Connect(n, p, sendCQ.(*CQ), recvCQ.(*CQ), peerSendCQ.(*CQ), peerRecvCQ.(*CQ))
-}
+// NewCQ creates a completion queue on a node.
+func NewCQ(n *Node) *CQ { return fabric.NewCQ(n) }
 
 // Connect creates a connected queue pair between two nodes. Each side gets
 // its own QP whose send and receive completions are delivered to the given
 // CQs. A CQ may be shared among QPs.
 func Connect(a, b *Node, aSendCQ, aRecvCQ, bSendCQ, bRecvCQ *CQ) (*QP, *QP) {
-	if a.fab != b.fab {
-		panic("shmfab: Connect across fabrics")
-	}
-	qa := &QP{node: a, num: a.nextQP, sendCQ: aSendCQ, recvCQ: aRecvCQ}
-	a.nextQP++
-	qb := &QP{node: b, num: b.nextQP, sendCQ: bSendCQ, recvCQ: bRecvCQ}
-	b.nextQP++
-	qa.peer, qb.peer = qb, qa
-	return qa, qb
+	return fabric.Connect(a, b, aSendCQ, aRecvCQ, bSendCQ, bRecvCQ)
 }
 
-// Compile-time checks that the shared-memory fabric satisfies the verbs
-// contract.
-var (
-	_ verbs.HCA = (*Node)(nil)
-	_ verbs.QP  = (*QP)(nil)
-	_ verbs.CQ  = (*CQ)(nil)
-)
+// cpuCopy is the kernel's pricing policy for shared memory. There is no NIC
+// and no wire: the initiator's CPU performs the gather and the
+// cross-partition copy (or pulls straight out of the peer's partition, for
+// a read — no responder turnaround, no round trip), so a whole transfer is
+// one CopyTime charge on that CPU and its completion is immediate — the
+// backend's defining property.
+type cpuCopy struct{}
+
+// Launch implements fabric.Pricing.
+func (cpuCopy) Launch(qp *QP, wr *SendWR, size int64, ready simtime.Time) fabric.Plan {
+	n := qp.Node()
+	blocks, name := len(wr.SGL), "shm:write"
+	switch wr.Op {
+	case OpSend:
+		// Control message: copied into the peer's mailbox by the sender.
+		blocks, name = 1, "shm:ctrl"
+	case OpRDMARead:
+		name = "shm:read"
+	}
+	start, end := n.CPU().AcquireAt(ready, n.Model().CopyTime(size, blocks))
+	n.Trace(trace.LaneCPU, name, start, end)
+	return fabric.Plan{Deliver: end}
+}
+
+// Fault implements fabric.Pricing: the descriptor is consumed but the copy
+// never runs, so the error completion is due as soon as it was posted.
+func (cpuCopy) Fault(_ *QP, _ *SendWR, ready simtime.Time) simtime.Time { return ready }

@@ -1,0 +1,114 @@
+package verbs_test
+
+import (
+	"testing"
+
+	"repro/internal/fabric"
+	"repro/internal/mem"
+	"repro/internal/simtime"
+	"repro/internal/verbs"
+)
+
+// writeList builds n one-SGE 512-byte writes from a's registered memory
+// into b's, the shape a Multi-W transfer posts.
+func writeList(r *rig, n int) []verbs.SendWR {
+	const blk = 512
+	src, sreg := r.region(r.a, int64(n*blk), 0x61)
+	dst, dreg := r.region(r.b, int64(n*blk), 0)
+	wrs := make([]verbs.SendWR, n)
+	for i := range wrs {
+		off := mem.Addr(i * blk)
+		wrs[i] = verbs.SendWR{WRID: uint64(i + 1), Op: verbs.OpRDMAWrite,
+			SGL: []verbs.SGE{{Addr: src + off, Len: blk, Key: sreg.LKey}}, RemoteAddr: dst + off, RKey: dreg.RKey}
+	}
+	return wrs
+}
+
+// A warm list post of 64 writes, driven to its last completion handler,
+// allocates nothing on the virtual-time backends: every descriptor rides a
+// recycled flight record from post to handler, the engine is handed
+// pre-bound stage functions, and the payload is never staged.
+func TestWarmListPostAllocatesNothing(t *testing.T) {
+	for _, be := range backends[:2] { // sim, shm: AllocsPerRun needs one thread of execution
+		t.Run(be.name, func(t *testing.T) {
+			r := newRig(t, be, nil)
+			wrs := writeList(r, 64)
+			eng := r.a.Engine()
+			round := func() {
+				if err := r.qa.PostSendList(wrs); err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.Run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 4; i++ {
+				round() // warm: record free list, event heap, the rig's completion log
+			}
+			done := len(r.got[aSend])
+			r.cq[aSend].SetHandler(func(e verbs.CQE) {
+				if e.Err != nil {
+					t.Error(e.Err)
+				}
+				done++
+			})
+			if avg := testing.AllocsPerRun(50, round); avg != 0 {
+				t.Fatalf("%.2f allocations per warm 64-descriptor list post, want 0", avg)
+			}
+			if want := (4 + 51) * len(wrs); done != want {
+				t.Fatalf("%d completions handled, want %d", done, want)
+			}
+		})
+	}
+}
+
+// Ten thousand descriptors of every kind — list posts and single posts,
+// writes with and without immediates, reads, sends that stall on credits —
+// leave every flight record back on its node's free list, and the lists no
+// longer than the deepest moment needed. Run under -race this is also the
+// hand-over check for the concurrent backend, where a record is written by
+// the initiator's driver, then the responder's, then the initiator's again.
+func TestRecordsAllComeHome(t *testing.T) {
+	eachBackend(t, nil, func(t *testing.T, r *rig) {
+		const listLen, rounds = 64, (10000 + 67) / (64 + 4)
+		wrs := writeList(r, listLen)
+		wrs[listLen-1].Op, wrs[listLen-1].Imm = verbs.OpRDMAWriteImm, 1
+		read := wrs[0]
+		read.Op = verbs.OpRDMARead
+		// b returns one credit per completion it handles; with two credits and
+		// three arrivals a round, an arrival that outruns b's handlers stalls.
+		r.qb.PostRecv(verbs.RecvWR{})
+		r.qb.PostRecv(verbs.RecvWR{})
+		r.hook[bRecv] = func(e verbs.CQE) { e.QP.PostRecv(verbs.RecvWR{}) }
+		r.drive(func(p *simtime.Process) {
+			for i := 1; i <= rounds; i++ {
+				if err := r.qa.PostSendList(wrs); err != nil {
+					t.Fatal(err)
+				}
+				for _, wr := range []verbs.SendWR{read, {Op: verbs.OpSend, Inline: []byte("a")}, wrs[1], {Op: verbs.OpSend, Inline: []byte("b")}} {
+					if err := r.qa.PostSend(wr); err != nil {
+						t.Fatal(err)
+					}
+				}
+				r.await(p, aSend, i*(listLen+4))
+				for _, e := range r.got[aSend][(i-1)*(listLen+4):] {
+					if e.Err != nil {
+						t.Fatal(e.Err)
+					}
+				}
+			}
+		})
+		if got, want := len(r.got[bRecv]), 3*rounds; got != want {
+			t.Fatalf("%d arrivals handled, want %d", got, want)
+		}
+		for _, h := range []verbs.HCA{r.a, r.b} {
+			live, free := h.(*fabric.Node).Flights()
+			if live != 0 {
+				t.Errorf("node %s: %d flight records still out after the fabric went quiet", h.Name(), live)
+			}
+			if free == 0 || free > listLen+8 {
+				t.Errorf("node %s: %d records on the free list, want 1..%d (one round's worth, reused)", h.Name(), free, listLen+8)
+			}
+		}
+	})
+}

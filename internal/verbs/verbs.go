@@ -4,7 +4,8 @@
 // and immediate data), the QP/CQ/HCA interfaces, and the hardware cost
 // model.
 //
-// Three backends implement the contract:
+// Three backends implement the contract, all three as internal/fabric's one
+// queue-pair state machine under their own pricing and execution policies:
 //
 //   - internal/ib: the deterministic discrete-event simulator. One engine
 //     drives every node; virtual time comes from the calibrated cost model,
@@ -14,9 +15,9 @@
 //     initiator CPU time by a zero-link model, on the same virtual-time
 //     engine and just as reproducible.
 //   - internal/rtfab: the real-time concurrent fabric. Each rank's node is
-//     driven by its own goroutine, queue pairs and completion paths are
-//     bounded channels, and RDMA operations are actual copies into the peer
-//     node's memory arena under the same per-region registration checks.
+//     driven by its own goroutine, work crosses between nodes through FIFO
+//     inboxes, and RDMA operations are actual copies into the peer node's
+//     memory arena under the same per-region registration checks.
 //
 // Protocol code (internal/core, internal/mpi) holds only these interface
 // types, so the same scheme implementations run — and are tested — on all
@@ -72,7 +73,11 @@ type SGE struct {
 // at post time, modeling MVAPICH's pre-registered internal send buffers, and
 // are handed to the receiver in the completion entry. Memory semantics
 // (RDMA write/read) use SGL/RemoteAddr/RKey and require registration on both
-// ends, exactly as on hardware.
+// ends, exactly as on hardware — and, exactly as on hardware, the memory the
+// SGL names is read (write) or written (read) when the transfer is
+// delivered, not when it is posted: it must stay untouched from the post to
+// the send completion. The SendWR value is copied at post; the SGE array its
+// SGL points to is not, and must stay untouched just as long.
 type SendWR struct {
 	WRID uint64
 	Op   Opcode
@@ -186,8 +191,6 @@ type HCA interface {
 	// Engine returns the node's execution engine. Protocol layers use it to
 	// schedule continuations; they must not call Run on it.
 	Engine() *simtime.Engine
-	// WRID returns a fresh work-request ID, unique per HCA.
-	WRID() uint64
 	// ChargeCPU reserves the host CPU for d starting no earlier than now and
 	// returns the time the work finishes.
 	ChargeCPU(d simtime.Duration) simtime.Time
