@@ -10,9 +10,9 @@ GO ?= go
 # concurrency gate.
 RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/ib/ ./internal/mpi/ ./internal/rtfab/ ./internal/shmfab/ ./internal/stats/ ./internal/trace/ ./internal/traffic/ ./internal/verbs/
 
-.PHONY: check fmt vet build test bench-check bench-suite race conformance fault-soak bench bench-backends tune tune-guard doclint par par-guard compile compile-guard qos soak soak-guard scale scale-guard zoo zoo-guard perf perf-guard
+.PHONY: check fmt vet build test debug-test bench-check bench-suite race conformance fault-soak bench bench-backends tune tune-guard doclint par par-guard compile compile-guard qos soak soak-guard scale scale-guard zoo zoo-guard perf perf-guard
 
-check: fmt vet build test bench-check doclint tune-guard par-guard compile-guard soak-guard scale-guard zoo-guard perf-guard
+check: fmt vet build test debug-test bench-check doclint tune-guard par-guard compile-guard soak-guard scale-guard zoo-guard perf-guard
 
 # Fails (and lists the offenders) if any file is not gofmt-clean.
 fmt:
@@ -27,6 +27,14 @@ build:
 
 test:
 	$(GO) test -race ./...
+
+# The message path's pooled records, under the use-after-recycle guard: with
+# the dtdebug tag a recycled op, arrival record or request is poisoned and
+# quarantined, so a continuation that outlives its record panics at the
+# access instead of corrupting a later message (internal/core/debug_on.go).
+debug-test:
+	$(GO) vet -tags dtdebug ./internal/core/ ./internal/mpi/
+	$(GO) test -tags dtdebug ./internal/core/ ./internal/mpi/
 
 # The benchmark is a module of its own (repro/bench, nested under bench/), so
 # `./...` above never reaches it: vet and test it separately, or an API break
@@ -149,8 +157,10 @@ perf:
 	$(GO) run ./cmd/perfgate -update
 
 # CI-style guard: compare the current build against BENCH_perf.json.
-# Zero-alloc rows must stay at exactly zero allocs/op; virtual-time latency
-# rows (sim + shm) must stay within tolerance; wall-clock rows are advisory.
+# Zero-alloc rows must stay at exactly zero allocs/op; whole-world rows (sim +
+# shm) must stay at or under their max_allocs ceiling — two objects per
+# message, its request handles — and within tolerance of their virtual-time
+# latency; wall-clock rows are advisory.
 perf-guard:
 	@$(GO) run ./cmd/perfgate -check
 

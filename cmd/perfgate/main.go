@@ -9,9 +9,9 @@
 //	perfgate -file path ...   # use a different baseline artifact
 //
 // -check exits nonzero on any fatal finding: a zero-alloc row that
-// allocates, an allocation count past tolerance, a virtual-time latency
-// regression, or a row missing from the current suite. Wall-clock drift and
-// rows not yet in the baseline are printed as advisory notes.
+// allocates, a whole-world row over its max_allocs ceiling, a virtual-time
+// latency regression, or a row missing from the current suite. Wall-clock
+// drift and rows not yet in the baseline are printed as advisory notes.
 package main
 
 import (

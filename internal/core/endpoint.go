@@ -3,11 +3,13 @@ package core
 import (
 	"sync/atomic"
 
+	"encoding/binary"
 	"errors"
 	"fmt"
 
 	"repro/internal/datatype"
 	"repro/internal/mem"
+	"repro/internal/pack"
 	"repro/internal/qos"
 	"repro/internal/simtime"
 	"repro/internal/stats"
@@ -53,19 +55,28 @@ type Request struct {
 	srcWant int
 	tagWant int
 	seq     uint64 // post-order stamp within the matching index
+
+	// next links the request into its exact-match bucket of posted receives
+	// while it waits there, and into the endpoint's free list once it has
+	// been handed back with Free. gen counts how often it has been.
+	next  *Request
+	gen   uint32
+	stamp recordStamp
 }
 
 // Done reports whether the request has completed.
-func (r *Request) Done() bool { return r.done }
+func (r *Request) Done() bool { guardRequest(r); return r.done }
 
 // Wait blocks the process until the request completes.
 func (r *Request) Wait(p *simtime.Process) {
+	guardRequest(r)
 	for !r.done {
 		p.Wait(&r.sig)
 	}
 }
 
 func (r *Request) complete(err error) {
+	guardRequest(r)
 	if r.done {
 		panic("core: double completion of request")
 	}
@@ -107,20 +118,50 @@ func WaitAny(p *simtime.Process, reqs ...*Request) int {
 	}
 }
 
-// inbound is a message that arrived before a matching receive was posted:
-// an eager payload or a rendezvous start.
-type inbound struct {
+// inboundMsg is the per-message state of an arrival record.
+type inboundMsg struct {
 	kind    uint8 // kindEager or kindRTS
 	ctx     int   // communicator context
 	src     int
 	tag     int
 	opID    uint32
 	size    int64
-	data    []byte // packed eager payload
-	sAvg    int64  // sender's average run length (RTS, for Auto)
-	sContig bool   // sender layout contiguous (RTS)
-	failed  bool   // sender aborted this RTS before it was matched
-	claimed bool   // matched and removed; tombstone in the arrival-order list
+	sAvg    int64 // sender's average run length (RTS, for Auto)
+	sContig bool  // sender layout contiguous (RTS)
+	failed  bool  // sender aborted this RTS before it was matched
+
+	// data is the packed eager payload. A message that finds its receive
+	// posted is unpacked straight out of the completion entry (data aliases
+	// CQE.Data for the length of the handler); one that has to wait — an
+	// unexpected arrival, a self send — owns a pooled copy.
+	data     []byte
+	ownsData bool
+
+	// Queue links: the exact-match bucket FIFO and the arrival order.
+	next             *inbound
+	prevArr, nextArr *inbound
+
+	// Delivery state, set by eagerDeliver for the unpack completion.
+	req *Request
+	n   int64
+	err error
+	t0  simtime.Time
+
+	sreq *Request // self send: the send request, completed when the pack ends
+}
+
+// inbound is one arrived message on its way to a receive — an eager payload
+// or a rendezvous start — from the completion handler (or the self send)
+// that made it to the end of its delivery: matched at once, or parked in the
+// unexpected queue first. Records recycle through the endpoint
+// (freelist.go); the two events a record can wait for are methods bound once.
+type inbound struct {
+	inboundMsg
+	ep    *Endpoint
+	gen   uint32
+	stamp recordStamp
+
+	deliveredFn, selfArrivedFn func()
 }
 
 // Endpoint is one rank's datatype communication engine. All methods must be
@@ -171,15 +212,29 @@ type Endpoint struct {
 	// objects recycle through the endpoint instead of the allocator.
 	sendFree      []*sendOp
 	recvFree      []*recvOp
+	inbFree       []*inbound
+	reqFree       *Request // handles handed back with Free, linked through next
 	liveSend      int
 	liveRecv      int
-	annFree       []*annSlot
-	bufFree       [][]byte
+	liveInb       int
+	liveReq       int
+	liveBufs      int
+	bufFree       [numBufClass][][]byte
+	bufBytes      int64            // bytes parked in bufFree
 	ctrlw         ctrlWriter       // synchronous build→send control frames
 	batchScratch  [][]verbs.SendWR // postWRs doorbell-split scratch
 	ctsSegScratch []segRef         // dead-CTS parse scratch
 	ctsRegScratch []regRef         // dead-CTS parse scratch
 	mc            metricCache      // lazily bound metric handles (observe.go)
+
+	// Synchronous pack state: an eager message is packed, and a matched one
+	// unpacked, inside one call, so the endpoint's own engines serve them all.
+	// grouper and blockScratch are the same for user-buffer registration
+	// (program.go).
+	pk           pack.Packer
+	upk          pack.Unpacker
+	grouper      mem.Grouper
+	blockScratch []mem.Block
 
 	// Service mode (cfg.QoS != nil): lanes arbitrates bulk descriptor
 	// posting per peer, gate parks whole bulk transfers under resource
@@ -325,59 +380,56 @@ func (ep *Endpoint) accountReg(ops mem.RegOps) {
 	ep.regGauge.Add(ops.RegisteredPages - ops.DeregPages)
 }
 
-// after charges the endpoint CPU for d and runs fn when the work finishes.
-func (ep *Endpoint) after(d simtime.Duration, fn func()) {
-	ep.afterNamed(d, "host", fn)
-}
-
-// afterNamed is after with an activity label for the tracer.
+// afterNamed charges the endpoint CPU for d, under an activity label for the
+// tracer, and runs fn when the work finishes.
 func (ep *Endpoint) afterNamed(d simtime.Duration, name string, fn func()) {
 	end := ep.hca.ChargeCPUNamed(d, name)
 	ep.eng.At(end, fn)
 }
 
-// annSlot is one reserved position in a peer's announce order.
-type annSlot struct {
-	ready bool
-	fn    func()
-}
-
-// reserveAnnounce claims the next announce position for dst. Must be called
-// synchronously at Isend time, before any virtual-time deferral, so the
-// slot order equals the MPI posting order.
-func (ep *Endpoint) reserveAnnounce(dst int) *annSlot {
-	s := ep.getAnnSlot()
-	q := &ep.peer(dst).ann
-	q.s = append(q.s, s)
-	return s
-}
-
-// announceReady supplies the slot's post closure (which may be a no-op for
-// an op that died before announcing) and drains the queue head while it is
-// ready. An announce delayed by registration backoff thus blocks every
-// later announce to the same peer instead of being overtaken by one.
-// Drained slots are nilled out immediately — their post closures capture
-// packed payloads — then recycled to the slot free-list (safe because post
-// closures only build and send control frames; they never reenter the
-// announce machinery), and the backing array is released once fully drained,
-// so the queue retains nothing for completed announces.
-func (ep *Endpoint) announceReady(dst int, s *annSlot, fn func()) {
-	s.ready, s.fn = true, fn
-	q := &ep.peer(dst).ann
-	for q.head < len(q.s) && q.s[q.head].ready {
-		slot := q.s[q.head]
-		q.s[q.head] = nil
-		q.head++
-		slot.fn()
-		ep.putAnnSlot(slot)
+// reserveAnnounce claims the next announce position for op's destination.
+// Must be called synchronously at Isend time, before any virtual-time
+// deferral, so the queue order equals the MPI posting order. The op is
+// pinned until its announce has gone out: it may sit queued behind an
+// earlier message's delayed RTS, and an op aborted in that window must not
+// be recycled out from under the queue.
+func (ep *Endpoint) reserveAnnounce(op *sendOp) {
+	ep.pinSend(op)
+	q := &ep.peer(op.dst).ann
+	if q.tail == nil {
+		q.head = op
+	} else {
+		q.tail.annNext = op
 	}
-	if q.head == len(q.s) {
-		if cap(q.s) > 256 {
-			q.s = nil
-		} else {
-			q.s = q.s[:0]
+	q.tail = op
+}
+
+// announceReady marks op ready to announce — it may have died before getting
+// there, and then announces nothing — and drains the queue head while it is
+// ready. An announce delayed by registration backoff thus blocks every later
+// announce to the same peer instead of being overtaken by one. Announcing
+// only builds and sends a control frame; it never reenters the announce
+// machinery.
+func (ep *Endpoint) announceReady(op *sendOp) {
+	op.annReady = true
+	q := &ep.peer(op.dst).ann
+	for q.head != nil && q.head.annReady {
+		h := q.head
+		if q.head, h.annNext = h.annNext, nil; q.head == nil {
+			q.tail = nil
 		}
-		q.head = 0
+		switch {
+		case h.annDead:
+		case h.kind == sendEager:
+			// PostSend copies the frame inline, so its buffer is free again
+			// as soon as sendCtrl returns.
+			ep.sendCtrl(h.dst, h.frame)
+			ep.putBuf(h.frame)
+			h.frame = nil
+		default:
+			ep.sendRTS(h)
+		}
+		ep.unpinSend(h)
 	}
 }
 
@@ -415,7 +467,8 @@ func (ep *Endpoint) Isend(buf mem.Addr, count int, dt *datatype.Type, dst, tag i
 // IsendCtx is Isend within an explicit communicator context: messages match
 // receives only within the same context.
 func (ep *Endpoint) IsendCtx(ctx int, buf mem.Addr, count int, dt *datatype.Type, dst, tag int) *Request {
-	req := &Request{ep: ep, Source: ep.rank, Tag: tag}
+	req := ep.newRequest()
+	req.Source, req.Tag = ep.rank, tag
 	size := dt.Size() * int64(count)
 	req.Bytes = size
 	switch {
@@ -433,7 +486,8 @@ func (ep *Endpoint) IsendCtx(ctx int, buf mem.Addr, count int, dt *datatype.Type
 // protocol, so completion implies the receive has been matched
 // (MPI_Issend). Self sends fall back to standard semantics.
 func (ep *Endpoint) IssendCtx(ctx int, buf mem.Addr, count int, dt *datatype.Type, dst, tag int) *Request {
-	req := &Request{ep: ep, Source: ep.rank, Tag: tag}
+	req := ep.newRequest()
+	req.Source, req.Tag = ep.rank, tag
 	req.Bytes = dt.Size() * int64(count)
 	if dst == ep.rank {
 		ep.selfSend(req, ctx, buf, count, dt, tag)
@@ -445,9 +499,17 @@ func (ep *Endpoint) IssendCtx(ctx int, buf mem.Addr, count int, dt *datatype.Typ
 
 // Ssend is the blocking synchronous-mode send in the world context.
 func (ep *Endpoint) Ssend(p *simtime.Process, buf mem.Addr, count int, dt *datatype.Type, dst, tag int) error {
-	r := ep.IssendCtx(0, buf, count, dt, dst, tag)
+	return ep.IssendCtx(0, buf, count, dt, dst, tag).waitFree(p)
+}
+
+// waitFree blocks until the request completes, hands it back to the
+// endpoint and returns its error: the tail of every blocking call whose
+// request the caller never sees.
+func (r *Request) waitFree(p *simtime.Process) error {
 	r.Wait(p)
-	return r.Err
+	err := r.Err
+	r.Free()
+	return err
 }
 
 // Irecv posts a nonblocking receive into (buf, count, dt) from rank src
@@ -458,10 +520,10 @@ func (ep *Endpoint) Irecv(buf mem.Addr, count int, dt *datatype.Type, src, tag i
 
 // IrecvCtx is Irecv within an explicit communicator context.
 func (ep *Endpoint) IrecvCtx(ctx int, buf mem.Addr, count int, dt *datatype.Type, src, tag int) *Request {
-	req := &Request{
-		ep: ep, isRecv: true,
-		buf: buf, count: count, dt: dt, ctxWant: ctx, srcWant: src, tagWant: tag,
-	}
+	req := ep.newRequest()
+	req.isRecv = true
+	req.buf, req.count, req.dt = buf, count, dt
+	req.ctxWant, req.srcWant, req.tagWant = ctx, src, tag
 	if inb := ep.unexp.take(ctx, src, tag); inb != nil {
 		ep.deliver(inb, req)
 		return req
@@ -472,9 +534,7 @@ func (ep *Endpoint) IrecvCtx(ctx int, buf mem.Addr, count int, dt *datatype.Type
 
 // Send is the blocking form of Isend.
 func (ep *Endpoint) Send(p *simtime.Process, buf mem.Addr, count int, dt *datatype.Type, dst, tag int) error {
-	r := ep.Isend(buf, count, dt, dst, tag)
-	r.Wait(p)
-	return r.Err
+	return ep.Isend(buf, count, dt, dst, tag).waitFree(p)
 }
 
 // Recv is the blocking form of Irecv; it returns the completed request for
@@ -510,6 +570,7 @@ func (ep *Endpoint) deliver(inb *inbound, req *Request) {
 			req.Tag = inb.tag
 			atomic.AddInt64(&ep.ctr.RequestsFailed, 1)
 			req.complete(fmt.Errorf("%w (sender rank %d)", ErrRemoteAbort, inb.src))
+			ep.putInbound(inb)
 			return
 		}
 		ep.rndvMatched(inb, req)
@@ -523,16 +584,35 @@ func (ep *Endpoint) deliver(inb *inbound, req *Request) {
 // eagerSend transfers small messages through the Eager protocol. With the
 // Generic scheme, data is packed into a temporary buffer and then copied to
 // the protocol's internal buffer (Figure 1); every other scheme packs
-// directly into the internal buffer (the improved path of Figure 7).
+// directly into the internal buffer (the improved path of Figure 7). That
+// difference is modelled cost: the bytes are packed once either way, straight
+// behind the frame header.
 func (ep *Endpoint) eagerSend(req *Request, ctx int, buf mem.Addr, count int, dt *datatype.Type, dst, tag int) {
-	slot := ep.reserveAnnounce(dst)
+	op := ep.getSendOp()
+	op.kind, op.req, op.dst = sendEager, req, dst
+	ep.reserveAnnounce(op)
 	size := dt.Size() * int64(count)
-	payload := ep.getBuf(size)
-	p := ep.newPacker(buf, dt, count)
-	n, runs := p.PackTo(payload)
+	op.size = size
+
+	// The frame is a pooled buffer, not the endpoint's synchronous ctrl
+	// scratch: the announce may be queued behind an earlier message's
+	// delayed RTS and posted later, so it needs its own storage. It returns
+	// to the pool once the fabric has copied it inline (announceReady).
+	w := ctrlWriter{buf: ep.getBuf(eagerHeaderMax + size)[:0]}
+	w.u8(kindEager)
+	w.u32(uint32(ctx))
+	w.u32(uint32(tag))
+	w.i64(size)
+	w.u64(uint64(size)) // the payload's length prefix (ctrlReader.bytes)
+	hdr := len(w.buf)
+	w.buf = w.buf[:hdr+int(size)]
+	ep.bind(&ep.pk, buf, dt, count)
+	n, runs := ep.pk.PackTo(w.buf[hdr:])
 	if n != size {
 		panic("core: short pack")
 	}
+	op.frame = w.buf
+
 	var cost simtime.Duration
 	if dt.Contig() {
 		// Contiguous data: one copy into the internal buffer either way.
@@ -551,40 +631,38 @@ func (ep *Endpoint) eagerSend(req *Request, ctx int, buf mem.Addr, count int, dt
 	}
 	atomic.AddInt64(&ep.ctr.EagerSends, 1)
 
-	// The frame buffer is pooled, not the endpoint's synchronous ctrl
-	// scratch: the announce may be queued behind an earlier message's
-	// delayed RTS and posted later, so it needs its own storage. The packed
-	// payload is copied into the frame here, so both buffers return to the
-	// free-list as soon as their last reader is done — the payload now, the
-	// frame once the fabric has copied it inline (PostSend does that
-	// synchronously inside sendCtrl).
-	w := ctrlWriter{buf: ep.getBuf(0)}
-	w.u8(kindEager)
-	w.u32(uint32(ctx))
-	w.u32(uint32(tag))
-	w.i64(size)
-	w.bytes(payload)
-	ep.putBuf(payload)
-
 	// Charge the pack, then post through the announce queue: the CPU
 	// resource already orders the wire message after the pack work, and the
 	// queue keeps wire order equal to Isend call order — MPI's
 	// non-overtaking guarantee — even when an earlier rendezvous send's RTS
 	// is sitting in a registration-retry backoff.
-	t0 := ep.tnow()
+	op.tStart = ep.tnow()
 	end := ep.hca.ChargeCPUNamed(cost, "pack")
-	ep.announceReady(dst, slot, func() {
-		ep.sendCtrl(dst, w.buf)
-		ep.putBuf(w.buf)
-	})
-	// The eager send completes once the data has left the user buffer.
-	ep.eng.At(end, func() {
-		ep.span("eager send", "data", 0, size, t0)
-		req.complete(nil)
-	})
+	ep.announceReady(op)
+	// The eager send completes once the data has left the user buffer. The
+	// op is in no table: its two pins — the announce and this event — are
+	// all that keep it.
+	ep.pinSend(op)
+	ep.eng.At(end, op.eagerDoneFn)
+	ep.retireSend(op)
 }
 
-// handleCtrl dispatches an arrived control message.
+// eagerHeaderMax bounds an eager frame's header: the kind byte and four
+// varints.
+const eagerHeaderMax = 1 + 4*binary.MaxVarintLen64
+
+// eagerDone completes an eager send when its pack charge ends.
+func (op *sendOp) eagerDone() {
+	ep := op.ep
+	guardSend(op)
+	ep.span("eager send", "data", 0, op.size, op.tStart)
+	op.req.complete(nil)
+	ep.unpinSend(op)
+}
+
+// handleCtrl dispatches an arrived control message. data is the fabric's and
+// only good until the handler returns (verbs.CQE.Data): everything that
+// outlives the call is copied out of it here.
 func (ep *Endpoint) handleCtrl(src int, data []byte) {
 	r := &ctrlReader{buf: data}
 	kind := r.u8()
@@ -597,19 +675,24 @@ func (ep *Endpoint) handleCtrl(src int, data []byte) {
 		if r.err != nil {
 			panic(r.err)
 		}
-		inb := &inbound{kind: kindEager, ctx: ctx, src: src, tag: tag, size: size, data: payload}
+		inb := ep.getInbound()
+		inb.kind, inb.ctx, inb.src, inb.tag, inb.size = kindEager, ctx, src, tag, size
 		if req := ep.matchPosted(ctx, src, tag); req != nil {
+			inb.data = payload
 			ep.eagerDeliver(inb, req)
 			return
 		}
 		// Unexpected: MPICH copies the payload aside into an unexpected-
-		// message buffer; charge that staging copy.
+		// message buffer; make that staging copy, and charge it.
+		inb.data, inb.ownsData = ep.getBuf(int64(len(payload))), true
+		copy(inb.data, payload)
 		atomic.AddInt64(&ep.ctr.BytesStaged, size)
 		ep.hca.ChargeCPU(ep.model.CopyTime(size, 1))
 		ep.unexp.add(inb)
 		ep.arrivalSig.Broadcast()
 	case kindRTS:
-		inb := &inbound{kind: kindRTS, src: src}
+		inb := ep.getInbound()
+		inb.kind, inb.src = kindRTS, src
 		inb.opID = r.u32()
 		inb.ctx = int(int32(r.u32()))
 		inb.tag = int(int32(r.u32()))
@@ -640,7 +723,9 @@ func (ep *Endpoint) handleCtrl(src int, data []byte) {
 	}
 }
 
-// eagerDeliver unpacks a matched eager payload into the receive buffer.
+// eagerDeliver unpacks a matched eager payload into the receive buffer. The
+// payload is consumed before it returns; the arrival record lives on to the
+// unpack completion.
 func (ep *Endpoint) eagerDeliver(inb *inbound, req *Request) {
 	capacity := req.dt.Size() * int64(req.count)
 	n := inb.size
@@ -649,8 +734,8 @@ func (ep *Endpoint) eagerDeliver(inb *inbound, req *Request) {
 		n = capacity
 		err = ErrTruncate
 	}
-	u := ep.newUnpacker(req.buf, req.dt, req.count)
-	got, runs := u.UnpackFrom(inb.data[:n])
+	ep.bind(&ep.upk, req.buf, req.dt, req.count)
+	got, runs := ep.upk.UnpackFrom(inb.data[:n])
 	if got != n {
 		panic("core: short unpack")
 	}
@@ -671,33 +756,52 @@ func (ep *Endpoint) eagerDeliver(inb *inbound, req *Request) {
 	req.Source = inb.src
 	req.Tag = inb.tag
 	req.Bytes = n
-	t0 := ep.tnow()
-	ep.afterNamed(cost, "unpack", func() {
-		ep.span("eager recv", "data", 0, n, t0)
-		req.complete(err)
-	})
+	if !inb.ownsData {
+		inb.data = nil // the completion entry's; gone when the handler returns
+	}
+	inb.req, inb.n, inb.err, inb.t0 = req, n, err, ep.tnow()
+	ep.afterNamed(cost, "unpack", inb.deliveredFn)
+}
+
+// delivered completes an eager receive when its unpack charge ends.
+func (inb *inbound) delivered() {
+	ep := inb.ep
+	guardInbound(inb)
+	ep.span("eager recv", "data", 0, inb.n, inb.t0)
+	inb.req.complete(inb.err)
+	ep.putInbound(inb)
 }
 
 // --- Self sends -------------------------------------------------------------
 
-// selfSend handles rank-to-rank-self transfers with a local pack/unpack.
+// selfSend handles rank-to-rank-self transfers with a local pack/unpack: the
+// message is its own arrival record from the start.
 func (ep *Endpoint) selfSend(req *Request, ctx int, buf mem.Addr, count int, dt *datatype.Type, tag int) {
 	size := dt.Size() * int64(count)
-	payload := make([]byte, size)
-	p := ep.newPacker(buf, dt, count)
-	_, runs := p.PackTo(payload)
+	inb := ep.getInbound()
+	inb.kind, inb.ctx, inb.src, inb.tag, inb.size = kindEager, ctx, ep.rank, tag, size
+	inb.data, inb.ownsData = ep.getBuf(size), true
+	inb.sreq = req
+	ep.bind(&ep.pk, buf, dt, count)
+	_, runs := ep.pk.PackTo(inb.data)
 	atomic.AddInt64(&ep.ctr.BytesPacked, size)
 	cost := ep.cfg.packCost(ep.model, size, runs)
-	inb := &inbound{kind: kindEager, ctx: ctx, src: ep.rank, tag: tag, size: size, data: payload}
-	ep.afterNamed(cost, "pack", func() {
-		req.complete(nil)
-		if r := ep.matchPosted(ctx, ep.rank, tag); r != nil {
-			ep.eagerDeliver(inb, r)
-			return
-		}
-		ep.unexp.add(inb)
-		ep.arrivalSig.Broadcast()
-	})
+	ep.afterNamed(cost, "pack", inb.selfArrivedFn)
+}
+
+// selfArrived runs when a self send's pack charge ends: the send completes
+// and the message arrives.
+func (inb *inbound) selfArrived() {
+	ep := inb.ep
+	guardInbound(inb)
+	inb.sreq.complete(nil)
+	inb.sreq = nil
+	if r := ep.matchPosted(inb.ctx, ep.rank, inb.tag); r != nil {
+		ep.eagerDeliver(inb, r)
+		return
+	}
+	ep.unexp.add(inb)
+	ep.arrivalSig.Broadcast()
 }
 
 // DebugState summarizes in-flight protocol state for diagnosing stalls.

@@ -68,10 +68,7 @@ func (ep *Endpoint) finalizeSendAbort(op *sendOp) {
 		}
 	}
 	op.segs = op.segs[:0]
-	if len(op.regions) > 0 {
-		ep.releaseUserRegions(op.regions)
-		op.regions = op.regions[:0]
-	}
+	op.reg.release()
 	if op.notifyPeer {
 		w := ep.ctrlW()
 		w.u8(kindSendFail)
@@ -101,21 +98,19 @@ func (ep *Endpoint) sendWRResolved(op *sendOp, err error) bool {
 	return true
 }
 
-// advanceSend runs the op's onWRsDone continuation once its whole
-// descriptor population has been posted (the allPosted guard) and has
-// drained.
+// advanceSend drains the op (sendDrained), once, when its whole descriptor
+// population has been posted (the allPosted guard) and has completed.
 func (ep *Endpoint) advanceSend(op *sendOp) {
-	if op.allPosted && op.wrsLeft == 0 && op.onWRsDone != nil {
-		fn := op.onWRsDone
-		op.onWRsDone = nil
-		fn()
+	if op.allPosted && op.wrsLeft == 0 && op.drainArmed {
+		op.drainArmed = false
+		ep.sendDrained(op)
 	}
 }
 
 // donePosting marks that every descriptor of the op has been posted; the
-// onWRsDone callback installed by postWRs may only fire after this (the
-// allPosted guard), so a fast early segment can never complete the op while
-// later segments are still being posted.
+// drain postWRs armed may only fire after this (the allPosted guard), so a
+// fast early segment can never complete the op while later segments are
+// still being posted.
 func (ep *Endpoint) donePosting(op *sendOp) {
 	op.allPosted = true
 	if op.failed {
@@ -153,21 +148,19 @@ func (ep *Endpoint) finalizeRecvAbort(op *recvOp) {
 	if !ep.removeRecvOp(op) {
 		return // already finalized
 	}
-	if op.wholeSeg != nil {
-		ep.releaseSeg(ep.unpackPool, *op.wholeSeg)
-		op.wholeSeg = nil
+	if op.haveWhole {
+		ep.releaseSeg(ep.unpackPool, op.wholeSeg)
+		op.haveWhole = false
 	}
+	// The segment list keeps its length: an unpack completion still in
+	// flight reads its entry for the span it closes.
 	for i := range op.segs {
 		if op.segs[i].held {
 			ep.releaseSeg(ep.unpackPool, op.segs[i].seg)
 			op.segs[i].held = false
 		}
 	}
-	op.segs = op.segs[:0]
-	if len(op.regions) > 0 {
-		ep.releaseUserRegions(op.regions)
-		op.regions = op.regions[:0]
-	}
+	op.reg.release()
 	if op.notifyPeer {
 		w := ep.ctrlW()
 		w.u8(kindRecvFail)
@@ -211,13 +204,9 @@ func (ep *Endpoint) handleSendFail(src int, r *ctrlReader) {
 	}
 	// Not matched yet: mark the queued RTS dead. It stays matchable so a
 	// receive posted later fails promptly instead of waiting forever.
-	ep.unexp.each(func(inb *inbound) bool {
-		if inb.kind == kindRTS && inb.src == src && inb.opID == id {
-			inb.failed = true
-			return false
-		}
-		return true
-	})
+	if inb := ep.unexp.findRTS(src, id); inb != nil {
+		inb.failed = true
+	}
 }
 
 // handleRecvFail processes a receiver's abort notice: fail the sender-side

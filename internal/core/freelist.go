@@ -7,29 +7,37 @@ import (
 	"repro/internal/verbs"
 )
 
-// Allocation discipline for the warm rendezvous path (DESIGN.md §16).
+// Allocation discipline for the warm message path (DESIGN.md §16).
 //
-// Every per-message object the protocol needs — the send/recv state machines,
-// their RDMA descriptor and scatter/gather arenas, announce slots, eager frame
-// buffers — is drawn from an endpoint-owned free-list and returned when the
-// message retires, so a warm endpoint moves messages without allocating.
-// The lists are plain slices, not sync.Pools: a GC cycle must not be able to
-// empty them, or allocs/op would become nondeterministic and the perf gate
-// (cmd/perfgate) could not pin it.
+// Every per-message object the protocol needs — the send and receive op
+// records with their RDMA descriptor and scatter/gather arenas, pack state
+// and layout cursors, the arrival records of the matching queues, eager
+// frame and payload buffers, and the request handles a caller hands back —
+// is drawn from an endpoint-owned free-list and returned when the message
+// retires, so a warm endpoint moves messages allocating nothing but the
+// request handles its callers keep. The lists are plain slices, not
+// sync.Pools: a GC cycle must not be able to empty them, or allocs/op would
+// become nondeterministic and the perf gate (cmd/perfgate) could not pin it.
 //
 // Ownership protocol:
 //
-//   - An op is LIVE from getSendOp/getRecvOp until recycle. It is ACTIVE
-//     while linked into its peer's table (addSendOp .. removeSendOp).
+//   - An op is LIVE from getSendOp/getRecvOp until recycle. A rendezvous op
+//     is ACTIVE while linked into its peer's table (addSendOp ..
+//     removeSendOp); an eager send op never is.
 //   - finishSend/finishRecv and finalizeSendAbort/finalizeRecvAbort unlink
-//     the op and call retireSend/retireRecv exactly once.
-//   - Continuations that can fire after the op retires (announce closures,
-//     admission parking, pool waiters, registration callbacks, deferred
-//     unpack completions) PIN the op before capture and unpin when they run;
-//     descriptor completions need no pin because op.wrsLeft > 0 already
-//     blocks finalization. A retired op recycles when its last pin drops.
-//   - recycle resets every field but keeps slice and arena capacity, so the
-//     next message on this endpoint reuses the same backing memory.
+//     the op and call retireSend/retireRecv exactly once; an eager send
+//     retires as soon as its frame is built.
+//   - A step that can fire after the op retires (its announce, admission
+//     parking, a pool wait, a registration or staging walk, a deferred
+//     unpack or eager completion) PINS the op before it is handed out and
+//     unpins when it runs; descriptor completions need no pin because
+//     op.wrsLeft > 0 already blocks finalization. A retired op recycles when
+//     its last pin drops. The steps are methods of the record, bound once
+//     when it is made, and read their operands from its fields.
+//   - recycle zeroes the per-message state but keeps slice and arena
+//     capacity, so the next message on this endpoint reuses the same backing
+//     memory. Under -tags dtdebug a recycled record is poisoned and never
+//     reused, so a step that fires on it panics (debug_on.go).
 
 // peerState shards the endpoint's per-peer protocol state: the active send
 // and receive ops for that peer (small slices — linear scan and swap-delete
@@ -143,7 +151,7 @@ func (ep *Endpoint) getSendOp() *sendOp {
 		ep.sendFree = ep.sendFree[:n-1]
 		return op
 	}
-	return &sendOp{}
+	return newSendOp(ep)
 }
 
 func (ep *Endpoint) getRecvOp() *recvOp {
@@ -154,11 +162,11 @@ func (ep *Endpoint) getRecvOp() *recvOp {
 		ep.recvFree = ep.recvFree[:n-1]
 		return op
 	}
-	return &recvOp{}
+	return newRecvOp(ep)
 }
 
-// pinSend keeps op's state alive for a continuation that may fire after the
-// op retires. Every pin must be balanced by exactly one unpinSend.
+// pinSend keeps op's state alive for a step that may fire after the op
+// retires. Every pin must be balanced by exactly one unpinSend.
 func (ep *Endpoint) pinSend(op *sendOp) { op.pins++ }
 
 // unpinSend drops one pin; the last pin off a retired op recycles it.
@@ -212,27 +220,16 @@ func (ep *Endpoint) retireRecv(op *recvOp) {
 func (ep *Endpoint) recycleSend(op *sendOp) {
 	ep.liveSend--
 	op.wrs.reset()
-	for i := range op.groups {
-		op.groups[i] = nil
-	}
-	for i := range op.regions {
-		op.regions[i] = nil
-	}
-	for i := range op.segs {
-		op.segs[i] = segRes{}
-	}
-	for i := range op.segScratch {
-		op.segScratch[i] = seg{}
-	}
-	*op = sendOp{
-		wrs:        op.wrs,
-		groups:     op.groups[:0],
-		regions:    op.regions[:0],
-		refs:       op.refs[:0],
-		segs:       op.segs[:0],
-		segScratch: op.segScratch[:0],
-		ctsSegs:    op.ctsSegs[:0],
-		ctsRegs:    op.ctsRegs[:0],
+	clear(op.groups)
+	clear(op.segs)
+	clear(op.segScratch)
+	op.groups, op.segs, op.segScratch = op.groups[:0], op.segs[:0], op.segScratch[:0]
+	op.ctsSegs, op.ctsRegs = op.ctsSegs[:0], op.ctsRegs[:0]
+	op.reg.drop()
+	op.sendMsg = sendMsg{}
+	op.gen++
+	if poisonSend(op) {
+		return
 	}
 	ep.sendFree = append(ep.sendFree, op)
 }
@@ -240,29 +237,85 @@ func (ep *Endpoint) recycleSend(op *sendOp) {
 func (ep *Endpoint) recycleRecv(op *recvOp) {
 	ep.liveRecv--
 	op.wrs.reset()
-	for i := range op.regions {
-		op.regions[i] = nil
-	}
-	for i := range op.segs {
-		op.segs[i] = segRes{}
-	}
-	*op = recvOp{
-		wrs:     op.wrs,
-		regions: op.regions[:0],
-		refs:    op.refs[:0],
-		segs:    op.segs[:0],
-		ctsRefs: op.ctsRefs[:0],
+	clear(op.segs)
+	op.segs, op.ctsRefs = op.segs[:0], op.ctsRefs[:0]
+	op.reg.drop()
+	op.recvMsg = recvMsg{}
+	op.gen++
+	if poisonRecv(op) {
+		return
 	}
 	ep.recvFree = append(ep.recvFree, op)
 }
 
+// --- Arrival records ----------------------------------------------------------
+
+func (ep *Endpoint) getInbound() *inbound {
+	ep.liveInb++
+	if n := len(ep.inbFree); n > 0 {
+		inb := ep.inbFree[n-1]
+		ep.inbFree[n-1] = nil
+		ep.inbFree = ep.inbFree[:n-1]
+		return inb
+	}
+	inb := &inbound{ep: ep}
+	inb.deliveredFn, inb.selfArrivedFn = inb.delivered, inb.selfArrived
+	return inb
+}
+
+// putInbound recycles an arrival record that has been matched and consumed,
+// and the payload buffer it owns.
+func (ep *Endpoint) putInbound(inb *inbound) {
+	ep.liveInb--
+	if inb.ownsData {
+		ep.putBuf(inb.data)
+	}
+	inb.inboundMsg = inboundMsg{}
+	inb.gen++
+	if poisonInbound(inb) {
+		return
+	}
+	ep.inbFree = append(ep.inbFree, inb)
+}
+
+// --- Request handles ----------------------------------------------------------
+
+// newRequest takes a request handle off the free list, or makes one — the
+// one allocation a warm message is allowed.
+func (ep *Endpoint) newRequest() *Request {
+	ep.liveReq++
+	if r := ep.reqFree; r != nil {
+		ep.reqFree, r.next = r.next, nil
+		return r
+	}
+	return &Request{ep: ep}
+}
+
+// Free hands a completed request back to its endpoint for reuse: what a
+// caller that started the request itself and let nobody else see it — a
+// blocking send, a collective — does instead of leaving the handle to the
+// collector. The handle must not be used afterwards.
+func (r *Request) Free() {
+	if !r.done {
+		panic("core: Free of a request that has not completed")
+	}
+	ep := r.ep
+	ep.liveReq--
+	*r = Request{ep: ep, gen: r.gen + 1}
+	if poisonRequest(r) {
+		return
+	}
+	r.next, ep.reqFree = ep.reqFree, r
+}
+
 // PoolStats reports the endpoint's warm-path free-list accounting. At world
-// quiescence — every request completed or aborted, all fabric events drained —
-// the live counts must be zero and every op must have returned to its
-// free-list; the abort-path soak tests assert exactly that.
+// quiescence — every request completed or aborted, every message received,
+// all fabric events drained — the live counts must be zero and every record
+// must have returned to its free-list; the abort-path soak tests assert
+// exactly that.
 type PoolStats struct {
 	// LiveSendOps / LiveRecvOps count ops handed out and not yet recycled
-	// (active, or retired but still pinned by an outstanding continuation).
+	// (active, or retired but still pinned by an outstanding step).
 	LiveSendOps int
 	LiveRecvOps int
 	// FreeSendOps / FreeRecvOps count ops parked on the free-lists.
@@ -272,17 +325,31 @@ type PoolStats struct {
 	// tables (the admission gate's notion of "active").
 	ActiveSends int
 	ActiveRecvs int
+	// LiveInbound counts arrival records out: queued unexpected, or
+	// delivering. LiveBufs counts eager frame and payload buffers out.
+	LiveInbound int
+	LiveBufs    int
+	// LiveRequests counts request handles handed out and not handed back
+	// with Free; a caller that keeps or drops its handles leaves them
+	// counted.
+	LiveRequests int
+	// LiveWRs counts completion records out with posted descriptors.
+	LiveWRs int
 }
 
 // PoolStats returns the current free-list accounting snapshot.
 func (ep *Endpoint) PoolStats() PoolStats {
 	return PoolStats{
-		LiveSendOps: ep.liveSend,
-		LiveRecvOps: ep.liveRecv,
-		FreeSendOps: len(ep.sendFree),
-		FreeRecvOps: len(ep.recvFree),
-		ActiveSends: ep.activeSends,
-		ActiveRecvs: ep.activeRecvs,
+		LiveSendOps:  ep.liveSend,
+		LiveRecvOps:  ep.liveRecv,
+		FreeSendOps:  len(ep.sendFree),
+		FreeRecvOps:  len(ep.recvFree),
+		ActiveSends:  ep.activeSends,
+		ActiveRecvs:  ep.activeRecvs,
+		LiveInbound:  ep.liveInb,
+		LiveBufs:     ep.liveBufs,
+		LiveRequests: ep.liveReq,
+		LiveWRs:      ep.wrLive(),
 	}
 }
 
@@ -323,52 +390,63 @@ func (s *wrSet) one(opc verbs.Opcode, e verbs.SGE, rAddr mem.Addr, rKey, imm uin
 	return s.wrs[w : w+1 : w+1]
 }
 
-// --- Eager frame buffers ------------------------------------------------------
+// --- Eager frame and payload buffers -------------------------------------------
 
-// maxBufFree bounds the eager frame free-list so a burst of huge eager
-// messages does not pin their buffers forever.
-const maxBufFree = 32
+// Eager frames, parked unexpected payloads and self-send payloads come from
+// one per-endpoint buffer pool, in power-of-two size classes from 64 B up
+// (so a get is a pop, never a search). What bounds the pool is the bytes it
+// retains, not a buffer count: a stream of small messages may keep hundreds
+// of parked payloads cycling without ever allocating, while a burst of huge
+// ones cannot pin its buffers forever.
+const (
+	minBufShift = 6       // the smallest class holds 64 B buffers
+	numBufClass = 12      // the largest, 128 KiB ones
+	maxBufBytes = 1 << 20 // retained (parked) bytes per endpoint
+	maxBufCap   = 1 << (minBufShift + numBufClass - 1)
+)
 
-// getBuf returns a length-n byte buffer, reusing free-list capacity when a
-// large enough buffer is parked there.
-func (ep *Endpoint) getBuf(n int64) []byte {
-	for i := len(ep.bufFree) - 1; i >= 0; i-- {
-		b := ep.bufFree[i]
-		if int64(cap(b)) >= n {
-			last := len(ep.bufFree) - 1
-			ep.bufFree[i] = ep.bufFree[last]
-			ep.bufFree[last] = nil
-			ep.bufFree = ep.bufFree[:last]
-			return b[:n]
-		}
+// bufClass returns the class whose buffers hold at least n bytes.
+func bufClass(n int64) int {
+	c := 0
+	for int64(1)<<(minBufShift+c) < n {
+		c++
 	}
-	return make([]byte, n)
+	return c
 }
 
-// putBuf parks a buffer for reuse once the fabric no longer references it
-// (the Inline payload is copied synchronously by every backend's PostSend).
+// getBuf returns a length-n byte buffer, a parked one when its class has
+// one. A buffer larger than the largest class is simply allocated.
+func (ep *Endpoint) getBuf(n int64) []byte {
+	ep.liveBufs++
+	if n > maxBufCap {
+		return make([]byte, n)
+	}
+	c := bufClass(n)
+	if k := len(ep.bufFree[c]); k > 0 {
+		b := ep.bufFree[c][k-1]
+		ep.bufFree[c][k-1] = nil
+		ep.bufFree[c] = ep.bufFree[c][:k-1]
+		ep.bufBytes -= int64(cap(b))
+		return b[:n]
+	}
+	return make([]byte, n, 1<<(minBufShift+c))
+}
+
+// putBuf parks a buffer for reuse once nothing references it (the fabric
+// copies an Inline payload synchronously inside PostSend), unless the pool
+// already retains its fill.
 func (ep *Endpoint) putBuf(b []byte) {
-	if cap(b) == 0 || len(ep.bufFree) >= maxBufFree {
+	ep.liveBufs--
+	n := int64(cap(b))
+	if n > maxBufCap || n < 1<<minBufShift || ep.bufBytes+n > maxBufBytes {
 		return
 	}
-	ep.bufFree = append(ep.bufFree, b)
-}
-
-// --- Announce slots -----------------------------------------------------------
-
-func (ep *Endpoint) getAnnSlot() *annSlot {
-	if n := len(ep.annFree); n > 0 {
-		s := ep.annFree[n-1]
-		ep.annFree[n-1] = nil
-		ep.annFree = ep.annFree[:n-1]
-		return s
+	c := bufClass(n)
+	if n != 1<<(minBufShift+c) {
+		return // not one of ours
 	}
-	return &annSlot{}
-}
-
-func (ep *Endpoint) putAnnSlot(s *annSlot) {
-	s.ready, s.fn = false, nil
-	ep.annFree = append(ep.annFree, s)
+	ep.bufBytes += n
+	ep.bufFree[c] = append(ep.bufFree[c], b)
 }
 
 // --- Control scratch ----------------------------------------------------------
@@ -376,8 +454,8 @@ func (ep *Endpoint) putAnnSlot(s *annSlot) {
 // ctrlW hands out the endpoint's reusable control-frame writer. Safe for any
 // build-then-sendCtrl sequence that completes synchronously (every backend
 // copies Inline before PostSend returns); frames that are built now but
-// posted later (eager payloads riding the announce queue) must use getBuf
-// instead.
+// posted later (eager messages riding the announce queue) are built in a
+// getBuf buffer instead.
 func (ep *Endpoint) ctrlW() *ctrlWriter {
 	ep.ctrlw.buf = ep.ctrlw.buf[:0]
 	return &ep.ctrlw
@@ -386,6 +464,6 @@ func (ep *Endpoint) ctrlW() *ctrlWriter {
 // poolStatsString formats the free-list accounting for DebugState's stall
 // diagnosis output.
 func (ep *Endpoint) poolStatsString() string {
-	return fmt.Sprintf("liveOps(send=%d recv=%d) freeOps(send=%d recv=%d)",
-		ep.liveSend, ep.liveRecv, len(ep.sendFree), len(ep.recvFree))
+	return fmt.Sprintf("liveOps(send=%d recv=%d) freeOps(send=%d recv=%d) live(inbound=%d bufs=%d requests=%d)",
+		ep.liveSend, ep.liveRecv, len(ep.sendFree), len(ep.recvFree), ep.liveInb, ep.liveBufs, ep.liveReq)
 }

@@ -24,47 +24,22 @@ type matchKey struct {
 
 // --- Posted-receive index ---------------------------------------------------
 
-// reqQueue is a head-indexed FIFO of posted receives sharing one exact key.
-// Popping advances head; the backing array compacts lazily so a long-lived
-// bucket does not pin every request it ever held.
-type reqQueue struct {
-	s    []*Request
-	head int
-}
-
-func (q *reqQueue) push(r *Request) { q.s = append(q.s, r) }
-
-func (q *reqQueue) peek() *Request {
-	if q.head == len(q.s) {
-		return nil
-	}
-	return q.s[q.head]
-}
-
-func (q *reqQueue) pop() *Request {
-	r := q.s[q.head]
-	q.s[q.head] = nil
-	q.head++
-	if q.head > 32 && q.head*2 >= len(q.s) {
-		q.s = append(q.s[:0], q.s[q.head:]...)
-		q.head = 0
-	}
-	return r
-}
-
-func (q *reqQueue) empty() bool { return q.head == len(q.s) }
+// reqList is the FIFO of posted receives sharing one exact key: an intrusive
+// list through Request.next, held by value in the index's map, so posting a
+// receive links one pointer and builds no queue object.
+type reqList struct{ head, tail *Request }
 
 // recvIndex holds posted receives: exact receives bucketed per
 // (ctx, src, tag), wildcard receives (AnySource and/or AnyTag) in a small
 // ordered side list. seq stamps give a total post order across both.
 type recvIndex struct {
-	exact map[matchKey]*reqQueue
+	exact map[matchKey]reqList
 	wild  []*Request
 	seq   uint64
 	n     int
 }
 
-func (ri *recvIndex) init() { ri.exact = make(map[matchKey]*reqQueue) }
+func (ri *recvIndex) init() { ri.exact = make(map[matchKey]reqList) }
 
 func (ri *recvIndex) len() int { return ri.n }
 
@@ -78,12 +53,14 @@ func (ri *recvIndex) post(r *Request) {
 		return
 	}
 	k := matchKey{ctx: r.ctxWant, src: r.srcWant, tag: r.tagWant}
-	q := ri.exact[k]
-	if q == nil {
-		q = &reqQueue{}
-		ri.exact[k] = q
+	l := ri.exact[k]
+	if l.tail == nil {
+		l.head = r
+	} else {
+		l.tail.next = r
 	}
-	q.push(r)
+	l.tail = r
+	ri.exact[k] = l
 }
 
 // match finds and removes the earliest-posted receive matching the arrival
@@ -93,11 +70,8 @@ func (ri *recvIndex) post(r *Request) {
 // first-posted semantics).
 func (ri *recvIndex) match(ctx, src, tag int) *Request {
 	k := matchKey{ctx: ctx, src: src, tag: tag}
-	q := ri.exact[k]
-	var exact *Request
-	if q != nil {
-		exact = q.peek()
-	}
+	l := ri.exact[k]
+	exact := l.head
 	wildIdx := -1
 	for i, r := range ri.wild {
 		if matchWanted(r.ctxWant, r.srcWant, r.tagWant, ctx, src, tag) {
@@ -109,12 +83,14 @@ func (ri *recvIndex) match(ctx, src, tag int) *Request {
 	case exact == nil && wildIdx < 0:
 		return nil
 	case exact != nil && (wildIdx < 0 || exact.seq < ri.wild[wildIdx].seq):
-		r := q.pop()
-		if q.empty() {
-			delete(ri.exact, k)
+		if l.head = exact.next; l.head == nil {
+			delete(ri.exact, k) // an emptied bucket leaves the map, so it tracks live keys only
+		} else {
+			ri.exact[k] = l
 		}
+		exact.next = nil
 		ri.n--
-		return r
+		return exact
 	default:
 		r := ri.wild[wildIdx]
 		copy(ri.wild[wildIdx:], ri.wild[wildIdx+1:])
@@ -127,107 +103,88 @@ func (ri *recvIndex) match(ctx, src, tag int) *Request {
 
 // --- Unexpected-arrival index -----------------------------------------------
 
-// inbQueue is a head-indexed FIFO of unexpected arrivals sharing one exact
-// key.
-type inbQueue struct {
-	s    []*inbound
-	head int
-}
-
-func (q *inbQueue) push(inb *inbound) { q.s = append(q.s, inb) }
-
-func (q *inbQueue) peek() *inbound {
-	if q.head == len(q.s) {
-		return nil
-	}
-	return q.s[q.head]
-}
-
-func (q *inbQueue) pop() *inbound {
-	inb := q.s[q.head]
-	q.s[q.head] = nil
-	q.head++
-	if q.head > 32 && q.head*2 >= len(q.s) {
-		q.s = append(q.s[:0], q.s[q.head:]...)
-		q.head = 0
-	}
-	return inb
-}
-
-func (q *inbQueue) empty() bool { return q.head == len(q.s) }
+// inbList is the FIFO of unexpected arrivals sharing one exact key, an
+// intrusive list through inbound.next.
+type inbList struct{ head, tail *inbound }
 
 // unexpIndex holds unexpected arrivals: exact buckets per (ctx, src, tag)
-// for O(1) claiming by exact receives, plus a global arrival-order list for
-// wildcard receives and probes. A claimed arrival becomes a tombstone in
-// the order list and is swept out lazily.
+// for O(1) claiming by exact receives, plus the global arrival order — a
+// doubly linked intrusive list, so a claimed arrival unlinks in O(1) — for
+// wildcard receives and probes.
 type unexpIndex struct {
-	exact   map[matchKey]*inbQueue
-	order   []*inbound
-	claimed int
+	exact       map[matchKey]inbList
+	first, last *inbound // arrival order
+	n           int
 }
 
-func (ui *unexpIndex) init() { ui.exact = make(map[matchKey]*inbQueue) }
+func (ui *unexpIndex) init() { ui.exact = make(map[matchKey]inbList) }
 
-func (ui *unexpIndex) len() int { return len(ui.order) - ui.claimed }
+func (ui *unexpIndex) len() int { return ui.n }
 
 // add records a new arrival in arrival order.
 func (ui *unexpIndex) add(inb *inbound) {
-	ui.order = append(ui.order, inb)
-	k := matchKey{ctx: inb.ctx, src: inb.src, tag: inb.tag}
-	q := ui.exact[k]
-	if q == nil {
-		q = &inbQueue{}
-		ui.exact[k] = q
+	ui.n++
+	if inb.prevArr = ui.last; ui.last == nil {
+		ui.first = inb
+	} else {
+		ui.last.nextArr = inb
 	}
-	q.push(inb)
+	ui.last = inb
+	k := matchKey{ctx: inb.ctx, src: inb.src, tag: inb.tag}
+	l := ui.exact[k]
+	if l.tail == nil {
+		l.head = inb
+	} else {
+		l.tail.next = inb
+	}
+	l.tail = inb
+	ui.exact[k] = l
 }
 
 // take finds and removes the earliest arrival matching a receive's wants
-// (wildcards allowed). Exact wants claim the bucket head in O(1); wildcard
-// wants scan arrival order, skipping tombstones.
+// (wildcards allowed).
 func (ui *unexpIndex) take(ctx, src, tag int) *inbound {
-	if src != AnySource && tag != AnyTag {
-		k := matchKey{ctx: ctx, src: src, tag: tag}
-		q := ui.exact[k]
-		if q == nil {
-			return nil
-		}
-		inb := q.pop()
-		if q.empty() {
-			delete(ui.exact, k)
-		}
-		ui.tombstone(inb)
-		return inb
+	inb, ok := ui.peek(ctx, src, tag)
+	if !ok {
+		return nil
 	}
-	for _, inb := range ui.order {
-		if inb.claimed {
-			continue
-		}
-		if matchWanted(ctx, src, tag, inb.ctx, inb.src, inb.tag) {
-			ui.popExact(inb)
-			ui.tombstone(inb)
-			return inb
-		}
+	// Whichever way it was found, the arrival heads its exact bucket: every
+	// entry sharing one exact key matches the same patterns, so an earlier
+	// same-key arrival would have been found first.
+	k := matchKey{ctx: inb.ctx, src: inb.src, tag: inb.tag}
+	l := ui.exact[k]
+	if l.head != inb {
+		panic("core: matching invariant violated: claimed arrival is not its bucket head")
 	}
-	return nil
+	if l.head = inb.next; l.head == nil {
+		delete(ui.exact, k)
+	} else {
+		ui.exact[k] = l
+	}
+	if inb.prevArr == nil {
+		ui.first = inb.nextArr
+	} else {
+		inb.prevArr.nextArr = inb.nextArr
+	}
+	if inb.nextArr == nil {
+		ui.last = inb.prevArr
+	} else {
+		inb.nextArr.prevArr = inb.prevArr
+	}
+	inb.next, inb.prevArr, inb.nextArr = nil, nil, nil
+	ui.n--
+	return inb
 }
 
 // peek reports the earliest matching arrival without removing it (probe).
+// Exact wants read the bucket head in O(1); wildcard wants scan arrival
+// order.
 func (ui *unexpIndex) peek(ctx, src, tag int) (*inbound, bool) {
 	if src != AnySource && tag != AnyTag {
-		q := ui.exact[matchKey{ctx: ctx, src: src, tag: tag}]
-		if q == nil {
-			return nil, false
-		}
-		if inb := q.peek(); inb != nil {
-			return inb, true
-		}
-		return nil, false
+		inb := ui.exact[matchKey{ctx: ctx, src: src, tag: tag}].head
+		return inb, inb != nil
 	}
-	for _, inb := range ui.order {
-		if inb.claimed {
-			continue
-		}
+	for inb := ui.first; inb != nil; inb = inb.nextArr {
 		if matchWanted(ctx, src, tag, inb.ctx, inb.src, inb.tag) {
 			return inb, true
 		}
@@ -235,64 +192,24 @@ func (ui *unexpIndex) peek(ctx, src, tag int) (*inbound, bool) {
 	return nil, false
 }
 
-// each visits every unclaimed arrival in arrival order until fn returns
-// false (failure-notice path; not performance sensitive).
-func (ui *unexpIndex) each(fn func(*inbound) bool) {
-	for _, inb := range ui.order {
-		if inb.claimed {
-			continue
-		}
-		if !fn(inb) {
-			return
+// findRTS returns the queued rendezvous start of (src, opID), or nil
+// (failure-notice path; not performance sensitive).
+func (ui *unexpIndex) findRTS(src int, opID uint32) *inbound {
+	for inb := ui.first; inb != nil; inb = inb.nextArr {
+		if inb.kind == kindRTS && inb.src == src && inb.opID == opID {
+			return inb
 		}
 	}
-}
-
-// popExact removes an arrival claimed through an order scan from its exact
-// bucket. By the ordering invariant it must be the bucket head: any earlier
-// same-key arrival would have matched the same wildcard first.
-func (ui *unexpIndex) popExact(inb *inbound) {
-	k := matchKey{ctx: inb.ctx, src: inb.src, tag: inb.tag}
-	q := ui.exact[k]
-	if q == nil || q.peek() != inb {
-		panic("core: matching invariant violated: claimed arrival is not its bucket head")
-	}
-	q.pop()
-	if q.empty() {
-		delete(ui.exact, k)
-	}
-}
-
-// tombstone marks an arrival claimed in the order list and sweeps
-// tombstones once they dominate it.
-func (ui *unexpIndex) tombstone(inb *inbound) {
-	inb.claimed = true
-	ui.claimed++
-	if ui.claimed > 64 && ui.claimed*2 >= len(ui.order) {
-		live := ui.order[:0]
-		for _, e := range ui.order {
-			if !e.claimed {
-				live = append(live, e)
-			}
-		}
-		for i := len(live); i < len(ui.order); i++ {
-			ui.order[i] = nil
-		}
-		ui.order = live
-		ui.claimed = 0
-	}
+	return nil
 }
 
 // --- Announce queue ----------------------------------------------------------
 
-// annQueue is the per-destination announce order. Slots are reserved at
-// Isend time and drained strictly FIFO; a drained slot is nilled out
-// immediately so its closure (which captures the packed payload) is
-// collectable — the queue no longer retains every announce ever posted.
-type annQueue struct {
-	s    []*annSlot
-	head int
-}
+// annQueue is the per-destination announce order: an intrusive FIFO of the
+// send ops themselves. A position is reserved at Isend time and the queue
+// drains strictly from the head, so it retains nothing for announces that
+// have gone out.
+type annQueue struct{ head, tail *sendOp }
 
 // creditsFor returns the receive credits pre-posted per QP for an n-rank
 // world. Small worlds keep the historical deep credit pool (preserving

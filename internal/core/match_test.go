@@ -119,15 +119,15 @@ func TestUnexpIndexMatchesLinearReference(t *testing.T) {
 		for op := 0; op < ops; op++ {
 			switch rng.Intn(3) {
 			case 0:
-				inb := &inbound{
+				inb := &inbound{inboundMsg: inboundMsg{
 					kind: kindEager,
 					ctx:  rng.Intn(ctxs), src: rng.Intn(peers), tag: rng.Intn(tags),
 					opID: nextOp,
-				}
+				}}
 				nextOp++
-				// The reference shares pointers with the index: claims must
-				// stay consistent or the shared tombstone would corrupt the
-				// reference, which is exactly what the test would then catch.
+				// The reference shares pointers with the index, whose queue
+				// links run through the records themselves: a claim that left
+				// a stale link behind would corrupt a later answer.
 				ref.add(inb)
 				idx.add(inb)
 			case 1:
@@ -170,9 +170,9 @@ func inbID(inb *inbound) interface{} {
 // --- annQ prune --------------------------------------------------------------
 
 // TestAnnounceQueuePrune drives many messages through one endpoint and
-// asserts the per-destination announce queues retain nothing afterwards:
-// drained slots must be nilled (they capture packed payloads), and a fully
-// drained queue must not keep an unbounded backing array.
+// asserts the per-destination announce queues retain nothing afterwards: the
+// queue is a list through the send ops themselves, so a drained queue must be
+// empty and every op (with the eager frame it held) back on the free list.
 func TestAnnounceQueuePrune(t *testing.T) {
 	const msgs = 2000
 	cfg := DefaultConfig()
@@ -217,18 +217,17 @@ func TestAnnounceQueuePrune(t *testing.T) {
 			if p == nil {
 				continue
 			}
-			q := &p.ann
-			if live := len(q.s) - q.head; live != 0 {
-				t.Errorf("rank %d -> %d: %d undrained announce slots", ep.Rank(), dst, live)
+			if p.ann.head != nil || p.ann.tail != nil {
+				t.Errorf("rank %d -> %d: undrained announce queue", ep.Rank(), dst)
 			}
-			for i := 0; i < q.head; i++ {
-				if q.s[i] != nil {
-					t.Errorf("rank %d -> %d: drained slot %d still retained", ep.Rank(), dst, i)
-				}
+		}
+		for _, op := range ep.sendFree {
+			if op.annNext != nil || op.frame != nil {
+				t.Errorf("rank %d: a recycled send op still holds its queue link or frame", ep.Rank())
 			}
-			if cap(q.s) > 256 {
-				t.Errorf("rank %d -> %d: drained queue kept cap=%d backing array", ep.Rank(), dst, cap(q.s))
-			}
+		}
+		if ps := ep.PoolStats(); ps.LiveSendOps != 0 || ps.LiveBufs != 0 {
+			t.Errorf("rank %d: announces left records out: %+v", ep.Rank(), ps)
 		}
 	}
 }

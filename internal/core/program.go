@@ -8,14 +8,13 @@ import (
 
 // This file wires the datatype compiler into the endpoint: every layout walk
 // the schemes perform — serial pack/unpack, parallel segment collection,
-// WR chunking, OGR block enumeration, scheme-selection layout summaries —
+// WR chunking, OGR block grouping, scheme-selection layout summaries —
 // goes through a compiled program cached per (type index, count).
 // Config.InterpretedPack reverts every helper to the interpreted cursor.
 
 // regFlattenLimit caps the run enumeration a user-buffer registration pays.
 // A message with more maximal runs than this registers its whole covering
-// span instead (explicit truncation handling: one conservative region,
-// never a silently incomplete region set).
+// span instead (groupMessage).
 const regFlattenLimit = 1 << 20
 
 // summaryFlattenLimit caps the layout walk behind scheme selection and RTS
@@ -39,74 +38,82 @@ func (ep *Endpoint) programFor(t *datatype.Type, count int) *datatype.Program {
 	return p
 }
 
-// walkerFor returns a run walker over (t, count): a compiled program cursor,
-// or the interpreted cursor when compilation is disabled.
+// walkerFor returns a fresh run walker over (t, count): a compiled program
+// cursor, or the interpreted cursor when compilation is disabled. Warm paths
+// re-arm a cursor their op record owns instead (bindWalker).
 func (ep *Endpoint) walkerFor(t *datatype.Type, count int) datatype.RunWalker {
+	return ep.bindWalker(new(datatype.ProgCursor), t, count)
+}
+
+// bindWalker rewinds c, a cursor the caller owns, onto the compiled program
+// of (t, count) and returns it as the walk; when compilation is disabled it
+// returns an interpreted cursor and leaves c alone.
+func (ep *Endpoint) bindWalker(c *datatype.ProgCursor, t *datatype.Type, count int) datatype.RunWalker {
 	if p := ep.programFor(t, count); p != nil {
-		return p.Cursor()
+		c.Reset(p)
+		return c
 	}
 	return datatype.NewCursor(t, count)
 }
 
-// newPacker builds a serial packer over a message in this rank's memory,
-// compiled when possible.
-func (ep *Endpoint) newPacker(base mem.Addr, t *datatype.Type, count int) *pack.Packer {
-	if p := ep.programFor(t, count); p != nil {
-		return pack.NewProgramPacker(ep.memory, base, p)
-	}
-	return pack.NewPacker(ep.memory, base, t, count)
+// packBinder is what the serial and parallel packers and unpackers share: an
+// engine that a record keeps by value and re-arms per message.
+type packBinder interface {
+	Bind(m *mem.Memory, base mem.Addr, prog *datatype.Program)
+	BindInterpreted(m *mem.Memory, base mem.Addr, t *datatype.Type, count int)
 }
 
-// newUnpacker builds a serial unpacker over a message in this rank's memory,
-// compiled when possible.
-func (ep *Endpoint) newUnpacker(base mem.Addr, t *datatype.Type, count int) *pack.Unpacker {
+// bind re-arms a pack engine for the message (base, count, t) in this rank's
+// memory, on the compiled program when possible. (A parallel engine got its
+// fan-out from the endpoint's settings when its op record was made.)
+func (ep *Endpoint) bind(e packBinder, base mem.Addr, t *datatype.Type, count int) {
 	if p := ep.programFor(t, count); p != nil {
-		return pack.NewProgramUnpacker(ep.memory, base, p)
+		e.Bind(ep.memory, base, p)
+		return
 	}
-	return pack.NewUnpacker(ep.memory, base, t, count)
+	e.BindInterpreted(ep.memory, base, t, count)
 }
 
-// newParallelPacker builds a parallel packer over a message, compiled when
-// possible, configured from the endpoint's parallel-engine settings.
-func (ep *Endpoint) newParallelPacker(base mem.Addr, t *datatype.Type, count int) *pack.ParallelPacker {
-	if p := ep.programFor(t, count); p != nil {
-		return pack.NewParallelProgramPacker(ep.memory, base, p, ep.cfg.par())
+// groupMessage runs Optimistic Group Registration over the contiguous blocks
+// of a message, appending the regions to register to out; blocks is how many
+// blocks the message has, which is what datatype processing is charged for.
+// A canonical program whose runs ascend streams straight from its layout
+// walk into the grouper; one whose runs do not is listed into the endpoint's
+// scratch and sorted there; only uncompiled and generic shapes still flatten
+// into a fresh list. A message with more than regFlattenLimit runs degrades
+// explicitly to its single covering span: one conservative region, never a
+// silently incomplete region set.
+func (ep *Endpoint) groupMessage(buf mem.Addr, t *datatype.Type, count int, out []mem.Block) (regions []mem.Block, blocks int) {
+	g := &ep.grouper
+	g.Reset(mem.RegCost{Base: int64(ep.model.RegBase), PerPage: int64(ep.model.RegPerPage)}, out)
+	p := ep.programFor(t, count)
+	var list []mem.Block
+	var tooMany bool
+	switch {
+	case p == nil:
+		list, tooMany = pack.MessageBlocks(buf, t, count, regFlattenLimit)
+	case p.Kind() == datatype.ProgGeneric:
+		list, tooMany = pack.ProgramBlocks(buf, p, regFlattenLimit)
+	case p.Runs() > regFlattenLimit:
+		tooMany = true
+	case p.Ascending():
+		pack.GroupProgram(g, buf, p)
+		return g.Finish(), int(p.Runs())
+	default:
+		ep.blockScratch = pack.AppendProgramBlocks(ep.blockScratch[:0], buf, p, int(p.Runs()))
+		list = ep.blockScratch
 	}
-	return pack.NewParallelPacker(ep.memory, base, t, count, ep.cfg.par())
-}
-
-// newParallelUnpacker builds a parallel unpacker over a message, compiled
-// when possible, configured from the endpoint's parallel-engine settings.
-func (ep *Endpoint) newParallelUnpacker(base mem.Addr, t *datatype.Type, count int) *pack.ParallelUnpacker {
-	if p := ep.programFor(t, count); p != nil {
-		return pack.NewParallelProgramUnpacker(ep.memory, base, p, ep.cfg.par())
-	}
-	return pack.NewParallelUnpacker(ep.memory, base, t, count, ep.cfg.par())
-}
-
-// messageBlocks enumerates the contiguous blocks of a message for
-// registration, from the compiled program when available. The second result
-// reports whether the program already guarantees non-decreasing address
-// order (the sort in GroupRegions can be skipped). A message with more than
-// regFlattenLimit runs degrades explicitly to its single covering span.
-func (ep *Endpoint) messageBlocks(buf mem.Addr, t *datatype.Type, count int) ([]mem.Block, bool) {
-	var blocks []mem.Block
-	var trunc bool
-	sorted := false
-	if p := ep.programFor(t, count); p != nil {
-		blocks, trunc = pack.ProgramBlocks(buf, p, regFlattenLimit)
-		sorted = p.Ascending() && !trunc
-	} else {
-		blocks, trunc = pack.MessageBlocks(buf, t, count, regFlattenLimit)
-	}
-	if trunc {
-		// Truncated flatten: never hand an incomplete block set to OGR.
-		// Cover the whole true span of the message in one region instead.
+	if tooMany {
 		span := t.TrueExtent() + int64(count-1)*t.Extent()
-		lo := int64(buf) + t.TrueLB()
-		return []mem.Block{{Addr: mem.Addr(lo), Len: span}}, false
+		g.Add(mem.Addr(int64(buf)+t.TrueLB()), span)
+		return g.Finish(), 1
 	}
-	return blocks, sorted
+	blocks = len(list)
+	mem.SortBlocks(list)
+	for _, b := range list {
+		g.Add(b.Addr, b.Len)
+	}
+	return g.Finish(), blocks
 }
 
 // layoutSummary returns the maximal-run count and average run length of a

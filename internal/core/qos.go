@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/qos"
+	"repro/internal/simtime"
 	"repro/internal/verbs"
 )
 
@@ -84,97 +85,134 @@ func (ep *Endpoint) laneChunkLimit(lane qos.Lane) int {
 	return limit
 }
 
-// qosPressure builds the live resource snapshot admission reads: the given
-// staging pool's occupancy, the endpoint's pinned pages, and how many
-// transfers are still active to release them. The self flag excludes the op
-// currently asking for admission until it actually parks (after which
-// Parked() accounts for it), so a lone transfer on an idle endpoint is
-// force-admitted rather than parked forever.
-func (ep *Endpoint) qosPressure(pool *segPool, parkedSelf *bool) func() qos.Pressure {
-	return func() qos.Pressure {
-		active := ep.activeSends + ep.activeRecvs - ep.gate.Parked()
-		if !*parkedSelf {
-			active--
-		}
-		return qos.Pressure{
-			FreeSlots:   pool.available(),
-			PoolWaiters: pool.pendingWaiters(),
-			RegPages:    atomic.LoadInt64(&ep.ctr.RegisteredPages) - atomic.LoadInt64(&ep.ctr.DeregisteredPages),
-			ActiveOps:   active,
-		}
+// admittee is what admission control decides about: a send or receive op.
+type admittee interface {
+	// dead reports whether the op failed while its admission was pending.
+	dead() bool
+	// admitted starts the op's data phase.
+	admitted()
+	// rejected fails the op: the parking lot is full.
+	rejected(err error)
+	// unpinAdmission drops the pin the op holds for as long as the admission
+	// decision is unresolved.
+	unpinAdmission()
+}
+
+// admission is one op's run through the admission gate: the state a parked
+// transfer needs to re-evaluate pressure and to resume, kept inside the op
+// record with the two functions the gate holds bound once, so admitting a
+// transfer builds no closure. The op is pinned from admit until the decision
+// has fully played out — the parked resume ran or was abandoned, or the
+// transfer was rejected — since a parked resume can outlive an abort and
+// must not touch a recycled op.
+type admission struct {
+	ep    *Endpoint
+	owner admittee
+	pool  *segPool // the staging pool whose occupancy gates this transfer
+	opID  uint32
+	bytes int64
+	t0    simtime.Time
+	// parked excludes the op from the pressure snapshot's active count only
+	// once it really waits (after which Gate.Parked accounts for it), so a
+	// lone transfer on an idle endpoint is force-admitted rather than parked
+	// forever.
+	parked bool
+
+	pressureFn func() qos.Pressure
+	resumeFn   func()
+}
+
+func (a *admission) init(ep *Endpoint, owner admittee) {
+	a.ep, a.owner = ep, owner
+	a.pressureFn, a.resumeFn = a.pressure, a.resume
+}
+
+// pressure is the live resource snapshot admission reads: the staging pool's
+// occupancy, the endpoint's pinned pages, and how many transfers are still
+// active to release them.
+func (a *admission) pressure() qos.Pressure {
+	ep := a.ep
+	active := ep.activeSends + ep.activeRecvs - ep.gate.Parked()
+	if !a.parked {
+		active--
+	}
+	return qos.Pressure{
+		FreeSlots:   a.pool.available(),
+		PoolWaiters: a.pool.pendingWaiters(),
+		RegPages:    atomic.LoadInt64(&ep.ctr.RegisteredPages) - atomic.LoadInt64(&ep.ctr.DeregisteredPages),
+		ActiveOps:   active,
 	}
 }
 
-// qosAdmit runs the shared admission state machine for one transfer's data
-// phase: run immediately on admit, park with trace instants and a resume
-// span otherwise, fail the op with qos.ErrRejected when the parking lot is
-// full. done runs exactly once when the admission decision has fully played
-// out (the parked closure ran or was abandoned, or the transfer was
-// rejected) — admitSend/admitRecv pass the op unpin there, since a parked
-// closure can outlive an abort and must not touch a recycled op.
-func (ep *Endpoint) qosAdmit(lane qos.Lane, opID uint32, bytes int64, pool *segPool,
-	dead func() bool, run func(), fail func(error), done func()) {
-
-	parked := false
-	t0 := ep.tnow()
-	wrapped := func() {
-		defer done()
-		if dead() {
-			return // aborted while parked; teardown owns the op now
-		}
-		if parked {
-			ep.mark("qos-resume", "qos", opID)
-			ep.span("qos parked", "qos", opID, bytes, t0)
-			ep.qosParkHist().Observe(int64(ep.tnow().Sub(t0)))
-		}
-		run()
+// resume runs the op's data phase: at once when admitted, from the gate's
+// drain when it was parked.
+func (a *admission) resume() {
+	ep := a.ep
+	defer a.owner.unpinAdmission()
+	if a.owner.dead() {
+		return // aborted while parked; teardown owns the op now
 	}
-	switch ep.gate.Admit(lane, ep.qosPressure(pool, &parked), wrapped) {
+	if a.parked {
+		ep.mark("qos-resume", "qos", a.opID)
+		ep.span("qos parked", "qos", a.opID, a.bytes, a.t0)
+		ep.qosParkHist().Observe(int64(ep.tnow().Sub(a.t0)))
+	}
+	a.owner.admitted()
+}
+
+// admit runs the admission state machine for one transfer's data phase:
+// resume immediately on admit, park with trace instants and a resume span
+// otherwise, fail the op with qos.ErrRejected when the parking lot is full.
+func (a *admission) admit(pool *segPool, opID uint32, bytes int64) {
+	ep := a.ep
+	lane := ep.laneFor(bytes)
+	a.pool, a.opID, a.bytes, a.parked, a.t0 = pool, opID, bytes, false, ep.tnow()
+	switch ep.gate.Admit(lane, a.pressureFn, a.resumeFn) {
 	case qos.Admit:
 		if lane == qos.LaneBulk {
 			atomic.AddInt64(&ep.ctr.QoSAdmitted, 1)
 		}
 	case qos.Park:
-		parked = true
+		a.parked = true
 		atomic.AddInt64(&ep.ctr.QoSParked, 1)
 		ep.mark("qos-park", "qos", opID)
 	case qos.Reject:
 		atomic.AddInt64(&ep.ctr.QoSRejected, 1)
 		ep.mark("qos-reject", "qos", opID)
-		done()
-		fail(qos.ErrRejected)
+		a.owner.unpinAdmission()
+		a.owner.rejected(qos.ErrRejected)
 	}
 }
+
+func (op *recvOp) dead() bool         { return op.failed }
+func (op *recvOp) rejected(err error) { op.ep.abortRecv(op, err, true) }
+func (op *recvOp) unpinAdmission()    { op.ep.unpinRecv(op) }
+
+func (op *sendOp) dead() bool         { return op.failed }
+func (op *sendOp) rejected(err error) { op.ep.abortSend(op, err) }
+func (op *sendOp) unpinAdmission()    { op.ep.unpinSend(op) }
 
 // admitRecv gates the receiver's scheme setup (segment allocation, user
 // registration, the CTS) behind admission control. Parking here delays only
 // the CTS; the sender's RTS is already matched, so MPI ordering is intact.
-// The op is pinned until the admission decision resolves.
-func (ep *Endpoint) admitRecv(op *recvOp, run func()) {
+func (ep *Endpoint) admitRecv(op *recvOp) {
 	if ep.gate == nil {
-		run()
+		op.admitted()
 		return
 	}
 	ep.pinRecv(op)
-	ep.qosAdmit(ep.laneFor(op.eff), op.key.op, op.eff, ep.unpackPool,
-		func() bool { return op.failed }, run,
-		func(err error) { ep.abortRecv(op, err, true) },
-		func() { ep.unpinRecv(op) })
+	op.adm.admit(ep.unpackPool, op.key.op, op.eff)
 }
 
 // admitSend gates the sender's data movement (pack, registration, descriptor
-// posting) behind admission control once the CTS has arrived. The op is
-// pinned until the admission decision resolves.
-func (ep *Endpoint) admitSend(op *sendOp, run func()) {
+// posting) behind admission control once the CTS has arrived.
+func (ep *Endpoint) admitSend(op *sendOp) {
 	if ep.gate == nil {
-		run()
+		op.admitted()
 		return
 	}
 	ep.pinSend(op)
-	ep.qosAdmit(ep.laneFor(op.eff), op.id, op.eff, ep.packPool,
-		func() bool { return op.failed }, run,
-		func(err error) { ep.abortSend(op, err) },
-		func() { ep.unpinSend(op) })
+	op.adm.admit(ep.packPool, op.id, op.eff)
 }
 
 // qosDrain re-evaluates parked transfers. Called wherever admission pressure

@@ -83,7 +83,7 @@ func (ep *Endpoint) Put(dst int, oBuf mem.Addr, oCount int, oType *datatype.Type
 		ep.rmaLocal(a, true, done)
 		return
 	}
-	ep.registerUserMessage(oBuf, oType, oCount, nil, nil, func(regions []*mem.Region, refs []regRef, err error) {
+	ep.registerOrigin(oBuf, oType, oCount, func(regions []*mem.Region, refs []regRef, err error) {
 		if err != nil {
 			done(err)
 			return
@@ -129,7 +129,7 @@ func (ep *Endpoint) Get(dst int, oBuf mem.Addr, oCount int, oType *datatype.Type
 		ep.rmaLocal(a, false, done)
 		return
 	}
-	ep.registerUserMessage(oBuf, oType, oCount, nil, nil, func(regions []*mem.Region, refs []regRef, err error) {
+	ep.registerOrigin(oBuf, oType, oCount, func(regions []*mem.Region, refs []regRef, err error) {
 		if err != nil {
 			done(err)
 			return
@@ -159,6 +159,15 @@ func (ep *Endpoint) Get(dst int, oBuf mem.Addr, oCount int, oType *datatype.Type
 		ep.chargeTypeProc(len(wrs))
 		ep.postRMAWRs(dst, wrs, regions, done)
 	})
+}
+
+// registerOrigin registers an RMA origin buffer with a one-shot regWalk (RMA
+// operations are not pooled) and hands the regions to done.
+func (ep *Endpoint) registerOrigin(buf mem.Addr, dt *datatype.Type, count int,
+	done func([]*mem.Region, []regRef, error)) {
+	w := &regWalk{}
+	w.init(ep, func(err error) { done(w.regions, w.refs, err) })
+	w.start(buf, dt, count)
 }
 
 // postRMAWRs posts the descriptor batch and runs done when every descriptor
@@ -218,20 +227,18 @@ func (ep *Endpoint) postRMAWRs(dst int, wrs []verbs.SendWR, regions []*mem.Regio
 func (ep *Endpoint) rmaLocal(a *rmaArgs, put bool, done func(error)) {
 	bytes := a.oType.Size() * int64(a.oCount)
 	tmp := make([]byte, bytes)
-	var runs int
-	if put {
-		pk := ep.newPacker(a.oBuf, a.oType, a.oCount)
-		_, r1 := pk.PackTo(tmp)
-		up := ep.newUnpacker(a.tBase, a.tType, a.tCount)
-		_, r2 := up.UnpackFrom(tmp)
-		runs = r1 + r2
-	} else {
-		pk := ep.newPacker(a.tBase, a.tType, a.tCount)
-		_, r1 := pk.PackTo(tmp)
-		up := ep.newUnpacker(a.oBuf, a.oType, a.oCount)
-		_, r2 := up.UnpackFrom(tmp)
-		runs = r1 + r2
+	// A put packs the origin layout and unpacks into the target's; a get the
+	// other way round.
+	pBuf, pCount, pType := a.oBuf, a.oCount, a.oType
+	uBuf, uCount, uType := a.tBase, a.tCount, a.tType
+	if !put {
+		pBuf, pCount, pType, uBuf, uCount, uType = uBuf, uCount, uType, pBuf, pCount, pType
 	}
+	ep.bind(&ep.pk, pBuf, pType, pCount)
+	_, r1 := ep.pk.PackTo(tmp)
+	ep.bind(&ep.upk, uBuf, uType, uCount)
+	_, r2 := ep.upk.UnpackFrom(tmp)
+	runs := r1 + r2
 	atomic.AddInt64(&ep.ctr.BytesPacked, bytes)
 	atomic.AddInt64(&ep.ctr.BytesUnpacked, bytes)
 	ep.afterNamed(ep.cfg.packCost(ep.model, 2*bytes, runs), "pack", func() { done(nil) })

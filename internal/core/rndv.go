@@ -13,37 +13,87 @@ import (
 	"repro/internal/verbs"
 )
 
-// sendOp is the sender-side state of one rendezvous transfer.
-type sendOp struct {
+// sendKind says which protocol a send op record carries.
+type sendKind uint8
+
+const (
+	sendRndv  sendKind = iota // rendezvous transfer
+	sendEager                 // eager message: one framed control send
+)
+
+// sendStep names the continuation a send op resumes with when the wait it is
+// parked in — user-buffer registration, a staging buffer, pool slots —
+// resolves. An op waits for one thing at a time, so one field carries it;
+// the bound methods regDone, stageDone and poolReady dispatch on it.
+type sendStep uint8
+
+const (
+	stepNone        sendStep = iota
+	stepAnnounce             // registered ahead of the handshake: announce the RTS
+	stepGather               // registered: RWG-UP gather writes
+	stepMultiW               // registered: Multi-W descriptor build
+	stepPRRSContig           // registered: P-RRS straight from the user buffer
+	stepGenericData          // staging buffer ready: Generic pack + one write
+	stepBCStaged             // staging buffer ready: BC-SPUP without a pool
+	stepPRRSStaged           // staging buffer ready: P-RRS larger than the pool
+	stepBCSerial             // one pool slot ready: the per-segment BC-SPUP pipeline
+	stepBCBatched            // a batch of pool slots ready: the doorbell-batched pipeline
+	stepPRRSPool             // the whole message's slots ready: P-RRS
+)
+
+// sendMsg is the per-message state of a send op: everything recycle zeroes.
+type sendMsg struct {
+	kind  sendKind
 	id    uint32
 	req   *Request
 	dst   int
+	ctx   int
 	tag   int
 	buf   mem.Addr
 	count int
 	dt    *datatype.Type
 	size  int64 // full message size
 	eff   int64 // effective (possibly truncated) size, set by the CTS
+	sAvg  int64 // average run length, shipped in the RTS
 
-	sContig    bool
-	registered bool
-	regions    []*mem.Region
-	refs       []regRef // local regions with lkeys, sorted by address
+	sContig bool
 
-	// Observability: when the RTS went out, and the scheme the receiver's
-	// CTS selected (authoritative even under SchemeAuto).
+	// Observability: when the RTS went out (or the eager pack started), and
+	// the scheme the receiver's CTS selected (authoritative even under
+	// SchemeAuto).
 	tStart simtime.Time
 	scheme Scheme
 
-	staging segRes   // Generic whole-message pack buffer
-	segs    []segRes // P-RRS pack segments, held until Done
-	wrsLeft int      // descriptors not yet finally resolved
+	// Announce order (endpoint.go): the op is a link of its peer's announce
+	// queue from Isend until its announce has gone out.
+	annNext  *sendOp
+	annReady bool
+	annDead  bool   // died before announcing: the slot drains as a no-op
+	frame    []byte // eager: the framed message, a pooled buffer
+
+	// The data phase's operands, parsed from the CTS, and its progress.
+	next    sendStep
+	segSize int64
+	nSegs   int
+	k       int            // next segment to pack
+	class   int            // pack-pool size class of the segments
+	rBase   mem.Addr       // Multi-W: the receiver's buffer,
+	rType   *datatype.Type // layout
+	rCount  int            // and count
+
+	// One doorbell batch of the batched BC-SPUP pipeline, between its pack
+	// and its lane grant.
+	batchWRs   []verbs.SendWR
+	batchBytes int64
+
+	staging segRes // Generic whole-message pack buffer
+	wrsLeft int    // descriptors not yet finally resolved
 
 	// allPosted guards completion: wrsLeft may transiently hit zero between
-	// segment posts, so onWRsDone only fires once every descriptor of the op
-	// has been posted.
-	allPosted bool
-	onWRsDone func()
+	// segment posts, so the op only drains once every descriptor has been
+	// posted. drainArmed is set by postWRs and consumed by the one drain.
+	allPosted  bool
+	drainArmed bool
 
 	// Failure state (see failure.go).
 	failed     bool
@@ -54,6 +104,29 @@ type sendOp struct {
 	// retired flag that arms recycle-on-last-unpin.
 	pins    int
 	retired bool
+}
+
+// sendOp is the sender-side record of one message: the whole state of a
+// rendezvous transfer, or the frame and completion of an eager send. Records
+// recycle through the endpoint (freelist.go); everything outside sendMsg is
+// kept across messages — arenas and scratch keep their capacity, the
+// sub-records and method values are bound once, when the record is made, so
+// no step of a warm message builds a closure.
+type sendOp struct {
+	sendMsg
+	ep    *Endpoint
+	gen   uint32      // messages carried: bumped at every recycle
+	stamp recordStamp // use-after-recycle guard (debug_on.go)
+
+	reg   regWalk    // user-buffer registration: regions, refs, retry state
+	stage stagingAcq // dynamic staging buffer acquisition
+	adm   admission  // service-mode admission (qos.go)
+
+	packer pack.ParallelPacker
+	cur    datatype.ProgCursor // local layout walk (gather, Multi-W)
+	rcur   datatype.ProgCursor // Multi-W: the receiver's layout
+
+	segs []segRes // P-RRS pack segments, held until Done
 
 	// Op-owned arenas and scratch, reused across the op's whole life and
 	// reset only at recycle: the descriptor arena chunkWRs fills, the
@@ -66,45 +139,69 @@ type sendOp struct {
 	segScratch []seg
 	ctsSegs    []segRef
 	ctsRegs    []regRef
+
+	eagerDoneFn, poolReadyFn, batchGrantFn func()
+}
+
+func newSendOp(ep *Endpoint) *sendOp {
+	op := &sendOp{ep: ep}
+	op.reg.init(ep, op.regDone)
+	op.stage.init(ep, op.stageDone)
+	op.adm.init(ep, op)
+	op.packer.SetPar(ep.cfg.par())
+	op.eagerDoneFn, op.poolReadyFn, op.batchGrantFn = op.eagerDone, op.poolReady, op.batchGranted
+	return op
 }
 
 // segRes couples a staging segment with the byte count it carries. held
 // records whether this op still owns the segment (rather than inferring
 // ownership from a sentinel address), so abort teardown releases exactly the
-// resources the op holds.
+// resources the op holds. t0 is when the segment's unpack was charged.
 type segRes struct {
 	seg   seg
 	bytes int64
 	held  bool
+	t0    simtime.Time
 }
 
-// recvOp is the receiver-side state of one rendezvous transfer.
-type recvOp struct {
+// recvStep is sendStep for receive ops.
+type recvStep uint8
+
+const (
+	rstepNone    recvStep = iota
+	rstepDirect           // registered: staged scheme into a contiguous user buffer
+	rstepMultiW           // registered: ship layout and region keys
+	rstepPRRS             // registered: tell the sender to produce segments
+	rstepGeneric          // staging buffer ready: Generic's whole-message unpack buffer
+	rstepWhole            // staging buffer ready: segments carved from one on-the-fly buffer
+	rstepPool             // unpack-pool slots ready
+)
+
+// recvMsg is the per-message state of a receive op.
+type recvMsg struct {
 	key       opKey
 	req       *Request
 	eff       int64
 	truncated bool
 	scheme    Scheme
-	sel       *SelectorInput // non-nil when an adaptive selector made the choice
-	tStart    simtime.Time   // when the RTS met the posted receive
+	hasSel    bool         // an adaptive selector made the choice; sel is its input
+	tStart    simtime.Time // when the RTS met the posted receive
+
+	next recvStep
 
 	// Staged path (Generic / BC-SPUP / RWG-UP).
 	direct   bool // receiver side contiguous: data lands in the user buffer
 	segSize  int64
 	nSegs    int
-	segs     []segRes
-	unpacker *pack.ParallelUnpacker
 	arrived  int
+	unpacked int // unpack completions fired, in segment order
 	finished int
-
-	// User-buffer registrations (direct, Multi-W, P-RRS).
-	regions []*mem.Region
-	refs    []regRef
 
 	// wholeSeg backs all segments when staging was allocated as one
 	// on-the-fly buffer (pool disabled or message larger than the pool);
 	// it is released once, at completion.
-	wholeSeg *seg
+	wholeSeg  seg
+	haveWhole bool
 
 	// P-RRS read state.
 	readCur   datatype.RunWalker
@@ -119,11 +216,43 @@ type recvOp struct {
 	// Free-list state (freelist.go), mirroring sendOp.
 	pins    int
 	retired bool
+}
+
+// recvOp is the receiver-side record of one rendezvous transfer, recycled
+// like sendOp.
+type recvOp struct {
+	recvMsg
+	ep    *Endpoint
+	gen   uint32
+	stamp recordStamp
+
+	sel SelectorInput // valid when hasSel
+
+	reg   regWalk // user-buffer registrations (direct, Multi-W, P-RRS)
+	stage stagingAcq
+	adm   admission
+
+	unpacker pack.ParallelUnpacker
+	cur      datatype.ProgCursor // P-RRS scatter-read walk
+
+	segs []segRes
 
 	// Op-owned arenas: the scatter-read descriptor arena (P-RRS) and the
 	// segment refs assembled for the CTS reply.
 	wrs     wrSet
 	ctsRefs []segRef
+
+	poolReadyFn, unpackDoneFn func()
+}
+
+func newRecvOp(ep *Endpoint) *recvOp {
+	op := &recvOp{ep: ep}
+	op.reg.init(ep, op.regDone)
+	op.stage.init(ep, op.stageDone)
+	op.adm.init(ep, op)
+	op.unpacker.SetPar(ep.cfg.par())
+	op.poolReadyFn, op.unpackDoneFn = op.poolReady, op.unpackDone
+	return op
 }
 
 func (ep *Endpoint) newOpID() uint32 {
@@ -136,62 +265,92 @@ func (ep *Endpoint) chargeTypeProc(runs int) {
 	ep.hca.ChargeCPUNamed(ep.cfg.TypeProcBase+simtime.Duration(runs)*ep.cfg.TypeProcPerRun, "typeproc")
 }
 
-// registerUserMessage registers the contiguous blocks of a message buffer
-// using Optimistic Group Registration through the user pin-down cache,
-// charging the real registration work, and hands the regions to done.
-// Transient registration faults are retried with backoff (so done may run
-// after a virtual-time delay); without faults done runs synchronously.
-// On error any partially acquired groups are released first.
+// regWalk registers the contiguous blocks of one message buffer using
+// Optimistic Group Registration through the user pin-down cache, charging
+// the real registration work, and reports to done. Transient registration
+// faults are retried with backoff (so done may run after a virtual-time
+// delay); without faults done runs synchronously inside start. On error any
+// partially acquired groups are released first.
 //
-// regions and refs are caller-supplied append buffers (callers pass the
-// owning op's retained slices so a warm registration allocates nothing);
-// because the append happens across retry backoffs, the caller must pin the
-// owning op until done runs.
-func (ep *Endpoint) registerUserMessage(buf mem.Addr, dt *datatype.Type, count int,
-	regions []*mem.Region, refs []regRef,
-	done func([]*mem.Region, []regRef, error)) {
+// The walk lives by value inside the op that owns the buffer: the grouped
+// blocks, the regions and their refs append into its retained slices, so a
+// warm registration allocates nothing, and because the appends happen across
+// retry backoffs the owner pins itself until done runs. The regions are the
+// owner's from the moment it sets held; release gives them back.
+type regWalk struct {
+	ep      *Endpoint
+	groups  []mem.Block
+	regions []*mem.Region
+	refs    []regRef // the regions with their lkeys, sorted by address
+	held    bool     // the owner accepted the regions and must release them
 
-	blocks, sorted := ep.messageBlocks(buf, dt, count)
-	ep.chargeTypeProc(len(blocks))
-	cost := mem.RegCost{Base: int64(ep.model.RegBase), PerPage: int64(ep.model.RegPerPage)}
-	var groups []mem.Block
-	if sorted {
-		// Compiled programs that emit in address order skip the sort.
-		groups = mem.GroupRegionsSorted(blocks, cost)
-	} else {
-		groups = mem.GroupRegions(blocks, cost)
-	}
-	regions = regions[:0]
-	refs = refs[:0]
-	var total mem.RegOps
-	i, attempt := 0, 0
-	var step func()
-	step = func() {
-		for i < len(groups) {
-			g := groups[i]
-			r, ops, err := ep.userReg.Acquire(g.Addr, g.Len)
-			total.Add(ops)
-			if err != nil {
-				if fault.IsTransient(err) && attempt < ep.cfg.FaultRetryLimit {
-					attempt++
-					atomic.AddInt64(&ep.ctr.FaultRetries, 1)
-					ep.eng.Schedule(ep.cfg.retryBackoff(attempt), step)
-					return
-				}
-				ep.releaseUserRegions(regions)
-				done(nil, nil, err)
+	i, attempt int
+	total      mem.RegOps
+	stepFn     func()
+	done       func(error)
+}
+
+func (w *regWalk) init(ep *Endpoint, done func(error)) {
+	w.ep, w.done = ep, done
+	w.stepFn = w.step
+}
+
+// start groups the message's blocks and begins acquiring the groups.
+func (w *regWalk) start(buf mem.Addr, dt *datatype.Type, count int) {
+	var blocks int
+	w.groups, blocks = w.ep.groupMessage(buf, dt, count, w.groups[:0])
+	w.ep.chargeTypeProc(blocks)
+	w.drop()
+	w.i, w.attempt, w.total = 0, 0, mem.RegOps{}
+	w.step()
+}
+
+func (w *regWalk) step() {
+	ep := w.ep
+	for w.i < len(w.groups) {
+		g := w.groups[w.i]
+		r, ops, err := ep.userReg.Acquire(g.Addr, g.Len)
+		w.total.Add(ops)
+		if err != nil {
+			if fault.IsTransient(err) && w.attempt < ep.cfg.FaultRetryLimit {
+				w.attempt++
+				atomic.AddInt64(&ep.ctr.FaultRetries, 1)
+				ep.eng.Schedule(ep.cfg.retryBackoff(w.attempt), w.stepFn)
 				return
 			}
-			attempt = 0
-			regions = append(regions, r)
-			refs = append(refs, regRef{addr: g.Addr, len: g.Len, key: r.LKey})
-			i++
+			ep.releaseUserRegions(w.regions)
+			w.drop()
+			w.done(err)
+			return
 		}
-		ep.accountReg(total)
-		ep.hca.ChargeCPUNamed(ep.model.RegOpsTime(total), "reg")
-		done(regions, refs, nil)
+		w.attempt = 0
+		w.regions = append(w.regions, r)
+		w.refs = append(w.refs, regRef{addr: g.Addr, len: g.Len, key: r.LKey})
+		w.i++
 	}
-	step()
+	ep.accountReg(w.total)
+	ep.hca.ChargeCPUNamed(ep.model.RegOpsTime(w.total), "reg")
+	w.done(nil)
+}
+
+// drop forgets the regions without releasing them.
+func (w *regWalk) drop() {
+	clear(w.regions)
+	w.regions, w.refs, w.held = w.regions[:0], w.refs[:0], false
+}
+
+// discard releases the regions of a finished walk whose owner died while it
+// ran and never accepted them.
+func (w *regWalk) discard() {
+	w.ep.releaseUserRegions(w.regions)
+	w.drop()
+}
+
+// release gives back the regions the owner holds, if any.
+func (w *regWalk) release() {
+	if w.held && len(w.regions) > 0 {
+		w.discard()
+	}
 }
 
 // releaseUserRegions drops user-buffer registrations, charging any real
@@ -212,40 +371,59 @@ func (ep *Endpoint) releaseUserRegions(regions []*mem.Region) {
 	ep.qosDrain() // registration pressure just dropped
 }
 
-// acquireStaging allocates and registers a dynamic staging buffer of exactly
-// n bytes (the Generic scheme's pack/unpack buffers), charging malloc and
-// registration work, and hands the segment to done. Transient registration
-// faults are retried with backoff; the allocation is freed if registration
-// ultimately fails. Without faults done runs synchronously.
-func (ep *Endpoint) acquireStaging(n int64, done func(seg, error)) {
+// stagingAcq allocates and registers a dynamic staging buffer (the Generic
+// scheme's pack/unpack buffers, and every scheme's fallback when the pools
+// cannot serve a message), charging malloc and registration work, and hands
+// the segment to done. Transient registration faults are retried with
+// backoff; the allocation is freed if registration ultimately fails. Without
+// faults done runs synchronously inside start. Like regWalk it lives inside
+// the op that wants the buffer, which pins itself until done runs.
+type stagingAcq struct {
+	ep      *Endpoint
+	addr    mem.Addr
+	n       int64
+	attempt int
+	tryFn   func()
+	done    func(seg, error)
+}
+
+func (a *stagingAcq) init(ep *Endpoint, done func(seg, error)) {
+	a.ep, a.done = ep, done
+	a.tryFn = a.try
+}
+
+// start acquires a buffer of exactly n bytes.
+func (a *stagingAcq) start(n int64) {
+	ep := a.ep
 	atomic.AddInt64(&ep.ctr.DynamicAllocs, 1)
 	addr, err := ep.memory.AllocPage(n)
 	if err != nil {
-		done(seg{}, err)
+		a.done(seg{}, err)
 		return
 	}
-	attempt := 0
-	var try func()
-	try = func() {
-		region, ops, err := ep.stagingReg.Acquire(addr, n)
-		if err != nil {
-			if fault.IsTransient(err) && attempt < ep.cfg.FaultRetryLimit {
-				attempt++
-				atomic.AddInt64(&ep.ctr.FaultRetries, 1)
-				ep.eng.Schedule(ep.cfg.retryBackoff(attempt), try)
-				return
-			}
-			if ferr := ep.memory.Free(addr); ferr != nil {
-				panic(ferr)
-			}
-			done(seg{}, err)
+	a.addr, a.n, a.attempt = addr, n, 0
+	a.try()
+}
+
+func (a *stagingAcq) try() {
+	ep := a.ep
+	region, ops, err := ep.stagingReg.Acquire(a.addr, a.n)
+	if err != nil {
+		if fault.IsTransient(err) && a.attempt < ep.cfg.FaultRetryLimit {
+			a.attempt++
+			atomic.AddInt64(&ep.ctr.FaultRetries, 1)
+			ep.eng.Schedule(ep.cfg.retryBackoff(a.attempt), a.tryFn)
 			return
 		}
-		ep.accountReg(ops)
-		ep.hca.ChargeCPUNamed(ep.model.MallocTime(n)+ep.model.RegOpsTime(ops), "malloc+reg")
-		done(seg{addr: addr, key: region.LKey, region: region}, nil)
+		if ferr := ep.memory.Free(a.addr); ferr != nil {
+			panic(ferr)
+		}
+		a.done(seg{}, err)
+		return
 	}
-	try()
+	ep.accountReg(ops)
+	ep.hca.ChargeCPUNamed(ep.model.MallocTime(a.n)+ep.model.RegOpsTime(ops), "malloc+reg")
+	a.done(seg{addr: a.addr, key: region.LKey, region: region}, nil)
 }
 
 // --- Sender: initiation ------------------------------------------------------
@@ -253,7 +431,8 @@ func (ep *Endpoint) acquireStaging(n int64, done func(seg, error)) {
 // rndvSend starts the rendezvous protocol for a large message.
 func (ep *Endpoint) rndvSend(req *Request, ctx int, buf mem.Addr, count int, dt *datatype.Type, dst, tag int) {
 	op := ep.getSendOp()
-	op.id, op.req, op.dst, op.tag = ep.newOpID(), req, dst, tag
+	op.kind = sendRndv
+	op.id, op.req, op.dst, op.ctx, op.tag = ep.newOpID(), req, dst, ctx, tag
 	op.buf, op.count, op.dt = buf, count, dt
 	op.size = dt.Size() * int64(count)
 	op.sContig = dt.Contig()
@@ -262,62 +441,80 @@ func (ep *Endpoint) rndvSend(req *Request, ctx int, buf mem.Addr, count int, dt 
 	ep.addSendOp(op)
 	atomic.AddInt64(&ep.ctr.RendezvousSends, 1)
 
-	_, sAvg := ep.layoutSummary(dt, count)
-	slot := ep.reserveAnnounce(dst)
-	sendRTS := func() {
-		// The announce closure can sit queued behind an earlier message's
-		// delayed RTS; pin so an op aborted in that window is not recycled
-		// out from under the closure.
-		ep.pinSend(op)
-		ep.announceReady(dst, slot, func() {
-			defer ep.unpinSend(op)
-			ep.mark("rts", "rts", op.id)
-			w := ep.ctrlW()
-			w.u8(kindRTS)
-			w.u32(op.id)
-			w.u32(uint32(ctx))
-			w.u32(uint32(tag))
-			w.i64(op.size)
-			w.i64(sAvg)
-			if op.sContig {
-				w.u8(1)
-			} else {
-				w.u8(0)
-			}
-			ep.sendCtrl(dst, w.buf)
-		})
-	}
+	_, op.sAvg = ep.layoutSummary(dt, count)
+	ep.reserveAnnounce(op)
 
 	// Copy-reduced fixed schemes register the user buffer now, overlapping
 	// registration with the handshake (Section 7.4). Under Auto the choice
 	// is the receiver's, so registration waits for the CTS.
 	if ep.cfg.Scheme == SchemeRWGUP || ep.cfg.Scheme == SchemeMultiW ||
 		(ep.cfg.Scheme == SchemePRRS && op.sContig) || op.sContig {
+		op.next = stepAnnounce
 		ep.pinSend(op)
-		ep.registerUserMessage(buf, dt, count, op.regions[:0], op.refs[:0],
-			func(regions []*mem.Region, refs []regRef, err error) {
-				defer ep.unpinSend(op)
-				if err != nil {
-					// Still announce the op so the receiver has something to
-					// match; the abort's failure notice then unblocks it.
-					sendRTS()
-					ep.abortSend(op, err)
-					return
-				}
-				if op.failed {
-					// The op died before announcing; release the slot with a
-					// no-op so later announces to this peer are not stuck.
-					ep.announceReady(dst, slot, func() {})
-					ep.releaseUserRegions(regions)
-					return
-				}
-				op.regions, op.refs = regions, refs
-				op.registered = true
-				sendRTS()
-			})
+		op.reg.start(buf, dt, count)
 		return
 	}
-	sendRTS()
+	ep.announceReady(op)
+}
+
+// sendRTS is a rendezvous op's announce: the RTS goes out when the announce
+// queue reaches the op.
+func (ep *Endpoint) sendRTS(op *sendOp) {
+	ep.mark("rts", "rts", op.id)
+	w := ep.ctrlW()
+	w.u8(kindRTS)
+	w.u32(op.id)
+	w.u32(uint32(op.ctx))
+	w.u32(uint32(op.tag))
+	w.i64(op.size)
+	w.i64(op.sAvg)
+	if op.sContig {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+	ep.sendCtrl(op.dst, w.buf)
+}
+
+// regDone resumes the op when its user-buffer registration resolves. The op
+// was pinned across the walk, so an abort in a retry gap could not recycle it
+// while the walk still appended to its slices.
+func (op *sendOp) regDone(err error) {
+	ep := op.ep
+	guardSend(op)
+	defer ep.unpinSend(op)
+	if op.next == stepAnnounce {
+		switch {
+		case err != nil:
+			// Still announce the op so the receiver has something to match;
+			// the abort's failure notice then unblocks it.
+			ep.announceReady(op)
+			ep.abortSend(op, err)
+		case op.failed:
+			// The op died before announcing; its slot drains as a no-op so
+			// later announces to this peer are not stuck.
+			op.annDead = true
+			ep.announceReady(op)
+			op.reg.discard()
+		default:
+			op.reg.held = true
+			ep.announceReady(op)
+		}
+		return
+	}
+	// Registration for the data phase. A failure aborts the op; an op failed
+	// during registration backoff (a peer abort notice can arrive in the gap)
+	// releases the fresh registrations instead of leaking them.
+	if err != nil {
+		ep.abortSend(op, err)
+		return
+	}
+	if op.failed {
+		op.reg.discard()
+		return
+	}
+	op.reg.held = true
+	ep.sendRegistered(op)
 }
 
 // --- Receiver: match and scheme choice ---------------------------------------
@@ -325,45 +522,62 @@ func (ep *Endpoint) rndvSend(req *Request, ctx int, buf mem.Addr, count int, dt 
 // rndvMatched runs when an RTS meets its posted receive; it allocates
 // receiver resources for the chosen scheme and sends the CTS. The scheme
 // decision itself (static Section 6 heuristic, or an adaptive selector) lives
-// in select.go.
+// in select.go. The arrival record is consumed.
 func (ep *Endpoint) rndvMatched(inb *inbound, req *Request) {
 	capacity := req.dt.Size() * int64(req.count)
 	eff := inb.size
 	if eff > capacity {
 		eff = capacity
 	}
-	scheme, sel := ep.decideScheme(inb, req, eff)
 	op := ep.getRecvOp()
+	op.scheme, op.hasSel = ep.decideScheme(inb, req, eff, &op.sel)
 	op.key = opKey{src: inb.src, op: inb.opID}
 	op.req, op.eff = req, eff
 	op.truncated = inb.size > capacity
-	op.scheme = scheme
-	op.sel = sel
 	op.direct = req.dt.Contig()
 	op.tStart = ep.tnow()
 	req.Source = inb.src
 	req.Tag = inb.tag
 	req.Bytes = eff
+	ep.putInbound(inb)
 	ep.addRecvOp(op)
 	ep.mark(schemeName(&matchMarkName, op.scheme), "rts", op.key.op)
 
 	// Service mode gates the whole data phase here: parking before the
 	// scheme setup delays only the CTS (the sanctioned Section 4.3.3 stall),
 	// never the already-sent announce.
-	ep.admitRecv(op, func() {
-		switch op.scheme {
-		case SchemeGeneric:
-			ep.recvStagedSetup(op, eff) // one whole-message segment
-		case SchemeBCSPUP, SchemeRWGUP:
-			ep.recvStagedSetup(op, ep.cfg.segSizeFor(eff))
-		case SchemeMultiW:
-			ep.recvMultiWSetup(op)
-		case SchemePRRS:
-			ep.recvPRRSSetup(op)
-		default:
-			panic("core: bad scheme at match")
-		}
-	})
+	ep.admitRecv(op)
+}
+
+// admitted starts the receiver's scheme setup once admission lets it.
+func (op *recvOp) admitted() {
+	ep := op.ep
+	switch op.scheme {
+	case SchemeGeneric:
+		ep.recvStagedSetup(op, op.eff) // one whole-message segment
+	case SchemeBCSPUP, SchemeRWGUP:
+		ep.recvStagedSetup(op, ep.cfg.segSizeFor(op.eff))
+	case SchemeMultiW:
+		op.next = rstepMultiW
+		ep.pinRecv(op)
+		op.reg.start(op.req.buf, op.req.dt, op.req.count)
+	case SchemePRRS:
+		op.next = rstepPRRS
+		ep.pinRecv(op)
+		op.reg.start(op.req.buf, op.req.dt, op.req.count)
+	default:
+		panic("core: bad scheme at match")
+	}
+}
+
+// segBytes is the length of segment k of a message of eff bytes cut into
+// segSize pieces.
+func segBytes(eff, segSize int64, k int) int64 {
+	n := segSize
+	if rest := eff - int64(k)*segSize; n > rest {
+		n = rest
+	}
+	return n
 }
 
 // recvStagedSetup assigns unpack destinations — the receiver's user buffer
@@ -379,74 +593,25 @@ func (ep *Endpoint) recvStagedSetup(op *recvOp, segSize int64) {
 	op.segSize = segSize
 	op.nSegs = int((op.eff + segSize - 1) / segSize)
 
-	sendCTS := func(refs []segRef) {
-		w := ep.ctrlW()
-		w.u8(kindCTS)
-		w.u32(op.key.op)
-		w.u8(uint8(op.scheme))
-		w.i64(op.eff)
-		w.i64(segSize)
-		w.segRefs(refs)
-		ep.sendCtrl(op.key.src, w.buf)
-		ep.span(schemeName(&ctsSpanName, op.scheme), "handshake", op.key.op, op.eff, op.tStart)
-	}
-
 	if op.direct {
 		// Contiguous receiver: segments map straight onto the user buffer.
+		op.next = rstepDirect
 		ep.pinRecv(op)
-		ep.registerUserMessage(op.req.buf, op.req.dt, op.req.count, op.regions[:0], op.refs[:0],
-			func(regions []*mem.Region, rrefs []regRef, err error) {
-				defer ep.unpinRecv(op)
-				if err != nil {
-					ep.abortRecv(op, err, true)
-					return
-				}
-				if op.failed {
-					ep.releaseUserRegions(regions)
-					return
-				}
-				op.regions = regions
-				base := mem.Addr(int64(op.req.buf) + op.req.dt.TrueLB())
-				refs := op.ctsRefs[:0]
-				for k := 0; k < op.nSegs; k++ {
-					refs = append(refs, segRef{addr: base + mem.Addr(int64(k)*segSize), key: rrefs[0].key})
-				}
-				op.ctsRefs = refs
-				sendCTS(refs)
-			})
+		op.reg.start(op.req.buf, op.req.dt, op.req.count)
 		return
 	}
 
-	op.unpacker = ep.newParallelUnpacker(op.req.buf, op.req.dt, op.req.count)
+	ep.bind(&op.unpacker, op.req.buf, op.req.dt, op.req.count)
 
 	if op.scheme == SchemeGeneric {
 		// The basic scheme's dynamically allocated whole-message unpack
 		// buffer (Figure 1).
+		op.next = rstepGeneric
 		ep.pinRecv(op)
-		ep.acquireStaging(op.eff, func(s seg, err error) {
-			defer ep.unpinRecv(op)
-			if err != nil {
-				ep.abortRecv(op, err, true)
-				return
-			}
-			if op.failed {
-				ep.releaseSeg(ep.unpackPool, s)
-				return
-			}
-			op.segs = append(op.segs[:0], segRes{seg: s, bytes: op.eff, held: true})
-			op.ctsRefs = append(op.ctsRefs[:0], segRef{addr: s.addr, key: s.key})
-			sendCTS(op.ctsRefs)
-		})
+		op.stage.start(op.eff)
 		return
 	}
 
-	segBytes := func(k int) int64 {
-		n := segSize
-		if rest := op.eff - int64(k)*segSize; n > rest {
-			n = rest
-		}
-		return n
-	}
 	pool := ep.unpackPool
 	segC := pool.classFor(segSize)
 	if !pool.enabled || op.nSegs > pool.slotsFor(segC) {
@@ -459,131 +624,161 @@ func (ep *Endpoint) recvStagedSetup(op *recvOp, segSize int64) {
 		} else {
 			atomic.AddInt64(&ep.ctr.PoolOverflow, 1)
 		}
+		op.next = rstepWhole
 		ep.pinRecv(op)
-		ep.acquireStaging(op.eff, func(s seg, err error) {
-			defer ep.unpinRecv(op)
-			if err != nil {
-				ep.abortRecv(op, err, true)
-				return
-			}
-			if op.failed {
-				ep.releaseSeg(ep.unpackPool, s)
-				return
-			}
-			op.wholeSeg = &s
-			refs := op.ctsRefs[:0]
-			for k := 0; k < op.nSegs; k++ {
-				addr := s.addr + mem.Addr(int64(k)*segSize)
-				// Views onto wholeSeg: not individually held, the backing
-				// buffer is released once.
-				op.segs = append(op.segs, segRes{
-					seg:   seg{addr: addr, key: s.key},
-					bytes: segBytes(k),
-				})
-				refs = append(refs, segRef{addr: addr, key: s.key})
-			}
-			op.ctsRefs = refs
-			sendCTS(refs)
-		})
+		op.stage.start(op.eff)
 		return
 	}
+	op.next = rstepPool
 	ep.pinRecv(op)
-	pool.whenAvailable(op.nSegs, segC, func() {
-		defer ep.unpinRecv(op)
-		if op.failed {
-			return // aborted while parked; slots stay with the pool
+	pool.whenAvailable(op.nSegs, segC, op.poolReadyFn)
+}
+
+// sendStagedCTS replies to a staged-scheme RTS with the segment refs
+// assembled in op.ctsRefs.
+func (ep *Endpoint) sendStagedCTS(op *recvOp) {
+	w := ep.ctrlW()
+	w.u8(kindCTS)
+	w.u32(op.key.op)
+	w.u8(uint8(op.scheme))
+	w.i64(op.eff)
+	w.i64(op.segSize)
+	w.segRefs(op.ctsRefs)
+	ep.sendCtrl(op.key.src, w.buf)
+	ep.span(schemeName(&ctsSpanName, op.scheme), "handshake", op.key.op, op.eff, op.tStart)
+}
+
+// poolReady runs when the unpack pool can serve the whole message.
+func (op *recvOp) poolReady() {
+	ep := op.ep
+	guardRecv(op)
+	defer ep.unpinRecv(op)
+	if op.failed {
+		return // aborted while parked; slots stay with the pool
+	}
+	pool := ep.unpackPool
+	segC := pool.classFor(op.segSize)
+	refs := op.ctsRefs[:0]
+	for k := 0; k < op.nSegs; k++ {
+		s, ok := pool.tryAcquire(segC)
+		if !ok {
+			panic("core: unpack pool promised slots it does not have")
 		}
+		op.segs = append(op.segs, segRes{seg: s, bytes: segBytes(op.eff, op.segSize, k), held: true})
+		refs = append(refs, segRef{addr: s.addr, key: s.key})
+	}
+	op.ctsRefs = refs
+	ep.sendStagedCTS(op)
+}
+
+// stageDone runs when the dynamic unpack buffer is ready (or could not be
+// had).
+func (op *recvOp) stageDone(s seg, err error) {
+	ep := op.ep
+	guardRecv(op)
+	defer ep.unpinRecv(op)
+	if err != nil {
+		ep.abortRecv(op, err, true)
+		return
+	}
+	if op.failed {
+		ep.releaseSeg(ep.unpackPool, s)
+		return
+	}
+	if op.next == rstepGeneric {
+		op.segs = append(op.segs[:0], segRes{seg: s, bytes: op.eff, held: true})
+		op.ctsRefs = append(op.ctsRefs[:0], segRef{addr: s.addr, key: s.key})
+		ep.sendStagedCTS(op)
+		return
+	}
+	op.wholeSeg, op.haveWhole = s, true
+	refs := op.ctsRefs[:0]
+	for k := 0; k < op.nSegs; k++ {
+		addr := s.addr + mem.Addr(int64(k)*op.segSize)
+		// Views onto wholeSeg: not individually held, the backing buffer is
+		// released once.
+		op.segs = append(op.segs, segRes{
+			seg:   seg{addr: addr, key: s.key},
+			bytes: segBytes(op.eff, op.segSize, k),
+		})
+		refs = append(refs, segRef{addr: addr, key: s.key})
+	}
+	op.ctsRefs = refs
+	ep.sendStagedCTS(op)
+}
+
+// regDone runs when the receiver's user-buffer registration resolves, and
+// sends the scheme's CTS.
+func (op *recvOp) regDone(err error) {
+	ep := op.ep
+	guardRecv(op)
+	defer ep.unpinRecv(op)
+	if err != nil {
+		ep.abortRecv(op, err, true)
+		return
+	}
+	if op.failed {
+		op.reg.discard()
+		return
+	}
+	op.reg.held = true
+	switch op.next {
+	case rstepDirect:
+		base := mem.Addr(int64(op.req.buf) + op.req.dt.TrueLB())
 		refs := op.ctsRefs[:0]
 		for k := 0; k < op.nSegs; k++ {
-			s, ok := pool.tryAcquire(segC)
-			if !ok {
-				panic("core: unpack pool promised slots it does not have")
-			}
-			op.segs = append(op.segs, segRes{seg: s, bytes: segBytes(k), held: true})
-			refs = append(refs, segRef{addr: s.addr, key: s.key})
+			refs = append(refs, segRef{addr: base + mem.Addr(int64(k)*op.segSize), key: op.reg.refs[0].key})
 		}
 		op.ctsRefs = refs
-		sendCTS(refs)
-	})
-}
+		ep.sendStagedCTS(op)
 
-// recvMultiWSetup registers the receiver's user blocks and ships its layout
-// (or its cached identity) plus region keys in the CTS.
-func (ep *Endpoint) recvMultiWSetup(op *recvOp) {
-	ep.pinRecv(op)
-	ep.registerUserMessage(op.req.buf, op.req.dt, op.req.count, op.regions[:0], op.refs[:0],
-		func(regions []*mem.Region, refs []regRef, err error) {
-			defer ep.unpinRecv(op)
-			if err != nil {
-				ep.abortRecv(op, err, true)
-				return
-			}
-			if op.failed {
-				ep.releaseUserRegions(regions)
-				return
-			}
-			op.regions = regions
-			op.refs = refs
+	case rstepMultiW:
+		// Ship the layout (or its cached identity) plus the region keys.
+		idx := ep.types.commit(op.req.dt)
+		version := ep.types.version(idx)
+		var layout []byte
+		if ep.layouts.needSend(op.key.src, idx, version) {
+			layout = datatype.Encode(op.req.dt)
+			atomic.AddInt64(&ep.ctr.TypeLayoutsSent, 1)
+		}
 
-			idx := ep.types.commit(op.req.dt)
-			version := ep.types.version(idx)
-			var layout []byte
-			if ep.layouts.needSend(op.key.src, idx, version) {
-				layout = datatype.Encode(op.req.dt)
-				atomic.AddInt64(&ep.ctr.TypeLayoutsSent, 1)
-			}
+		w := ep.ctrlW()
+		w.u8(kindCTS)
+		w.u32(op.key.op)
+		w.u8(uint8(SchemeMultiW))
+		w.i64(op.eff)
+		w.u64(uint64(op.req.buf))
+		w.u64(uint64(op.req.count))
+		w.u32(uint32(idx))
+		w.u32(version)
+		if layout != nil {
+			w.u8(1)
+			w.bytes(layout)
+		} else {
+			w.u8(0)
+		}
+		w.regRefs(op.reg.refs)
+		ep.sendCtrl(op.key.src, w.buf)
+		ep.span("cts Multi-W", "handshake", op.key.op, op.eff, op.tStart)
 
-			w := ep.ctrlW()
-			w.u8(kindCTS)
-			w.u32(op.key.op)
-			w.u8(uint8(SchemeMultiW))
-			w.i64(op.eff)
-			w.u64(uint64(op.req.buf))
-			w.u64(uint64(op.req.count))
-			w.u32(uint32(idx))
-			w.u32(version)
-			if layout != nil {
-				w.u8(1)
-				w.bytes(layout)
-			} else {
-				w.u8(0)
-			}
-			w.regRefs(refs)
-			ep.sendCtrl(op.key.src, w.buf)
-			ep.span("cts Multi-W", "handshake", op.key.op, op.eff, op.tStart)
-		})
-}
+	case rstepPRRS:
+		// Tell the sender to start producing segments for scatter reads.
+		op.segSize = ep.cfg.segSizeFor(op.eff)
+		op.nSegs = int((op.eff + op.segSize - 1) / op.segSize)
+		op.readCur = ep.bindWalker(&op.cur, op.req.dt, op.req.count)
 
-// recvPRRSSetup registers the receiver's user blocks for scatter reads and
-// tells the sender to start producing segments.
-func (ep *Endpoint) recvPRRSSetup(op *recvOp) {
-	ep.pinRecv(op)
-	ep.registerUserMessage(op.req.buf, op.req.dt, op.req.count, op.regions[:0], op.refs[:0],
-		func(regions []*mem.Region, refs []regRef, err error) {
-			defer ep.unpinRecv(op)
-			if err != nil {
-				ep.abortRecv(op, err, true)
-				return
-			}
-			if op.failed {
-				ep.releaseUserRegions(regions)
-				return
-			}
-			op.regions = regions
-			op.refs = refs
-			op.segSize = ep.cfg.segSizeFor(op.eff)
-			op.nSegs = int((op.eff + op.segSize - 1) / op.segSize)
-			op.readCur = ep.walkerFor(op.req.dt, op.req.count)
+		w := ep.ctrlW()
+		w.u8(kindCTS)
+		w.u32(op.key.op)
+		w.u8(uint8(SchemePRRS))
+		w.i64(op.eff)
+		w.i64(op.segSize)
+		ep.sendCtrl(op.key.src, w.buf)
+		ep.span("cts P-RRS", "handshake", op.key.op, op.eff, op.tStart)
 
-			w := ep.ctrlW()
-			w.u8(kindCTS)
-			w.u32(op.key.op)
-			w.u8(uint8(SchemePRRS))
-			w.i64(op.eff)
-			w.i64(op.segSize)
-			ep.sendCtrl(op.key.src, w.buf)
-			ep.span("cts P-RRS", "handshake", op.key.op, op.eff, op.tStart)
-		})
+	default:
+		panic("core: receive op registered with nothing to do next")
+	}
 }
 
 // finishRecv completes the receive request and releases receiver resources;
@@ -597,22 +792,19 @@ func (ep *Endpoint) finishRecv(op *recvOp) {
 	}
 	ep.span(schemeName(&recvSpanName, op.scheme), "data", op.key.op, op.eff, op.tStart)
 	ep.observeTransfer(op.scheme, op.eff, op.tStart)
-	if op.sel != nil && ep.cfg.Selector != nil {
+	if op.hasSel && ep.cfg.Selector != nil {
 		// Close the adaptive loop: feed the measured receive latency back to
 		// the selector that chose this scheme, and account its regret proxy.
 		lat := int64(ep.tnow().Sub(op.tStart))
-		if regret := ep.cfg.Selector.Observe(*op.sel, op.scheme, lat); regret > 0 {
+		if regret := ep.cfg.Selector.Observe(op.sel, op.scheme, lat); regret > 0 {
 			atomic.AddInt64(&ep.ctr.TunerRegretNs, regret)
 		}
 	}
-	if op.wholeSeg != nil {
-		ep.releaseSeg(ep.unpackPool, *op.wholeSeg)
-		op.wholeSeg = nil
+	if op.haveWhole {
+		ep.releaseSeg(ep.unpackPool, op.wholeSeg)
+		op.haveWhole = false
 	}
-	if len(op.regions) > 0 {
-		ep.releaseUserRegions(op.regions)
-		op.regions = op.regions[:0]
-	}
+	op.reg.release()
 	var err error
 	if op.truncated {
 		err = ErrTruncate
@@ -649,12 +841,10 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 	switch scheme {
 	case SchemeGeneric, SchemeBCSPUP, SchemeRWGUP:
 		segSize := r.i64()
-		var refs []segRef
 		if dead {
 			ep.ctsSegScratch = r.segRefsInto(ep.ctsSegScratch[:0])
 		} else {
 			op.ctsSegs = r.segRefsInto(op.ctsSegs[:0])
-			refs = op.ctsSegs
 		}
 		if r.err != nil {
 			panic(r.err)
@@ -662,7 +852,7 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 		if dead {
 			return
 		}
-		ep.admitSend(op, func() { ep.sendStagedData(op, scheme, segSize, refs) })
+		op.segSize = segSize
 	case SchemeMultiW:
 		rBase := mem.Addr(r.u64())
 		rCount := int(r.u64())
@@ -685,12 +875,10 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 			ep.layouts.store(src, idx, version, t)
 			rType = t
 		}
-		var rRefs []regRef
 		if dead {
 			ep.ctsRegScratch = r.regRefsInto(ep.ctsRegScratch[:0])
 		} else {
 			op.ctsRegs = r.regRefsInto(op.ctsRegs[:0])
-			rRefs = op.ctsRegs
 		}
 		if r.err != nil {
 			panic(r.err)
@@ -707,7 +895,7 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 			atomic.AddInt64(&ep.ctr.TypeCacheHits, 1)
 			rType = t
 		}
-		ep.admitSend(op, func() { ep.sendMultiWData(op, rBase, rType, rCount, rRefs) })
+		op.rBase, op.rType, op.rCount = rBase, rType, rCount
 	case SchemePRRS:
 		segSize := r.i64()
 		if r.err != nil {
@@ -716,9 +904,25 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 		if dead {
 			return
 		}
-		ep.admitSend(op, func() { ep.sendPRRSData(op, segSize) })
+		op.segSize = segSize
 	default:
 		panic(fmt.Sprintf("core: CTS with bad scheme %d", scheme))
+	}
+	ep.admitSend(op)
+}
+
+// admitted starts the sender's data movement, on the operands handleCTS
+// parsed into the op, once admission lets it.
+func (op *sendOp) admitted() {
+	ep := op.ep
+	switch op.scheme {
+	case SchemeGeneric, SchemeBCSPUP, SchemeRWGUP:
+		ep.sendStagedData(op)
+	case SchemeMultiW:
+		op.next = stepMultiW
+		ep.withUserRegistration(op)
+	default:
+		ep.sendPRRSData(op)
 	}
 }
 
@@ -732,10 +936,7 @@ func (ep *Endpoint) finishSend(op *sendOp) {
 		return // already finalized
 	}
 	ep.span(schemeName(&sendSpanName, op.scheme), "data", op.id, op.eff, op.tStart)
-	if len(op.regions) > 0 {
-		ep.releaseUserRegions(op.regions)
-		op.regions = op.regions[:0]
-	}
+	op.reg.release()
 	op.req.complete(nil)
 	ep.qosDrain() // one fewer active op; parked transfers may now be admissible
 	ep.retireSend(op)
@@ -791,10 +992,13 @@ func (ep *Endpoint) stagedArrival(op *recvOp) {
 	}
 }
 
-// unpackSegment copies staging segment k into the user buffer, charging copy
-// cost, then releases the segment; the last segment completes the receive.
+// unpackSegment copies staging segment k into the user buffer and charges
+// the copy cost; unpackDone releases the segment when the charge ends.
+// Segments are unpacked in order (k counts up from zero on both paths of
+// stagedArrival) and the host CPU serializes the charges, so the completions
+// fire in segment order too: unpackDone needs no argument but a counter.
 func (ep *Endpoint) unpackSegment(op *recvOp, k int) {
-	sr := op.segs[k]
+	sr := &op.segs[k]
 	src := ep.memory.Bytes(sr.seg.addr, sr.bytes)
 	st := op.unpacker.Unpack(src)
 	n := st.Bytes
@@ -808,29 +1012,37 @@ func (ep *Endpoint) unpackSegment(op *recvOp, k int) {
 	}
 	ep.observeShards(st)
 	cost := ep.cfg.parPackCost(ep.model, st)
-	t0 := ep.tnow()
+	sr.t0 = ep.tnow()
 	// Pin across the deferred completion: the op can abort (and finalize,
 	// with no descriptors outstanding) while this unpack charge is in
-	// flight, and the closure must still read this op's state, not a
+	// flight, and the completion must still read this op's state, not a
 	// recycled successor's.
 	ep.pinRecv(op)
-	ep.afterNamed(cost, "unpack", func() {
-		defer ep.unpinRecv(op)
-		ep.span("unpack", "segment", op.key.op, n, t0)
-		if op.failed {
-			return // abort teardown released (or will release) the segments
-		}
-		// Pool slots return to the pool; Generic's dynamic staging buffer is
-		// deregistered and freed (releaseSeg dispatches on the segment
-		// kind). Segments carved from a whole on-the-fly buffer are views:
-		// the backing buffer is released once, at completion.
-		if op.wholeSeg == nil {
-			ep.releaseSeg(ep.unpackPool, op.segs[k].seg)
-			op.segs[k].held = false
-		}
-		op.finished++
-		if op.finished == op.nSegs {
-			ep.finishRecv(op)
-		}
-	})
+	ep.afterNamed(cost, "unpack", op.unpackDoneFn)
+}
+
+// unpackDone runs when the next segment's unpack charge ends; the last
+// segment completes the receive.
+func (op *recvOp) unpackDone() {
+	ep := op.ep
+	guardRecv(op)
+	defer ep.unpinRecv(op)
+	k := op.unpacked
+	op.unpacked++
+	ep.span("unpack", "segment", op.key.op, op.segs[k].bytes, op.segs[k].t0)
+	if op.failed {
+		return // abort teardown released (or will release) the segments
+	}
+	// Pool slots return to the pool; Generic's dynamic staging buffer is
+	// deregistered and freed (releaseSeg dispatches on the segment
+	// kind). Segments carved from a whole on-the-fly buffer are views:
+	// the backing buffer is released once, at completion.
+	if !op.haveWhole {
+		ep.releaseSeg(ep.unpackPool, op.segs[k].seg)
+		op.segs[k].held = false
+	}
+	op.finished++
+	if op.finished == op.nSegs {
+		ep.finishRecv(op)
+	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/mem"
-	"repro/internal/pack"
 	"repro/internal/verbs"
 )
 
@@ -78,16 +77,16 @@ func chunkBatches(wrs []verbs.SendWR, limit int, out [][]verbs.SendWR) [][]verbs
 	return append(out, wrs)
 }
 
-// postWRs posts descriptors for op, counting them in op.wrsLeft and running
-// onAll once the op's whole descriptor population has drained. onAll only
-// fires after donePosting(op) sets the allPosted guard, so a fast segment's
-// completions can never finish the op while later segments are still being
-// posted. Post failures and error completions abort the op instead of
-// panicking; transient faults are retried.
-func (ep *Endpoint) postWRs(op *sendOp, dst int, wrs []verbs.SendWR, list bool, onAll func()) {
-	if onAll != nil {
-		op.onWRsDone = onAll
-	}
+// postWRs posts descriptors for op, counting them in op.wrsLeft and arming
+// the op's drain: once the whole descriptor population has drained the op
+// gives back its staging buffer, if it packed into one, and finishes
+// (sendDrained). The drain only fires after donePosting(op) sets the
+// allPosted guard, so a fast segment's completions can never finish the op
+// while later segments are still being posted. Post failures and error
+// completions abort the op instead of panicking; transient faults are
+// retried.
+func (ep *Endpoint) postWRs(op *sendOp, dst int, wrs []verbs.SendWR, list bool) {
+	op.drainArmed = true
 	lane := ep.laneFor(op.eff)
 	if !list || len(wrs) <= 1 || ep.faultMode() {
 		for i := range wrs {
@@ -133,6 +132,17 @@ func (ep *Endpoint) postWRs(op *sendOp, dst int, wrs []verbs.SendWR, list bool, 
 	ep.batchScratch = batches[:0]
 }
 
+// sendDrained is where a send op whose descriptors have all been posted and
+// have all completed ends: the staging buffer it packed into (Generic, and
+// BC-SPUP without a pool) goes back, and the op finishes.
+func (ep *Endpoint) sendDrained(op *sendOp) {
+	if op.staging.held {
+		ep.releaseSeg(ep.packPool, op.staging.seg)
+		op.staging = segRes{}
+	}
+	ep.finishSend(op)
+}
+
 // postBatch rings one doorbell for a batch of op's list-posted descriptors
 // once the lane arbiter has granted it (at once, with service mode off).
 func (ep *Endpoint) postBatch(op *sendOp, dst int, batch []verbs.SendWR, batchBytes int64) {
@@ -166,8 +176,9 @@ func (ep *Endpoint) postBatch(op *sendOp, dst int, batch []verbs.SendWR, batchBy
 // has completed. The fault-mode replacement for pipelined group posting:
 // retries would otherwise let a later segment's immediate overtake an
 // earlier segment's data, breaking the receiver's arrival-order unpack
-// indexing. The cost is the pipelining the fault-free path enjoys.
-func (ep *Endpoint) postGroupsChained(op *sendOp, groups [][]verbs.SendWR, onAll func()) {
+// indexing. The cost is the pipelining the fault-free path enjoys (and the
+// closures it does without).
+func (ep *Endpoint) postGroupsChained(op *sendOp, groups [][]verbs.SendWR) {
 	k := 0
 	var next func()
 	next = func() {
@@ -175,7 +186,7 @@ func (ep *Endpoint) postGroupsChained(op *sendOp, groups [][]verbs.SendWR, onAll
 			return
 		}
 		if k == len(groups) {
-			onAll()
+			ep.finishSend(op)
 			return
 		}
 		wrs := groups[k]
@@ -226,57 +237,66 @@ func (ep *Endpoint) postGroupFenced(op *sendOp, wrs []verbs.SendWR, then func())
 	}
 }
 
-// withUserRegistration ensures the op's user buffer is registered, then runs
-// fn. Registration failures abort the op; an op failed during registration
-// backoff (a peer abort notice can arrive in the gap) releases the fresh
-// registrations instead of leaking them. The op is pinned across the
-// registration callback so an abort in the gap cannot recycle it while the
-// callback still references its buffers.
-func (ep *Endpoint) withUserRegistration(op *sendOp, fn func()) {
-	if op.registered {
-		fn()
+// withUserRegistration ensures the op's user buffer is registered, then
+// resumes the op at op.next (sendRegistered). The op is pinned across the
+// walk; regDone aborts it when registration fails.
+func (ep *Endpoint) withUserRegistration(op *sendOp) {
+	if op.reg.held {
+		ep.sendRegistered(op)
 		return
 	}
 	ep.pinSend(op)
-	ep.registerUserMessage(op.buf, op.dt, op.count, op.regions[:0], op.refs[:0],
-		func(regions []*mem.Region, refs []regRef, err error) {
-			defer ep.unpinSend(op)
-			if err != nil {
-				ep.abortSend(op, err)
-				return
-			}
-			if op.failed {
-				ep.releaseUserRegions(regions)
-				return
-			}
-			op.regions, op.refs = regions, refs
-			op.registered = true
-			fn()
-		})
+	op.reg.start(op.buf, op.dt, op.count)
+}
+
+// sendRegistered runs the data-phase step that was waiting for the user
+// buffer's registration.
+func (ep *Endpoint) sendRegistered(op *sendOp) {
+	switch op.next {
+	case stepGather:
+		ep.sendGatherData(op)
+	case stepMultiW:
+		ep.sendMultiWData(op)
+	case stepPRRSContig:
+		// Zero-copy P-RRS: the receiver reads straight from the user buffer.
+		base := mem.Addr(int64(op.buf) + op.dt.TrueLB())
+		for k := 0; k < op.nSegs; k++ {
+			ep.announceSeg(op, base+mem.Addr(int64(k)*op.segSize), op.reg.refs[0].key,
+				segBytes(op.eff, op.segSize, k))
+		}
+	default:
+		panic("core: send op registered with nothing to do next")
+	}
 }
 
 // sendStagedData moves the message into the receiver's staged destinations
 // (whole-message staging for Generic, pipelined segments for BC-SPUP, gather
 // descriptors for RWG-UP — and gather for any scheme when the send side is
 // contiguous, since MVAPICH never stages contiguous data).
-func (ep *Endpoint) sendStagedData(op *sendOp, scheme Scheme, segSize int64, refs []segRef) {
-	if segSize <= 0 || segSize > op.eff {
-		segSize = op.eff
+func (ep *Endpoint) sendStagedData(op *sendOp) {
+	if op.segSize <= 0 || op.segSize > op.eff {
+		op.segSize = op.eff
 	}
-	nSegs := int((op.eff + segSize - 1) / segSize)
-	if nSegs != len(refs) {
+	op.nSegs = int((op.eff + op.segSize - 1) / op.segSize)
+	if op.nSegs != len(op.ctsSegs) {
 		panic("core: CTS segment count mismatch")
 	}
 
-	if scheme == SchemeRWGUP || op.sContig {
-		ep.withUserRegistration(op, func() { ep.sendGatherData(op, segSize, nSegs, refs) })
+	if op.scheme == SchemeRWGUP || op.sContig {
+		op.next = stepGather
+		ep.withUserRegistration(op)
 		return
 	}
-	if scheme == SchemeGeneric {
-		ep.sendGenericData(op, refs)
+	if op.scheme == SchemeGeneric {
+		// The basic pack/unpack path: allocate the pack buffer, pack the
+		// whole message, one RDMA write, unpack on the far side — fully
+		// serialized.
+		op.next = stepGenericData
+		ep.pinSend(op)
+		op.stage.start(op.eff)
 		return
 	}
-	ep.sendBCSPUPData(op, segSize, nSegs, refs)
+	ep.sendBCSPUPData(op)
 }
 
 // sendGatherData is the RWG-UP data movement: RDMA-write-with-gather straight
@@ -285,17 +305,13 @@ func (ep *Endpoint) sendStagedData(op *sendOp, scheme Scheme, segSize int64, ref
 // Descriptor groups for every segment are built before any is posted, so the
 // shared completion countdown can never transiently hit zero between
 // segments.
-func (ep *Endpoint) sendGatherData(op *sendOp, segSize int64, nSegs int, refs []segRef) {
-	cur := ep.walkerFor(op.dt, op.count)
-	left := op.eff
+func (ep *Endpoint) sendGatherData(op *sendOp) {
+	cur := ep.bindWalker(&op.cur, op.dt, op.count)
+	refs := op.ctsSegs
 	groups := op.groups[:0]
-	for k := 0; k < nSegs; k++ {
-		n := segSize
-		if n > left {
-			n = left
-		}
-		left -= n
-		wrs, err := ep.chunkWRs(&op.wrs, verbs.OpRDMAWrite, cur, op.buf, op.refs, n, refs[k].addr, refs[k].key)
+	for k := 0; k < op.nSegs; k++ {
+		wrs, err := ep.chunkWRs(&op.wrs, verbs.OpRDMAWrite, cur, op.buf, op.reg.refs,
+			segBytes(op.eff, op.segSize, k), refs[k].addr, refs[k].key)
 		if err != nil {
 			ep.abortSend(op, err)
 			return
@@ -307,35 +323,36 @@ func (ep *Endpoint) sendGatherData(op *sendOp, segSize int64, nSegs int, refs []
 	}
 	op.groups = groups
 	if ep.faultMode() {
-		ep.postGroupsChained(op, groups, func() { ep.finishSend(op) })
+		ep.postGroupsChained(op, groups)
 		return
 	}
 	for _, wrs := range groups {
 		atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
-		ep.postWRs(op, op.dst, wrs, false, func() { ep.finishSend(op) })
+		ep.postWRs(op, op.dst, wrs, false)
 	}
 	ep.donePosting(op)
 }
 
-// sendGenericData is the basic pack/unpack path: allocate the pack buffer,
-// pack the whole message, one RDMA write, unpack on the far side — fully
-// serialized.
-func (ep *Endpoint) sendGenericData(op *sendOp, refs []segRef) {
-	ep.pinSend(op)
-	ep.acquireStaging(op.eff, func(s seg, err error) {
-		defer ep.unpinSend(op)
-		if err != nil {
-			ep.abortSend(op, err)
-			return
-		}
-		if op.failed {
-			ep.releaseSeg(ep.packPool, s)
-			return
-		}
-		op.staging = segRes{seg: s, bytes: op.eff, held: true}
-		packer := ep.newParallelPacker(op.buf, op.dt, op.count)
-		dst := ep.memory.Bytes(s.addr, op.eff)
-		st := packer.Pack(dst)
+// stageDone runs when the dynamic pack buffer the op asked for is ready (or
+// could not be had): Generic packs the whole message into it, BC-SPUP
+// without a pool and P-RRS past the pool carve their segments out of it.
+func (op *sendOp) stageDone(s seg, err error) {
+	ep := op.ep
+	guardSend(op)
+	defer ep.unpinSend(op)
+	if err != nil {
+		ep.abortSend(op, err)
+		return
+	}
+	if op.failed {
+		ep.releaseSeg(ep.packPool, s)
+		return
+	}
+	op.staging = segRes{seg: s, bytes: op.eff, held: true}
+	switch op.next {
+	case stepGenericData:
+		ep.bind(&op.packer, op.buf, op.dt, op.count)
+		st := op.packer.Pack(ep.memory.Bytes(s.addr, op.eff))
 		if st.Bytes != op.eff {
 			panic("core: generic pack shortfall")
 		}
@@ -343,14 +360,66 @@ func (ep *Endpoint) sendGenericData(op *sendOp, refs []segRef) {
 		ep.chargeParPack(st, "pack")
 		wrs := op.wrs.one(verbs.OpRDMAWriteImm,
 			verbs.SGE{Addr: s.addr, Len: op.eff, Key: s.key},
-			refs[0].addr, refs[0].key, op.id)
-		ep.postWRs(op, op.dst, wrs, false, func() {
-			ep.releaseSeg(ep.packPool, op.staging.seg)
-			op.staging = segRes{}
-			ep.finishSend(op)
-		})
+			op.ctsSegs[0].addr, op.ctsSegs[0].key, op.id)
+		ep.postWRs(op, op.dst, wrs, false)
 		ep.donePosting(op)
-	})
+
+	case stepBCStaged:
+		if ep.faultMode() {
+			// One segment at a time, so retries cannot reorder arrivals.
+			k := 0
+			var next func()
+			next = func() {
+				if op.failed {
+					return
+				}
+				if k == op.nSegs {
+					ep.sendDrained(op)
+					return
+				}
+				w := ep.packStagedSeg(op, k)
+				k++
+				op.wrsLeft++
+				ep.postRetry(op.dst, &w[0], op, func(err error) {
+					if ep.sendWRResolved(op, err) {
+						next()
+					}
+				})
+			}
+			next()
+			return
+		}
+		for k := 0; k < op.nSegs; k++ {
+			ep.postWRs(op, op.dst, ep.packStagedSeg(op, k), false)
+		}
+		ep.donePosting(op)
+
+	case stepPRRSStaged:
+		for k := 0; k < op.nSegs; k++ {
+			ep.packAndAnnounce(op, k, seg{addr: s.addr + mem.Addr(int64(k)*op.segSize), key: s.key})
+		}
+
+	default:
+		panic("core: send op got a staging buffer with nothing to do next")
+	}
+}
+
+// packStagedSeg packs segment k into its piece of the op's one on-the-fly
+// staging buffer and builds the write that carries it.
+func (ep *Endpoint) packStagedSeg(op *sendOp, k int) []verbs.SendWR {
+	s := op.staging.seg
+	n := segBytes(op.eff, op.segSize, k)
+	addr := s.addr + mem.Addr(int64(k)*op.segSize)
+	st := op.packer.Pack(ep.memory.Bytes(addr, n))
+	if st.Bytes != n {
+		panic("core: segment pack shortfall")
+	}
+	atomic.AddInt64(&ep.ctr.BytesPacked, n)
+	atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
+	ep.chargeParPack(st, "pack")
+	return op.wrs.one(verbs.OpRDMAWriteImm,
+		verbs.SGE{Addr: addr, Len: n, Key: s.key},
+		op.ctsSegs[k].addr, op.ctsSegs[k].key, op.id)
 }
 
 // sendBCSPUPData is the buffer-centric segment pack: pack each segment into
@@ -358,383 +427,289 @@ func (ep *Endpoint) sendGenericData(op *sendOp, refs []segRef) {
 // while the CPU packs segment k+1. When the pack pool runs dry the sender
 // stalls until a slot's send completes (Section 4.3.3). In fault mode,
 // segments go out one at a time so retries cannot reorder arrivals.
-func (ep *Endpoint) sendBCSPUPData(op *sendOp, segSize int64, nSegs int, refs []segRef) {
-	packer := ep.newParallelPacker(op.buf, op.dt, op.count)
-	segBytes := func(k int) int64 {
-		n := segSize
-		if rest := op.eff - int64(k)*segSize; n > rest {
-			n = rest
-		}
-		return n
-	}
+func (ep *Endpoint) sendBCSPUPData(op *sendOp) {
+	ep.bind(&op.packer, op.buf, op.dt, op.count)
 
 	if !ep.packPool.enabled {
 		// Worst case (Figure 14): one on-the-fly pack buffer of the real data
 		// size — the same registration cost Generic pays — carved into
 		// segments so the pipeline still runs.
 		atomic.AddInt64(&ep.ctr.PoolDisabled, 1)
+		op.next = stepBCStaged
 		ep.pinSend(op)
-		ep.acquireStaging(op.eff, func(s seg, err error) {
-			defer ep.unpinSend(op)
-			if err != nil {
-				ep.abortSend(op, err)
-				return
-			}
-			if op.failed {
-				ep.releaseSeg(ep.packPool, s)
-				return
-			}
-			op.staging = segRes{seg: s, bytes: op.eff, held: true}
-			buildSeg := func(k int) []verbs.SendWR {
-				n := segBytes(k)
-				addr := s.addr + mem.Addr(int64(k)*segSize)
-				st := packer.Pack(ep.memory.Bytes(addr, n))
-				if st.Bytes != n {
-					panic("core: segment pack shortfall")
-				}
-				atomic.AddInt64(&ep.ctr.BytesPacked, n)
-				atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
-				ep.chargeParPack(st, "pack")
-				return op.wrs.one(verbs.OpRDMAWriteImm,
-					verbs.SGE{Addr: addr, Len: n, Key: s.key},
-					refs[k].addr, refs[k].key, op.id)
-			}
-			onAll := func() {
-				ep.releaseSeg(ep.packPool, op.staging.seg)
-				op.staging = segRes{}
-				ep.finishSend(op)
-			}
-			if ep.faultMode() {
-				k := 0
-				var next func()
-				next = func() {
-					if op.failed {
-						return
-					}
-					if k == nSegs {
-						onAll()
-						return
-					}
-					w := buildSeg(k)
-					k++
-					op.wrsLeft++
-					ep.postRetry(op.dst, &w[0], op, func(err error) {
-						if ep.sendWRResolved(op, err) {
-							next()
-						}
-					})
-				}
-				next()
-				return
-			}
-			for k := 0; k < nSegs; k++ {
-				ep.postWRs(op, op.dst, buildSeg(k), false, onAll)
-			}
-			ep.donePosting(op)
-		})
+		op.stage.start(op.eff)
 		return
 	}
 
+	op.k = 0
+	op.class = ep.packPool.classFor(op.segSize)
 	if !ep.faultMode() && ep.cfg.postBatchLimit(ep.model) > 1 {
-		ep.sendBCSPUPBatched(op, packer, segSize, nSegs, refs)
-		return
+		op.next = stepBCBatched
+	} else {
+		op.next = stepBCSerial
 	}
-
-	k := 0
-	var step func()
-	step = func() {
-		if op.failed || k == nSegs {
-			return
-		}
-		idx := k
-		k++
-		n := segBytes(idx)
-		ep.pinSend(op)
-		ep.withSeg(ep.packPool, segSize, func(s seg, err error) {
-			defer ep.unpinSend(op)
-			if err != nil {
-				ep.abortSend(op, err)
-				return
-			}
-			if op.failed {
-				ep.releaseSeg(ep.packPool, s)
-				return
-			}
-			dst := ep.memory.Bytes(s.addr, n)
-			st := packer.Pack(dst)
-			if st.Bytes != n {
-				panic("core: segment pack shortfall")
-			}
-			atomic.AddInt64(&ep.ctr.BytesPacked, n)
-			atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
-			ep.chargeParPack(st, "pack")
-			lane := ep.laneFor(op.eff)
-			wr := verbs.SendWR{
-				Op:         verbs.OpRDMAWriteImm,
-				SGL:        op.wrs.sgl1(verbs.SGE{Addr: s.addr, Len: n, Key: s.key}),
-				RemoteAddr: refs[idx].addr, RKey: refs[idx].key, Imm: op.id,
-				Lane: uint8(lane),
-			}
-			op.wrsLeft++
-			ep.mark("seg-post", "segment", op.id)
-			resolve := func(err error) {
-				// The slot is released at final resolution either way: on
-				// success the data has left it, on abort the descriptor no
-				// longer references it.
-				ep.releaseSeg(ep.packPool, s)
-				ep.mark("seg-complete", "segment", op.id)
-				if ep.sendWRResolved(op, err) {
-					if ep.faultMode() {
-						step()
-					}
-					if op.allPosted && op.wrsLeft == 0 {
-						ep.finishSend(op)
-					}
-				}
-			}
-			ep.submitLane(op.dst, lane, 1, n, func() {
-				if op.failed {
-					ep.laneRelease(op.dst, 1, n)
-					resolve(errOpAborted)
-					return
-				}
-				ep.postRetry(op.dst, &wr, op, func(err error) {
-					ep.laneRelease(op.dst, 1, n)
-					resolve(err)
-				})
-			})
-			if idx == nSegs-1 {
-				op.allPosted = true
-			}
-			if !ep.faultMode() {
-				step()
-			}
-		})
-	}
-	step()
+	ep.packStep(op)
 }
 
-// sendBCSPUPBatched is the doorbell-batched BC-SPUP pipeline: acquire up to
+// packStep asks the pack pool for the slots of the op's next pipeline step —
+// one segment, or one doorbell batch of them — unless the op is done or
+// dead; poolReady takes it from there.
+func (ep *Endpoint) packStep(op *sendOp) {
+	if op.failed || op.k == op.nSegs {
+		return
+	}
+	need := 1
+	if op.next == stepBCBatched {
+		need = ep.bcBatch(op)
+	}
+	ep.pinSend(op)
+	ep.packPool.whenAvailable(need, op.class, op.poolReadyFn)
+}
+
+// bcBatch is how many segments the batched pipeline's next doorbell carries:
+// up to PostBatch, bounded by the pool's slot count and by what is left.
+func (ep *Endpoint) bcBatch(op *sendOp) int {
+	b := ep.cfg.postBatchLimit(ep.model)
+	if max := ep.packPool.slotsFor(op.class); b > max {
+		b = max
+	}
+	if b < 1 {
+		b = 1
+	}
+	if rest := op.nSegs - op.k; b > rest {
+		b = rest
+	}
+	return b
+}
+
+// poolReady runs when the pack pool can serve what the op asked it for.
+func (op *sendOp) poolReady() {
+	ep := op.ep
+	guardSend(op)
+	defer ep.unpinSend(op)
+	switch op.next {
+	case stepBCSerial:
+		ep.packOneSeg(op)
+	case stepBCBatched:
+		ep.packBatch(op)
+	case stepPRRSPool:
+		if op.failed {
+			return
+		}
+		for k := 0; k < op.nSegs; k++ {
+			s, ok := ep.packPool.tryAcquire(op.class)
+			if !ok {
+				panic("core: pack pool promised slots it does not have")
+			}
+			op.segs = append(op.segs, segRes{seg: s, held: true})
+			ep.packAndAnnounce(op, k, s)
+		}
+	default:
+		panic("core: send op got pool slots with nothing to do next")
+	}
+}
+
+// packOneSeg is one step of the per-segment BC-SPUP pipeline: take the slot,
+// pack the next segment into it and post its write through the lane
+// arbiter. The write's completion record (wrSendSegStep) returns the slot
+// and, in fault mode, starts the next step.
+func (ep *Endpoint) packOneSeg(op *sendOp) {
+	s, ok := ep.packPool.tryAcquire(op.class)
+	if !ok {
+		panic("core: pool promised a slot it does not have")
+	}
+	if op.failed {
+		ep.releaseSeg(ep.packPool, s)
+		return
+	}
+	idx := op.k
+	op.k++
+	n := segBytes(op.eff, op.segSize, idx)
+	st := op.packer.Pack(ep.memory.Bytes(s.addr, n))
+	if st.Bytes != n {
+		panic("core: segment pack shortfall")
+	}
+	atomic.AddInt64(&ep.ctr.BytesPacked, n)
+	atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
+	ep.chargeParPack(st, "pack")
+	lane := ep.laneFor(op.eff)
+	wr := verbs.SendWR{
+		Op:         verbs.OpRDMAWriteImm,
+		SGL:        op.wrs.sgl1(verbs.SGE{Addr: s.addr, Len: n, Key: s.key}),
+		RemoteAddr: op.ctsSegs[idx].addr, RKey: op.ctsSegs[idx].key, Imm: op.id,
+		Lane: uint8(lane),
+	}
+	op.wrsLeft++
+	ep.mark("seg-post", "segment", op.id)
+	rec := ep.getWR(wrSendSegStep, op.dst, n)
+	rec.sop, rec.seg = op, s
+	ep.postSingle(rec, &wr, lane)
+	if idx == op.nSegs-1 {
+		op.allPosted = true
+	}
+	if !ep.faultMode() {
+		ep.packStep(op)
+	}
+}
+
+// packBatch is one step of the doorbell-batched BC-SPUP pipeline: take up to
 // PostBatch pool slots at once, pack them (each segment one parallel pack
 // step), and ring a single doorbell — one PostSendList — for the whole
 // batch. The NIC drains batch k while the CPU packs batch k+1, and each
 // completion returns its own slot, so a dry pool wakes in slot units rather
 // than batch units. Fault mode never reaches this path: retries must not
-// reorder segment arrivals, so the serial chained pipeline handles injection
-// runs.
-func (ep *Endpoint) sendBCSPUPBatched(op *sendOp, packer *pack.ParallelPacker, segSize int64, nSegs int, refs []segRef) {
-	c := ep.packPool.classFor(segSize)
-	batch := ep.cfg.postBatchLimit(ep.model)
-	if max := ep.packPool.slotsFor(c); batch > max {
-		batch = max
+// reorder segment arrivals, so the serial pipeline handles injection runs.
+func (ep *Endpoint) packBatch(op *sendOp) {
+	if op.failed {
+		return
 	}
-	if batch < 1 {
-		batch = 1
-	}
-	segBytes := func(k int) int64 {
-		n := segSize
-		if rest := op.eff - int64(k)*segSize; n > rest {
-			n = rest
+	b := ep.bcBatch(op)
+	start := op.k
+	op.k += b
+	// Descriptors build into the op arena; the seg scratch is safe to reuse
+	// per batch because each completion record takes its slot by value
+	// before the next batch is built.
+	wrStart := len(op.wrs.wrs)
+	segs := op.segScratch[:0]
+	for i := 0; i < b; i++ {
+		s, ok := ep.packPool.tryAcquire(op.class)
+		if !ok {
+			panic("core: pack pool promised slots it does not have")
 		}
-		return n
+		segs = append(segs, s)
+		idx := start + i
+		n := segBytes(op.eff, op.segSize, idx)
+		st := op.packer.Pack(ep.memory.Bytes(s.addr, n))
+		if st.Bytes != n {
+			panic("core: segment pack shortfall")
+		}
+		atomic.AddInt64(&ep.ctr.BytesPacked, n)
+		atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
+		ep.chargeParPack(st, "pack")
+		op.wrs.wrs = append(op.wrs.wrs, verbs.SendWR{
+			Op:         verbs.OpRDMAWriteImm,
+			SGL:        op.wrs.sgl1(verbs.SGE{Addr: s.addr, Len: n, Key: s.key}),
+			RemoteAddr: op.ctsSegs[idx].addr, RKey: op.ctsSegs[idx].key, Imm: op.id,
+		})
+		ep.mark("seg-post", "segment", op.id)
 	}
-	k := 0
-	var step func()
-	step = func() {
-		if op.failed || k == nSegs {
+	op.segScratch = segs
+	wrs := op.wrs.wrs[wrStart:]
+	op.wrsLeft += b
+	lane := ep.laneFor(op.eff)
+	var batchBytes int64
+	for i := range wrs {
+		n := wrs[i].SGL[0].Len
+		batchBytes += n
+		rec := ep.getWR(wrSendSeg, op.dst, n)
+		rec.sop, rec.seg = op, segs[i]
+		wrs[i].WRID, wrs[i].Lane = rec.id(), uint8(lane)
+	}
+	// The doorbell itself is one lane unit: bulk batches wait for window
+	// room while the packed slots stay charged to this op. The op builds its
+	// next batch only after this one's grant, so the batch rides in the op.
+	op.batchWRs, op.batchBytes = wrs, batchBytes
+	ep.submitLane(op.dst, lane, b, batchBytes, op.batchGrantFn)
+}
+
+// batchGranted rings the doorbell of the batch packBatch built, once the
+// lane arbiter lets it through, and starts the next batch.
+func (op *sendOp) batchGranted() {
+	ep := op.ep
+	guardSend(op)
+	wrs, segs, batchBytes := op.batchWRs, op.segScratch, op.batchBytes
+	op.batchWRs = nil
+	b := len(wrs)
+	err := errOpAborted
+	if !op.failed {
+		if err = ep.qps[op.dst].PostSendList(wrs); err == nil {
+			ep.observeBatch(b)
+			if op.k == op.nSegs {
+				op.allPosted = true
+			}
+			ep.packStep(op)
 			return
 		}
-		b := batch
-		if rest := nSegs - k; b > rest {
-			b = rest
-		}
-		ep.pinSend(op)
-		ep.packPool.whenAvailable(b, c, func() {
-			defer ep.unpinSend(op)
-			if op.failed {
-				return
-			}
-			start := k
-			k += b
-			// Descriptors build into the op arena; the seg scratch is safe to
-			// reuse per batch because each completion closure captures its
-			// slot by value before the next batch is built.
-			wrStart := len(op.wrs.wrs)
-			segs := op.segScratch[:0]
-			for i := 0; i < b; i++ {
-				s, ok := ep.packPool.tryAcquire(c)
-				if !ok {
-					panic("core: pack pool promised slots it does not have")
-				}
-				segs = append(segs, s)
-				idx := start + i
-				n := segBytes(idx)
-				st := packer.Pack(ep.memory.Bytes(s.addr, n))
-				if st.Bytes != n {
-					panic("core: segment pack shortfall")
-				}
-				atomic.AddInt64(&ep.ctr.BytesPacked, n)
-				atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
-				ep.chargeParPack(st, "pack")
-				op.wrs.wrs = append(op.wrs.wrs, verbs.SendWR{
-					Op:         verbs.OpRDMAWriteImm,
-					SGL:        op.wrs.sgl1(verbs.SGE{Addr: s.addr, Len: n, Key: s.key}),
-					RemoteAddr: refs[idx].addr, RKey: refs[idx].key, Imm: op.id,
-				})
-				ep.mark("seg-post", "segment", op.id)
-			}
-			op.segScratch = segs
-			wrs := op.wrs.wrs[wrStart:]
-			op.wrsLeft += b
-			lane := ep.laneFor(op.eff)
-			var batchBytes int64
-			for i := range wrs {
-				n := wrs[i].SGL[0].Len
-				batchBytes += n
-				rec := ep.getWR(wrSendSeg, op.dst, n)
-				rec.sop, rec.seg = op, segs[i]
-				wrs[i].WRID, wrs[i].Lane = rec.id(), uint8(lane)
-			}
-			// The doorbell itself is one lane unit: bulk batches wait for
-			// window room while the packed slots stay charged to this op.
-			ep.submitLane(op.dst, lane, b, batchBytes, func() {
-				if op.failed {
-					// Aborted while waiting for window room: slots and
-					// charge return, the descriptors never post.
-					for i := range wrs {
-						ep.dropWR(wrs[i].WRID)
-						ep.releaseSeg(ep.packPool, segs[i])
-					}
-					ep.laneRelease(op.dst, b, batchBytes)
-					op.wrsLeft -= b
-					if op.wrsLeft == 0 {
-						ep.finalizeSendAbort(op)
-					}
-					return
-				}
-				if err := ep.qps[op.dst].PostSendList(wrs); err != nil {
-					// The whole doorbell was rejected: nothing reached the
-					// NIC, so the batch's slots go straight back.
-					for i := range wrs {
-						ep.dropWR(wrs[i].WRID)
-						ep.releaseSeg(ep.packPool, segs[i])
-					}
-					ep.laneRelease(op.dst, b, batchBytes)
-					op.wrsLeft -= b
-					ep.abortSend(op, err)
-					return
-				}
-				ep.observeBatch(len(wrs))
-				if k == nSegs {
-					op.allPosted = true
-				}
-				step()
-			})
-		})
 	}
-	step()
+	// Aborted while waiting for window room, or the whole doorbell was
+	// rejected: nothing reached the NIC, so slots and charge return and the
+	// descriptors never post.
+	for i := range wrs {
+		ep.dropWR(wrs[i].WRID)
+		ep.releaseSeg(ep.packPool, segs[i])
+	}
+	ep.laneRelease(op.dst, b, batchBytes)
+	op.wrsLeft -= b
+	if !op.failed {
+		ep.abortSend(op, err)
+	} else if op.wrsLeft == 0 {
+		ep.finalizeSendAbort(op)
+	}
 }
 
 // sendMultiWData implements the Multi-W zero-copy transfer: walk the local
 // and remote layouts together, emitting one RDMA write per remote contiguous
 // run (gathering across local runs), immediate data on the final descriptor.
-func (ep *Endpoint) sendMultiWData(op *sendOp, rBase mem.Addr, rType *datatype.Type, rCount int, rRefs []regRef) {
-	ep.withUserRegistration(op, func() {
-		sc := ep.walkerFor(op.dt, op.count)
-		rc := ep.walkerFor(rType, rCount)
-		remaining := op.eff
-		// Successive chunkWRs calls append into the same arena, so the flat
-		// window over everything built here is just the arena tail.
-		wrStart := len(op.wrs.wrs)
-		for remaining > 0 {
-			rOff, rLen, ok := rc.Next(remaining)
-			if !ok {
-				ep.abortSend(op, fmt.Errorf("core rank %d: receiver layout smaller than effective size (%d bytes unconsumed)",
-					ep.rank, remaining))
-				return
-			}
-			rAddr := mem.Addr(int64(rBase) + rOff)
-			i := findRegion(rRefs, rAddr, rLen)
-			if i < 0 {
-				panic(fmt.Sprintf("core rank %d: no remote region covers [%#x,+%d)", ep.rank, rAddr, rLen))
-			}
-			if _, err := ep.chunkWRs(&op.wrs, verbs.OpRDMAWrite, sc, op.buf, op.refs, rLen, rAddr, rRefs[i].key); err != nil {
-				ep.abortSend(op, err)
-				return
-			}
-			remaining -= rLen
-		}
-		wrs := op.wrs.wrs[wrStart:]
-		last := len(wrs) - 1
-		wrs[last].Op = verbs.OpRDMAWriteImm
-		wrs[last].Imm = op.id
-		ep.chargeTypeProc(len(wrs))
-		if ep.faultMode() {
-			op.groups = append(op.groups[:0], wrs)
-			ep.postGroupsChained(op, op.groups, func() { ep.finishSend(op) })
+func (ep *Endpoint) sendMultiWData(op *sendOp) {
+	sc := ep.bindWalker(&op.cur, op.dt, op.count)
+	rc := ep.bindWalker(&op.rcur, op.rType, op.rCount)
+	rRefs := op.ctsRegs
+	remaining := op.eff
+	// Successive chunkWRs calls append into the same arena, so the flat
+	// window over everything built here is just the arena tail.
+	wrStart := len(op.wrs.wrs)
+	for remaining > 0 {
+		rOff, rLen, ok := rc.Next(remaining)
+		if !ok {
+			ep.abortSend(op, fmt.Errorf("core rank %d: receiver layout smaller than effective size (%d bytes unconsumed)",
+				ep.rank, remaining))
 			return
 		}
-		ep.postWRs(op, op.dst, wrs, ep.cfg.ListPost, func() { ep.finishSend(op) })
-		ep.donePosting(op)
-	})
+		rAddr := mem.Addr(int64(op.rBase) + rOff)
+		i := findRegion(rRefs, rAddr, rLen)
+		if i < 0 {
+			panic(fmt.Sprintf("core rank %d: no remote region covers [%#x,+%d)", ep.rank, rAddr, rLen))
+		}
+		if _, err := ep.chunkWRs(&op.wrs, verbs.OpRDMAWrite, sc, op.buf, op.reg.refs, rLen, rAddr, rRefs[i].key); err != nil {
+			ep.abortSend(op, err)
+			return
+		}
+		remaining -= rLen
+	}
+	wrs := op.wrs.wrs[wrStart:]
+	last := len(wrs) - 1
+	wrs[last].Op = verbs.OpRDMAWriteImm
+	wrs[last].Imm = op.id
+	ep.chargeTypeProc(len(wrs))
+	if ep.faultMode() {
+		op.groups = append(op.groups[:0], wrs)
+		ep.postGroupsChained(op, op.groups)
+		return
+	}
+	ep.postWRs(op, op.dst, wrs, ep.cfg.ListPost)
+	ep.donePosting(op)
 }
 
 // sendPRRSData implements the sender half of Pack with RDMA Read Scatter:
 // pack each segment into a pool slot (or, for a contiguous sender, expose
 // user-buffer ranges directly) and announce it; the receiver pulls the data
 // with scatter reads and finally acknowledges with Done.
-func (ep *Endpoint) sendPRRSData(op *sendOp, segSize int64) {
-	if segSize <= 0 || segSize > op.eff {
-		segSize = op.eff
+func (ep *Endpoint) sendPRRSData(op *sendOp) {
+	if op.segSize <= 0 || op.segSize > op.eff {
+		op.segSize = op.eff
 	}
-	nSegs := int((op.eff + segSize - 1) / segSize)
-
-	announce := func(k int, addr mem.Addr, key uint32, n int64) {
-		w := ep.ctrlW()
-		w.u8(kindSegReady)
-		w.u32(op.id)
-		w.u64(uint64(addr))
-		w.u32(key)
-		w.i64(n)
-		ep.sendCtrl(op.dst, w.buf)
-	}
+	op.nSegs = int((op.eff + op.segSize - 1) / op.segSize)
 
 	if op.sContig {
-		// Zero-copy P-RRS: the receiver reads straight from the user buffer.
-		ep.withUserRegistration(op, func() {
-			base := mem.Addr(int64(op.buf) + op.dt.TrueLB())
-			left := op.eff
-			for k := 0; k < nSegs; k++ {
-				n := segSize
-				if n > left {
-					n = left
-				}
-				left -= n
-				announce(k, base+mem.Addr(int64(k)*segSize), op.refs[0].key, n)
-			}
-		})
+		op.next = stepPRRSContig
+		ep.withUserRegistration(op)
 		return
 	}
 
 	// P-RRS pack segments stay occupied until the receiver's Done.
-	packer := ep.newParallelPacker(op.buf, op.dt, op.count)
-	packSeg := func(k int, s seg) {
-		n := segSize
-		if rest := op.eff - int64(k)*segSize; n > rest {
-			n = rest
-		}
-		dst := ep.memory.Bytes(s.addr, n)
-		st := packer.Pack(dst)
-		if st.Bytes != n {
-			panic("core: P-RRS pack shortfall")
-		}
-		atomic.AddInt64(&ep.ctr.BytesPacked, n)
-		atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
-		ep.chargeParPack(st, "pack")
-		announce(k, s.addr, s.key, n)
-	}
-	segC := ep.packPool.classFor(segSize)
-	if !ep.packPool.enabled || nSegs > ep.packPool.slotsFor(segC) {
+	ep.bind(&op.packer, op.buf, op.dt, op.count)
+	op.class = ep.packPool.classFor(op.segSize)
+	if !ep.packPool.enabled || op.nSegs > ep.packPool.slotsFor(op.class) {
 		// Worst case or message larger than the pool: one on-the-fly pack
 		// buffer of the real data size, carved into segment views.
 		if !ep.packPool.enabled {
@@ -742,42 +717,42 @@ func (ep *Endpoint) sendPRRSData(op *sendOp, segSize int64) {
 		} else {
 			atomic.AddInt64(&ep.ctr.PoolOverflow, 1)
 		}
+		op.next = stepPRRSStaged
 		ep.pinSend(op)
-		ep.acquireStaging(op.eff, func(s seg, err error) {
-			defer ep.unpinSend(op)
-			if err != nil {
-				ep.abortSend(op, err)
-				return
-			}
-			if op.failed {
-				ep.releaseSeg(ep.packPool, s)
-				return
-			}
-			op.staging = segRes{seg: s, bytes: op.eff, held: true}
-			for k := 0; k < nSegs; k++ {
-				packSeg(k, seg{addr: s.addr + mem.Addr(int64(k)*segSize), key: s.key})
-			}
-		})
+		op.stage.start(op.eff)
 		return
 	}
 	// The slots stay held until the receiver's Done, so take the whole
 	// message's worth atomically: partial grants across concurrent ops
 	// would deadlock with every op stuck one slot short.
+	op.next = stepPRRSPool
 	ep.pinSend(op)
-	ep.packPool.whenAvailable(nSegs, segC, func() {
-		defer ep.unpinSend(op)
-		if op.failed {
-			return
-		}
-		for k := 0; k < nSegs; k++ {
-			s, ok := ep.packPool.tryAcquire(segC)
-			if !ok {
-				panic("core: pack pool promised slots it does not have")
-			}
-			op.segs = append(op.segs, segRes{seg: s, held: true})
-			packSeg(k, s)
-		}
-	})
+	ep.packPool.whenAvailable(op.nSegs, op.class, op.poolReadyFn)
+}
+
+// announceSeg tells the P-RRS receiver that n bytes of the message are
+// readable at (addr, key).
+func (ep *Endpoint) announceSeg(op *sendOp, addr mem.Addr, key uint32, n int64) {
+	w := ep.ctrlW()
+	w.u8(kindSegReady)
+	w.u32(op.id)
+	w.u64(uint64(addr))
+	w.u32(key)
+	w.i64(n)
+	ep.sendCtrl(op.dst, w.buf)
+}
+
+// packAndAnnounce packs P-RRS segment k into s and announces it.
+func (ep *Endpoint) packAndAnnounce(op *sendOp, k int, s seg) {
+	n := segBytes(op.eff, op.segSize, k)
+	st := op.packer.Pack(ep.memory.Bytes(s.addr, n))
+	if st.Bytes != n {
+		panic("core: P-RRS pack shortfall")
+	}
+	atomic.AddInt64(&ep.ctr.BytesPacked, n)
+	atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
+	ep.chargeParPack(st, "pack")
+	ep.announceSeg(op, s.addr, s.key, n)
 }
 
 // handleSegReady is the receiver half of P-RRS: scatter-read the announced
@@ -801,7 +776,7 @@ func (ep *Endpoint) handleSegReady(src int, r *ctrlReader) {
 	if op.failed {
 		return
 	}
-	wrs, err := ep.chunkWRs(&op.wrs, verbs.OpRDMARead, op.readCur, op.req.buf, op.refs, n, addr, key)
+	wrs, err := ep.chunkWRs(&op.wrs, verbs.OpRDMARead, op.readCur, op.req.buf, op.reg.refs, n, addr, key)
 	if err != nil {
 		ep.abortRecv(op, err, true)
 		return

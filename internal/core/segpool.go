@@ -222,27 +222,6 @@ func (p *segPool) pendingWaiters() int {
 	return n
 }
 
-// withSeg runs fn with one staging segment of the class fitting size, as
-// soon as one is available. With the pool disabled (the worst-case
-// configuration) the segment is allocated and registered dynamically instead
-// of waiting; a pooled segment never fails, so fn's error is non-nil only on
-// that dynamic path.
-func (ep *Endpoint) withSeg(pool *segPool, size int64, fn func(seg, error)) {
-	if !pool.enabled {
-		atomic.AddInt64(&ep.ctr.PoolDisabled, 1)
-		ep.acquireStaging(pool.slot, fn)
-		return
-	}
-	c := pool.classFor(size)
-	pool.whenAvailable(1, c, func() {
-		s, ok := pool.tryAcquire(c)
-		if !ok {
-			panic("core: pool promised a slot it does not have")
-		}
-		fn(s, nil)
-	})
-}
-
 // releaseSeg returns a segment to its pool or releases its dynamic
 // resources, charging deregistration/free time when real work happens.
 func (ep *Endpoint) releaseSeg(pool *segPool, s seg) {

@@ -154,26 +154,29 @@ func (ep *Endpoint) selectorInput(inb *inbound, req *Request, eff int64) Selecto
 
 // decideScheme picks the transfer scheme for a matched rendezvous message
 // and emits the decision trace instant (chosen scheme + rationale). Under
-// SchemeAuto with a Selector it returns the SelectorInput so completion can
-// feed the measured latency back; otherwise the second result is nil.
-func (ep *Endpoint) decideScheme(inb *inbound, req *Request, eff int64) (Scheme, *SelectorInput) {
+// SchemeAuto the message's shape summary is built in *sel, which the caller
+// owns (the receive op keeps it, so the decision allocates nothing); with a
+// Selector the second result is true and *sel is what completion feeds the
+// measured latency back with.
+func (ep *Endpoint) decideScheme(inb *inbound, req *Request, eff int64, sel *SelectorInput) (Scheme, bool) {
 	if ep.cfg.Scheme != SchemeAuto {
 		ep.markDecision(inb.opID, ep.cfg.Scheme, "fixed: ", "configured scheme")
-		return ep.cfg.Scheme, nil
+		return ep.cfg.Scheme, false
 	}
-	in := ep.selectorInput(inb, req, eff)
-	static := autoScheme(&ep.cfg, in)
+	*sel = ep.selectorInput(inb, req, eff)
+	in := sel
+	static := autoScheme(&ep.cfg, *in)
 	in.Static = static
 	if ep.cfg.Selector == nil {
 		if ep.cfg.Tracer != nil {
 			// Rationale strings are only formatted when a tracer consumes
 			// them — the untraced warm path decides without allocating.
-			_, why := AutoChoice(&ep.cfg, in)
+			_, why := AutoChoice(&ep.cfg, *in)
 			ep.markDecision(inb.opID, static, "static: ", why)
 		}
-		return static, nil
+		return static, false
 	}
-	d := ep.cfg.Selector.Choose(in)
+	d := ep.cfg.Selector.Choose(*in)
 	scheme := d.Scheme
 	if !schemeIn(in.Eligible, scheme) {
 		// A selector must never force an ineligible scheme onto the wire;
@@ -181,7 +184,7 @@ func (ep *Endpoint) decideScheme(inb *inbound, req *Request, eff int64) (Scheme,
 		scheme = static
 		d.Explored = false
 		if ep.cfg.Tracer != nil {
-			_, why := AutoChoice(&ep.cfg, in)
+			_, why := AutoChoice(&ep.cfg, *in)
 			d.Rationale = fmt.Sprintf("selector returned ineligible %v, falling back: %s", d.Scheme, why)
 		}
 	}
@@ -191,7 +194,7 @@ func (ep *Endpoint) decideScheme(inb *inbound, req *Request, eff int64) (Scheme,
 		atomic.AddInt64(&ep.ctr.TunerExploitations, 1)
 	}
 	ep.markDecision(inb.opID, scheme, "tuned: ", d.Rationale)
-	return scheme, &in
+	return scheme, true
 }
 
 // markDecision records the scheme-decision instant on the msg lane: which

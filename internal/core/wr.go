@@ -27,11 +27,16 @@ type wrKind uint8
 const (
 	wrFree wrKind = iota // on the free list
 	// wrSendData is a data descriptor of a send op: its lane charge returns
-	// and the op's descriptor countdown advances (onWRsDone at zero).
+	// and the op's descriptor countdown advances (the op drains at zero).
 	wrSendData
-	// wrSendSeg is a BC-SPUP segment write: as wrSendData, and the pack-pool
-	// slot it read from returns; the op finishes at zero.
+	// wrSendSeg is a segment write of the doorbell-batched BC-SPUP pipeline:
+	// as wrSendData, and the pack-pool slot it read from returns; the op
+	// finishes at zero.
 	wrSendSeg
+	// wrSendSegStep is a segment write of the per-segment BC-SPUP pipeline,
+	// posted on its own: as wrSendSeg, and in fault mode its resolution is
+	// what starts the next segment.
+	wrSendSegStep
 	// wrRecvRead is a P-RRS scatter read of a receive op.
 	wrRecvRead
 	// wrCall runs done(err): RMA descriptors and the fault-mode chained
@@ -202,6 +207,18 @@ func (ep *Endpoint) resolveWR(rec *wrRec, err error) {
 		ep.mark("seg-complete", "segment", sop.id)
 		if ep.sendWRResolved(sop, err) && sop.allPosted && sop.wrsLeft == 0 {
 			ep.finishSend(sop)
+		}
+	case wrSendSegStep:
+		ep.laneRelease(peer, 1, bytes)
+		ep.releaseSeg(ep.packPool, sg)
+		ep.mark("seg-complete", "segment", sop.id)
+		if ep.sendWRResolved(sop, err) {
+			if ep.faultMode() {
+				ep.packStep(sop)
+			}
+			if sop.allPosted && sop.wrsLeft == 0 {
+				ep.finishSend(sop)
+			}
 		}
 	case wrRecvRead:
 		ep.laneRelease(peer, 1, bytes)

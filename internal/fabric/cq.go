@@ -35,8 +35,9 @@ func (cq *CQ) SetHandler(fn func(verbs.CQE)) {
 
 // push delivers the completion a record carries, at the current time. In
 // handler mode the record rides on to the dispatch event and is recycled
-// when the handler returns; in polling mode the entry is queued by value and
-// the record is recycled here.
+// when the handler returns; in polling mode the entry is queued by value —
+// with a payload copy of its own, since nothing bounds how long it waits to
+// be polled — and the record is recycled here.
 func (cq *CQ) push(fl *flight) {
 	n := cq.node
 	atomic.AddInt64(&n.counters.Completions, 1)
@@ -46,7 +47,11 @@ func (cq *CQ) push(fl *flight) {
 		n.eng.At(n.ChargeCPUNamed(n.fab.model.CompletionCost, "cqe"), fl.dispatchFn)
 		return
 	}
-	cq.queue.Push(fl.cqe)
+	e := fl.cqe
+	if e.Data != nil {
+		e.Data = append([]byte(nil), e.Data...)
+	}
+	cq.queue.Push(e)
 	n.putFlight(fl)
 	cq.sig.Broadcast()
 }

@@ -148,6 +148,9 @@ type Node struct {
 
 	free []*flight // recycled records; owned by this node's context
 	made int       // records ever created
+
+	payloads     [][]byte // channel-send payload buffers (flight.go); this node's context
+	payloadBytes int      // bytes parked in payloads
 }
 
 // Attach adds a node running on eng. counters may be nil.

@@ -27,13 +27,22 @@ const (
 // completion's handler ran; a receive-side record lives from the arrival's
 // credit match to its handler's return, on the responder's list. The three
 // method values are bound once, when the record is first created.
+//
+// A channel-send payload is not allocated per message: it rides in buffers of
+// the node's payload pool, which a record holds from the moment it needs one
+// to its recycling. The initiator's record snapshots the Inline bytes at post
+// (the caller may reuse them as soon as the post returns); at delivery the
+// responder copies them into a buffer of its own for the receive-side record
+// the arrival is matched to, and the completion entry's Data is that buffer.
+// It goes back to the pool when the handler returns, so Data is valid until
+// then and is overwritten by whichever payload takes the buffer next.
 type flight struct {
 	stage stage
 	early bool             // completion was scheduled at launch (Plan.AckEarly)
 	qp    *QP              // initiating queue pair
 	wr    verbs.SendWR     // the descriptor, copied once at post
 	size  int64            // payload bytes
-	data  []byte           // channel-send payload, captured at post
+	data  []byte           // channel-send payload: a buffer of the node's pool (payloadBuf)
 	lag   simtime.Duration // completion delay still to serve after delivery
 	err   error            // completion status
 	next  *flight          // rest of the train this record heads or rides in
@@ -67,10 +76,41 @@ func (n *Node) getFlight(to stage) *flight {
 	return fl
 }
 
-// putFlight poisons a record and returns it to the node's free list.
+// putFlight poisons a record and returns it, and the payload buffer it
+// holds, to the node's free lists.
 func (n *Node) putFlight(fl *flight) {
+	if fl.data != nil {
+		n.putPayload(fl.data)
+	}
 	*fl = flight{deliverFn: fl.deliverFn, ackFn: fl.ackFn, dispatchFn: fl.dispatchFn}
 	n.free = append(n.free, fl)
+}
+
+// maxPayloadBytes bounds the bytes a node's payload pool retains, so a burst
+// of large channel sends does not pin its buffers forever.
+const maxPayloadBytes = 1 << 20
+
+// payloadBuf returns a pooled buffer holding a copy of src, or nil for an
+// empty payload.
+func (n *Node) payloadBuf(src []byte) []byte {
+	if len(src) == 0 {
+		return nil
+	}
+	var b []byte
+	if k := len(n.payloads); k > 0 {
+		b, n.payloads = n.payloads[k-1], n.payloads[:k-1]
+		n.payloadBytes -= cap(b)
+	}
+	return append(b[:0], src...)
+}
+
+// putPayload returns a payload buffer to the node's pool.
+func (n *Node) putPayload(b []byte) {
+	if n.payloadBytes+cap(b) > maxPayloadBytes {
+		return
+	}
+	n.payloadBytes += cap(b)
+	n.payloads = append(n.payloads, b)
 }
 
 // deliver is the delivery stage: it lands this record, and the train behind
@@ -94,7 +134,6 @@ func (fl *flight) land() {
 	peer := qp.peer
 	if wr.Op == verbs.OpSend {
 		peer.arrive(arrival{data: fl.data, bytes: fl.size, imm: wr.Imm, hasImm: true})
-		fl.data = nil
 		return
 	}
 	if err := peer.node.mem.Reg().CheckAccess(wr.RKey, wr.RemoteAddr, fl.size); err != nil {

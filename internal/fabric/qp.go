@@ -59,9 +59,13 @@ func (qp *QP) PostRecv(wr verbs.RecvWR) {
 func (qp *QP) RecvCredits() int { return qp.recvQ.Len() }
 
 // arrive consumes a receive credit for a, or stalls it until one is posted
-// (the receiver-not-ready case).
+// (the receiver-not-ready case). a.data belongs to the sender's record and
+// is only good for the duration of the call: a stalled arrival takes a copy.
 func (qp *QP) arrive(a arrival) {
 	if qp.recvQ.Len() == 0 {
+		if a.data != nil {
+			a.data = append([]byte(nil), a.data...)
+		}
 		qp.stalled.Push(a)
 		return
 	}
@@ -70,6 +74,9 @@ func (qp *QP) arrive(a arrival) {
 
 func (qp *QP) completeArrival(a arrival) {
 	fl := qp.node.getFlight(stageAcked)
+	// The payload moves into a buffer of this node's, which is what CQE.Data
+	// names until the handler returns and the record is recycled.
+	fl.data = qp.node.payloadBuf(a.data)
 	fl.cqe = verbs.CQE{
 		QP:     qp,
 		WRID:   qp.recvQ.Pop().WRID,
@@ -77,7 +84,7 @@ func (qp *QP) completeArrival(a arrival) {
 		Bytes:  a.bytes,
 		Imm:    a.imm,
 		HasImm: a.hasImm,
-		Data:   a.data,
+		Data:   fl.data,
 	}
 	qp.recvCQ.push(fl)
 }
@@ -168,9 +175,9 @@ func (qp *QP) post(wrs []verbs.SendWR, list bool) error {
 		fl := n.getFlight(stagePosted)
 		fl.qp, fl.wr = qp, *wr
 		if wr.Op == verbs.OpSend {
-			// The Inline payload is captured now: the caller may reuse its
-			// buffer as soon as the post returns.
-			fl.data = append([]byte(nil), wr.Inline...)
+			// The Inline payload is captured now, into a pooled buffer: the
+			// caller may reuse its own as soon as the post returns.
+			fl.data = n.payloadBuf(wr.Inline)
 			fl.wr.Inline = nil
 			fl.size = int64(len(fl.data))
 		} else {

@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Arena is one shared backing store partitioned into equal per-rank address
 // spaces. The shared-memory fabric (internal/shmfab) uses it to model an
@@ -14,7 +11,7 @@ import (
 // protocols rely on.
 type Arena struct {
 	data    []byte
-	mapped  []byte // non-nil when data is an anonymous mapping
+	back    *backing // non-nil when data is an anonymous mapping
 	perPart int64
 	parts   int
 }
@@ -30,10 +27,7 @@ func NewArena(parts int, perPart int64) *Arena {
 		perPart = 2 * PageSize
 	}
 	a := &Arena{perPart: perPart, parts: parts}
-	a.data, a.mapped = newBacking(int64(parts) * perPart)
-	if a.mapped != nil {
-		runtime.SetFinalizer(a, func(x *Arena) { releaseBacking(x.mapped) })
-	}
+	a.data, a.back = newBacking(int64(parts) * perPart)
 	return a
 }
 
@@ -49,8 +43,8 @@ func (a *Arena) Size() int64 { return int64(len(a.data)) }
 // Partition returns partition i as a Memory with its own allocator and
 // registration table. Addresses are partition-local (the first page is
 // reserved so Addr 0 stays a nil address, exactly as in NewMemory), but the
-// bytes live in the shared mapping. The returned Memory pins the arena: the
-// backing store is released only after every partition becomes unreachable.
+// bytes live in the shared mapping. The returned Memory pins the mapping: it
+// is released only after the arena and every partition became unreachable.
 func (a *Arena) Partition(i int, name string) *Memory {
 	if i < 0 || i >= a.parts {
 		panic(fmt.Sprintf("mem: partition %d of %d", i, a.parts))
@@ -61,7 +55,7 @@ func (a *Arena) Partition(i int, name string) *Memory {
 		data:  a.data[lo : lo+a.perPart : lo+a.perPart],
 		free:  []span{{off: PageSize, len: a.perPart - PageSize}},
 		inUse: make(map[Addr]int64),
-		arena: a,
+		back:  a.back,
 	}
 	m.reg = newRegTable(m)
 	return m

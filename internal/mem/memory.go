@@ -16,7 +16,6 @@ package mem
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 )
 
@@ -52,13 +51,12 @@ type span struct {
 // Memory is one node's simulated address space. It is not goroutine-safe;
 // the single-threaded simulation engine serializes all access.
 type Memory struct {
-	name   string
-	data   []byte
-	mapped []byte // non-nil when data is an anonymous mapping (backing_mmap.go)
-	free   []span // sorted by offset, coalesced
-	inUse  map[Addr]int64
-	reg    *RegTable
-	arena  *Arena // non-nil for shared-arena partitions; keeps the mapping alive
+	name  string
+	data  []byte
+	back  *backing // keeps data's anonymous mapping (its own or its arena's) alive
+	free  []span   // sorted by offset, coalesced
+	inUse map[Addr]int64
+	reg   *RegTable
 }
 
 // NewMemory creates an address space of the given size in bytes. The first
@@ -75,10 +73,7 @@ func NewMemory(name string, size int64) *Memory {
 		free:  []span{{off: PageSize, len: size - PageSize}},
 		inUse: make(map[Addr]int64),
 	}
-	m.data, m.mapped = newBacking(size)
-	if m.mapped != nil {
-		runtime.SetFinalizer(m, func(mm *Memory) { releaseBacking(mm.mapped) })
-	}
+	m.data, m.back = newBacking(size)
 	m.reg = newRegTable(m)
 	return m
 }
@@ -114,21 +109,22 @@ func (m *Memory) AllocAligned(n int64, align int) (Addr, error) {
 		if pad+n > s.len {
 			continue
 		}
-		// Carve [start, start+n) out of the free span.
-		rest := m.free[i+1:]
-		head := m.free[:i]
-		var mid []span
-		if pad > 0 {
-			mid = append(mid, span{off: s.off, len: pad})
+		// Carve [start, start+n) out of the free span, editing the list in
+		// place: what is left of the span is its padding, its tail, both
+		// (one span more) or nothing (one span fewer).
+		tail := span{off: start + Addr(n), len: s.len - pad - n}
+		switch {
+		case pad > 0 && tail.len > 0:
+			m.free = append(m.free, span{})
+			copy(m.free[i+2:], m.free[i+1:])
+			m.free[i], m.free[i+1] = span{off: s.off, len: pad}, tail
+		case pad > 0:
+			m.free[i] = span{off: s.off, len: pad}
+		case tail.len > 0:
+			m.free[i] = tail
+		default:
+			m.free = append(m.free[:i], m.free[i+1:]...)
 		}
-		if tail := s.len - pad - n; tail > 0 {
-			mid = append(mid, span{off: start + Addr(n), len: tail})
-		}
-		newFree := make([]span, 0, len(m.free)+1)
-		newFree = append(newFree, head...)
-		newFree = append(newFree, mid...)
-		newFree = append(newFree, rest...)
-		m.free = newFree
 		m.inUse[start] = n
 		return start, nil
 	}

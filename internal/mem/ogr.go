@@ -1,6 +1,9 @@
 package mem
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Block is one contiguous piece of a datatype message buffer.
 type Block struct {
@@ -25,79 +28,100 @@ func (c RegCost) RegionCost(a Addr, n int64) int64 {
 	return c.Base + PageSpan(a, n)*c.PerPage
 }
 
-// GroupRegions implements Optimistic Group Registration (Wu, Wyckoff, Panda):
-// given the contiguous blocks of a datatype message buffer, it returns a set
-// of covering regions to register, merging neighbouring blocks across their
-// gaps whenever pinning the gap pages is cheaper than paying another
-// registration operation. Large gaps that would null the benefit are left as
-// region boundaries.
+// Grouper is Optimistic Group Registration (Wu, Wyckoff, Panda) as a stream:
+// fed the contiguous blocks of a datatype message buffer in non-decreasing
+// address order, it emits a set of covering regions to register, merging
+// neighbouring blocks across their gaps whenever pinning the gap pages is
+// cheaper than paying another registration operation. Large gaps that would
+// null the benefit are left as region boundaries.
 //
-// The returned regions are sorted by address, non-overlapping, and cover
-// every input block. Input blocks may be unsorted; overlapping or adjacent
-// blocks are coalesced first.
-func GroupRegions(blocks []Block, cost RegCost) []Block {
-	if len(blocks) == 0 {
-		return nil
+// It holds one open region and appends closed ones to a caller-supplied
+// slice, so a layout walk feeds it run by run and no block list is ever
+// built. The zero value is not ready; call Reset.
+type Grouper struct {
+	cost RegCost
+	cur  Block // the open region; Len 0 while nothing has been added
+	out  []Block
+}
+
+// Reset starts a new grouping under cost, appending regions to out.
+func (g *Grouper) Reset(cost RegCost, out []Block) {
+	*g = Grouper{cost: cost, out: out}
+}
+
+// Add feeds the next block. Blocks must arrive in non-decreasing address
+// order (the result would under-merge otherwise); zero-length blocks are
+// dropped, overlapping or adjacent ones coalesced.
+func (g *Grouper) Add(addr Addr, n int64) {
+	if n <= 0 {
+		return
 	}
+	cur := &g.cur
+	end := addr + Addr(n)
+	switch {
+	case cur.Len == 0:
+		*cur = Block{Addr: addr, Len: n}
+	case addr <= cur.End():
+		// Overlapping or adjacent: coalesce unconditionally.
+		if end > cur.End() {
+			cur.Len = int64(end - cur.Addr)
+		}
+	default:
+		// Candidate merge across the gap. Compare the extra pages the
+		// merged region pins against the cost of a separate region.
+		mergedLen := int64(end - cur.Addr)
+		extraPages := PageSpan(cur.Addr, mergedLen) - PageSpan(cur.Addr, cur.Len)
+		if extraPages*g.cost.PerPage < g.cost.RegionCost(addr, n) {
+			cur.Len = mergedLen
+			return
+		}
+		g.out = append(g.out, *cur)
+		*cur = Block{Addr: addr, Len: n}
+	}
+}
+
+// Finish closes the open region and returns every region of the grouping:
+// sorted by address, non-overlapping, covering every block added.
+func (g *Grouper) Finish() []Block {
+	if g.cur.Len > 0 {
+		g.out = append(g.out, g.cur)
+		g.cur = Block{}
+	}
+	return g.out
+}
+
+// SortBlocks orders blocks by address, the order Grouper.Add wants, without
+// allocating.
+func SortBlocks(blocks []Block) {
+	slices.SortFunc(blocks, func(a, b Block) int { return cmp.Compare(a.Addr, b.Addr) })
+}
+
+// GroupRegions runs a Grouper over a block list: the regions to register for
+// the contiguous blocks of a message buffer. Input blocks may be unsorted
+// (they are sorted in a copy); the returned regions are sorted by address,
+// non-overlapping, and cover every input block.
+func GroupRegions(blocks []Block, cost RegCost) []Block {
 	sorted := make([]Block, 0, len(blocks))
 	for _, b := range blocks {
 		if b.Len > 0 {
 			sorted = append(sorted, b)
 		}
 	}
-	if len(sorted) == 0 {
-		return nil
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr < sorted[j].Addr })
-	return groupSorted(sorted, cost)
+	SortBlocks(sorted)
+	return GroupRegionsSorted(sorted, cost)
 }
 
 // GroupRegionsSorted is GroupRegions for blocks already in non-decreasing
 // address order, skipping the sort. Compiled layout programs know their
 // emission order (Program.Ascending), which makes this the grouping entry
-// for program-fed registration. Zero-length blocks are dropped; passing
-// unsorted blocks is a contract violation (the result would under-merge).
+// for program-fed block lists.
 func GroupRegionsSorted(blocks []Block, cost RegCost) []Block {
-	sorted := make([]Block, 0, len(blocks))
+	var g Grouper
+	g.Reset(cost, nil)
 	for _, b := range blocks {
-		if b.Len > 0 {
-			sorted = append(sorted, b)
-		}
+		g.Add(b.Addr, b.Len)
 	}
-	if len(sorted) == 0 {
-		return nil
-	}
-	return groupSorted(sorted, cost)
-}
-
-// groupSorted merges address-sorted positive-length blocks under the OGR
-// gap-versus-registration trade.
-func groupSorted(sorted []Block, cost RegCost) []Block {
-	regions := make([]Block, 0, len(sorted))
-	cur := sorted[0]
-	for _, b := range sorted[1:] {
-		if b.Addr <= cur.End() {
-			// Overlapping or adjacent: coalesce unconditionally.
-			if b.End() > cur.End() {
-				cur.Len = int64(b.End() - cur.Addr)
-			}
-			continue
-		}
-		// Candidate merge across the gap. Compare the extra pages the
-		// merged region pins against the cost of a separate region.
-		mergedLen := int64(b.End() - cur.Addr)
-		extraPages := PageSpan(cur.Addr, mergedLen) - PageSpan(cur.Addr, cur.Len)
-		mergeCost := extraPages * cost.PerPage
-		separateCost := cost.RegionCost(b.Addr, b.Len)
-		if mergeCost < separateCost {
-			cur.Len = mergedLen
-			continue
-		}
-		regions = append(regions, cur)
-		cur = b
-	}
-	regions = append(regions, cur)
-	return regions
+	return g.Finish()
 }
 
 // TotalCost returns the modeled registration cost of a region set.

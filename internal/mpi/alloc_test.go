@@ -1,0 +1,165 @@
+package mpi
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/datatype"
+	"repro/internal/mem"
+)
+
+// TestWarmMessageAllocatesOnlyHandles pins the allocation discipline of the
+// whole message path (DESIGN.md §16): once an endpoint is warm, a message —
+// eager, self or rendezvous under any scheme — costs the heap exactly the
+// two *core.Request handles its caller holds, and a collective, whose
+// requests no caller ever sees, costs it nothing. The two-rank rows drive
+// the endpoints from outside the engine (post, then run the engine dry), so
+// one AllocsPerRun iteration is one message from post to both completions.
+func TestWarmMessageAllocatesOnlyHandles(t *testing.T) {
+	if core.DebugRecords {
+		t.Skip("the dtdebug build quarantines recycled records instead of reusing them")
+	}
+	const warm, runs = 8, 50
+	eager := datatype.Must(datatype.TypeVector(64, 1, 4, datatype.Int32))       // 256 B
+	sparse := datatype.Must(datatype.TypeVector(512, 128, 256, datatype.Int32)) // 256 KiB, 512 B runs
+
+	type row struct {
+		name   string
+		scheme core.Scheme
+		dt     *datatype.Type
+		// post starts one message; it may run the engine in between to order
+		// the arrival against the receive.
+		post func(w *World, sbuf, rbuf [2]mem.Addr, dt *datatype.Type) (s, r *core.Request)
+	}
+	posted := func(w *World, sbuf, rbuf [2]mem.Addr, dt *datatype.Type) (s, r *core.Request) {
+		r = w.eps[1].Irecv(rbuf[1], 1, dt, 0, 5)
+		s = w.eps[0].Isend(sbuf[0], 1, dt, 1, 5)
+		return s, r
+	}
+	unexpected := func(w *World, sbuf, rbuf [2]mem.Addr, dt *datatype.Type) (s, r *core.Request) {
+		s = w.eps[0].Isend(sbuf[0], 1, dt, 1, 5)
+		if err := w.eng.Run(); err != nil {
+			panic(err)
+		}
+		r = w.eps[1].Irecv(rbuf[1], 1, dt, 0, 5)
+		return s, r
+	}
+	self := func(w *World, sbuf, rbuf [2]mem.Addr, dt *datatype.Type) (s, r *core.Request) {
+		r = w.eps[0].Irecv(rbuf[0], 1, dt, 0, 5)
+		s = w.eps[0].Isend(sbuf[0], 1, dt, 0, 5)
+		return s, r
+	}
+	rows := []row{
+		{"eager-posted", core.SchemeAuto, eager, posted},
+		{"eager-unexpected", core.SchemeAuto, eager, unexpected},
+		{"self", core.SchemeAuto, eager, self},
+		{"rndv-unexpected", core.SchemeBCSPUP, sparse, unexpected},
+	}
+	for _, s := range []core.Scheme{core.SchemeGeneric, core.SchemeBCSPUP, core.SchemeRWGUP,
+		core.SchemePRRS, core.SchemeMultiW} {
+		rows = append(rows, row{"rndv-" + s.String(), s, sparse, posted})
+	}
+
+	for _, backend := range []string{BackendSim, BackendSHM} {
+		for _, rw := range rows {
+			t.Run(backend+"/"+rw.name, func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Ranks = 2
+				cfg.MemBytes = 64 << 20
+				cfg.Backend = backend
+				cfg.Core.Scheme = rw.scheme
+				w, err := NewWorld(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sbuf, rbuf [2]mem.Addr
+				for i := range sbuf {
+					m := w.eps[i].Mem()
+					sbuf[i] = m.MustAlloc(rw.dt.Extent() + 64)
+					rbuf[i] = m.MustAlloc(rw.dt.Extent() + 64)
+				}
+				one := func() {
+					s, r := rw.post(w, sbuf, rbuf, rw.dt)
+					if err := w.eng.Run(); err != nil {
+						panic(err)
+					}
+					if !s.Done() || !r.Done() || s.Err != nil || r.Err != nil {
+						panic(fmt.Sprintf("message did not complete: send %v/%v recv %v/%v",
+							s.Done(), s.Err, r.Done(), r.Err))
+					}
+				}
+				for i := 0; i < warm; i++ {
+					one()
+				}
+				if got := testing.AllocsPerRun(runs, one); got > 2 {
+					t.Errorf("warm message allocates %.0f objects, want at most its 2 request handles", got)
+				}
+				for i, ep := range w.eps {
+					if ps := ep.PoolStats(); ps.LiveSendOps != 0 || ps.LiveRecvOps != 0 {
+						t.Errorf("rank %d not quiescent: %+v", i, ps)
+					}
+				}
+			})
+		}
+
+		t.Run(backend+"/alltoall+barrier", func(t *testing.T) {
+			fig10 := fig10Struct()
+			cfg := ScaledConfig(8)
+			cfg.Backend = backend
+			cfg.Core.Scheme = core.SchemeAuto
+			w, err := NewWorld(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got float64
+			err = w.Run(func(p *Proc) error {
+				n := p.Size()
+				sb := p.Mem().MustAlloc(int64(n) * fig10.Extent())
+				rb := p.Mem().MustAlloc(int64(n) * fig10.Extent())
+				var opErr error
+				op := func() {
+					if err := p.Alltoall(sb, 1, fig10, rb, 1, fig10); err != nil {
+						opErr = err
+					}
+					if err := p.Barrier(); err != nil {
+						opErr = err
+					}
+				}
+				for i := 0; i < warm; i++ {
+					op()
+				}
+				if p.Rank() == 0 {
+					got = testing.AllocsPerRun(runs, op)
+				} else {
+					for i := 0; i < runs+1; i++ { // AllocsPerRun's own warm-up call
+						op()
+					}
+				}
+				return opErr
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != 0 {
+				t.Errorf("warm 8-rank Alltoall+Barrier allocates %.0f objects per op, want 0", got)
+			}
+		})
+	}
+}
+
+// fig10Struct is the paper's Figure 10 struct: blocks of 1, 2, 4, … 2048
+// integers, each followed by a one-integer gap.
+func fig10Struct() *datatype.Type {
+	var lens []int
+	var displs []int64
+	var types []*datatype.Type
+	pos := int64(0)
+	for b := 1; b <= 2048; b *= 2 {
+		lens = append(lens, b)
+		displs = append(displs, pos)
+		types = append(types, datatype.Int32)
+		pos += int64(b)*4 + 4
+	}
+	return datatype.Must(datatype.TypeStruct(lens, displs, types))
+}

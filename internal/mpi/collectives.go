@@ -3,7 +3,6 @@ package mpi
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/datatype"
 	"repro/internal/mem"
 )
@@ -60,7 +59,7 @@ func (c *Comm) Bcast(buf mem.Addr, count int, dt *datatype.Type, root int) error
 	for mask < n {
 		if rel&mask != 0 {
 			parent := ((rel ^ mask) + root) % n
-			if _, err := c.collRecv(buf, count, dt, parent, tagBcast); err != nil {
+			if err := c.collRecv(buf, count, dt, parent, tagBcast); err != nil {
 				return fmt.Errorf("bcast recv: %w", err)
 			}
 			break
@@ -87,7 +86,7 @@ func (c *Comm) Gather(sbuf mem.Addr, scount int, stype *datatype.Type,
 	if c.Rank() != root {
 		return c.collSend(sbuf, scount, stype, root, tagGather)
 	}
-	reqs := make([]*core.Request, 0, n)
+	reqs := c.reqs[:0]
 	for i := 0; i < n; i++ {
 		dst := c.offset(rbuf, rtype, rcount, i)
 		if i == root {
@@ -97,7 +96,7 @@ func (c *Comm) Gather(sbuf mem.Addr, scount int, stype *datatype.Type,
 		}
 		reqs = append(reqs, c.collIrecv(dst, rcount, rtype, i, tagGather))
 	}
-	return c.p.Wait(reqs...)
+	return c.collWait(reqs)
 }
 
 // Scatter distributes root's sbuf (Size() consecutive (scount, stype)
@@ -106,16 +105,15 @@ func (c *Comm) Scatter(sbuf mem.Addr, scount int, stype *datatype.Type,
 	rbuf mem.Addr, rcount int, rtype *datatype.Type, root int) error {
 	n := c.Size()
 	if c.Rank() != root {
-		_, err := c.collRecv(rbuf, rcount, rtype, root, tagScatter)
-		return err
+		return c.collRecv(rbuf, rcount, rtype, root, tagScatter)
 	}
-	reqs := make([]*core.Request, 0, n+1)
+	reqs := c.reqs[:0]
 	reqs = append(reqs, c.collIrecv(rbuf, rcount, rtype, root, tagScatter))
 	for i := 0; i < n; i++ {
 		src := c.offset(sbuf, stype, scount, i)
 		reqs = append(reqs, c.collIsend(src, scount, stype, i, tagScatter))
 	}
-	return c.p.Wait(reqs...)
+	return c.collWait(reqs)
 }
 
 // Allgather gathers every rank's (sbuf, scount, stype) into everyone's rbuf
@@ -151,7 +149,7 @@ func (c *Comm) Allgather(sbuf mem.Addr, scount int, stype *datatype.Type,
 func (c *Comm) Alltoall(sbuf mem.Addr, scount int, stype *datatype.Type,
 	rbuf mem.Addr, rcount int, rtype *datatype.Type) error {
 	n := c.Size()
-	reqs := make([]*core.Request, 0, 2*n)
+	reqs := c.reqs[:0]
 	for i := 0; i < n; i++ {
 		src := (c.Rank() + i) % n
 		reqs = append(reqs, c.collIrecv(c.offset(rbuf, rtype, rcount, src), rcount, rtype, src, tagAlltoall))
@@ -160,7 +158,7 @@ func (c *Comm) Alltoall(sbuf mem.Addr, scount int, stype *datatype.Type,
 		dst := (c.Rank() + i) % n
 		reqs = append(reqs, c.collIsend(c.offset(sbuf, stype, scount, dst), scount, stype, dst, tagAlltoall))
 	}
-	return c.p.Wait(reqs...)
+	return c.collWait(reqs)
 }
 
 // Alltoallv is the vector form of Alltoall: per-peer counts and displacements
@@ -171,7 +169,7 @@ func (c *Comm) Alltoallv(sbuf mem.Addr, scounts, sdispls []int, stype *datatype.
 	if len(scounts) != n || len(sdispls) != n || len(rcounts) != n || len(rdispls) != n {
 		return fmt.Errorf("alltoallv: count/displacement arrays must have %d entries", n)
 	}
-	reqs := make([]*core.Request, 0, 2*n)
+	reqs := c.reqs[:0]
 	for i := 0; i < n; i++ {
 		src := (c.Rank() + i) % n
 		addr := mem.Addr(int64(rbuf) + int64(rdispls[src])*rtype.Extent())
@@ -182,7 +180,7 @@ func (c *Comm) Alltoallv(sbuf mem.Addr, scounts, sdispls []int, stype *datatype.
 		addr := mem.Addr(int64(sbuf) + int64(sdispls[dst])*stype.Extent())
 		reqs = append(reqs, c.collIsend(addr, scounts[dst], stype, dst, tagAlltoall))
 	}
-	return c.p.Wait(reqs...)
+	return c.collWait(reqs)
 }
 
 // Gatherv gathers variable-sized contributions to root; counts and displs
@@ -196,13 +194,13 @@ func (c *Comm) Gatherv(sbuf mem.Addr, scount int, stype *datatype.Type,
 	if len(rcounts) != n || len(rdispls) != n {
 		return fmt.Errorf("gatherv: count/displacement arrays must have %d entries", n)
 	}
-	reqs := make([]*core.Request, 0, n+1)
+	reqs := c.reqs[:0]
 	for i := 0; i < n; i++ {
 		addr := mem.Addr(int64(rbuf) + int64(rdispls[i])*rtype.Extent())
 		reqs = append(reqs, c.collIrecv(addr, rcounts[i], rtype, i, tagGather))
 	}
 	reqs = append(reqs, c.collIsend(sbuf, scount, stype, root, tagGather))
-	return c.p.Wait(reqs...)
+	return c.collWait(reqs)
 }
 
 // Scatterv distributes variable-sized pieces from root; counts and displs
@@ -211,17 +209,16 @@ func (c *Comm) Scatterv(sbuf mem.Addr, scounts, sdispls []int, stype *datatype.T
 	rbuf mem.Addr, rcount int, rtype *datatype.Type, root int) error {
 	n := c.Size()
 	if c.Rank() != root {
-		_, err := c.collRecv(rbuf, rcount, rtype, root, tagScatter)
-		return err
+		return c.collRecv(rbuf, rcount, rtype, root, tagScatter)
 	}
 	if len(scounts) != n || len(sdispls) != n {
 		return fmt.Errorf("scatterv: count/displacement arrays must have %d entries", n)
 	}
-	reqs := make([]*core.Request, 0, n+1)
+	reqs := c.reqs[:0]
 	reqs = append(reqs, c.collIrecv(rbuf, rcount, rtype, root, tagScatter))
 	for i := 0; i < n; i++ {
 		addr := mem.Addr(int64(sbuf) + int64(sdispls[i])*stype.Extent())
 		reqs = append(reqs, c.collIsend(addr, scounts[i], stype, i, tagScatter))
 	}
-	return c.p.Wait(reqs...)
+	return c.collWait(reqs)
 }

@@ -20,6 +20,11 @@ type Comm struct {
 	collCtx int   // hidden context for collective traffic (as real MPI uses)
 	ranks   []int // comm rank -> world rank
 	myRank  int
+
+	// reqs is the request list of the collective in progress. A collective
+	// blocks its caller until it returns, so one scratch list per
+	// communicator serves them all without allocating per call.
+	reqs []*core.Request
 }
 
 // World returns the communicator containing every rank (MPI_COMM_WORLD).
@@ -110,7 +115,9 @@ func (c *Comm) Iprobe(src, tag int) (core.Status, bool) {
 
 // Collective operations exchange their internal messages in the hidden
 // collCtx so that user receives and probes (including wildcards) never see
-// them.
+// them. No caller ever sees their requests either, so each is handed back to
+// the endpoint (core.Request.Free) the moment the collective has read its
+// outcome: a warm collective allocates no request handles at all.
 
 func (c *Comm) collIsend(buf mem.Addr, count int, dt *datatype.Type, dst, tag int) *core.Request {
 	return c.p.ep.IsendCtx(c.collCtx, buf, count, dt, c.ranks[dst], tag)
@@ -121,24 +128,37 @@ func (c *Comm) collIrecv(buf mem.Addr, count int, dt *datatype.Type, src, tag in
 }
 
 func (c *Comm) collSend(buf mem.Addr, count int, dt *datatype.Type, dst, tag int) error {
-	r := c.collIsend(buf, count, dt, dst, tag)
-	r.Wait(c.p.sp)
-	return r.Err
+	return c.collWait(append(c.reqs[:0], c.collIsend(buf, count, dt, dst, tag)))
 }
 
-func (c *Comm) collRecv(buf mem.Addr, count int, dt *datatype.Type, src, tag int) (*core.Request, error) {
-	r := c.collIrecv(buf, count, dt, src, tag)
-	r.Wait(c.p.sp)
-	return r, r.Err
+func (c *Comm) collRecv(buf mem.Addr, count int, dt *datatype.Type, src, tag int) error {
+	return c.collWait(append(c.reqs[:0], c.collIrecv(buf, count, dt, src, tag)))
 }
 
 func (c *Comm) collSendrecv(
 	sbuf mem.Addr, scount int, stype *datatype.Type, dst, stag int,
 	rbuf mem.Addr, rcount int, rtype *datatype.Type, src, rtag int,
 ) error {
-	rr := c.collIrecv(rbuf, rcount, rtype, src, rtag)
-	sr := c.collIsend(sbuf, scount, stype, dst, stag)
-	return c.p.Wait(rr, sr)
+	return c.collWait(append(c.reqs[:0],
+		c.collIrecv(rbuf, rcount, rtype, src, rtag),
+		c.collIsend(sbuf, scount, stype, dst, stag)))
+}
+
+// collWait completes a collective's requests — reqs is the communicator's
+// scratch list, grown by the caller — frees them, and returns the first
+// error in list order.
+func (c *Comm) collWait(reqs []*core.Request) error {
+	core.WaitAll(c.p.sp, reqs...)
+	var err error
+	for i, r := range reqs {
+		if err == nil {
+			err = r.Err
+		}
+		r.Free()
+		reqs[i] = nil
+	}
+	c.reqs = reqs[:0]
+	return err
 }
 
 // Undefined is the MPI_UNDEFINED color: the caller joins no new communicator.

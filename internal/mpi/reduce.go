@@ -97,7 +97,7 @@ func (c *Comm) Reduce(sbuf, rbuf mem.Addr, count int, op Op, root int) error {
 		}
 		child := rel | mask
 		if child < n {
-			if _, err := c.collRecv(tmp, count, dt, (child+root)%n, tagReduce); err != nil {
+			if err := c.collRecv(tmp, count, dt, (child+root)%n, tagReduce); err != nil {
 				return err
 			}
 			c.combine(op, acc, tmp, count)

@@ -16,7 +16,7 @@ func (c *Comm) Scan(sbuf, rbuf mem.Addr, count int, op Op) error {
 	if c.Rank() > 0 {
 		tmp := c.p.Mem().MustAlloc(bytes)
 		defer c.p.Mem().Free(tmp)
-		if _, err := c.collRecv(tmp, count, dt, c.Rank()-1, tagScan); err != nil {
+		if err := c.collRecv(tmp, count, dt, c.Rank()-1, tagScan); err != nil {
 			return err
 		}
 		c.combine(op, rbuf, tmp, count)

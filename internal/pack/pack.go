@@ -44,9 +44,25 @@ type engine struct {
 }
 
 func newProgramEngine(m *mem.Memory, base mem.Addr, prog *datatype.Program) engine {
-	e := engine{mem: m, base: base, prog: prog}
-	e.pc.Reset(prog)
+	var e engine
+	e.Bind(m, base, prog)
 	return e
+}
+
+// Bind re-arms the engine for another message: the one at base in m that
+// prog lays out, from its start. It is what lets a pooled record keep its
+// packer or unpacker by value and reuse it for every message it carries;
+// binding to a canonical program allocates nothing.
+func (e *engine) Bind(m *mem.Memory, base mem.Addr, prog *datatype.Program) {
+	e.mem, e.base, e.prog = m, base, prog
+	e.t, e.count, e.cur = nil, 0, nil
+	e.pc.Reset(prog)
+}
+
+// BindInterpreted is Bind for the interpreted cursor walk over (base, count,
+// t), the oracle tier; it allocates the cursor.
+func (e *engine) BindInterpreted(m *mem.Memory, base mem.Addr, t *datatype.Type, count int) {
+	*e = engine{mem: m, base: base, t: t, count: count, cur: datatype.NewCursor(t, count)}
 }
 
 // Reset rewinds the engine to the start of its message so it can be reused.
@@ -125,7 +141,9 @@ type Packer struct{ engine }
 // NewPacker creates a packer over the message (base, count, t) in m using
 // the interpreted cursor walk.
 func NewPacker(m *mem.Memory, base mem.Addr, t *datatype.Type, count int) *Packer {
-	return &Packer{engine{mem: m, base: base, t: t, count: count, cur: datatype.NewCursor(t, count)}}
+	p := &Packer{}
+	p.BindInterpreted(m, base, t, count)
+	return p
 }
 
 // NewProgramPacker creates a packer over the message (base, prog) in m that
@@ -147,7 +165,9 @@ type Unpacker struct{ engine }
 // NewUnpacker creates an unpacker over the message (base, count, t) in m
 // using the interpreted cursor walk.
 func NewUnpacker(m *mem.Memory, base mem.Addr, t *datatype.Type, count int) *Unpacker {
-	return &Unpacker{engine{mem: m, base: base, t: t, count: count, cur: datatype.NewCursor(t, count)}}
+	u := &Unpacker{}
+	u.BindInterpreted(m, base, t, count)
+	return u
 }
 
 // NewProgramUnpacker creates an unpacker over the message (base, prog) in m
@@ -191,16 +211,36 @@ func ProgramBlocks(base mem.Addr, prog *datatype.Program, limit int) ([]mem.Bloc
 		runs = int64(limit)
 		trunc = true
 	}
-	out := make([]mem.Block, runs)
+	return AppendProgramBlocks(make([]mem.Block, 0, runs), base, prog, int(runs)), trunc
+}
+
+// AppendProgramBlocks appends the first n runs of a canonical program, as
+// absolute-address blocks in traversal order, to dst.
+func AppendProgramBlocks(dst []mem.Block, base mem.Addr, prog *datatype.Program, n int) []mem.Block {
 	var c datatype.ProgCursor
 	c.Reset(prog)
-	for i := 0; i < len(out); {
+	for n > 0 {
 		b := c.NextBatch(math.MaxInt64) // never mid-run, so every step is a batch
-		for j := 0; j < b.K && i < len(out); j++ {
-			off, n := b.Run(j)
-			out[i] = mem.Block{Addr: addrAt(base, off), Len: n}
-			i++
+		for j := 0; j < b.K && n > 0; j++ {
+			off, k := b.Run(j)
+			dst = append(dst, mem.Block{Addr: addrAt(base, off), Len: k})
+			n--
 		}
 	}
-	return out, trunc
+	return dst
+}
+
+// GroupProgram streams every run of a canonical program whose runs ascend
+// (Program.Ascending) into g, a batch of the layout walk at a time: grouping
+// a message's blocks for registration without ever listing them.
+func GroupProgram(g *mem.Grouper, base mem.Addr, prog *datatype.Program) {
+	var c datatype.ProgCursor
+	c.Reset(prog)
+	for !c.Done() {
+		b := c.NextBatch(math.MaxInt64)
+		for j := 0; j < b.K; j++ {
+			off, k := b.Run(j)
+			g.Add(addrAt(base, off), k)
+		}
+	}
 }

@@ -196,7 +196,7 @@ func shardRuns(refs []runRef, total int64, workers int, minShard int64, out [][]
 // shards (the parallel segment engine). With Workers <= 1 or a nil Executor
 // it behaves exactly like the serial Packer.
 type ParallelPacker struct {
-	*Packer
+	Packer
 	opt Par
 
 	// Reusable per-step state: once warm, a Pack step allocates nothing.
@@ -226,14 +226,22 @@ func (p *ParallelPacker) task(i int) func() {
 // NewParallelPacker creates a parallel packer over the message
 // (base, count, t) in m using the interpreted cursor walk.
 func NewParallelPacker(m *mem.Memory, base mem.Addr, t *datatype.Type, count int, opt Par) *ParallelPacker {
-	return &ParallelPacker{Packer: NewPacker(m, base, t, count), opt: opt}
+	p := &ParallelPacker{opt: opt}
+	p.BindInterpreted(m, base, t, count)
+	return p
 }
 
 // NewParallelProgramPacker creates a parallel packer over the message
 // (base, prog) in m that replays the compiled layout program.
 func NewParallelProgramPacker(m *mem.Memory, base mem.Addr, prog *datatype.Program, opt Par) *ParallelPacker {
-	return &ParallelPacker{Packer: NewProgramPacker(m, base, prog), opt: opt}
+	p := &ParallelPacker{opt: opt}
+	p.Bind(m, base, prog)
+	return p
 }
+
+// SetPar sets the fan-out configuration of a packer that lives by value in
+// a longer-lived record and is re-armed per message with Bind.
+func (p *ParallelPacker) SetPar(opt Par) { p.opt = opt }
 
 // Pack fills dst with the next len(dst) bytes of the message (or fewer if
 // the message ends), splitting the copies across worker shards, and reports
@@ -266,7 +274,7 @@ func (p *ParallelPacker) Pack(dst []byte) ParStats {
 // worker shards. With Workers <= 1 or a nil Executor it behaves exactly like
 // the serial Unpacker.
 type ParallelUnpacker struct {
-	*Unpacker
+	Unpacker
 	opt Par
 
 	// Reusable per-step state, mirroring ParallelPacker.
@@ -294,14 +302,21 @@ func (u *ParallelUnpacker) task(i int) func() {
 // NewParallelUnpacker creates a parallel unpacker over the message
 // (base, count, t) in m using the interpreted cursor walk.
 func NewParallelUnpacker(m *mem.Memory, base mem.Addr, t *datatype.Type, count int, opt Par) *ParallelUnpacker {
-	return &ParallelUnpacker{Unpacker: NewUnpacker(m, base, t, count), opt: opt}
+	u := &ParallelUnpacker{opt: opt}
+	u.BindInterpreted(m, base, t, count)
+	return u
 }
 
 // NewParallelProgramUnpacker creates a parallel unpacker over the message
 // (base, prog) in m that replays the compiled layout program.
 func NewParallelProgramUnpacker(m *mem.Memory, base mem.Addr, prog *datatype.Program, opt Par) *ParallelUnpacker {
-	return &ParallelUnpacker{Unpacker: NewProgramUnpacker(m, base, prog), opt: opt}
+	u := &ParallelUnpacker{opt: opt}
+	u.Bind(m, base, prog)
+	return u
 }
+
+// SetPar is ParallelPacker.SetPar for unpackers.
+func (u *ParallelUnpacker) SetPar(opt Par) { u.opt = opt }
 
 // Unpack scatters src into the next len(src) bytes' worth of message
 // positions, splitting the copies across worker shards, and reports totals

@@ -7,11 +7,15 @@
 // it treats as signal:
 //
 //   - allocs/op on a zero-alloc row must be exactly zero. These rows pin
-//     the tentpole invariant — the warm rndv/scheme path does not allocate —
-//     and any nonzero value is a regression regardless of magnitude.
-//   - allocs/op on other rows fails only past a tolerance (AllocSlack
-//     fractional plus AllocSlackAbs absolute), since whole-world runs
-//     include setup noise such as map growth.
+//     the invariant one layer at a time — the warm pack, descriptor, fabric
+//     and tuner paths do not allocate — and any nonzero value is a
+//     regression regardless of magnitude.
+//   - allocs/op on a whole-world row must not exceed the row's committed
+//     max_allocs ceiling: two objects per message, the request handles of
+//     its two sides, which is all a warm message may allocate. The ceiling
+//     is exact, not a tolerance around the last reading: headroom wide
+//     enough to absorb a map rehash would also hide a path that went from
+//     two objects per message to ten.
 //   - ns/op on a virtual-time row (sim/shm backends) fails past NsSlack:
 //     virtual clocks are deterministic, so drift there is a real cost-model
 //     or scheduling change.
@@ -50,12 +54,9 @@ const (
 const (
 	// NsSlack is the fractional ns/op headroom on virtual rows.
 	NsSlack = 0.10
-	// AllocSlack is the fractional allocs/op headroom on non-zero-alloc
-	// rows.
-	AllocSlack = 0.10
-	// AllocSlackAbs is the absolute allocs/op headroom on non-zero-alloc
-	// rows, so tiny baselines are not failed by one map rehash.
-	AllocSlackAbs = 8.0
+	// MessageAllocs is the allocs/op ceiling of a whole-world row, per
+	// message it moves: the sender's and the receiver's request handle.
+	MessageAllocs = 2.0
 )
 
 // Row is one pinned measurement of the micro-suite.
@@ -74,6 +75,9 @@ type Row struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	// ZeroAlloc pins AllocsPerOp to exactly zero.
 	ZeroAlloc bool `json:"zero_alloc,omitempty"`
+	// MaxAllocs, when set, is the ceiling AllocsPerOp must not exceed; the
+	// ceiling enforced is the committed baseline's.
+	MaxAllocs float64 `json:"max_allocs,omitempty"`
 	// Ratio is a KindRatio row's measurement and Ceiling the value it must
 	// not exceed; the ceiling enforced is the committed baseline's.
 	Ratio   float64 `json:"ratio,omitempty"`
@@ -155,10 +159,10 @@ func Compare(base, cur Report) []Problem {
 				out = append(out, Problem{Row: b.Name, Fatal: true,
 					Msg: fmt.Sprintf("zero-alloc row allocates: %.2f allocs/op", c.AllocsPerOp)})
 			}
-		} else if limit := b.AllocsPerOp*(1+AllocSlack) + AllocSlackAbs; c.AllocsPerOp > limit {
+		} else if b.MaxAllocs > 0 && c.AllocsPerOp > b.MaxAllocs {
 			out = append(out, Problem{Row: b.Name, Fatal: true,
-				Msg: fmt.Sprintf("allocs/op %.1f exceeds baseline %.1f (+%d%% +%.0f)",
-					c.AllocsPerOp, b.AllocsPerOp, int(AllocSlack*100), AllocSlackAbs)})
+				Msg: fmt.Sprintf("allocs/op %.2f exceeds the pinned ceiling %.0f (baseline read %.2f)",
+					c.AllocsPerOp, b.MaxAllocs, b.AllocsPerOp)})
 		}
 		switch b.Kind {
 		case KindVirtual:

@@ -36,23 +36,24 @@ func TestCompareZeroAllocViolationIsFatal(t *testing.T) {
 	}
 }
 
-func TestCompareAllocTolerance(t *testing.T) {
-	base := Report{Rows: []Row{row("rndv/sim/X", KindVirtual, 1000, 100, false)}}
-	// Inside tolerance: 100*1.10 + 8 = 118.
-	cur := Report{Rows: []Row{row("rndv/sim/X", KindVirtual, 1000, 118, false)}}
+// A whole-world row is held to its committed ceiling exactly: a reading at
+// the ceiling passes, anything over it fails, whatever the baseline read and
+// whatever ceiling the current run claims for itself.
+func TestCompareAllocCeilingIsExact(t *testing.T) {
+	base := Report{Rows: []Row{{Name: "rndv/sim/X", Kind: KindVirtual, NsPerOp: 1000, AllocsPerOp: 1, MaxAllocs: 2}}}
+	cur := Report{Rows: []Row{{Name: "rndv/sim/X", Kind: KindVirtual, NsPerOp: 1000, AllocsPerOp: 2, MaxAllocs: 50}}}
 	if ps := Compare(base, cur); len(ps) != 0 {
-		t.Fatalf("in-tolerance alloc growth flagged: %v", ps)
+		t.Fatalf("a reading at the ceiling flagged: %v", ps)
 	}
-	cur.Rows[0].AllocsPerOp = 119
-	ps := Compare(base, cur)
-	if p := findProblem(t, ps, "rndv/sim/X"); !p.Fatal {
-		t.Fatalf("out-of-tolerance alloc growth not fatal: %+v", p)
+	cur.Rows[0].AllocsPerOp = 2.125 // one stray object in eight messages
+	p := findProblem(t, Compare(base, cur), "rndv/sim/X")
+	if !p.Fatal || !strings.Contains(p.Msg, "ceiling") {
+		t.Fatalf("a reading over the ceiling not fatal: %+v", p)
 	}
-	// The absolute headroom keeps tiny baselines from failing on one rehash.
-	base.Rows[0].AllocsPerOp = 1
+	// The old +10 % +8 headroom would have let this one through.
 	cur.Rows[0].AllocsPerOp = 9
-	if ps := Compare(base, cur); len(ps) != 0 {
-		t.Fatalf("small-baseline jitter flagged: %v", ps)
+	if !Fatal(Compare(base, cur)) {
+		t.Fatal("two objects per message grew to nine and the gate passed")
 	}
 }
 

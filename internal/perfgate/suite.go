@@ -32,7 +32,7 @@ import (
 const (
 	wallRuns    = 200
 	wallBatches = 3
-	rndvWarm    = 2
+	rndvWarm    = 2 // warm-up rounds, each shaped like the measured one
 	rndvIters   = 8
 )
 
@@ -262,7 +262,9 @@ func tunerRow() Row {
 // worldRow runs a pinned two-rank workload on a virtual-time backend and
 // measures per-message virtual latency and whole-process allocations between
 // barriers. The allocation column on these rows is whole-world (both ranks,
-// fabric, matching), so it is tolerance-compared, not pinned to zero.
+// fabric, matching, the closing barrier) and carries the exact ceiling a
+// warm message is held to: MessageAllocs, its two request handles. (The
+// blocking calls used here hand the sender's back, so the reading is 1.)
 func worldRow(name, backend string, scheme core.Scheme, dt *datatype.Type, count int) (Row, error) {
 	cfg := mpi.DefaultConfig()
 	cfg.Ranks = 2
@@ -284,21 +286,25 @@ func worldRow(name, backend string, scheme core.Scheme, dt *datatype.Type, count
 			_, err := p.Recv(buf, count, dt, 0, 0)
 			return err
 		}
+		// One round is rndvIters messages and the barrier that closes them.
+		// The warm-up rounds have the measured round's shape, so every pool
+		// the round draws on — op records, buffers of each size, request
+		// handles — has reached its steady depth before the counter is read.
+		round := func() error {
+			for i := 0; i < rndvIters; i++ {
+				if err := xfer(); err != nil {
+					return err
+				}
+			}
+			return p.Barrier()
+		}
 		for i := 0; i < rndvWarm; i++ {
-			if err := xfer(); err != nil {
+			if err := round(); err != nil {
 				return err
 			}
-		}
-		if err := p.Barrier(); err != nil {
-			return err
 		}
 		t0, m0 := w.ClockNs(), mallocCount()
-		for i := 0; i < rndvIters; i++ {
-			if err := xfer(); err != nil {
-				return err
-			}
-		}
-		if err := p.Barrier(); err != nil {
+		if err := round(); err != nil {
 			return err
 		}
 		if p.Rank() == 0 {
@@ -316,6 +322,7 @@ func worldRow(name, backend string, scheme core.Scheme, dt *datatype.Type, count
 		Backend:     backend,
 		NsPerOp:     nsOp,
 		AllocsPerOp: allocsOp,
+		MaxAllocs:   MessageAllocs,
 	}, nil
 }
 
@@ -357,11 +364,13 @@ func Suite() (Report, error) {
 	}
 	// Small-message control: the eager path end to end.
 	eager := datatype.Must(datatype.TypeContiguous(256, datatype.Int32))
-	row, err := worldRow("eager/sim/1k", mpi.BackendSim, core.SchemeAuto, eager, 1)
-	if err != nil {
-		return r, err
+	for _, backend := range []string{mpi.BackendSim, mpi.BackendSHM} {
+		row, err := worldRow("eager/"+backend+"/1k", backend, core.SchemeAuto, eager, 1)
+		if err != nil {
+			return r, err
+		}
+		r.Rows = append(r.Rows, row)
 	}
-	r.Rows = append(r.Rows, row)
 
 	r.sortRows()
 	return r, nil

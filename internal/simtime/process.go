@@ -13,6 +13,11 @@ type Process struct {
 	// blocked is true while the process is parked waiting for a wake event.
 	blocked bool
 	done    bool
+
+	// The two events that resume a parked process, bound once at Spawn: a
+	// wake or a sleep hands the engine a ready func() instead of building a
+	// method value per switch.
+	transferFn, sleepDoneFn func()
 }
 
 // Spawn creates a process named name executing fn. The process body starts at
@@ -20,6 +25,7 @@ type Process struct {
 // before Run, from event context, or from another process.
 func (e *Engine) Spawn(name string, fn func(p *Process)) *Process {
 	p := &Process{eng: e, name: name}
+	p.transferFn, p.sleepDoneFn = p.transfer, p.sleepDone
 	e.live = append(e.live, p)
 	e.Schedule(0, func() { p.start(fn) })
 	return p
@@ -57,7 +63,7 @@ func (p *Process) wake() {
 		panic(fmt.Sprintf("simtime: wake of running process %q", p.name))
 	}
 	p.blocked = false
-	p.eng.Schedule(0, p.transfer)
+	p.eng.Schedule(0, p.transferFn)
 }
 
 // Name returns the name given at Spawn.
@@ -75,11 +81,14 @@ func (p *Process) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.Schedule(d, func() {
-		p.blocked = false
-		p.transfer()
-	})
+	p.eng.Schedule(d, p.sleepDoneFn)
 	p.park()
+}
+
+// sleepDone is the event that ends a Sleep.
+func (p *Process) sleepDone() {
+	p.blocked = false
+	p.transfer()
 }
 
 // WaitUntil suspends the process until absolute virtual time t. If t is not
@@ -91,8 +100,14 @@ func (p *Process) WaitUntil(t Time) {
 // Signal is a broadcast wake-up point for processes, analogous to a condition
 // variable. The zero value is ready to use. Signals are not goroutine-safe in
 // the general sense; they rely on the engine's strict alternation.
+//
+// The first waiter is held inline and the overflow list keeps its capacity
+// across broadcasts, so the common shapes — one process waiting on one
+// request, the same few processes waiting on an endpoint signal again and
+// again — park and wake without allocating.
 type Signal struct {
-	waiters []*Process
+	first *Process
+	more  []*Process
 }
 
 // Wait parks the process until the signal is next broadcast. As with
@@ -102,7 +117,11 @@ type Signal struct {
 //		p.Wait(&sig)
 //	}
 func (p *Process) Wait(s *Signal) {
-	s.waiters = append(s.waiters, p)
+	if s.first == nil {
+		s.first = p
+	} else {
+		s.more = append(s.more, p)
+	}
 	p.park()
 }
 
@@ -110,15 +129,27 @@ func (p *Process) Wait(s *Signal) {
 // own event at the current virtual time, in Wait order. Safe to call from
 // event or process context; calling with no waiters is a no-op.
 func (s *Signal) Broadcast() {
-	ws := s.waiters
-	s.waiters = nil
-	for _, w := range ws {
-		w.wake()
+	if s.first == nil {
+		return
 	}
+	// wake only schedules the resume event, so nobody can wait on s again
+	// before the list has been emptied.
+	s.first.wake()
+	s.first = nil
+	for i, w := range s.more {
+		w.wake()
+		s.more[i] = nil
+	}
+	s.more = s.more[:0]
 }
 
 // Waiters reports how many processes are parked on s.
-func (s *Signal) Waiters() int { return len(s.waiters) }
+func (s *Signal) Waiters() int {
+	if s.first == nil {
+		return 0
+	}
+	return 1 + len(s.more)
+}
 
 // Resource models a serially-reusable facility (a CPU, a NIC port) by
 // tracking the time at which it next becomes free. Acquire reserves the

@@ -95,7 +95,12 @@ func newRig(t *testing.T, be backend, tweak func(*verbs.Model)) *rig {
 		i := i
 		r.cq[i] = owner[i].NewCQ()
 		r.cq[i].SetHandler(func(e verbs.CQE) {
-			r.got[i] = append(r.got[i], e)
+			// Data is the fabric's storage and only valid until this handler
+			// returns (TestRecvDataLifetime): the rig keeps a copy. The hook
+			// sees the entry as delivered.
+			kept := e
+			kept.Data = bytes.Clone(e.Data)
+			r.got[i] = append(r.got[i], kept)
 			r.at[i] = append(r.at[i], owner[i].Engine().Now())
 			if r.hook[i] != nil {
 				r.hook[i](e)
@@ -486,6 +491,46 @@ func TestPayloadCapturePoints(t *testing.T) {
 		}
 		if r.virtual && r.b.Mem().Bytes(dst, 1)[0] != 0xEE {
 			t.Fatal("the gather list was snapshotted at post, not read at delivery")
+		}
+	})
+}
+
+// CQE.Data names storage of the fabric's, valid until the handler returns:
+// inside the handler it is the payload, and a handler that keeps the slice
+// finds it overwritten once the fabric has reused the record it rode in. The
+// two ping-pongs make the reuse certain on every backend: b's reply to the
+// second ping is snapshotted into the record the first ping arrived in.
+func TestRecvDataLifetime(t *testing.T) {
+	eachBackend(t, nil, func(t *testing.T, r *rig) {
+		pings := [2]string{"first ping...", "second ping.."}
+		var kept []byte // the first ping's Data, kept past the handler's return
+		var inHandler []string
+		r.hook[bRecv] = func(e verbs.CQE) {
+			inHandler = append(inHandler, string(e.Data))
+			if kept == nil {
+				kept = e.Data
+			}
+			e.QP.PostRecv(verbs.RecvWR{})
+			if err := e.QP.PostSend(verbs.SendWR{Op: verbs.OpSend, Inline: []byte("pong pong pong")}); err != nil {
+				t.Error(err)
+			}
+		}
+		r.qa.PostRecv(verbs.RecvWR{})
+		r.qa.PostRecv(verbs.RecvWR{})
+		r.qb.PostRecv(verbs.RecvWR{})
+		r.drive(func(p *simtime.Process) {
+			for i, ping := range pings {
+				if err := r.qa.PostSend(verbs.SendWR{Op: verbs.OpSend, Inline: []byte(ping)}); err != nil {
+					t.Fatal(err)
+				}
+				r.await(p, aRecv, i+1)
+			}
+		})
+		if len(inHandler) != 2 || inHandler[0] != pings[0] || inHandler[1] != pings[1] {
+			t.Fatalf("payloads seen inside the handler: %q, want %q", inHandler, pings)
+		}
+		if string(kept) == pings[0] {
+			t.Fatalf("Data kept past the handler's return still reads %q: the record's storage was not reused", kept)
 		}
 	})
 }

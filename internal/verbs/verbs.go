@@ -71,7 +71,8 @@ type SGE struct {
 //
 // Channel semantics (OpSend) carry an Inline payload: the bytes are captured
 // at post time, modeling MVAPICH's pre-registered internal send buffers, and
-// are handed to the receiver in the completion entry. Memory semantics
+// are handed to the receiver in the completion entry (see CQE.Data for how
+// long they stay there). Memory semantics
 // (RDMA write/read) use SGL/RemoteAddr/RKey and require registration on both
 // ends, exactly as on hardware — and, exactly as on hardware, the memory the
 // SGL names is read (write) or written (read) when the transfer is
@@ -122,6 +123,13 @@ type CQE struct {
 	// Data carries the payload of a channel-semantics (OpSend) message on
 	// the receive side, modeling the pre-registered internal receive buffer
 	// it would land in on hardware. Nil for RDMA completions.
+	//
+	// Like that buffer, the bytes are the fabric's, not the handler's: Data
+	// is valid only until the completion handler returns, after which the
+	// fabric reuses the storage for a later arrival. A handler that needs
+	// the payload longer copies it, which is the staging copy MPI libraries
+	// make for unexpected messages anyway. (An entry taken with Poll or
+	// WaitPoll carries a copy of its own.)
 	Data []byte
 }
 
