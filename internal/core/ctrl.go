@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"repro/internal/datatype"
 	"repro/internal/mem"
 )
 
@@ -27,9 +28,19 @@ func (w *ctrlWriter) u8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *ctrlWriter) u32(v uint32) { w.buf = binary.AppendUvarint(w.buf, uint64(v)) }
 func (w *ctrlWriter) u64(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
 func (w *ctrlWriter) i64(v int64)  { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *ctrlWriter) bytes(b []byte) {
-	w.buf = binary.AppendUvarint(w.buf, uint64(len(b)))
-	w.buf = append(w.buf, b...)
+
+// layout writes t's wire form as a length-prefixed byte string (what
+// ctrlReader.bytes reads), encoding in place: the payload goes in behind a
+// one-byte length and moves up if the length turns out to need more.
+func (w *ctrlWriter) layout(t *datatype.Type) {
+	at := len(w.buf) + 1
+	w.buf = datatype.AppendEncode(append(w.buf, 0), t)
+	n := len(w.buf) - at
+	var pre [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(pre[:], uint64(n))
+	w.buf = append(w.buf, pre[1:k]...)
+	copy(w.buf[at+k-1:], w.buf[at:at+n])
+	copy(w.buf[at-1:], pre[:k])
 }
 
 // ctrlReader parses control messages.

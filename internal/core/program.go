@@ -22,10 +22,11 @@ const regFlattenLimit = 1 << 20
 // samples are now extrapolated explicitly instead of passing as exact.
 const summaryFlattenLimit = 4096
 
-// programFor returns the cached compiled layout program for (t, count),
-// compiling and caching on first use. It returns nil when the compiled path
-// is disabled by Config.InterpretedPack.
-func (ep *Endpoint) programFor(t *datatype.Type, count int) *datatype.Program {
+// Program returns the cached compiled layout program for (t, count),
+// compiling and caching on first use — the one lookup every layout walk of
+// this rank's own types goes through, MPI_Pack's included. It returns nil when
+// the compiled path is disabled by Config.InterpretedPack.
+func (ep *Endpoint) Program(t *datatype.Type, count int) *datatype.Program {
 	if ep.cfg.InterpretedPack {
 		return nil
 	}
@@ -49,11 +50,21 @@ func (ep *Endpoint) walkerFor(t *datatype.Type, count int) datatype.RunWalker {
 // of (t, count) and returns it as the walk; when compilation is disabled it
 // returns an interpreted cursor and leaves c alone.
 func (ep *Endpoint) bindWalker(c *datatype.ProgCursor, t *datatype.Type, count int) datatype.RunWalker {
-	if p := ep.programFor(t, count); p != nil {
+	if p := ep.Program(t, count); p != nil {
 		c.Reset(p)
 		return c
 	}
 	return datatype.NewCursor(t, count)
+}
+
+// bindPeerWalker is bindWalker over a peer's layout, whose programs its
+// layout-cache entry holds.
+func (ep *Endpoint) bindPeerWalker(c *datatype.ProgCursor, l *cachedLayout, count int) datatype.RunWalker {
+	if ep.cfg.InterpretedPack {
+		return datatype.NewCursor(l.t, count)
+	}
+	c.Reset(l.program(count))
+	return c
 }
 
 // packBinder is what the serial and parallel packers and unpackers share: an
@@ -67,7 +78,7 @@ type packBinder interface {
 // memory, on the compiled program when possible. (A parallel engine got its
 // fan-out from the endpoint's settings when its op record was made.)
 func (ep *Endpoint) bind(e packBinder, base mem.Addr, t *datatype.Type, count int) {
-	if p := ep.programFor(t, count); p != nil {
+	if p := ep.Program(t, count); p != nil {
 		e.Bind(ep.memory, base, p)
 		return
 	}
@@ -86,7 +97,7 @@ func (ep *Endpoint) bind(e packBinder, base mem.Addr, t *datatype.Type, count in
 func (ep *Endpoint) groupMessage(buf mem.Addr, t *datatype.Type, count int, out []mem.Block) (regions []mem.Block, blocks int) {
 	g := &ep.grouper
 	g.Reset(mem.RegCost{Base: int64(ep.model.RegBase), PerPage: int64(ep.model.RegPerPage)}, out)
-	p := ep.programFor(t, count)
+	p := ep.Program(t, count)
 	var list []mem.Block
 	var tooMany bool
 	switch {
@@ -122,7 +133,7 @@ func (ep *Endpoint) groupMessage(buf mem.Addr, t *datatype.Type, count int, out 
 // walk, explicitly extrapolated when truncated rather than silently passed
 // off as the full layout.
 func (ep *Endpoint) layoutSummary(t *datatype.Type, count int) (runs int64, avg int64) {
-	if p := ep.programFor(t, count); p != nil && p.Kind() != datatype.ProgGeneric {
+	if p := ep.Program(t, count); p != nil && p.Kind() != datatype.ProgGeneric {
 		runs = p.Runs()
 		if runs > 0 {
 			avg = int64(float64(p.Bytes()) / float64(runs))

@@ -7,21 +7,21 @@ import (
 )
 
 // TestProgramCacheReuse checks the compiled-program memoization: the second
-// programFor call for the same (type, count) must return the identical
+// Program call for the same (type, count) must return the identical
 // cached object, and a different count must compile separately.
 func TestProgramCacheReuse(t *testing.T) {
 	w := newTestWorld(t, 1, DefaultConfig(), 48<<20)
 	ep := w.eps[0]
 	v := datatype.Must(datatype.TypeVector(16, 2, 8, datatype.Int32))
 
-	p1 := ep.programFor(v, 4)
+	p1 := ep.Program(v, 4)
 	if p1 == nil {
-		t.Fatal("programFor returned nil with the compiled path enabled")
+		t.Fatal("Program returned nil with the compiled path enabled")
 	}
-	if p2 := ep.programFor(v, 4); p2 != p1 {
-		t.Fatal("second programFor call did not hit the cache")
+	if p2 := ep.Program(v, 4); p2 != p1 {
+		t.Fatal("second Program call did not hit the cache")
 	}
-	if p3 := ep.programFor(v, 5); p3 == p1 {
+	if p3 := ep.Program(v, 5); p3 == p1 {
 		t.Fatal("different count returned the same program")
 	}
 }
@@ -35,7 +35,7 @@ func TestProgramCacheVersionInvalidation(t *testing.T) {
 
 	a := datatype.Must(datatype.TypeVector(16, 2, 8, datatype.Int32))
 	idxA := ep.CommitType(a)
-	pa := ep.programFor(a, 2)
+	pa := ep.Program(a, 2)
 	ep.FreeType(a)
 
 	b := datatype.Must(datatype.TypeVector(8, 4, 16, datatype.Int32))
@@ -43,7 +43,7 @@ func TestProgramCacheVersionInvalidation(t *testing.T) {
 	if idxB != idxA {
 		t.Fatalf("expected index reuse, got %d then %d", idxA, idxB)
 	}
-	pb := ep.programFor(b, 2)
+	pb := ep.Program(b, 2)
 	if pb == pa {
 		t.Fatal("freed index resurrected the stale program")
 	}
@@ -61,7 +61,7 @@ func TestProgramCacheFreeDropsPrograms(t *testing.T) {
 	ep := w.eps[0]
 	for i := 0; i < 10000; i++ {
 		v := datatype.Must(datatype.TypeVector(4+i%7, 1, 3, datatype.Int32))
-		if p := ep.programFor(v, 1); p.Type() != v {
+		if p := ep.Program(v, 1); p.Type() != v {
 			t.Fatalf("cycle %d: program compiled for the wrong type: %s", i, p)
 		}
 		if ep.progs.n != 1 {
@@ -79,8 +79,8 @@ func TestProgramCacheFreeDropsPrograms(t *testing.T) {
 
 	// Several counts of one type are all dropped with it.
 	v := datatype.Must(datatype.TypeVector(4, 1, 3, datatype.Int32))
-	p1, p2, p3 := ep.programFor(v, 1), ep.programFor(v, 2), ep.programFor(v, 3)
-	if ep.progs.n != 3 || ep.programFor(v, 1) != p1 || ep.programFor(v, 2) != p2 || ep.programFor(v, 3) != p3 {
+	p1, p2, p3 := ep.Program(v, 1), ep.Program(v, 2), ep.Program(v, 3)
+	if ep.progs.n != 3 || ep.Program(v, 1) != p1 || ep.Program(v, 2) != p2 || ep.Program(v, 3) != p3 {
 		t.Fatalf("three counts of one type: %d programs cached, or a miss", ep.progs.n)
 	}
 	ep.FreeType(v)
@@ -90,14 +90,14 @@ func TestProgramCacheFreeDropsPrograms(t *testing.T) {
 }
 
 // TestProgramForInterpreted checks the escape hatch: with InterpretedPack
-// set, programFor yields nil and walkerFor falls back to the cursor.
+// set, Program yields nil and walkerFor falls back to the cursor.
 func TestProgramForInterpreted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InterpretedPack = true
 	w := newTestWorld(t, 1, cfg, 48<<20)
 	ep := w.eps[0]
 	v := datatype.Must(datatype.TypeVector(16, 2, 8, datatype.Int32))
-	if p := ep.programFor(v, 1); p != nil {
+	if p := ep.Program(v, 1); p != nil {
 		t.Fatalf("InterpretedPack still compiled: %s", p)
 	}
 	if _, ok := ep.walkerFor(v, 1).(*datatype.Cursor); !ok {
@@ -122,7 +122,7 @@ func TestLayoutSummaryPaths(t *testing.T) {
 	// extrapolated estimate must land exactly on the true count.
 	idx := datatype.Must(datatype.TypeIndexed([]int{1, 1, 1}, []int{0, 3, 7}, datatype.Int32))
 	big := datatype.Must(datatype.TypeVector(128, 1, 2, idx))
-	prog := ep.programFor(big, 200)
+	prog := ep.Program(big, 200)
 	if prog.Kind() != datatype.ProgGeneric {
 		t.Fatalf("expected generic program, got %s", prog)
 	}

@@ -75,11 +75,11 @@ type sendMsg struct {
 	next    sendStep
 	segSize int64
 	nSegs   int
-	k       int            // next segment to pack
-	class   int            // pack-pool size class of the segments
-	rBase   mem.Addr       // Multi-W: the receiver's buffer,
-	rType   *datatype.Type // layout
-	rCount  int            // and count
+	k       int           // next segment to pack
+	class   int           // pack-pool size class of the segments
+	rBase   mem.Addr      // Multi-W: the receiver's buffer,
+	rLayout *cachedLayout // layout (its cache entry, which holds the programs)
+	rCount  int           // and count
 
 	// One doorbell batch of the batched BC-SPUP pipeline, between its pack
 	// and its lane grant.
@@ -736,12 +736,6 @@ func (op *recvOp) regDone(err error) {
 		// Ship the layout (or its cached identity) plus the region keys.
 		idx := ep.types.commit(op.req.dt)
 		version := ep.types.version(idx)
-		var layout []byte
-		if ep.layouts.needSend(op.key.src, idx, version) {
-			layout = datatype.Encode(op.req.dt)
-			atomic.AddInt64(&ep.ctr.TypeLayoutsSent, 1)
-		}
-
 		w := ep.ctrlW()
 		w.u8(kindCTS)
 		w.u32(op.key.op)
@@ -751,9 +745,10 @@ func (op *recvOp) regDone(err error) {
 		w.u64(uint64(op.req.count))
 		w.u32(uint32(idx))
 		w.u32(version)
-		if layout != nil {
+		if ep.layouts.needSend(op.key.src, idx, version) {
 			w.u8(1)
-			w.bytes(layout)
+			w.layout(op.req.dt)
+			atomic.AddInt64(&ep.ctr.TypeLayoutsSent, 1)
 		} else {
 			w.u8(0)
 		}
@@ -859,7 +854,7 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 		idx := int(r.u32())
 		version := r.u32()
 		hasLayout := r.u8() != 0
-		var rType *datatype.Type
+		var layout *cachedLayout
 		if hasLayout {
 			enc := r.bytes()
 			if r.err != nil {
@@ -872,8 +867,7 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 			if _, had := ep.layouts.got[layoutKey{src, idx}]; had {
 				atomic.AddInt64(&ep.ctr.TypeCacheReplaced, 1)
 			}
-			ep.layouts.store(src, idx, version, t)
-			rType = t
+			layout = ep.layouts.store(src, idx, version, t)
 		}
 		if dead {
 			ep.ctsRegScratch = r.regRefsInto(ep.ctsRegScratch[:0])
@@ -886,16 +880,14 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 		if dead {
 			return
 		}
-		if rType == nil {
-			t, ok := ep.layouts.lookup(src, idx, version)
-			if !ok {
+		if layout == nil {
+			if layout = ep.layouts.lookup(src, idx, version); layout == nil {
 				panic(fmt.Sprintf("core rank %d: missing cached layout (%d,%d,v%d)",
 					ep.rank, src, idx, version))
 			}
 			atomic.AddInt64(&ep.ctr.TypeCacheHits, 1)
-			rType = t
 		}
-		op.rBase, op.rType, op.rCount = rBase, rType, rCount
+		op.rBase, op.rLayout, op.rCount = rBase, layout, rCount
 	case SchemePRRS:
 		segSize := r.i64()
 		if r.err != nil {

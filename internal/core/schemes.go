@@ -652,7 +652,7 @@ func (op *sendOp) batchGranted() {
 // run (gathering across local runs), immediate data on the final descriptor.
 func (ep *Endpoint) sendMultiWData(op *sendOp) {
 	sc := ep.bindWalker(&op.cur, op.dt, op.count)
-	rc := ep.bindWalker(&op.rcur, op.rType, op.rCount)
+	rc := ep.bindPeerWalker(&op.rcur, op.rLayout, op.rCount)
 	rRefs := op.ctsRegs
 	remaining := op.eff
 	// Successive chunkWRs calls append into the same arena, so the flat

@@ -55,13 +55,24 @@ func (tr *typeRegistry) free(t *datatype.Type) (idx int, ok bool) {
 	return idx, true
 }
 
+// TypeStats sizes the endpoint's datatype tables: type indices ever assigned,
+// types holding one now, and compiled programs cached for them. Only this
+// rank's own types enter them (a peer's layout and its programs live in the
+// layout cache), so all three are bounded by the types committed and not freed.
+type TypeStats struct{ Slots, Committed, Programs int }
+
+// TypeStats returns the current sizes of the type registry and program cache.
+func (ep *Endpoint) TypeStats() TypeStats {
+	return TypeStats{len(ep.types.types), len(ep.types.idxOf), ep.progs.n}
+}
+
 // progCacheCap bounds the per-endpoint program cache; on overflow the whole
 // epoch is dropped (programs recompile on demand, off the per-pack hot
 // path).
 const progCacheCap = 1024
 
-// cachedProg is one compiled layout program of a type index. Counts are
-// cached exactly — the count-classes of interest (1 and the application's
+// cachedProg is one compiled layout program of a type. Counts are cached
+// exactly — the count-classes of interest (1 and the application's
 // steady-state counts) are few, and an exact key keeps programs byte-exact
 // replays.
 type cachedProg struct {
@@ -69,12 +80,35 @@ type cachedProg struct {
 	p     *datatype.Program
 }
 
-// progSlot holds the programs of one type index. Most types are only ever
-// used at one count, so the first program sits inline and costs the slot no
+// progSlot holds the compiled programs of one layout: a local type index's,
+// or a peer layout's in its cache entry. Most types are only ever used at
+// one count, so the first program sits inline and costs the slot no
 // allocation; further counts go to the list.
 type progSlot struct {
 	one  cachedProg
 	more []cachedProg
+}
+
+// get returns the slot's program for count, or nil.
+func (sl *progSlot) get(count int) *datatype.Program {
+	if sl.one.count == count {
+		return sl.one.p // nil when the slot is empty
+	}
+	for _, e := range sl.more {
+		if e.count == count {
+			return e.p
+		}
+	}
+	return nil
+}
+
+// put adds a program the slot does not hold yet.
+func (sl *progSlot) put(count int, p *datatype.Program) {
+	if sl.one.p == nil {
+		sl.one = cachedProg{count, p}
+	} else {
+		sl.more = append(sl.more, cachedProg{count, p})
+	}
 }
 
 // programCache memoizes datatype.Compile per endpoint so recompilation
@@ -92,16 +126,7 @@ func (pc *programCache) get(idx, count int) *datatype.Program {
 	if idx >= len(pc.byIdx) {
 		return nil
 	}
-	sl := &pc.byIdx[idx]
-	if sl.one.count == count {
-		return sl.one.p // nil when the slot is empty
-	}
-	for _, e := range sl.more {
-		if e.count == count {
-			return e.p
-		}
-	}
-	return nil
+	return pc.byIdx[idx].get(count)
 }
 
 // put caches a program, clearing the epoch first when at capacity.
@@ -114,11 +139,7 @@ func (pc *programCache) put(idx, count int, p *datatype.Program) {
 	for len(pc.byIdx) <= idx {
 		pc.byIdx = append(pc.byIdx, progSlot{})
 	}
-	if sl := &pc.byIdx[idx]; sl.one.p == nil {
-		sl.one = cachedProg{count, p}
-	} else {
-		sl.more = append(sl.more, cachedProg{count, p})
-	}
+	pc.byIdx[idx].put(count, p)
 	pc.n++
 }
 
@@ -142,11 +163,33 @@ type layoutKey struct {
 	idx  int
 }
 
+// peerProgCap bounds the programs one peer-layout entry holds beyond its
+// first: a peer that sends one type at ever-new counts restarts the entry's
+// epoch instead of growing it.
+const peerProgCap = 16
+
 // cachedLayout is a sender-side cache entry: a peer's datatype layout as
-// received in a rendezvous reply.
+// received in a rendezvous reply, and the programs compiled from it. The
+// entry owns both — a peer's layout never takes a local type index — so
+// replacing a stale entry drops its programs with it; an op that bound the
+// old entry keeps it alive until it is done.
 type cachedLayout struct {
 	version uint32
 	t       *datatype.Type
+	progs   progSlot
+}
+
+// program returns the entry's compiled program for count instances.
+func (l *cachedLayout) program(count int) *datatype.Program {
+	p := l.progs.get(count)
+	if p == nil {
+		if len(l.progs.more) >= peerProgCap {
+			l.progs = progSlot{}
+		}
+		p = datatype.Compile(l.t, count)
+		l.progs.put(count, p)
+	}
+	return p
 }
 
 // layoutCache holds both directions of the Multi-W datatype exchange:
@@ -180,15 +223,16 @@ func (lc *layoutCache) needSend(peer, idx int, version uint32) bool {
 }
 
 // lookup returns the cached layout for (peer, idx) if its version matches.
-func (lc *layoutCache) lookup(peer, idx int, version uint32) (*datatype.Type, bool) {
-	e, ok := lc.got[layoutKey{peer, idx}]
-	if !ok || e.version != version {
-		return nil, false
+func (lc *layoutCache) lookup(peer, idx int, version uint32) *cachedLayout {
+	if e := lc.got[layoutKey{peer, idx}]; e != nil && e.version == version {
+		return e
 	}
-	return e.t, true
+	return nil
 }
 
 // store records (replacing any stale version) a layout received from peer.
-func (lc *layoutCache) store(peer, idx int, version uint32, t *datatype.Type) {
-	lc.got[layoutKey{peer, idx}] = &cachedLayout{version: version, t: t}
+func (lc *layoutCache) store(peer, idx int, version uint32, t *datatype.Type) *cachedLayout {
+	l := &cachedLayout{version: version, t: t}
+	lc.got[layoutKey{peer, idx}] = l
+	return l
 }

@@ -3,6 +3,8 @@ package datatype
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // The wire codec ships a datatype's layout between ranks, as the Multi-W
@@ -21,13 +23,19 @@ const (
 	maxWireDepth = 64
 	// maxWireParts bounds indexed fan-out against corrupt input.
 	maxWireParts = 1 << 22
+	// minWirePart is the least an indexed part occupies on the wire: its
+	// displacement, a tag and one more varint.
+	minWirePart = 3
 )
 
 // Encode serializes the type's layout. Decode reconstructs an equivalent
 // Type (same size, extent, bounds and traversal; kind becomes KindHindexed
 // as the constructor identity does not survive the wire).
-func Encode(t *Type) []byte {
-	buf := make([]byte, 0, 64)
+func Encode(t *Type) []byte { return AppendEncode(make([]byte, 0, 64), t) }
+
+// AppendEncode appends Encode's bytes for t to buf and returns the extended
+// slice, so a caller assembling a larger frame encodes in place.
+func AppendEncode(buf []byte, t *Type) []byte {
 	buf = binary.AppendVarint(buf, t.size)
 	buf = binary.AppendVarint(buf, t.lb)
 	buf = binary.AppendVarint(buf, t.ub)
@@ -48,10 +56,16 @@ func appendLoop(buf []byte, lp *loop) []byte {
 		buf = appendLoop(buf, lp.child)
 	case loopIndexed:
 		buf = append(buf, wireIndexed)
-		buf = binary.AppendUvarint(buf, uint64(len(lp.parts)))
-		for _, p := range lp.parts {
-			buf = binary.AppendVarint(buf, p.off)
-			buf = appendLoop(buf, p.child)
+		buf = binary.AppendUvarint(buf, uint64(len(lp.offs)))
+		buf = slices.Grow(buf, minWirePart*len(lp.offs))
+		for i, off := range lp.offs {
+			buf = binary.AppendVarint(buf, off)
+			if k := lp.kid(i); k != nil {
+				buf = appendLoop(buf, k)
+			} else {
+				buf = append(buf, wireContig)
+				buf = binary.AppendVarint(buf, lp.lenAt(i))
+			}
 		}
 	}
 	return buf
@@ -63,18 +77,31 @@ type decoder struct {
 }
 
 func (d *decoder) varint() (int64, error) {
-	v, n := binary.Varint(d.buf[d.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("datatype: truncated varint at %d", d.pos)
-	}
-	d.pos += n
-	return v, nil
+	ux, err := d.uvarint()
+	return int64(ux>>1) ^ -int64(ux&1), err // zigzag, as encoding/binary
 }
 
+// uvarint reads one varint. Nearly every varint of a layout — a displacement
+// or a length below 2 MiB — is one to three bytes long; those decode inline,
+// the rest (and the last two bytes of a frame) go through encoding/binary.
 func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf[d.pos:])
+	b := d.buf[d.pos:]
+	if len(b) >= 3 {
+		switch {
+		case b[0] < 0x80:
+			d.pos++
+			return uint64(b[0]), nil
+		case b[1] < 0x80:
+			d.pos += 2
+			return uint64(b[0]&0x7f) | uint64(b[1])<<7, nil
+		case b[2] < 0x80:
+			d.pos += 3
+			return uint64(b[0]&0x7f) | uint64(b[1]&0x7f)<<7 | uint64(b[2])<<14, nil
+		}
+	}
+	v, n := binary.Uvarint(b)
 	if n <= 0 {
-		return 0, fmt.Errorf("datatype: truncated uvarint at %d", d.pos)
+		return 0, fmt.Errorf("datatype: truncated varint at %d", d.pos)
 	}
 	d.pos += n
 	return v, nil
@@ -91,7 +118,7 @@ func (d *decoder) byte() (byte, error) {
 
 // Decode reconstructs a Type from Encode's output.
 func Decode(data []byte) (*Type, error) {
-	d := &decoder{buf: data}
+	d := decoder{buf: data}
 	size, err := d.varint()
 	if err != nil {
 		return nil, err
@@ -163,6 +190,9 @@ func (d *decoder) loop(depth int) (*loop, error) {
 		if err != nil {
 			return nil, err
 		}
+		if most := math.MaxInt64 / int64(count); child.dataBytes > most || child.blocks > most {
+			return nil, fmt.Errorf("datatype: vector of %d overflows the layout totals", count)
+		}
 		return &loop{
 			kind: loopVector, count: int(count), stride: stride, child: child,
 			dataBytes: int64(count) * child.dataBytes,
@@ -173,24 +203,37 @@ func (d *decoder) loop(depth int) (*loop, error) {
 		if err != nil {
 			return nil, err
 		}
-		if n == 0 || n > maxWireParts {
+		// The frame itself bounds the table: a count the remaining bytes
+		// cannot hold is refused before anything is sized from it.
+		if n == 0 || n > maxWireParts || n > uint64(len(d.buf)-d.pos)/minWirePart {
 			return nil, fmt.Errorf("datatype: bad indexed part count %d", n)
 		}
-		lp := &loop{kind: loopIndexed, parts: make([]loopBlock, 0, n)}
+		b := newIndexedBuilder(int(n))
 		for i := uint64(0); i < n; i++ {
 			off, err := d.varint()
 			if err != nil {
 				return nil, err
 			}
-			child, err := d.loop(depth + 1)
-			if err != nil {
-				return nil, err
+			if depth < maxWireDepth && d.pos < len(d.buf) && d.buf[d.pos] == wireContig {
+				// A leaf goes straight into the table.
+				d.pos++
+				bytes, err := d.varint()
+				if err != nil || bytes < 0 {
+					return nil, fmt.Errorf("datatype: bad leaf length %d at part %d (%v)", bytes, i, err)
+				}
+				b.leaf(off, bytes)
+			} else {
+				child, err := d.loop(depth + 1)
+				if err != nil {
+					return nil, err
+				}
+				b.part(off, child)
 			}
-			lp.parts = append(lp.parts, loopBlock{off: off, child: child})
-			lp.dataBytes += child.dataBytes
-			lp.blocks += child.blocks
+			if b.dataBytes < 0 || b.kidBlocks < 0 {
+				return nil, fmt.Errorf("datatype: indexed part %d overflows the layout totals", i)
+			}
 		}
-		return lp, nil
+		return b.finish(), nil
 	default:
 		return nil, fmt.Errorf("datatype: unknown loop tag %d", tag)
 	}

@@ -70,13 +70,18 @@ func (c *Cursor) nextRaw() (off, n int64, ok bool) {
 			f.idx++
 			c.stack = append(c.stack, cframe{lp: f.lp.child, base: childBase})
 		case loopIndexed:
-			if f.idx >= len(f.lp.parts) {
+			if f.idx >= len(f.lp.offs) {
 				c.stack = c.stack[:len(c.stack)-1]
 				continue
 			}
-			p := f.lp.parts[f.idx]
+			i := f.idx
 			f.idx++
-			c.stack = append(c.stack, cframe{lp: p.child, base: f.base + p.off})
+			off = f.base + f.lp.offs[i]
+			if k := f.lp.kid(i); k != nil {
+				c.stack = append(c.stack, cframe{lp: k, base: off})
+				continue
+			}
+			return off, f.lp.lenAt(i), true // a leaf is never empty
 		}
 	}
 	return 0, 0, false

@@ -77,17 +77,13 @@ type Program struct {
 	bytes int64 // total data bytes of the message
 	runs  int64 // maximal contiguous runs; -1 when unknown (ProgGeneric)
 
-	off0   int64 // first-run offset (ProgContig / ProgStrided)
-	runLen int64 // uniform run length (ProgContig / ProgStrided / uniform ProgIndexed)
-
+	off0 int64     // first-run offset (ProgContig / ProgStrided)
 	dims []progDim // ProgStrided stride levels, outermost first
 
-	offs []int64 // ProgIndexed run offsets in traversal order
-	lens []int64 // ProgIndexed run lengths; nil when uniform (runLen applies)
-
-	ascending bool // runs are emitted in non-decreasing offset order
-
-	lo, hi int64 // every run lies in [lo, hi): min run offset, max run end
+	// The ProgIndexed run table in traversal order — the type's own when
+	// that already is the message's maximal-run sequence. Every kind uses
+	// its runLen (the uniform run length), ascending and lo/hi.
+	runTable
 }
 
 // Compile canonicalizes count instances of t into a layout program. It never
@@ -95,7 +91,8 @@ type Program struct {
 // program whose cursor replays the interpreted walk. Compile is pure and
 // deterministic; callers cache programs keyed by (type, count).
 func Compile(t *Type, count int) *Program {
-	p := &Program{t: t, count: count, ascending: true}
+	p := &Program{t: t, count: count}
+	p.ascending = true
 	lp := messageLoop(t, count)
 	p.bytes = lp.dataBytes
 	if p.bytes == 0 {
@@ -127,42 +124,54 @@ func Compile(t *Type, count int) *Program {
 			return p
 		}
 	}
-	// Materialize the exact maximal-run sequence. Flatten IS the cursor
-	// walk, so equality with the interpreted path holds by construction.
-	blocks, trunc := Flatten(t, count, maxProgRuns)
-	if trunc {
+	if lp.kind == loopIndexed && lp.kids == nil {
+		// An indexed type of leaves, sent once: its table already is the
+		// maximal-run sequence, so the program shares it.
+		p.runTable = lp.runTable
+	} else {
+		n := lp.blocks
+		if n < 0 || n > maxProgRuns {
+			n = maxProgRuns + 1
+		}
+		b := newRunBuilder(int(n))
+		b.emit(lp, 0)
+		b.flush()
+		p.runTable = b.runTable
+	}
+	if len(p.offs) > maxProgRuns {
 		p.kind = ProgGeneric
 		p.runs = -1
-		p.ascending = false
+		p.runTable = runTable{}
 		return p
 	}
 	p.kind = ProgIndexed
-	p.runs = int64(len(blocks))
-	p.offs = make([]int64, len(blocks))
-	p.lo, p.hi = blocks[0].Off, blocks[0].Off+blocks[0].Len
-	uniform := true
-	for i, b := range blocks {
-		p.offs[i] = b.Off
-		p.lo, p.hi = min(p.lo, b.Off), max(p.hi, b.Off+b.Len)
-		if i == 0 {
-			p.runLen = b.Len
-		} else {
-			if b.Len != p.runLen {
-				uniform = false
-			}
-			if b.Off < p.offs[i-1] {
-				p.ascending = false
-			}
-		}
-	}
-	if !uniform {
-		p.lens = make([]int64, len(blocks))
-		for i, b := range blocks {
-			p.lens[i] = b.Len
-		}
-		p.runLen = 0
-	}
+	p.runs = int64(len(p.offs))
 	return p
+}
+
+// emit feeds b the raw runs of lp displaced by base in traversal order — the
+// sequence the Cursor pulls and coalesces by the same rule — and reports false
+// once the table has outgrown maxProgRuns, which stops the walk.
+func (b *runBuilder) emit(lp *loop, base int64) bool {
+	switch lp.kind {
+	case loopContig:
+		b.add(base, lp.bytes)
+	case loopVector:
+		for i := 0; i < lp.count; i++ {
+			if !b.emit(lp.child, base+int64(i)*lp.stride) {
+				return false
+			}
+		}
+	case loopIndexed:
+		for i, off := range lp.offs {
+			if k := lp.kid(i); k == nil {
+				b.add(base+off, lp.lenAt(i))
+			} else if !b.emit(k, base+off) {
+				return false
+			}
+		}
+	}
+	return len(b.offs) <= maxProgRuns
 }
 
 // stridedShape extracts (origin offset, block length, stride dims) from a
@@ -183,14 +192,17 @@ func stridedShape(lp *loop, depth int) (off, block int64, dims []progDim, ok boo
 		dims = append([]progDim{{n: int64(lp.count), stride: lp.stride}}, cDims...)
 		return cOff, cBlock, dims, true
 	case loopIndexed:
-		if len(lp.parts) != 1 {
+		if len(lp.offs) != 1 {
 			return 0, 0, nil, false
 		}
-		cOff, cBlock, cDims, cOK := stridedShape(lp.parts[0].child, depth+1)
+		if lp.kids == nil {
+			return lp.offs[0], lp.runLen, nil, true
+		}
+		cOff, cBlock, cDims, cOK := stridedShape(lp.kids[0], depth+1)
 		if !cOK {
 			return 0, 0, nil, false
 		}
-		return lp.parts[0].off + cOff, cBlock, cDims, true
+		return lp.offs[0] + cOff, cBlock, cDims, true
 	}
 	return 0, 0, nil, false
 }
@@ -303,10 +315,7 @@ func (p *Program) RunAt(i int64) (off, length int64) {
 		}
 		return off, p.runLen
 	case ProgIndexed:
-		if p.lens != nil {
-			return p.offs[i], p.lens[i]
-		}
-		return p.offs[i], p.runLen
+		return p.offs[i], p.lenAt(int(i))
 	}
 	panic("datatype: RunAt on generic program")
 }

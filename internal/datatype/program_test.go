@@ -15,6 +15,23 @@ func testShapes(t *testing.T) []struct {
 	t.Helper()
 	v1 := Must(TypeVector(16, 64, 128, Int32))
 	zero := Must(TypeResized(Int32, 0, 0)) // zero extent, size > 0
+	// every other integer: n runs that never coalesce
+	sparse := func(n int) *Type {
+		displs := make([]int, n)
+		for i := range displs {
+			displs[i] = 2 * i
+		}
+		return Must(TypeIndexedBlock(1, displs, Int32))
+	}
+	half := sparse(maxProgRuns / 2)
+	halfSpan := half.Extent() + 4
+	mixed := Must(TypeStruct([]int{1, 2, 1, 3, 1}, []int64{0, 4, 100, 200, 236}, []*Type{
+		Int32,
+		Must(TypeVector(3, 1, 2, Int32)), // starts where the leaf before it ends
+		Must(TypeIndexed([]int{1, 2}, []int{0, 3}, Int32)),
+		Must(TypeResized(Int32, 0, 12)),
+		Float64, // starts where the vector before it ends
+	}))
 	return []struct {
 		name  string
 		dt    *Type
@@ -38,6 +55,24 @@ func testShapes(t *testing.T) []struct {
 		// A single-part indexed type coalesces into one maximal run per
 		// message; the compiler materializes it rather than claiming strided.
 		{"single-part-indexed", Must(TypeIndexed([]int{2}, []int{5}, Int32)), 3, ProgIndexed},
+		// One displaced part is a contiguous run wherever it sits.
+		{"single-part-displaced", Must(TypeIndexed([]int{2}, []int{5}, Int32)), 1, ProgContig},
+		// The last block ends at the extent, where the next instance's
+		// first block starts: runs coalesce across instances.
+		{"indexed-abut-instances", Must(TypeIndexed([]int{2, 2}, []int{0, 4}, Int32)), 3, ProgIndexed},
+		// Empty blocks vanish and touching neighbours merge in the table.
+		{"indexed-empty-adjacent", Must(TypeIndexed([]int{2, 0, 3, 2, 0}, []int{0, 50, 2, 8, 1}, Int32)), 2, ProgIndexed},
+		{"indexed-folds-to-contig", Must(TypeIndexed([]int{2, 0, 3, 1}, []int{0, 9, 2, 5}, Int32)), 2, ProgContig},
+		{"indexed-negative-descending", Must(TypeIndexed([]int{1, 2, 1}, []int{10, -4, 3}, Int32)), 1, ProgIndexed},
+		{"indexed-negative-descending-counted", Must(TypeIndexed([]int{1, 2, 1}, []int{10, -4, 3}, Int32)), 3, ProgIndexed},
+		{"struct-mixed-children", mixed, 1, ProgIndexed},
+		{"struct-mixed-children-counted", mixed, 3, ProgIndexed},
+		// The run-table cap, from the shared table and from the emitter.
+		{"max-runs-shared", sparse(maxProgRuns), 1, ProgIndexed},
+		{"over-max-runs-shared", sparse(maxProgRuns + 1), 1, ProgGeneric},
+		{"max-runs-counted", half, 2, ProgIndexed},
+		{"max-runs-nested", Must(TypeHindexed([]int{1, 1}, []int64{0, halfSpan}, half)), 1, ProgIndexed},
+		{"over-max-runs-nested", Must(TypeStruct([]int{1, 1, 1}, []int64{0, halfSpan, 2 * halfSpan}, []*Type{half, half, Int32})), 1, ProgGeneric},
 		{"zero-count", Int32, 0, ProgContig},
 		{"zero-extent", zero, 5, ProgStrided},
 		{"negative-stride", Must(TypeVector(8, 1, -4, Int32)), 1, ProgStrided},
@@ -204,7 +239,7 @@ func TestCompileRandomDifferential(t *testing.T) {
 		dt := Int32
 		depth := 1 + rng.Intn(3)
 		for d := 0; d < depth; d++ {
-			switch rng.Intn(3) {
+			switch rng.Intn(5) {
 			case 0:
 				dt = Must(TypeContiguous(1+rng.Intn(4), dt))
 			case 1:
@@ -223,11 +258,43 @@ func TestCompileRandomDifferential(t *testing.T) {
 					pos = displs[i] + lens[i] + rng.Intn(2)
 				}
 				dt = Must(TypeIndexed(lens, displs, dt))
+			case 3:
+				// What the one-pass constructor has to normalize: empty
+				// blocks, neighbours that touch, displacements that go
+				// back and below zero (blocks may overlap).
+				n := 1 + rng.Intn(5)
+				lens := make([]int, n)
+				displs := make([]int, n)
+				pos := rng.Intn(7) - 3
+				for i := 0; i < n; i++ {
+					lens[i] = rng.Intn(3)
+					if rng.Intn(3) == 0 {
+						pos -= rng.Intn(6)
+					} else if rng.Intn(2) == 0 {
+						pos += rng.Intn(3)
+					}
+					displs[i] = pos
+					pos += lens[i]
+				}
+				dt = Must(TypeIndexed(lens, displs, dt))
+			case 4:
+				// A struct mixing leaves with the nested type as a child,
+				// packed tight so runs coalesce across the part boundaries.
+				ext := dt.Extent()
+				lens := []int{1 + rng.Intn(2), 1 + rng.Intn(2), rng.Intn(2), 1}
+				types := []*Type{Int32, dt, Float64, Byte}
+				displs := make([]int64, len(lens))
+				pos := int64(rng.Intn(3)) * 4
+				for i := range lens {
+					displs[i] = pos - types[i].TrueLB()
+					pos += int64(lens[i]-1)*types[i].Extent() + types[i].TrueExtent() + int64(rng.Intn(2))*ext
+				}
+				dt = Must(TypeStruct(lens, displs, types))
 			}
 		}
 		return dt
 	}
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 600; trial++ {
 		dt := randType()
 		count := rng.Intn(4) // includes zero-count
 		p := Compile(dt, count)

@@ -153,7 +153,9 @@ func TypeVector(count, blocklen, stride int, old *Type) (*Type, error) {
 	return TypeHvector(count, blocklen, int64(stride)*old.Extent(), old)
 }
 
-// TypeHvector mirrors MPI_Type_create_hvector: stride is in bytes.
+// TypeHvector mirrors MPI_Type_create_hvector: stride is in bytes. Block
+// offsets are monotonic in the block number, so the bounds come from the
+// first and last block alone and construction is O(1) whatever the count.
 func TypeHvector(count, blocklen int, strideBytes int64, old *Type) (*Type, error) {
 	if old == nil {
 		return nil, errNilType
@@ -161,20 +163,18 @@ func TypeHvector(count, blocklen int, strideBytes int64, old *Type) (*Type, erro
 	if count < 0 || blocklen < 0 {
 		return nil, fmt.Errorf("datatype: hvector count=%d blocklen=%d", count, blocklen)
 	}
-	displs := make([]int64, count)
-	blocklens := make([]int, count)
-	for i := range displs {
-		displs[i] = int64(i) * strideBytes
-		blocklens[i] = blocklen
+	if count == 0 || blocklen == 0 {
+		return &Type{kind: KindHvector, loop: emptyLoop()}, nil
 	}
-	t, err := buildIndexed(KindHvector, blocklens, displs, old)
-	if err != nil {
-		return nil, err
-	}
-	// Replace the generic indexed loop with a vector loop for compactness.
-	t.loop = vectorLoop(count, strideBytes, blocklen, old)
-	t.nblocks = t.loop.blocks
-	return t, nil
+	var b typeBuilder
+	b.bound(blocklen, 0, old)
+	b.bound(blocklen, int64(count-1)*strideBytes, old)
+	lp := vectorLoop(count, strideBytes, blocklen, old)
+	return &Type{
+		kind: KindHvector, size: int64(count) * int64(blocklen) * old.size,
+		lb: b.lb, ub: b.ub, trueLB: b.tlb, trueUB: b.tub,
+		loop: lp, nblocks: lp.blocks,
+	}, nil
 }
 
 // TypeIndexed mirrors MPI_Type_indexed: displacements in old extents.
@@ -185,11 +185,14 @@ func TypeIndexed(blocklens []int, displs []int, old *Type) (*Type, error) {
 	if len(blocklens) != len(displs) {
 		return nil, fmt.Errorf("datatype: indexed lens %d != displs %d", len(blocklens), len(displs))
 	}
-	bd := make([]int64, len(displs))
+	b := newTypeBuilder(len(displs))
+	ext := old.Extent()
 	for i, d := range displs {
-		bd[i] = int64(d) * old.Extent()
+		if err := b.block(blocklens[i], int64(d)*ext, old); err != nil {
+			return nil, err
+		}
 	}
-	return buildIndexed(KindIndexed, blocklens, bd, old)
+	return b.finish(KindIndexed), nil
 }
 
 // TypeHindexed mirrors MPI_Type_create_hindexed: displacements in bytes.
@@ -200,16 +203,28 @@ func TypeHindexed(blocklens []int, displs []int64, old *Type) (*Type, error) {
 	if len(blocklens) != len(displs) {
 		return nil, fmt.Errorf("datatype: hindexed lens %d != displs %d", len(blocklens), len(displs))
 	}
-	return buildIndexed(KindHindexed, blocklens, append([]int64(nil), displs...), old)
+	b := newTypeBuilder(len(displs))
+	for i, d := range displs {
+		if err := b.block(blocklens[i], d, old); err != nil {
+			return nil, err
+		}
+	}
+	return b.finish(KindHindexed), nil
 }
 
 // TypeIndexedBlock mirrors MPI_Type_create_indexed_block: constant blocklen.
 func TypeIndexedBlock(blocklen int, displs []int, old *Type) (*Type, error) {
-	lens := make([]int, len(displs))
-	for i := range lens {
-		lens[i] = blocklen
+	if old == nil {
+		return nil, errNilType
 	}
-	return TypeIndexed(lens, displs, old)
+	b := newTypeBuilder(len(displs))
+	ext := old.Extent()
+	for _, d := range displs {
+		if err := b.block(blocklen, int64(d)*ext, old); err != nil {
+			return nil, err
+		}
+	}
+	return b.finish(KindIndexed), nil
 }
 
 // TypeStruct mirrors MPI_Type_create_struct: per-block types and byte
@@ -223,49 +238,16 @@ func TypeStruct(blocklens []int, displs []int64, types []*Type) (*Type, error) {
 	if n == 0 {
 		return nil, errors.New("datatype: empty struct")
 	}
-	var size int64
-	first := true
-	var lb, ub, tlb, tub int64
-	blocks := make([]loopBlock, 0, n)
-	for i := 0; i < n; i++ {
-		old := types[i]
+	b := newTypeBuilder(n)
+	for i, old := range types {
 		if old == nil {
 			return nil, errNilType
 		}
-		if blocklens[i] < 0 {
-			return nil, fmt.Errorf("datatype: struct blocklen %d < 0", blocklens[i])
+		if err := b.block(blocklens[i], displs[i], old); err != nil {
+			return nil, err
 		}
-		if blocklens[i] == 0 {
-			continue
-		}
-		bl := int64(blocklens[i])
-		size += bl * old.size
-		lo := displs[i] + old.lb
-		hi := displs[i] + (bl-1)*old.Extent() + old.ub
-		tlo := displs[i] + old.trueLB
-		thi := displs[i] + (bl-1)*old.Extent() + old.trueUB
-		if first {
-			lb, ub, tlb, tub = lo, hi, tlo, thi
-			first = false
-		} else {
-			lb = min64(lb, lo)
-			ub = max64(ub, hi)
-			tlb = min64(tlb, tlo)
-			tub = max64(tub, thi)
-		}
-		child := vectorLoop(1, 0, blocklens[i], old)
-		blocks = append(blocks, loopBlock{off: displs[i], child: child})
 	}
-	if first {
-		// All blocks empty.
-		return &Type{kind: KindStruct, size: 0, loop: emptyLoop(), nblocks: 0}, nil
-	}
-	lp := indexedLoop(blocks)
-	return &Type{
-		kind: KindStruct, size: size,
-		lb: lb, ub: ub, trueLB: tlb, trueUB: tub,
-		loop: lp, nblocks: lp.blocks,
-	}, nil
+	return b.finish(KindStruct), nil
 }
 
 // TypeResized mirrors MPI_Type_create_resized: overrides lb and extent
@@ -281,45 +263,62 @@ func TypeResized(old *Type, lb, extent int64) (*Type, error) {
 	return &t, nil
 }
 
-// buildIndexed constructs hindexed-style types (shared by indexed/hindexed).
-func buildIndexed(kind Kind, blocklens []int, displs []int64, old *Type) (*Type, error) {
-	var size int64
-	first := true
-	var lb, ub, tlb, tub int64
-	blocks := make([]loopBlock, 0, len(blocklens))
-	for i := range blocklens {
-		if blocklens[i] < 0 {
-			return nil, fmt.Errorf("datatype: blocklen %d < 0", blocklens[i])
-		}
-		if blocklens[i] == 0 {
-			continue
-		}
-		bl := int64(blocklens[i])
-		size += bl * old.size
-		lo := displs[i] + old.lb
-		hi := displs[i] + (bl-1)*old.Extent() + old.ub
-		tlo := displs[i] + old.trueLB
-		thi := displs[i] + (bl-1)*old.Extent() + old.trueUB
-		if first {
-			lb, ub, tlb, tub = lo, hi, tlo, thi
-			first = false
-		} else {
-			lb = min64(lb, lo)
-			ub = max64(ub, hi)
-			tlb = min64(tlb, tlo)
-			tub = max64(tub, thi)
-		}
-		blocks = append(blocks, loopBlock{off: displs[i], child: vectorLoop(1, 0, blocklens[i], old)})
+// typeBuilder is the one pass the indexed-family constructors make over their
+// arguments: each block converts straight into the dataloop's flat table while
+// size and bounds accumulate, with no intermediate list and no object per
+// block.
+type typeBuilder struct {
+	indexedBuilder
+	size             int64
+	bounded          bool // some non-empty block has set the bounds
+	lb, ub, tlb, tub int64
+}
+
+func newTypeBuilder(blocks int) typeBuilder {
+	return typeBuilder{indexedBuilder: newIndexedBuilder(blocks)}
+}
+
+// bound widens the bounds to cover blocklen (> 0) olds at byte displacement d.
+func (b *typeBuilder) bound(blocklen int, d int64, old *Type) {
+	reach := d + int64(blocklen-1)*old.Extent()
+	lo, hi, tlo, thi := d+old.lb, reach+old.ub, d+old.trueLB, reach+old.trueUB
+	if !b.bounded {
+		b.lb, b.ub, b.tlb, b.tub, b.bounded = lo, hi, tlo, thi, true
+		return
 	}
-	if first {
-		return &Type{kind: kind, size: 0, loop: emptyLoop(), nblocks: 0}, nil
+	b.lb, b.ub = min(b.lb, lo), max(b.ub, hi)
+	b.tlb, b.tub = min(b.tlb, tlo), max(b.tub, thi)
+}
+
+// block adds blocklen consecutive olds at byte displacement d.
+func (b *typeBuilder) block(blocklen int, d int64, old *Type) error {
+	if blocklen <= 0 {
+		if blocklen < 0 {
+			return fmt.Errorf("datatype: blocklen %d < 0", blocklen)
+		}
+		return nil
 	}
-	lp := indexedLoop(blocks)
+	b.size += int64(blocklen) * old.size
+	b.bound(blocklen, d, old)
+	if typeContigFull(old) {
+		b.leaf(d, int64(blocklen)*old.size)
+	} else {
+		b.part(d, blockLoop(blocklen, old))
+	}
+	return nil
+}
+
+func (b *typeBuilder) finish(kind Kind) *Type {
+	if !b.bounded {
+		// All blocks empty.
+		return &Type{kind: kind, loop: emptyLoop()}
+	}
+	lp := b.indexedBuilder.finish()
 	return &Type{
-		kind: kind, size: size,
-		lb: lb, ub: ub, trueLB: tlb, trueUB: tub,
+		kind: kind, size: b.size,
+		lb: b.lb, ub: b.ub, trueLB: b.tlb, trueUB: b.tub,
 		loop: lp, nblocks: lp.blocks,
-	}, nil
+	}
 }
 
 // Must panics if err is non-nil; intended for static type construction in
@@ -329,20 +328,6 @@ func Must(t *Type, err error) *Type {
 		panic(err)
 	}
 	return t
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Tree renders the type's normalized dataloop as an indented tree, the form
@@ -382,11 +367,17 @@ func loopEqual(x, y *loop) bool {
 	case loopVector:
 		return x.count == y.count && x.stride == y.stride && loopEqual(x.child, y.child)
 	case loopIndexed:
-		if len(x.parts) != len(y.parts) {
+		if len(x.offs) != len(y.offs) {
 			return false
 		}
-		for i := range x.parts {
-			if x.parts[i].off != y.parts[i].off || !loopEqual(x.parts[i].child, y.parts[i].child) {
+		for i, off := range x.offs {
+			xk, yk := x.kid(i), y.kid(i)
+			switch {
+			case off != y.offs[i], (xk == nil) != (yk == nil):
+				return false
+			case xk == nil && x.lenAt(i) != y.lenAt(i):
+				return false
+			case xk != nil && !loopEqual(xk, yk):
 				return false
 			}
 		}

@@ -35,23 +35,23 @@ func (p *Proc) Pack(buf mem.Addr, count int, dt *datatype.Type, out []byte, pos 
 	return pos + int(n), nil
 }
 
-// newPacker builds the explicit-pack engine, replaying a compiled layout
-// program unless the endpoint opted back into the interpreted walk. The
-// program is compiled per call — MPI_Pack is a user-level convenience, not
-// the transfer hot path.
+// newPacker builds the explicit-pack engine on the endpoint's cached program
+// for (dt, count) — the lookup the transfer schemes use, so packing by hand
+// compiles a layout once, not once per call — or on the interpreted walk when
+// the endpoint opted back into it.
 func (p *Proc) newPacker(buf mem.Addr, count int, dt *datatype.Type) *pack.Packer {
-	if p.Endpoint().Config().InterpretedPack {
-		return pack.NewPacker(p.Mem(), buf, dt, count)
+	if prog := p.Endpoint().Program(dt, count); prog != nil {
+		return pack.NewProgramPacker(p.Mem(), buf, prog)
 	}
-	return pack.NewProgramPacker(p.Mem(), buf, datatype.Compile(dt, count))
+	return pack.NewPacker(p.Mem(), buf, dt, count)
 }
 
 // newUnpacker is newPacker's unpack counterpart.
 func (p *Proc) newUnpacker(buf mem.Addr, count int, dt *datatype.Type) *pack.Unpacker {
-	if p.Endpoint().Config().InterpretedPack {
-		return pack.NewUnpacker(p.Mem(), buf, dt, count)
+	if prog := p.Endpoint().Program(dt, count); prog != nil {
+		return pack.NewProgramUnpacker(p.Mem(), buf, prog)
 	}
-	return pack.NewProgramUnpacker(p.Mem(), buf, datatype.Compile(dt, count))
+	return pack.NewUnpacker(p.Mem(), buf, dt, count)
 }
 
 // Unpack copies packed bytes from in starting at pos into the (buf, count,

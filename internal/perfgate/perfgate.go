@@ -15,7 +15,9 @@
 //     its two sides, which is all a warm message may allocate. The ceiling
 //     is exact, not a tolerance around the last reading: headroom wide
 //     enough to absorb a map rehash would also hide a path that went from
-//     two objects per message to ten.
+//     two objects per message to ten. The cold-layout rows (constructor,
+//     compile, decode of a 4 096-block indexed type) carry a ceiling the
+//     same way: their object counts are constants whatever the block count.
 //   - ns/op on a virtual-time row (sim/shm backends) fails past NsSlack:
 //     virtual clocks are deterministic, so drift there is a real cost-model
 //     or scheduling change.

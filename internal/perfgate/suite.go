@@ -3,6 +3,7 @@ package perfgate
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"time"
 
@@ -153,6 +154,51 @@ func packRows() []Row {
 				panic(fmt.Sprintf("unpack/%s: unpacked %d of %d bytes", name, n, total))
 			}
 		}))
+	}
+	return rows
+}
+
+// coldRows price what a never-seen layout pays before its first byte moves —
+// the constructor, the compile and the wire decode — on the 4 096-block class
+// of the benchmark's cold_layouts generator: 64 Ki integers in blocks of 8 to
+// 23, in pairs summing to 32, every gap at least one integer. Each step's
+// object count is a small constant and pinned exactly (the type, its loop
+// node and two tables; a program sharing those tables; the same four again
+// from the wire): one object per block anywhere would read in the thousands.
+func coldRows() []Row {
+	const blocks, mean = 4096, 16
+	rng := rand.New(rand.NewSource(1))
+	lens, displs := make([]int, 0, blocks), make([]int, 0, blocks)
+	for pos := 0; len(lens) < blocks; {
+		l := mean/2 + rng.Intn(mean)
+		for _, bl := range [2]int{l, 2*mean - l} {
+			lens, displs = append(lens, bl), append(displs, pos)
+			pos += bl + 1 + rng.Intn(mean/2)
+		}
+	}
+	dt := datatype.Must(datatype.TypeIndexed(lens, displs, datatype.Int32))
+	enc := datatype.Encode(dt)
+	var rows []Row
+	for _, c := range []struct {
+		name      string
+		maxAllocs float64
+		f         func()
+	}{
+		{"cold/typeindexed4k", 4, func() { datatype.Must(datatype.TypeIndexed(lens, displs, datatype.Int32)) }},
+		{"cold/compile4k", 1, func() {
+			if datatype.Compile(dt, 1).Runs() != blocks {
+				panic("cold/compile4k: run count drifted")
+			}
+		}},
+		{"cold/decode4k", 4, func() {
+			if _, err := datatype.Decode(enc); err != nil {
+				panic(err)
+			}
+		}},
+	} {
+		row := wallRow(c.name, false, c.f)
+		row.MaxAllocs = c.maxAllocs
+		rows = append(rows, row)
 	}
 	return rows
 }
@@ -330,6 +376,7 @@ func worldRow(name, backend string, scheme core.Scheme, dt *datatype.Type, count
 func Suite() (Report, error) {
 	var r Report
 	r.Rows = append(r.Rows, packRows()...)
+	r.Rows = append(r.Rows, coldRows()...)
 	r.Rows = append(r.Rows, descriptorRows()...)
 	r.Rows = append(r.Rows, tunerRow())
 	fabric, err := fabricRows()
