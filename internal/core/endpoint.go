@@ -433,11 +433,12 @@ func (ep *Endpoint) announceReady(op *sendOp) {
 	}
 }
 
-// sendCtrl posts a control message to a peer. Its completion carries
-// nothing to do, so it is posted without a completion record (WRID 0).
+// sendCtrl posts a control message to a peer. Its completion would carry
+// nothing to do, so it is posted unsignaled and without a completion record
+// (WRID 0).
 func (ep *Endpoint) sendCtrl(dst int, payload []byte) {
 	atomic.AddInt64(&ep.ctr.CtrlMessages, 1)
-	if err := ep.qps[dst].PostSend(verbs.SendWR{Op: verbs.OpSend, Inline: payload}); err != nil {
+	if err := ep.qps[dst].PostSend(verbs.SendWR{Op: verbs.OpSend, Inline: payload, Unsignaled: true}); err != nil {
 		panic(fmt.Sprintf("core: ctrl send failed: %v", err))
 	}
 }

@@ -79,12 +79,12 @@ func (ep *Endpoint) finalizeSendAbort(op *sendOp) {
 	ep.retireSend(op)
 }
 
-// sendWRResolved accounts one finally-resolved descriptor (completed, failed
-// past retry, or abandoned) of a send op and reports whether the op's state
-// machine should advance: failures start or continue the abort drain
-// instead.
-func (ep *Endpoint) sendWRResolved(op *sendOp, err error) bool {
-	op.wrsLeft--
+// sendWRResolved accounts n finally-resolved descriptors (completed, failed
+// past retry, or abandoned — one posted on its own, or a doorbell batch) of a
+// send op and reports whether the op's state machine should advance:
+// failures start or continue the abort drain instead.
+func (ep *Endpoint) sendWRResolved(op *sendOp, n int, err error) bool {
+	op.wrsLeft -= n
 	if err != nil && !op.failed {
 		ep.abortSend(op, err)
 		return false

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/mem"
+	"repro/internal/qos"
 	"repro/internal/verbs"
 )
 
@@ -170,19 +171,20 @@ func (ep *Endpoint) registerOrigin(buf mem.Addr, dt *datatype.Type, count int,
 	w.start(buf, dt, count)
 }
 
-// postRMAWRs posts the descriptor batch and runs done when every descriptor
-// has finally resolved, releasing the origin registrations. The first error
+// postRMAWRs posts the descriptors and runs done when every one of them has
+// finally resolved, releasing the origin registrations. The first error
 // wins but the drain still waits for the rest, so regions are never released
-// while a descriptor might still read or write through them. Transient
-// injected faults are retried per descriptor (which forces individual posts
-// in fault mode).
+// while a descriptor might still read or write through them. List posts
+// resolve per doorbell batch, through the batch's one completion record;
+// transient injected faults are retried per descriptor (which forces
+// individual posts in fault mode).
 func (ep *Endpoint) postRMAWRs(dst int, wrs []verbs.SendWR, regions []*mem.Region, done func(error)) {
-	left := len(wrs)
-	if left == 0 {
+	if len(wrs) == 0 {
 		ep.releaseUserRegions(regions)
 		done(nil)
 		return
 	}
+	var left int // posts not yet resolved
 	var failed error
 	resolve := func(err error) {
 		if err != nil && failed == nil {
@@ -195,28 +197,16 @@ func (ep *Endpoint) postRMAWRs(dst int, wrs []verbs.SendWR, regions []*mem.Regio
 		}
 	}
 	if ep.cfg.ListPost && len(wrs) > 1 && !ep.faultMode() {
-		for i := range wrs {
-			rec := ep.getWR(wrCall, dst, 0)
-			rec.done = resolve
-			wrs[i].WRID = rec.id()
-		}
 		batches := chunkBatches(wrs, ep.model.MaxPostBatch, nil)
-		for bi, batch := range batches {
-			if err := ep.qps[dst].PostSendList(batch); err != nil {
-				// This batch — and everything after it — never reached the
-				// NIC; already-posted batches resolve through their CQEs.
-				for _, b := range batches[bi:] {
-					for i := range b {
-						ep.dropWR(b[i].WRID)
-						resolve(err)
-					}
-				}
-				return
-			}
-			ep.observeBatch(len(batch))
+		left = len(batches)
+		for _, batch := range batches {
+			rec := ep.getBatchWR(wrCall, dst, batch, qos.LaneLatency)
+			rec.done = resolve
+			ep.postBatch(rec)
 		}
 		return
 	}
+	left = len(wrs)
 	for i := range wrs {
 		ep.postRetry(dst, &wrs[i], nil, resolve)
 	}

@@ -99,32 +99,19 @@ func (ep *Endpoint) postWRs(op *sendOp, dst int, wrs []verbs.SendWR, list bool) 
 		return
 	}
 	op.wrsLeft += len(wrs)
-	for i := range wrs {
-		rec := ep.getWR(wrSendData, dst, wrPayload(&wrs[i]))
-		rec.sop = op
-		wrs[i].WRID, wrs[i].Lane = rec.id(), uint8(lane)
-	}
 	// Bulk doorbells split at the lane window, not just the adapter limit,
-	// so each batch is one window-sized unit for the arbiter. The batch
-	// scratch is swapped out for the loop: lane grants can run synchronously
-	// and an abort inside one can reenter postWRs (abortSend → qosDrain → a
-	// parked transfer), which would otherwise clobber the shared backing
-	// mid-iteration.
+	// so each batch is one window-sized unit for the arbiter — and one
+	// completion record. The batch scratch is swapped out for the loop: lane
+	// grants can run synchronously and an abort inside one can reenter
+	// postWRs (abortSend → qosDrain → a parked transfer), which would
+	// otherwise clobber the shared backing mid-iteration.
 	scratch := ep.batchScratch
 	ep.batchScratch = nil
 	batches := chunkBatches(wrs, ep.laneChunkLimit(lane), scratch[:0])
 	for _, batch := range batches {
-		if ep.lanes == nil {
-			// No arbiter: no grant closure, and nobody reads the charge.
-			ep.postBatch(op, dst, batch, 0)
-			continue
-		}
-		batch := batch
-		var batchBytes int64
-		for i := range batch {
-			batchBytes += wrPayload(&batch[i])
-		}
-		ep.submitLane(dst, lane, len(batch), batchBytes, func() { ep.postBatch(op, dst, batch, batchBytes) })
+		rec := ep.getBatchWR(wrSendData, dst, batch, lane)
+		rec.sop = op
+		ep.submitLane(dst, lane, rec.n, rec.bytes, rec.tryFn)
 	}
 	for i := range batches {
 		batches[i] = nil
@@ -141,34 +128,6 @@ func (ep *Endpoint) sendDrained(op *sendOp) {
 		op.staging = segRes{}
 	}
 	ep.finishSend(op)
-}
-
-// postBatch rings one doorbell for a batch of op's list-posted descriptors
-// once the lane arbiter has granted it (at once, with service mode off).
-func (ep *Endpoint) postBatch(op *sendOp, dst int, batch []verbs.SendWR, batchBytes int64) {
-	err := errOpAborted
-	if !op.failed {
-		if err = ep.qps[dst].PostSendList(batch); err == nil {
-			ep.observeBatch(len(batch))
-			return
-		}
-	}
-	// The batch never reached the NIC — the op was aborted while it waited
-	// for window room, or the doorbell was rejected (later batches then take
-	// the first branch when their grants fire). Its descriptors' records,
-	// charge and wrsLeft accounting must still resolve.
-	for i := range batch {
-		ep.dropWR(batch[i].WRID)
-	}
-	ep.laneRelease(dst, len(batch), batchBytes)
-	if op.failed {
-		for range batch {
-			ep.sendWRResolved(op, errOpAborted)
-		}
-		return
-	}
-	op.wrsLeft -= len(batch)
-	ep.abortSend(op, err)
 }
 
 // postGroupsChained posts descriptor groups strictly sequentially: group k+1
@@ -218,7 +177,7 @@ func (ep *Endpoint) postGroupFenced(op *sendOp, wrs []verbs.SendWR, then func())
 		}
 		op.wrsLeft++
 		ep.postRetry(op.dst, fence, op, func(err error) {
-			if ep.sendWRResolved(op, err) {
+			if ep.sendWRResolved(op, 1, err) {
 				then()
 			}
 		})
@@ -226,7 +185,7 @@ func (ep *Endpoint) postGroupFenced(op *sendOp, wrs []verbs.SendWR, then func())
 	pending := len(wrs)
 	op.wrsLeft += len(wrs)
 	resolved := func(err error) {
-		if ep.sendWRResolved(op, err) {
+		if ep.sendWRResolved(op, 1, err) {
 			if pending--; pending == 0 {
 				dataDone()
 			}
@@ -381,7 +340,7 @@ func (op *sendOp) stageDone(s seg, err error) {
 				k++
 				op.wrsLeft++
 				ep.postRetry(op.dst, &w[0], op, func(err error) {
-					if ep.sendWRResolved(op, err) {
+					if ep.sendWRResolved(op, 1, err) {
 						next()
 					}
 				})

@@ -16,7 +16,11 @@
 // the SendWR is copied into it once at post, it steps deliver → ack → CQE
 // dispatch through method values bound when the record was created (so the
 // engine is handed a ready func() and nothing is allocated per stage), and
-// it returns to its node's free list when the completion handler returns.
+// it returns to its node's free list when the completion handler returns —
+// or, posted unsignaled and not failed, at the ack stage, with no completion
+// at all. The records of one post travel linked as trains, one delivery and
+// one return per train rather than per descriptor (QP.post says where a
+// train is cut), so what a message costs in events follows its posts.
 // An RDMA write's gather list is read at delivery, not at post — the source
 // must stay stable until the send completion, as on hardware — so there is
 // no staging copy either. See DESIGN.md, "Fabric kernel".
@@ -39,10 +43,6 @@ type Plan struct {
 	// AckLag is how long after delivery the initiator's completion is
 	// generated (an ack's flight time on a link; zero in shared memory).
 	AckLag simtime.Duration
-	// AckEarly schedules the completion at launch, for Deliver+AckLag,
-	// instead of when delivery runs: a channel send's completion on a link
-	// does not wait for the receiver to have a credit.
-	AckEarly bool
 }
 
 // Pricing reserves the resources one descriptor occupies between the moment
@@ -64,9 +64,12 @@ type Executor interface {
 	// Return runs fn in dst's context as soon as it can: inline where all
 	// nodes share one engine, so no event is added or reordered.
 	Return(dst *Node, fn func())
-	// Trains reports whether the descriptors of one post may cross to the
-	// peer as one unit and come back as one. Only an executor whose
-	// deliveries ignore virtual time can say yes.
+	// Trains says where a descriptor train (QP.post) may be cut. An executor
+	// that delivers in virtual time says false: a descriptor somebody can
+	// observe must land at its own delivery time, so it ends the train it
+	// rides in. One whose deliveries ignore virtual time says true, and a
+	// whole fault-free post crosses to the peer as one unit and comes back
+	// as one.
 	Trains() bool
 	// Stamp maps a virtual-time interval onto the trace's time base.
 	Stamp(start, end simtime.Time) (simtime.Time, simtime.Time)
@@ -82,7 +85,8 @@ func (Shared) Deliver(dst *Node, t simtime.Time, fn func()) { dst.eng.At(t, fn) 
 // Return calls fn: the caller already runs in the shared context.
 func (Shared) Return(_ *Node, fn func()) { fn() }
 
-// Trains reports false: every descriptor has its own delivery time.
+// Trains reports false: a train ends at each descriptor whose delivery
+// time somebody can observe.
 func (Shared) Trains() bool { return false }
 
 // Stamp is the identity: traces are in virtual time.

@@ -38,7 +38,6 @@ const (
 // then and is overwritten by whichever payload takes the buffer next.
 type flight struct {
 	stage stage
-	early bool             // completion was scheduled at launch (Plan.AckEarly)
 	qp    *QP              // initiating queue pair
 	wr    verbs.SendWR     // the descriptor, copied once at post
 	size  int64            // payload bytes
@@ -114,15 +113,13 @@ func (n *Node) putPayload(b []byte) {
 }
 
 // deliver is the delivery stage: it lands this record, and the train behind
-// it, in the peer's execution context, then sends the completion home.
+// it, in the peer's execution context, then sends the train home.
 func (fl *flight) deliver() {
 	for g := fl; g != nil; g = g.next {
 		g.land()
 	}
-	if !fl.early {
-		n := fl.qp.node
-		n.fab.exec.Return(n, fl.ackFn)
-	}
+	n := fl.qp.node
+	n.fab.exec.Return(n, fl.ackFn)
 }
 
 // land moves one descriptor's payload under the responder's protection
@@ -166,22 +163,30 @@ func (fl *flight) land() {
 	}
 }
 
-// ack is the completion stage, in the initiator's context: serve what is
-// left of the completion delay, then push this record's — and its train's —
-// send completion.
+// ack is the completion stage, in the initiator's context, for this record
+// and the train behind it, in posting order. An unsignaled descriptor that
+// succeeded is done here: nobody waits for its ack, and its record goes
+// straight back to the free list. Every other one — signaled, or failed,
+// which always completes — serves what is left of its completion delay
+// (the rest of the train waiting behind it) and pushes its send completion.
 func (fl *flight) ack() {
-	if fl.lag > 0 {
-		lag := fl.lag
-		fl.lag = 0
-		fl.qp.node.eng.Schedule(lag, fl.ackFn)
-		return
-	}
 	for g := fl; g != nil; {
 		next := g.next
-		g.next = nil
-		g.step(stageLanded, stageAcked)
-		g.cqe = verbs.CQE{QP: g.qp, WRID: g.wr.WRID, Op: g.wr.Op, Bytes: g.size, Err: g.err}
-		g.qp.sendCQ.push(g)
+		switch {
+		case g.err == nil && g.wr.Unsignaled:
+			g.step(stageLanded, stageFree)
+			g.qp.node.putFlight(g)
+		case g.lag > 0:
+			lag := g.lag
+			g.lag = 0
+			g.qp.node.eng.Schedule(lag, g.ackFn)
+			return
+		default:
+			g.next = nil
+			g.step(stageLanded, stageAcked)
+			g.cqe = verbs.CQE{QP: g.qp, WRID: g.wr.WRID, Op: g.wr.Op, Bytes: g.size, Err: g.err}
+			g.qp.sendCQ.push(g)
+		}
 		g = next
 	}
 }

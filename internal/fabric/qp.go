@@ -138,37 +138,34 @@ func (qp *QP) post(wrs []verbs.SendWR, list bool) error {
 		}
 	}
 
-	// Without an injector every descriptor of the post shares one outcome
-	// path, so an executor that ignores virtual time carries them to the
-	// peer as one train: one crossing out, one back, per post instead of
-	// per descriptor. With one, each descriptor draws its own fate.
-	train := f.exec.Trains() && f.injector == nil
+	// A post travels as descriptor trains. Every descriptor reserves what it
+	// occupies when it is posted, but one nobody can observe — an unsignaled
+	// plain write: no completion at either end — has no event of its own. It
+	// rides to the peer on the delivery of the next descriptor somebody can
+	// (signaled, immediate, send, read, or the last of the post), at that
+	// descriptor's delivery time; completion is in posting order, so nobody
+	// could have told sooner that it landed. An executor that ignores
+	// virtual time never cuts, and the whole post crosses as one train. With
+	// an injector every descriptor draws its own fate, on events of its own.
+	faulty, whole := f.injector != nil, f.exec.Trains()
 	var head, tail *flight
-
-	c := n.counters
-	if list {
-		atomic.AddInt64(&c.ListPosts, 1)
-	}
+	var sges, bulk, sends, writes, imms, reads int64
 	for i := range wrs {
 		wr := &wrs[i]
-		atomic.AddInt64(&c.DescriptorsPosted, 1)
-		atomic.AddInt64(&c.SGEsPosted, int64(len(wr.SGL)))
+		sges += int64(len(wr.SGL))
 		if wr.Lane != 0 {
-			atomic.AddInt64(&c.LaneBulkDescs, 1)
+			bulk++
 		}
 		switch wr.Op {
 		case verbs.OpSend:
-			atomic.AddInt64(&c.SendsPosted, 1)
-		case verbs.OpRDMAWrite, verbs.OpRDMAWriteImm:
-			atomic.AddInt64(&c.RDMAWritesPosted, 1)
-			if wr.Op == verbs.OpRDMAWriteImm {
-				atomic.AddInt64(&c.ImmediatesSent, 1)
-			}
+			sends++
+		case verbs.OpRDMAWriteImm:
+			imms++
+			fallthrough
+		case verbs.OpRDMAWrite:
+			writes++
 		case verbs.OpRDMARead:
-			atomic.AddInt64(&c.RDMAReadsPosted, 1)
-		}
-		if !list {
-			atomic.AddInt64(&c.ListPosts, 1) // each single post is its own post operation
+			reads++
 		}
 		ready := n.ChargeCPUNamed(m.PostTime(i, len(wr.SGL), list), "doorbell")
 
@@ -185,24 +182,48 @@ func (qp *QP) post(wrs []verbs.SendWR, list bool) error {
 				fl.size += s.Len
 			}
 		}
-		switch {
-		case !train:
-			qp.launch(fl, ready)
-		case head == nil:
-			head, tail = fl, fl
-		default:
-			tail.next, tail = fl, fl
+		at, ok := qp.launch(fl, ready)
+		if !ok {
+			continue // failed by the injector: its error completion is on its way
+		}
+		// The train is the peer's from the moment it is handed over:
+		// everything is written before Deliver.
+		if head == nil {
+			head = fl
+		} else {
+			tail.next = fl
+		}
+		tail = fl
+		if faulty || i == len(wrs)-1 || !whole && (wr.Op != verbs.OpRDMAWrite || !wr.Unsignaled) {
+			f.exec.Deliver(qp.peer.node, at, head.deliverFn)
+			head = nil
 		}
 	}
-	if head != nil {
-		f.exec.Deliver(qp.peer.node, n.eng.Now(), head.deliverFn)
-	}
+	c := n.counters
+	atomic.AddInt64(&c.ListPosts, 1) // a single post is a post operation of its own
+	atomic.AddInt64(&c.DescriptorsPosted, int64(len(wrs)))
+	atomic.AddInt64(&c.SGEsPosted, sges)
+	addNonzero(&c.LaneBulkDescs, bulk)
+	addNonzero(&c.SendsPosted, sends)
+	addNonzero(&c.RDMAWritesPosted, writes)
+	addNonzero(&c.ImmediatesSent, imms)
+	addNonzero(&c.RDMAReadsPosted, reads)
 	return nil
 }
 
-// launch prices one descriptor that the host finished posting at ready and
-// starts it on its way.
-func (qp *QP) launch(fl *flight, ready simtime.Time) {
+// addNonzero adds n to a counter other threads may be reading, skipping the
+// atomic when there is nothing to add.
+func addNonzero(c *int64, n int64) {
+	if n != 0 {
+		atomic.AddInt64(c, n)
+	}
+}
+
+// launch starts one descriptor that the host finished posting at ready: it
+// reserves what the descriptor occupies and returns when its delivery is
+// due — or false, when the injector failed it and its error completion is
+// already scheduled.
+func (qp *QP) launch(fl *flight, ready simtime.Time) (simtime.Time, bool) {
 	n := qp.node
 	f := n.fab
 
@@ -214,20 +235,12 @@ func (qp *QP) launch(fl *flight, ready simtime.Time) {
 			fl.step(stagePosted, stageLanded)
 			fl.err = qp.errorf("%v failed: %w", fl.wr.Op, ferr)
 			n.eng.At(f.pricing.Fault(qp, &fl.wr, ready), fl.ackFn)
-			return
+			return 0, false
 		}
 	}
-
-	// The record is the peer's from the moment it is handed over: everything
-	// is written before Deliver.
 	plan := f.pricing.Launch(qp, &fl.wr, fl.size, ready)
-	if fl.early = plan.AckEarly; !fl.early {
-		fl.lag = plan.AckLag
-	}
-	f.exec.Deliver(qp.peer.node, plan.Deliver, fl.deliverFn)
-	if plan.AckEarly {
-		n.eng.At(plan.Deliver.Add(plan.AckLag), fl.ackFn)
-	}
+	fl.lag = plan.AckLag
+	return plan.Deliver, true
 }
 
 func (qp *QP) validate(wr *verbs.SendWR) error {

@@ -117,10 +117,8 @@ func (l *link) Launch(qp *QP, wr *SendWR, size int64, ready simtime.Time) fabric
 	rs, re := there.rx.AcquireAt(sendStart.Add(m.WireLatency), wire)
 	h.Trace(trace.LaneTx, name, sendStart, sendEnd)
 	p.Trace(trace.LaneRx, name, rs, re)
-	// The initiator's completion follows the ack's flight home. A channel
-	// send's ack is generated by the responder's adapter whether or not the
-	// receiver has a credit posted, so it is scheduled now.
-	return fabric.Plan{Deliver: re, AckLag: m.WireLatency, AckEarly: wr.Op == OpSend}
+	// The initiator's completion follows the ack's flight home.
+	return fabric.Plan{Deliver: re, AckLag: m.WireLatency}
 }
 
 // Fault implements fabric.Pricing: the send port is occupied for the

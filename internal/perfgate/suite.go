@@ -229,9 +229,11 @@ func descriptorRows() []Row {
 
 // fabricRows measures the verbs boundary on the two virtual-time backends:
 // one warm list post of 64 one-SGE 512-byte writes (a Multi-W doorbell),
-// driven until its last completion handler has run. Every descriptor rides
-// a recycled in-flight record through the fabric kernel, so the row is
-// pinned at zero allocations.
+// driven until its last completion handler has run — every descriptor
+// signaled (write64), and as core posts it, signaled at the tail alone
+// (write64u: one delivery event and one completion for the whole list).
+// Every descriptor rides a recycled in-flight record through the fabric
+// kernel, so the rows are pinned at zero allocations.
 func fabricRows() ([]Row, error) {
 	const n, blk, memBytes = 64, 512, 1 << 20
 	var rows []Row
@@ -270,16 +272,24 @@ func fabricRows() ([]Row, error) {
 			}
 			done++
 		})
-		name := "fabric/" + backend + "/write64"
-		rows = append(rows, wallRow(name, true, func() {
-			done = 0
-			if err := qa.PostSendList(wrs); err != nil {
-				panic(err)
+		for _, v := range []struct {
+			name     string
+			signaled int
+		}{{"write64", n}, {"write64u", 1}} {
+			name, signaled := "fabric/"+backend+"/"+v.name, v.signaled
+			for i := range wrs[:n-signaled] {
+				wrs[i].Unsignaled = true
 			}
-			if err := eng.Run(); err != nil || done != n {
-				panic(fmt.Sprintf("%s: %d of %d completions, err %v", name, done, n, err))
-			}
-		}))
+			rows = append(rows, wallRow(name, true, func() {
+				done = 0
+				if err := qa.PostSendList(wrs); err != nil {
+					panic(err)
+				}
+				if err := eng.Run(); err != nil || done != signaled {
+					panic(fmt.Sprintf("%s: %d of %d completions, err %v", name, done, signaled, err))
+				}
+			}))
+		}
 	}
 	return rows, nil
 }

@@ -239,6 +239,11 @@ func (e *Engine) Blocked() []string {
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return len(e.events) }
 
+// Scheduled reports how many events have ever been scheduled: the sequence
+// counter that orders same-time events, so a difference of two readings is
+// exactly the events a stretch of simulation cost.
+func (e *Engine) Scheduled() int64 { return e.seq }
+
 func (e *Engine) removeLive(p *Process) {
 	for i, q := range e.live {
 		if q == p {

@@ -51,8 +51,12 @@ type Counters struct {
 	ListPosts         int64 // list-post operations (each covers >=1 descriptor)
 	SGEsPosted        int64
 	RecvsPosted       int64
-	Completions       int64
-	ImmediatesSent    int64
+	// Completions counts completion entries actually generated, on either
+	// queue: one per signaled or failed send-queue descriptor and one per
+	// consumed receive credit. An unsignaled descriptor that succeeds
+	// (verbs.SendWR.Unsignaled) generates none.
+	Completions    int64
+	ImmediatesSent int64
 
 	// Protocol-level activity.
 	EagerSends        int64

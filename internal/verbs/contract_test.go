@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/ib"
 	"repro/internal/mem"
@@ -615,4 +616,194 @@ func TestFaultHooks(t *testing.T) {
 			}
 		}
 	})
+}
+
+// initiator returns a queue pair of a's with its peer and a function that
+// parks a's process until that pair's send queue has completed n entries,
+// and returns them all: the rig's own pair and its handler-mode queue, or —
+// poll — a second pair whose send queue is polled from the process.
+func (r *rig) initiator(poll bool) (qa, qb verbs.QP, wait func(p *simtime.Process, n int) []verbs.CQE) {
+	if !poll {
+		return r.qa, r.qb, func(p *simtime.Process, n int) []verbs.CQE {
+			r.await(p, aSend, n)
+			return r.got[aSend]
+		}
+	}
+	cq := r.a.NewCQ()
+	qa, qb = r.a.Connect(r.b, cq, r.cq[aRecv], r.cq[bSend], r.cq[bRecv])
+	var got []verbs.CQE
+	return qa, qb, func(p *simtime.Process, n int) []verbs.CQE {
+		for len(got) < n {
+			got = append(got, cq.WaitPoll(p))
+		}
+		return got
+	}
+}
+
+// quiet fails the test unless node a generated exactly cqes completion
+// entries and every flight record of both nodes is back on its free list.
+func (r *rig) quiet(cqes int64) {
+	r.t.Helper()
+	if got := r.a.Counters().Completions; got != cqes {
+		r.t.Errorf("the initiator generated %d completion entries, want %d", got, cqes)
+	}
+	for _, h := range []verbs.HCA{r.a, r.b} {
+		if live, _ := h.(*fabric.Node).Flights(); live != 0 {
+			r.t.Errorf("node %s: %d flight records still out after the fabric went quiet", h.Name(), live)
+		}
+	}
+}
+
+// Selective signalling: an unsignaled descriptor that succeeds generates no
+// send completion — the next signaled one on its queue pair completes after
+// it and stands for it — while one that fails always completes, with its
+// error and its own ID, and leaves its neighbours alone. The receiver's side
+// of a send or an immediate does not change. Handler-mode and polled send
+// queues see the same entries.
+func TestSelectiveSignalling(t *testing.T) {
+	const n, blk = 64, 512
+	// tailSignaled is a Multi-W doorbell as core posts it, and the memory it
+	// moves: src on a, dst on b.
+	tailSignaled := func(r *rig) (wrs []verbs.SendWR, src, dst []byte) {
+		wrs = writeList(r, n)
+		for i := range wrs[:n-1] {
+			wrs[i].Unsignaled = true
+		}
+		return wrs, r.a.Mem().Bytes(wrs[0].SGL[0].Addr, n*blk), r.b.Mem().Bytes(wrs[0].RemoteAddr, n*blk)
+	}
+	for _, c := range []struct {
+		name string
+		poll bool
+		run  func(t *testing.T, r *rig, poll bool)
+	}{
+		{name: "list signaled at its tail", run: func(t *testing.T, r *rig, poll bool) {
+			wrs, src, dst := tailSignaled(r)
+			qp, _, wait := r.initiator(poll)
+			r.drive(func(p *simtime.Process) {
+				if err := qp.PostSendList(wrs); err != nil {
+					t.Fatal(err)
+				}
+				got := wait(p, 1)
+				// The one completion is the tail's, and by the time it is
+				// seen every member's bytes are in place.
+				if e := got[0]; e.WRID != n || e.Err != nil || e.Op != verbs.OpRDMAWrite || e.Bytes != blk {
+					t.Errorf("completion = %+v, want the tail's", e)
+				}
+				if !bytes.Equal(dst, src) {
+					t.Error("the tail completed before every member had landed")
+				}
+			})
+			r.quiet(1)
+		}},
+		{name: "member with a stale rkey", run: func(t *testing.T, r *rig, poll bool) {
+			const bad = 20
+			wrs, src, dst := tailSignaled(r)
+			wrs[bad].RKey ^= 0x5a5a
+			qp, _, wait := r.initiator(poll)
+			r.drive(func(p *simtime.Process) {
+				if err := qp.PostSendList(wrs); err != nil {
+					t.Fatal(err)
+				}
+				got := wait(p, 2)
+				if e := got[0]; e.WRID != bad+1 || e.Err == nil || !strings.Contains(e.Err.Error(), "remote access error") {
+					t.Errorf("first completion = %+v, want member %d's remote access error", e, bad+1)
+				}
+				if e := got[1]; e.WRID != n || e.Err != nil {
+					t.Errorf("second completion = %+v, want the tail's, clean", e)
+				}
+			})
+			for i := 0; i < n; i++ {
+				lo, hi := i*blk, (i+1)*blk
+				if i == bad {
+					if !bytes.Equal(dst[lo:hi], make([]byte, blk)) {
+						t.Error("the refused member moved bytes")
+					}
+				} else if !bytes.Equal(dst[lo:hi], src[lo:hi]) {
+					t.Fatalf("member %d did not land beside the refused one", i+1)
+				}
+			}
+			r.quiet(2)
+		}},
+		{name: "unsignaled reads behind a signaled one", run: func(t *testing.T, r *rig, poll bool) {
+			// The list runs b → a: each read scatters a block of b's into a's.
+			wrs, local, remote := tailSignaled(r)
+			for i := range remote {
+				remote[i] = byte(i * 13)
+			}
+			for i := range wrs {
+				wrs[i].Op = verbs.OpRDMARead
+			}
+			qp, _, wait := r.initiator(poll)
+			r.drive(func(p *simtime.Process) {
+				if err := qp.PostSendList(wrs); err != nil {
+					t.Fatal(err)
+				}
+				if e := wait(p, 1)[0]; e.WRID != n || e.Err != nil {
+					t.Errorf("completion = %+v, want the tail's", e)
+				}
+				if !bytes.Equal(local, remote) {
+					t.Error("the last read completed before the reads ahead of it had landed")
+				}
+			})
+			r.quiet(1)
+		}},
+		{name: "unsignaled send and immediate", run: func(t *testing.T, r *rig, poll bool) {
+			wrs, src, dst := tailSignaled(r)
+			imm := wrs[0]
+			imm.Op, imm.Imm = verbs.OpRDMAWriteImm, 9
+			qp, peer, _ := r.initiator(poll)
+			for i := 0; i < 3; i++ {
+				peer.PostRecv(verbs.RecvWR{WRID: uint64(70 + i)})
+			}
+			r.drive(func(p *simtime.Process) {
+				for _, wr := range []verbs.SendWR{{Op: verbs.OpSend, Inline: []byte("quiet"), Imm: 8, Unsignaled: true}, imm} {
+					if err := qp.PostSend(wr); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			// The process waited for nothing: the fabric went quiet with both
+			// delivered, two credits consumed, and no entry on a's side.
+			if len(r.got[bRecv]) != 2 {
+				t.Fatalf("%d receive completions, want 2", len(r.got[bRecv]))
+			}
+			if e := r.got[bRecv][0]; e.WRID != 70 || string(e.Data) != "quiet" || e.Imm != 8 {
+				t.Errorf("the send arrived as %+v", e)
+			}
+			if e := r.got[bRecv][1]; e.WRID != 71 || !e.HasImm || e.Imm != 9 || e.Bytes != blk {
+				t.Errorf("the immediate arrived as %+v", e)
+			}
+			if !bytes.Equal(dst[:blk], src[:blk]) {
+				t.Error("the unsignaled write with immediate moved no data")
+			}
+			if peer.RecvCredits() != 1 {
+				t.Errorf("%d credits left, want 1", peer.RecvCredits())
+			}
+			r.quiet(0)
+		}},
+		{name: "injected completion fault", run: func(t *testing.T, r *rig, poll bool) {
+			wrs, _, dst := tailSignaled(r)
+			r.inject(fault.New(fault.Config{Seed: 1, CQEErrorRate: 1}))
+			qp, _, wait := r.initiator(poll)
+			r.drive(func(p *simtime.Process) {
+				if err := qp.PostSend(wrs[0]); err != nil {
+					t.Fatal(err)
+				}
+				if e := wait(p, 1)[0]; e.WRID != 1 || !fault.IsInjected(e.Err) {
+					t.Errorf("completion = %+v, want the unsignaled descriptor's injected error", e)
+				}
+			})
+			if dst[0] != 0 {
+				t.Error("a descriptor failed by CQE injection moved data")
+			}
+			r.quiet(1)
+		}},
+	} {
+		for _, poll := range []bool{false, true} {
+			mode := map[bool]string{false: "handler", true: "polled"}[poll]
+			t.Run(c.name+"/"+mode, func(t *testing.T) {
+				eachBackend(t, nil, func(t *testing.T, r *rig) { c.run(t, r, poll) })
+			})
+		}
+	}
 }

@@ -26,37 +26,43 @@ func writeList(r *rig, n int) []verbs.SendWR {
 
 // A warm list post of 64 writes, driven to its last completion handler,
 // allocates nothing on the virtual-time backends: every descriptor rides a
-// recycled flight record from post to handler, the engine is handed
-// pre-bound stage functions, and the payload is never staged.
+// recycled flight record from post to handler — or, unsignaled, to the end
+// of its train — the engine is handed pre-bound stage functions, and the
+// payload is never staged.
 func TestWarmListPostAllocatesNothing(t *testing.T) {
 	for _, be := range backends[:2] { // sim, shm: AllocsPerRun needs one thread of execution
 		t.Run(be.name, func(t *testing.T) {
-			r := newRig(t, be, nil)
-			wrs := writeList(r, 64)
-			eng := r.a.Engine()
-			round := func() {
-				if err := r.qa.PostSendList(wrs); err != nil {
-					t.Fatal(err)
+			for _, signaled := range []int{64, 1} { // every descriptor, or the tail alone
+				r := newRig(t, be, nil)
+				wrs := writeList(r, 64)
+				for i := range wrs[:len(wrs)-signaled] {
+					wrs[i].Unsignaled = true
 				}
-				if err := eng.Run(); err != nil {
-					t.Fatal(err)
+				eng := r.a.Engine()
+				round := func() {
+					if err := r.qa.PostSendList(wrs); err != nil {
+						t.Fatal(err)
+					}
+					if err := eng.Run(); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			for i := 0; i < 4; i++ {
-				round() // warm: record free list, event heap, the rig's completion log
-			}
-			done := len(r.got[aSend])
-			r.cq[aSend].SetHandler(func(e verbs.CQE) {
-				if e.Err != nil {
-					t.Error(e.Err)
+				for i := 0; i < 4; i++ {
+					round() // warm: record free list, event heap, the rig's completion log
 				}
-				done++
-			})
-			if avg := testing.AllocsPerRun(50, round); avg != 0 {
-				t.Fatalf("%.2f allocations per warm 64-descriptor list post, want 0", avg)
-			}
-			if want := (4 + 51) * len(wrs); done != want {
-				t.Fatalf("%d completions handled, want %d", done, want)
+				done := len(r.got[aSend])
+				r.cq[aSend].SetHandler(func(e verbs.CQE) {
+					if e.Err != nil {
+						t.Error(e.Err)
+					}
+					done++
+				})
+				if avg := testing.AllocsPerRun(50, round); avg != 0 {
+					t.Fatalf("%d signaled: %.2f allocations per warm 64-descriptor list post, want 0", signaled, avg)
+				}
+				if want := (4 + 51) * signaled; done != want {
+					t.Fatalf("%d signaled: %d completions handled, want %d", signaled, done, want)
+				}
 			}
 		})
 	}
@@ -75,6 +81,14 @@ func TestRecordsAllComeHome(t *testing.T) {
 		wrs[listLen-1].Op, wrs[listLen-1].Imm = verbs.OpRDMAWriteImm, 1
 		read := wrs[0]
 		read.Op = verbs.OpRDMARead
+		// Half the list, the read and the second send are unsignaled: their
+		// records go home without a completion to carry them. (wrs[1], posted
+		// on its own below, is one of the signaled half.)
+		for i := 0; i < listLen; i += 2 {
+			wrs[i].Unsignaled = true
+		}
+		read.Unsignaled = true
+		const signaled = listLen/2 + 2 // of a round's listLen+4 descriptors
 		// b returns one credit per completion it handles; with two credits and
 		// three arrivals a round, an arrival that outruns b's handlers stalls.
 		r.qb.PostRecv(verbs.RecvWR{})
@@ -85,13 +99,13 @@ func TestRecordsAllComeHome(t *testing.T) {
 				if err := r.qa.PostSendList(wrs); err != nil {
 					t.Fatal(err)
 				}
-				for _, wr := range []verbs.SendWR{read, {Op: verbs.OpSend, Inline: []byte("a")}, wrs[1], {Op: verbs.OpSend, Inline: []byte("b")}} {
+				for _, wr := range []verbs.SendWR{read, {Op: verbs.OpSend, Inline: []byte("a")}, wrs[1], {Op: verbs.OpSend, Inline: []byte("b"), Unsignaled: true}} {
 					if err := r.qa.PostSend(wr); err != nil {
 						t.Fatal(err)
 					}
 				}
-				r.await(p, aSend, i*(listLen+4))
-				for _, e := range r.got[aSend][(i-1)*(listLen+4):] {
+				r.await(p, aSend, i*signaled)
+				for _, e := range r.got[aSend][(i-1)*signaled:] {
 					if e.Err != nil {
 						t.Fatal(e.Err)
 					}

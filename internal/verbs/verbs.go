@@ -100,6 +100,20 @@ type SendWR struct {
 	// InfiniBand service level: 0 latency-sensitive, 1 bulk. Scheduling
 	// happens above the verbs boundary — the fabric only accounts it.
 	Lane uint8
+
+	// Unsignaled asks for no send completion when the descriptor succeeds
+	// (selective signalling; the zero value is a signaled descriptor). The
+	// connection completes in posting order, so the completion of a later
+	// signaled descriptor on the same QP tells the poster that every
+	// unsignaled one before it has completed too — which is also how long
+	// the memory an unsignaled descriptor's SGL names must stay untouched. A
+	// descriptor that fails always completes, with its error and its own
+	// WRID, whatever this field says; descriptors after it are unaffected.
+	// The receiver's side is untouched: a send or an immediate consumes its
+	// credit and generates its receive completion either way. The model has
+	// no send-queue depth to reclaim, so a stream of nothing but unsignaled
+	// descriptors (control sends) needs no periodic signaled one.
+	Unsignaled bool
 }
 
 // RecvWR is a receive-queue work request: a pure credit. Channel-semantics
