@@ -183,14 +183,6 @@ type Config struct {
 	// concurrent messages want different segment sizes.
 	PoolShards int
 
-	// InterpretedPack disables the compiled layout programs: every pack,
-	// unpack and layout walk goes through the interpreted datatype.Cursor,
-	// as before the datatype compiler existed. The compiled and interpreted
-	// paths emit identical run sequences — identical staging bytes and
-	// identical virtual cost — so this switch exists for conformance A/B
-	// comparison and as an escape hatch, not as a semantic knob.
-	InterpretedPack bool
-
 	// QoS enables service mode: traffic-class lanes with per-peer
 	// flow-control windows over bulk descriptor posting, and admission
 	// control that parks or rejects new bulk transfers while segment-pool or

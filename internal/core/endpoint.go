@@ -607,7 +607,7 @@ func (ep *Endpoint) eagerSend(req *Request, ctx int, buf mem.Addr, count int, dt
 	w.u64(uint64(size)) // the payload's length prefix (ctrlReader.bytes)
 	hdr := len(w.buf)
 	w.buf = w.buf[:hdr+int(size)]
-	ep.bind(&ep.pk, buf, dt, count)
+	ep.pk.Bind(ep.memory, buf, ep.Program(dt, count))
 	n, runs := ep.pk.PackTo(w.buf[hdr:])
 	if n != size {
 		panic("core: short pack")
@@ -735,7 +735,7 @@ func (ep *Endpoint) eagerDeliver(inb *inbound, req *Request) {
 		n = capacity
 		err = ErrTruncate
 	}
-	ep.bind(&ep.upk, req.buf, req.dt, req.count)
+	ep.upk.Bind(ep.memory, req.buf, ep.Program(req.dt, req.count))
 	got, runs := ep.upk.UnpackFrom(inb.data[:n])
 	if got != n {
 		panic("core: short unpack")
@@ -783,7 +783,7 @@ func (ep *Endpoint) selfSend(req *Request, ctx int, buf mem.Addr, count int, dt 
 	inb.kind, inb.ctx, inb.src, inb.tag, inb.size = kindEager, ctx, ep.rank, tag, size
 	inb.data, inb.ownsData = ep.getBuf(size), true
 	inb.sreq = req
-	ep.bind(&ep.pk, buf, dt, count)
+	ep.pk.Bind(ep.memory, buf, ep.Program(dt, count))
 	_, runs := ep.pk.PackTo(inb.data)
 	atomic.AddInt64(&ep.ctr.BytesPacked, size)
 	cost := ep.cfg.packCost(ep.model, size, runs)

@@ -15,9 +15,6 @@ func TestProgramCacheReuse(t *testing.T) {
 	v := datatype.Must(datatype.TypeVector(16, 2, 8, datatype.Int32))
 
 	p1 := ep.Program(v, 4)
-	if p1 == nil {
-		t.Fatal("Program returned nil with the compiled path enabled")
-	}
 	if p2 := ep.Program(v, 4); p2 != p1 {
 		t.Fatal("second Program call did not hit the cache")
 	}
@@ -89,25 +86,9 @@ func TestProgramCacheFreeDropsPrograms(t *testing.T) {
 	}
 }
 
-// TestProgramForInterpreted checks the escape hatch: with InterpretedPack
-// set, Program yields nil and walkerFor falls back to the cursor.
-func TestProgramForInterpreted(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.InterpretedPack = true
-	w := newTestWorld(t, 1, cfg, 48<<20)
-	ep := w.eps[0]
-	v := datatype.Must(datatype.TypeVector(16, 2, 8, datatype.Int32))
-	if p := ep.Program(v, 1); p != nil {
-		t.Fatalf("InterpretedPack still compiled: %s", p)
-	}
-	if _, ok := ep.walkerFor(v, 1).(*datatype.Cursor); !ok {
-		t.Fatal("walkerFor did not fall back to the interpreted cursor")
-	}
-}
-
-// TestLayoutSummaryPaths checks both summary paths: canonical programs
-// answer exactly; generic shapes get an explicitly extrapolated sample that
-// matches the true run count for a self-similar layout.
+// TestLayoutSummaryPaths checks that every program kind answers the summary
+// from what it holds: canonical programs exactly, a shape past the run cap
+// with its compile-time estimate — and none of them with a walk.
 func TestLayoutSummaryPaths(t *testing.T) {
 	w := newTestWorld(t, 1, DefaultConfig(), 48<<20)
 	ep := w.eps[0]
@@ -118,8 +99,6 @@ func TestLayoutSummaryPaths(t *testing.T) {
 		t.Fatalf("canonical summary = (%d, %d), want (64, 8)", runs, avg)
 	}
 
-	// A shape past the materialization cap: uniform 4-byte runs, so the
-	// extrapolated estimate must land exactly on the true count.
 	idx := datatype.Must(datatype.TypeIndexed([]int{1, 1, 1}, []int{0, 3, 7}, datatype.Int32))
 	big := datatype.Must(datatype.TypeVector(128, 1, 2, idx))
 	prog := ep.Program(big, 200)
@@ -128,13 +107,17 @@ func TestLayoutSummaryPaths(t *testing.T) {
 	}
 	stats := datatype.LayoutStats(big, 200, 0)
 	runs, avg = ep.layoutSummary(big, 200)
-	// A handful of runs coalesce at instance seams, so the sampled estimate
-	// is not exact — but it must be within 1% of the true count (the old
-	// code reported the truncated sample, 4096, as if it were the layout).
+	// A handful of runs coalesce at instance seams, so the estimate is not
+	// exact — but it must be within 1% of the true count.
 	if diff := runs - stats.Runs; diff < -stats.Runs/100 || diff > stats.Runs/100 {
-		t.Fatalf("extrapolated summary runs = %d, true %d", runs, stats.Runs)
+		t.Fatalf("estimated summary runs = %d, true %d", runs, stats.Runs)
 	}
 	if avg < int64(stats.AvgRun)-1 || avg > int64(stats.AvgRun)+1 {
-		t.Fatalf("extrapolated avg = %d, true %.1f", avg, stats.AvgRun)
+		t.Fatalf("estimated avg = %d, true %.1f", avg, stats.AvgRun)
+	}
+	// The estimate was made once, at compile time: asking again costs no
+	// sample walk and no block list.
+	if allocs := testing.AllocsPerRun(20, func() { ep.layoutSummary(big, 200) }); allocs != 0 {
+		t.Fatalf("layoutSummary of a past-cap shape allocates %.0f objects per call, want 0", allocs)
 	}
 }

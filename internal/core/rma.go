@@ -89,8 +89,8 @@ func (ep *Endpoint) Put(dst int, oBuf mem.Addr, oCount int, oType *datatype.Type
 			done(err)
 			return
 		}
-		oc := ep.walkerFor(oType, oCount)
-		tc := ep.walkerFor(tType, tCount)
+		oc := ep.Program(oType, oCount).Cursor()
+		tc := ep.Program(tType, tCount).Cursor()
 		remaining := oType.Size() * int64(oCount)
 		var set wrSet // one-shot: RMA ops have no pooled op to own an arena
 		for remaining > 0 {
@@ -135,8 +135,8 @@ func (ep *Endpoint) Get(dst int, oBuf mem.Addr, oCount int, oType *datatype.Type
 			done(err)
 			return
 		}
-		oc := ep.walkerFor(oType, oCount)
-		tc := ep.walkerFor(tType, tCount)
+		oc := ep.Program(oType, oCount).Cursor()
+		tc := ep.Program(tType, tCount).Cursor()
 		remaining := oType.Size() * int64(oCount)
 		var set wrSet // one-shot: RMA ops have no pooled op to own an arena
 		for remaining > 0 {
@@ -224,9 +224,9 @@ func (ep *Endpoint) rmaLocal(a *rmaArgs, put bool, done func(error)) {
 	if !put {
 		pBuf, pCount, pType, uBuf, uCount, uType = uBuf, uCount, uType, pBuf, pCount, pType
 	}
-	ep.bind(&ep.pk, pBuf, pType, pCount)
+	ep.pk.Bind(ep.memory, pBuf, ep.Program(pType, pCount))
 	_, r1 := ep.pk.PackTo(tmp)
-	ep.bind(&ep.upk, uBuf, uType, uCount)
+	ep.upk.Bind(ep.memory, uBuf, ep.Program(uType, uCount))
 	_, r2 := ep.upk.UnpackFrom(tmp)
 	runs := r1 + r2
 	atomic.AddInt64(&ep.ctr.BytesPacked, bytes)

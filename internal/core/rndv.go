@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"fmt"
+	"math"
 
 	"repro/internal/datatype"
 	"repro/internal/fault"
@@ -204,7 +205,6 @@ type recvMsg struct {
 	haveWhole bool
 
 	// P-RRS read state.
-	readCur   datatype.RunWalker
 	bytesRead int64
 	wrsLeft   int // outstanding receiver-initiated descriptors (scatter reads)
 
@@ -601,7 +601,7 @@ func (ep *Endpoint) recvStagedSetup(op *recvOp, segSize int64) {
 		return
 	}
 
-	ep.bind(&op.unpacker, op.req.buf, op.req.dt, op.req.count)
+	op.unpacker.Bind(ep.memory, op.req.buf, ep.Program(op.req.dt, op.req.count))
 
 	if op.scheme == SchemeGeneric {
 		// The basic scheme's dynamically allocated whole-message unpack
@@ -760,7 +760,7 @@ func (op *recvOp) regDone(err error) {
 		// Tell the sender to start producing segments for scatter reads.
 		op.segSize = ep.cfg.segSizeFor(op.eff)
 		op.nSegs = int((op.eff + op.segSize - 1) / op.segSize)
-		op.readCur = ep.bindWalker(&op.cur, op.req.dt, op.req.count)
+		op.cur.Reset(ep.Program(op.req.dt, op.req.count))
 
 		w := ep.ctrlW()
 		w.u8(kindCTS)
@@ -850,7 +850,7 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 		op.segSize = segSize
 	case SchemeMultiW:
 		rBase := mem.Addr(r.u64())
-		rCount := int(r.u64())
+		rCount := r.u64()
 		idx := int(r.u32())
 		version := r.u32()
 		hasLayout := r.u8() != 0
@@ -887,7 +887,15 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 			}
 			atomic.AddInt64(&ep.ctr.TypeCacheHits, 1)
 		}
-		op.rBase, op.rLayout, op.rCount = rBase, layout, rCount
+		// The count is the peer's claim. One that no buffer could hold is
+		// refused here, before a program is compiled or a run walked from
+		// it; the layout above is already absorbed either way.
+		if !countFits(layout.t, rCount) {
+			ep.abortSend(op, fmt.Errorf("core rank %d: receiver count %d out of range for its layout (size %d, extent %d)",
+				ep.rank, int64(rCount), layout.t.Size(), layout.t.Extent()))
+			return
+		}
+		op.rBase, op.rLayout, op.rCount = rBase, layout, int(rCount)
 	case SchemePRRS:
 		segSize := r.i64()
 		if r.err != nil {
@@ -901,6 +909,14 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 		panic(fmt.Sprintf("core: CTS with bad scheme %d", scheme))
 	}
 	ep.admitSend(op)
+}
+
+// countFits reports whether count instances of t are a message this rank can
+// lay out: at least one, and neither count × Size() nor count × |Extent()| —
+// the products the layout walk forms — leaves int64.
+func countFits(t *datatype.Type, count uint64) bool {
+	per := max(t.Size(), t.Extent(), -t.Extent(), 1)
+	return count >= 1 && count <= math.MaxInt && count <= uint64(math.MaxInt64/per)
 }
 
 // admitted starts the sender's data movement, on the operands handleCTS

@@ -22,7 +22,7 @@ import (
 // valid. A cursor that runs out before want bytes are consumed is a
 // layout/size mismatch and is reported as an error rather than silently
 // truncating the transfer.
-func (ep *Endpoint) chunkWRs(set *wrSet, opc verbs.Opcode, cur datatype.RunWalker, base mem.Addr,
+func (ep *Endpoint) chunkWRs(set *wrSet, opc verbs.Opcode, cur *datatype.ProgCursor, base mem.Addr,
 	localRefs []regRef, want int64, rAddr mem.Addr, rKey uint32) ([]verbs.SendWR, error) {
 
 	maxSGE := ep.model.MaxSGE
@@ -265,11 +265,11 @@ func (ep *Endpoint) sendStagedData(op *sendOp) {
 // shared completion countdown can never transiently hit zero between
 // segments.
 func (ep *Endpoint) sendGatherData(op *sendOp) {
-	cur := ep.bindWalker(&op.cur, op.dt, op.count)
+	op.cur.Reset(ep.Program(op.dt, op.count))
 	refs := op.ctsSegs
 	groups := op.groups[:0]
 	for k := 0; k < op.nSegs; k++ {
-		wrs, err := ep.chunkWRs(&op.wrs, verbs.OpRDMAWrite, cur, op.buf, op.reg.refs,
+		wrs, err := ep.chunkWRs(&op.wrs, verbs.OpRDMAWrite, &op.cur, op.buf, op.reg.refs,
 			segBytes(op.eff, op.segSize, k), refs[k].addr, refs[k].key)
 		if err != nil {
 			ep.abortSend(op, err)
@@ -310,7 +310,7 @@ func (op *sendOp) stageDone(s seg, err error) {
 	op.staging = segRes{seg: s, bytes: op.eff, held: true}
 	switch op.next {
 	case stepGenericData:
-		ep.bind(&op.packer, op.buf, op.dt, op.count)
+		op.packer.Bind(ep.memory, op.buf, ep.Program(op.dt, op.count))
 		st := op.packer.Pack(ep.memory.Bytes(s.addr, op.eff))
 		if st.Bytes != op.eff {
 			panic("core: generic pack shortfall")
@@ -387,7 +387,7 @@ func (ep *Endpoint) packStagedSeg(op *sendOp, k int) []verbs.SendWR {
 // stalls until a slot's send completes (Section 4.3.3). In fault mode,
 // segments go out one at a time so retries cannot reorder arrivals.
 func (ep *Endpoint) sendBCSPUPData(op *sendOp) {
-	ep.bind(&op.packer, op.buf, op.dt, op.count)
+	op.packer.Bind(ep.memory, op.buf, ep.Program(op.dt, op.count))
 
 	if !ep.packPool.enabled {
 		// Worst case (Figure 14): one on-the-fly pack buffer of the real data
@@ -610,15 +610,15 @@ func (op *sendOp) batchGranted() {
 // and remote layouts together, emitting one RDMA write per remote contiguous
 // run (gathering across local runs), immediate data on the final descriptor.
 func (ep *Endpoint) sendMultiWData(op *sendOp) {
-	sc := ep.bindWalker(&op.cur, op.dt, op.count)
-	rc := ep.bindPeerWalker(&op.rcur, op.rLayout, op.rCount)
+	op.cur.Reset(ep.Program(op.dt, op.count))
+	op.rcur.Reset(op.rLayout.program(op.rCount))
 	rRefs := op.ctsRegs
 	remaining := op.eff
 	// Successive chunkWRs calls append into the same arena, so the flat
 	// window over everything built here is just the arena tail.
 	wrStart := len(op.wrs.wrs)
 	for remaining > 0 {
-		rOff, rLen, ok := rc.Next(remaining)
+		rOff, rLen, ok := op.rcur.Next(remaining)
 		if !ok {
 			ep.abortSend(op, fmt.Errorf("core rank %d: receiver layout smaller than effective size (%d bytes unconsumed)",
 				ep.rank, remaining))
@@ -629,7 +629,7 @@ func (ep *Endpoint) sendMultiWData(op *sendOp) {
 		if i < 0 {
 			panic(fmt.Sprintf("core rank %d: no remote region covers [%#x,+%d)", ep.rank, rAddr, rLen))
 		}
-		if _, err := ep.chunkWRs(&op.wrs, verbs.OpRDMAWrite, sc, op.buf, op.reg.refs, rLen, rAddr, rRefs[i].key); err != nil {
+		if _, err := ep.chunkWRs(&op.wrs, verbs.OpRDMAWrite, &op.cur, op.buf, op.reg.refs, rLen, rAddr, rRefs[i].key); err != nil {
 			ep.abortSend(op, err)
 			return
 		}
@@ -666,7 +666,7 @@ func (ep *Endpoint) sendPRRSData(op *sendOp) {
 	}
 
 	// P-RRS pack segments stay occupied until the receiver's Done.
-	ep.bind(&op.packer, op.buf, op.dt, op.count)
+	op.packer.Bind(ep.memory, op.buf, ep.Program(op.dt, op.count))
 	op.class = ep.packPool.classFor(op.segSize)
 	if !ep.packPool.enabled || op.nSegs > ep.packPool.slotsFor(op.class) {
 		// Worst case or message larger than the pool: one on-the-fly pack
@@ -735,7 +735,7 @@ func (ep *Endpoint) handleSegReady(src int, r *ctrlReader) {
 	if op.failed {
 		return
 	}
-	wrs, err := ep.chunkWRs(&op.wrs, verbs.OpRDMARead, op.readCur, op.req.buf, op.reg.refs, n, addr, key)
+	wrs, err := ep.chunkWRs(&op.wrs, verbs.OpRDMARead, &op.cur, op.req.buf, op.reg.refs, n, addr, key)
 	if err != nil {
 		ep.abortRecv(op, err, true)
 		return

@@ -130,7 +130,7 @@ func AutoChoice(cfg *Config, in SelectorInput) (Scheme, string) {
 }
 
 // selectorInput assembles the per-message shape summary for scheme choice.
-// Only the Auto path pays the receiver-side LayoutStats walk.
+// Only the Auto path asks for the receiver-side layout summary.
 func (ep *Endpoint) selectorInput(inb *inbound, req *Request, eff int64) SelectorInput {
 	in := SelectorInput{
 		Peer:    inb.src,

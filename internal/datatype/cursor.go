@@ -177,25 +177,6 @@ type Stats struct {
 	Truncated bool // statistics computed over a truncated prefix of runs
 }
 
-// Extrapolate scales a truncated Stats up to a message of totalBytes data
-// bytes, assuming the sampled prefix is representative: the run count is
-// scaled to preserve the observed average run length, while Min/Max/Median
-// remain the prefix's. It is the explicit way to consume a truncated flatten
-// (the result still reports Truncated, because it is an estimate, not a
-// walk). Untruncated stats are returned unchanged.
-func (s Stats) Extrapolate(totalBytes int64) Stats {
-	if !s.Truncated || s.Bytes <= 0 || s.AvgRun <= 0 || totalBytes <= s.Bytes {
-		return s
-	}
-	out := s
-	out.Bytes = totalBytes
-	out.Runs = int64(float64(totalBytes) / s.AvgRun)
-	if out.Runs < s.Runs {
-		out.Runs = s.Runs
-	}
-	return out
-}
-
 // LayoutStats computes Stats over at most limit runs (0 means all).
 func LayoutStats(t *Type, count, limit int) Stats {
 	blocks, trunc := Flatten(t, count, limit)

@@ -136,46 +136,3 @@ func TestLayoutStatsExactLimit(t *testing.T) {
 		t.Fatal("stats one under the run count not reported truncated")
 	}
 }
-
-// TestStatsExtrapolate covers the explicit consumption path for truncated
-// flattens: scaling preserves the observed average run length, never shrinks
-// the run count, and leaves complete stats untouched.
-func TestStatsExtrapolate(t *testing.T) {
-	// Pad the extent so instances do not abut: every run is exactly 8 bytes
-	// and the extrapolated run count can land exactly.
-	v := Must(TypeResized(Must(TypeVector(64, 2, 5, Int32)), 0, 1280))
-	full := LayoutStats(v, 4, 0)
-	sample := LayoutStats(v, 4, 16)
-	if !sample.Truncated {
-		t.Fatal("sample not truncated")
-	}
-
-	ex := sample.Extrapolate(full.Bytes)
-	if !ex.Truncated {
-		t.Fatal("extrapolated stats must stay marked Truncated (they are an estimate)")
-	}
-	if ex.Bytes != full.Bytes {
-		t.Fatalf("extrapolated bytes = %d, want %d", ex.Bytes, full.Bytes)
-	}
-	if ex.Runs != full.Runs {
-		// This layout is uniform, so the estimate should land exactly.
-		t.Fatalf("extrapolated runs = %d, want %d", ex.Runs, full.Runs)
-	}
-	if ex.AvgRun != sample.AvgRun || ex.MinRun != sample.MinRun || ex.MaxRun != sample.MaxRun {
-		t.Fatalf("extrapolation changed the per-run shape: %+v", ex)
-	}
-
-	// Complete stats pass through unchanged.
-	if got := full.Extrapolate(full.Bytes * 2); got != full {
-		t.Fatalf("untruncated stats changed: %+v", got)
-	}
-	// Shrinking targets never reduce the observed run count.
-	if got := sample.Extrapolate(sample.Bytes / 2); got.Runs < sample.Runs {
-		t.Fatalf("extrapolate shrank runs: %d < %d", got.Runs, sample.Runs)
-	}
-	// Degenerate inputs are returned unchanged rather than divided by zero.
-	empty := Stats{Truncated: true}
-	if got := empty.Extrapolate(100); got != empty {
-		t.Fatalf("empty stats changed: %+v", got)
-	}
-}

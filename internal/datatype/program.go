@@ -13,7 +13,8 @@ import "fmt"
 // therefore the simulator's virtual cost are bit-for-bit unchanged. Shapes
 // whose run sequence the compiler cannot reproduce exactly (cross-boundary
 // run coalescing, very deep nesting with very many runs) fall back to
-// ProgGeneric, which replays through the interpreted Cursor.
+// ProgGeneric, which replays through the interpreted Cursor behind the same
+// ProgCursor every other kind is walked with.
 
 // ProgKind classifies a compiled layout program.
 type ProgKind int
@@ -31,8 +32,9 @@ const (
 	// canonical form of indexed/struct layouts; a uniform block length is
 	// detected so fixed-block replay needs no length lookup.
 	ProgIndexed
-	// ProgGeneric marks a shape the compiler does not canonicalize; its
-	// cursor wraps the interpreted datatype Cursor.
+	// ProgGeneric is the bounded fallback for a shape with more runs than
+	// the compiler materializes: its cursor wraps the interpreted Cursor and
+	// its run count is an estimate; it is otherwise asked what every kind is.
 	ProgGeneric
 )
 
@@ -54,9 +56,10 @@ const (
 	// maxProgDims bounds the stride nesting a ProgStrided program carries;
 	// deeper nests are materialized into a run table or left generic.
 	maxProgDims = 8
-	// maxProgRuns bounds the run table a ProgIndexed program materializes;
-	// beyond it the shape stays generic (the table would cost more memory
-	// than the walk it saves).
+	// maxProgRuns bounds the run table the compiler materializes; beyond it
+	// the shape stays generic (the table would cost more memory than the walk
+	// it saves, and a peer's layout can claim any count). A table the type
+	// already holds is shared at any length.
 	maxProgRuns = 1 << 16
 )
 
@@ -75,7 +78,7 @@ type Program struct {
 	count int
 
 	bytes int64 // total data bytes of the message
-	runs  int64 // maximal contiguous runs; -1 when unknown (ProgGeneric)
+	runs  int64 // maximal contiguous runs; estimated when ProgGeneric
 
 	off0 int64     // first-run offset (ProgContig / ProgStrided)
 	dims []progDim // ProgStrided stride levels, outermost first
@@ -92,12 +95,12 @@ type Program struct {
 // deterministic; callers cache programs keyed by (type, count).
 func Compile(t *Type, count int) *Program {
 	p := &Program{t: t, count: count}
-	p.ascending = true
 	lp := messageLoop(t, count)
 	p.bytes = lp.dataBytes
 	if p.bytes == 0 {
 		// Empty message: a contig program of zero runs.
 		p.kind = ProgContig
+		p.ascending = true
 		return p
 	}
 	if off, block, dims, ok := stridedShape(lp, 0); ok {
@@ -126,7 +129,8 @@ func Compile(t *Type, count int) *Program {
 	}
 	if lp.kind == loopIndexed && lp.kids == nil {
 		// An indexed type of leaves, sent once: its table already is the
-		// maximal-run sequence, so the program shares it.
+		// maximal-run sequence, so the program shares it, whatever its
+		// length — the cap bounds what is built here, not what exists.
 		p.runTable = lp.runTable
 	} else {
 		n := lp.blocks
@@ -136,13 +140,19 @@ func Compile(t *Type, count int) *Program {
 		b := newRunBuilder(int(n))
 		b.emit(lp, 0)
 		b.flush()
+		if len(b.offs) > maxProgRuns {
+			// Past the cap. The runs in hand and the bytes they cover price
+			// the rest of the message: the run count scheme selection and
+			// registration ask for, without a walk per message.
+			covered := int64(len(b.offs)) * b.runLen
+			for _, n := range b.lens {
+				covered += n
+			}
+			p.kind = ProgGeneric
+			p.runs = int64(float64(p.bytes) * float64(len(b.offs)) / float64(covered))
+			return p
+		}
 		p.runTable = b.runTable
-	}
-	if len(p.offs) > maxProgRuns {
-		p.kind = ProgGeneric
-		p.runs = -1
-		p.runTable = runTable{}
-		return p
 	}
 	p.kind = ProgIndexed
 	p.runs = int64(len(p.offs))
@@ -271,19 +281,13 @@ func (p *Program) Kind() ProgKind { return p.kind }
 // Type returns the datatype the program was compiled from.
 func (p *Program) Type() *Type { return p.t }
 
-// Count returns the instance count the program was compiled for.
-func (p *Program) Count() int { return p.count }
-
 // Bytes returns the total data bytes of the message.
 func (p *Program) Bytes() int64 { return p.bytes }
 
-// Runs returns the exact maximal contiguous run count, or -1 for a
-// ProgGeneric program (whose run count is only known by walking).
+// Runs returns the maximal contiguous run count: exact for a canonical
+// program, for a ProgGeneric one the compile-time estimate that scales the
+// runs the compiler saw before it gave up to the whole message.
 func (p *Program) Runs() int64 { return p.runs }
-
-// Dims returns the stride nesting depth: 0 for contig, 1 for a 1D vector,
-// 2 for a 2D nest, and so on. Indexed and generic programs report 0.
-func (p *Program) Dims() int { return len(p.dims) }
 
 // Ascending reports whether the program emits runs in non-decreasing offset
 // order, letting consumers skip sorting (OGR grouping).
@@ -295,9 +299,8 @@ func (p *Program) Ascending() bool { return p.ascending }
 // ProgGeneric programs report (0, 0).
 func (p *Program) Bounds() (lo, hi int64) { return p.lo, p.hi }
 
-// RunAt returns run i's (offset, length) by random access, the replay form
-// the parallel engine shards. It panics on ProgGeneric programs (use a
-// cursor) and on out-of-range i.
+// RunAt returns run i's (offset, length) by random access. It panics on
+// ProgGeneric programs (use a cursor) and on out-of-range i.
 func (p *Program) RunAt(i int64) (off, length int64) {
 	if i < 0 || i >= p.runs {
 		panic("datatype: Program.RunAt out of range")
@@ -345,24 +348,6 @@ func (p *Program) String() string {
 	return "unknown"
 }
 
-// RunWalker is the streaming contract shared by the interpreted Cursor and
-// the compiled ProgCursor: maximal contiguous runs in datatype order, any
-// number of bytes at a time. Both implementations emit the identical
-// sequence for the same (type, count).
-type RunWalker interface {
-	// Next returns up to max bytes of the current run; see Cursor.Next.
-	Next(max int64) (off, n int64, ok bool)
-	// Remaining reports data bytes not yet returned by Next.
-	Remaining() int64
-	// Done reports whether the whole message has been consumed.
-	Done() bool
-}
-
-var (
-	_ RunWalker = (*Cursor)(nil)
-	_ RunWalker = (*ProgCursor)(nil)
-)
-
 // ProgCursor replays a compiled program with the Cursor's streaming
 // contract. For canonical programs the advance is O(1) with no allocation;
 // for ProgGeneric it wraps an interpreted Cursor. The zero value is not
@@ -403,15 +388,10 @@ func (c *ProgCursor) Reset(prog *Program) {
 }
 
 // Remaining reports the data bytes not yet returned by Next.
-func (c *ProgCursor) Remaining() int64 {
-	if c.gen != nil {
-		return c.gen.Remaining()
-	}
-	return c.remaining
-}
+func (c *ProgCursor) Remaining() int64 { return c.remaining }
 
 // Done reports whether the whole message has been consumed.
-func (c *ProgCursor) Done() bool { return c.Remaining() == 0 }
+func (c *ProgCursor) Done() bool { return c.remaining == 0 }
 
 // Next returns up to max bytes of the current contiguous run, with exactly
 // Cursor.Next's contract. max must be positive.
@@ -420,7 +400,9 @@ func (c *ProgCursor) Next(max int64) (off, n int64, ok bool) {
 		panic("datatype: ProgCursor.Next with non-positive max")
 	}
 	if c.gen != nil {
-		return c.gen.Next(max)
+		off, n, ok = c.gen.Next(max)
+		c.remaining -= n
+		return off, n, ok
 	}
 	if c.remaining == 0 {
 		return 0, 0, false

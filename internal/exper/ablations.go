@@ -55,7 +55,7 @@ func AblationOGR() *Result {
 	for _, x := range vectorColumns {
 		dt := VectorType(x)
 		// Lay the message out at a representative base address.
-		blocks, _ := pack.MessageBlocks(mem.Addr(1<<20), dt, 1, 0)
+		blocks, _ := pack.ProgramBlocks(mem.Addr(1<<20), datatype.Compile(dt, 1), 0)
 		perBlock := mem.TotalCost(mem.GroupRegions(blocks, mem.RegCost{}), cost)
 		coverAll := mem.TotalCost(mem.CoverAll(blocks), cost)
 		ogr := mem.TotalCost(mem.GroupRegions(blocks, cost), cost)

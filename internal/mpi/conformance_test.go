@@ -195,58 +195,3 @@ func TestCrossBackendConformanceAuto(t *testing.T) {
 		}
 	}
 }
-
-// TestCrossBackendConformanceInterpreted re-runs the full shape x scheme x
-// backend matrix with Config.InterpretedPack set, checking the interpreted
-// cursor walk against the same oracle the default compiled-program runs use
-// (TestCrossBackendConformance): any byte divergence between the compiled
-// and interpreted pack paths fails one of the two suites.
-func TestCrossBackendConformanceInterpreted(t *testing.T) {
-	schemes := []core.Scheme{
-		core.SchemeGeneric, core.SchemeBCSPUP, core.SchemeRWGUP,
-		core.SchemePRRS, core.SchemeMultiW,
-	}
-	backends := AllBackends
-	types := confTypes(t)
-
-	for name, tc := range types {
-		for _, scheme := range schemes {
-			want := confPattern(tc.dt.Size()*int64(tc.count), 3)
-			for _, backend := range backends {
-				t.Run(fmt.Sprintf("%s/%s/%s", name, scheme, backend), func(t *testing.T) {
-					cfg := DefaultConfig()
-					cfg.Ranks = 2
-					cfg.MemBytes = 96 << 20
-					cfg.Core.Scheme = scheme
-					cfg.Core.InterpretedPack = true
-					cfg.Backend = backend
-					cfg.RTTimeout = time.Minute
-					w, err := NewWorld(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var got []byte
-					err = w.Run(func(p *Proc) error {
-						buf := confAlloc(p, tc.dt, tc.count)
-						if p.Rank() == 0 {
-							confFill(p, buf, tc.dt, tc.count, 3)
-							return p.Send(buf, tc.count, tc.dt, 1, 7)
-						}
-						if _, err := p.Recv(buf, tc.count, tc.dt, 0, 7); err != nil {
-							return err
-						}
-						got = confGather(p, buf, tc.dt, tc.count)
-						return nil
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("interpreted %s over %s on %s: delivered bytes differ from the compiled-path oracle",
-							name, scheme, backend)
-					}
-				})
-			}
-		}
-	}
-}

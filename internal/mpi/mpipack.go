@@ -26,32 +26,15 @@ func (p *Proc) Pack(buf mem.Addr, count int, dt *datatype.Type, out []byte, pos 
 	if int64(pos)+n > int64(len(out)) {
 		return pos, fmt.Errorf("mpi: Pack needs %d bytes at %d, have %d", n, pos, len(out))
 	}
-	pk := p.newPacker(buf, count, dt)
+	// The endpoint's cached program for (dt, count) — the lookup the transfer
+	// schemes use, so packing by hand compiles a layout once, not per call.
+	pk := pack.NewProgramPacker(p.Mem(), buf, p.Endpoint().Program(dt, count))
 	got, runs := pk.PackTo(out[pos : int64(pos)+n])
 	if got != n {
 		return pos, fmt.Errorf("mpi: Pack short: %d of %d", got, n)
 	}
 	p.Compute(p.w.cfg.Model.CopyTime(n, runs))
 	return pos + int(n), nil
-}
-
-// newPacker builds the explicit-pack engine on the endpoint's cached program
-// for (dt, count) — the lookup the transfer schemes use, so packing by hand
-// compiles a layout once, not once per call — or on the interpreted walk when
-// the endpoint opted back into it.
-func (p *Proc) newPacker(buf mem.Addr, count int, dt *datatype.Type) *pack.Packer {
-	if prog := p.Endpoint().Program(dt, count); prog != nil {
-		return pack.NewProgramPacker(p.Mem(), buf, prog)
-	}
-	return pack.NewPacker(p.Mem(), buf, dt, count)
-}
-
-// newUnpacker is newPacker's unpack counterpart.
-func (p *Proc) newUnpacker(buf mem.Addr, count int, dt *datatype.Type) *pack.Unpacker {
-	if prog := p.Endpoint().Program(dt, count); prog != nil {
-		return pack.NewProgramUnpacker(p.Mem(), buf, prog)
-	}
-	return pack.NewUnpacker(p.Mem(), buf, dt, count)
 }
 
 // Unpack copies packed bytes from in starting at pos into the (buf, count,
@@ -61,7 +44,7 @@ func (p *Proc) Unpack(in []byte, pos int, buf mem.Addr, count int, dt *datatype.
 	if int64(pos)+n > int64(len(in)) {
 		return pos, fmt.Errorf("mpi: Unpack needs %d bytes at %d, have %d", n, pos, len(in))
 	}
-	u := p.newUnpacker(buf, count, dt)
+	u := pack.NewProgramUnpacker(p.Mem(), buf, p.Endpoint().Program(dt, count))
 	got, runs := u.UnpackFrom(in[pos : int64(pos)+n])
 	if got != n {
 		return pos, fmt.Errorf("mpi: Unpack short: %d of %d", got, n)

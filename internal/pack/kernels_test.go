@@ -2,8 +2,10 @@ package pack
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,10 +109,15 @@ func oracleWalk(dt *datatype.Type, count int, sizes []int, move func(off, pos, n
 	return steps
 }
 
+// kernelPar fans every call of two bytes or more out over three shards, in
+// order on the calling goroutine (layouts here may overlap themselves).
+var kernelPar = Par{Workers: 3, Exec: SerialExec{}, MinShard: 1}
+
 // checkKernels packs and unpacks (dt, count) through the compiled program in
-// calls of the given sizes and compares bytes and (n, runs) per call with
-// the interpreted walk; it also checks the two other walkers built on the
-// batch primitive, ProgramBlocks and the parallel engine's run collection.
+// calls of the given sizes, on the serial and on the parallel engine, and
+// compares bytes and (n, runs) per call with the interpreted walk; it also
+// checks the other walkers built on the batch primitive: ProgramBlocks,
+// GroupProgram and the parallel engine's run collection.
 func checkKernels(t *testing.T, dt *datatype.Type, count int, sizes []int) {
 	t.Helper()
 	size := dt.Size() * int64(count)
@@ -125,6 +132,20 @@ func checkKernels(t *testing.T, dt *datatype.Type, count int, sizes []int) {
 	for i := lo; i < hi; i++ {
 		user[i] = byte(i*7 + i>>8)
 	}
+	// replay makes the oracle's calls on one engine and holds each to the
+	// oracle's report.
+	replay := func(what string, steps []kernelStep, buf []byte, call func([]byte) (int64, int)) {
+		t.Helper()
+		var pos int64
+		for i, st := range steps {
+			k := min(int64(max(sizes[i%len(sizes)], 1)), size-pos)
+			n, runs := call(buf[pos : pos+k])
+			if n != st.n || runs != st.runs {
+				t.Fatalf("%s call %d (%d B): got (n=%d, runs=%d), cursor (n=%d, runs=%d)", what, i, k, n, runs, st.n, st.runs)
+			}
+			pos += n
+		}
+	}
 
 	// Pack: the stream and the per-call reports.
 	want := make([]byte, size)
@@ -132,21 +153,22 @@ func checkKernels(t *testing.T, dt *datatype.Type, count int, sizes []int) {
 		copy(want[pos:pos+n], user[at(off):at(off)+n])
 	})
 	p := NewProgramPacker(m, kernelOrigin, prog)
-	got := make([]byte, size)
-	var pos int64
-	for i, st := range steps {
-		call := min(int64(max(sizes[i%len(sizes)], 1)), size-pos)
-		n, runs := p.PackTo(got[pos : pos+call])
-		if n != st.n || runs != st.runs {
-			t.Fatalf("pack call %d (%d B): got (n=%d, runs=%d), cursor (n=%d, runs=%d)", i, call, n, runs, st.n, st.runs)
+	pp := NewParallelProgramPacker(m, kernelOrigin, prog, kernelPar)
+	for what, call := range map[string]func([]byte) (int64, int){
+		"pack":          p.PackTo,
+		"parallel pack": func(b []byte) (int64, int) { st := pp.Pack(b); return st.Bytes, st.Runs },
+	} {
+		got := make([]byte, size)
+		replay(what, steps, got, call)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: stream differs from the cursor's", what)
 		}
-		pos += n
+		if n, runs := call(make([]byte, 8)); n != 0 || runs != 0 {
+			t.Fatalf("%s past the end moved (n=%d, runs=%d)", what, n, runs)
+		}
 	}
-	if !p.Done() || !bytes.Equal(got, want) {
-		t.Fatalf("packed stream differs from the cursor's (done=%v)", p.Done())
-	}
-	if n, runs := p.PackTo(make([]byte, 8)); n != 0 || runs != 0 {
-		t.Fatalf("pack past the end moved (n=%d, runs=%d)", n, runs)
+	if !p.Done() || !pp.Done() {
+		t.Fatalf("packers not done (serial %v, parallel %v)", p.Done(), pp.Done())
 	}
 
 	// Unpack: scatter a different stream over a sentinel-filled arena; the
@@ -160,29 +182,41 @@ func checkKernels(t *testing.T, dt *datatype.Type, count int, sizes []int) {
 	oracleWalk(dt, count, sizes, func(off, pos, n int64) {
 		copy(wantMem[at(off):at(off)+n], stream[pos:pos+n])
 	})
-	fillBytes(user[lo:hi], kernelFill)
 	u := NewProgramUnpacker(m, kernelOrigin, prog)
-	pos = 0
-	for i, st := range steps {
-		call := min(int64(max(sizes[i%len(sizes)], 1)), size-pos)
-		n, runs := u.UnpackFrom(stream[pos : pos+call])
-		if n != st.n || runs != st.runs {
-			t.Fatalf("unpack call %d (%d B): got (n=%d, runs=%d), cursor (n=%d, runs=%d)", i, call, n, runs, st.n, st.runs)
+	pu := NewParallelProgramUnpacker(m, kernelOrigin, prog, kernelPar)
+	for what, call := range map[string]func([]byte) (int64, int){
+		"unpack":          u.UnpackFrom,
+		"parallel unpack": func(b []byte) (int64, int) { st := pu.Unpack(b); return st.Bytes, st.Runs },
+	} {
+		fillBytes(user[lo:hi], kernelFill)
+		replay(what, steps, stream, call)
+		if !bytes.Equal(user[lo:hi], wantMem[lo:hi]) {
+			t.Fatalf("%s: memory differs from the cursor's scatter", what)
 		}
-		pos += n
 	}
-	if !u.Done() || !bytes.Equal(user[lo:hi], wantMem[lo:hi]) {
-		t.Fatalf("unpacked memory differs from the cursor's scatter (done=%v)", u.Done())
+	if !u.Done() || !pu.Done() {
+		t.Fatalf("unpackers not done (serial %v, parallel %v)", u.Done(), pu.Done())
 	}
 	fillBytes(user[lo:hi], kernelFill)
 
 	// ProgramBlocks against the flattened cursor walk, with and without a
-	// truncating limit.
+	// truncating limit; GroupProgram, for a layout whose runs ascend, against
+	// the grouping of that list.
 	for _, limit := range []int{0, 3} {
-		wantB, wantTrunc := MessageBlocks(kernelOrigin, dt, count, limit)
+		wantB, wantTrunc := flattenBlocks(kernelOrigin, dt, count, limit)
 		gotB, gotTrunc := ProgramBlocks(kernelOrigin, prog, limit)
-		if gotTrunc != wantTrunc || fmt.Sprint(gotB) != fmt.Sprint(wantB) {
-			t.Fatalf("ProgramBlocks(limit %d) = %v trunc %v, MessageBlocks %v trunc %v", limit, gotB, gotTrunc, wantB, wantTrunc)
+		if gotTrunc != wantTrunc || !slices.Equal(gotB, wantB) {
+			t.Fatalf("ProgramBlocks(limit %d): %d blocks trunc %v, Flatten %d trunc %v", limit, len(gotB), gotTrunc, len(wantB), wantTrunc)
+		}
+	}
+	all, _ := flattenBlocks(kernelOrigin, dt, count, 0)
+	if slices.IsSortedFunc(all, func(a, b mem.Block) int { return cmp.Compare(a.Addr, b.Addr) }) {
+		cost := mem.RegCost{Base: 7000, PerPage: 300}
+		var g mem.Grouper
+		g.Reset(cost, nil)
+		GroupProgram(&g, kernelOrigin, prog)
+		if got, want := g.Finish(), mem.GroupRegionsSorted(all, cost); !slices.Equal(got, want) {
+			t.Fatalf("GroupProgram grouped %v, the flattened list groups as %v", got, want)
 		}
 	}
 
@@ -191,7 +225,8 @@ func checkKernels(t *testing.T, dt *datatype.Type, count int, sizes []int) {
 	oracleWalk(dt, count, sizes, func(off, pos, n int64) {
 		wantRefs = append(wantRefs, runRef{addr: addrAt(kernelOrigin, off), n: n})
 	})
-	e := newProgramEngine(m, kernelOrigin, prog)
+	var e engine
+	e.Bind(m, kernelOrigin, prog)
 	for i := range steps {
 		refs, n := e.collectRuns(int64(max(sizes[i%len(sizes)], 1)), nil)
 		var sum int64
@@ -206,7 +241,7 @@ func checkKernels(t *testing.T, dt *datatype.Type, count int, sizes []int) {
 			t.Fatalf("collectRuns call %d: (n=%d, runs=%d), cursor (n=%d, runs=%d)", i, n, len(refs), steps[i].n, steps[i].runs)
 		}
 	}
-	if fmt.Sprint(gotRefs) != fmt.Sprint(wantRefs) {
+	if !slices.Equal(gotRefs, wantRefs) {
 		t.Fatal("collectRuns pieces differ from the cursor's")
 	}
 }
@@ -272,42 +307,60 @@ func indexedShape(w int, varied bool) *datatype.Type {
 	return datatype.Must(datatype.TypeHindexed(lens, displs, datatype.Byte))
 }
 
+// pastCapShape is vector(128,1,2,idx3) over bytes: sent 200 times it has
+// 76 601 maximal runs (instances abut at their seams), more than the compiler
+// materializes, in 76 800 bytes that fit the arena.
+func pastCapShape() *datatype.Type {
+	idx := datatype.Must(datatype.TypeIndexed([]int{1, 1, 1}, []int{0, 3, 7}, datatype.Byte))
+	return datatype.Must(datatype.TypeVector(128, 1, 2, idx))
+}
+
 // TestKernelsMatchCursor is the differential table: every width, positive,
 // negative and huge strides, one to three stride levels, uniform and varied
 // run tables, zero count — each at every destination split from 1 B to the
-// whole message.
+// whole message — and one shape past the run cap, whose program walks its
+// layout, at a spread of splits (every split of 76 800 bytes would take
+// hours).
 func TestKernelsMatchCursor(t *testing.T) {
 	type tc struct {
-		name  string
-		dt    *datatype.Type
-		count int
+		name   string
+		dt     *datatype.Type
+		count  int
+		splits []int // nil: every split
 	}
-	cases := []tc{{"zero-count", stridedShape(4, 1, 1, 4), 0}}
+	cases := []tc{
+		{name: "zero-count", dt: stridedShape(4, 1, 1, 4), count: 0},
+		{name: "past-cap", dt: pastCapShape(), count: 200, splits: []int{1, 2, 3, 384, 4096, 38401, 76800}},
+	}
 	for _, w := range kernelWidths {
 		for dims := 1; dims <= 3; dims++ {
 			cases = append(cases,
-				tc{fmt.Sprintf("w%d/dims%d/pos", w, dims), stridedShape(w, dims, 1, 3), 2},
-				tc{fmt.Sprintf("w%d/dims%d/neg", w, dims), stridedShape(w, dims, -1, 1), 1})
+				tc{name: fmt.Sprintf("w%d/dims%d/pos", w, dims), dt: stridedShape(w, dims, 1, 3), count: 2},
+				tc{name: fmt.Sprintf("w%d/dims%d/neg", w, dims), dt: stridedShape(w, dims, -1, 1), count: 1})
 		}
 		cases = append(cases,
-			tc{fmt.Sprintf("w%d/huge", w), stridedShape(w, 1, 1, 100<<10), 1},
-			tc{fmt.Sprintf("w%d/huge-neg", w), stridedShape(w, 1, -1, 100<<10), 1},
-			tc{fmt.Sprintf("w%d/indexed", w), indexedShape(w, false), 2},
-			tc{fmt.Sprintf("w%d/indexed-varied", w), indexedShape(w, true), 2})
+			tc{name: fmt.Sprintf("w%d/huge", w), dt: stridedShape(w, 1, 1, 100<<10), count: 1},
+			tc{name: fmt.Sprintf("w%d/huge-neg", w), dt: stridedShape(w, 1, -1, 100<<10), count: 1},
+			tc{name: fmt.Sprintf("w%d/indexed", w), dt: indexedShape(w, false), count: 2},
+			tc{name: fmt.Sprintf("w%d/indexed-varied", w), dt: indexedShape(w, true), count: 2})
 	}
 	kinds := map[datatype.ProgKind]bool{}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			kinds[datatype.Compile(c.dt, c.count).Kind()] = true
 			size := int(c.dt.Size()) * c.count
-			for split := 1; split <= max(size, 1); split++ {
+			splits := c.splits
+			for split := 1; splits == nil && split <= max(size, 1); split++ {
+				splits = append(splits, split)
+			}
+			for _, split := range splits {
 				checkKernels(t, c.dt, c.count, []int{split})
 			}
 			checkKernels(t, c.dt, c.count, []int{3, 1, size/2 + 1}) // uneven calls
 			fixture().clean(t)
 		})
 	}
-	for _, k := range []datatype.ProgKind{datatype.ProgStrided, datatype.ProgIndexed} {
+	for _, k := range []datatype.ProgKind{datatype.ProgStrided, datatype.ProgIndexed, datatype.ProgGeneric} {
 		if !kinds[k] {
 			t.Errorf("the table compiled no %v program", k)
 		}

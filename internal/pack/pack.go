@@ -4,23 +4,22 @@
 // and how many contiguous runs each step touched so callers can charge the
 // modeled copy cost (bandwidth plus per-run startup).
 //
-// A pack or unpack step moves its bytes through three tiers:
+// An engine replays a compiled layout Program, and a pack or unpack step
+// moves its bytes one of two ways:
 //
-//   - the batch kernels (kernels.go): whole runs of a compiled layout
-//     Program, handed out a stride level or run-table window at a time by
-//     ProgCursor.NextBatch, range-checked once against the program's bounds
-//     and copied by a loop specialised on the run length (fixed-width moves
-//     for 1/2/4/8/16 B runs, copy() otherwise);
-//   - the per-run tail: a run that the head or tail of the caller's buffer
-//     splits, and every run of a ProgGeneric program, takes one
-//     Next + mem.Bytes + copy() step;
-//   - the interpreted oracle: engines built without a program (NewPacker,
-//     NewUnpacker) walk the dataloop tree through datatype.Cursor, one
-//     per-run step at a time. Tests and Config.InterpretedPack use it as the
-//     reference the other two are held to.
+//   - the batch kernels (kernels.go): whole runs, handed out a stride level
+//     or run-table window at a time by ProgCursor.NextBatch, range-checked
+//     once against the program's bounds and copied by a loop specialised on
+//     the run length (fixed-width moves for 1/2/4/8/16 B runs, copy()
+//     otherwise);
+//   - the split-run step: when NextBatch has no whole run to give — the head
+//     or tail of the caller's buffer splits one, or the program is past the
+//     compiler's run cap and walks its layout — one Next + mem.Bytes + copy().
 //
-// All three emit the Cursor's run sequence, so staging bytes and the
-// (bytes, runs) statistics do not depend on the tier that moved them.
+// Both emit the run sequence of the interpreted datatype.Cursor, so staging
+// bytes and the (bytes, runs) statistics do not depend on which one moved
+// them. What holds them to it is the reference packer (reference.go), which
+// shares no code with the engine.
 package pack
 
 import (
@@ -31,22 +30,12 @@ import (
 )
 
 // engine is what Packer and Unpacker share: one message in simulated memory
-// and the walk over its layout. Only the copy direction differs.
+// and the replay of its layout program. Only the copy direction differs.
 type engine struct {
-	mem   *mem.Memory
-	base  mem.Addr
-	t     *datatype.Type // the interpreted walk's message, for Reset
-	count int
-
-	prog *datatype.Program   // non-nil: replay the compiled program
-	pc   datatype.ProgCursor // compiled walk state (valid when prog != nil)
-	cur  *datatype.Cursor    // interpreted walk state (when prog == nil)
-}
-
-func newProgramEngine(m *mem.Memory, base mem.Addr, prog *datatype.Program) engine {
-	var e engine
-	e.Bind(m, base, prog)
-	return e
+	mem  *mem.Memory
+	base mem.Addr
+	prog *datatype.Program
+	pc   datatype.ProgCursor
 }
 
 // Bind re-arms the engine for another message: the one at base in m that
@@ -55,74 +44,39 @@ func newProgramEngine(m *mem.Memory, base mem.Addr, prog *datatype.Program) engi
 // binding to a canonical program allocates nothing.
 func (e *engine) Bind(m *mem.Memory, base mem.Addr, prog *datatype.Program) {
 	e.mem, e.base, e.prog = m, base, prog
-	e.t, e.count, e.cur = nil, 0, nil
 	e.pc.Reset(prog)
 }
 
-// BindInterpreted is Bind for the interpreted cursor walk over (base, count,
-// t), the oracle tier; it allocates the cursor.
-func (e *engine) BindInterpreted(m *mem.Memory, base mem.Addr, t *datatype.Type, count int) {
-	*e = engine{mem: m, base: base, t: t, count: count, cur: datatype.NewCursor(t, count)}
-}
-
 // Reset rewinds the engine to the start of its message so it can be reused.
-// Resetting a program engine over a canonical program allocates nothing.
-func (e *engine) Reset() {
-	if e.prog != nil {
-		e.pc.Reset(e.prog)
-		return
-	}
-	e.cur = datatype.NewCursor(e.t, e.count)
-}
-
-// next takes one per-run step of the walk. (The engine calls its walks
-// concretely, never through datatype.RunWalker: through the interface it
-// would escape, and a packer a caller keeps on its stack would cost an
-// allocation.)
-func (e *engine) next(max int64) (off, n int64, ok bool) {
-	if e.prog != nil {
-		return e.pc.Next(max)
-	}
-	return e.cur.Next(max)
-}
-
-// Remaining reports the message bytes not yet packed or unpacked.
-func (e *engine) Remaining() int64 {
-	if e.prog != nil {
-		return e.pc.Remaining()
-	}
-	return e.cur.Remaining()
-}
+// Resetting an engine over a canonical program allocates nothing.
+func (e *engine) Reset() { e.pc.Reset(e.prog) }
 
 // Done reports whether the whole message has been packed or unpacked.
-func (e *engine) Done() bool { return e.Remaining() == 0 }
+func (e *engine) Done() bool { return e.pc.Done() }
 
 // transfer moves the next len(buf) bytes of the message (or fewer if the
 // message ends) between the user buffer and buf — out of the user buffer
 // when packing, into it when scatter is set — and returns the bytes moved
-// and the contiguous runs touched. Whole runs of a compiled program move a
-// batch at a time through the kernels; a run split by the head or tail of
-// buf, and every run of an interpreted or generic walk, takes the per-run
-// step. Both yield the run sequence of the interpreted Cursor, so (n, runs)
-// do not depend on the tier.
+// and the contiguous runs touched. Whole runs move a batch at a time through
+// the kernels; when the cursor has no whole run to hand out, one run (or the
+// piece of it that fits) takes the Next step. Both yield the run sequence of
+// the interpreted Cursor, so (n, runs) do not depend on which one moved them.
 func (e *engine) transfer(buf []byte, scatter bool) (n int64, runs int) {
 	var span []byte // user memory over the program's bounds, mapped at the first batch
 	var lo int64
 	for n < int64(len(buf)) {
 		rest := buf[n:]
-		if e.prog != nil {
-			if b := e.pc.NextBatch(int64(len(rest))); b.K > 0 {
-				if span == nil {
-					var hi int64
-					lo, hi = e.prog.Bounds()
-					span = e.mem.Bytes(addrAt(e.base, lo), hi-lo)
-				}
-				n += copyBatch(span, lo, rest, &b, scatter)
-				runs += b.K
-				continue
+		if b := e.pc.NextBatch(int64(len(rest))); b.K > 0 {
+			if span == nil {
+				var hi int64
+				lo, hi = e.prog.Bounds()
+				span = e.mem.Bytes(addrAt(e.base, lo), hi-lo)
 			}
+			n += copyBatch(span, lo, rest, &b, scatter)
+			runs += b.K
+			continue
 		}
-		off, k, ok := e.next(int64(len(rest)))
+		off, k, ok := e.pc.Next(int64(len(rest)))
 		if !ok {
 			break
 		}
@@ -134,23 +88,17 @@ func (e *engine) transfer(buf []byte, scatter bool) (n int64, runs int) {
 	return n, runs
 }
 
-// Packer copies a (type, count) message out of a user buffer into contiguous
-// destinations, any number of bytes at a time.
+// Packer copies the message a layout program describes out of a user buffer
+// into contiguous destinations, any number of bytes at a time. The zero value
+// is ready for Bind.
 type Packer struct{ engine }
 
-// NewPacker creates a packer over the message (base, count, t) in m using
-// the interpreted cursor walk.
-func NewPacker(m *mem.Memory, base mem.Addr, t *datatype.Type, count int) *Packer {
-	p := &Packer{}
-	p.BindInterpreted(m, base, t, count)
-	return p
-}
-
-// NewProgramPacker creates a packer over the message (base, prog) in m that
-// replays the compiled layout program instead of walking the dataloop tree.
-// The program is shared and immutable; the packer keeps private cursor state.
+// NewProgramPacker creates a packer over the message (base, prog) in m. The
+// program is shared and immutable; the packer keeps private cursor state.
 func NewProgramPacker(m *mem.Memory, base mem.Addr, prog *datatype.Program) *Packer {
-	return &Packer{newProgramEngine(m, base, prog)}
+	p := &Packer{}
+	p.Bind(m, base, prog)
+	return p
 }
 
 // PackTo fills dst with the next len(dst) bytes of the message (or fewer if
@@ -158,22 +106,16 @@ func NewProgramPacker(m *mem.Memory, base mem.Addr, prog *datatype.Program) *Pac
 // contiguous runs touched.
 func (p *Packer) PackTo(dst []byte) (n int64, runs int) { return p.transfer(dst, false) }
 
-// Unpacker copies contiguous staging bytes back into a noncontiguous user
-// buffer, any number of bytes at a time.
+// Unpacker copies contiguous staging bytes back into the noncontiguous user
+// buffer a layout program describes, any number of bytes at a time. The zero
+// value is ready for Bind.
 type Unpacker struct{ engine }
 
-// NewUnpacker creates an unpacker over the message (base, count, t) in m
-// using the interpreted cursor walk.
-func NewUnpacker(m *mem.Memory, base mem.Addr, t *datatype.Type, count int) *Unpacker {
-	u := &Unpacker{}
-	u.BindInterpreted(m, base, t, count)
-	return u
-}
-
-// NewProgramUnpacker creates an unpacker over the message (base, prog) in m
-// that replays the compiled layout program.
+// NewProgramUnpacker creates an unpacker over the message (base, prog) in m.
 func NewProgramUnpacker(m *mem.Memory, base mem.Addr, prog *datatype.Program) *Unpacker {
-	return &Unpacker{newProgramEngine(m, base, prog)}
+	u := &Unpacker{}
+	u.Bind(m, base, prog)
+	return u
 }
 
 // UnpackFrom scatters src into the next len(src) bytes' worth of message
@@ -185,59 +127,61 @@ func addrAt(base mem.Addr, off int64) mem.Addr {
 	return mem.Addr(int64(base) + off)
 }
 
-// MessageBlocks returns the absolute-address contiguous blocks of a message,
-// the form the registration machinery (OGR) consumes. limit bounds the
-// number of runs (0 = no limit); the bool reports truncation.
-func MessageBlocks(base mem.Addr, t *datatype.Type, count, limit int) ([]mem.Block, bool) {
-	runs, trunc := datatype.Flatten(t, count, limit)
-	out := make([]mem.Block, len(runs))
-	for i, r := range runs {
-		out[i] = mem.Block{Addr: addrAt(base, r.Off), Len: r.Len}
-	}
-	return out, trunc
-}
-
-// ProgramBlocks is MessageBlocks from a compiled program: canonical programs
-// emit their run table directly (no re-flatten); generic programs fall back
-// to the flatten walk. limit bounds the number of runs (0 = no limit); the
-// bool reports truncation.
-func ProgramBlocks(base mem.Addr, prog *datatype.Program, limit int) ([]mem.Block, bool) {
-	if prog.Kind() == datatype.ProgGeneric {
-		return MessageBlocks(base, prog.Type(), prog.Count(), limit)
-	}
-	runs := prog.Runs()
-	trunc := false
-	if limit > 0 && runs > int64(limit) {
-		runs = int64(limit)
-		trunc = true
-	}
-	return AppendProgramBlocks(make([]mem.Block, 0, runs), base, prog, int(runs)), trunc
-}
-
-// AppendProgramBlocks appends the first n runs of a canonical program, as
-// absolute-address blocks in traversal order, to dst.
-func AppendProgramBlocks(dst []mem.Block, base mem.Addr, prog *datatype.Program, n int) []mem.Block {
-	var c datatype.ProgCursor
-	c.Reset(prog)
-	for n > 0 {
-		b := c.NextBatch(math.MaxInt64) // never mid-run, so every step is a batch
-		for j := 0; j < b.K && n > 0; j++ {
-			off, k := b.Run(j)
-			dst = append(dst, mem.Block{Addr: addrAt(base, off), Len: k})
-			n--
+// nextRuns takes the cursor's next step as a batch of at most max bytes:
+// the whole runs NextBatch hands out or, when it has none to give, the one
+// Next step its contract prescribes, as a batch of that single run (or the
+// piece of it that fits). K is 0 only once the message has ended.
+func nextRuns(c *datatype.ProgCursor, max int64) datatype.RunBatch {
+	b := c.NextBatch(max)
+	if b.K == 0 {
+		if off, n, ok := c.Next(max); ok {
+			b = datatype.RunBatch{K: 1, RunLen: n, Base: off}
 		}
 	}
-	return dst
+	return b
 }
 
-// GroupProgram streams every run of a canonical program whose runs ascend
+// ProgramBlocks returns the absolute-address contiguous blocks of a message
+// in traversal order, the form the registration machinery (OGR) consumes.
+// limit bounds the number of runs (0 = no limit); the bool reports
+// truncation.
+func ProgramBlocks(base mem.Addr, prog *datatype.Program, limit int) ([]mem.Block, bool) {
+	n := prog.Runs()
+	if limit > 0 && n > int64(limit) {
+		n = int64(limit)
+	}
+	return AppendProgramBlocks(make([]mem.Block, 0, n), base, prog, limit)
+}
+
+// AppendProgramBlocks is ProgramBlocks into the caller's buffer: it appends
+// the program's first limit runs (every run when limit is 0) to dst and
+// reports whether runs were left over.
+func AppendProgramBlocks(dst []mem.Block, base mem.Addr, prog *datatype.Program, limit int) ([]mem.Block, bool) {
+	if limit <= 0 {
+		limit = math.MaxInt
+	}
+	var c datatype.ProgCursor
+	c.Reset(prog)
+	for b := nextRuns(&c, math.MaxInt64); b.K > 0; b = nextRuns(&c, math.MaxInt64) {
+		for j := 0; j < b.K; j++ {
+			if limit == 0 {
+				return dst, true
+			}
+			off, k := b.Run(j)
+			dst = append(dst, mem.Block{Addr: addrAt(base, off), Len: k})
+			limit--
+		}
+	}
+	return dst, false
+}
+
+// GroupProgram streams every run of a program whose runs ascend
 // (Program.Ascending) into g, a batch of the layout walk at a time: grouping
 // a message's blocks for registration without ever listing them.
 func GroupProgram(g *mem.Grouper, base mem.Addr, prog *datatype.Program) {
 	var c datatype.ProgCursor
 	c.Reset(prog)
-	for !c.Done() {
-		b := c.NextBatch(math.MaxInt64)
+	for b := nextRuns(&c, math.MaxInt64); b.K > 0; b = nextRuns(&c, math.MaxInt64) {
 		for j := 0; j < b.K; j++ {
 			off, k := b.Run(j)
 			g.Add(addrAt(base, off), k)

@@ -30,8 +30,8 @@ func TestPackVector(t *testing.T) {
 	if n != v.Size() || runs != 4 {
 		t.Fatalf("n=%d runs=%d", n, runs)
 	}
-	if !p.Done() {
-		t.Fatal("packer not done")
+	if n, runs := p.PackTo(dst); n != 0 || runs != 0 {
+		t.Fatalf("pack past the end moved n=%d runs=%d", n, runs)
 	}
 	// Verify against a manual gather.
 	var want []byte
@@ -41,6 +41,10 @@ func TestPackVector(t *testing.T) {
 	}
 	if !bytes.Equal(dst, want) {
 		t.Fatal("packed bytes mismatch")
+	}
+	got := make([]byte, v.Size())
+	if n, runs := NewProgramPacker(m, base, datatype.Compile(v, 1)).PackTo(got); n != v.Size() || runs != 4 || !bytes.Equal(got, want) {
+		t.Fatalf("program packer: n=%d runs=%d, bytes match %v", n, runs, bytes.Equal(got, want))
 	}
 }
 
@@ -53,7 +57,7 @@ func TestPackInSegments(t *testing.T) {
 	whole := make([]byte, v.Size())
 	NewPacker(m, base, v, 1).PackTo(whole)
 
-	p := NewPacker(m, base, v, 1)
+	p := NewProgramPacker(m, base, datatype.Compile(v, 1))
 	var pieced []byte
 	seg := make([]byte, 13) // awkward segment size crossing run boundaries
 	for !p.Done() {
@@ -76,7 +80,7 @@ func TestUnpackRoundTrip(t *testing.T) {
 	packed := make([]byte, st.Size())
 	NewPacker(m, src, st, 1).PackTo(packed)
 
-	u := NewUnpacker(m, dst, st, 1)
+	u := NewProgramUnpacker(m, dst, datatype.Compile(st, 1))
 	n, runs := u.UnpackFrom(packed)
 	if n != st.Size() || runs != 3 {
 		t.Fatalf("n=%d runs=%d", n, runs)
@@ -101,7 +105,7 @@ func TestUnpackSegmented(t *testing.T) {
 	packed := make([]byte, v.Size())
 	NewPacker(m, src, v, 1).PackTo(packed)
 
-	u := NewUnpacker(m, dst, v, 1)
+	u := NewProgramUnpacker(m, dst, datatype.Compile(v, 1))
 	for off := 0; off < len(packed); off += 10 {
 		end := off + 10
 		if end > len(packed) {
@@ -119,11 +123,13 @@ func TestUnpackSegmented(t *testing.T) {
 	}
 }
 
-func TestMessageBlocks(t *testing.T) {
+// TestProgramBlocksByHand checks the block list against addresses worked out
+// by hand, not against another walk.
+func TestProgramBlocksByHand(t *testing.T) {
 	m := mem.NewMemory("n", 1<<20)
 	v := datatype.Must(datatype.TypeVector(3, 1, 4, datatype.Int32))
 	base := m.MustAlloc(256)
-	blocks, trunc := MessageBlocks(base, v, 1, 0)
+	blocks, trunc := ProgramBlocks(base, datatype.Compile(v, 1), 0)
 	if trunc || len(blocks) != 3 {
 		t.Fatalf("blocks=%v trunc=%v", blocks, trunc)
 	}
@@ -135,9 +141,9 @@ func TestMessageBlocks(t *testing.T) {
 	}
 }
 
-// Property: pack ∘ unpack is the identity on the datatype-covered bytes for
-// random types, counts and segment sizes, and bytes outside the datatype are
-// untouched.
+// Property: the engine's pack is the reference's, and pack ∘ unpack is the
+// identity on the datatype-covered bytes, for random types, counts and segment
+// sizes; bytes outside the datatype are untouched.
 func TestPackUnpackIdentityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -160,8 +166,9 @@ func TestPackUnpackIdentityProperty(t *testing.T) {
 		adjSrc := mem.Addr(int64(src) - dt.TrueLB())
 		adjDst := mem.Addr(int64(dst) - dt.TrueLB())
 
+		prog := datatype.Compile(dt, count)
 		packed := make([]byte, dt.Size()*int64(count))
-		p := NewPacker(m, adjSrc, dt, count)
+		p := NewProgramPacker(m, adjSrc, prog)
 		var n int64
 		for !p.Done() {
 			k := rng.Intn(63) + 1
@@ -172,10 +179,12 @@ func TestPackUnpackIdentityProperty(t *testing.T) {
 			w, _ := p.PackTo(packed[n:end])
 			n += w
 		}
-		if n != int64(len(packed)) {
+		want := make([]byte, len(packed))
+		NewPacker(m, adjSrc, dt, count).PackTo(want)
+		if n != int64(len(packed)) || !bytes.Equal(packed, want) {
 			return false
 		}
-		u := NewUnpacker(m, adjDst, dt, count)
+		u := NewProgramUnpacker(m, adjDst, prog)
 		var c int64
 		for !u.Done() {
 			k := int64(rng.Intn(63) + 1)

@@ -10,9 +10,10 @@ import (
 
 // This file is the parallel segment engine: pack/unpack of one segment split
 // across N worker shards. The run list is collected sequentially from the
-// (stateful) datatype cursor — a cheap metadata walk — and only the copies
+// (stateful) program cursor — a cheap metadata walk — and only the copies
 // fan out, so the staging bytes produced are identical for every worker
-// count and every Executor. On the simulator the SerialExec keeps execution
+// count and every Executor. One engine serves both directions; like the
+// serial one it takes the direction as a flag. On the simulator the SerialExec keeps execution
 // single-threaded and deterministic while the cost model charges the
 // max-over-shards copy time; on the real-time fabric GoExec uses real
 // goroutines and real copy().
@@ -133,22 +134,15 @@ type runRef struct {
 func (e *engine) collectRuns(want int64, refs []runRef) ([]runRef, int64) {
 	var n int64
 	for n < want {
-		if e.prog != nil {
-			if b := e.pc.NextBatch(want - n); b.K > 0 {
-				for j := 0; j < b.K; j++ {
-					off, k := b.Run(j)
-					refs = append(refs, runRef{addr: addrAt(e.base, off), off: n, n: k})
-					n += k
-				}
-				continue
-			}
-		}
-		off, k, ok := e.next(want - n)
-		if !ok {
+		b := nextRuns(&e.pc, want-n)
+		if b.K == 0 {
 			break
 		}
-		refs = append(refs, runRef{addr: addrAt(e.base, off), off: n, n: k})
-		n += k
+		for j := 0; j < b.K; j++ {
+			off, k := b.Run(j)
+			refs = append(refs, runRef{addr: addrAt(e.base, off), off: n, n: k})
+			n += k
+		}
 	}
 	return refs, n
 }
@@ -192,71 +186,59 @@ func shardRuns(refs []runRef, total int64, workers int, minShard int64, out [][]
 	return out
 }
 
-// ParallelPacker is a Packer whose per-step copies fan out across worker
-// shards (the parallel segment engine). With Workers <= 1 or a nil Executor
-// it behaves exactly like the serial Packer.
-type ParallelPacker struct {
-	Packer
+// parEngine is an engine whose per-step copies fan out across worker shards.
+// With Workers <= 1 or a nil Executor it behaves exactly like the serial
+// engine.
+type parEngine struct {
+	engine
 	opt Par
 
-	// Reusable per-step state: once warm, a Pack step allocates nothing.
-	// The pre-built task closures read shards/dst through the receiver, so
-	// they are created once per shard index and reused across steps.
-	refs   []runRef
-	shards [][]runRef
-	stats  []ShardStat
-	tasks  []func()
-	dst    []byte
+	// Reusable per-step state: once warm, a step allocates nothing. The
+	// pre-built task closures read shards, buf and scatter through the
+	// receiver, so they are created once per shard index and reused across
+	// steps.
+	refs    []runRef
+	shards  [][]runRef
+	stats   []ShardStat
+	tasks   []func()
+	buf     []byte
+	scatter bool
 }
+
+// SetPar sets the fan-out configuration of an engine that lives by value in
+// a longer-lived record and is re-armed per message with Bind.
+func (p *parEngine) SetPar(opt Par) { p.opt = opt }
 
 // task returns the reusable copy closure for shard index i, creating the
 // missing closures on first use of that fan-out width.
-func (p *ParallelPacker) task(i int) func() {
+func (p *parEngine) task(i int) func() {
 	for len(p.tasks) <= i {
 		j := len(p.tasks)
 		p.tasks = append(p.tasks, func() {
 			for _, r := range p.shards[j] {
-				copy(p.dst[r.off:r.off+r.n], p.mem.Bytes(r.addr, r.n))
+				dst, src := dir(p.scatter, p.buf[r.off:r.off+r.n], p.mem.Bytes(r.addr, r.n))
+				copy(dst, src)
 			}
 		})
 	}
 	return p.tasks[i]
 }
 
-// NewParallelPacker creates a parallel packer over the message
-// (base, count, t) in m using the interpreted cursor walk.
-func NewParallelPacker(m *mem.Memory, base mem.Addr, t *datatype.Type, count int, opt Par) *ParallelPacker {
-	p := &ParallelPacker{opt: opt}
-	p.BindInterpreted(m, base, t, count)
-	return p
-}
-
-// NewParallelProgramPacker creates a parallel packer over the message
-// (base, prog) in m that replays the compiled layout program.
-func NewParallelProgramPacker(m *mem.Memory, base mem.Addr, prog *datatype.Program, opt Par) *ParallelPacker {
-	p := &ParallelPacker{opt: opt}
-	p.Bind(m, base, prog)
-	return p
-}
-
-// SetPar sets the fan-out configuration of a packer that lives by value in
-// a longer-lived record and is re-armed per message with Bind.
-func (p *ParallelPacker) SetPar(opt Par) { p.opt = opt }
-
-// Pack fills dst with the next len(dst) bytes of the message (or fewer if
-// the message ends), splitting the copies across worker shards, and reports
-// totals plus the per-shard split.
-func (p *ParallelPacker) Pack(dst []byte) ParStats {
-	if !p.opt.parallel() || int64(len(dst)) < 2*p.opt.minShard() {
-		n, runs := p.PackTo(dst)
+// step moves the next len(buf) bytes of the message (or fewer if the message
+// ends) between the user buffer and buf, in transfer's direction, splitting
+// the copies across worker shards, and reports totals plus the per-shard
+// split.
+func (p *parEngine) step(buf []byte, scatter bool) ParStats {
+	if !p.opt.parallel() || int64(len(buf)) < 2*p.opt.minShard() {
+		n, runs := p.transfer(buf, scatter)
 		p.stats = append(p.stats[:0], ShardStat{Bytes: n, Runs: runs})
 		return ParStats{Bytes: n, Runs: runs, Shards: p.stats}
 	}
-	refs, n := p.collectRuns(int64(len(dst)), p.refs[:0])
+	refs, n := p.collectRuns(int64(len(buf)), p.refs[:0])
 	p.refs = refs
 	p.shards = shardRuns(refs, n, p.opt.Workers, p.opt.minShard(), p.shards[:0])
 	p.stats = p.stats[:0]
-	p.dst = dst
+	p.buf, p.scatter = buf, scatter
 	for i, sh := range p.shards {
 		var b int64
 		for _, r := range sh {
@@ -266,81 +248,40 @@ func (p *ParallelPacker) Pack(dst []byte) ParStats {
 		p.task(i)
 	}
 	p.opt.Exec.Run(p.tasks[:len(p.shards)])
-	p.dst = nil
+	p.buf = nil
 	return ParStats{Bytes: n, Runs: len(refs), Shards: p.stats}
 }
 
-// ParallelUnpacker is an Unpacker whose per-step copies fan out across
-// worker shards. With Workers <= 1 or a nil Executor it behaves exactly like
-// the serial Unpacker.
-type ParallelUnpacker struct {
-	Unpacker
-	opt Par
+// ParallelPacker is a Packer on the parallel engine. The zero value is ready
+// for SetPar and Bind.
+type ParallelPacker struct{ parEngine }
 
-	// Reusable per-step state, mirroring ParallelPacker.
-	refs   []runRef
-	shards [][]runRef
-	stats  []ShardStat
-	tasks  []func()
-	src    []byte
+// NewParallelProgramPacker creates a parallel packer over the message
+// (base, prog) in m.
+func NewParallelProgramPacker(m *mem.Memory, base mem.Addr, prog *datatype.Program, opt Par) *ParallelPacker {
+	p := &ParallelPacker{}
+	p.SetPar(opt)
+	p.Bind(m, base, prog)
+	return p
 }
 
-// task returns the reusable copy closure for shard index i, creating the
-// missing closures on first use of that fan-out width.
-func (u *ParallelUnpacker) task(i int) func() {
-	for len(u.tasks) <= i {
-		j := len(u.tasks)
-		u.tasks = append(u.tasks, func() {
-			for _, r := range u.shards[j] {
-				copy(u.mem.Bytes(r.addr, r.n), u.src[r.off:r.off+r.n])
-			}
-		})
-	}
-	return u.tasks[i]
-}
+// Pack fills dst with the next len(dst) bytes of the message (or fewer if
+// the message ends) and reports totals plus the per-shard split.
+func (p *ParallelPacker) Pack(dst []byte) ParStats { return p.step(dst, false) }
 
-// NewParallelUnpacker creates a parallel unpacker over the message
-// (base, count, t) in m using the interpreted cursor walk.
-func NewParallelUnpacker(m *mem.Memory, base mem.Addr, t *datatype.Type, count int, opt Par) *ParallelUnpacker {
-	u := &ParallelUnpacker{opt: opt}
-	u.BindInterpreted(m, base, t, count)
-	return u
-}
+// ParallelUnpacker is an Unpacker on the parallel engine. The zero value is
+// ready for SetPar and Bind.
+type ParallelUnpacker struct{ parEngine }
 
 // NewParallelProgramUnpacker creates a parallel unpacker over the message
-// (base, prog) in m that replays the compiled layout program.
+// (base, prog) in m.
 func NewParallelProgramUnpacker(m *mem.Memory, base mem.Addr, prog *datatype.Program, opt Par) *ParallelUnpacker {
-	u := &ParallelUnpacker{opt: opt}
+	u := &ParallelUnpacker{}
+	u.SetPar(opt)
 	u.Bind(m, base, prog)
 	return u
 }
 
-// SetPar is ParallelPacker.SetPar for unpackers.
-func (u *ParallelUnpacker) SetPar(opt Par) { u.opt = opt }
-
 // Unpack scatters src into the next len(src) bytes' worth of message
-// positions, splitting the copies across worker shards, and reports totals
-// plus the per-shard split.
-func (u *ParallelUnpacker) Unpack(src []byte) ParStats {
-	if !u.opt.parallel() || int64(len(src)) < 2*u.opt.minShard() {
-		n, runs := u.UnpackFrom(src)
-		u.stats = append(u.stats[:0], ShardStat{Bytes: n, Runs: runs})
-		return ParStats{Bytes: n, Runs: runs, Shards: u.stats}
-	}
-	refs, n := u.collectRuns(int64(len(src)), u.refs[:0])
-	u.refs = refs
-	u.shards = shardRuns(refs, n, u.opt.Workers, u.opt.minShard(), u.shards[:0])
-	u.stats = u.stats[:0]
-	u.src = src
-	for i, sh := range u.shards {
-		var b int64
-		for _, r := range sh {
-			b += r.n
-		}
-		u.stats = append(u.stats, ShardStat{Bytes: b, Runs: len(sh)})
-		u.task(i)
-	}
-	u.opt.Exec.Run(u.tasks[:len(u.shards)])
-	u.src = nil
-	return ParStats{Bytes: n, Runs: len(refs), Shards: u.stats}
-}
+// positions and reports totals plus the per-shard split.
+func (u *ParallelUnpacker) Unpack(src []byte) ParStats { return u.step(src, true) }

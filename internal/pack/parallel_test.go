@@ -43,8 +43,8 @@ func parTestTypes(t *testing.T) map[string]struct {
 
 // TestParallelPackMatchesSerial is the determinism contract of the parallel
 // segment engine: for every worker count, executor, and segment size, the
-// packed bytes are identical to the serial engine's, and the reported totals
-// match run for run.
+// packed bytes are identical to the reference packer's serial walk, and the
+// reported totals match run for run.
 func TestParallelPackMatchesSerial(t *testing.T) {
 	for name, tc := range parTestTypes(t) {
 		size := tc.dt.Size() * int64(tc.count)
@@ -64,7 +64,7 @@ func TestParallelPackMatchesSerial(t *testing.T) {
 				for _, segSize := range []int64{size, 32 << 10, 13000} {
 					label := fmt.Sprintf("%s/w%d/%T/seg%d", name, workers, exec, segSize)
 					opt := Par{Workers: workers, Exec: exec, MinShard: 4 << 10}
-					p := NewParallelPacker(m, base, tc.dt, tc.count, opt)
+					p := NewParallelProgramPacker(m, base, datatype.Compile(tc.dt, tc.count), opt)
 					got := make([]byte, size)
 					var runs int
 					for off := int64(0); off < size; {
@@ -128,7 +128,7 @@ func TestParallelUnpackMatchesSerial(t *testing.T) {
 				m := mem.NewMemory("n", span+(4<<20))
 				base := m.MustAlloc(span)
 				opt := Par{Workers: workers, Exec: exec, MinShard: 4 << 10}
-				u := NewParallelUnpacker(m, base, tc.dt, tc.count, opt)
+				u := NewParallelProgramUnpacker(m, base, datatype.Compile(tc.dt, tc.count), opt)
 				for off := int64(0); off < size; {
 					end := off + 24<<10
 					if end > size {

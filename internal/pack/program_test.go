@@ -43,8 +43,9 @@ func messageSpan(dt *datatype.Type, count int) int64 {
 }
 
 // TestProgramPackMatchesInterpreted checks byte equality of the compiled
-// replay against the interpreted cursor walk, for whole-message packs and
-// for awkward segment sizes that split runs mid-block.
+// replay against the reference packer's interpreted cursor walk, for
+// whole-message packs and for awkward segment sizes that split runs
+// mid-block.
 func TestProgramPackMatchesInterpreted(t *testing.T) {
 	for name, tc := range progTestShapes(t) {
 		span := messageSpan(tc.dt, tc.count)
@@ -95,9 +96,9 @@ func TestProgramPackMatchesInterpreted(t *testing.T) {
 }
 
 // TestParallelProgramMatchesInterpreted checks the parallel engine: for
-// every worker count and segment size, the compiled-program parallel pack
-// and unpack produce bytes identical to the interpreted serial engine, with
-// identical run totals (the invariant the virtual-time cost model rests on).
+// every worker count and segment size, the parallel pack and unpack produce
+// bytes identical to the reference packer's, with identical run totals (the
+// invariant the virtual-time cost model rests on).
 func TestParallelProgramMatchesInterpreted(t *testing.T) {
 	for name, tc := range progTestShapes(t) {
 		if tc.count == 0 {
@@ -128,7 +129,7 @@ func TestParallelProgramMatchesInterpreted(t *testing.T) {
 						runs += st.Runs
 					}
 					if !bytes.Equal(pieced, want) {
-						t.Fatal("parallel compiled pack differs from interpreted serial")
+						t.Fatal("parallel pack differs from the reference")
 					}
 					if seg >= size && runs != wantRuns {
 						t.Fatalf("run total %d, interpreted %d", runs, wantRuns)
@@ -194,14 +195,25 @@ func TestProgramPackerZeroAlloc(t *testing.T) {
 	}
 }
 
+// flattenBlocks is the block list of a message as datatype.Flatten walks it,
+// what ProgramBlocks is held to.
+func flattenBlocks(base mem.Addr, dt *datatype.Type, count, limit int) ([]mem.Block, bool) {
+	runs, trunc := datatype.Flatten(dt, count, limit)
+	out := make([]mem.Block, len(runs))
+	for i, r := range runs {
+		out[i] = mem.Block{Addr: mem.Addr(int64(base) + r.Off), Len: r.Len}
+	}
+	return out, trunc
+}
+
 // TestProgramBlocks checks the block-enumeration path used for registration
-// grouping: ProgramBlocks must agree with MessageBlocks on canonical
-// programs, honor the limit contract, and fall back for generic programs.
+// grouping: ProgramBlocks must agree with the flattened cursor walk on every
+// program kind, the walked one included, and honor the limit contract.
 func TestProgramBlocks(t *testing.T) {
 	for name, tc := range progTestShapes(t) {
 		prog := datatype.Compile(tc.dt, tc.count)
 		base := mem.Addr(1 << 20)
-		want, wantTrunc := MessageBlocks(base, tc.dt, tc.count, 0)
+		want, wantTrunc := flattenBlocks(base, tc.dt, tc.count, 0)
 		got, trunc := ProgramBlocks(base, prog, 0)
 		if trunc != wantTrunc || len(got) != len(want) {
 			t.Fatalf("%s: %d blocks trunc=%v, want %d trunc=%v", name, len(got), trunc, len(want), wantTrunc)
