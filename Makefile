@@ -57,10 +57,13 @@ race:
 conformance:
 	$(GO) test -race -count=1 -run TestCrossBackend ./internal/mpi/
 
-# A longer, visible fault-injection pass over every transfer scheme, on both
-# backends.
+# A longer, visible fault-injection pass over every transfer scheme, on all
+# three backends (shm is the one whose trains are never cut, so where a fault
+# drawn inside a train is exercised hardest), then with every completion
+# failing for good.
 fault-soak:
 	$(GO) run ./cmd/fabsim -fault-soak
+	$(GO) run ./cmd/fabsim -fault-soak -backend shm
 	$(GO) run ./cmd/fabsim -fault-soak -backend rt
 	$(GO) run ./cmd/fabsim -fault-soak -perm-rate 1 -cqe-rate 1
 

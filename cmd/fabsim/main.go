@@ -366,10 +366,11 @@ func rtOneOp(model verbs.Model, op verbs.Opcode, size int64, n, iters int) time.
 // exchange and reports delivery outcomes on the selected backend. A message
 // either arrives byte-identical or is aborted cleanly: both requests fail,
 // each with an injected fault or the peer's abort notice. The last column
-// counts the clean aborts whose cause was transient — a descriptor that drew
-// a fault on every one of its FaultRetryLimit retries, which at the default
-// rates a long enough run is bound to meet (and which the real-time backend,
-// where the draw order follows goroutine timing, meets on no fixed seed).
+// counts the clean aborts whose cause was transient — a post that drew a
+// fault on its first attempt and on each of core's six retries, which at the
+// default rates a long enough run is bound to meet (and which the real-time
+// backend, where the draw order follows goroutine timing, meets on no fixed
+// seed).
 // Returns false if any scheme corrupted data, hung, aborted a message on one
 // side only, or failed a request with any other error.
 func runFaultSoak() bool {

@@ -128,15 +128,6 @@ type Config struct {
 	// the real-time backend.
 	Selector SchemeSelector
 
-	// FaultRetryLimit bounds how many times a transient injected fault
-	// (descriptor post failure, error CQE, registration failure) is retried
-	// before the operation is treated as permanently failed.
-	FaultRetryLimit int
-
-	// FaultRetryBase is the first retry backoff; each further retry doubles
-	// it (bounded exponential backoff in virtual time).
-	FaultRetryBase simtime.Duration
-
 	// Tracer, when set, receives per-message protocol spans (RTS → CTS →
 	// segments → done) on the msg lane. Nil disables span recording at zero
 	// cost. The Recorder is concurrency-safe, so one may be shared by every
@@ -209,25 +200,10 @@ func DefaultConfig() Config {
 		AutoBlockThreshold:  4 << 10,
 		AutoGatherThreshold: 256,
 		BuffersReused:       true,
-		FaultRetryLimit:     6,
-		FaultRetryBase:      5 * simtime.Microsecond,
 		PackWorkers:         1,
 		PostBatch:           1,
 		PoolShards:          1,
 	}
-}
-
-// retryBackoff returns the backoff before retry number attempt (1-based):
-// FaultRetryBase doubled per retry, capped at one millisecond.
-func (c *Config) retryBackoff(attempt int) simtime.Duration {
-	d := c.FaultRetryBase
-	if d <= 0 {
-		d = 5 * simtime.Microsecond
-	}
-	for i := 1; i < attempt && d < simtime.Millisecond; i++ {
-		d *= 2
-	}
-	return d
 }
 
 // segSizeFor picks the segment size for a message: at least two segments

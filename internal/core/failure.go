@@ -27,10 +27,22 @@ var ErrRemoteAbort = errors.New("core: peer aborted transfer")
 // because their op had already failed.
 var errOpAborted = errors.New("core: descriptor abandoned after op abort")
 
-// faultMode reports whether fault injection is active on this fabric. The
-// data paths then trade pipelining for retry-safe, order-preserving posting;
-// with injection off, behavior is bit-identical to the fault-free engine.
+// faultMode reports whether a fault injector is attached to this fabric.
+// It selects no code path: it decides when a send op's post units are
+// released (wr.go) and which of the two BC-SPUP pipelines runs.
 func (ep *Endpoint) faultMode() bool { return ep.hca.Injector() != nil }
+
+// strayFrame is where a control frame or an immediate that names no op of
+// this endpoint ends. One that raced an abort is expected — the peer sent it
+// before our failure notice reached it — and is dropped, whatever caused the
+// abort: an injected fault, an admission rejection, a refused CTS, a
+// responder's NAK. On an endpoint that has never aborted anything it is a
+// protocol bug.
+func (ep *Endpoint) strayFrame(what string, src int, id uint32) {
+	if atomic.LoadInt64(&ep.ctr.RequestsFailed) == 0 && atomic.LoadInt64(&ep.ctr.PeerAborts) == 0 {
+		panic(fmt.Sprintf("core rank %d: %s for unknown op %d from %d", ep.rank, what, id, src))
+	}
+}
 
 // --- Sender-side abort -------------------------------------------------------
 

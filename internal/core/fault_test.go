@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/ib"
 	"repro/internal/mem"
+	"repro/internal/shmfab"
 	"repro/internal/simtime"
+	"repro/internal/verbs"
 )
 
 // newFaultWorld is newTestWorld with a fault injector wired into the fabric
@@ -17,22 +20,39 @@ import (
 // only when the injector is already present).
 func newFaultWorld(t *testing.T, n int, cfg Config, memSize int64, fc fault.Config) (*testWorld, *fault.Injector) {
 	t.Helper()
-	eng := simtime.NewEngine()
-	fab := ib.NewFabric(eng, ib.DefaultModel())
 	inj := fault.New(fc)
-	fab.SetInjector(inj)
+	return newWorldOn(t, "sim", n, cfg, memSize, inj), inj
+}
+
+// deterministic names the backends whose runs repeat event for event, so a
+// seed pins which descriptor draws which fault.
+var deterministic = []string{"sim", "shm"}
+
+// newWorldOn builds an n-rank world on one of the deterministic backends,
+// with inj (nil: no injector) attached.
+func newWorldOn(t *testing.T, backend string, n int, cfg Config, memSize int64, inj *fault.Injector) *testWorld {
+	t.Helper()
+	eng := simtime.NewEngine()
+	var add func(name string) verbs.HCA
+	if backend == "shm" {
+		fab := shmfab.New(eng, shmfab.DefaultModel(), n, memSize)
+		fab.SetInjector(inj)
+		add = func(name string) verbs.HCA { return fab.AddNode(name, nil) }
+	} else {
+		fab := ib.NewFabric(eng, ib.DefaultModel())
+		fab.SetInjector(inj)
+		add = func(name string) verbs.HCA { return fab.AddHCA(name, mem.NewMemory(name, memSize), nil) }
+	}
 	eps := make([]*Endpoint, n)
 	for i := range eps {
-		m := mem.NewMemory(fmt.Sprintf("n%d", i), memSize)
-		hca := fab.AddHCA(fmt.Sprintf("n%d", i), m, nil)
-		ep, err := NewEndpoint(i, hca, cfg)
+		ep, err := NewEndpoint(i, add(fmt.Sprintf("n%d", i)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		eps[i] = ep
 	}
 	ConnectPeers(eps)
-	return &testWorld{eng: eng, eps: eps}, inj
+	return &testWorld{eng: eng, eps: eps}
 }
 
 // checkNoLeaks asserts that after the run every endpoint has returned to its
@@ -347,5 +367,75 @@ func TestTransientFaultsDeterministic(t *testing.T) {
 	t2, r2 := run()
 	if t1 != t2 || r1 != r2 {
 		t.Errorf("fault runs diverged: end=(%v,%v) retries=(%d,%d)", t1, t2, r1, r2)
+	}
+}
+
+// A frame or an immediate that names no op is tolerated on evidence, not on
+// a mode: an endpoint that has aborted a transfer — here without any
+// injector, the test pulls the send — drops each kind quietly, since the
+// peer may have sent it before the failure notice reached it; the same frame
+// on an endpoint that has never aborted anything is a protocol bug and
+// panics, injector attached or not.
+func TestStrayFrames(t *testing.T) {
+	const unknown = 999
+	frame := func(build func(f *ctrlWriter)) func(ep *Endpoint) {
+		return func(ep *Endpoint) {
+			var f ctrlWriter
+			build(&f)
+			ep.handleCtrl(1, f.buf)
+		}
+	}
+	strays := []struct {
+		name    string
+		deliver func(ep *Endpoint)
+	}{
+		{"CTS", frame(func(f *ctrlWriter) {
+			f.u8(kindCTS)
+			f.u32(unknown)
+			f.u8(uint8(SchemeBCSPUP))
+			f.i64(64 << 10)
+			f.i64(32 << 10)
+			f.segRefs(nil)
+		})},
+		{"immediate", func(ep *Endpoint) { ep.handleImm(1, unknown, 512) }},
+		{"SegReady", frame(func(f *ctrlWriter) {
+			f.u8(kindSegReady)
+			f.u32(unknown)
+			f.u64(0x1000)
+			f.u32(7)
+			f.i64(512)
+		})},
+		{"Done", frame(func(f *ctrlWriter) {
+			f.u8(kindDone)
+			f.u32(unknown)
+		})},
+	}
+	sh := testShapes()[0]
+	for _, tc := range strays {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			w := newTestWorld(t, 2, cfg, 48<<20)
+			sbuf, rbuf := allocFor(w.eps[0], sh.dt, 160), allocFor(w.eps[1], sh.dt, 160)
+			r := w.eps[1].Irecv(rbuf, 160, sh.dt, 0, 1)
+			s := w.eps[0].Isend(sbuf, 160, sh.dt, 1, 1)
+			w.eps[0].abortSend(w.eps[0].peers[1].sends[0], errors.New("pulled by the test"))
+			if err := w.eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if s.Err == nil || !errors.Is(r.Err, ErrRemoteAbort) {
+				t.Fatalf("send %v, receive %v: want both failed", s.Err, r.Err)
+			}
+			tc.deliver(w.eps[0]) // RequestsFailed is its evidence
+			tc.deliver(w.eps[1]) // and PeerAborts
+			checkNoLeaks(t, w)
+
+			fresh, _ := newFaultWorld(t, 2, cfg, 48<<20, fault.Config{Seed: 1})
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.name+" for unknown op 999") {
+					t.Errorf("on an endpoint that never aborted: recovered %q, want the protocol-bug panic", msg)
+				}
+			}()
+			tc.deliver(fresh.eps[0])
+		})
 	}
 }

@@ -220,10 +220,9 @@ func (ep *Endpoint) retireRecv(op *recvOp) {
 func (ep *Endpoint) recycleSend(op *sendOp) {
 	ep.liveSend--
 	op.wrs.reset()
-	clear(op.groups)
 	clear(op.segs)
 	clear(op.segScratch)
-	op.groups, op.segs, op.segScratch = op.groups[:0], op.segs[:0], op.segScratch[:0]
+	op.segs, op.segScratch = op.segs[:0], op.segScratch[:0]
 	op.ctsSegs, op.ctsRegs = op.ctsSegs[:0], op.ctsRegs[:0]
 	op.reg.drop()
 	op.sendMsg = sendMsg{}

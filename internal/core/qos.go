@@ -19,12 +19,10 @@ import (
 // been matched, where stalling is exactly the paper's Section 4.3.3
 // "stall until buffers are available" policy.
 //
-// Fault mode bypasses the lane arbiter: postRetry needs synchronous post
-// errors to drive its retry loop, and injection runs already serialize
-// posting for order safety. faultMode() is fixed per run, so charge and
-// release stay paired. The admission gate stays active under faults — it
-// defers whole transfers before any descriptor exists, which retries never
-// see.
+// A fault injector changes nothing here: a unit is charged when the arbiter
+// grants it and keeps the charge across its retries, until the record that
+// carries it finally resolves (wr.go) — completed, failed, or abandoned
+// before it reached the NIC.
 
 // laneFor maps a transfer's effective size to its traffic class.
 func (ep *Endpoint) laneFor(bytes int64) qos.Lane {
@@ -45,10 +43,10 @@ func wrPayload(wr *verbs.SendWR) int64 {
 
 // submitLane offers one post unit (descs descriptors, bytes payload) for dst
 // to the lane arbiter; grant runs when the unit is admitted — immediately
-// with QoS off or fault injection on. Every grant must eventually return its
-// charge through laneRelease.
+// with QoS off. Every grant must eventually return its charge through
+// laneRelease.
 func (ep *Endpoint) submitLane(dst int, lane qos.Lane, descs int, bytes int64, grant func()) {
-	if ep.lanes == nil || ep.faultMode() {
+	if ep.lanes == nil {
 		grant()
 		return
 	}
@@ -61,25 +59,25 @@ func (ep *Endpoint) submitLane(dst int, lane qos.Lane, descs int, bytes int64, g
 }
 
 // laneRelease returns a granted unit's window charge (credit return),
-// draining dst's deferred bulk queue. Mirrors submitLane's bypass
-// conditions exactly so charges stay balanced.
+// draining dst's deferred bulk queue.
 func (ep *Endpoint) laneRelease(dst int, descs int, bytes int64) {
-	if ep.lanes == nil || ep.faultMode() {
+	if ep.lanes == nil {
 		return
 	}
 	ep.lanes.Release(dst, descs, bytes)
 }
 
-// laneChunkLimit bounds a bulk doorbell batch at the descriptor window, so
-// one bulk list post never occupies more of the send queue than a window's
+// laneChunkLimit bounds a doorbell batch: at the adapter's limit (and what a
+// WRID can index, wr.go), and a bulk one at the descriptor window, so one
+// bulk list post never occupies more of the send queue than a window's
 // worth — the mechanism that keeps eager sends from waiting behind a whole
 // Multi-W flood on the real-time backend.
 func (ep *Endpoint) laneChunkLimit(lane qos.Lane) int {
 	limit := ep.model.MaxPostBatch
-	if ep.lanes == nil || ep.faultMode() || lane != qos.LaneBulk {
-		return limit
+	if limit <= 0 || limit > maxBatchWRs {
+		limit = maxBatchWRs
 	}
-	if w := ep.qosPol.DescWindow; w > 0 && (limit <= 0 || w < limit) {
+	if w := ep.qosPol.DescWindow; ep.lanes != nil && lane == qos.LaneBulk && w > 0 && w < limit {
 		return w
 	}
 	return limit

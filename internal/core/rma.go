@@ -174,10 +174,11 @@ func (ep *Endpoint) registerOrigin(buf mem.Addr, dt *datatype.Type, count int,
 // postRMAWRs posts the descriptors and runs done when every one of them has
 // finally resolved, releasing the origin registrations. The first error
 // wins but the drain still waits for the rest, so regions are never released
-// while a descriptor might still read or write through them. List posts
-// resolve per doorbell batch, through the batch's one completion record;
-// transient injected faults are retried per descriptor (which forces
-// individual posts in fault mode).
+// while a descriptor might still read or write through them. The posts are
+// the records of wr.go — one per doorbell batch, or one per descriptor —
+// which retry transient faults themselves; every descriptor lands in a range
+// of its own and nothing is announced to the target, so the units go out
+// together, on the latency lane.
 func (ep *Endpoint) postRMAWRs(dst int, wrs []verbs.SendWR, regions []*mem.Region, done func(error)) {
 	if len(wrs) == 0 {
 		ep.releaseUserRegions(regions)
@@ -196,19 +197,21 @@ func (ep *Endpoint) postRMAWRs(dst int, wrs []verbs.SendWR, regions []*mem.Regio
 			done(failed)
 		}
 	}
-	if ep.cfg.ListPost && len(wrs) > 1 && !ep.faultMode() {
-		batches := chunkBatches(wrs, ep.model.MaxPostBatch, nil)
+	if ep.cfg.ListPost && len(wrs) > 1 {
+		batches := chunkBatches(wrs, ep.laneChunkLimit(qos.LaneLatency), nil)
 		left = len(batches)
 		for _, batch := range batches {
 			rec := ep.getBatchWR(wrCall, dst, batch, qos.LaneLatency)
 			rec.done = resolve
-			ep.postBatch(rec)
+			ep.release(rec)
 		}
 		return
 	}
 	left = len(wrs)
 	for i := range wrs {
-		ep.postRetry(dst, &wrs[i], nil, resolve)
+		rec := ep.getWR(wrCall, dst, wrPayload(&wrs[i]))
+		rec.done = resolve
+		ep.postSingle(rec, &wrs[i])
 	}
 }
 

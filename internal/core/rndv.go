@@ -90,6 +90,10 @@ type sendMsg struct {
 	staging segRes // Generic whole-message pack buffer
 	wrsLeft int    // descriptors not yet finally resolved
 
+	// unitTail is the last of the op's post units that release (wr.go) has
+	// out or holds back while a fault injector is attached; nil otherwise.
+	unitTail *wrRec
+
 	// allPosted guards completion: wrsLeft may transiently hit zero between
 	// segment posts, so the op only drains once every descriptor has been
 	// posted. drainArmed is set by postWRs and consumed by the one drain.
@@ -131,12 +135,10 @@ type sendOp struct {
 
 	// Op-owned arenas and scratch, reused across the op's whole life and
 	// reset only at recycle: the descriptor arena chunkWRs fills, the
-	// descriptor groups sendGatherData accumulates, the per-batch segment
-	// scratch of the batched BC-SPUP pipeline, and the parsed CTS segment /
-	// region refs (op-owned because admission may park the data phase while
-	// another CTS arrives and parses).
+	// per-batch segment scratch of the batched BC-SPUP pipeline, and the
+	// parsed CTS segment / region refs (op-owned because admission may park
+	// the data phase while another CTS arrives and parses).
 	wrs        wrSet
-	groups     [][]verbs.SendWR
 	segScratch []seg
 	ctsSegs    []segRef
 	ctsRegs    []regRef
@@ -312,10 +314,10 @@ func (w *regWalk) step() {
 		r, ops, err := ep.userReg.Acquire(g.Addr, g.Len)
 		w.total.Add(ops)
 		if err != nil {
-			if fault.IsTransient(err) && w.attempt < ep.cfg.FaultRetryLimit {
+			if fault.IsTransient(err) && w.attempt < faultRetryLimit {
 				w.attempt++
 				atomic.AddInt64(&ep.ctr.FaultRetries, 1)
-				ep.eng.Schedule(ep.cfg.retryBackoff(w.attempt), w.stepFn)
+				ep.eng.Schedule(retryBackoff(w.attempt), w.stepFn)
 				return
 			}
 			ep.releaseUserRegions(w.regions)
@@ -409,10 +411,10 @@ func (a *stagingAcq) try() {
 	ep := a.ep
 	region, ops, err := ep.stagingReg.Acquire(a.addr, a.n)
 	if err != nil {
-		if fault.IsTransient(err) && a.attempt < ep.cfg.FaultRetryLimit {
+		if fault.IsTransient(err) && a.attempt < faultRetryLimit {
 			a.attempt++
 			atomic.AddInt64(&ep.ctr.FaultRetries, 1)
-			ep.eng.Schedule(ep.cfg.retryBackoff(a.attempt), a.tryFn)
+			ep.eng.Schedule(retryBackoff(a.attempt), a.tryFn)
 			return
 		}
 		if ferr := ep.memory.Free(a.addr); ferr != nil {
@@ -816,8 +818,8 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 	scheme := Scheme(r.u8())
 	eff := r.i64()
 	op := ep.lookupSendOp(src, id)
-	if op == nil && !ep.faultMode() {
-		panic(fmt.Sprintf("core rank %d: CTS for unknown op %d", ep.rank, id))
+	if op == nil {
+		ep.strayFrame("CTS", src, id)
 	}
 	// A CTS can still arrive for an op this side already aborted (the
 	// receiver replied before our failure notice reached it). The data
@@ -955,10 +957,8 @@ func (ep *Endpoint) finishSend(op *sendOp) {
 func (ep *Endpoint) handleImm(src int, imm uint32, bytes int64) {
 	op := ep.lookupRecvOp(src, imm)
 	if op == nil {
-		if ep.faultMode() {
-			return // data landed for an op we already aborted
-		}
-		panic(fmt.Sprintf("core rank %d: immediate for unknown op %d from %d", ep.rank, imm, src))
+		ep.strayFrame("immediate", src, imm) // data landed for an op we already aborted
+		return
 	}
 	if op.failed {
 		return

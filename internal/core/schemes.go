@@ -84,17 +84,17 @@ func chunkBatches(wrs []verbs.SendWR, limit int, out [][]verbs.SendWR) [][]verbs
 // allPosted guard, so a fast segment's completions can never finish the op
 // while later segments are still being posted. Post failures and error
 // completions abort the op instead of panicking; transient faults are
-// retried.
+// retried by the records (wr.go).
 func (ep *Endpoint) postWRs(op *sendOp, dst int, wrs []verbs.SendWR, list bool) {
 	op.drainArmed = true
 	lane := ep.laneFor(op.eff)
-	if !list || len(wrs) <= 1 || ep.faultMode() {
+	if !list || len(wrs) <= 1 {
 		for i := range wrs {
 			wrs[i].Lane = uint8(lane)
 			rec := ep.getWR(wrSendData, dst, wrPayload(&wrs[i]))
 			rec.sop = op
 			op.wrsLeft++
-			ep.postSingle(rec, &wrs[i], lane)
+			ep.postSingle(rec, &wrs[i])
 		}
 		return
 	}
@@ -111,7 +111,7 @@ func (ep *Endpoint) postWRs(op *sendOp, dst int, wrs []verbs.SendWR, list bool) 
 	for _, batch := range batches {
 		rec := ep.getBatchWR(wrSendData, dst, batch, lane)
 		rec.sop = op
-		ep.submitLane(dst, lane, rec.n, rec.bytes, rec.tryFn)
+		ep.release(rec)
 	}
 	for i := range batches {
 		batches[i] = nil
@@ -128,72 +128,6 @@ func (ep *Endpoint) sendDrained(op *sendOp) {
 		op.staging = segRes{}
 	}
 	ep.finishSend(op)
-}
-
-// postGroupsChained posts descriptor groups strictly sequentially: group k+1
-// starts only after every descriptor of group k — including its immediate —
-// has completed. The fault-mode replacement for pipelined group posting:
-// retries would otherwise let a later segment's immediate overtake an
-// earlier segment's data, breaking the receiver's arrival-order unpack
-// indexing. The cost is the pipelining the fault-free path enjoys (and the
-// closures it does without).
-func (ep *Endpoint) postGroupsChained(op *sendOp, groups [][]verbs.SendWR) {
-	k := 0
-	var next func()
-	next = func() {
-		if op.failed {
-			return
-		}
-		if k == len(groups) {
-			ep.finishSend(op)
-			return
-		}
-		wrs := groups[k]
-		k++
-		atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
-		ep.postGroupFenced(op, wrs, next)
-	}
-	next()
-}
-
-// postGroupFenced posts one group's descriptors with retries. When a group
-// carries its immediate across several descriptors, the immediate moves to a
-// zero-length fence write posted only after every data descriptor completes,
-// so a retried descriptor can never let the immediate announce data that has
-// not landed. then runs after the whole group (fence included) completes.
-func (ep *Endpoint) postGroupFenced(op *sendOp, wrs []verbs.SendWR, then func()) {
-	last := len(wrs) - 1
-	var fence *verbs.SendWR
-	if last > 0 && wrs[last].Op == verbs.OpRDMAWriteImm {
-		f := verbs.SendWR{Op: verbs.OpRDMAWriteImm, RemoteAddr: wrs[last].RemoteAddr,
-			RKey: wrs[last].RKey, Imm: wrs[last].Imm}
-		fence = &f
-		wrs[last].Op = verbs.OpRDMAWrite
-	}
-	dataDone := func() {
-		if fence == nil {
-			then()
-			return
-		}
-		op.wrsLeft++
-		ep.postRetry(op.dst, fence, op, func(err error) {
-			if ep.sendWRResolved(op, 1, err) {
-				then()
-			}
-		})
-	}
-	pending := len(wrs)
-	op.wrsLeft += len(wrs)
-	resolved := func(err error) {
-		if ep.sendWRResolved(op, 1, err) {
-			if pending--; pending == 0 {
-				dataDone()
-			}
-		}
-	}
-	for i := range wrs {
-		ep.postRetry(op.dst, &wrs[i], op, resolved)
-	}
 }
 
 // withUserRegistration ensures the op's user buffer is registered, then
@@ -261,13 +195,11 @@ func (ep *Endpoint) sendStagedData(op *sendOp) {
 // sendGatherData is the RWG-UP data movement: RDMA-write-with-gather straight
 // from the user blocks into each unpack segment, the last descriptor of each
 // segment carrying the immediate that drives the receiver's segment unpack.
-// Descriptor groups for every segment are built before any is posted, so the
-// shared completion countdown can never transiently hit zero between
-// segments.
+// (The shared completion countdown may touch zero between segments: the op
+// drains only after donePosting.)
 func (ep *Endpoint) sendGatherData(op *sendOp) {
 	op.cur.Reset(ep.Program(op.dt, op.count))
 	refs := op.ctsSegs
-	groups := op.groups[:0]
 	for k := 0; k < op.nSegs; k++ {
 		wrs, err := ep.chunkWRs(&op.wrs, verbs.OpRDMAWrite, &op.cur, op.buf, op.reg.refs,
 			segBytes(op.eff, op.segSize, k), refs[k].addr, refs[k].key)
@@ -278,14 +210,6 @@ func (ep *Endpoint) sendGatherData(op *sendOp) {
 		last := len(wrs) - 1
 		wrs[last].Op = verbs.OpRDMAWriteImm
 		wrs[last].Imm = op.id
-		groups = append(groups, wrs)
-	}
-	op.groups = groups
-	if ep.faultMode() {
-		ep.postGroupsChained(op, groups)
-		return
-	}
-	for _, wrs := range groups {
 		atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
 		ep.postWRs(op, op.dst, wrs, false)
 	}
@@ -324,30 +248,6 @@ func (op *sendOp) stageDone(s seg, err error) {
 		ep.donePosting(op)
 
 	case stepBCStaged:
-		if ep.faultMode() {
-			// One segment at a time, so retries cannot reorder arrivals.
-			k := 0
-			var next func()
-			next = func() {
-				if op.failed {
-					return
-				}
-				if k == op.nSegs {
-					ep.sendDrained(op)
-					return
-				}
-				w := ep.packStagedSeg(op, k)
-				k++
-				op.wrsLeft++
-				ep.postRetry(op.dst, &w[0], op, func(err error) {
-					if ep.sendWRResolved(op, 1, err) {
-						next()
-					}
-				})
-			}
-			next()
-			return
-		}
 		for k := 0; k < op.nSegs; k++ {
 			ep.postWRs(op, op.dst, ep.packStagedSeg(op, k), false)
 		}
@@ -384,8 +284,7 @@ func (ep *Endpoint) packStagedSeg(op *sendOp, k int) []verbs.SendWR {
 // sendBCSPUPData is the buffer-centric segment pack: pack each segment into
 // a pre-registered pool slot and write it out; the NIC drains segment k
 // while the CPU packs segment k+1. When the pack pool runs dry the sender
-// stalls until a slot's send completes (Section 4.3.3). In fault mode,
-// segments go out one at a time so retries cannot reorder arrivals.
+// stalls until a slot's send completes (Section 4.3.3).
 func (ep *Endpoint) sendBCSPUPData(op *sendOp) {
 	op.packer.Bind(ep.memory, op.buf, ep.Program(op.dt, op.count))
 
@@ -402,7 +301,11 @@ func (ep *Endpoint) sendBCSPUPData(op *sendOp) {
 
 	op.k = 0
 	op.class = ep.packPool.classFor(op.segSize)
-	if !ep.faultMode() && ep.cfg.postBatchLimit(ep.model) > 1 {
+	// The batched pipeline rings one doorbell over per-segment records, each
+	// write with an immediate of its own: nothing in it could hold segment
+	// k+1 back while segment k is retried, so an injector gets the
+	// per-segment pipeline, whose writes are post units of their own.
+	if ep.cfg.postBatchLimit(ep.model) > 1 && !ep.faultMode() {
 		op.next = stepBCBatched
 	} else {
 		op.next = stepBCSerial
@@ -469,9 +372,8 @@ func (op *sendOp) poolReady() {
 }
 
 // packOneSeg is one step of the per-segment BC-SPUP pipeline: take the slot,
-// pack the next segment into it and post its write through the lane
-// arbiter. The write's completion record (wrSendSegStep) returns the slot
-// and, in fault mode, starts the next step.
+// pack the next segment into it and post its write, whose completion record
+// returns the slot, while the next step packs the next segment.
 func (ep *Endpoint) packOneSeg(op *sendOp) {
 	s, ok := ep.packPool.tryAcquire(op.class)
 	if !ok {
@@ -500,15 +402,13 @@ func (ep *Endpoint) packOneSeg(op *sendOp) {
 	}
 	op.wrsLeft++
 	ep.mark("seg-post", "segment", op.id)
-	rec := ep.getWR(wrSendSegStep, op.dst, n)
+	rec := ep.getWR(wrSendSeg, op.dst, n)
 	rec.sop, rec.seg = op, s
-	ep.postSingle(rec, &wr, lane)
+	ep.postSingle(rec, &wr)
 	if idx == op.nSegs-1 {
 		op.allPosted = true
 	}
-	if !ep.faultMode() {
-		ep.packStep(op)
-	}
+	ep.packStep(op)
 }
 
 // packBatch is one step of the doorbell-batched BC-SPUP pipeline: take up to
@@ -516,8 +416,7 @@ func (ep *Endpoint) packOneSeg(op *sendOp) {
 // step), and ring a single doorbell — one PostSendList — for the whole
 // batch. The NIC drains batch k while the CPU packs batch k+1, and each
 // completion returns its own slot, so a dry pool wakes in slot units rather
-// than batch units. Fault mode never reaches this path: retries must not
-// reorder segment arrivals, so the serial pipeline handles injection runs.
+// than batch units. (sendBCSPUPData says why an injector never gets here.)
 func (ep *Endpoint) packBatch(op *sendOp) {
 	if op.failed {
 		return
@@ -594,7 +493,7 @@ func (op *sendOp) batchGranted() {
 	// rejected: nothing reached the NIC, so slots and charge return and the
 	// descriptors never post.
 	for i := range wrs {
-		ep.dropWR(wrs[i].WRID)
+		ep.putWR(ep.lookupWR(wrs[i].WRID))
 		ep.releaseSeg(ep.packPool, segs[i])
 	}
 	ep.laneRelease(op.dst, b, batchBytes)
@@ -640,11 +539,6 @@ func (ep *Endpoint) sendMultiWData(op *sendOp) {
 	wrs[last].Op = verbs.OpRDMAWriteImm
 	wrs[last].Imm = op.id
 	ep.chargeTypeProc(len(wrs))
-	if ep.faultMode() {
-		op.groups = append(op.groups[:0], wrs)
-		ep.postGroupsChained(op, op.groups)
-		return
-	}
 	ep.postWRs(op, op.dst, wrs, ep.cfg.ListPost)
 	ep.donePosting(op)
 }
@@ -727,10 +621,8 @@ func (ep *Endpoint) handleSegReady(src int, r *ctrlReader) {
 	}
 	op := ep.lookupRecvOp(src, id)
 	if op == nil {
-		if ep.faultMode() {
-			return // announcement raced an abort
-		}
-		panic(fmt.Sprintf("core rank %d: SegReady for unknown op %d", ep.rank, id))
+		ep.strayFrame("SegReady", src, id) // the announcement raced an abort
+		return
 	}
 	if op.failed {
 		return
@@ -747,7 +639,7 @@ func (ep *Endpoint) handleSegReady(src int, r *ctrlReader) {
 		rec := ep.getWR(wrRecvRead, src, wrPayload(&wrs[i]))
 		rec.rop = op
 		op.wrsLeft++
-		ep.postSingle(rec, &wrs[i], lane)
+		ep.postSingle(rec, &wrs[i])
 	}
 }
 
@@ -760,10 +652,8 @@ func (ep *Endpoint) handleDone(src int, r *ctrlReader) {
 	}
 	op := ep.lookupSendOp(src, id)
 	if op == nil {
-		if ep.faultMode() {
-			return // Done raced an abort
-		}
-		panic(fmt.Sprintf("core rank %d: Done for unknown op %d", ep.rank, id))
+		ep.strayFrame("Done", src, id) // the Done raced an abort
+		return
 	}
 	if op.failed {
 		return

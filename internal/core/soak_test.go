@@ -9,6 +9,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/fault"
 	"repro/internal/mem"
+	"repro/internal/qos"
 	"repro/internal/simtime"
 )
 
@@ -122,9 +123,13 @@ func TestRandomTrafficSoak(t *testing.T) {
 // The fault soak: one short pass of random traffic under transient fault
 // injection runs by default with every `go test`. The retry machinery must
 // keep delivery byte-identical and resources balanced no matter where the
-// injector lands its faults.
+// injector lands its faults — with the lane arbiter off and, since retries
+// and held-back units take and return window charges like any other post,
+// with it on.
 func TestRandomTrafficFaultSoak(t *testing.T) {
-	f := func(seed int64) bool { return randomTrafficFaultSoak(t, seed) }
+	f := func(seed int64) bool {
+		return randomTrafficFaultSoak(t, seed, false) && randomTrafficFaultSoak(t, seed, true)
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +142,16 @@ func TestRandomTrafficFaultSoak(t *testing.T) {
 // Fixed by the per-destination announce queue in endpoint.go.
 func TestSoakRegressionSeeds(t *testing.T) {
 	for _, seed := range []int64{7015782731170911169} {
-		if !randomTrafficFaultSoak(t, seed) {
+		if !randomTrafficFaultSoak(t, seed, false) || !randomTrafficFaultSoak(t, seed, true) {
 			t.Errorf("regression seed %d failed", seed)
 		}
 	}
 }
 
 // randomTrafficFaultSoak is the soak property for one seed, named so a
-// failing input reported by testing/quick can be replayed directly.
-func randomTrafficFaultSoak(t *testing.T, seed int64) bool {
+// failing input reported by testing/quick can be replayed directly. lanes
+// turns service mode on: a 4-descriptor bulk window from 16 KiB up.
+func randomTrafficFaultSoak(t *testing.T, seed int64, lanes bool) bool {
 	{
 		rng := rand.New(rand.NewSource(seed))
 		schemes := []Scheme{SchemeGeneric, SchemeBCSPUP, SchemeRWGUP,
@@ -153,6 +159,11 @@ func randomTrafficFaultSoak(t *testing.T, seed int64) bool {
 		cfg := DefaultConfig()
 		cfg.Scheme = schemes[rng.Intn(len(schemes))]
 		cfg.PoolSize = int64(rng.Intn(3)+1) << 20
+		if lanes {
+			pol := qos.DefaultPolicy()
+			pol.BulkThreshold = 16 << 10
+			cfg.QoS = &pol
+		}
 		fc := fault.Config{
 			Seed:         rng.Int63(),
 			PostFailRate: 0.04,
@@ -228,6 +239,11 @@ func randomTrafficFaultSoak(t *testing.T, seed int64) bool {
 			}
 			if ep.unpackPool.enabled && ep.unpackPool.available() != ep.unpackPool.totalSlots() {
 				return false
+			}
+			if lanes {
+				if d, b := ep.lanes.Outstanding(1 - ep.Rank()); d != 0 || b != 0 || ep.lanes.QueuedTotal() != 0 {
+					return false
+				}
 			}
 		}
 		return true

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/qos"
+	"repro/internal/simtime"
 	"repro/internal/verbs"
 )
 
@@ -16,19 +17,24 @@ import (
 // kind's operands — so resolving one is a table lookup and a switch, not a
 // map probe and a closure call, and the records recycle through the endpoint
 // like every other warm-path object. The work-request ID the fabric echoes
-// IS the table index (low 32 bits) plus the record's generation (the 31 bits
-// above), so a completion finds its record in O(1) and a stale one can never
-// be mistaken for a live one. WRID 0 means "no record": control sends, which
-// are posted unsignaled and whose completions would carry nothing to do.
+// IS the table index (low 32 bits), the record's generation (the 16 bits
+// above) and the descriptor's place in its post (the 16 bits above those), so
+// a completion finds its record in O(1), a stale one can never be mistaken
+// for a live one, and an error completion says which descriptor did not
+// land. WRID 0 means "no record": control sends, which are posted unsignaled
+// and whose completions would carry nothing to do.
 //
 // A doorbell batch is signaled at its tail only (verbs.SendWR.Unsignaled):
-// the connection completes in posting order, so the tail's completion is the
-// batch's, and the record settles the whole batch's descriptor count and
-// lane charge at once. The members before the tail carry the record's ID
-// with the wrMember bit set: a member only ever completes to report its
-// failure, and the record keeps that error for the tail to resolve with, so
-// an op aborts once and no record is recycled under a completion still in
-// flight.
+// the connection completes in posting order, failures included, so the
+// tail's completion is the batch's, and the record settles the whole batch's
+// descriptor count and lane charge at once. A member ahead of the tail only
+// ever completes to report its failure, and the record keeps that error —
+// and the member — for the tail to resolve or re-ring with, so an op aborts
+// once and no record is recycled under a completion still in flight.
+//
+// The records are also the one posting path (DESIGN.md §7): release → lane
+// arbiter → try → fabric → handleSendCQE → retry or resolveWR, for every
+// scheme and for RMA, with or without a fault injector attached.
 
 // wrKind says what resolving a post means.
 type wrKind uint8
@@ -36,24 +42,34 @@ type wrKind uint8
 const (
 	wrFree wrKind = iota // on the free list
 	// wrSendData is a data descriptor of a send op, or a doorbell batch of
-	// them: the lane charge returns and the op's descriptor countdown
-	// advances (the op drains at zero).
+	// them: the op's descriptor countdown advances (the op drains at zero).
 	wrSendData
-	// wrSendSeg is a segment write of the doorbell-batched BC-SPUP pipeline:
-	// as wrSendData, and the pack-pool slot it read from returns; the op
-	// finishes at zero.
+	// wrSendSeg is a segment write of a BC-SPUP pipeline: as wrSendData, and
+	// the pack-pool slot it read from returns; the op finishes at zero.
 	wrSendSeg
-	// wrSendSegStep is a segment write of the per-segment BC-SPUP pipeline,
-	// posted on its own: as wrSendSeg, and in fault mode its resolution is
-	// what starts the next segment.
-	wrSendSegStep
 	// wrRecvRead is a P-RRS scatter read of a receive op.
 	wrRecvRead
-	// wrCall runs done(err): RMA posts (a descriptor, or a doorbell batch)
-	// and the fault-mode chained pipelines, whose continuations are per
-	// segment, not per descriptor.
+	// wrCall runs done(err): RMA posts (a descriptor, or a doorbell batch).
 	wrCall
 )
+
+// Transient faults — a rejected post, an error completion, a failed
+// registration (rndv.go) — are retried this many times, backing off from
+// faultRetryBase, before they fail the operation.
+const (
+	faultRetryLimit = 6
+	faultRetryBase  = 5 * simtime.Microsecond
+)
+
+// retryBackoff returns the backoff before retry number attempt (1-based):
+// faultRetryBase doubled per retry, capped at one millisecond.
+func retryBackoff(attempt int) simtime.Duration {
+	d := faultRetryBase
+	for i := 1; i < attempt && d < simtime.Millisecond; i++ {
+		d *= 2
+	}
+	return d
+}
 
 // wrRec is one post's completion record.
 type wrRec struct {
@@ -63,6 +79,7 @@ type wrRec struct {
 	kind wrKind
 
 	peer  int
+	lane  qos.Lane
 	n     int   // descriptors the record settles: 1, or a batch's length
 	bytes int64 // their gather-list bytes: the lane charge to return
 	sop   *sendOp
@@ -70,26 +87,38 @@ type wrRec struct {
 	seg   seg
 	done  func(error)
 
-	// Single posts keep their descriptor here: the lane arbiter may grant
-	// it later, and transient faults re-post it. try (bound once per record
-	// as tryFn) is that grant and that retry timer — and a batch's grant.
-	single  bool
-	wr      verbs.SendWR
+	// try (bound once per record as tryFn) is the record's lane grant and
+	// its retry timer: one posting attempt of what has not landed yet.
 	attempt int
 	tryFn   func()
 
-	// A doorbell batch keeps its descriptor window until the doorbell rings,
-	// and the first error one of its unsignaled members completed with until
-	// its tail's completion resolves the record.
+	// A single post keeps its descriptor in wr; a doorbell batch keeps its
+	// window of the op's descriptor arena, which a re-ring shrinks to the
+	// members that did not land (nfail of them, moved to the window's front
+	// as their error completions arrive).
+	wr    verbs.SendWR
 	batch []verbs.SendWR
-	err   error
+	nfail int
+	// err is the error the post resolves with, unless it is transient and
+	// retried: the first one reported, or the first permanent one.
+	err error
+
+	// next links the units of a send op that release holds back.
+	next *wrRec
 }
 
-// wrMember marks the work-request ID of a batch's unsignaled member.
-const wrMember = 1 << 63
+// WRID layout above the slot: wrGenBits of generation, then the descriptor's
+// index in its post.
+const (
+	wrGenBits  = 16
+	wrIdxShift = 32 + wrGenBits
+	// maxBatchWRs is the longest doorbell batch the index has room for.
+	maxBatchWRs = 1 << (64 - wrIdxShift)
+)
 
-// id is the work-request ID that leads a completion back to this record.
-func (rec *wrRec) id() uint64 { return (uint64(rec.gen)<<32 | uint64(rec.slot)) &^ wrMember }
+// id is the work-request ID that leads a completion back to this record (of
+// its first descriptor: the others add their index).
+func (rec *wrRec) id() uint64 { return uint64(rec.gen&(1<<wrGenBits-1))<<32 | uint64(rec.slot) }
 
 // getWR takes a completion record for one descriptor of the given kind
 // headed to peer.
@@ -106,32 +135,26 @@ func (ep *Endpoint) getWR(kind wrKind, peer int, bytes int64) *wrRec {
 		rec.tryFn = rec.try
 		ep.wrTab = append(ep.wrTab, rec)
 	}
-	rec.gen++
 	rec.kind, rec.peer, rec.n, rec.bytes = kind, peer, 1, bytes
 	return rec
 }
 
-// getBatchWR takes the one completion record of a doorbell batch and seals
-// the batch as its unit: every descriptor on the given lane, only the tail
-// signaled.
+// getBatchWR takes the one completion record of a doorbell batch (at most
+// laneChunkLimit descriptors) whose descriptors all ride the given lane.
 func (ep *Endpoint) getBatchWR(kind wrKind, peer int, batch []verbs.SendWR, lane qos.Lane) *wrRec {
 	rec := ep.getWR(kind, peer, 0)
-	rec.n, rec.batch = len(batch), batch
-	id := rec.id()
+	rec.n, rec.batch, rec.lane = len(batch), batch, lane
 	for i := range batch {
-		wr := &batch[i]
-		rec.bytes += wrPayload(wr)
-		wr.WRID, wr.Lane, wr.Unsignaled = id|wrMember, uint8(lane), true
+		rec.bytes += wrPayload(&batch[i])
+		batch[i].Lane = uint8(lane)
 	}
-	tail := &batch[len(batch)-1]
-	tail.WRID, tail.Unsignaled = id, false
 	return rec
 }
 
 // lookupWR returns the live record a completion's WRID names, or nil for
 // WRID 0.
 func (ep *Endpoint) lookupWR(wrid uint64) *wrRec {
-	wrid &^= wrMember
+	wrid &= 1<<wrIdxShift - 1
 	if wrid == 0 {
 		return nil
 	}
@@ -144,7 +167,7 @@ func (ep *Endpoint) lookupWR(wrid uint64) *wrRec {
 
 // putWR recycles a record; its old WRID is dead from here on.
 func (ep *Endpoint) putWR(rec *wrRec) {
-	*rec = wrRec{ep: ep, slot: rec.slot, gen: rec.gen, tryFn: rec.tryFn}
+	*rec = wrRec{ep: ep, slot: rec.slot, gen: rec.gen + 1, tryFn: rec.tryFn}
 	ep.wrFree = append(ep.wrFree, rec)
 }
 
@@ -152,84 +175,100 @@ func (ep *Endpoint) putWR(rec *wrRec) {
 // when the endpoint is quiet.
 func (ep *Endpoint) wrLive() int { return max(len(ep.wrTab)-1, 0) - len(ep.wrFree) }
 
-// dropWR recycles the record of a descriptor that never reached the NIC;
-// the caller settles its accounting.
-func (ep *Endpoint) dropWR(wrid uint64) { ep.putWR(ep.lookupWR(wrid)) }
-
 // cancelled reports whether the record's op has failed, so an abandoned
 // descriptor stops re-posting into memory that is about to be released.
 func (rec *wrRec) cancelled() bool {
 	return (rec.sop != nil && rec.sop.failed) || (rec.rop != nil && rec.rop.failed)
 }
 
-// postSingle posts the record's descriptor on its own — through the lane
-// arbiter when service mode is on — retrying transient faults (post
-// failures and error completions) with bounded backoff. The record resolves
-// exactly once: with nil after a successful completion, or with the final
-// error.
-func (ep *Endpoint) postSingle(rec *wrRec, wr *verbs.SendWR, lane qos.Lane) {
-	rec.single, rec.wr = true, *wr
-	if ep.lanes == nil || ep.faultMode() {
-		rec.try()
-		return
-	}
-	ep.submitLane(rec.peer, lane, 1, rec.bytes, rec.tryFn)
+// postSingle makes the record the post unit of one descriptor and releases
+// it.
+func (ep *Endpoint) postSingle(rec *wrRec, wr *verbs.SendWR) {
+	rec.wr, rec.lane = *wr, qos.Lane(wr.Lane)
+	ep.release(rec)
 }
 
-// postBatch rings the doorbell of the record's batch — once the lane arbiter
-// has granted it, with service mode on. A batch that never reaches the NIC
-// (its op was aborted while it waited for window room, or the doorbell was
-// rejected) resolves here instead, with its whole count and charge.
-func (ep *Endpoint) postBatch(rec *wrRec) {
+// release hands a sealed post unit — a single, or a doorbell batch — to the
+// lane arbiter, whose grant is the unit's first posting attempt. The unit
+// resolves exactly once: with nil after everything it carries has landed, or
+// with the error that outlasted its retries.
+//
+// With a fault injector attached a retry can land a descriptor after ones
+// posted behind it, and two things must survive that: an immediate never
+// announces data that has not landed, and one op's immediates arrive in
+// segment order (stagedArrival counts them). So a send op's units are then
+// released one at a time, in posting order, the next when the one before it
+// has finally resolved (resolveWR); and a list unit whose tail carries the
+// immediate is sealed as two, the plain writes and then the tail on its own,
+// because inside one doorbell nothing holds the tail back while a member
+// ahead of it is re-rung. Receive ops' reads and RMA need neither: each
+// lands in a range of its own and nothing is announced before all have.
+func (ep *Endpoint) release(rec *wrRec) {
+	if op := rec.sop; op != nil && ep.faultMode() {
+		if last := len(rec.batch) - 1; last > 0 && rec.batch[last].Op == verbs.OpRDMAWriteImm {
+			imm := &rec.batch[last]
+			tail := ep.getWR(rec.kind, rec.peer, wrPayload(imm))
+			tail.sop = op
+			rec.n, rec.bytes, rec.batch = last, rec.bytes-tail.bytes, rec.batch[:last]
+			ep.release(rec)
+			ep.postSingle(tail, imm)
+			return
+		}
+		prev := op.unitTail
+		op.unitTail = rec
+		if prev != nil {
+			prev.next = rec
+			return
+		}
+	}
+	ep.submitLane(rec.peer, rec.lane, rec.n, rec.bytes, rec.tryFn)
+}
+
+// try is one posting attempt — the first, at the lane grant, or a retry — of
+// the record's single descriptor, or a ring of its batch's doorbell, under a
+// fresh WRID. A unit that does not reach the NIC (its op was aborted while it
+// waited, or the post was refused for good) resolves here, with its whole
+// count and charge.
+func (rec *wrRec) try() {
+	ep := rec.ep
 	err := errOpAborted
 	if !rec.cancelled() {
-		if err = ep.qps[rec.peer].PostSendList(rec.batch); err == nil {
-			ep.observeBatch(rec.n)
+		rec.gen++
+		id := rec.id()
+		if rec.batch == nil {
+			rec.wr.WRID = id
+			err = ep.qps[rec.peer].PostSend(rec.wr)
+		} else {
+			for i := range rec.batch {
+				rec.batch[i].WRID, rec.batch[i].Unsignaled = id|uint64(i)<<wrIdxShift, true
+			}
+			rec.batch[len(rec.batch)-1].Unsignaled = false
+			if err = ep.qps[rec.peer].PostSendList(rec.batch); err == nil {
+				ep.observeBatch(len(rec.batch))
+			}
+		}
+		if err == nil || ep.retryWR(rec, err) {
 			return
 		}
 	}
 	ep.resolveWR(rec, err)
 }
 
-// try is one posting attempt of a single descriptor, each with a fresh WRID,
-// or a batch's lane grant.
-func (rec *wrRec) try() {
-	ep := rec.ep
-	if rec.batch != nil {
-		ep.postBatch(rec)
-		return
-	}
-	if rec.cancelled() {
-		ep.resolveWR(rec, errOpAborted)
-		return
-	}
-	rec.gen++
-	rec.wr.WRID = rec.id()
-	if err := ep.qps[rec.peer].PostSend(rec.wr); err != nil && !ep.retryWR(rec, err) {
-		ep.resolveWR(rec, err)
-	}
-}
-
-// retryWR schedules another attempt after a transient fault and reports
-// whether it did.
+// retryWR schedules another attempt after a transient fault — of the whole
+// post when the post call refused it, of the members that did not land when
+// their completions said so — and reports whether it did.
 func (ep *Endpoint) retryWR(rec *wrRec, err error) bool {
-	if !fault.IsTransient(err) || rec.attempt >= ep.cfg.FaultRetryLimit || rec.cancelled() {
+	if !fault.IsTransient(err) || rec.attempt >= faultRetryLimit || rec.cancelled() {
 		return false
 	}
 	rec.attempt++
 	atomic.AddInt64(&ep.ctr.FaultRetries, 1)
-	ep.eng.Schedule(ep.cfg.retryBackoff(rec.attempt), rec.tryFn)
+	if rec.nfail > 0 {
+		rec.batch = rec.batch[:rec.nfail]
+	}
+	rec.nfail, rec.err = 0, nil
+	ep.eng.Schedule(retryBackoff(rec.attempt), rec.tryFn)
 	return true
-}
-
-// postRetry posts one descriptor whose resolution is a plain continuation:
-// done runs exactly once, with nil or the final error. op, when not nil, is
-// the send op whose failure abandons the descriptor.
-func (ep *Endpoint) postRetry(dst int, wr *verbs.SendWR, op *sendOp, done func(error)) {
-	rec := ep.getWR(wrCall, dst, 0)
-	rec.sop, rec.done = op, done
-	rec.single, rec.wr = true, *wr
-	rec.try()
 }
 
 func (ep *Endpoint) handleSendCQE(e verbs.CQE) {
@@ -240,32 +279,44 @@ func (ep *Endpoint) handleSendCQE(e verbs.CQE) {
 		}
 		return
 	}
-	if e.WRID&wrMember != 0 {
-		// An unsignaled member of a batch completes only to report its
-		// failure; the batch's tail is still in flight behind it.
-		if rec.err == nil {
+	idx := int(e.WRID >> wrIdxShift)
+	if e.Err != nil {
+		// Completions come in posting order, so the members that failed
+		// collect, in order, at the front of the window they came from: what
+		// they overwrite has landed, or has moved there already. Writes and
+		// reads are idempotent, and a unit holds no immediate beside other
+		// data, so ringing just these again is safe.
+		if rec.batch != nil {
+			rec.batch[rec.nfail] = rec.batch[idx]
+			rec.nfail++
+		}
+		if rec.err == nil || fault.IsTransient(rec.err) && !fault.IsTransient(e.Err) {
 			rec.err = e.Err
 		}
-		return
 	}
-	if e.Err != nil && rec.single && ep.retryWR(rec, e.Err) {
-		return
+	if idx < len(rec.batch)-1 {
+		return // a member ahead of the tail completes only to report its failure
 	}
-	ep.resolveWR(rec, e.Err)
+	if rec.err == nil || !ep.retryWR(rec, rec.err) {
+		ep.resolveWR(rec, rec.err)
+	}
 }
 
 // resolveWR is a post's final resolution — completed, failed past retry, or
-// abandoned: the record recycles, then its kind's continuation runs. A batch
-// resolves with the first error any of its descriptors reported.
+// abandoned: the record recycles, its lane charge returns, its kind's
+// continuation runs, and the unit release held back behind it, if any, goes. That one goes whether this one
+// failed or not: the failure has aborted the op, so the units behind it
+// resolve in try without reaching the NIC, each with its count and its lane
+// charge, one after the other.
 func (ep *Endpoint) resolveWR(rec *wrRec, err error) {
-	if rec.err != nil {
-		err = rec.err
+	kind, peer, n, bytes, sop, rop, sg, done, next := rec.kind, rec.peer, rec.n, rec.bytes, rec.sop, rec.rop, rec.seg, rec.done, rec.next
+	if sop != nil && sop.unitTail == rec {
+		sop.unitTail = nil
 	}
-	kind, peer, n, bytes, sop, rop, sg, done := rec.kind, rec.peer, rec.n, rec.bytes, rec.sop, rec.rop, rec.seg, rec.done
 	ep.putWR(rec)
+	ep.laneRelease(peer, n, bytes)
 	switch kind {
 	case wrSendData:
-		ep.laneRelease(peer, n, bytes)
 		if ep.sendWRResolved(sop, n, err) {
 			ep.advanceSend(sop)
 		}
@@ -273,25 +324,11 @@ func (ep *Endpoint) resolveWR(rec *wrRec, err error) {
 		// The slot is released at resolution either way: on success the
 		// data has left it, on abort the descriptor no longer references it.
 		ep.releaseSeg(ep.packPool, sg)
-		ep.laneRelease(peer, 1, bytes)
 		ep.mark("seg-complete", "segment", sop.id)
 		if ep.sendWRResolved(sop, 1, err) && sop.allPosted && sop.wrsLeft == 0 {
 			ep.finishSend(sop)
 		}
-	case wrSendSegStep:
-		ep.laneRelease(peer, 1, bytes)
-		ep.releaseSeg(ep.packPool, sg)
-		ep.mark("seg-complete", "segment", sop.id)
-		if ep.sendWRResolved(sop, 1, err) {
-			if ep.faultMode() {
-				ep.packStep(sop)
-			}
-			if sop.allPosted && sop.wrsLeft == 0 {
-				ep.finishSend(sop)
-			}
-		}
 	case wrRecvRead:
-		ep.laneRelease(peer, 1, bytes)
 		if ep.recvWRResolved(rop, err) {
 			rop.bytesRead += bytes
 			if rop.bytesRead == rop.eff {
@@ -304,5 +341,8 @@ func (ep *Endpoint) resolveWR(rec *wrRec, err error) {
 		}
 	case wrCall:
 		done(err)
+	}
+	if next != nil {
+		ep.submitLane(next.peer, next.lane, next.n, next.bytes, next.tryFn)
 	}
 }

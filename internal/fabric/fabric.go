@@ -20,7 +20,9 @@
 // or, posted unsignaled and not failed, at the ack stage, with no completion
 // at all. The records of one post travel linked as trains, one delivery and
 // one return per train rather than per descriptor (QP.post says where a
-// train is cut), so what a message costs in events follows its posts.
+// train is cut), so what a message costs in events follows its posts. A
+// fault injector draws inside those trains: a descriptor it fails moves
+// nothing, rides in its place and completes with its error in posting order.
 // An RDMA write's gather list is read at delivery, not at post — the source
 // must stay stable until the send completion, as on hardware — so there is
 // no staging copy either. See DESIGN.md, "Fabric kernel".
@@ -119,7 +121,8 @@ func New(name string, model verbs.Model, pricing Pricing, exec Executor) *Fabric
 func (f *Fabric) SetTracer(r *trace.Recorder) { f.tracer = r }
 
 // SetInjector attaches a fault injector. Injection covers RDMA descriptors
-// (post failures, error completions, delayed completions) on every node;
+// (post failures, drawn once per post call; error and delayed completions,
+// drawn per descriptor) on every node;
 // channel-semantics sends are exempt so control traffic keeps the
 // transport's reliable ordering. Pass nil to disable (the default).
 func (f *Fabric) SetInjector(in *fault.Injector) { f.injector = in }

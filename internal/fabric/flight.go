@@ -16,7 +16,7 @@ type stage uint8
 const (
 	stageFree     stage = iota // on a free list; all fields poisoned to zero
 	stagePosted                // descriptor accepted, delivery pending
-	stageLanded                // delivery ran (or was skipped by a fault), ack pending
+	stageLanded                // delivery ran (moving nothing, after a fault), ack pending
 	stageAcked                 // completion entry filled in, about to be pushed
 	stageDispatch              // waiting for the CQ handler's event
 )
@@ -127,6 +127,9 @@ func (fl *flight) deliver() {
 // memory, which the verbs contract keeps stable until the send completion.
 func (fl *flight) land() {
 	fl.step(stagePosted, stageLanded)
+	if fl.err != nil {
+		return // failed at launch: the adapter consumed it and moved nothing
+	}
 	qp, wr := fl.qp, &fl.wr
 	peer := qp.peer
 	if wr.Op == verbs.OpSend {

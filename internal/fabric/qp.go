@@ -145,10 +145,15 @@ func (qp *QP) post(wrs []verbs.SendWR, list bool) error {
 	// (signaled, immediate, send, read, or the last of the post), at that
 	// descriptor's delivery time; completion is in posting order, so nobody
 	// could have told sooner that it landed. An executor that ignores
-	// virtual time never cuts, and the whole post crosses as one train. With
-	// an injector every descriptor draws its own fate, on events of its own.
-	faulty, whole := f.injector != nil, f.exec.Trains()
+	// virtual time never cuts, and the whole post crosses as one train. A
+	// descriptor the injector fails (launch) moves nothing and has no
+	// delivery of its own either: it rides in its place, so its error
+	// completion follows the landing of everything posted before it, and the
+	// initiator may re-post it, or release the memory, on the error alone.
+	whole := f.exec.Trains()
 	var head, tail *flight
+	var due simtime.Time // when the train being built is delivered
+	moving := false      // whether it carries anything that lands
 	var sges, bulk, sends, writes, imms, reads int64
 	for i := range wrs {
 		wr := &wrs[i]
@@ -183,8 +188,8 @@ func (qp *QP) post(wrs []verbs.SendWR, list bool) error {
 			}
 		}
 		at, ok := qp.launch(fl, ready)
-		if !ok {
-			continue // failed by the injector: its error completion is on its way
+		if ok || !moving {
+			due, moving = at, ok
 		}
 		// The train is the peer's from the moment it is handed over:
 		// everything is written before Deliver.
@@ -194,9 +199,9 @@ func (qp *QP) post(wrs []verbs.SendWR, list bool) error {
 			tail.next = fl
 		}
 		tail = fl
-		if faulty || i == len(wrs)-1 || !whole && (wr.Op != verbs.OpRDMAWrite || !wr.Unsignaled) {
-			f.exec.Deliver(qp.peer.node, at, head.deliverFn)
-			head = nil
+		if i == len(wrs)-1 || ok && !whole && (wr.Op != verbs.OpRDMAWrite || !wr.Unsignaled) {
+			f.exec.Deliver(qp.peer.node, due, head.deliverFn)
+			head, moving = nil, false
 		}
 	}
 	c := n.counters
@@ -221,8 +226,8 @@ func addNonzero(c *int64, n int64) {
 
 // launch starts one descriptor that the host finished posting at ready: it
 // reserves what the descriptor occupies and returns when its delivery is
-// due — or false, when the injector failed it and its error completion is
-// already scheduled.
+// due — or, with false, when the injector failed it, the time its error
+// completion would be due were nothing posted ahead of it.
 func (qp *QP) launch(fl *flight, ready simtime.Time) (simtime.Time, bool) {
 	n := qp.node
 	f := n.fab
@@ -232,10 +237,8 @@ func (qp *QP) launch(fl *flight, ready simtime.Time) (simtime.Time, bool) {
 	// error completion. Channel-semantics sends are exempt (see post).
 	if inj := f.injector; inj != nil && fl.wr.Op != verbs.OpSend {
 		if ferr := inj.CQEFault(); ferr != nil {
-			fl.step(stagePosted, stageLanded)
 			fl.err = qp.errorf("%v failed: %w", fl.wr.Op, ferr)
-			n.eng.At(f.pricing.Fault(qp, &fl.wr, ready), fl.ackFn)
-			return 0, false
+			return f.pricing.Fault(qp, &fl.wr, ready), false
 		}
 	}
 	plan := f.pricing.Launch(qp, &fl.wr, fl.size, ready)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datatype"
+	"repro/internal/fault"
 )
 
 // A warm message costs engine events per post, not per descriptor: a
@@ -15,16 +16,20 @@ import (
 // sequence counter and pinned, so a kernel or protocol change that puts an
 // event back on every descriptor (1 545 and 1 031 events for this Multi-W
 // message, 6 and 5 for the eager one, before selective signalling) fails
-// here and not in a wall-clock number.
+// here and not in a wall-clock number. An attached injector that never fires
+// changes nothing about what is posted (the descriptor counts are compared)
+// and one thing about when: the immediate leaves the last doorbell for a post
+// of its own (core's release rule) — that post's events and no others.
 func TestEventsPerMessage(t *testing.T) {
 	eager := datatype.Must(datatype.TypeVector(64, 1, 4, datatype.Int32))       // 256 B
 	sparse := datatype.Must(datatype.TypeVector(512, 128, 256, datatype.Int32)) // 256 KiB, 512 B runs
-	for _, c := range []struct {
+	type row struct {
 		backend, name string
 		scheme        core.Scheme
 		dt            *datatype.Type
 		want          int64
-	}{
+	}
+	for _, c := range []row{
 		// Delivery and receive dispatch of the frame, the sender's pack
 		// charge and the receiver's unpack charge ending.
 		{BackendSim, "eager", core.SchemeAuto, eager, 4},
@@ -35,34 +40,54 @@ func TestEventsPerMessage(t *testing.T) {
 		{BackendSim, "Multi-W", core.SchemeMultiW, sparse, 2 + 2 + 8*3 + 1},
 		{BackendSHM, "Multi-W", core.SchemeMultiW, sparse, 2 + 2 + 8*2 + 1},
 	} {
-		t.Run(c.backend+"/"+c.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Ranks = 2
-			cfg.MemBytes = 64 << 20
-			cfg.Backend = c.backend
-			cfg.Core.Scheme = c.scheme
-			w, err := NewWorld(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sbuf := w.eps[0].Mem().MustAlloc(c.dt.Extent() + 64)
-			rbuf := w.eps[1].Mem().MustAlloc(c.dt.Extent() + 64)
-			var events int64
-			for i := 0; i < 3; i++ { // the third message is warm
-				e0 := w.eng.Scheduled()
-				r := w.eps[1].Irecv(rbuf, 1, c.dt, 0, 5)
-				s := w.eps[0].Isend(sbuf, 1, c.dt, 1, 5)
-				if err := w.eng.Run(); err != nil {
-					t.Fatal(err)
-				}
-				if !s.Done() || !r.Done() || s.Err != nil || r.Err != nil {
-					t.Fatalf("message did not complete: send %v/%v recv %v/%v", s.Done(), s.Err, r.Done(), r.Err)
-				}
-				events = w.eng.Scheduled() - e0
-			}
-			if events != c.want {
-				t.Errorf("a warm message scheduled %d engine events, want %d", events, c.want)
-			}
+		t.Run(c.backend+"/"+c.name, func(t *testing.T) { warmMessageEvents(t, c.backend, c.scheme, c.dt, nil, c.want) })
+	}
+	for _, c := range []row{
+		{BackendSim, "eager", core.SchemeAuto, eager, 4},
+		{BackendSHM, "eager", core.SchemeAuto, eager, 4},
+		// As above, and the immediate's own post behind the eighth doorbell.
+		{BackendSim, "Multi-W", core.SchemeMultiW, sparse, 2 + 2 + 8*3 + 1 + 3},
+		{BackendSHM, "Multi-W", core.SchemeMultiW, sparse, 2 + 2 + 8*2 + 1 + 2},
+	} {
+		t.Run(c.backend+"/"+c.name+"/zero-rate injector", func(t *testing.T) {
+			warmMessageEvents(t, c.backend, c.scheme, c.dt, fault.New(fault.Config{Seed: 1}), c.want)
 		})
+	}
+}
+
+// warmMessageEvents sends one message three times in a fresh two-rank world
+// and holds the third to want engine events and to its layout's descriptors.
+func warmMessageEvents(t *testing.T, backend string, scheme core.Scheme, dt *datatype.Type, inj *fault.Injector, want int64) {
+	cfg := DefaultConfig()
+	cfg.Ranks = 2
+	cfg.MemBytes = 64 << 20
+	cfg.Backend = backend
+	cfg.Core.Scheme = scheme
+	cfg.Fault = inj
+	w, err := NewWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbuf := w.eps[0].Mem().MustAlloc(dt.Extent() + 64)
+	rbuf := w.eps[1].Mem().MustAlloc(dt.Extent() + 64)
+	var events, descs int64
+	for i := 0; i < 3; i++ { // the third message is warm
+		e0, d0 := w.eng.Scheduled(), w.eps[0].Counters().DescriptorsPosted
+		r := w.eps[1].Irecv(rbuf, 1, dt, 0, 5)
+		s := w.eps[0].Isend(sbuf, 1, dt, 1, 5)
+		if err := w.eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !s.Done() || !r.Done() || s.Err != nil || r.Err != nil {
+			t.Fatalf("message did not complete: send %v/%v recv %v/%v", s.Done(), s.Err, r.Done(), r.Err)
+		}
+		events, descs = w.eng.Scheduled()-e0, w.eps[0].Counters().DescriptorsPosted-d0
+	}
+	if events != want {
+		t.Errorf("a warm message scheduled %d engine events, want %d", events, want)
+	}
+	// The eager frame; or the RTS and one write per 512-byte run.
+	if wantDescs := dt.Size()/512 + 1; descs != wantDescs {
+		t.Errorf("a warm message posted %d descriptors, want %d with or without an injector", descs, wantDescs)
 	}
 }

@@ -798,6 +798,55 @@ func TestSelectiveSignalling(t *testing.T) {
 			}
 			r.quiet(1)
 		}},
+		{name: "injected faults inside a list", run: func(t *testing.T, r *rig, poll bool) {
+			// Completion is in posting order for failures too: a member that
+			// draws a fault reports it after everything posted ahead of it
+			// has landed, and ahead of the tail, which reports last whether
+			// it failed or not. The immediate in the middle cuts the list
+			// into two trains where trains are cut at all.
+			wrs, src, dst := tailSignaled(r)
+			wrs[n/2].Op, wrs[n/2].Imm = verbs.OpRDMAWriteImm, 3
+			qp, peer, wait := r.initiator(poll)
+			peer.PostRecv(verbs.RecvWR{})
+			failed := map[uint64]bool{}
+			r.hook[aSend] = func(e verbs.CQE) { // handler mode: the moment the entry is seen
+				if e.Err != nil {
+					failed[e.WRID] = true
+				}
+				for i := 0; i < int(e.WRID); i++ {
+					if lo, hi := i*blk, (i+1)*blk; !failed[uint64(i+1)] && !bytes.Equal(dst[lo:hi], src[lo:hi]) {
+						t.Errorf("member %d completed with member %d, posted ahead of it, still in flight", e.WRID, i+1)
+					}
+				}
+			}
+			var errs int64
+			r.drive(func(p *simtime.Process) {
+				for _, rate := range []float64{0.25, 1} {
+					inj := fault.New(fault.Config{Seed: 3, CQEErrorRate: rate})
+					r.inject(inj)
+					if err := qp.PostSendList(wrs); err != nil {
+						t.Fatal(err)
+					}
+					drawn := inj.Stats().CQEFaults
+					if drawn == 0 || rate < 1 && drawn == n {
+						t.Fatalf("rate %v: %d of %d descriptors drew a fault", rate, drawn, n)
+					}
+					tailOK := int64(0)
+					if rate < 1 {
+						tailOK = 1 // seed 3 spares the tail at the lower rate
+					}
+					got := wait(p, int(errs+drawn+tailOK))[errs:]
+					errs += drawn + tailOK
+					for i, e := range got {
+						if last := i == len(got)-1; last && e.WRID != n || (e.Err == nil) != (last && rate < 1) ||
+							i > 0 && e.WRID <= got[i-1].WRID {
+							t.Fatalf("rate %v: completion %d of %d = %+v, want the failed members in posting order, then the tail", rate, i, len(got), e)
+						}
+					}
+				}
+			})
+			r.quiet(errs)
+		}},
 	} {
 		for _, poll := range []bool{false, true} {
 			mode := map[bool]string{false: "handler", true: "polled"}[poll]

@@ -109,6 +109,10 @@ type SendWR struct {
 	// the memory an unsignaled descriptor's SGL names must stay untouched. A
 	// descriptor that fails always completes, with its error and its own
 	// WRID, whatever this field says; descriptors after it are unaffected.
+	// Error completions keep posting order too: within a post, one arrives
+	// after every descriptor ahead of it has landed and before anything
+	// behind it completes, so the poster may re-post the failed descriptor,
+	// or give up and release the memory, on the error alone.
 	// The receiver's side is untouched: a send or an immediate consumes its
 	// credit and generates its receive completion either way. The model has
 	// no send-queue depth to reclaim, so a stream of nothing but unsignaled
