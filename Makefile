@@ -10,9 +10,9 @@ GO ?= go
 # concurrency gate.
 RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/ib/ ./internal/mpi/ ./internal/rtfab/ ./internal/shmfab/ ./internal/stats/ ./internal/trace/ ./internal/traffic/ ./internal/verbs/
 
-.PHONY: check fmt vet build test debug-test bench-check bench-suite race conformance fault-soak bench bench-backends tune tune-guard doclint par par-guard compile compile-guard qos soak soak-guard scale scale-guard zoo zoo-guard perf perf-guard
+.PHONY: check fmt vet build test debug-test bench-check bench-suite race conformance fault-soak bench bench-backends sweep guard doclint perf perf-guard
 
-check: fmt vet build test debug-test bench-check doclint tune-guard par-guard compile-guard soak-guard scale-guard zoo-guard perf-guard
+check: fmt vet build test debug-test bench-check doclint guard perf-guard
 
 # Fails (and lists the offenders) if any file is not gofmt-clean.
 fmt:
@@ -67,90 +67,29 @@ fault-soak:
 	$(GO) run ./cmd/fabsim -fault-soak -backend rt
 	$(GO) run ./cmd/fabsim -fault-soak -perm-rate 1 -cqe-rate 1
 
-# Adversarial adaptive-tuner sweep -> BENCH_tuner.json, plus the learned
-# tuning table for warm starts (replay it with `dtbench -tune-in`).
-tune:
-	$(GO) run ./cmd/dtbench -tuner -tune-out TUNE_table.json
+# One sweep of the table in internal/exper/sweep.go (backends, tuner,
+# parallel, compile, qos, soak, scale, zoo) on all its backends -> its
+# BENCH_*.json / SOAK_*.json. Wall-clock rows are machine-dependent:
+# regenerate them deliberately, on the machine the numbers are quoted for.
+# ARGS passes flags through, e.g.
+#   make sweep S=parallel ARGS='-backends sim'
+#   make sweep S=tuner ARGS='-tune-out TUNE_table.json'   (replay: -tune-in)
+sweep:
+	$(GO) run ./cmd/dtbench run $(S) $(ARGS)
 
-# CI-style guard: the sweep runs on virtual time with a seeded RNG, so the
-# checked-in BENCH_tuner.json must regenerate byte-identically.
-tune-guard:
-	@$(GO) run ./cmd/dtbench -tuner -tuner-out BENCH_tuner.json >/dev/null
-	@git diff --exit-code -- BENCH_tuner.json || \
-		{ echo "BENCH_tuner.json drifted from 'make tune' output"; exit 1; }
+# CI-style guard, one process: every sweep's deterministic part (sim rows;
+# the zoo's sim + shm rows; all of the tuner report and the traffic soak)
+# runs on virtual time with seeded RNGs, so it must regenerate byte-for-byte
+# what the committed artifact holds. Read-only; wall-clock rows are exempt.
+# The scale sweep is most of a minute of it; `dtbench guard NAME` runs one.
+guard:
+	$(GO) run ./cmd/dtbench guard
 
 # Documentation floor: package comments everywhere under internal/, and a
 # doc comment on every exported symbol of the strict packages (core, fabric,
 # pack, perfgate, qos, verbs).
 doclint:
 	$(GO) run ./cmd/doclint
-
-# Parallel segment-engine sweep (workers x backend) -> BENCH_parallel.json.
-# The rt rows are wall-clock and machine-dependent; regenerate them when the
-# engine changes, on the machine the numbers are quoted for.
-par:
-	$(GO) run ./cmd/dtbench -parallel both
-
-# CI-style guard: the sweep's sim rows run on virtual time, so the
-# checked-in BENCH_parallel.json must regenerate them byte-identically.
-# (rt rows are exempt: they are wall-clock measurements.)
-par-guard:
-	@$(GO) run ./cmd/dtbench -parallel-guard
-
-# Datatype-compiler pack sweep -> BENCH_compile.json: compiled program
-# replay vs interpreted cursor walk vs the raw copy() upper bound. Sim rows
-# are modeled and deterministic; host rows are wall-clock on this machine.
-compile:
-	$(GO) run ./cmd/dtbench -compile
-
-# CI-style guard: the sweep's sim rows are pure cost-model arithmetic, so
-# the checked-in BENCH_compile.json must regenerate them byte-identically.
-# (host rows are exempt: they are wall-clock measurements.)
-compile-guard:
-	@$(GO) run ./cmd/dtbench -compile-guard
-
-# Service-mode QoS contention sweep -> BENCH_qos.json: eager-class latency
-# under concurrent Multi-W bulk load, with the lanes+windows layer off and
-# on. The rt rows (and the headline eager-p99 improvement) are wall-clock;
-# regenerate on the machine the numbers are quoted for.
-qos:
-	$(GO) run ./cmd/dtbench -qos both
-
-# Deterministic two-phase traffic soak on the simulator -> SOAK_traffic.json
-# (counters, windowed pool high-waters, per-class latency buckets).
-soak:
-	$(GO) run ./cmd/dtbench -soak
-
-# CI-style guard: the soak runs entirely on virtual time with seeded flows,
-# so the checked-in SOAK_traffic.json must regenerate byte-identically.
-soak-guard:
-	@$(GO) run ./cmd/dtbench -soak-guard
-
-# World-size scale sweep -> BENCH_scale.json: alltoall (scheme x layout up
-# to 256 ranks), the 2-D halo exchange up to 1024 ranks, and the 1024-rank
-# eager alltoall matching-stress row (a million messages through one world).
-# The rt rows are small-world wall-clock spot-checks of the real-time fabric.
-scale:
-	$(GO) run ./cmd/dtbench -scale both
-
-# CI-style guard: the sweep's sim rows run on virtual time, so the
-# checked-in BENCH_scale.json must regenerate them byte-identically.
-# (rt rows are exempt: they are wall-clock measurements.)
-scale-guard:
-	@$(GO) run ./cmd/dtbench -scale-guard
-
-# Layout-zoo sweep -> BENCH_zoo.json: Eijkhout's irregular/nested/strided/
-# tiny-run layouts (plus a contiguous control) under every scheme on all
-# three backends, with per-backend winners and cross-backend flips. The rt
-# rows are wall-clock spot-checks.
-zoo:
-	$(GO) run ./cmd/dtbench -zoo all
-
-# CI-style guard: the sweep's modeled rows (sim + shm) run on virtual time,
-# so the checked-in BENCH_zoo.json must regenerate them byte-identically.
-# (rt rows are exempt: they are wall-clock measurements.)
-zoo-guard:
-	@$(GO) run ./cmd/dtbench -zoo-guard
 
 # Performance floor: rerun the pinned hot-path micro-suite and rewrite
 # BENCH_perf.json. Do this deliberately, after a change that moves the
@@ -169,7 +108,7 @@ perf-guard:
 
 # Wall-clock scheme bandwidth/latency on all backends -> BENCH_backends.json.
 bench-backends:
-	$(GO) run ./cmd/dtbench -backend all
+	$(GO) run ./cmd/dtbench run backends
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .

@@ -1,19 +1,28 @@
 // dtbench regenerates the paper's evaluation tables and figures on the
-// simulated InfiniBand fabric.
+// simulated InfiniBand fabric, and runs and guards the repository's sweeps
+// (the table exper.Sweeps, one BENCH_*.json / SOAK_*.json each).
 //
 // Usage:
 //
-//	dtbench                  # run everything
-//	dtbench -fig 8           # one figure (2, 8, 9, 11, 12, 13, 14)
-//	dtbench -headline        # abstract's improvement factors (runs 8, 9, 11)
-//	dtbench -backend rt      # wall-clock backend benchmark -> BENCH_backends.json
-//	dtbench -zoo all         # layout zoo over sim/rt/shm -> BENCH_zoo.json
+//	dtbench                      # every figure + the headline factors
+//	dtbench fig 8                # one figure (2, 8, 9, 11, 12, 13, 14)
+//	dtbench headline             # abstract's improvement factors (Figs. 8, 9, 11)
+//	dtbench ablations            # this reproduction's extra ablation studies
+//	dtbench counters             # per-scheme operation counters for one transfer
+//	dtbench run zoo              # one sweep on all its backends -> BENCH_zoo.json
+//	dtbench run backends -backends rt -workers 4 -out /tmp/b.json
+//	dtbench guard                # regenerate and compare every deterministic part
+//	dtbench guard parallel       # ... or one
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strconv"
+	"strings"
+	"time"
 
 	"repro/internal/exper"
 	"repro/internal/mpi"
@@ -21,369 +30,201 @@ import (
 	"repro/internal/trace"
 )
 
+var figs = []struct {
+	n   int
+	run func() *exper.Result
+}{
+	{2, exper.Fig2}, {8, exper.Fig8}, {9, exper.Fig9}, {11, exper.Fig11},
+	{12, exper.Fig12}, {13, exper.Fig13}, {14, exper.Fig14},
+}
+
 func main() {
-	fig := flag.Int("fig", 0, "figure number to reproduce (0 = all)")
-	headline := flag.Bool("headline", false, "print the headline improvement factors")
-	ablations := flag.Bool("ablations", false, "run this reproduction's extra ablation studies")
-	counters := flag.Bool("counters", false, "print per-scheme operation counters for one transfer")
-	backend := flag.String("backend", "", `wall-clock backend benchmark: "sim", "rt", "shm", "both", or "all"`)
-	benchOut := flag.String("bench-out", "BENCH_backends.json", "output path for the -backend benchmark")
-	benchIters := flag.Int("bench-iters", 50, "ping-pong round trips per (scheme, backend) in -backend")
-	workers := flag.Int("workers", 0, "with -backend: pack/unpack worker count (0 = config default)")
-	batch := flag.Int("batch", 0, "with -backend: doorbell batch for segmented schemes (0 = config default)")
-	parallel := flag.String("parallel", "", `parallel segment-engine sweep: "sim", "rt", or "both" -> BENCH_parallel.json`)
-	parallelOut := flag.String("parallel-out", "BENCH_parallel.json", "output path for the -parallel sweep")
-	parallelGuard := flag.Bool("parallel-guard", false, "regenerate the -parallel sim rows and verify them against -parallel-out")
-	scale := flag.String("scale", "", `world-size scale sweep: "sim", "rt", or "both" -> BENCH_scale.json`)
-	scaleOut := flag.String("scale-out", "BENCH_scale.json", "output path for the -scale sweep")
-	scaleGuard := flag.Bool("scale-guard", false, "regenerate the -scale sim rows and verify them against -scale-out")
-	zoo := flag.String("zoo", "", `layout-zoo sweep: "sim", "rt", "shm", "both", or "all" -> BENCH_zoo.json`)
-	zooOut := flag.String("zoo-out", "BENCH_zoo.json", "output path for the -zoo sweep")
-	zooGuard := flag.Bool("zoo-guard", false, "regenerate the -zoo modeled rows (sim + shm) and verify them against -zoo-out")
-	traceOut := flag.String("trace", "", "with -backend: write Chrome trace-event JSON (chrome://tracing, Perfetto) here and print per-scheme histograms")
-	tunerRun := flag.Bool("tuner", false, "run the adversarial adaptive-tuner sweep -> BENCH_tuner.json")
-	tunerMsgs := flag.Int("tuner-msgs", 160, "messages per mode in the -tuner sweep")
-	tunerOut := flag.String("tuner-out", "BENCH_tuner.json", "output path for the -tuner report")
-	tuneOut := flag.String("tune-out", "", "with -tuner: also write the learned tuning table (JSON) here")
-	tuneIn := flag.String("tune-in", "", "warm-start: replay the workload with this tuning table, exploration off")
-	qosRun := flag.String("qos", "", `service-mode QoS sweep: "sim", "rt", or "both" -> BENCH_qos.json`)
-	qosOut := flag.String("qos-out", "BENCH_qos.json", "output path for the -qos sweep")
-	soak := flag.Bool("soak", false, "deterministic two-phase traffic soak (sim) -> SOAK_traffic.json")
-	soakOut := flag.String("soak-out", "SOAK_traffic.json", "output path for the -soak golden snapshot")
-	soakGuard := flag.Bool("soak-guard", false, "regenerate the traffic soak and verify it against -soak-out byte-for-byte")
-	compile := flag.Bool("compile", false, "datatype-compiler pack sweep (modeled sim rows + host wall-clock rows) -> BENCH_compile.json")
-	compileOut := flag.String("compile-out", "BENCH_compile.json", "output path for the -compile sweep")
-	compileGuard := flag.Bool("compile-guard", false, "regenerate the -compile sim rows and verify them against -compile-out")
-	flag.Parse()
-
-	figs := map[int]func() *exper.Result{
-		2: exper.Fig2, 8: exper.Fig8, 9: exper.Fig9, 11: exper.Fig11,
-		12: exper.Fig12, 13: exper.Fig13, 14: exper.Fig14,
+	cmd, args := "", os.Args[1:]
+	if len(args) > 0 {
+		cmd, args = args[0], args[1:]
 	}
-
-	backendList := func(arg string) []string {
-		switch arg {
-		case "sim", "rt", "shm":
-			return []string{arg}
-		case "both":
-			return []string{"sim", "rt"}
-		case "all":
-			return mpi.AllBackends
+	switch cmd {
+	case "":
+		results := map[int]*exper.Result{}
+		for _, f := range figs {
+			results[f.n] = f.run()
+			fmt.Print(results[f.n].Table(), "\n")
 		}
-		fmt.Fprintf(os.Stderr, "dtbench: unknown backend %q (want sim, rt, shm, both, or all)\n", arg)
-		os.Exit(2)
-		return nil
-	}
-
-	if *soakGuard {
-		committed, err := os.ReadFile(*soakOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
+		fmt.Print(exper.HeadlineSummary(results[8], results[9], results[11]))
+	case "fig":
+		if len(args) != 1 {
+			usage()
 		}
-		if err := exper.SoakGuard(committed); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("soak guard: %s reproduces byte-for-byte\n", *soakOut)
-		return
-	}
-	if *soak {
-		doc, err := exper.SoakRun()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		out, err := exper.SoakJSON(doc)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*soakOut, append(out, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		for _, ph := range doc.Phases {
-			fmt.Printf("phase %-16s pool highs pack=%d unpack=%d regpages=%d\n",
-				ph.Name, ph.PoolPackHigh, ph.PoolUnpackHigh, ph.RegPagesHigh)
-		}
-		fmt.Printf("wrote %s\n", *soakOut)
-		return
-	}
-	if *qosRun != "" {
-		rows, err := exper.QoSSweep(backendList(*qosRun))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		doc, err := exper.QoSJSON(rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*qosOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.QoSTable(rows))
-		fmt.Printf("wrote %s\n", *qosOut)
-		return
-	}
-	if *compileGuard {
-		committed, err := os.ReadFile(*compileOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := exper.CompileGuard(committed); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("compile guard: sim rows of %s reproduce byte-for-byte\n", *compileOut)
-		return
-	}
-	if *compile {
-		rows, err := exper.CompilerSweep(true)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		doc, err := exper.CompileJSON(rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*compileOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.CompileTable(rows))
-		fmt.Printf("wrote %s\n", *compileOut)
-		return
-	}
-	if *zooGuard {
-		committed, err := os.ReadFile(*zooOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := exper.ZooGuard(committed); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("zoo guard: modeled rows of %s reproduce byte-for-byte\n", *zooOut)
-		return
-	}
-	if *zoo != "" {
-		rows, err := exper.ZooSweep(backendList(*zoo))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		doc, err := exper.ZooJSON(rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*zooOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.ZooTable(rows))
-		fmt.Printf("wrote %s\n", *zooOut)
-		return
-	}
-	if *scaleGuard {
-		committed, err := os.ReadFile(*scaleOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := exper.ScaleGuard(committed); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("scale guard: sim rows of %s reproduce byte-for-byte\n", *scaleOut)
-		return
-	}
-	if *scale != "" {
-		rows, err := exper.ScaleSweep(backendList(*scale))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		doc, err := exper.ScaleJSON(rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*scaleOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.ScaleTable(rows))
-		fmt.Printf("wrote %s\n", *scaleOut)
-		return
-	}
-	if *parallelGuard {
-		committed, err := os.ReadFile(*parallelOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := exper.ParallelGuard(committed); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("parallel guard: sim rows of %s reproduce byte-for-byte\n", *parallelOut)
-		return
-	}
-	if *parallel != "" {
-		rows, err := exper.ParallelSweep(backendList(*parallel))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		doc, err := exper.ParallelJSON(rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*parallelOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.ParallelTable(rows))
-		fmt.Printf("wrote %s\n", *parallelOut)
-		return
-	}
-	if *backend != "" {
-		backends := backendList(*backend)
-		var rec *trace.Recorder
-		var reg *stats.Registry
-		if *traceOut != "" {
-			rec = trace.New()
-			reg = stats.NewRegistry()
-		}
-		var mut func(*mpi.Config)
-		if *workers > 0 || *batch > 0 {
-			mut = func(c *mpi.Config) {
-				if *workers > 0 {
-					c.Core.PackWorkers = *workers
-				}
-				if *batch > 0 {
-					c.Core.PostBatch = *batch
-				}
+		n, _ := strconv.Atoi(args[0])
+		for _, f := range figs {
+			if f.n == n {
+				fmt.Print(f.run().Table())
+				return
 			}
 		}
-		rows, err := exper.BenchBackendsOpts(backends, *benchIters, rec, reg, mut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		doc, err := exper.BackendsJSON(rows)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*benchOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.BackendsTable(rows))
-		fmt.Printf("wrote %s\n", *benchOut)
-		if rec != nil {
-			if err := os.WriteFile(*traceOut, rec.ChromeTrace(), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "dtbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (%d events; load via chrome://tracing or ui.perfetto.dev)\n",
-				*traceOut, rec.Len())
-			fmt.Println("\n# per-scheme histograms (lat_ns = one-way latency; mbps = payload bandwidth)")
-			fmt.Print(reg.String())
-		}
-		return
-	}
-	if *tuneIn != "" {
-		table, err := os.ReadFile(*tuneIn)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		row, err := exper.TunerWarmRun(table, *tunerMsgs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("warm start from %s: %d messages, mean %.2f us (last quartile %.2f us), %d exploitations, regret %.2f ms\n",
-			*tuneIn, row.Msgs, row.MeanUS, row.LastQMeanUS, row.Exploitations, row.RegretMS)
-		return
-	}
-	if *tunerRun {
-		rep, table, err := exper.TunerSweep(*tunerMsgs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		doc, err := exper.TunerJSON(rep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*tunerOut, append(doc, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(exper.TunerTable(rep))
-		fmt.Printf("wrote %s\n", *tunerOut)
-		if *tuneOut != "" {
-			if err := os.WriteFile(*tuneOut, append(table, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "dtbench:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s (tuning table; replay with -tune-in)\n", *tuneOut)
-		}
-		return
-	}
-	if *counters {
-		rep, err := exper.CountersReport()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dtbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep)
-		return
-	}
-	if *ablations {
+		fail(2, fmt.Errorf("no figure %q (have 2, 8, 9, 11, 12, 13, 14)", args[0]))
+	case "headline":
+		f8, f9, f11 := exper.Fig8(), exper.Fig9(), exper.Fig11()
+		fmt.Print(f8.Table(), "\n", f9.Table(), "\n", f11.Table(), "\n")
+		fmt.Print(exper.HeadlineSummary(f8, f9, f11))
+	case "ablations":
 		for _, f := range []func() *exper.Result{
 			exper.AblationSegmentSize, exper.AblationOGR,
 			exper.AblationPindown, exper.AblationEagerPath, exper.AblationAuto,
 			exper.AblationSensitivity, exper.AblationOneSided, exper.AblationParIO,
 		} {
-			fmt.Print(f().Table())
-			fmt.Println()
+			fmt.Print(f().Table(), "\n")
 		}
-		return
-	}
-	if *headline {
-		f8, f9, f11 := exper.Fig8(), exper.Fig9(), exper.Fig11()
-		fmt.Print(f8.Table(), "\n", f9.Table(), "\n", f11.Table(), "\n")
-		fmt.Print(exper.HeadlineSummary(f8, f9, f11))
-		return
-	}
-	if *fig != 0 {
-		f, ok := figs[*fig]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "dtbench: no figure %d (have 2, 8, 9, 11, 12, 13, 14)\n", *fig)
-			os.Exit(2)
+	case "counters":
+		rep, err := exper.CountersReport()
+		check(err)
+		fmt.Print(rep)
+	case "run":
+		if len(args) == 0 {
+			usage()
 		}
-		fmt.Print(f().Table())
+		runSweep(sweep(args[0]), args[1:])
+	case "guard":
+		switch len(args) {
+		case 0:
+			guard("all")
+		case 1:
+			guard(args[0])
+		default:
+			usage()
+		}
+	default:
+		usage()
+	}
+}
+
+func usage() {
+	var names []string
+	for _, s := range exper.Sweeps {
+		names = append(names, s.Name)
+	}
+	fmt.Fprintf(os.Stderr, `usage: dtbench [fig N | headline | ablations | counters]
+       dtbench run SWEEP [flags]   (-h lists them)
+       dtbench guard [SWEEP|all]
+sweeps: %s
+`, strings.Join(names, ", "))
+	os.Exit(2)
+}
+
+func fail(code int, err error) {
+	fmt.Fprintln(os.Stderr, "dtbench:", err)
+	os.Exit(code)
+}
+
+func check(err error) {
+	if err != nil {
+		fail(1, err)
+	}
+}
+
+func sweep(name string) *exper.Sweep {
+	s := exper.Lookup(name)
+	if s == nil {
+		fmt.Fprintf(os.Stderr, "dtbench: no sweep %q\n", name)
+		usage()
+	}
+	return s
+}
+
+// runSweep runs one sweep, writes its artifact and prints its table.
+func runSweep(s *exper.Sweep, args []string) {
+	fs := flag.NewFlagSet("dtbench run "+s.Name, flag.ExitOnError)
+	backends := fs.String("backends", strings.Join(s.Backends, ","), "comma-separated backends to run")
+	out := fs.String("out", s.Artifact, "output path")
+	benchIters := fs.Int("bench-iters", 50, "backends: ping-pong round trips per (scheme, backend)")
+	workers := fs.Int("workers", 0, "backends: pack/unpack worker count (0 = config default)")
+	batch := fs.Int("batch", 0, "backends: doorbell batch for segmented schemes (0 = config default)")
+	traceOut := fs.String("trace", "", "backends: write Chrome trace-event JSON (chrome://tracing, Perfetto) here and print per-scheme histograms")
+	tunerMsgs := fs.Int("tuner-msgs", 160, "tuner: messages per mode")
+	tuneOut := fs.String("tune-out", "", "tuner: also write the learned tuning table (JSON) here")
+	tuneIn := fs.String("tune-in", "", "tuner: instead of the sweep, replay the workload warm-started from this tuning table, exploration off")
+	fs.Parse(args)
+	if fs.NArg() > 0 {
+		fail(2, fmt.Errorf("unexpected argument %q", fs.Arg(0)))
+	}
+
+	if *tuneIn != "" {
+		table, err := os.ReadFile(*tuneIn)
+		check(err)
+		row, err := exper.TunerWarmRun(table, *tunerMsgs)
+		check(err)
+		fmt.Printf("warm start from %s: %d messages, mean %.2f us (last quartile %.2f us), %d exploitations, regret %.2f ms\n",
+			*tuneIn, row.Msgs, row.MeanUS, row.LastQMeanUS, row.Exploitations, row.RegretMS)
 		return
 	}
-	for _, n := range []int{2, 8, 9, 11, 12, 13, 14} {
-		fmt.Print(figs[n]().Table())
-		fmt.Println()
+
+	list := strings.Split(*backends, ",")
+	for _, b := range list {
+		if !slices.Contains(s.Backends, b) {
+			fail(2, fmt.Errorf("sweep %s has no backend %q (want %s)", s.Name, b, strings.Join(s.Backends, ", ")))
+		}
 	}
-	f8, f9, f11 := exper.Fig8(), exper.Fig9(), exper.Fig11()
-	fmt.Print(exper.HeadlineSummary(f8, f9, f11))
+	o := exper.Options{BenchIters: *benchIters, TunerMsgs: *tunerMsgs}
+	if *traceOut != "" {
+		o.Trace, o.Metrics = trace.New(), stats.NewRegistry()
+	}
+	if *workers > 0 || *batch > 0 {
+		o.Mut = func(c *mpi.Config) {
+			if *workers > 0 {
+				c.Core.PackWorkers = *workers
+			}
+			if *batch > 0 {
+				c.Core.PostBatch = *batch
+			}
+		}
+	}
+
+	doc, err := s.Run(list, o)
+	check(err)
+	encoded, err := exper.Encode(doc)
+	check(err)
+	check(os.WriteFile(*out, encoded, 0o644))
+	fmt.Print(doc.Table())
+	fmt.Printf("wrote %s\n", *out)
+
+	if rep, ok := doc.(*exper.TunerReport); ok && *tuneOut != "" {
+		check(os.WriteFile(*tuneOut, append(rep.Learned, '\n'), 0o644))
+		fmt.Printf("wrote %s (tuning table; replay with -tune-in)\n", *tuneOut)
+	}
+	if o.Trace != nil {
+		check(os.WriteFile(*traceOut, o.Trace.ChromeTrace(), 0o644))
+		fmt.Printf("wrote %s (%d events; load via chrome://tracing or ui.perfetto.dev)\n",
+			*traceOut, o.Trace.Len())
+		fmt.Println("\n# per-scheme histograms (lat_ns = one-way latency; mbps = payload bandwidth)")
+		fmt.Print(o.Metrics.String())
+	}
+}
+
+// guard regenerates the deterministic part of the named sweep, or of every
+// sweep that has one, and compares it against the committed artifact.
+func guard(name string) {
+	if name != "all" && sweep(name).DetBackends == nil {
+		fail(2, fmt.Errorf("sweep %s has no deterministic part to guard", name))
+	}
+	failed := 0
+	for i := range exper.Sweeps {
+		s := &exper.Sweeps[i]
+		if s.DetBackends == nil || (name != "all" && name != s.Name) {
+			continue
+		}
+		start := time.Now()
+		committed, err := os.ReadFile(s.Artifact)
+		if err == nil {
+			err = s.Guard(committed)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "dtbench:", err)
+			failed++
+			continue
+		}
+		fmt.Printf("guard %-8s %s reproduces byte-for-byte (%.1fs)\n", s.Name, s.Part(), time.Since(start).Seconds())
+	}
+	if failed > 0 {
+		os.Exit(1)
+	}
 }

@@ -97,34 +97,48 @@ func main() {
 		flushTrace()
 		return
 	}
-	if *backend == "rt" {
-		runRTSweep()
-		flushTrace()
-		return
-	}
-	if *backend == "shm" {
-		runSHMSweep()
-		flushTrace()
-		return
-	}
+	runSweep()
+	flushTrace()
+}
 
-	model := ib.DefaultModel()
-	fmt.Println("# cost model (DESIGN.md section 5)")
-	fmt.Printf("wire latency        %v\n", model.WireLatency)
-	fmt.Printf("link bandwidth      %.2f GB/s\n", model.LinkGBps)
-	fmt.Printf("copy bandwidth      %.2f GB/s (+%v per contiguous run)\n", model.CopyGBps, model.CopyBlockStartup)
-	fmt.Printf("descriptor post     %v (list entries %v, per SGE %v)\n", model.PostCost, model.ListPostEntry, model.SGEPost)
-	fmt.Printf("NIC per descriptor  %v (per SGE %v)\n", model.NICDescCost, model.NICSGECost)
-	fmt.Printf("registration        %v + %v/page; dereg %v + %v/page\n",
-		model.RegBase, model.RegPerPage, model.DeregBase, model.DeregPerPage)
-	fmt.Printf("malloc              %v + %v/page\n", model.MallocBase, model.MallocPerPage)
-	fmt.Printf("RDMA read turnaround %v; max SGE %d\n\n", model.ReadTurnaround, model.MaxSGE)
-
-	fmt.Println("# raw RDMA write/read completion latency and effective bandwidth")
+// runSweep prints the selected backend's cost model and sweeps raw RDMA
+// write/read latency, bandwidth and gather-descriptor cost on it: one
+// operation in virtual time on sim and shm (where, with no responder
+// turnaround, shm's write and read columns coincide), the wall-clock average
+// of many sequential ones on rt.
+func runSweep() {
+	model, iters := ib.DefaultModel(), 1
+	switch *backend {
+	case "rt":
+		iters = 400
+		fmt.Printf("# raw RDMA wall-clock latency on the real-time backend (%d ops averaged)\n", iters)
+	case "shm":
+		model = shmfab.DefaultModel()
+		fmt.Println("# shared-memory cost model (DESIGN.md section 15)")
+		fmt.Printf("copy bandwidth      %.2f GB/s (+%v per contiguous run)\n", model.CopyGBps, model.CopyBlockStartup)
+		fmt.Printf("descriptor post     %v (list entries %v, per SGE %v)\n", model.PostCost, model.ListPostEntry, model.SGEPost)
+		fmt.Printf("registration        %v + %v/page; dereg %v + %v/page\n",
+			model.RegBase, model.RegPerPage, model.DeregBase, model.DeregPerPage)
+		fmt.Printf("no link terms: wire latency %v, link bandwidth %.0f, read turnaround %v; max SGE %d\n\n",
+			model.WireLatency, model.LinkGBps, model.ReadTurnaround, model.MaxSGE)
+		fmt.Println("# raw copy-transfer completion latency and effective bandwidth")
+	default:
+		fmt.Println("# cost model (DESIGN.md section 5)")
+		fmt.Printf("wire latency        %v\n", model.WireLatency)
+		fmt.Printf("link bandwidth      %.2f GB/s\n", model.LinkGBps)
+		fmt.Printf("copy bandwidth      %.2f GB/s (+%v per contiguous run)\n", model.CopyGBps, model.CopyBlockStartup)
+		fmt.Printf("descriptor post     %v (list entries %v, per SGE %v)\n", model.PostCost, model.ListPostEntry, model.SGEPost)
+		fmt.Printf("NIC per descriptor  %v (per SGE %v)\n", model.NICDescCost, model.NICSGECost)
+		fmt.Printf("registration        %v + %v/page; dereg %v + %v/page\n",
+			model.RegBase, model.RegPerPage, model.DeregBase, model.DeregPerPage)
+		fmt.Printf("malloc              %v + %v/page\n", model.MallocBase, model.MallocPerPage)
+		fmt.Printf("RDMA read turnaround %v; max SGE %d\n\n", model.ReadTurnaround, model.MaxSGE)
+		fmt.Println("# raw RDMA write/read completion latency and effective bandwidth")
+	}
 	fmt.Printf("%10s %14s %14s %14s\n", "bytes", "write (us)", "read (us)", "write MB/s")
 	for _, size := range []int64{256, 4 << 10, 64 << 10, 512 << 10, 4 << 20} {
-		w := oneOp(model, ib.OpRDMAWrite, size, 1)
-		r := oneOp(model, ib.OpRDMARead, size, 1)
+		w := oneOp(model, verbs.OpRDMAWrite, size, 1, iters)
+		r := oneOp(model, verbs.OpRDMARead, size, 1, iters)
 		mbps := float64(size) / (1 << 20) / w.Seconds()
 		fmt.Printf("%10d %14.2f %14.2f %14.1f\n", size, w.Micros(), r.Micros(), mbps)
 	}
@@ -132,10 +146,9 @@ func main() {
 	fmt.Println("\n# gather write: one descriptor, varying SGE count (64 KB total)")
 	fmt.Printf("%6s %14s\n", "SGEs", "latency (us)")
 	for _, n := range []int{1, 4, 16, 64} {
-		d := oneOp(model, ib.OpRDMAWrite, 64<<10, n)
+		d := oneOp(model, verbs.OpRDMAWrite, 64<<10, n, iters)
 		fmt.Printf("%6d %14.2f\n", n, d.Micros())
 	}
-	flushTrace()
 }
 
 // flushTrace prints the busy-time summary (and writes the Chrome JSON) when
@@ -206,160 +219,6 @@ func runQoSSoak() error {
 	ctr := traffic.AggregateCounters(w)
 	fmt.Printf("\nwall time %v\n# aggregate counters\n%s", wall.Round(time.Millisecond), ctr.String())
 	return nil
-}
-
-// runSHMSweep is the raw RDMA sweep on the shared-memory backend: the same
-// write/read and gather measurements as the simulator path, in deterministic
-// virtual time under the zero-link cost profile. With no responder
-// turnaround, write and read columns coincide.
-func runSHMSweep() {
-	model := shmfab.DefaultModel()
-	fmt.Println("# shared-memory cost model (DESIGN.md section 15)")
-	fmt.Printf("copy bandwidth      %.2f GB/s (+%v per contiguous run)\n", model.CopyGBps, model.CopyBlockStartup)
-	fmt.Printf("descriptor post     %v (list entries %v, per SGE %v)\n", model.PostCost, model.ListPostEntry, model.SGEPost)
-	fmt.Printf("registration        %v + %v/page; dereg %v + %v/page\n",
-		model.RegBase, model.RegPerPage, model.DeregBase, model.DeregPerPage)
-	fmt.Printf("no link terms: wire latency %v, link bandwidth %.0f, read turnaround %v; max SGE %d\n\n",
-		model.WireLatency, model.LinkGBps, model.ReadTurnaround, model.MaxSGE)
-
-	fmt.Println("# raw copy-transfer completion latency and effective bandwidth")
-	fmt.Printf("%10s %14s %14s %14s\n", "bytes", "write (us)", "read (us)", "write MB/s")
-	for _, size := range []int64{256, 4 << 10, 64 << 10, 512 << 10, 4 << 20} {
-		w := shmOneOp(model, verbs.OpRDMAWrite, size, 1)
-		r := shmOneOp(model, verbs.OpRDMARead, size, 1)
-		mbps := float64(size) / (1 << 20) / w.Seconds()
-		fmt.Printf("%10d %14.2f %14.2f %14.1f\n", size, w.Micros(), r.Micros(), mbps)
-	}
-
-	fmt.Println("\n# gather write: one descriptor, varying SGE count (64 KB total)")
-	fmt.Printf("%6s %14s\n", "SGEs", "latency (us)")
-	for _, n := range []int{1, 4, 16, 64} {
-		d := shmOneOp(model, verbs.OpRDMAWrite, 64<<10, n)
-		fmt.Printf("%6d %14.2f\n", n, d.Micros())
-	}
-}
-
-// shmOneOp measures the virtual completion time of one RDMA operation on a
-// two-partition shared-memory fabric.
-func shmOneOp(model verbs.Model, op verbs.Opcode, size int64, n int) simtime.Duration {
-	eng := simtime.NewEngine()
-	fab := shmfab.New(eng, model, 2, size*2+8<<20)
-	if tracer != nil {
-		tracer.SetPrefix(fmt.Sprintf("shm/%v-%dB-%dsge/", op, size, n))
-		fab.SetTracer(tracer)
-	}
-	na := fab.AddNode("a", nil)
-	nb := fab.AddNode("b", nil)
-	aSend, aRecv := na.NewCQ(), na.NewCQ()
-	bSend, bRecv := nb.NewCQ(), nb.NewCQ()
-	qa, _ := na.Connect(nb, aSend, aRecv, bSend, bRecv)
-
-	ma, mb := na.Mem(), nb.Mem()
-	per := size / int64(n)
-	sgl := make([]verbs.SGE, n)
-	for i := range sgl {
-		a := ma.MustAlloc(per)
-		reg, err := ma.Reg().Register(a, per)
-		if err != nil {
-			panic(err)
-		}
-		sgl[i] = verbs.SGE{Addr: a, Len: per, Key: reg.LKey}
-	}
-	remote := mb.MustAlloc(size)
-	rreg, err := mb.Reg().Register(remote, size)
-	if err != nil {
-		panic(err)
-	}
-
-	var done simtime.Time
-	aSend.SetHandler(func(e verbs.CQE) {
-		if e.Err != nil {
-			panic(e.Err)
-		}
-		done = eng.Now()
-	})
-	if err := qa.PostSend(verbs.SendWR{Op: op, SGL: sgl, RemoteAddr: remote, RKey: rreg.RKey}); err != nil {
-		panic(err)
-	}
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
-	return done.Sub(0)
-}
-
-// runRTSweep is the raw RDMA sweep on the real-time backend: the same
-// write/read and gather measurements as the simulator path, but timed with
-// the wall clock over many iterated operations.
-func runRTSweep() {
-	model := ib.DefaultModel()
-	const iters = 400
-	fmt.Printf("# raw RDMA wall-clock latency on the real-time backend (%d ops averaged)\n", iters)
-	fmt.Printf("%10s %14s %14s %14s\n", "bytes", "write (us)", "read (us)", "write MB/s")
-	for _, size := range []int64{256, 4 << 10, 64 << 10, 512 << 10, 4 << 20} {
-		w := rtOneOp(model, verbs.OpRDMAWrite, size, 1, iters)
-		r := rtOneOp(model, verbs.OpRDMARead, size, 1, iters)
-		mbps := float64(size) / (1 << 20) / w.Seconds()
-		fmt.Printf("%10d %14.2f %14.2f %14.1f\n", size,
-			float64(w.Nanoseconds())/1e3, float64(r.Nanoseconds())/1e3, mbps)
-	}
-
-	fmt.Println("\n# gather write: one descriptor, varying SGE count (64 KB total)")
-	fmt.Printf("%6s %14s\n", "SGEs", "latency (us)")
-	for _, n := range []int{1, 4, 16, 64} {
-		d := rtOneOp(model, verbs.OpRDMAWrite, 64<<10, n, iters)
-		fmt.Printf("%6d %14.2f\n", n, float64(d.Nanoseconds())/1e3)
-	}
-}
-
-// rtOneOp measures the average wall-clock completion time of an RDMA
-// operation on a two-node real-time fabric, amortized over iters sequential
-// posts so that fabric start/stop cost drops out of the per-op number.
-func rtOneOp(model verbs.Model, op verbs.Opcode, size int64, n, iters int) time.Duration {
-	f := rtfab.New(model)
-	if tracer != nil {
-		tracer.SetPrefix(fmt.Sprintf("rt/%v-%dB-%dsge/", op, size, n))
-		f.SetTracer(tracer)
-	}
-	ma := mem.NewMemory("a", size*2+8<<20)
-	mb := mem.NewMemory("b", size*2+8<<20)
-	na := f.AddNode("a", ma, nil)
-	nb := f.AddNode("b", mb, nil)
-	aSend, aRecv := na.NewCQ(), na.NewCQ()
-	bSend, bRecv := nb.NewCQ(), nb.NewCQ()
-	qa, _ := na.Connect(nb, aSend, aRecv, bSend, bRecv)
-
-	per := size / int64(n)
-	sgl := make([]verbs.SGE, n)
-	for i := range sgl {
-		a := ma.MustAlloc(per)
-		reg, err := ma.Reg().Register(a, per)
-		if err != nil {
-			panic(err)
-		}
-		sgl[i] = verbs.SGE{Addr: a, Len: per, Key: reg.LKey}
-	}
-	remote := mb.MustAlloc(size)
-	rreg, err := mb.Reg().Register(remote, size)
-	if err != nil {
-		panic(err)
-	}
-
-	na.Engine().Spawn("driver", func(p *simtime.Process) {
-		for i := 0; i < iters; i++ {
-			wr := verbs.SendWR{Op: op, SGL: sgl, RemoteAddr: remote, RKey: rreg.RKey}
-			if err := qa.PostSend(wr); err != nil {
-				panic(err)
-			}
-			if e := aSend.WaitPoll(p); e.Err != nil {
-				panic(e.Err)
-			}
-		}
-	})
-	start := time.Now()
-	if err := f.Run(time.Minute); err != nil {
-		panic(err)
-	}
-	return time.Since(start) / time.Duration(iters)
 }
 
 // runFaultSoak drives every scheme through a two-rank fault-injected
@@ -566,32 +425,52 @@ func cleanAbort(err error) bool {
 	return fault.IsInjected(err) || errors.Is(err, core.ErrRemoteAbort)
 }
 
-// oneOp measures the virtual completion time of a single RDMA operation of
-// the given total size split across n scatter/gather entries.
-func oneOp(model ib.Model, op ib.Opcode, size int64, n int) simtime.Duration {
-	eng := simtime.NewEngine()
-	fab := ib.NewFabric(eng, model)
+// twoNodes builds a two-node fabric of the selected backend, each node with
+// an arena of the given size, and returns the nodes with what drives the
+// fabric until it is idle.
+func twoNodes(model verbs.Model, arena int64, prefix string) (a, b verbs.HCA, run func() error) {
 	if tracer != nil {
-		tracer.SetPrefix(fmt.Sprintf("sim/%v-%dB-%dsge/", op, size, n))
-		fab.SetTracer(tracer)
+		tracer.SetPrefix(*backend + "/" + prefix)
 	}
-	ma := mem.NewMemory("a", size*2+8<<20)
-	mb := mem.NewMemory("b", size*2+8<<20)
-	ha := fab.AddHCA("a", ma, nil)
-	hb := fab.AddHCA("b", mb, nil)
-	aSend, aRecv := ib.NewCQ(ha), ib.NewCQ(ha)
-	bSend, bRecv := ib.NewCQ(hb), ib.NewCQ(hb)
-	qa, _ := ib.Connect(ha, hb, aSend, aRecv, bSend, bRecv)
+	switch *backend {
+	case "rt":
+		f := rtfab.New(model)
+		f.SetTracer(tracer)
+		return f.AddNode("a", mem.NewMemory("a", arena), nil), f.AddNode("b", mem.NewMemory("b", arena), nil),
+			func() error { return f.Run(time.Minute) }
+	case "shm":
+		eng := simtime.NewEngine()
+		f := shmfab.New(eng, model, 2, arena)
+		f.SetTracer(tracer)
+		return f.AddNode("a", nil), f.AddNode("b", nil), eng.Run
+	default:
+		eng := simtime.NewEngine()
+		f := ib.NewFabric(eng, model)
+		f.SetTracer(tracer)
+		return f.AddHCA("a", mem.NewMemory("a", arena), nil), f.AddHCA("b", mem.NewMemory("b", arena), nil), eng.Run
+	}
+}
 
+// oneOp measures the completion time of one RDMA operation of the given
+// total size split across n scatter/gather entries: in virtual time on sim and
+// shm, on the wall clock on rt, either way averaged over iters sequential
+// posts (on rt enough of them that fabric start/stop cost drops out).
+func oneOp(model verbs.Model, op verbs.Opcode, size int64, n, iters int) simtime.Duration {
+	na, nb, run := twoNodes(model, size*2+8<<20, fmt.Sprintf("%v-%dB-%dsge/", op, size, n))
+	aSend, aRecv := na.NewCQ(), na.NewCQ()
+	bSend, bRecv := nb.NewCQ(), nb.NewCQ()
+	qa, _ := na.Connect(nb, aSend, aRecv, bSend, bRecv)
+
+	ma, mb := na.Mem(), nb.Mem()
 	per := size / int64(n)
-	sgl := make([]ib.SGE, n)
+	sgl := make([]verbs.SGE, n)
 	for i := range sgl {
 		a := ma.MustAlloc(per)
 		reg, err := ma.Reg().Register(a, per)
 		if err != nil {
 			panic(err)
 		}
-		sgl[i] = ib.SGE{Addr: a, Len: per, Key: reg.LKey}
+		sgl[i] = verbs.SGE{Addr: a, Len: per, Key: reg.LKey}
 	}
 	remote := mb.MustAlloc(size)
 	rreg, err := mb.Reg().Register(remote, size)
@@ -599,18 +478,30 @@ func oneOp(model ib.Model, op ib.Opcode, size int64, n int) simtime.Duration {
 		panic(err)
 	}
 
+	post := func() {
+		if err := qa.PostSend(verbs.SendWR{Op: op, SGL: sgl, RemoteAddr: remote, RKey: rreg.RKey}); err != nil {
+			panic(err)
+		}
+	}
+	left := iters
 	var done simtime.Time
-	aSend.SetHandler(func(e ib.CQE) {
+	aSend.SetHandler(func(e verbs.CQE) {
 		if e.Err != nil {
 			panic(e.Err)
 		}
-		done = eng.Now()
+		if left--; left > 0 {
+			post()
+			return
+		}
+		done = na.Engine().Now()
 	})
-	if err := qa.PostSend(ib.SendWR{Op: op, SGL: sgl, RemoteAddr: remote, RKey: rreg.RKey}); err != nil {
+	post()
+	start := time.Now()
+	if err := run(); err != nil {
 		panic(err)
 	}
-	if err := eng.Run(); err != nil {
-		panic(err)
+	if *backend == "rt" {
+		return simtime.Duration(time.Since(start)) / simtime.Duration(iters)
 	}
-	return done.Sub(0)
+	return done.Sub(0) / simtime.Duration(iters)
 }

@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	file := flag.String("file", "BENCH_perf.json", "baseline artifact path")
+	file := flag.String("file", perfgate.Artifact, "baseline artifact path")
 	update := flag.Bool("update", false, "run the suite and rewrite the baseline")
 	check := flag.Bool("check", false, "run the suite and compare against the baseline")
 	flag.Parse()

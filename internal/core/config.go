@@ -73,10 +73,6 @@ type Config struct {
 	// SegmentSize is the pool slot size for BC-SPUP/RWG-UP/P-RRS segments.
 	SegmentSize int64
 
-	// MinSegmented is the smallest rendezvous message split into at least
-	// two segments (the paper's 16 KB rule).
-	MinSegmented int64
-
 	// PoolSize is the per-endpoint size of each pre-registered staging pool
 	// (one pack pool, one unpack pool; the paper uses 20 MB each).
 	PoolSize int64
@@ -97,19 +93,11 @@ type Config struct {
 	// Off, every registration is paid on every operation (Figure 14).
 	RegCache bool
 
-	// RegCacheCapacity is each pin-down cache's idle-pinned-bytes limit.
-	RegCacheCapacity int64
-
 	// TypeProcBase and TypeProcPerRun model datatype-processing overhead on
 	// top of raw copy cost — the reason Manual packing slightly beats the
 	// Datatype scheme in the paper's Figure 2.
 	TypeProcBase   simtime.Duration
 	TypeProcPerRun simtime.Duration
-
-	// AutoBlockThreshold: with SchemeAuto, if both sides' average contiguous
-	// run reaches this many bytes, Multi-W is chosen (the "several KBytes"
-	// rule of Section 6).
-	AutoBlockThreshold int64
 
 	// AutoGatherThreshold: with SchemeAuto, the smallest sender-side average
 	// run for which RDMA gather (RWG-UP) still beats packing.
@@ -168,12 +156,6 @@ type Config struct {
 	// fabric's Model.MaxPostBatch.
 	PostBatch int
 
-	// PoolShards shards each staging pool by slot size class: shard 0
-	// holds SegmentSize slots, each further shard halves the slot size.
-	// 1 keeps the single-class pool. Sharding cuts contention when
-	// concurrent messages want different segment sizes.
-	PoolShards int
-
 	// QoS enables service mode: traffic-class lanes with per-peer
 	// flow-control windows over bulk descriptor posting, and admission
 	// control that parks or rejects new bulk transfers while segment-pool or
@@ -188,28 +170,28 @@ func DefaultConfig() Config {
 		Scheme:              SchemeBCSPUP,
 		EagerThreshold:      8 << 10,
 		SegmentSize:         128 << 10,
-		MinSegmented:        16 << 10,
 		PoolSize:            20 << 20,
 		UsePools:            true,
 		SegmentUnpack:       true,
 		ListPost:            true,
 		RegCache:            true,
-		RegCacheCapacity:    64 << 20,
 		TypeProcBase:        300 * simtime.Nanosecond,
 		TypeProcPerRun:      25 * simtime.Nanosecond,
-		AutoBlockThreshold:  4 << 10,
 		AutoGatherThreshold: 256,
 		BuffersReused:       true,
 		PackWorkers:         1,
 		PostBatch:           1,
-		PoolShards:          1,
 	}
 }
 
+// minSegmented is the smallest rendezvous message split into at least two
+// segments (the paper's 16 KB rule).
+const minSegmented = 16 << 10
+
 // segSizeFor picks the segment size for a message: at least two segments
-// once the message reaches MinSegmented, capped at SegmentSize (Section 7.2).
+// once the message reaches minSegmented, capped at SegmentSize (Section 7.2).
 func (c *Config) segSizeFor(size int64) int64 {
-	if size < c.MinSegmented {
+	if size < minSegmented {
 		return size
 	}
 	seg := c.SegmentSize

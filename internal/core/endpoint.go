@@ -258,6 +258,9 @@ type opKey struct {
 	op  uint32
 }
 
+// regCacheCapacity is each pin-down cache's idle-pinned-bytes limit.
+const regCacheCapacity = 64 << 20
+
 // NewEndpoint creates the engine for one rank on the given HCA. Peers are
 // wired afterwards with ConnectPeers.
 func NewEndpoint(rank int, hca verbs.HCA, cfg Config) (*Endpoint, error) {
@@ -282,11 +285,11 @@ func NewEndpoint(rank int, hca verbs.HCA, cfg Config) (*Endpoint, error) {
 	ep.recvCQ.SetHandler(ep.handleRecvCQE)
 
 	var err error
-	ep.packPool, err = newSegPool(ep.memory, cfg.PoolSize, cfg.SegmentSize, cfg.PoolShards, cfg.UsePools)
+	ep.packPool, err = newSegPool(ep.memory, cfg.PoolSize, cfg.SegmentSize, cfg.UsePools)
 	if err != nil {
 		return nil, err
 	}
-	ep.unpackPool, err = newSegPool(ep.memory, cfg.PoolSize, cfg.SegmentSize, cfg.PoolShards, cfg.UsePools)
+	ep.unpackPool, err = newSegPool(ep.memory, cfg.PoolSize, cfg.SegmentSize, cfg.UsePools)
 	if err != nil {
 		return nil, err
 	}
@@ -297,8 +300,8 @@ func NewEndpoint(rank int, hca verbs.HCA, cfg Config) (*Endpoint, error) {
 	ep.packPool.gauge = cfg.Metrics.Gauge("pool_used/pack")
 	ep.unpackPool.gauge = cfg.Metrics.Gauge("pool_used/unpack")
 	ep.regGauge = cfg.Metrics.Gauge("registered_pages")
-	ep.userReg = mem.NewRegCache(ep.memory.Reg(), cfg.RegCacheCapacity, cfg.RegCache)
-	ep.stagingReg = mem.NewRegCache(ep.memory.Reg(), cfg.RegCacheCapacity, cfg.RegCache)
+	ep.userReg = mem.NewRegCache(ep.memory.Reg(), regCacheCapacity, cfg.RegCache)
+	ep.stagingReg = mem.NewRegCache(ep.memory.Reg(), regCacheCapacity, cfg.RegCache)
 	if inj := hca.Injector(); inj != nil {
 		ep.userReg.SetFaultFn(inj.RegFault)
 		ep.stagingReg.SetFaultFn(inj.RegFault)

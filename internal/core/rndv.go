@@ -77,7 +77,6 @@ type sendMsg struct {
 	segSize int64
 	nSegs   int
 	k       int           // next segment to pack
-	class   int           // pack-pool size class of the segments
 	rBase   mem.Addr      // Multi-W: the receiver's buffer,
 	rLayout *cachedLayout // layout (its cache entry, which holds the programs)
 	rCount  int           // and count
@@ -615,8 +614,7 @@ func (ep *Endpoint) recvStagedSetup(op *recvOp, segSize int64) {
 	}
 
 	pool := ep.unpackPool
-	segC := pool.classFor(segSize)
-	if !pool.enabled || op.nSegs > pool.slotsFor(segC) {
+	if !pool.enabled || op.nSegs > pool.totalSlots() {
 		// No pool (the worst case of Figure 14) or message larger than the
 		// whole pool: allocate one on-the-fly unpack buffer of the real data
 		// size — the same registration cost the Generic scheme pays — and
@@ -633,7 +631,7 @@ func (ep *Endpoint) recvStagedSetup(op *recvOp, segSize int64) {
 	}
 	op.next = rstepPool
 	ep.pinRecv(op)
-	pool.whenAvailable(op.nSegs, segC, op.poolReadyFn)
+	pool.whenAvailable(op.nSegs, op.poolReadyFn)
 }
 
 // sendStagedCTS replies to a staged-scheme RTS with the segment refs
@@ -659,10 +657,9 @@ func (op *recvOp) poolReady() {
 		return // aborted while parked; slots stay with the pool
 	}
 	pool := ep.unpackPool
-	segC := pool.classFor(op.segSize)
 	refs := op.ctsRefs[:0]
 	for k := 0; k < op.nSegs; k++ {
-		s, ok := pool.tryAcquire(segC)
+		s, ok := pool.tryAcquire()
 		if !ok {
 			panic("core: unpack pool promised slots it does not have")
 		}

@@ -300,7 +300,6 @@ func (ep *Endpoint) sendBCSPUPData(op *sendOp) {
 	}
 
 	op.k = 0
-	op.class = ep.packPool.classFor(op.segSize)
 	// The batched pipeline rings one doorbell over per-segment records, each
 	// write with an immediate of its own: nothing in it could hold segment
 	// k+1 back while segment k is retried, so an injector gets the
@@ -325,14 +324,14 @@ func (ep *Endpoint) packStep(op *sendOp) {
 		need = ep.bcBatch(op)
 	}
 	ep.pinSend(op)
-	ep.packPool.whenAvailable(need, op.class, op.poolReadyFn)
+	ep.packPool.whenAvailable(need, op.poolReadyFn)
 }
 
 // bcBatch is how many segments the batched pipeline's next doorbell carries:
 // up to PostBatch, bounded by the pool's slot count and by what is left.
 func (ep *Endpoint) bcBatch(op *sendOp) int {
 	b := ep.cfg.postBatchLimit(ep.model)
-	if max := ep.packPool.slotsFor(op.class); b > max {
+	if max := ep.packPool.totalSlots(); b > max {
 		b = max
 	}
 	if b < 1 {
@@ -359,7 +358,7 @@ func (op *sendOp) poolReady() {
 			return
 		}
 		for k := 0; k < op.nSegs; k++ {
-			s, ok := ep.packPool.tryAcquire(op.class)
+			s, ok := ep.packPool.tryAcquire()
 			if !ok {
 				panic("core: pack pool promised slots it does not have")
 			}
@@ -375,7 +374,7 @@ func (op *sendOp) poolReady() {
 // pack the next segment into it and post its write, whose completion record
 // returns the slot, while the next step packs the next segment.
 func (ep *Endpoint) packOneSeg(op *sendOp) {
-	s, ok := ep.packPool.tryAcquire(op.class)
+	s, ok := ep.packPool.tryAcquire()
 	if !ok {
 		panic("core: pool promised a slot it does not have")
 	}
@@ -430,7 +429,7 @@ func (ep *Endpoint) packBatch(op *sendOp) {
 	wrStart := len(op.wrs.wrs)
 	segs := op.segScratch[:0]
 	for i := 0; i < b; i++ {
-		s, ok := ep.packPool.tryAcquire(op.class)
+		s, ok := ep.packPool.tryAcquire()
 		if !ok {
 			panic("core: pack pool promised slots it does not have")
 		}
@@ -561,8 +560,7 @@ func (ep *Endpoint) sendPRRSData(op *sendOp) {
 
 	// P-RRS pack segments stay occupied until the receiver's Done.
 	op.packer.Bind(ep.memory, op.buf, ep.Program(op.dt, op.count))
-	op.class = ep.packPool.classFor(op.segSize)
-	if !ep.packPool.enabled || op.nSegs > ep.packPool.slotsFor(op.class) {
+	if !ep.packPool.enabled || op.nSegs > ep.packPool.totalSlots() {
 		// Worst case or message larger than the pool: one on-the-fly pack
 		// buffer of the real data size, carved into segment views.
 		if !ep.packPool.enabled {
@@ -580,7 +578,7 @@ func (ep *Endpoint) sendPRRSData(op *sendOp) {
 	// would deadlock with every op stuck one slot short.
 	op.next = stepPRRSPool
 	ep.pinSend(op)
-	ep.packPool.whenAvailable(op.nSegs, op.class, op.poolReadyFn)
+	ep.packPool.whenAvailable(op.nSegs, op.poolReadyFn)
 }
 
 // announceSeg tells the P-RRS receiver that n bytes of the message are

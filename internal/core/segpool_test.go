@@ -17,7 +17,7 @@ import (
 // the schemes' op.failed paths do — still unblocks everyone behind it.
 func TestSegPoolWaiterFIFO(t *testing.T) {
 	m := mem.NewMemory("t", 8<<20)
-	p, err := newSegPool(m, 256<<10, 128<<10, 1, true) // two slots
+	p, err := newSegPool(m, 256<<10, 128<<10, true) // two slots
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +27,8 @@ func TestSegPoolWaiterFIFO(t *testing.T) {
 		t.Fatalf("pool carved %d slots (%d free), want 2", p.totalSlots(), p.available())
 	}
 
-	s1, ok1 := p.tryAcquire(0)
-	s2, ok2 := p.tryAcquire(0)
+	s1, ok1 := p.tryAcquire()
+	s2, ok2 := p.tryAcquire()
 	if !ok1 || !ok2 || p.available() != 0 {
 		t.Fatal("could not drain the pool")
 	}
@@ -37,7 +37,7 @@ func TestSegPoolWaiterFIFO(t *testing.T) {
 	take := func(n int) []seg {
 		out := make([]seg, n)
 		for i := range out {
-			s, ok := p.tryAcquire(0)
+			s, ok := p.tryAcquire()
 			if !ok {
 				t.Fatalf("waiter served with %d free slots, needed %d", p.available(), n)
 			}
@@ -47,17 +47,17 @@ func TestSegPoolWaiterFIFO(t *testing.T) {
 	}
 	// A needs both slots; B simulates an aborted transfer (take one slot,
 	// release it untouched); C is an ordinary one-slot waiter.
-	p.whenAvailable(2, 0, func() {
+	p.whenAvailable(2, func() {
 		order = append(order, "A")
 		for _, s := range take(2) {
 			p.release(s)
 		}
 	})
-	p.whenAvailable(1, 0, func() {
+	p.whenAvailable(1, func() {
 		order = append(order, "B")
 		p.release(take(1)[0])
 	})
-	p.whenAvailable(1, 0, func() {
+	p.whenAvailable(1, func() {
 		order = append(order, "C")
 		p.release(take(1)[0])
 	})
@@ -85,7 +85,7 @@ func TestSegPoolWaiterFIFO(t *testing.T) {
 	// A fresh waiter with slots free runs immediately and does not count as
 	// an exhaustion.
 	ran := false
-	p.whenAvailable(1, 0, func() {
+	p.whenAvailable(1, func() {
 		ran = true
 		p.release(take(1)[0])
 	})
@@ -140,109 +140,5 @@ func TestAbortWithParkedPoolWaiters(t *testing.T) {
 	}
 	if !sawParkedAbort {
 		t.Fatal("no seed produced an abort in a world with parked pool waiters; regression not exercised")
-	}
-}
-
-// TestSegPoolShardedClasses pins the size-classed pool's carving and routing:
-// shard 0 keeps full slots, each further shard halves the slot size down to
-// the floor, classFor picks the smallest fitting class, and each class has
-// its own free list and FIFO waiter queue (no cross-class contention).
-func TestSegPoolShardedClasses(t *testing.T) {
-	m := mem.NewMemory("t", 16<<20)
-	p, err := newSegPool(m, 3<<20, 128<<10, 3, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.shards) != 3 {
-		t.Fatalf("%d shards, want 3", len(p.shards))
-	}
-	wantSlot := []int64{128 << 10, 64 << 10, 32 << 10}
-	wantSlots := []int{8, 16, 32} // 1 MB span each
-	for i := range p.shards {
-		if p.slotFor(i) != wantSlot[i] || p.slotsFor(i) != wantSlots[i] {
-			t.Fatalf("shard %d: slot %d x %d, want %d x %d",
-				i, p.slotFor(i), p.slotsFor(i), wantSlot[i], wantSlots[i])
-		}
-	}
-
-	// classFor routes to the smallest class that fits.
-	for _, tc := range []struct {
-		size int64
-		want int
-	}{
-		{8 << 10, 2}, {32 << 10, 2}, {32<<10 + 1, 1}, {64 << 10, 1},
-		{64<<10 + 1, 0}, {128 << 10, 0}, {1 << 20, 0}, // oversize falls back to 0
-	} {
-		if c := p.classFor(tc.size); c != tc.want {
-			t.Fatalf("classFor(%d) = %d, want %d", tc.size, c, tc.want)
-		}
-	}
-
-	// Draining one class leaves the others untouched, and a waiter parked on
-	// the drained class is not resumed by releases into another class.
-	var held []seg
-	for {
-		s, ok := p.tryAcquire(2)
-		if !ok {
-			break
-		}
-		if s.shard != 2 {
-			t.Fatalf("class-2 acquire returned shard %d", s.shard)
-		}
-		held = append(held, s)
-	}
-	if len(held) != wantSlots[2] || p.availableFor(2) != 0 {
-		t.Fatalf("drained %d class-2 slots, want %d", len(held), wantSlots[2])
-	}
-	if p.availableFor(0) != wantSlots[0] || p.availableFor(1) != wantSlots[1] {
-		t.Fatal("draining class 2 disturbed other classes")
-	}
-	ran := false
-	p.whenAvailable(1, 2, func() { ran = true })
-	s0, ok := p.tryAcquire(0)
-	if !ok {
-		t.Fatal("class 0 dry")
-	}
-	p.release(s0)
-	if ran {
-		t.Fatal("class-0 release resumed a class-2 waiter")
-	}
-	p.release(held[0])
-	if !ran {
-		t.Fatal("class-2 release did not resume its waiter")
-	}
-	for _, s := range held[1:] {
-		p.release(s)
-	}
-	if p.available() != p.totalSlots() || p.pendingWaiters() != 0 {
-		t.Fatalf("pool leaked: %d/%d free, %d waiters",
-			p.available(), p.totalSlots(), p.pendingWaiters())
-	}
-}
-
-// TestSegPoolShardFloor verifies the slot-size floor: shards stop halving at
-// minShardSlot, and classes that would end up with zero slots are skipped by
-// classFor rather than parking requests forever.
-func TestSegPoolShardFloor(t *testing.T) {
-	m := mem.NewMemory("t", 8<<20)
-	// 8 KB initial slot: the halving floor (4 KB) is hit after one step, so
-	// shards 2.. keep the 4 KB slot size.
-	p, err := newSegPool(m, 96<<10, 8<<10, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := []int64{p.slotFor(0), p.slotFor(1), p.slotFor(2), p.slotFor(3)}; got[0] != 8<<10 ||
-		got[1] != 4<<10 || got[2] != 4<<10 || got[3] != 4<<10 {
-		t.Fatalf("slot sizes %v, want [8K 4K 4K 4K]", got)
-	}
-	// A tiny pool whose later shards carved zero slots must still route
-	// requests somewhere with capacity.
-	tiny, err := newSegPool(m, 16<<10, 16<<10, 3, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := tiny.classFor(1 << 10)
-	if tiny.slotsFor(c) == 0 {
-		t.Fatalf("classFor routed to an empty shard %d", c)
 	}
 }

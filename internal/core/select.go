@@ -80,6 +80,10 @@ func eligibleSchemes(cfg *Config, sContig, rContig bool) []Scheme {
 	return eligibleAll
 }
 
+// autoBlockThreshold: if both sides' average contiguous run reaches this many
+// bytes, Multi-W is chosen (the "several KBytes" rule of Section 6).
+const autoBlockThreshold = 4 << 10
+
 // autoScheme is the decision half of AutoChoice: the Section 6 thresholds
 // with no rationale formatting, so the untraced warm path pays no Sprintf.
 func autoScheme(cfg *Config, in SelectorInput) Scheme {
@@ -90,7 +94,7 @@ func autoScheme(cfg *Config, in SelectorInput) Scheme {
 		return SchemeBCSPUP
 	}
 	switch {
-	case in.SAvg >= cfg.AutoBlockThreshold && in.RAvg >= cfg.AutoBlockThreshold:
+	case in.SAvg >= autoBlockThreshold && in.RAvg >= autoBlockThreshold:
 		return SchemeMultiW
 	case in.SContig && in.RAvg >= cfg.AutoGatherThreshold:
 		return SchemePRRS
@@ -116,7 +120,7 @@ func AutoChoice(cfg *Config, in SelectorInput) (Scheme, string) {
 	switch s {
 	case SchemeMultiW:
 		return s, fmt.Sprintf("savg %d and ravg %d reach block threshold %d",
-			in.SAvg, in.RAvg, cfg.AutoBlockThreshold)
+			in.SAvg, in.RAvg, autoBlockThreshold)
 	case SchemePRRS:
 		return s, fmt.Sprintf("contiguous sender, ravg %d reaches gather threshold %d",
 			in.RAvg, cfg.AutoGatherThreshold)

@@ -1,15 +1,11 @@
 package exper
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/mpi"
-	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // BackendRow is one (scheme, backend) measurement of the wall-clock
@@ -22,89 +18,49 @@ type BackendRow struct {
 	Backend   string  `json:"backend"`
 	Bytes     int64   `json:"bytes"`      // payload bytes per message
 	Iters     int     `json:"iters"`      // ping-pong round trips
-	WallMS    float64 `json:"wall_ms"`    // whole-run wall time
+	WallMS    float64 `json:"wall_ms"`    // timed-loop wall time
 	LatencyUS float64 `json:"latency_us"` // wall one-way latency per message
 	MBps      float64 `json:"mbps"`       // wall payload bandwidth
 	VirtualUS float64 `json:"virtual_us"` // virtual one-way latency (sim/shm, 0 on rt)
 }
 
-// BenchBackends runs the wall-clock ping-pong for every transfer scheme on
+// BackendsDoc is the BENCH_backends.json document.
+type BackendsDoc struct {
+	Benchmark string       `json:"benchmark"`
+	Workload  string       `json:"workload"`
+	Rows      []BackendRow `json:"rows"`
+}
+
+// backendsSweep runs the wall-clock ping-pong for every transfer scheme on
 // each requested backend ("sim", "rt", "shm"). The workload is the paper's
 // 64-column vector (32 KB payload, above the eager threshold, so the full
-// rendezvous machinery runs).
-func BenchBackends(backends []string, iters int) ([]BackendRow, error) {
-	return BenchBackendsTraced(backends, iters, nil, nil)
-}
-
-// BenchBackendsTraced is BenchBackends with observability attached: every
-// run records per-message spans into rec (namespaced
-// "backend/scheme/rankN" so sequential runs do not collide in the exported
-// trace) and per-scheme latency/bandwidth histograms into reg. Either may
-// be nil.
-func BenchBackendsTraced(backends []string, iters int, rec *trace.Recorder, reg *stats.Registry) ([]BackendRow, error) {
-	return BenchBackendsOpts(backends, iters, rec, reg, nil)
-}
-
-// BenchBackendsOpts is BenchBackendsTraced with a configuration hook: mut
-// (may be nil) edits each world's configuration before it is built —
-// dtbench uses it to thread -workers and -batch through the benchmark.
-func BenchBackendsOpts(backends []string, iters int, rec *trace.Recorder, reg *stats.Registry, mut func(*mpi.Config)) ([]BackendRow, error) {
+// rendezvous machinery runs). o threads dtbench's -bench-iters, -workers,
+// -batch and -trace through it.
+func backendsSweep(backends []string, o Options) (Doc, error) {
+	iters := o.BenchIters
 	if iters <= 0 {
 		iters = 50
 	}
 	const cols = 64
 	dt := VectorType(cols)
 	bytes := VectorBytes(cols)
-	schemes := []core.Scheme{
-		core.SchemeGeneric, core.SchemeBCSPUP, core.SchemeRWGUP,
-		core.SchemePRRS, core.SchemeMultiW,
+	doc := &BackendsDoc{
+		Benchmark: "backend-pingpong",
+		Workload:  "vector(128 x 64 of 4096, MPI_INT), 32 KB payload",
 	}
-	var rows []BackendRow
 	for _, backend := range backends {
-		for _, scheme := range schemes {
-			rec.SetPrefix(backend + "/" + scheme.String() + "/")
+		for _, scheme := range allSchemes {
+			o.Trace.SetPrefix(backend + "/" + scheme.String() + "/")
 			cfg := worldConfig(2, scheme, 256<<20, func(c *mpi.Config) {
 				c.Backend = backend
 				c.RTTimeout = 2 * time.Minute
-				c.Trace = rec
-				c.Metrics = reg
-				if mut != nil {
-					mut(c)
+				c.Trace = o.Trace
+				c.Metrics = o.Metrics
+				if o.Mut != nil {
+					o.Mut(c)
 				}
 			})
-			w, err := mpi.NewWorld(cfg)
-			if err != nil {
-				return nil, err
-			}
-			var virtual float64
-			start := time.Now()
-			err = w.Run(func(p *mpi.Proc) error {
-				buf := allocFor(p, dt, 1)
-				if p.Rank() == 0 {
-					fillBuf(p, buf, dt, 1, 1)
-					t0 := p.Now()
-					for i := 0; i < iters; i++ {
-						if err := p.Send(buf, 1, dt, 1, 0); err != nil {
-							return err
-						}
-						if _, err := p.Recv(buf, 1, dt, 1, 0); err != nil {
-							return err
-						}
-					}
-					virtual = p.Now().Sub(t0).Micros() / float64(2*iters)
-					return nil
-				}
-				for i := 0; i < iters; i++ {
-					if _, err := p.Recv(buf, 1, dt, 0, 0); err != nil {
-						return err
-					}
-					if err := p.Send(buf, 1, dt, 0, 0); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			wall := time.Since(start)
+			res, err := pingPong(cfg, 0, iters, echo(dt, 1))
 			if err != nil {
 				return nil, fmt.Errorf("bench %s on %s: %w", scheme, backend, err)
 			}
@@ -113,47 +69,29 @@ func BenchBackendsOpts(backends []string, iters int, rec *trace.Recorder, reg *s
 				Backend:   backend,
 				Bytes:     bytes,
 				Iters:     iters,
-				WallMS:    float64(wall.Nanoseconds()) / 1e6,
-				LatencyUS: float64(wall.Microseconds()) / float64(2*iters),
-				MBps:      float64(bytes*2*int64(iters)) / wall.Seconds() / 1e6,
+				WallMS:    ms(res.wall),
+				LatencyUS: float64(res.wall.Microseconds()) / float64(2*iters),
+				MBps:      float64(bytes*2*int64(iters)) / res.wall.Seconds() / 1e6,
 			}
 			if backend != mpi.BackendRT {
 				// sim and shm both run on virtual time; only the real-time
 				// fabric has no modeled clock to report.
-				row.VirtualUS = virtual
+				row.VirtualUS = oneWayUS(res.virtual, iters)
 			}
-			rows = append(rows, row)
+			doc.Rows = append(doc.Rows, row)
 		}
 	}
-	return rows, nil
+	return doc, nil
 }
 
-// BackendsJSON renders the rows as the BENCH_backends.json document.
-func BackendsJSON(rows []BackendRow) ([]byte, error) {
-	doc := struct {
-		Benchmark string       `json:"benchmark"`
-		Workload  string       `json:"workload"`
-		Rows      []BackendRow `json:"rows"`
-	}{
-		Benchmark: "backend-pingpong",
-		Workload:  "vector(128 x 64 of 4096, MPI_INT), 32 KB payload",
-		Rows:      rows,
-	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-// BackendsTable renders the rows as an aligned text table.
-func BackendsTable(rows []BackendRow) string {
+// Table renders the rows as an aligned text table.
+func (d *BackendsDoc) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# backend ping-pong: %-8s %-8s %10s %12s %10s %12s\n",
 		"scheme", "backend", "wall ms", "latency us", "MB/s", "virtual us")
-	for _, r := range rows {
-		virt := "-"
-		if r.VirtualUS > 0 {
-			virt = fmt.Sprintf("%.1f", r.VirtualUS)
-		}
+	for _, r := range d.Rows {
 		fmt.Fprintf(&b, "%25s %-8s %10.2f %12.2f %10.1f %12s\n",
-			r.Scheme, r.Backend, r.WallMS, r.LatencyUS, r.MBps, virt)
+			r.Scheme, r.Backend, r.WallMS, r.LatencyUS, r.MBps, cell(r.VirtualUS, "%.1f"))
 	}
 	return b.String()
 }

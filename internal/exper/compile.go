@@ -2,7 +2,6 @@ package exper
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"strings"
@@ -27,7 +26,7 @@ import (
 // on two axes. Sim rows price each path with the virtual cost model
 // (CopyTime + per-run datatype-processing overhead; the compiled advance is
 // charged compiledPerRun instead of TypeProcPerRun) — pure arithmetic,
-// bit-for-bit deterministic, guarded by `make compile-guard`. Host rows
+// bit-for-bit deterministic, guarded. Host rows
 // measure real wall-clock ns/op, MB/s and allocs/op of the actual engines
 // on this machine and are exempt from the guard.
 //
@@ -49,12 +48,11 @@ const (
 // CompileRow is one (shape, path) measurement. Sim rows fill the virtual
 // fields; host rows the wall-clock fields.
 type CompileRow struct {
-	Family string `json:"-"` // "sim" or "host" (positions the row in the document)
-	Shape  string `json:"shape"`
-	Path   string `json:"path"`           // interpreted | compiled | copy
-	Kind   string `json:"kind,omitempty"` // compiled rows: the program kind
-	Bytes  int64  `json:"bytes"`
-	Runs   int64  `json:"runs"`
+	Shape string `json:"shape"`
+	Path  string `json:"path"`           // interpreted | compiled | copy
+	Kind  string `json:"kind,omitempty"` // compiled rows: the program kind
+	Bytes int64  `json:"bytes"`
+	Runs  int64  `json:"runs"`
 
 	VirtualUS   float64 `json:"virtual_us,omitempty"`
 	VirtualMBps float64 `json:"virtual_mbps,omitempty"`
@@ -91,57 +89,75 @@ func compileShapes() []compileShape {
 	}
 }
 
-// CompilerSweep runs the sweep. Sim rows are always produced; host rows only
-// when measureHost is set (they cost real wall-clock time and are
+// CompileDoc is the BENCH_compile.json document, the deterministic sim rows
+// apart from the machine-dependent host rows.
+type CompileDoc struct {
+	Benchmark string       `json:"benchmark"`
+	Workload  string       `json:"workload"`
+	Note      string       `json:"note"`
+	SimRows   []CompileRow `json:"sim_rows"`
+	HostRows  []CompileRow `json:"host_rows"`
+}
+
+// compilerSweep runs the sweep's requested families: "sim" (modeled rows)
+// and "host" (wall-clock rows, which cost real time and are
 // machine-dependent).
-func CompilerSweep(measureHost bool) ([]CompileRow, error) {
+func compilerSweep(families []string, _ Options) (Doc, error) {
 	model := verbs.DefaultModel()
 	cfg := core.DefaultConfig()
-	var rows []CompileRow
-	for _, sh := range compileShapes() {
-		prog := datatype.Compile(sh.dt, sh.count)
-		stats := datatype.LayoutStats(sh.dt, sh.count, 0)
-		bytes, runs := stats.Bytes, stats.Runs
-
-		// Per-run processing charge for the compiled path: canonical
-		// programs advance in O(1) and know their run count exactly; a
-		// generic program replays the cursor and estimates it. (The one
-		// kind test outside internal/datatype: without the generic rate the
-		// committed irregular-big sim row would re-price.)
-		perRunCompiled := compiledPerRun
-		if prog.Kind() == datatype.ProgGeneric {
-			perRunCompiled = cfg.TypeProcPerRun
-		} else if prog.Runs() != runs {
-			return nil, fmt.Errorf("compile sweep %s: program claims %d runs, cursor walked %d",
-				sh.name, prog.Runs(), runs)
-		}
-		price := func(perRun simtime.Duration, priceRuns int64) float64 {
-			return (model.CopyTime(bytes, int(priceRuns)) + cfg.TypeProcBase +
-				simtime.Duration(priceRuns)*perRun).Micros()
-		}
-		sim := func(path string, us float64, kind string) CompileRow {
-			return CompileRow{
-				Family: "sim", Shape: sh.name, Path: path, Kind: kind,
-				Bytes: bytes, Runs: runs,
-				VirtualUS:   us,
-				VirtualMBps: float64(bytes) / us,
+	doc := &CompileDoc{
+		Benchmark: "datatype-compiler",
+		Workload:  "pack throughput, compiled program replay vs interpreted cursor walk vs raw copy() upper bound, one shape per program kind",
+		Note:      "sim_rows are deterministic modeled costs (guarded by `make compile-guard`); host_rows are wall-clock and machine-dependent",
+		SimRows:   []CompileRow{},
+		HostRows:  []CompileRow{},
+	}
+	for _, family := range families {
+		for _, sh := range compileShapes() {
+			prog := datatype.Compile(sh.dt, sh.count)
+			stats := datatype.LayoutStats(sh.dt, sh.count, 0)
+			bytes, runs := stats.Bytes, stats.Runs
+			if family == "host" {
+				rows, err := compileHostRows(sh, prog, bytes, runs)
+				if err != nil {
+					return nil, err
+				}
+				doc.HostRows = append(doc.HostRows, rows...)
+				continue
 			}
-		}
-		rows = append(rows,
-			sim("interpreted", price(cfg.TypeProcPerRun, runs), ""),
-			sim("compiled", price(perRunCompiled, runs), prog.Kind().String()),
-			sim("copy", price(0, 1), ""),
-		)
 
-		if measureHost {
-			hostRows, err := compileHostRows(sh, prog, bytes, runs)
-			if err != nil {
-				return nil, err
+			// Per-run processing charge for the compiled path: canonical
+			// programs advance in O(1) and know their run count exactly; a
+			// generic program replays the cursor and estimates it. (The one
+			// kind test outside internal/datatype: without the generic rate the
+			// committed irregular-big sim row would re-price.)
+			perRunCompiled := compiledPerRun
+			if prog.Kind() == datatype.ProgGeneric {
+				perRunCompiled = cfg.TypeProcPerRun
+			} else if prog.Runs() != runs {
+				return nil, fmt.Errorf("compile sweep %s: program claims %d runs, cursor walked %d",
+					sh.name, prog.Runs(), runs)
 			}
-			rows = append(rows, hostRows...)
+			price := func(perRun simtime.Duration, priceRuns int64) float64 {
+				return (model.CopyTime(bytes, int(priceRuns)) + cfg.TypeProcBase +
+					simtime.Duration(priceRuns)*perRun).Micros()
+			}
+			sim := func(path string, us float64, kind string) CompileRow {
+				return CompileRow{
+					Shape: sh.name, Path: path, Kind: kind,
+					Bytes: bytes, Runs: runs,
+					VirtualUS:   us,
+					VirtualMBps: float64(bytes) / us,
+				}
+			}
+			doc.SimRows = append(doc.SimRows,
+				sim("interpreted", price(cfg.TypeProcPerRun, runs), ""),
+				sim("compiled", price(perRunCompiled, runs), prog.Kind().String()),
+				sim("copy", price(0, 1), ""),
+			)
 		}
 	}
-	return rows, nil
+	return doc, nil
 }
 
 // compileHostRows measures the engine, the reference packer and copy() on the
@@ -216,7 +232,7 @@ func compileHostRows(sh compileShape, prog *datatype.Program, size, runs int64) 
 	var rows []CompileRow
 	for pi, path := range paths {
 		rows = append(rows, CompileRow{
-			Family: "host", Shape: sh.name, Path: path.name, Kind: path.kind,
+			Shape: sh.name, Path: path.name, Kind: path.kind,
 			Bytes: size, Runs: runs,
 			HostNsOp: best[pi],
 			HostMBps: float64(size) / best[pi] * 1e3, // bytes/ns = GB/s; *1e3 = MB/s
@@ -241,83 +257,16 @@ func allocsPerRun(runs int, f func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
-// CompileJSON renders the rows as the BENCH_compile.json document, with the
-// deterministic sim rows separated from the machine-dependent host rows.
-func CompileJSON(rows []CompileRow) ([]byte, error) {
-	doc := struct {
-		Benchmark string       `json:"benchmark"`
-		Workload  string       `json:"workload"`
-		Note      string       `json:"note"`
-		SimRows   []CompileRow `json:"sim_rows"`
-		HostRows  []CompileRow `json:"host_rows"`
-	}{
-		Benchmark: "datatype-compiler",
-		Workload:  "pack throughput, compiled program replay vs interpreted cursor walk vs raw copy() upper bound, one shape per program kind",
-		Note:      "sim_rows are deterministic modeled costs (guarded by `make compile-guard`); host_rows are wall-clock and machine-dependent",
-		SimRows:   filterCompile(rows, "sim"),
-		HostRows:  filterCompile(rows, "host"),
-	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-func filterCompile(rows []CompileRow, family string) []CompileRow {
-	out := []CompileRow{}
-	for _, r := range rows {
-		if r.Family == family {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// CompileTable renders the rows as an aligned text table.
-func CompileTable(rows []CompileRow) string {
+// Table renders the rows as an aligned text table.
+func (d *CompileDoc) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# datatype compiler: %-14s %-12s %-10s %10s %8s %12s %12s %10s %9s\n",
 		"shape", "path", "kind", "bytes", "runs", "virtual us", "host ns/op", "MB/s", "allocs")
-	for _, r := range rows {
-		cell := func(v float64, f string) string {
-			if v == 0 {
-				return "-"
-			}
-			return fmt.Sprintf(f, v)
-		}
-		mbps := r.VirtualMBps
-		if r.Family == "host" {
-			mbps = r.HostMBps
-		}
+	for _, r := range concat(d.SimRows, d.HostRows) {
+		// A row fills one family's fields, so the MB/s column is their sum.
 		fmt.Fprintf(&b, "%21s %-12s %-10s %10d %8d %12s %12s %10s %9.1f\n",
 			r.Shape, r.Path, r.Kind, r.Bytes, r.Runs,
-			cell(r.VirtualUS, "%.2f"), cell(r.HostNsOp, "%.0f"), cell(mbps, "%.1f"), r.AllocsOp)
+			cell(r.VirtualUS, "%.2f"), cell(r.HostNsOp, "%.0f"), cell(r.VirtualMBps+r.HostMBps, "%.1f"), r.AllocsOp)
 	}
 	return b.String()
-}
-
-// CompileGuard regenerates the sweep's sim rows and compares them
-// byte-for-byte against the sim_rows of a committed BENCH_compile.json —
-// the compiler analogue of par-guard/tune-guard.
-func CompileGuard(committed []byte) error {
-	var doc struct {
-		SimRows json.RawMessage `json:"sim_rows"`
-	}
-	if err := json.Unmarshal(committed, &doc); err != nil {
-		return fmt.Errorf("compile guard: bad committed document: %w", err)
-	}
-	rows, err := CompilerSweep(false)
-	if err != nil {
-		return err
-	}
-	fresh, err := json.Marshal(filterCompile(rows, "sim"))
-	if err != nil {
-		return err
-	}
-	var want bytes.Buffer
-	if err := json.Compact(&want, doc.SimRows); err != nil {
-		return fmt.Errorf("compile guard: bad sim_rows: %w", err)
-	}
-	if !bytes.Equal(fresh, want.Bytes()) {
-		return fmt.Errorf("compile guard: sim rows drifted from committed BENCH_compile.json\ncommitted: %s\nfresh:     %s",
-			want.Bytes(), fresh)
-	}
-	return nil
 }

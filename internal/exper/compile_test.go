@@ -2,34 +2,30 @@ package exper
 
 import "testing"
 
-// simRowsBy indexes the sim rows of a sweep by (shape, path).
-func simRowsBy(rows []CompileRow) map[[2]string]CompileRow {
+// simRows runs the sweep's modeled family and indexes its rows by
+// (shape, path).
+func simRows(t *testing.T) map[[2]string]CompileRow {
+	doc, err := compilerSweep(simOnly, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := make(map[[2]string]CompileRow)
-	for _, r := range rows {
-		if r.Family == "sim" {
-			out[[2]string{r.Shape, r.Path}] = r
-		}
+	for _, r := range doc.(*CompileDoc).SimRows {
+		out[[2]string{r.Shape, r.Path}] = r
 	}
 	return out
 }
 
-// TestCompilerSweepDeterministic pins the guard's premise: the sim rows are
-// pure cost-model arithmetic, so two sweeps must agree exactly.
+// TestCompilerSweepDeterministic pins the guard's premise row by row: the sim
+// rows are pure cost-model arithmetic, so two sweeps must agree exactly.
 func TestCompilerSweepDeterministic(t *testing.T) {
-	a, err := CompilerSweep(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CompilerSweep(false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := simRows(t), simRows(t)
 	if len(a) != len(b) {
 		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs: %+v vs %+v", i, a[i], b[i])
+	for k, r := range a {
+		if b[k] != r {
+			t.Fatalf("row %v differs: %+v vs %+v", k, r, b[k])
 		}
 	}
 }
@@ -39,11 +35,7 @@ func TestCompilerSweepDeterministic(t *testing.T) {
 // contiguous and 2D-strided ones the issue names), never beats the raw-copy
 // bound, and degrades to exact parity on the generic fallback shape.
 func TestCompilerSweepOrdering(t *testing.T) {
-	rows, err := CompilerSweep(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := simRowsBy(rows)
+	sim := simRows(t)
 	get := func(shape, path string) CompileRow {
 		r, ok := sim[[2]string{shape, path}]
 		if !ok {
@@ -75,29 +67,5 @@ func TestCompilerSweepOrdering(t *testing.T) {
 	}
 	if cp.Kind != "generic" {
 		t.Errorf("irregular-big compiled row kind = %q, want generic", cp.Kind)
-	}
-}
-
-// TestCompileGuardCatchesDrift makes sure the guard actually fails when the
-// committed document does not match the model.
-func TestCompileGuardCatchesDrift(t *testing.T) {
-	rows, err := CompilerSweep(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc, err := CompileJSON(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CompileGuard(doc); err != nil {
-		t.Fatalf("guard rejected a freshly generated document: %v", err)
-	}
-	rows[0].VirtualUS += 1
-	bad, err := CompileJSON(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CompileGuard(bad); err == nil {
-		t.Fatal("guard accepted a drifted document")
 	}
 }

@@ -1,8 +1,6 @@
 package exper
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -18,21 +16,19 @@ import (
 //
 // Sim rows carry virtual time only: they are bit-for-bit deterministic (the
 // sim executor runs shards sequentially while the cost model prices the
-// fan-out), so `dtbench -parallel-guard` can demand a byte-identical
-// regeneration. RT rows carry wall time: they measure the real concurrent
-// implementation on the host and are machine-dependent, so the guard
-// ignores them.
+// fan-out), so the guard can demand a byte-identical regeneration. RT rows
+// carry wall time: they measure the real concurrent implementation on the
+// host and are machine-dependent, so the guard ignores them.
 const (
-	parCols      = 2048     // 128 x 2048 int32 vector: 1 MB payload, 8 KB runs
-	parIters     = 30       // timed ping-pong round trips
-	parWarmup    = 2        // untimed round trips before the clock starts
-	parSegSize   = 32 << 10 // small segments: many descriptors, batching visible
-	parShardMin  = 8 << 10  // one shard per 8 KB run, so a segment splits 4 ways
-	parPoolShard = 3        // exercise the size-classed pool under the sweep
+	parCols     = 2048     // 128 x 2048 int32 vector: 1 MB payload, 8 KB runs
+	parIters    = 30       // timed ping-pong round trips
+	parWarmup   = 2        // untimed round trips before the clock starts
+	parSegSize  = 32 << 10 // small segments: many descriptors, batching visible
+	parShardMin = 8 << 10  // one shard per 8 KB run, so a segment splits 4 ways
 )
 
-// ParWorkerAxis is the sweep's worker counts.
-var ParWorkerAxis = []int{1, 2, 4, 8}
+// parWorkerAxis is the sweep's worker counts.
+var parWorkerAxis = []int{1, 2, 4, 8}
 
 // ParallelRow is one (backend, workers) measurement. Sim rows fill only the
 // virtual fields; rt rows only the wall fields.
@@ -56,63 +52,36 @@ func parallelConfig(backend string, workers int) mpi.Config {
 		c.Core.SegmentSize = parSegSize
 		c.Core.PackWorkers = workers
 		c.Core.PostBatch = workers
-		c.Core.PoolShards = parPoolShard
 		c.Core.ParShardBytes = parShardMin
 	})
 }
 
-// ParallelSweep runs the worker sweep on the requested backends ("sim",
-// "rt") and returns one row per (backend, workers) point.
-func ParallelSweep(backends []string) ([]ParallelRow, error) {
+// ParallelDoc is the BENCH_parallel.json document, the deterministic sim
+// rows apart from the machine-dependent rt rows.
+type ParallelDoc struct {
+	Benchmark string        `json:"benchmark"`
+	Workload  string        `json:"workload"`
+	Note      string        `json:"note"`
+	SimRows   []ParallelRow `json:"sim_rows"`
+	RTRows    []ParallelRow `json:"rt_rows"`
+}
+
+// parallelSweep runs the worker sweep on the requested backends ("sim",
+// "rt"): one row per (backend, workers) point.
+func parallelSweep(backends []string, _ Options) (Doc, error) {
 	dt := VectorType(parCols)
 	payload := VectorBytes(parCols)
-	var rows []ParallelRow
+	doc := &ParallelDoc{
+		Benchmark: "parallel-segment-engine",
+		Workload: fmt.Sprintf("BC-SPUP vector(128 x %d of 4096, MPI_INT), %d KB payload, %d KB segments, batch = workers",
+			parCols, payload>>10, parSegSize>>10),
+		Note:    "sim_rows are deterministic (guarded by `make par-guard`); rt_rows are wall-clock and machine-dependent",
+		SimRows: []ParallelRow{},
+		RTRows:  []ParallelRow{},
+	}
 	for _, backend := range backends {
-		for _, workers := range ParWorkerAxis {
-			cfg := parallelConfig(backend, workers)
-			w, err := mpi.NewWorld(cfg)
-			if err != nil {
-				return nil, err
-			}
-			var virtual float64
-			var wall time.Duration
-			err = w.Run(func(p *mpi.Proc) error {
-				buf := allocFor(p, dt, 1)
-				peer := 1 - p.Rank()
-				round := func(lead bool) error {
-					if lead {
-						if err := p.Send(buf, 1, dt, peer, 0); err != nil {
-							return err
-						}
-						_, err := p.Recv(buf, 1, dt, peer, 0)
-						return err
-					}
-					if _, err := p.Recv(buf, 1, dt, peer, 0); err != nil {
-						return err
-					}
-					return p.Send(buf, 1, dt, peer, 0)
-				}
-				if p.Rank() == 0 {
-					fillBuf(p, buf, dt, 1, 1)
-				}
-				for i := 0; i < parWarmup; i++ {
-					if err := round(p.Rank() == 0); err != nil {
-						return err
-					}
-				}
-				t0 := p.Now()
-				start := time.Now()
-				for i := 0; i < parIters; i++ {
-					if err := round(p.Rank() == 0); err != nil {
-						return err
-					}
-				}
-				if p.Rank() == 0 {
-					wall = time.Since(start)
-					virtual = p.Now().Sub(t0).Micros() / float64(2*parIters)
-				}
-				return nil
-			})
+		for _, workers := range parWorkerAxis {
+			res, err := pingPong(parallelConfig(backend, workers), parWarmup, parIters, echo(dt, 1))
 			if err != nil {
 				return nil, fmt.Errorf("parallel sweep: %d workers on %s: %w", workers, backend, err)
 			}
@@ -124,95 +93,30 @@ func ParallelSweep(backends []string) ([]ParallelRow, error) {
 				Iters:   parIters,
 			}
 			if backend == mpi.BackendSim {
-				row.VirtualUS = virtual
+				row.VirtualUS = oneWayUS(res.virtual, parIters)
 				// 1 byte/us = 1 MB/s with the decimal MB the wall rows use.
-				row.VirtualMBps = float64(payload) / virtual
+				row.VirtualMBps = float64(payload) / row.VirtualUS
+				doc.SimRows = append(doc.SimRows, row)
 			} else {
-				row.WallMS = float64(wall.Nanoseconds()) / 1e6
-				row.MBps = float64(payload*2*int64(parIters)) / wall.Seconds() / 1e6
+				row.WallMS = ms(res.wall)
+				row.MBps = float64(payload*2*int64(parIters)) / res.wall.Seconds() / 1e6
+				doc.RTRows = append(doc.RTRows, row)
 			}
-			rows = append(rows, row)
 		}
 	}
-	return rows, nil
+	return doc, nil
 }
 
-// ParallelJSON renders the rows as the BENCH_parallel.json document, with
-// the deterministic sim rows separated from the machine-dependent rt rows.
-func ParallelJSON(rows []ParallelRow) ([]byte, error) {
-	doc := struct {
-		Benchmark string        `json:"benchmark"`
-		Workload  string        `json:"workload"`
-		Note      string        `json:"note"`
-		SimRows   []ParallelRow `json:"sim_rows"`
-		RTRows    []ParallelRow `json:"rt_rows"`
-	}{
-		Benchmark: "parallel-segment-engine",
-		Workload: fmt.Sprintf("BC-SPUP vector(128 x %d of 4096, MPI_INT), %d KB payload, %d KB segments, batch = workers",
-			parCols, VectorBytes(parCols)>>10, parSegSize>>10),
-		Note:    "sim_rows are deterministic (guarded by `make par-guard`); rt_rows are wall-clock and machine-dependent",
-		SimRows: filterParallel(rows, mpi.BackendSim),
-		RTRows:  filterParallel(rows, mpi.BackendRT),
-	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-func filterParallel(rows []ParallelRow, backend string) []ParallelRow {
-	out := []ParallelRow{}
-	for _, r := range rows {
-		if r.Backend == backend {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ParallelTable renders the rows as an aligned text table.
-func ParallelTable(rows []ParallelRow) string {
+// Table renders the rows as an aligned text table.
+func (d *ParallelDoc) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# parallel segment engine: %-8s %8s %6s %12s %10s %12s %14s\n",
 		"backend", "workers", "batch", "wall ms", "MB/s", "virtual us", "virtual MB/s")
-	for _, r := range rows {
-		cell := func(v float64, f string) string {
-			if v == 0 {
-				return "-"
-			}
-			return fmt.Sprintf(f, v)
-		}
+	for _, r := range concat(d.SimRows, d.RTRows) {
 		fmt.Fprintf(&b, "%26s %8d %6d %12s %10s %12s %14s\n",
 			r.Backend, r.Workers, r.Batch,
 			cell(r.WallMS, "%.2f"), cell(r.MBps, "%.1f"),
 			cell(r.VirtualUS, "%.2f"), cell(r.VirtualMBps, "%.1f"))
 	}
 	return b.String()
-}
-
-// ParallelGuard regenerates the sweep's sim rows and compares them
-// byte-for-byte against the sim_rows of a committed BENCH_parallel.json.
-// A mismatch means the parallel engine's virtual timing drifted (or the
-// file is stale) — the parallel analogue of the tuner's tune-guard.
-func ParallelGuard(committed []byte) error {
-	var doc struct {
-		SimRows json.RawMessage `json:"sim_rows"`
-	}
-	if err := json.Unmarshal(committed, &doc); err != nil {
-		return fmt.Errorf("parallel guard: bad committed document: %w", err)
-	}
-	rows, err := ParallelSweep([]string{mpi.BackendSim})
-	if err != nil {
-		return err
-	}
-	fresh, err := json.Marshal(filterParallel(rows, mpi.BackendSim))
-	if err != nil {
-		return err
-	}
-	var want bytes.Buffer
-	if err := json.Compact(&want, doc.SimRows); err != nil {
-		return fmt.Errorf("parallel guard: bad sim_rows: %w", err)
-	}
-	if !bytes.Equal(fresh, want.Bytes()) {
-		return fmt.Errorf("parallel guard: sim rows drifted from committed BENCH_parallel.json\ncommitted: %s\nfresh:     %s",
-			want.Bytes(), fresh)
-	}
-	return nil
 }

@@ -1,8 +1,6 @@
 package exper
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -25,8 +23,8 @@ import (
 //
 // rt rows are the measurement that matters (the contention is a wall-clock
 // artifact of concurrent delivery); sim rows are included for completeness
-// and are deterministic. The soak golden (SOAK_traffic.json, `make
-// soak-guard`) is the sim-side regression net for this subsystem.
+// and are deterministic, so guarded. The soak golden (SOAK_traffic.json) is
+// the other sim-side regression net for this subsystem.
 const (
 	qosRanks      = 4
 	qosBulkBytes  = 512 << 10 // per bulk message; 64 B runs -> ~8k descriptors
@@ -79,11 +77,33 @@ type QoSRow struct {
 	MaxUS   float64 `json:"max_us"`
 }
 
-// QoSSweep runs the contention workload with the service layer off and on,
-// on each requested backend, and returns one row per (backend, qos, class).
-func QoSSweep(backends []string) ([]QoSRow, error) {
-	var rows []QoSRow
+// QoSDoc is the BENCH_qos.json document.
+type QoSDoc struct {
+	Benchmark   string   `json:"benchmark"`
+	Workload    string   `json:"workload"`
+	Note        string   `json:"note"`
+	Improvement float64  `json:"rt_eager_p99_improvement,omitempty"`
+	SimRows     []QoSRow `json:"sim_rows"`
+	RTRows      []QoSRow `json:"rt_rows"`
+}
+
+// qosSweep runs the contention workload with the service layer off and on,
+// on each requested backend ("sim", "rt"): one row per (backend, qos, class).
+func qosSweep(backends []string, _ Options) (Doc, error) {
+	doc := &QoSDoc{
+		Benchmark: "qos-service-mode",
+		Workload: fmt.Sprintf("%d ranks; 2 closed-loop Multi-W bulk streams (%d x %d KB, 64 B runs) + 1 eager stream (%d x %d B), all into rank 0",
+			qosRanks, qosBulkMsgs, qosBulkBytes>>10, qosEagerMsgs, qosEagerBytes),
+		Note: "sim_rows are deterministic (guarded by `make guard`); rt_rows are wall-clock and machine-dependent: " +
+			"the target is eager p99 at least 2x better with lanes+windows on.",
+		SimRows: []QoSRow{},
+		RTRows:  []QoSRow{},
+	}
 	for _, backend := range backends {
+		part := &doc.SimRows
+		if backend == mpi.BackendRT {
+			part = &doc.RTRows
+		}
 		for _, enabled := range []bool{false, true} {
 			cfg := worldConfig(qosRanks, core.SchemeMultiW, 256<<20, func(c *mpi.Config) {
 				c.Backend = backend
@@ -106,35 +126,34 @@ func QoSSweep(backends []string) ([]QoSRow, error) {
 				return nil, fmt.Errorf("qos sweep: qos=%v on %s: %d eager / %d bulk failures",
 					enabled, backend, ef, bf)
 			}
-			for _, cl := range []struct {
-				name string
-				hist *stats.Histogram
-			}{
-				{"eager", reg.Histogram(traffic.HistEager)},
-				{"bulk", reg.Histogram(traffic.HistBulk)},
+			for _, cl := range []struct{ class, hist string }{
+				{"eager", traffic.HistEager},
+				{"bulk", traffic.HistBulk},
 			} {
-				rows = append(rows, QoSRow{
+				hist := reg.Histogram(cl.hist)
+				*part = append(*part, QoSRow{
 					Backend: backend,
 					QoS:     enabled,
-					Class:   cl.name,
-					N:       cl.hist.Count(),
-					P50US:   float64(cl.hist.Quantile(0.50)) / 1e3,
-					P99US:   float64(cl.hist.Quantile(0.99)) / 1e3,
-					MaxUS:   float64(cl.hist.Quantile(1)) / 1e3,
+					Class:   cl.class,
+					N:       hist.Count(),
+					P50US:   float64(hist.Quantile(0.50)) / 1e3,
+					P99US:   float64(hist.Quantile(0.99)) / 1e3,
+					MaxUS:   float64(hist.Quantile(1)) / 1e3,
 				})
 			}
 		}
 	}
-	return rows, nil
+	doc.Improvement = eagerP99Improvement(doc.RTRows)
+	return doc, nil
 }
 
-// EagerP99Improvement returns how much the eager class's p99 improves with
-// the service layer on, on the given backend (off/on ratio; >1 is better
-// with QoS). Zero when either row is missing.
-func EagerP99Improvement(rows []QoSRow, backend string) float64 {
+// eagerP99Improvement returns how much the eager class's p99 improves with
+// the service layer on (off/on ratio; >1 is better with QoS). Zero when
+// either row is missing.
+func eagerP99Improvement(rows []QoSRow) float64 {
 	var off, on float64
 	for _, r := range rows {
-		if r.Backend != backend || r.Class != "eager" {
+		if r.Class != "eager" {
 			continue
 		}
 		if r.QoS {
@@ -149,49 +168,17 @@ func EagerP99Improvement(rows []QoSRow, backend string) float64 {
 	return off / on
 }
 
-// QoSJSON renders the rows as the BENCH_qos.json document.
-func QoSJSON(rows []QoSRow) ([]byte, error) {
-	doc := struct {
-		Benchmark   string   `json:"benchmark"`
-		Workload    string   `json:"workload"`
-		Note        string   `json:"note"`
-		Improvement float64  `json:"rt_eager_p99_improvement,omitempty"`
-		SimRows     []QoSRow `json:"sim_rows"`
-		RTRows      []QoSRow `json:"rt_rows"`
-	}{
-		Benchmark: "qos-service-mode",
-		Workload: fmt.Sprintf("%d ranks; 2 closed-loop Multi-W bulk streams (%d x %d KB, 64 B runs) + 1 eager stream (%d x %d B), all into rank 0",
-			qosRanks, qosBulkMsgs, qosBulkBytes>>10, qosEagerMsgs, qosEagerBytes),
-		Note: "rt rows are wall-clock and machine-dependent; the target is eager p99 at least 2x better " +
-			"with lanes+windows on. sim rows are deterministic but unguarded (the soak golden covers sim).",
-		Improvement: EagerP99Improvement(rows, mpi.BackendRT),
-		SimRows:     filterQoS(rows, mpi.BackendSim),
-		RTRows:      filterQoS(rows, mpi.BackendRT),
-	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-func filterQoS(rows []QoSRow, backend string) []QoSRow {
-	out := []QoSRow{}
-	for _, r := range rows {
-		if r.Backend == backend {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// QoSTable renders the rows as an aligned text table.
-func QoSTable(rows []QoSRow) string {
+// Table renders the rows as an aligned text table.
+func (d *QoSDoc) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# qos service mode: %-8s %5s %7s %8s %12s %12s %12s\n",
 		"backend", "qos", "class", "msgs", "p50 us", "p99 us", "max us")
-	for _, r := range rows {
+	for _, r := range concat(d.SimRows, d.RTRows) {
 		fmt.Fprintf(&b, "%20s %5v %7s %8d %12.2f %12.2f %12.2f\n",
 			r.Backend, r.QoS, r.Class, r.N, r.P50US, r.P99US, r.MaxUS)
 	}
-	if imp := EagerP99Improvement(rows, mpi.BackendRT); imp > 0 {
-		fmt.Fprintf(&b, "rt eager p99 improvement with QoS: %.2fx (target >= 2x)\n", imp)
+	if d.Improvement > 0 {
+		fmt.Fprintf(&b, "rt eager p99 improvement with QoS: %.2fx (target >= 2x)\n", d.Improvement)
 	}
 	return b.String()
 }
@@ -203,7 +190,7 @@ func QoSTable(rows []QoSRow) string {
 // then an eager-only cooldown. Registry gauge high-waters are windowed per
 // phase with ResetHighs — the cooldown phase's pool high-water must read 0,
 // not the mixed phase's peak. Everything is deterministic, so the document
-// is byte-identical across reruns and `make soak-guard` enforces it.
+// is byte-identical across reruns and the guard compares all of it.
 
 // soakSpec returns the soak's phase specs.
 func soakSpecs() (mixed, cooldown traffic.Spec) {
@@ -252,8 +239,8 @@ type SoakDoc struct {
 	BulkLat   traffic.BucketDump `json:"bulk_lat_ns"`
 }
 
-// SoakRun executes the two-phase sim soak and returns the golden document.
-func SoakRun() (*SoakDoc, error) {
+// soakSweep executes the two-phase sim soak and returns the golden document.
+func soakSweep([]string, Options) (Doc, error) {
 	reg := stats.NewRegistry()
 	doc := &SoakDoc{
 		Benchmark: "traffic-soak",
@@ -296,30 +283,12 @@ func SoakRun() (*SoakDoc, error) {
 	return doc, nil
 }
 
-// SoakJSON renders the soak document.
-func SoakJSON(doc *SoakDoc) ([]byte, error) {
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-// SoakGuard regenerates the soak and compares it byte-for-byte against the
-// committed SOAK_traffic.json. Every field is sim-deterministic, so unlike
-// the other guards the whole document is compared, not just sim rows.
-func SoakGuard(committed []byte) error {
-	doc, err := SoakRun()
-	if err != nil {
-		return err
+// Table lists each phase's windowed gauge high-waters.
+func (d *SoakDoc) Table() string {
+	var b strings.Builder
+	for _, ph := range d.Phases {
+		fmt.Fprintf(&b, "phase %-16s pool highs pack=%d unpack=%d regpages=%d\n",
+			ph.Name, ph.PoolPackHigh, ph.PoolUnpackHigh, ph.RegPagesHigh)
 	}
-	fresh, err := json.Marshal(doc)
-	if err != nil {
-		return err
-	}
-	var want bytes.Buffer
-	if err := json.Compact(&want, committed); err != nil {
-		return fmt.Errorf("soak guard: bad committed document: %w", err)
-	}
-	if !bytes.Equal(fresh, want.Bytes()) {
-		return fmt.Errorf("soak guard: SOAK_traffic.json drifted from a fresh run\ncommitted: %s\nfresh:     %s",
-			want.Bytes(), fresh)
-	}
-	return nil
+	return b.String()
 }

@@ -1,8 +1,6 @@
 package exper
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -38,7 +36,7 @@ import (
 //     O(messages x peers) and effectively never finished; with the
 //     per-(src, tag) index it completes in seconds of host time.
 //
-// Sim rows are bit-for-bit deterministic and guarded by `make scale-guard`;
+// Sim rows are bit-for-bit deterministic and guarded (`dtbench guard scale`);
 // rt rows are wall-clock spot-checks (<= 64 ranks, per the real-time
 // fabric's host-thread budget) and exempt from the guard.
 const (
@@ -49,9 +47,9 @@ const (
 	scaleEagerBlock     = 128 // int32s: 512 B blocks, below the threshold
 )
 
-// ScaleRankAxis is the world sizes of the sweep's alltoall leg. The halo
+// scaleRankAxis is the world sizes of the sweep's alltoall leg. The halo
 // leg uses the square sizes {64, 256, 1024}; the eager leg runs at 1024.
-var ScaleRankAxis = []int{2, 16, 64, 256, 1024}
+var scaleRankAxis = []int{2, 16, 64, 256, 1024}
 
 // scaleSchemes are the rendezvous schemes the sweep compares.
 var scaleSchemes = []core.Scheme{core.SchemeGeneric, core.SchemeBCSPUP, core.SchemeMultiW}
@@ -117,96 +115,89 @@ func worldSends(w *mpi.World, n int) (eager, rndv int64) {
 	return eager, rndv
 }
 
-// scaleAlltoall times one personalized exchange of derived-type blocks.
-func scaleAlltoall(backend string, n int, scheme core.Scheme, layout string, dt *datatype.Type) (ScaleRow, error) {
-	w, err := mpi.NewWorld(scaleWorldConfig(backend, n, scheme))
+// scaleRun builds one sweep point's world, runs body on every rank and fills
+// in what the row measures: the window rank 0 saw between body's start and
+// stop calls, and the world's send counters.
+func scaleRun(row ScaleRow, scheme core.Scheme, body func(p *mpi.Proc, start, stop func()) error) (ScaleRow, error) {
+	row.Scheme = scheme.String()
+	w, err := mpi.NewWorld(scaleWorldConfig(row.Backend, row.Ranks, scheme))
 	if err != nil {
-		return ScaleRow{}, err
+		return row, err
 	}
 	var virtual simtime.Duration
 	var wall time.Duration
 	err = w.Run(func(p *mpi.Proc) error {
+		var t0 simtime.Time
+		var w0 time.Time
+		return body(p, func() { t0, w0 = p.Now(), time.Now() }, func() {
+			if p.Rank() == 0 {
+				virtual, wall = p.Now().Sub(t0), time.Since(w0)
+			}
+		})
+	})
+	if err != nil {
+		return row, fmt.Errorf("scale %s n=%d %s/%s on %s: %w", row.Pattern, row.Ranks, scheme, row.Layout, row.Backend, err)
+	}
+	row.EagerMsgs, row.RndvMsgs = worldSends(w, row.Ranks)
+	row.Msgs = row.EagerMsgs + row.RndvMsgs
+	if row.Backend == mpi.BackendSim {
+		row.VirtualMS = float64(virtual) / 1e6
+	} else {
+		row.WallMS = ms(wall)
+	}
+	return row, nil
+}
+
+// scaleAlltoall times one personalized exchange of derived-type blocks.
+func scaleAlltoall(backend string, n int, scheme core.Scheme, layout string, dt *datatype.Type) (ScaleRow, error) {
+	row := ScaleRow{
+		Backend:    backend,
+		Pattern:    "alltoall",
+		Ranks:      n,
+		Layout:     layout,
+		BlockBytes: dt.Size() * scaleAlltoallCount,
+	}
+	return scaleRun(row, scheme, func(p *mpi.Proc, start, stop func()) error {
 		sbuf := allocFor(p, dt, n*scaleAlltoallCount)
 		rbuf := allocFor(p, dt, n*scaleAlltoallCount)
 		fillBuf(p, sbuf, dt, n*scaleAlltoallCount, byte(p.Rank()))
 		if err := p.Barrier(); err != nil {
 			return err
 		}
-		t0, w0 := p.Now(), time.Now()
+		start()
 		if err := p.Alltoall(sbuf, scaleAlltoallCount, dt, rbuf, scaleAlltoallCount, dt); err != nil {
 			return err
 		}
 		if err := p.Barrier(); err != nil {
 			return err
 		}
-		if p.Rank() == 0 {
-			virtual, wall = p.Now().Sub(t0), time.Since(w0)
-		}
+		stop()
 		return nil
 	})
-	if err != nil {
-		return ScaleRow{}, fmt.Errorf("scale alltoall n=%d %s/%s on %s: %w", n, scheme, layout, backend, err)
-	}
-	row := ScaleRow{
-		Backend:    backend,
-		Pattern:    "alltoall",
-		Ranks:      n,
-		Scheme:     scheme.String(),
-		Layout:     layout,
-		BlockBytes: dt.Size() * scaleAlltoallCount,
-	}
-	row.EagerMsgs, row.RndvMsgs = worldSends(w, n)
-	row.Msgs = row.EagerMsgs + row.RndvMsgs
-	if backend == mpi.BackendSim {
-		row.VirtualMS = float64(virtual) / 1e6
-	} else {
-		row.WallMS = float64(wall.Nanoseconds()) / 1e6
-	}
-	return row, nil
 }
 
 // scaleEagerAlltoall is the 1024-rank matching-stress row: a full exchange
 // of sub-threshold contiguous blocks, over a million eager messages.
 func scaleEagerAlltoall(backend string, n int) (ScaleRow, error) {
 	dt := datatype.Must(datatype.TypeContiguous(scaleEagerBlock, datatype.Int32))
-	w, err := mpi.NewWorld(scaleWorldConfig(backend, n, core.SchemeBCSPUP))
-	if err != nil {
-		return ScaleRow{}, err
-	}
-	var virtual simtime.Duration
-	var wall time.Duration
-	err = w.Run(func(p *mpi.Proc) error {
-		sbuf := allocFor(p, dt, n)
-		rbuf := allocFor(p, dt, n)
-		fillBuf(p, sbuf, dt, n, byte(p.Rank()))
-		t0, w0 := p.Now(), time.Now()
-		if err := p.Alltoall(sbuf, 1, dt, rbuf, 1, dt); err != nil {
-			return err
-		}
-		if p.Rank() == 0 {
-			virtual, wall = p.Now().Sub(t0), time.Since(w0)
-		}
-		return nil
-	})
-	if err != nil {
-		return ScaleRow{}, fmt.Errorf("scale eager alltoall n=%d on %s: %w", n, backend, err)
-	}
 	row := ScaleRow{
 		Backend:    backend,
 		Pattern:    "alltoall-eager",
 		Ranks:      n,
-		Scheme:     core.SchemeBCSPUP.String(),
 		Layout:     "contig",
 		BlockBytes: dt.Size(),
 	}
-	row.EagerMsgs, row.RndvMsgs = worldSends(w, n)
-	row.Msgs = row.EagerMsgs + row.RndvMsgs
-	if backend == mpi.BackendSim {
-		row.VirtualMS = float64(virtual) / 1e6
-	} else {
-		row.WallMS = float64(wall.Nanoseconds()) / 1e6
-	}
-	return row, nil
+	return scaleRun(row, core.SchemeBCSPUP, func(p *mpi.Proc, start, stop func()) error {
+		sbuf := allocFor(p, dt, n)
+		rbuf := allocFor(p, dt, n)
+		fillBuf(p, sbuf, dt, n, byte(p.Rank()))
+		start()
+		if err := p.Alltoall(sbuf, 1, dt, rbuf, 1, dt); err != nil {
+			return err
+		}
+		stop()
+		return nil
+	})
 }
 
 // scaleHalo times the 2-D ghost-cell exchange from examples/haloexchange on
@@ -220,13 +211,14 @@ func scaleHalo(backend string, px int, scheme core.Scheme) (ScaleRow, error) {
 	colType := datatype.Must(datatype.TypeVector(tile, 1, w, datatype.Float64))
 	rowType := datatype.Must(datatype.TypeContiguous(tile, datatype.Float64))
 
-	world, err := mpi.NewWorld(scaleWorldConfig(backend, n, scheme))
-	if err != nil {
-		return ScaleRow{}, err
+	row := ScaleRow{
+		Backend:    backend,
+		Pattern:    "halo",
+		Ranks:      n,
+		Layout:     "grid2d",
+		BlockBytes: int64(tile) * 8,
 	}
-	var virtual simtime.Duration
-	var wall time.Duration
-	err = world.Run(func(p *mpi.Proc) error {
+	return scaleRun(row, scheme, func(p *mpi.Proc, start, stop func()) error {
 		rank := p.Rank()
 		gx, gy := rank%px, rank/px
 		grid := p.Mem().MustAlloc(int64(w) * rowBytes)
@@ -243,7 +235,7 @@ func scaleHalo(backend string, px int, scheme core.Scheme) (ScaleRow, error) {
 		if err := p.Barrier(); err != nil {
 			return err
 		}
-		t0, w0 := p.Now(), time.Now()
+		start()
 		for step := 0; step < scaleHaloSteps; step++ {
 			var reqs []*core.Request
 			if west >= 0 {
@@ -277,33 +269,23 @@ func scaleHalo(backend string, px int, scheme core.Scheme) (ScaleRow, error) {
 		if err := p.Barrier(); err != nil {
 			return err
 		}
-		if rank == 0 {
-			virtual, wall = p.Now().Sub(t0), time.Since(w0)
-		}
+		stop()
 		return nil
 	})
-	if err != nil {
-		return ScaleRow{}, fmt.Errorf("scale halo %dx%d %s on %s: %w", px, px, scheme, backend, err)
-	}
-	row := ScaleRow{
-		Backend:    backend,
-		Pattern:    "halo",
-		Ranks:      n,
-		Scheme:     scheme.String(),
-		Layout:     "grid2d",
-		BlockBytes: int64(tile) * 8,
-	}
-	row.EagerMsgs, row.RndvMsgs = worldSends(world, n)
-	row.Msgs = row.EagerMsgs + row.RndvMsgs
-	if backend == mpi.BackendSim {
-		row.VirtualMS = float64(virtual) / 1e6
-	} else {
-		row.WallMS = float64(wall.Nanoseconds()) / 1e6
-	}
-	return row, nil
 }
 
-// ScaleSweep runs the scale sweep on the requested backends ("sim", "rt").
+// ScaleDoc is the BENCH_scale.json document, the deterministic sim rows
+// apart from the machine-dependent rt rows.
+type ScaleDoc struct {
+	Benchmark string        `json:"benchmark"`
+	Workload  string        `json:"workload"`
+	Note      string        `json:"note"`
+	Winners   []ScaleWinner `json:"winners"`
+	SimRows   []ScaleRow    `json:"sim_rows"`
+	RTRows    []ScaleRow    `json:"rt_rows"`
+}
+
+// scaleSweep runs the scale sweep on the requested backends ("sim", "rt").
 //
 // The sim leg covers the full design: alltoall at {2, 16, 64} ranks over
 // scheme x layout, alltoall at 256 ranks over schemes on the vector layout
@@ -311,13 +293,24 @@ func scaleHalo(backend string, px int, scheme core.Scheme) (ScaleRow, error) {
 // non-contiguous case), halo at {64, 256, 1024} ranks over schemes, and the
 // 1024-rank eager matching-stress row. The rt leg spot-checks the real-time
 // fabric at small worlds: alltoall at {2, 16} and halo at 64 ranks.
-func ScaleSweep(backends []string) ([]ScaleRow, error) {
-	var rows []ScaleRow
+func scaleSweep(backends []string, _ Options) (Doc, error) {
+	doc := &ScaleDoc{
+		Benchmark: "scale-sweep",
+		Workload: fmt.Sprintf("alltoall: %d x 1 KB derived-type blocks per peer; halo: %d^2-cell tiles, %d steps; eager: %d B blocks at 1024 ranks",
+			scaleAlltoallCount, scaleHaloTile, scaleHaloSteps, scaleEagerBlock*4),
+		Note:    "sim_rows are deterministic (guarded by `make scale-guard`); rt_rows are wall-clock and machine-dependent; winners summarize the alltoall leg",
+		SimRows: []ScaleRow{},
+		RTRows:  []ScaleRow{},
+	}
 	add := func(r ScaleRow, err error) error {
 		if err != nil {
 			return err
 		}
-		rows = append(rows, r)
+		if r.Backend == mpi.BackendSim {
+			doc.SimRows = append(doc.SimRows, r)
+		} else {
+			doc.RTRows = append(doc.RTRows, r)
+		}
 		// Big worlds hold their arenas through finalizers; run them now so
 		// dead mappings unmap before the next world builds instead of
 		// stacking tens of gigabytes of faulted pages across the sweep.
@@ -327,7 +320,7 @@ func ScaleSweep(backends []string) ([]ScaleRow, error) {
 	}
 	for _, backend := range backends {
 		if backend == mpi.BackendSim {
-			for _, n := range ScaleRankAxis {
+			for _, n := range scaleRankAxis {
 				for _, scheme := range scaleSchemes {
 					for _, lay := range scaleLayouts() {
 						if n > 64 && (n > 256 || lay.name != "vector") {
@@ -368,19 +361,20 @@ func ScaleSweep(backends []string) ([]ScaleRow, error) {
 			return nil, err
 		}
 	}
-	return rows, nil
+	doc.Winners = scaleWinners(doc.SimRows)
+	return doc, nil
 }
 
-// ScaleWinners reduces the sim alltoall rows to the lowest-time scheme per
+// scaleWinners reduces the sim alltoall rows to the lowest-time scheme per
 // (ranks, layout) cell.
-func ScaleWinners(rows []ScaleRow) []ScaleWinner {
+func scaleWinners(sim []ScaleRow) []ScaleWinner {
 	type cell struct {
 		ranks  int
 		layout string
 	}
 	best := map[cell]ScaleRow{}
-	for _, r := range rows {
-		if r.Backend != mpi.BackendSim || r.Pattern != "alltoall" {
+	for _, r := range sim {
+		if r.Pattern != "alltoall" {
 			continue
 		}
 		c := cell{r.Ranks, r.Layout}
@@ -401,85 +395,18 @@ func ScaleWinners(rows []ScaleRow) []ScaleWinner {
 	return winners
 }
 
-// ScaleJSON renders the rows as the BENCH_scale.json document, with the
-// deterministic sim rows separated from the machine-dependent rt rows.
-func ScaleJSON(rows []ScaleRow) ([]byte, error) {
-	doc := struct {
-		Benchmark string        `json:"benchmark"`
-		Workload  string        `json:"workload"`
-		Note      string        `json:"note"`
-		Winners   []ScaleWinner `json:"winners"`
-		SimRows   []ScaleRow    `json:"sim_rows"`
-		RTRows    []ScaleRow    `json:"rt_rows"`
-	}{
-		Benchmark: "scale-sweep",
-		Workload: fmt.Sprintf("alltoall: %d x 1 KB derived-type blocks per peer; halo: %d^2-cell tiles, %d steps; eager: %d B blocks at 1024 ranks",
-			scaleAlltoallCount, scaleHaloTile, scaleHaloSteps, scaleEagerBlock*4),
-		Note:    "sim_rows are deterministic (guarded by `make scale-guard`); rt_rows are wall-clock and machine-dependent; winners summarize the alltoall leg",
-		Winners: ScaleWinners(rows),
-		SimRows: filterScale(rows, mpi.BackendSim),
-		RTRows:  filterScale(rows, mpi.BackendRT),
-	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-func filterScale(rows []ScaleRow, backend string) []ScaleRow {
-	out := []ScaleRow{}
-	for _, r := range rows {
-		if r.Backend == backend {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ScaleTable renders the rows as an aligned text table.
-func ScaleTable(rows []ScaleRow) string {
+// Table renders the rows as an aligned text table.
+func (d *ScaleDoc) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# scale sweep: %-8s %-15s %6s %-8s %-7s %10s %9s %9s %12s %10s\n",
 		"backend", "pattern", "ranks", "scheme", "layout", "block B", "eager", "rndv", "virtual ms", "wall ms")
-	for _, r := range rows {
-		cell := func(v float64) string {
-			if v == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.3f", v)
-		}
+	for _, r := range concat(d.SimRows, d.RTRows) {
 		fmt.Fprintf(&b, "%22s %-15s %6d %-8s %-7s %10d %9d %9d %12s %10s\n",
 			r.Backend, r.Pattern, r.Ranks, r.Scheme, r.Layout, r.BlockBytes,
-			r.EagerMsgs, r.RndvMsgs, cell(r.VirtualMS), cell(r.WallMS))
+			r.EagerMsgs, r.RndvMsgs, cell(r.VirtualMS, "%.3f"), cell(r.WallMS, "%.3f"))
 	}
-	for _, w := range ScaleWinners(rows) {
+	for _, w := range d.Winners {
 		fmt.Fprintf(&b, "# winner %4d ranks / %-7s: %s (%.3f ms)\n", w.Ranks, w.Layout, w.Scheme, w.VirtualMS)
 	}
 	return b.String()
-}
-
-// ScaleGuard regenerates the sweep's sim rows and compares them
-// byte-for-byte against the sim_rows of a committed BENCH_scale.json,
-// matching the tune-guard/par-guard/soak-guard discipline.
-func ScaleGuard(committed []byte) error {
-	var doc struct {
-		SimRows json.RawMessage `json:"sim_rows"`
-	}
-	if err := json.Unmarshal(committed, &doc); err != nil {
-		return fmt.Errorf("scale guard: bad committed document: %w", err)
-	}
-	rows, err := ScaleSweep([]string{mpi.BackendSim})
-	if err != nil {
-		return err
-	}
-	fresh, err := json.Marshal(filterScale(rows, mpi.BackendSim))
-	if err != nil {
-		return err
-	}
-	var want bytes.Buffer
-	if err := json.Compact(&want, doc.SimRows); err != nil {
-		return fmt.Errorf("scale guard: bad sim_rows: %w", err)
-	}
-	if !bytes.Equal(fresh, want.Bytes()) {
-		return fmt.Errorf("scale guard: sim rows drifted from committed BENCH_scale.json\ncommitted: %s\nfresh:     %s",
-			want.Bytes(), fresh)
-	}
-	return nil
 }

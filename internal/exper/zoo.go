@@ -1,8 +1,6 @@
 package exper
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -12,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datatype"
 	"repro/internal/mpi"
-	"repro/internal/simtime"
 )
 
 // The layout zoo stresses the scheme crossover question — "which transfer
@@ -35,8 +32,8 @@ import (
 // the layouts where backends disagree ("flips").
 //
 // Sim and shm rows run on virtual time and are bit-for-bit deterministic;
-// `make zoo-guard` pins them byte-for-byte. rt rows are wall-clock
-// spot-checks and exempt.
+// the guard pins them byte-for-byte. rt rows are wall-clock spot-checks and
+// exempt.
 const (
 	zooEagerThreshold = 1 << 10   // rendezvous starts at 1 KB: every zoo layout routes through the schemes
 	zooMem            = 256 << 20 // per-rank arena: the large-stride column spans ~17 MB per buffer
@@ -44,14 +41,8 @@ const (
 	zooIters          = 4
 )
 
-// zooSchemes is the full scheme axis of the sweep.
-var zooSchemes = []core.Scheme{
-	core.SchemeGeneric, core.SchemeBCSPUP, core.SchemeRWGUP,
-	core.SchemePRRS, core.SchemeMultiW,
-}
-
-// zooBackendOrder fixes presentation order: modeled backends first.
-var zooBackendOrder = []string{mpi.BackendSim, mpi.BackendSHM, mpi.BackendRT}
+// zooBackends fixes presentation order: modeled backends first.
+var zooBackends = []string{mpi.BackendSim, mpi.BackendSHM, mpi.BackendRT}
 
 // ZooLayout is one memory layout of the zoo battery.
 type ZooLayout struct {
@@ -151,47 +142,7 @@ func zooOne(backend string, scheme core.Scheme, lay ZooLayout) (ZooRow, error) {
 		c.RTTimeout = 2 * time.Minute
 		c.Core.EagerThreshold = zooEagerThreshold
 	})
-	w, err := mpi.NewWorld(cfg)
-	if err != nil {
-		return ZooRow{}, err
-	}
-	var virtual simtime.Duration
-	var wall time.Duration
-	err = w.Run(func(p *mpi.Proc) error {
-		buf := allocFor(p, lay.DT, 1)
-		if p.Rank() == 0 {
-			fillBuf(p, buf, lay.DT, 1, 1)
-			round := func() error {
-				if err := p.Send(buf, 1, lay.DT, 1, 0); err != nil {
-					return err
-				}
-				_, err := p.Recv(buf, 1, lay.DT, 1, 0)
-				return err
-			}
-			for i := 0; i < zooWarmup; i++ {
-				if err := round(); err != nil {
-					return err
-				}
-			}
-			t0, w0 := p.Now(), time.Now()
-			for i := 0; i < zooIters; i++ {
-				if err := round(); err != nil {
-					return err
-				}
-			}
-			virtual, wall = p.Now().Sub(t0), time.Since(w0)
-			return nil
-		}
-		for i := 0; i < zooWarmup+zooIters; i++ {
-			if _, err := p.Recv(buf, 1, lay.DT, 0, 0); err != nil {
-				return err
-			}
-			if err := p.Send(buf, 1, lay.DT, 0, 0); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	res, err := pingPong(cfg, zooWarmup, zooIters, echo(lay.DT, 1))
 	if err != nil {
 		return ZooRow{}, fmt.Errorf("zoo %s/%s on %s: %w", lay.Name, scheme, backend, err)
 	}
@@ -205,25 +156,47 @@ func zooOne(backend string, scheme core.Scheme, lay ZooLayout) (ZooRow, error) {
 		Iters:   zooIters,
 	}
 	if backend == mpi.BackendRT {
-		row.WallUS = float64(wall.Nanoseconds()) / 1e3 / float64(2*zooIters)
+		row.WallUS = float64(res.wall.Nanoseconds()) / 1e3 / float64(2*zooIters)
 	} else {
-		row.VirtualUS = virtual.Micros() / float64(2*zooIters)
+		row.VirtualUS = oneWayUS(res.virtual, zooIters)
 	}
 	return row, nil
 }
 
-// ZooSweep runs the layout zoo on the requested backends ("sim", "shm",
+// ZooDoc is the BENCH_zoo.json document, the deterministic modeled rows
+// (sim + shm) apart from the machine-dependent rt rows.
+type ZooDoc struct {
+	Benchmark   string      `json:"benchmark"`
+	Workload    string      `json:"workload"`
+	Note        string      `json:"note"`
+	Winners     []ZooWinner `json:"winners"`
+	Flips       []ZooFlip   `json:"flips"`
+	ModeledRows []ZooRow    `json:"modeled_rows"`
+	RTRows      []ZooRow    `json:"rt_rows"`
+}
+
+// zooSweep runs the layout zoo on the requested backends ("sim", "shm",
 // "rt"): every layout under every scheme, 5 x 5 rows per backend.
-func ZooSweep(backends []string) ([]ZooRow, error) {
-	var rows []ZooRow
+func zooSweep(backends []string, _ Options) (Doc, error) {
+	doc := &ZooDoc{
+		Benchmark:   "layout-zoo",
+		Workload:    zooWorkload(),
+		Note:        "modeled_rows (sim + shm) are deterministic (guarded by `make zoo-guard`); rt_rows are wall-clock and machine-dependent; flips are layouts whose winning scheme differs across backends",
+		ModeledRows: []ZooRow{},
+		RTRows:      []ZooRow{},
+	}
 	for _, backend := range backends {
+		part := &doc.ModeledRows
+		if backend == mpi.BackendRT {
+			part = &doc.RTRows
+		}
 		for _, lay := range ZooLayouts() {
-			for _, scheme := range zooSchemes {
+			for _, scheme := range allSchemes {
 				row, err := zooOne(backend, scheme, lay)
 				if err != nil {
 					return nil, err
 				}
-				rows = append(rows, row)
+				*part = append(*part, row)
 				// The column layout's worlds map multi-hundred-MB arenas;
 				// collect them before the next world builds (see scale.go).
 				runtime.GC()
@@ -231,7 +204,9 @@ func ZooSweep(backends []string) ([]ZooRow, error) {
 			}
 		}
 	}
-	return rows, nil
+	rows := concat(doc.ModeledRows, doc.RTRows)
+	doc.Winners, doc.Flips = ZooWinners(rows), ZooFlips(rows)
+	return doc, nil
 }
 
 // ZooWinners reduces the rows to the lowest-latency scheme per
@@ -269,7 +244,7 @@ func ZooWinners(rows []ZooRow) []ZooWinner {
 		if li != lj {
 			return li < lj
 		}
-		return order(winners[i].Backend, zooBackendOrder) < order(winners[j].Backend, zooBackendOrder)
+		return order(winners[i].Backend, zooBackends) < order(winners[j].Backend, zooBackends)
 	})
 	return winners
 }
@@ -317,52 +292,6 @@ func ZooFlips(rows []ZooRow) []ZooFlip {
 	return flips
 }
 
-// zooModeled filters the deterministic virtual-time rows (sim and shm).
-func zooModeled(rows []ZooRow) []ZooRow {
-	out := []ZooRow{}
-	for _, r := range rows {
-		if r.Backend != mpi.BackendRT {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-func zooRT(rows []ZooRow) []ZooRow {
-	out := []ZooRow{}
-	for _, r := range rows {
-		if r.Backend == mpi.BackendRT {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ZooJSON renders the rows as the BENCH_zoo.json document, with the
-// deterministic modeled rows (sim + shm) separated from the
-// machine-dependent rt rows.
-func ZooJSON(rows []ZooRow) ([]byte, error) {
-	doc := struct {
-		Benchmark   string      `json:"benchmark"`
-		Workload    string      `json:"workload"`
-		Note        string      `json:"note"`
-		Winners     []ZooWinner `json:"winners"`
-		Flips       []ZooFlip   `json:"flips"`
-		ModeledRows []ZooRow    `json:"modeled_rows"`
-		RTRows      []ZooRow    `json:"rt_rows"`
-	}{
-		Benchmark: "layout-zoo",
-		Workload:  zooWorkload(),
-		Note:      "modeled_rows (sim + shm) are deterministic (guarded by `make zoo-guard`); rt_rows are wall-clock and machine-dependent; flips are layouts whose winning scheme differs across backends",
-		Winners:   ZooWinners(rows),
-		Flips:     ZooFlips(rows),
-
-		ModeledRows: zooModeled(rows),
-		RTRows:      zooRT(rows),
-	}
-	return json.MarshalIndent(doc, "", "  ")
-}
-
 func zooWorkload() string {
 	var parts []string
 	for _, lay := range ZooLayouts() {
@@ -371,57 +300,22 @@ func zooWorkload() string {
 	return strings.Join(parts, "; ")
 }
 
-// ZooTable renders the rows as an aligned text table with the winners
-// matrix and flips underneath.
-func ZooTable(rows []ZooRow) string {
+// Table renders the rows as an aligned text table with the winners matrix
+// and flips underneath.
+func (d *ZooDoc) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# layout zoo: %-8s %-16s %-8s %8s %7s %12s %12s\n",
 		"backend", "layout", "scheme", "bytes", "runs", "virtual us", "wall us")
-	for _, r := range rows {
-		cell := func(v float64) string {
-			if v == 0 {
-				return "-"
-			}
-			return fmt.Sprintf("%.2f", v)
-		}
+	for _, r := range concat(d.ModeledRows, d.RTRows) {
 		fmt.Fprintf(&b, "%21s %-16s %-8s %8d %7d %12s %12s\n",
 			r.Backend, r.Layout, r.Scheme, r.Bytes, r.Runs,
-			cell(r.VirtualUS), cell(r.WallUS))
+			cell(r.VirtualUS, "%.2f"), cell(r.WallUS, "%.2f"))
 	}
-	for _, w := range ZooWinners(rows) {
+	for _, w := range d.Winners {
 		fmt.Fprintf(&b, "# winner %-16s on %-4s: %-8s (%.2f us)\n", w.Layout, w.Backend, w.Scheme, w.LatencyUS)
 	}
-	for _, f := range ZooFlips(rows) {
+	for _, f := range d.Flips {
 		fmt.Fprintf(&b, "# flip   %-16s: sim=%s shm=%s rt=%s\n", f.Layout, f.Sim, f.SHM, f.RT)
 	}
 	return b.String()
-}
-
-// ZooGuard regenerates the sweep's modeled rows (sim + shm) and compares
-// them byte-for-byte against the modeled_rows of a committed
-// BENCH_zoo.json, matching the scale-guard/tune-guard discipline.
-func ZooGuard(committed []byte) error {
-	var doc struct {
-		ModeledRows json.RawMessage `json:"modeled_rows"`
-	}
-	if err := json.Unmarshal(committed, &doc); err != nil {
-		return fmt.Errorf("zoo guard: bad committed document: %w", err)
-	}
-	rows, err := ZooSweep([]string{mpi.BackendSim, mpi.BackendSHM})
-	if err != nil {
-		return err
-	}
-	fresh, err := json.Marshal(zooModeled(rows))
-	if err != nil {
-		return err
-	}
-	var want bytes.Buffer
-	if err := json.Compact(&want, doc.ModeledRows); err != nil {
-		return fmt.Errorf("zoo guard: bad modeled_rows: %w", err)
-	}
-	if !bytes.Equal(fresh, want.Bytes()) {
-		return fmt.Errorf("zoo guard: modeled rows drifted from committed BENCH_zoo.json\ncommitted: %s\nfresh:     %s",
-			want.Bytes(), fresh)
-	}
-	return nil
 }

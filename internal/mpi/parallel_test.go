@@ -13,8 +13,7 @@ import (
 )
 
 // parallelWorld returns a 2-rank configuration running the parallel segment
-// engine flat out: worker-pool packing, doorbell batching, and a size-
-// classed staging pool.
+// engine flat out: worker-pool packing and doorbell batching.
 func parallelWorld(backend string, scheme core.Scheme, workers int) Config {
 	cfg := DefaultConfig()
 	cfg.Ranks = 2
@@ -24,7 +23,6 @@ func parallelWorld(backend string, scheme core.Scheme, workers int) Config {
 	cfg.Core.Scheme = scheme
 	cfg.Core.PackWorkers = workers
 	cfg.Core.PostBatch = workers
-	cfg.Core.PoolShards = 3
 	cfg.Core.ParShardBytes = 8 << 10
 	return cfg
 }
@@ -77,8 +75,8 @@ func TestWorkerCountConformance(t *testing.T) {
 
 // TestWorkerCountVirtualTimeSerialInvariant pins the tune-guard safety
 // property: with the serial executor and one worker (the default sim
-// configuration), enabling pool sharding and batching knobs at their
-// defaults changes nothing, and the virtual completion time of a transfer
+// configuration), enabling the batching knobs at their defaults changes
+// nothing, and the virtual completion time of a transfer
 // is a pure function of the configuration — two identical runs agree to the
 // nanosecond.
 func TestWorkerCountVirtualTimeSerialInvariant(t *testing.T) {
@@ -124,7 +122,7 @@ func TestWorkerCountVirtualTimeSerialInvariant(t *testing.T) {
 }
 
 // TestParallelFaultSoak floods one sender with concurrent messages while
-// the parallel engine (workers, batching, sharded pools) runs under fault
+// the parallel engine (workers, batching) runs under fault
 // injection, on both backends. Transient faults must heal invisibly: every
 // message must land with the right bytes. Run with -race (the repository's
 // `make test` does) this is also the data-race soak for the worker pool and

@@ -37,6 +37,9 @@ import (
 	"sort"
 )
 
+// Artifact is the committed baseline in the repository root.
+const Artifact = "BENCH_perf.json"
+
 // Row kinds: how the ns/op column was measured, which decides whether it
 // can fail the gate.
 const (
