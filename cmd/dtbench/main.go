@@ -138,7 +138,6 @@ func runSweep(s *exper.Sweep, args []string) {
 	out := fs.String("out", s.Artifact, "output path")
 	benchIters := fs.Int("bench-iters", 50, "backends: ping-pong round trips per (scheme, backend)")
 	workers := fs.Int("workers", 0, "backends: pack/unpack worker count (0 = config default)")
-	batch := fs.Int("batch", 0, "backends: doorbell batch for segmented schemes (0 = config default)")
 	traceOut := fs.String("trace", "", "backends: write Chrome trace-event JSON (chrome://tracing, Perfetto) here and print per-scheme histograms")
 	tunerMsgs := fs.Int("tuner-msgs", 160, "tuner: messages per mode")
 	tuneOut := fs.String("tune-out", "", "tuner: also write the learned tuning table (JSON) here")
@@ -168,15 +167,8 @@ func runSweep(s *exper.Sweep, args []string) {
 	if *traceOut != "" {
 		o.Trace, o.Metrics = trace.New(), stats.NewRegistry()
 	}
-	if *workers > 0 || *batch > 0 {
-		o.Mut = func(c *mpi.Config) {
-			if *workers > 0 {
-				c.Core.PackWorkers = *workers
-			}
-			if *batch > 0 {
-				c.Core.PostBatch = *batch
-			}
-		}
+	if *workers > 0 {
+		o.Mut = func(c *mpi.Config) { c.Core.PackWorkers = *workers }
 	}
 
 	doc, err := s.Run(list, o)

@@ -149,13 +149,6 @@ type Config struct {
 	// fan out.
 	ParShardBytes int64
 
-	// PostBatch is the doorbell batch for segmented schemes: BC-SPUP
-	// acquires up to this many pool slots, packs them as one parallel
-	// step, and posts their descriptors with a single list post. <= 1
-	// keeps per-segment posting. The effective batch is clamped to the
-	// fabric's Model.MaxPostBatch.
-	PostBatch int
-
 	// QoS enables service mode: traffic-class lanes with per-peer
 	// flow-control windows over bulk descriptor posting, and admission
 	// control that parks or rejects new bulk transfers while segment-pool or
@@ -180,7 +173,6 @@ func DefaultConfig() Config {
 		AutoGatherThreshold: 256,
 		BuffersReused:       true,
 		PackWorkers:         1,
-		PostBatch:           1,
 	}
 }
 
@@ -229,17 +221,4 @@ func (c *Config) parPackCost(m *verbs.Model, st pack.ParStats) simtime.Duration 
 // par returns the pack engine configuration for this endpoint.
 func (c *Config) par() pack.Par {
 	return pack.Par{Workers: c.PackWorkers, Exec: c.PackExecutor, MinShard: c.ParShardBytes}
-}
-
-// postBatchLimit returns the effective descriptors-per-doorbell batch,
-// clamping PostBatch to the fabric's list-post limit.
-func (c *Config) postBatchLimit(m *verbs.Model) int {
-	b := c.PostBatch
-	if b < 1 {
-		b = 1
-	}
-	if m.MaxPostBatch > 0 && b > m.MaxPostBatch {
-		b = m.MaxPostBatch
-	}
-	return b
 }

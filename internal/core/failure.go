@@ -28,8 +28,8 @@ var ErrRemoteAbort = errors.New("core: peer aborted transfer")
 var errOpAborted = errors.New("core: descriptor abandoned after op abort")
 
 // faultMode reports whether a fault injector is attached to this fabric.
-// It selects no code path: it decides when a send op's post units are
-// released (wr.go) and which of the two BC-SPUP pipelines runs.
+// It selects no code path: release (wr.go), the one place that reads it,
+// decides from it when a send op's post units go out.
 func (ep *Endpoint) faultMode() bool { return ep.hca.Injector() != nil }
 
 // strayFrame is where a control frame or an immediate that names no op of

@@ -221,8 +221,7 @@ func (ep *Endpoint) recycleSend(op *sendOp) {
 	ep.liveSend--
 	op.wrs.reset()
 	clear(op.segs)
-	clear(op.segScratch)
-	op.segs, op.segScratch = op.segs[:0], op.segScratch[:0]
+	op.segs = op.segs[:0]
 	op.ctsSegs, op.ctsRegs = op.ctsSegs[:0], op.ctsRegs[:0]
 	op.reg.drop()
 	op.sendMsg = sendMsg{}

@@ -74,91 +74,49 @@ func (a *rmaArgs) validate() error {
 func (ep *Endpoint) Put(dst int, oBuf mem.Addr, oCount int, oType *datatype.Type,
 	tBase mem.Addr, tKey uint32, tWinLo, tWinHi mem.Addr, tCount int, tType *datatype.Type,
 	done func(error)) {
-	a := &rmaArgs{dst: dst, oBuf: oBuf, oCount: oCount, oType: oType,
-		tBase: tBase, tKey: tKey, tWinLo: tWinLo, tWinHi: tWinHi, tCount: tCount, tType: tType}
-	if err := a.validate(); err != nil {
-		done(err)
-		return
-	}
-	if dst == ep.rank {
-		ep.rmaLocal(a, true, done)
-		return
-	}
-	ep.registerOrigin(oBuf, oType, oCount, func(regions []*mem.Region, refs []regRef, err error) {
-		if err != nil {
-			done(err)
-			return
-		}
-		oc := ep.Program(oType, oCount).Cursor()
-		tc := ep.Program(tType, tCount).Cursor()
-		remaining := oType.Size() * int64(oCount)
-		var set wrSet // one-shot: RMA ops have no pooled op to own an arena
-		for remaining > 0 {
-			tOff, tLen, ok := tc.Next(remaining)
-			if !ok {
-				ep.releaseUserRegions(regions)
-				done(fmt.Errorf("core rank %d: RMA target layout exhausted with %d bytes unconsumed",
-					ep.rank, remaining))
-				return
-			}
-			if _, cerr := ep.chunkWRs(&set, verbs.OpRDMAWrite, oc, oBuf, refs, tLen,
-				mem.Addr(int64(tBase)+tOff), tKey); cerr != nil {
-				ep.releaseUserRegions(regions)
-				done(cerr)
-				return
-			}
-			remaining -= tLen
-		}
-		wrs := set.wrs
-		ep.chargeTypeProc(len(wrs))
-		ep.postRMAWRs(dst, wrs, regions, done)
-	})
+	ep.rma(verbs.OpRDMAWrite, &rmaArgs{dst: dst, oBuf: oBuf, oCount: oCount, oType: oType,
+		tBase: tBase, tKey: tKey, tWinLo: tWinLo, tWinHi: tWinHi, tCount: tCount, tType: tType}, done)
 }
 
 // Get reads the target layout (tCount, tType at tBase) in dst's window into
-// (oBuf, oCount, oType). done runs when every read has landed locally.
+// (oBuf, oCount, oType). done runs when every read has landed locally: each
+// remote contiguous run becomes one (or more) scatter reads.
 func (ep *Endpoint) Get(dst int, oBuf mem.Addr, oCount int, oType *datatype.Type,
 	tBase mem.Addr, tKey uint32, tWinLo, tWinHi mem.Addr, tCount int, tType *datatype.Type,
 	done func(error)) {
-	a := &rmaArgs{dst: dst, oBuf: oBuf, oCount: oCount, oType: oType,
-		tBase: tBase, tKey: tKey, tWinLo: tWinLo, tWinHi: tWinHi, tCount: tCount, tType: tType}
+	ep.rma(verbs.OpRDMARead, &rmaArgs{dst: dst, oBuf: oBuf, oCount: oCount, oType: oType,
+		tBase: tBase, tKey: tKey, tWinLo: tWinLo, tWinHi: tWinHi, tCount: tCount, tType: tType}, done)
+}
+
+// rma is Put (opc a write) and Get (a read): validate, register the origin,
+// build the descriptors of the dual-layout walk against the window — its one
+// region, which validate has checked the target layout lies inside — and post
+// them.
+func (ep *Endpoint) rma(opc verbs.Opcode, a *rmaArgs, done func(error)) {
 	if err := a.validate(); err != nil {
 		done(err)
 		return
 	}
-	if dst == ep.rank {
-		ep.rmaLocal(a, false, done)
+	if a.dst == ep.rank {
+		ep.rmaLocal(a, opc == verbs.OpRDMAWrite, done)
 		return
 	}
-	ep.registerOrigin(oBuf, oType, oCount, func(regions []*mem.Region, refs []regRef, err error) {
+	ep.registerOrigin(a.oBuf, a.oType, a.oCount, func(regions []*mem.Region, refs []regRef, err error) {
 		if err != nil {
 			done(err)
 			return
 		}
-		oc := ep.Program(oType, oCount).Cursor()
-		tc := ep.Program(tType, tCount).Cursor()
-		remaining := oType.Size() * int64(oCount)
 		var set wrSet // one-shot: RMA ops have no pooled op to own an arena
-		for remaining > 0 {
-			// Each remote contiguous run becomes one (or more) scatter reads.
-			tOff, tLen, ok := tc.Next(remaining)
-			if !ok {
-				ep.releaseUserRegions(regions)
-				done(fmt.Errorf("core rank %d: RMA target layout exhausted with %d bytes unconsumed",
-					ep.rank, remaining))
-				return
-			}
-			if _, cerr := ep.chunkWRs(&set, verbs.OpRDMARead, oc, oBuf, refs, tLen,
-				mem.Addr(int64(tBase)+tOff), tKey); cerr != nil {
-				ep.releaseUserRegions(regions)
-				done(cerr)
-				return
-			}
-			remaining -= tLen
+		window := []regRef{{addr: a.tWinLo, len: int64(a.tWinHi - a.tWinLo), key: a.tKey}}
+		wrs, err := ep.dualWRs(&set, opc, ep.Program(a.oType, a.oCount).Cursor(), a.oBuf, refs,
+			ep.Program(a.tType, a.tCount).Cursor(), a.tBase, window, a.oType.Size()*int64(a.oCount))
+		if err != nil {
+			ep.releaseUserRegions(regions)
+			done(err)
+			return
 		}
-		wrs := set.wrs
 		ep.chargeTypeProc(len(wrs))
-		ep.postRMAWRs(dst, wrs, regions, done)
+		ep.postRMAWRs(a.dst, wrs, regions, done)
 	})
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/pack"
 	"repro/internal/simtime"
-	"repro/internal/verbs"
 )
 
 // sendKind says which protocol a send op record carries.
@@ -37,8 +36,7 @@ const (
 	stepGenericData          // staging buffer ready: Generic pack + one write
 	stepBCStaged             // staging buffer ready: BC-SPUP without a pool
 	stepPRRSStaged           // staging buffer ready: P-RRS larger than the pool
-	stepBCSerial             // one pool slot ready: the per-segment BC-SPUP pipeline
-	stepBCBatched            // a batch of pool slots ready: the doorbell-batched pipeline
+	stepBCPool               // one pool slot ready: the next step of the BC-SPUP pipeline
 	stepPRRSPool             // the whole message's slots ready: P-RRS
 )
 
@@ -80,11 +78,6 @@ type sendMsg struct {
 	rBase   mem.Addr      // Multi-W: the receiver's buffer,
 	rLayout *cachedLayout // layout (its cache entry, which holds the programs)
 	rCount  int           // and count
-
-	// One doorbell batch of the batched BC-SPUP pipeline, between its pack
-	// and its lane grant.
-	batchWRs   []verbs.SendWR
-	batchBytes int64
 
 	staging segRes // Generic whole-message pack buffer
 	wrsLeft int    // descriptors not yet finally resolved
@@ -133,16 +126,14 @@ type sendOp struct {
 	segs []segRes // P-RRS pack segments, held until Done
 
 	// Op-owned arenas and scratch, reused across the op's whole life and
-	// reset only at recycle: the descriptor arena chunkWRs fills, the
-	// per-batch segment scratch of the batched BC-SPUP pipeline, and the
+	// reset only at recycle: the descriptor arena chunkWRs fills and the
 	// parsed CTS segment / region refs (op-owned because admission may park
 	// the data phase while another CTS arrives and parses).
-	wrs        wrSet
-	segScratch []seg
-	ctsSegs    []segRef
-	ctsRegs    []regRef
+	wrs     wrSet
+	ctsSegs []segRef
+	ctsRegs []regRef
 
-	eagerDoneFn, poolReadyFn, batchGrantFn func()
+	eagerDoneFn, poolReadyFn func()
 }
 
 func newSendOp(ep *Endpoint) *sendOp {
@@ -151,7 +142,7 @@ func newSendOp(ep *Endpoint) *sendOp {
 	op.stage.init(ep, op.stageDone)
 	op.adm.init(ep, op)
 	op.packer.SetPar(ep.cfg.par())
-	op.eagerDoneFn, op.poolReadyFn, op.batchGrantFn = op.eagerDone, op.poolReady, op.batchGranted
+	op.eagerDoneFn, op.poolReadyFn = op.eagerDone, op.poolReady
 	return op
 }
 

@@ -61,6 +61,36 @@ func (ep *Endpoint) chunkWRs(set *wrSet, opc verbs.Opcode, cur *datatype.ProgCur
 	return set.wrs[wrStart:], nil
 }
 
+// dualWRs walks a local and a remote layout together over want bytes and
+// builds the descriptors of a zero-copy transfer between them: one RDMA
+// write or read per remote contiguous run — more where the local runs it
+// gathers from (scatters to) pass the SGE limit — its key resolved from
+// rRefs. Multi-W walks the receiver's registered regions, RMA its target
+// window as a one-element list. Successive chunkWRs calls append into the
+// same arena, so the window over everything built here is the arena's tail.
+func (ep *Endpoint) dualWRs(set *wrSet, opc verbs.Opcode, cur *datatype.ProgCursor, base mem.Addr, refs []regRef,
+	rcur *datatype.ProgCursor, rBase mem.Addr, rRefs []regRef, want int64) ([]verbs.SendWR, error) {
+
+	wrStart := len(set.wrs)
+	for want > 0 {
+		rOff, rLen, ok := rcur.Next(want)
+		if !ok {
+			return nil, fmt.Errorf("core rank %d: remote layout exhausted with %d bytes unconsumed (layout/size mismatch)",
+				ep.rank, want)
+		}
+		rAddr := mem.Addr(int64(rBase) + rOff)
+		i := findRegion(rRefs, rAddr, rLen)
+		if i < 0 {
+			panic(fmt.Sprintf("core rank %d: no remote region covers [%#x,+%d)", ep.rank, rAddr, rLen))
+		}
+		if _, err := ep.chunkWRs(set, opc, cur, base, refs, rLen, rAddr, rRefs[i].key); err != nil {
+			return nil, err
+		}
+		want -= rLen
+	}
+	return set.wrs[wrStart:], nil
+}
+
 // chunkBatches splits a descriptor list at the adapter's per-doorbell batch
 // limit, appending the batch windows to out (reusing its capacity). The
 // limit is distinct from MaxSGE — MaxSGE bounds one descriptor's gather
@@ -263,12 +293,11 @@ func (op *sendOp) stageDone(s seg, err error) {
 	}
 }
 
-// packStagedSeg packs segment k into its piece of the op's one on-the-fly
-// staging buffer and builds the write that carries it.
-func (ep *Endpoint) packStagedSeg(op *sendOp, k int) []verbs.SendWR {
-	s := op.staging.seg
-	n := segBytes(op.eff, op.segSize, k)
-	addr := s.addr + mem.Addr(int64(k)*op.segSize)
+// packSeg packs the next n bytes of the op's message into the staging memory
+// at addr — one segment of a pipelined scheme — and counts and charges the
+// step. The packer is bound to the whole message, so a shortfall is a
+// layout/size mismatch the handshake should have caught.
+func (ep *Endpoint) packSeg(op *sendOp, addr mem.Addr, n int64) {
 	st := op.packer.Pack(ep.memory.Bytes(addr, n))
 	if st.Bytes != n {
 		panic("core: segment pack shortfall")
@@ -276,6 +305,15 @@ func (ep *Endpoint) packStagedSeg(op *sendOp, k int) []verbs.SendWR {
 	atomic.AddInt64(&ep.ctr.BytesPacked, n)
 	atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
 	ep.chargeParPack(st, "pack")
+}
+
+// packStagedSeg packs segment k into its piece of the op's one on-the-fly
+// staging buffer and builds the write that carries it.
+func (ep *Endpoint) packStagedSeg(op *sendOp, k int) []verbs.SendWR {
+	s := op.staging.seg
+	n := segBytes(op.eff, op.segSize, k)
+	addr := s.addr + mem.Addr(int64(k)*op.segSize)
+	ep.packSeg(op, addr, n)
 	return op.wrs.one(verbs.OpRDMAWriteImm,
 		verbs.SGE{Addr: addr, Len: n, Key: s.key},
 		op.ctsSegs[k].addr, op.ctsSegs[k].key, op.id)
@@ -300,47 +338,18 @@ func (ep *Endpoint) sendBCSPUPData(op *sendOp) {
 	}
 
 	op.k = 0
-	// The batched pipeline rings one doorbell over per-segment records, each
-	// write with an immediate of its own: nothing in it could hold segment
-	// k+1 back while segment k is retried, so an injector gets the
-	// per-segment pipeline, whose writes are post units of their own.
-	if ep.cfg.postBatchLimit(ep.model) > 1 && !ep.faultMode() {
-		op.next = stepBCBatched
-	} else {
-		op.next = stepBCSerial
-	}
+	op.next = stepBCPool
 	ep.packStep(op)
 }
 
-// packStep asks the pack pool for the slots of the op's next pipeline step —
-// one segment, or one doorbell batch of them — unless the op is done or
-// dead; poolReady takes it from there.
+// packStep asks the pack pool for the slot of the op's next segment, unless
+// the op is done or dead; poolReady takes it from there.
 func (ep *Endpoint) packStep(op *sendOp) {
 	if op.failed || op.k == op.nSegs {
 		return
 	}
-	need := 1
-	if op.next == stepBCBatched {
-		need = ep.bcBatch(op)
-	}
 	ep.pinSend(op)
-	ep.packPool.whenAvailable(need, op.poolReadyFn)
-}
-
-// bcBatch is how many segments the batched pipeline's next doorbell carries:
-// up to PostBatch, bounded by the pool's slot count and by what is left.
-func (ep *Endpoint) bcBatch(op *sendOp) int {
-	b := ep.cfg.postBatchLimit(ep.model)
-	if max := ep.packPool.totalSlots(); b > max {
-		b = max
-	}
-	if b < 1 {
-		b = 1
-	}
-	if rest := op.nSegs - op.k; b > rest {
-		b = rest
-	}
-	return b
+	ep.packPool.whenAvailable(1, op.poolReadyFn)
 }
 
 // poolReady runs when the pack pool can serve what the op asked it for.
@@ -349,10 +358,8 @@ func (op *sendOp) poolReady() {
 	guardSend(op)
 	defer ep.unpinSend(op)
 	switch op.next {
-	case stepBCSerial:
+	case stepBCPool:
 		ep.packOneSeg(op)
-	case stepBCBatched:
-		ep.packBatch(op)
 	case stepPRRSPool:
 		if op.failed {
 			return
@@ -370,7 +377,7 @@ func (op *sendOp) poolReady() {
 	}
 }
 
-// packOneSeg is one step of the per-segment BC-SPUP pipeline: take the slot,
+// packOneSeg is one step of the BC-SPUP pipeline: take the slot,
 // pack the next segment into it and post its write, whose completion record
 // returns the slot, while the next step packs the next segment.
 func (ep *Endpoint) packOneSeg(op *sendOp) {
@@ -385,13 +392,7 @@ func (ep *Endpoint) packOneSeg(op *sendOp) {
 	idx := op.k
 	op.k++
 	n := segBytes(op.eff, op.segSize, idx)
-	st := op.packer.Pack(ep.memory.Bytes(s.addr, n))
-	if st.Bytes != n {
-		panic("core: segment pack shortfall")
-	}
-	atomic.AddInt64(&ep.ctr.BytesPacked, n)
-	atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
-	ep.chargeParPack(st, "pack")
+	ep.packSeg(op, s.addr, n)
 	lane := ep.laneFor(op.eff)
 	wr := verbs.SendWR{
 		Op:         verbs.OpRDMAWriteImm,
@@ -410,130 +411,18 @@ func (ep *Endpoint) packOneSeg(op *sendOp) {
 	ep.packStep(op)
 }
 
-// packBatch is one step of the doorbell-batched BC-SPUP pipeline: take up to
-// PostBatch pool slots at once, pack them (each segment one parallel pack
-// step), and ring a single doorbell — one PostSendList — for the whole
-// batch. The NIC drains batch k while the CPU packs batch k+1, and each
-// completion returns its own slot, so a dry pool wakes in slot units rather
-// than batch units. (sendBCSPUPData says why an injector never gets here.)
-func (ep *Endpoint) packBatch(op *sendOp) {
-	if op.failed {
-		return
-	}
-	b := ep.bcBatch(op)
-	start := op.k
-	op.k += b
-	// Descriptors build into the op arena; the seg scratch is safe to reuse
-	// per batch because each completion record takes its slot by value
-	// before the next batch is built.
-	wrStart := len(op.wrs.wrs)
-	segs := op.segScratch[:0]
-	for i := 0; i < b; i++ {
-		s, ok := ep.packPool.tryAcquire()
-		if !ok {
-			panic("core: pack pool promised slots it does not have")
-		}
-		segs = append(segs, s)
-		idx := start + i
-		n := segBytes(op.eff, op.segSize, idx)
-		st := op.packer.Pack(ep.memory.Bytes(s.addr, n))
-		if st.Bytes != n {
-			panic("core: segment pack shortfall")
-		}
-		atomic.AddInt64(&ep.ctr.BytesPacked, n)
-		atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
-		ep.chargeParPack(st, "pack")
-		op.wrs.wrs = append(op.wrs.wrs, verbs.SendWR{
-			Op:         verbs.OpRDMAWriteImm,
-			SGL:        op.wrs.sgl1(verbs.SGE{Addr: s.addr, Len: n, Key: s.key}),
-			RemoteAddr: op.ctsSegs[idx].addr, RKey: op.ctsSegs[idx].key, Imm: op.id,
-		})
-		ep.mark("seg-post", "segment", op.id)
-	}
-	op.segScratch = segs
-	wrs := op.wrs.wrs[wrStart:]
-	op.wrsLeft += b
-	lane := ep.laneFor(op.eff)
-	var batchBytes int64
-	for i := range wrs {
-		n := wrs[i].SGL[0].Len
-		batchBytes += n
-		rec := ep.getWR(wrSendSeg, op.dst, n)
-		rec.sop, rec.seg = op, segs[i]
-		wrs[i].WRID, wrs[i].Lane = rec.id(), uint8(lane)
-	}
-	// The doorbell itself is one lane unit: bulk batches wait for window
-	// room while the packed slots stay charged to this op. The op builds its
-	// next batch only after this one's grant, so the batch rides in the op.
-	op.batchWRs, op.batchBytes = wrs, batchBytes
-	ep.submitLane(op.dst, lane, b, batchBytes, op.batchGrantFn)
-}
-
-// batchGranted rings the doorbell of the batch packBatch built, once the
-// lane arbiter lets it through, and starts the next batch.
-func (op *sendOp) batchGranted() {
-	ep := op.ep
-	guardSend(op)
-	wrs, segs, batchBytes := op.batchWRs, op.segScratch, op.batchBytes
-	op.batchWRs = nil
-	b := len(wrs)
-	err := errOpAborted
-	if !op.failed {
-		if err = ep.qps[op.dst].PostSendList(wrs); err == nil {
-			ep.observeBatch(b)
-			if op.k == op.nSegs {
-				op.allPosted = true
-			}
-			ep.packStep(op)
-			return
-		}
-	}
-	// Aborted while waiting for window room, or the whole doorbell was
-	// rejected: nothing reached the NIC, so slots and charge return and the
-	// descriptors never post.
-	for i := range wrs {
-		ep.putWR(ep.lookupWR(wrs[i].WRID))
-		ep.releaseSeg(ep.packPool, segs[i])
-	}
-	ep.laneRelease(op.dst, b, batchBytes)
-	op.wrsLeft -= b
-	if !op.failed {
-		ep.abortSend(op, err)
-	} else if op.wrsLeft == 0 {
-		ep.finalizeSendAbort(op)
-	}
-}
-
 // sendMultiWData implements the Multi-W zero-copy transfer: walk the local
-// and remote layouts together, emitting one RDMA write per remote contiguous
-// run (gathering across local runs), immediate data on the final descriptor.
+// and remote layouts together (dualWRs), immediate data on the final
+// descriptor.
 func (ep *Endpoint) sendMultiWData(op *sendOp) {
 	op.cur.Reset(ep.Program(op.dt, op.count))
 	op.rcur.Reset(op.rLayout.program(op.rCount))
-	rRefs := op.ctsRegs
-	remaining := op.eff
-	// Successive chunkWRs calls append into the same arena, so the flat
-	// window over everything built here is just the arena tail.
-	wrStart := len(op.wrs.wrs)
-	for remaining > 0 {
-		rOff, rLen, ok := op.rcur.Next(remaining)
-		if !ok {
-			ep.abortSend(op, fmt.Errorf("core rank %d: receiver layout smaller than effective size (%d bytes unconsumed)",
-				ep.rank, remaining))
-			return
-		}
-		rAddr := mem.Addr(int64(op.rBase) + rOff)
-		i := findRegion(rRefs, rAddr, rLen)
-		if i < 0 {
-			panic(fmt.Sprintf("core rank %d: no remote region covers [%#x,+%d)", ep.rank, rAddr, rLen))
-		}
-		if _, err := ep.chunkWRs(&op.wrs, verbs.OpRDMAWrite, &op.cur, op.buf, op.reg.refs, rLen, rAddr, rRefs[i].key); err != nil {
-			ep.abortSend(op, err)
-			return
-		}
-		remaining -= rLen
+	wrs, err := ep.dualWRs(&op.wrs, verbs.OpRDMAWrite, &op.cur, op.buf, op.reg.refs,
+		&op.rcur, op.rBase, op.ctsRegs, op.eff)
+	if err != nil {
+		ep.abortSend(op, err)
+		return
 	}
-	wrs := op.wrs.wrs[wrStart:]
 	last := len(wrs) - 1
 	wrs[last].Op = verbs.OpRDMAWriteImm
 	wrs[last].Imm = op.id
@@ -596,13 +485,7 @@ func (ep *Endpoint) announceSeg(op *sendOp, addr mem.Addr, key uint32, n int64) 
 // packAndAnnounce packs P-RRS segment k into s and announces it.
 func (ep *Endpoint) packAndAnnounce(op *sendOp, k int, s seg) {
 	n := segBytes(op.eff, op.segSize, k)
-	st := op.packer.Pack(ep.memory.Bytes(s.addr, n))
-	if st.Bytes != n {
-		panic("core: P-RRS pack shortfall")
-	}
-	atomic.AddInt64(&ep.ctr.BytesPacked, n)
-	atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
-	ep.chargeParPack(st, "pack")
+	ep.packSeg(op, s.addr, n)
 	ep.announceSeg(op, s.addr, s.key, n)
 }
 

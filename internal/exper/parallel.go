@@ -9,10 +9,9 @@ import (
 	"repro/internal/mpi"
 )
 
-// The parallelism sweep measures the parallel segment engine and doorbell
-// batching (the paper's pipelining argument of Figures 7-9, extended to a
-// worker axis): one large-vector BC-SPUP message is ping-ponged at worker
-// counts 1, 2, 4, 8, with the doorbell batch tied to the worker count.
+// The parallelism sweep measures the parallel segment engine (the paper's
+// pipelining argument of Figures 7-9, extended to a worker axis): one
+// large-vector BC-SPUP message is ping-ponged at worker counts 1, 2, 4, 8.
 //
 // Sim rows carry virtual time only: they are bit-for-bit deterministic (the
 // sim executor runs shards sequentially while the cost model prices the
@@ -23,7 +22,7 @@ const (
 	parCols     = 2048     // 128 x 2048 int32 vector: 1 MB payload, 8 KB runs
 	parIters    = 30       // timed ping-pong round trips
 	parWarmup   = 2        // untimed round trips before the clock starts
-	parSegSize  = 32 << 10 // small segments: many descriptors, batching visible
+	parSegSize  = 32 << 10 // small segments: a 32-step pipeline
 	parShardMin = 8 << 10  // one shard per 8 KB run, so a segment splits 4 ways
 )
 
@@ -35,7 +34,6 @@ var parWorkerAxis = []int{1, 2, 4, 8}
 type ParallelRow struct {
 	Backend     string  `json:"backend"`
 	Workers     int     `json:"workers"`
-	Batch       int     `json:"batch"` // doorbell batch (= workers in the sweep)
 	Bytes       int64   `json:"bytes"`
 	Iters       int     `json:"iters"`
 	WallMS      float64 `json:"wall_ms,omitempty"`      // rt: timed-loop wall time
@@ -51,7 +49,6 @@ func parallelConfig(backend string, workers int) mpi.Config {
 		c.RTTimeout = 2 * time.Minute
 		c.Core.SegmentSize = parSegSize
 		c.Core.PackWorkers = workers
-		c.Core.PostBatch = workers
 		c.Core.ParShardBytes = parShardMin
 	})
 }
@@ -73,9 +70,9 @@ func parallelSweep(backends []string, _ Options) (Doc, error) {
 	payload := VectorBytes(parCols)
 	doc := &ParallelDoc{
 		Benchmark: "parallel-segment-engine",
-		Workload: fmt.Sprintf("BC-SPUP vector(128 x %d of 4096, MPI_INT), %d KB payload, %d KB segments, batch = workers",
+		Workload: fmt.Sprintf("BC-SPUP vector(128 x %d of 4096, MPI_INT), %d KB payload, %d KB segments",
 			parCols, payload>>10, parSegSize>>10),
-		Note:    "sim_rows are deterministic (guarded by `make par-guard`); rt_rows are wall-clock and machine-dependent",
+		Note:    "sim_rows are deterministic (guarded by `make guard`); rt_rows are wall-clock and machine-dependent",
 		SimRows: []ParallelRow{},
 		RTRows:  []ParallelRow{},
 	}
@@ -88,7 +85,6 @@ func parallelSweep(backends []string, _ Options) (Doc, error) {
 			row := ParallelRow{
 				Backend: backend,
 				Workers: workers,
-				Batch:   workers,
 				Bytes:   payload,
 				Iters:   parIters,
 			}
@@ -110,11 +106,11 @@ func parallelSweep(backends []string, _ Options) (Doc, error) {
 // Table renders the rows as an aligned text table.
 func (d *ParallelDoc) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "# parallel segment engine: %-8s %8s %6s %12s %10s %12s %14s\n",
-		"backend", "workers", "batch", "wall ms", "MB/s", "virtual us", "virtual MB/s")
+	fmt.Fprintf(&b, "# parallel segment engine: %-8s %8s %12s %10s %12s %14s\n",
+		"backend", "workers", "wall ms", "MB/s", "virtual us", "virtual MB/s")
 	for _, r := range concat(d.SimRows, d.RTRows) {
-		fmt.Fprintf(&b, "%26s %8d %6d %12s %10s %12s %14s\n",
-			r.Backend, r.Workers, r.Batch,
+		fmt.Fprintf(&b, "%26s %8d %12s %10s %12s %14s\n",
+			r.Backend, r.Workers,
 			cell(r.WallMS, "%.2f"), cell(r.MBps, "%.1f"),
 			cell(r.VirtualUS, "%.2f"), cell(r.VirtualMBps, "%.1f"))
 	}

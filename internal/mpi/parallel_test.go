@@ -13,7 +13,7 @@ import (
 )
 
 // parallelWorld returns a 2-rank configuration running the parallel segment
-// engine flat out: worker-pool packing and doorbell batching.
+// engine: worker-pool packing with one shard per 8 KB.
 func parallelWorld(backend string, scheme core.Scheme, workers int) Config {
 	cfg := DefaultConfig()
 	cfg.Ranks = 2
@@ -22,7 +22,6 @@ func parallelWorld(backend string, scheme core.Scheme, workers int) Config {
 	cfg.RTTimeout = 2 * time.Minute
 	cfg.Core.Scheme = scheme
 	cfg.Core.PackWorkers = workers
-	cfg.Core.PostBatch = workers
 	cfg.Core.ParShardBytes = 8 << 10
 	return cfg
 }
@@ -73,12 +72,10 @@ func TestWorkerCountConformance(t *testing.T) {
 	}
 }
 
-// TestWorkerCountVirtualTimeSerialInvariant pins the tune-guard safety
-// property: with the serial executor and one worker (the default sim
-// configuration), enabling the batching knobs at their defaults changes
-// nothing, and the virtual completion time of a transfer
-// is a pure function of the configuration — two identical runs agree to the
-// nanosecond.
+// TestWorkerCountVirtualTimeSerialInvariant pins the guard's safety property:
+// on the simulator the shards run on the serial executor, so the virtual
+// completion time of a transfer is a pure function of the configuration —
+// two identical four-worker runs agree to the nanosecond.
 func TestWorkerCountVirtualTimeSerialInvariant(t *testing.T) {
 	dt, err := datatype.TypeVector(128, 64, 128, datatype.Int32) // 32 KB
 	if err != nil {
@@ -122,11 +119,10 @@ func TestWorkerCountVirtualTimeSerialInvariant(t *testing.T) {
 }
 
 // TestParallelFaultSoak floods one sender with concurrent messages while
-// the parallel engine (workers, batching) runs under fault
-// injection, on both backends. Transient faults must heal invisibly: every
-// message must land with the right bytes. Run with -race (the repository's
-// `make test` does) this is also the data-race soak for the worker pool and
-// the batched delivery path.
+// the parallel engine (four workers) runs under fault injection, on every
+// backend. Transient faults must heal invisibly: every message must land with
+// the right bytes. Run with -race (the repository's `make test` does) this is
+// also the data-race soak for the worker pool under a dry pack pool.
 func TestParallelFaultSoak(t *testing.T) {
 	dt, err := datatype.TypeVector(128, 96, 160, datatype.Int32) // 48 KB messages
 	if err != nil {
