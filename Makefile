@@ -5,11 +5,12 @@
 GO ?= go
 
 # The packages the observability Recorder/Registry reach, plus the fabric
-# kernel, its three backends, the verb-level contract suite that drives them
-# and the pack engine (pack.GoExec, the one goroutine fan-out on the pack
-# path); `make race` runs just these under the race detector for a fast
-# concurrency gate.
-RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/ib/ ./internal/mpi/ ./internal/pack/ ./internal/rtfab/ ./internal/shmfab/ ./internal/stats/ ./internal/trace/ ./internal/traffic/ ./internal/verbs/
+# kernel, its three backends, the verb-level contract suite that drives them,
+# the registration table (its slots, reused ones included, are read at
+# landing, on rt by the responder's driver) and the pack engine (pack.GoExec,
+# the one goroutine fan-out on the pack path); `make race` runs just these
+# under the race detector for a fast concurrency gate.
+RACE_PKGS = ./internal/core/ ./internal/fabric/ ./internal/ib/ ./internal/mem/ ./internal/mpi/ ./internal/pack/ ./internal/rtfab/ ./internal/shmfab/ ./internal/stats/ ./internal/trace/ ./internal/traffic/ ./internal/verbs/
 
 .PHONY: check fmt vet build test debug-test bench-check bench-suite race conformance fault-soak bench bench-backends sweep guard doclint perf perf-guard
 

@@ -356,9 +356,10 @@ func (ep *Endpoint) PoolStats() PoolStats {
 // wrSet is an op-owned descriptor arena: chunkWRs and the single-descriptor
 // builders append into it and hand out windows, so the warm path builds WR
 // and SGE lists without allocating. The arena only resets at op recycle —
-// posted descriptors (and, on the real-time fabric, the responder goroutine
-// reading them) may reference its backing arrays until the op's last
-// completion, which finalization already waits for (wrsLeft == 0).
+// the fabric reads a posted list where it lies (verbs.SendWR: the descriptor
+// array and the SGE arrays stay untouched until the post's last completion;
+// on the real-time fabric it is the responder goroutine that reads them),
+// and the op's last completion is what finalization waits for (wrsLeft == 0).
 type wrSet struct {
 	wrs []verbs.SendWR
 	sge []verbs.SGE
@@ -379,13 +380,26 @@ func (s *wrSet) sgl1(e verbs.SGE) []verbs.SGE {
 	return s.sge[start:len(s.sge):len(s.sge)]
 }
 
+// next grows the arena by one descriptor and returns the slot, zero — reset
+// left it so — for the builder to fill in place: appending a SendWR value
+// would build it on the stack and copy its 96 bytes in.
+func (s *wrSet) next() *verbs.SendWR {
+	if len(s.wrs) == cap(s.wrs) {
+		s.wrs = append(s.wrs, verbs.SendWR{})
+	} else {
+		s.wrs = s.wrs[:len(s.wrs)+1]
+	}
+	return &s.wrs[len(s.wrs)-1]
+}
+
 // one appends a single-SGE write-with-immediate descriptor and returns its
 // one-element window (the shape postWRs consumes).
 func (s *wrSet) one(opc verbs.Opcode, e verbs.SGE, rAddr mem.Addr, rKey, imm uint32) []verbs.SendWR {
 	sgl := s.sgl1(e)
-	w := len(s.wrs)
-	s.wrs = append(s.wrs, verbs.SendWR{Op: opc, SGL: sgl, RemoteAddr: rAddr, RKey: rKey, Imm: imm})
-	return s.wrs[w : w+1 : w+1]
+	w := s.next()
+	w.Op, w.SGL, w.RemoteAddr, w.RKey, w.Imm = opc, sgl, rAddr, rKey, imm
+	n := len(s.wrs)
+	return s.wrs[n-1 : n : n]
 }
 
 // --- Eager frame and payload buffers -------------------------------------------

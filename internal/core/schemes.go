@@ -34,7 +34,8 @@ func (ep *Endpoint) chunkWRs(set *wrSet, opc verbs.Opcode, cur *datatype.ProgCur
 			return
 		}
 		sgl := set.sge[sgeStart:len(set.sge):len(set.sge)]
-		set.wrs = append(set.wrs, verbs.SendWR{Op: opc, SGL: sgl, RemoteAddr: rAddr, RKey: rKey})
+		w := set.next()
+		w.Op, w.SGL, w.RemoteAddr, w.RKey = opc, sgl, rAddr, rKey
 		rAddr += mem.Addr(sglBytes)
 		sgeStart = len(set.sge)
 		sglBytes = 0

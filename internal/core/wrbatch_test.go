@@ -61,13 +61,11 @@ func batchWorld(t *testing.T, pol *qos.Policy, ready func(w *testWorld) bool) (w
 // [a, a+n).
 func regionAt(t *testing.T, ep *Endpoint, a mem.Addr, n int64) *mem.Region {
 	t.Helper()
-	for key := uint32(1); key < 4096; key++ {
-		if reg := ep.Mem().Reg().Lookup(key); reg != nil && reg.Covers(a, n) {
-			return reg
-		}
+	reg := ep.Mem().Reg().Find(a, n)
+	if reg == nil {
+		t.Fatalf("no region of rank %d covers [%#x,+%d)", ep.Rank(), a, n)
 	}
-	t.Fatalf("no region of rank %d covers [%#x,+%d)", ep.Rank(), a, n)
-	return nil
+	return reg
 }
 
 // quiesced fails the test unless every rank's records are home and rank i

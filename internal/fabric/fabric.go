@@ -12,20 +12,21 @@
 //     (one shared engine for ib and shmfab; a per-node driver goroutine
 //     behind an inbox for rtfab).
 //
-// A descriptor owns exactly one pooled flight record for its whole life:
-// the SendWR is copied into it once at post, it steps deliver → ack → CQE
-// dispatch through method values bound when the record was created (so the
-// engine is handed a ready func() and nothing is allocated per stage), and
-// it returns to its node's free list when the completion handler returns —
-// or, posted unsignaled and not failed, at the ack stage, with no completion
-// at all. The records of one post travel linked as trains, one delivery and
-// one return per train rather than per descriptor (QP.post says where a
-// train is cut), so what a message costs in events follows its posts. A
-// fault injector draws inside those trains: a descriptor it fails moves
-// nothing, rides in its place and completes with its error in posting order.
-// An RDMA write's gather list is read at delivery, not at post — the source
-// must stay stable until the send completion, as on hardware — so there is
-// no staging copy either. See DESIGN.md, "Fabric kernel".
+// A post travels as descriptor trains — the descriptors that cross to the
+// peer in one delivery and come home in one return (QP.post cuts them) — and
+// a train owns exactly one pooled flight record for its whole life. The
+// record copies nothing: it holds the window of the poster's descriptor
+// array the train was cut from (a single post is a train of one over the
+// record's own array), steps deliver → ack → CQE dispatch through method
+// values bound when it was created (so the engine is handed a ready func()
+// and nothing is allocated per stage), and ends as its tail's completion
+// entry, back on its node's free list when that entry's handler returns —
+// or, the tail unsignaled and not failed, at the ack stage: events and
+// records follow a message's posts, not its descriptors. A descriptor a fault
+// injector fails moves nothing, rides in its place and completes with its
+// error in posting order. A write's gather list is read at delivery — as on
+// hardware, source, SGE array and descriptor array stay untouched until the
+// send completion — so there is no staging copy. See DESIGN.md, "Fabric kernel".
 package fabric
 
 import (
@@ -70,8 +71,8 @@ type Executor interface {
 	// that delivers in virtual time says false: a descriptor somebody can
 	// observe must land at its own delivery time, so it ends the train it
 	// rides in. One whose deliveries ignore virtual time says true, and a
-	// whole fault-free post crosses to the peer as one unit and comes back
-	// as one.
+	// whole post (up to a channel send) crosses to the peer as one unit and
+	// comes back as one.
 	Trains() bool
 	// Stamp maps a virtual-time interval onto the trace's time base.
 	Stamp(start, end simtime.Time) (simtime.Time, simtime.Time)

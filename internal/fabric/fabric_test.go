@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -50,19 +51,26 @@ func TestRing(t *testing.T) {
 	}
 }
 
-// A record is poisoned when it returns to the free list, and any stage run
-// on it afterwards panics instead of touching the next descriptor's state.
+// A train record is poisoned when it returns to the free list — window,
+// failures, lag, payload, completion entry — and any stage run on it
+// afterwards panics instead of walking a stale window.
 func TestRecycledFlightIsPoisoned(t *testing.T) {
 	f := New("test", verbs.DefaultModel(), nil, Shared{})
 	n := f.Attach("n", nil, nil, nil)
-	fl := n.getFlight(stagePosted)
-	fl.qp, fl.size, fl.data, fl.next = &QP{}, 7, []byte("x"), fl
-	fl.wr.SGL = []verbs.SGE{{Len: 7}}
+	fl := n.getFlight(stageLanded)
+	wrs := make([]verbs.SendWR, 8)
+	fl.qp, fl.wrs, fl.lag, fl.data = &QP{}, wrs[2:7], 9, []byte("x")
+	fl.fails = append(fl.fails, failure{1, errors.New("refused")}, failure{4, errors.New("faulted")})
+	fl.one[0].SGL = []verbs.SGE{{Len: 7}}
 	fl.cqe.Data = fl.data
+	fails := fl.fails[:2]
 	n.putFlight(fl)
-	if fl.stage != stageFree || fl.qp != nil || fl.size != 0 || fl.data != nil || fl.next != nil ||
-		fl.wr.SGL != nil || fl.cqe.Data != nil || fl.cq != nil {
+	if fl.stage != stageFree || fl.qp != nil || fl.wrs != nil || fl.lag != 0 || fl.data != nil ||
+		len(fl.fails) != 0 || fl.one[0].SGL != nil || fl.cqe.Data != nil || fl.cq != nil {
 		t.Fatalf("recycled record keeps state: %+v", fl)
+	}
+	if fails[0] != (failure{}) || fails[1] != (failure{}) {
+		t.Fatalf("recycled record keeps its members' errors reachable: %+v", fails)
 	}
 	if live, free := n.Flights(); live != 0 || free != 1 {
 		t.Fatalf("Flights() = %d live, %d free", live, free)

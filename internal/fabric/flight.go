@@ -2,54 +2,58 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/mem"
 	"repro/internal/simtime"
 	"repro/internal/verbs"
 )
 
 // stage is where a flight record is in its life. Every transition names the
 // stage it expects to leave, so a record used after it was recycled (or
-// stepped twice) panics at the access instead of corrupting a later
-// descriptor.
+// stepped twice) panics at the access instead of corrupting a later train.
 type stage uint8
 
 const (
 	stageFree     stage = iota // on a free list; all fields poisoned to zero
-	stagePosted                // descriptor accepted, delivery pending
-	stageLanded                // delivery ran (moving nothing, after a fault), ack pending
+	stagePosted                // train accepted, delivery pending
+	stageLanded                // delivery ran; the ack walk is pending, or paused on the tail's lag
 	stageAcked                 // completion entry filled in, about to be pushed
 	stageDispatch              // waiting for the CQ handler's event
 )
 
-// flight is the one in-flight record of a descriptor, and of a completion
-// entry on its way to a handler. A send-side record is taken from the
-// initiator's free list at post and returns to it after the send
-// completion's handler ran; a receive-side record lives from the arrival's
-// credit match to its handler's return, on the responder's list. The three
-// method values are bound once, when the record is first created.
-//
-// A channel-send payload is not allocated per message: it rides in buffers of
-// the node's payload pool, which a record holds from the moment it needs one
-// to its recycling. The initiator's record snapshots the Inline bytes at post
-// (the caller may reuse them as soon as the post returns); at delivery the
-// responder copies them into a buffer of its own for the receive-side record
-// the arrival is matched to, and the completion entry's Data is that buffer.
-// It goes back to the pool when the handler returns, so Data is valid until
-// then and is overwritten by whichever payload takes the buffer next.
+// flight is the one in-flight record of a descriptor train — the descriptors
+// of a post that cross to the peer in one delivery and come home in one
+// return (QP.post cuts them) — and of a completion entry on its way to a
+// handler. The train is not copied: wrs is the window of the poster's array
+// it was cut from, which the verbs contract keeps untouched until the post's
+// last completion; a single post is a train of one over the record's own
+// array. A send-side record is taken from the initiator's free list at post,
+// ends as its tail's completion entry and goes back when that entry's
+// handler has run — or, the tail unsignaled and not failed, at the ack stage,
+// where a member ahead of the tail that completes borrows a record for its
+// entry. A receive-side record, on the responder's list, lives from the
+// arrival's credit match to its handler's return and holds the pooled buffer
+// that is the entry's Data. The stage methods are bound once, at creation.
 type flight struct {
 	stage stage
 	qp    *QP              // initiating queue pair
-	wr    verbs.SendWR     // the descriptor, copied once at post
-	size  int64            // payload bytes
-	data  []byte           // channel-send payload: a buffer of the node's pool (payloadBuf)
-	lag   simtime.Duration // completion delay still to serve after delivery
-	err   error            // completion status
-	next  *flight          // rest of the train this record heads or rides in
+	wrs   []verbs.SendWR   // the train: the poster's descriptors, or one[:]
+	fails []failure        // the members that failed, ascending; the array outlives recycling
+	lag   simtime.Duration // completion delay the tail has still to serve after delivery
+	data  []byte           // channel-send payload (a send ends its train): a buffer of the node's pool
+	one   [1]verbs.SendWR  // a single post's descriptor, copied at post
 
 	cq  *CQ       // dispatch target
 	cqe verbs.CQE // the completion entry
 
 	deliverFn, ackFn, dispatchFn func()
+}
+
+// failure is the status of a member that failed, at launch or at landing.
+type failure struct {
+	i   int // the member's index in the window
+	err error
 }
 
 // step moves the record from one stage to the next.
@@ -64,8 +68,7 @@ func (fl *flight) step(from, to stage) {
 func (n *Node) getFlight(to stage) *flight {
 	var fl *flight
 	if k := len(n.free); k > 0 {
-		fl = n.free[k-1]
-		n.free = n.free[:k-1]
+		fl, n.free = n.free[k-1], n.free[:k-1]
 	} else {
 		n.made++
 		fl = &flight{}
@@ -81,7 +84,10 @@ func (n *Node) putFlight(fl *flight) {
 	if fl.data != nil {
 		n.putPayload(fl.data)
 	}
-	*fl = flight{deliverFn: fl.deliverFn, ackFn: fl.ackFn, dispatchFn: fl.dispatchFn}
+	clear(fl.fails)
+	fails, deliver, ack, dispatch := fl.fails[:0], fl.deliverFn, fl.ackFn, fl.dispatchFn
+	*fl = flight{} // in place: a literal with the kept fields is built aside and copied in
+	fl.fails, fl.deliverFn, fl.ackFn, fl.dispatchFn = fails, deliver, ack, dispatch
 	n.free = append(n.free, fl)
 }
 
@@ -112,86 +118,109 @@ func (n *Node) putPayload(b []byte) {
 	n.payloads = append(n.payloads, b)
 }
 
-// deliver is the delivery stage: it lands this record, and the train behind
-// it, in the peer's execution context, then sends the train home.
-func (fl *flight) deliver() {
-	for g := fl; g != nil; g = g.next {
-		g.land()
+// sglBytes is the payload length of a gather/scatter list.
+func sglBytes(sgl []verbs.SGE) (n int64) {
+	for i := range sgl {
+		n += sgl[i].Len
 	}
-	n := fl.qp.node
-	n.fab.exec.Return(n, fl.ackFn)
+	return n
 }
 
-// land moves one descriptor's payload under the responder's protection
-// check. The gather list is read here, from the initiator's registered
-// memory, which the verbs contract keeps stable until the send completion.
-func (fl *flight) land() {
+// deliver is the delivery stage: it lands the train's members, in posting
+// order, in the peer's execution context — the gather list is read here, not
+// at post — then sends the train home. A member the responder refuses is
+// NAKed at once: no ack flight, no injected delay. Every landed member draws
+// one (a congested completion path); the tail serves a signaled member's.
+func (fl *flight) deliver() {
 	fl.step(stagePosted, stageLanded)
-	if fl.err != nil {
-		return // failed at launch: the adapter consumed it and moved nothing
-	}
-	qp, wr := fl.qp, &fl.wr
-	peer := qp.peer
-	if wr.Op == verbs.OpSend {
-		peer.arrive(arrival{data: fl.data, bytes: fl.size, imm: wr.Imm, hasImm: true})
-		return
-	}
-	if err := peer.node.mem.Reg().CheckAccess(wr.RKey, wr.RemoteAddr, fl.size); err != nil {
-		// The responder NAKs at once: no ack flight, no injected delay.
-		fl.err, fl.lag = fmt.Errorf("remote access error: %w", err), 0
-		return
-	}
-	remote := peer.node.mem.Bytes(wr.RemoteAddr, fl.size)
-	local := qp.node.mem
-	if wr.Op == verbs.OpRDMARead {
-		for _, s := range wr.SGL {
-			if s.Len > 0 {
-				remote = remote[copy(local.Bytes(s.Addr, s.Len), remote):]
+	n, peer := fl.qp.node, fl.qp.peer
+	local, remote := n.mem, peer.node.mem
+	inj := n.fab.injector
+	var reg *mem.Region // the responder's region the member before wrote under: asked first
+	at := 0             // fails[at:] are of the members still to land
+	for k := range fl.wrs {
+		wr := &fl.wrs[k]
+		if at < len(fl.fails) && fl.fails[at].i == k {
+			at++ // failed at launch: the adapter consumed it and moved nothing
+			continue
+		}
+		if wr.Op == verbs.OpSend {
+			peer.arrive(arrival{data: fl.data, bytes: int64(len(fl.data)), imm: wr.Imm, hasImm: true})
+			continue
+		}
+		size := sglBytes(wr.SGL)
+		if !reg.Grants(wr.RKey, wr.RemoteAddr, size) {
+			var err error
+			if reg, err = remote.Reg().CheckAccess(wr.RKey, wr.RemoteAddr, size); err != nil {
+				fl.fails = slices.Insert(fl.fails, at, failure{k, fmt.Errorf("remote access error: %w", err)})
+				at++
+				continue
 			}
 		}
-	} else {
+		dst := remote.Bytes(wr.RemoteAddr, size)
 		for _, s := range wr.SGL {
-			if s.Len > 0 {
-				remote = remote[copy(remote, local.Bytes(s.Addr, s.Len)):]
+			if s.Len > 0 && wr.Op == verbs.OpRDMARead {
+				dst = dst[copy(local.Bytes(s.Addr, s.Len), dst):]
+			} else if s.Len > 0 {
+				dst = dst[copy(dst, local.Bytes(s.Addr, s.Len)):]
 			}
 		}
 		if wr.Op == verbs.OpRDMAWriteImm {
-			peer.arrive(arrival{bytes: fl.size, imm: wr.Imm, hasImm: true})
+			peer.arrive(arrival{bytes: size, imm: wr.Imm, hasImm: true})
+		}
+		if inj != nil {
+			if d := inj.Delay(); !wr.Unsignaled {
+				fl.lag += d
+			}
 		}
 	}
-	// Injected delays model a congested completion path without reordering
-	// the delivery above.
-	if inj := qp.node.fab.injector; inj != nil {
-		fl.lag += inj.Delay()
-	}
+	n.fab.exec.Return(n, fl.ackFn)
 }
 
-// ack is the completion stage, in the initiator's context, for this record
-// and the train behind it, in posting order. An unsignaled descriptor that
-// succeeded is done here: nobody waits for its ack, and its record goes
-// straight back to the free list. Every other one — signaled, or failed,
-// which always completes — serves what is left of its completion delay
-// (the rest of the train waiting behind it) and pushes its send completion.
+// ack is the completion stage, in the initiator's context: it walks the
+// train in posting order. An unsignaled member that succeeded is done here —
+// nobody waits for its ack. Every other one pushes its send completion: a
+// member ahead of the tail in a borrowed record, the tail, its completion
+// delay served, in the train's own — which lets the window go first, so the
+// poster may rewrite it from the tail's completion on.
 func (fl *flight) ack() {
-	for g := fl; g != nil; {
-		next := g.next
+	fl.step(stageLanded, stageLanded)
+	qp, n := fl.qp, fl.qp.node
+	tail, at := len(fl.wrs)-1, 0 // fails[at:] are of the members still to ack
+	for k := range fl.wrs {
+		wr := &fl.wrs[k]
+		var err error
+		if at < len(fl.fails) && fl.fails[at].i == k {
+			err = fl.fails[at].err
+			at++
+		}
+		if err == nil && wr.Unsignaled {
+			continue
+		}
+		cqe := verbs.CQE{QP: qp, WRID: wr.WRID, Op: wr.Op, Bytes: sglBytes(wr.SGL), Err: err}
 		switch {
-		case g.err == nil && g.wr.Unsignaled:
-			g.step(stageLanded, stageFree)
-			g.qp.node.putFlight(g)
-		case g.lag > 0:
-			lag := g.lag
-			g.lag = 0
-			g.qp.node.eng.Schedule(lag, g.ackFn)
+		case k < tail:
+			e := n.getFlight(stageAcked)
+			e.cqe = cqe
+			qp.sendCQ.push(e)
+		case err == nil && fl.lag > 0:
+			// The members ahead are done: what resumes is a train of the tail.
+			n.eng.Schedule(fl.lag, fl.ackFn)
+			clear(fl.fails)
+			fl.wrs, fl.fails, fl.lag = fl.wrs[tail:], fl.fails[:0], 0
 			return
 		default:
-			g.next = nil
-			g.step(stageLanded, stageAcked)
-			g.cqe = verbs.CQE{QP: g.qp, WRID: g.wr.WRID, Op: g.wr.Op, Bytes: g.size, Err: g.err}
-			g.qp.sendCQ.push(g)
+			if wr.Op == verbs.OpSend {
+				cqe.Bytes = int64(len(fl.data))
+			}
+			fl.step(stageLanded, stageAcked)
+			fl.cqe, fl.wrs = cqe, nil
+			qp.sendCQ.push(fl)
+			return
 		}
-		g = next
 	}
+	fl.step(stageLanded, stageFree)
+	n.putFlight(fl)
 }
 
 // dispatch runs the CQ handler on the record's completion entry and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/mem"
 	"repro/internal/simtime"
 	"repro/internal/verbs"
 )
@@ -89,30 +90,35 @@ func (qp *QP) completeArrival(a arrival) {
 	qp.recvCQ.push(fl)
 }
 
-// PostSend posts one work request.
+// PostSend posts one work request: a train of one over the record's copy of wr.
 func (qp *QP) PostSend(wr verbs.SendWR) error {
-	one := [1]verbs.SendWR{wr}
-	return qp.post(one[:], false)
+	fl := qp.node.getFlight(stagePosted)
+	fl.one[0] = wr
+	err := qp.post(fl.one[:], fl)
+	if err != nil {
+		fl.step(stagePosted, stageFree)
+		qp.node.putFlight(fl)
+	}
+	return err
 }
 
 // PostSendList posts a list of work requests in one operation; descriptors
-// after the first are cheaper to post (the extended interface the paper's
-// Multi-W scheme evaluates in Figure 13).
-func (qp *QP) PostSendList(wrs []verbs.SendWR) error {
-	return qp.post(wrs, true)
-}
+// after the first are cheaper to post (the paper's Figure 13). wrs is read,
+// not copied: it stays untouched until the post's last completion.
+func (qp *QP) PostSendList(wrs []verbs.SendWR) error { return qp.post(wrs, nil) }
 
 func (qp *QP) errorf(format string, args ...any) error {
 	return fmt.Errorf("%s %s qp%d: "+format, append([]any{qp.node.fab.name, qp.node.name, qp.num}, args...)...)
 }
 
-func (qp *QP) post(wrs []verbs.SendWR, list bool) error {
+// post is the one posting path. single is the record a single post holds its
+// descriptor in, its one train's; a list post (nil) takes a record per train.
+func (qp *QP) post(wrs []verbs.SendWR, single *flight) error {
 	if len(wrs) == 0 {
 		return nil
 	}
-	n := qp.node
-	f := n.fab
-	m := &f.model
+	n, f := qp.node, qp.node.fab
+	m, inj, list := &f.model, f.injector, single == nil
 
 	// MaxPostBatch bounds descriptors per doorbell; it is distinct from
 	// MaxSGE, which bounds one descriptor's gather list.
@@ -122,86 +128,82 @@ func (qp *QP) post(wrs []verbs.SendWR, list bool) error {
 
 	// Validate everything before charging any time, so a bad descriptor in a
 	// list fails the whole post (as ibv_post_send does).
+	table, remote := n.mem.Reg(), qp.peer.node.mem
+	var reg *mem.Region // the region the SGE before resolved
 	for i := range wrs {
-		if err := qp.validate(&wrs[i]); err != nil {
+		if err := validate(&wrs[i], table, remote, &reg); err != nil {
 			return qp.errorf("%w", err)
 		}
 	}
 
 	// Injected post failures model ibv_post_send rejecting the descriptor
 	// (transiently: queue full; permanently: QP moved to error state).
-	// Channel-semantics sends are exempt — control traffic must keep the
-	// transport's reliable ordering for the protocol layer's matching rules.
-	if inj := f.injector; inj != nil && wrs[0].Op != verbs.OpSend {
+	// Channel-semantics sends are exempt from injection — control traffic must
+	// keep the transport's reliable ordering for the protocol's matching rules.
+	if inj != nil && wrs[0].Op != verbs.OpSend {
 		if err := inj.PostFault(); err != nil {
 			return qp.errorf("post: %w", err)
 		}
 	}
 
-	// A post travels as descriptor trains. Every descriptor reserves what it
+	// A post travels as descriptor trains, each one flight record over its
+	// window of wrs (DESIGN.md §17). Every descriptor reserves what it
 	// occupies when it is posted, but one nobody can observe — an unsignaled
-	// plain write: no completion at either end — has no event of its own. It
-	// rides to the peer on the delivery of the next descriptor somebody can
-	// (signaled, immediate, send, read, or the last of the post), at that
-	// descriptor's delivery time; completion is in posting order, so nobody
-	// could have told sooner that it landed. An executor that ignores
-	// virtual time never cuts, and the whole post crosses as one train. A
-	// descriptor the injector fails (launch) moves nothing and has no
-	// delivery of its own either: it rides in its place, so its error
-	// completion follows the landing of everything posted before it, and the
-	// initiator may re-post it, or release the memory, on the error alone.
+	// plain write: no completion at either end — has no event of its own: it
+	// rides on the delivery of the next descriptor somebody can (signaled,
+	// immediate, send, read, or the last of the post), at that one's delivery
+	// time. An executor that ignores virtual time cuts behind a send only (a
+	// record holds one captured payload). A descriptor the injector fails —
+	// consumed by the adapter, nothing moved — rides in its place too, so its
+	// error completion follows the landing of everything posted before it.
 	whole := f.exec.Trains()
-	var head, tail *flight
-	var due simtime.Time // when the train being built is delivered
-	moving := false      // whether it carries anything that lands
-	var sges, bulk, sends, writes, imms, reads int64
+	fl, start := single, 0 // the train being built, and where it begins in wrs
+	var due simtime.Time   // when it is delivered
+	moving := false        // whether it carries anything that lands
+	var sges, bulk int64
+	var ops [verbs.OpRecv]int64 // descriptors by opcode: validate admitted no other
 	for i := range wrs {
 		wr := &wrs[i]
 		sges += int64(len(wr.SGL))
 		if wr.Lane != 0 {
 			bulk++
 		}
-		switch wr.Op {
-		case verbs.OpSend:
-			sends++
-		case verbs.OpRDMAWriteImm:
-			imms++
-			fallthrough
-		case verbs.OpRDMAWrite:
-			writes++
-		case verbs.OpRDMARead:
-			reads++
-		}
+		ops[wr.Op]++
 		ready := n.ChargeCPUNamed(m.PostTime(i, len(wr.SGL), list), "doorbell")
+		if fl == nil {
+			fl = n.getFlight(stagePosted)
+		}
 
-		fl := n.getFlight(stagePosted)
-		fl.qp, fl.wr = qp, *wr
-		if wr.Op == verbs.OpSend {
-			// The Inline payload is captured now, into a pooled buffer: the
-			// caller may reuse its own as soon as the post returns.
-			fl.data = n.payloadBuf(wr.Inline)
-			fl.wr.Inline = nil
-			fl.size = int64(len(fl.data))
-		} else {
-			for _, s := range wr.SGL {
-				fl.size += s.Len
+		// plan.Deliver is when the descriptor's delivery is due — or, failed,
+		// when its error completion would be, were nothing posted ahead of it.
+		var plan Plan
+		var ferr error
+		if inj != nil && wr.Op != verbs.OpSend {
+			ferr = inj.CQEFault()
+		}
+		ok := ferr == nil
+		if ok {
+			size := sglBytes(wr.SGL)
+			if wr.Op == verbs.OpSend {
+				// The Inline payload is captured now, into a pooled buffer:
+				// the caller may reuse its own as soon as the post returns.
+				fl.data = n.payloadBuf(wr.Inline)
+				size = int64(len(fl.data))
 			}
-		}
-		at, ok := qp.launch(fl, ready)
-		if ok || !moving {
-			due, moving = at, ok
-		}
-		// The train is the peer's from the moment it is handed over:
-		// everything is written before Deliver.
-		if head == nil {
-			head = fl
+			plan = f.pricing.Launch(qp, wr, size, ready)
 		} else {
-			tail.next = fl
+			fl.fails = append(fl.fails, failure{i - start, qp.errorf("%v failed: %w", wr.Op, ferr)})
+			plan.Deliver = f.pricing.Fault(qp, wr, ready)
 		}
-		tail = fl
-		if i == len(wrs)-1 || ok && !whole && (wr.Op != verbs.OpRDMAWrite || !wr.Unsignaled) {
-			f.exec.Deliver(qp.peer.node, due, head.deliverFn)
-			head, moving = nil, false
+		if ok || !moving {
+			due, moving = plan.Deliver, ok
+		}
+		if i == len(wrs)-1 || ok && (wr.Op == verbs.OpSend || !whole && (wr.Op != verbs.OpRDMAWrite || !wr.Unsignaled)) {
+			// The train is the peer's from the moment it is handed over:
+			// everything is written before Deliver.
+			fl.qp, fl.wrs, fl.lag = qp, wrs[start:i+1], plan.AckLag
+			f.exec.Deliver(qp.peer.node, due, fl.deliverFn)
+			fl, start, moving = nil, i+1, false
 		}
 	}
 	c := n.counters
@@ -209,10 +211,10 @@ func (qp *QP) post(wrs []verbs.SendWR, list bool) error {
 	atomic.AddInt64(&c.DescriptorsPosted, int64(len(wrs)))
 	atomic.AddInt64(&c.SGEsPosted, sges)
 	addNonzero(&c.LaneBulkDescs, bulk)
-	addNonzero(&c.SendsPosted, sends)
-	addNonzero(&c.RDMAWritesPosted, writes)
-	addNonzero(&c.ImmediatesSent, imms)
-	addNonzero(&c.RDMAReadsPosted, reads)
+	addNonzero(&c.SendsPosted, ops[verbs.OpSend])
+	addNonzero(&c.RDMAWritesPosted, ops[verbs.OpRDMAWrite]+ops[verbs.OpRDMAWriteImm])
+	addNonzero(&c.ImmediatesSent, ops[verbs.OpRDMAWriteImm])
+	addNonzero(&c.RDMAReadsPosted, ops[verbs.OpRDMARead])
 	return nil
 }
 
@@ -224,69 +226,36 @@ func addNonzero(c *int64, n int64) {
 	}
 }
 
-// launch starts one descriptor that the host finished posting at ready: it
-// reserves what the descriptor occupies and returns when its delivery is
-// due — or, with false, when the injector failed it, the time its error
-// completion would be due were nothing posted ahead of it.
-func (qp *QP) launch(fl *flight, ready simtime.Time) (simtime.Time, bool) {
-	n := qp.node
-	f := n.fab
-
-	// Injected CQE errors: the adapter consumes the descriptor but the
-	// transfer fails before any payload moves, and the initiator sees an
-	// error completion. Channel-semantics sends are exempt (see post).
-	if inj := f.injector; inj != nil && fl.wr.Op != verbs.OpSend {
-		if ferr := inj.CQEFault(); ferr != nil {
-			fl.err = qp.errorf("%v failed: %w", fl.wr.Op, ferr)
-			return f.pricing.Fault(qp, &fl.wr, ready), false
-		}
-	}
-	plan := f.pricing.Launch(qp, &fl.wr, fl.size, ready)
-	fl.lag = plan.AckLag
-	return plan.Deliver, true
-}
-
-func (qp *QP) validate(wr *verbs.SendWR) error {
+// validate checks one descriptor against the initiator's registration table
+// — asking *reg, the region the last check resolved, first — and its target
+// against the responder's address space: access rights are the responder's
+// to check, at delivery, but memory bounds are immutable and safe to read.
+func validate(wr *verbs.SendWR, table *mem.RegTable, remote *mem.Memory, reg **mem.Region) (err error) {
 	switch wr.Op {
+	case verbs.OpRDMAWrite, verbs.OpRDMAWriteImm, verbs.OpRDMARead:
 	case verbs.OpSend:
 		if len(wr.SGL) != 0 {
 			return fmt.Errorf("OpSend carries inline payloads only")
 		}
 		return nil
-	case verbs.OpRDMAWrite, verbs.OpRDMAWriteImm:
-		total, err := qp.validateSGL(wr.SGL)
-		if err != nil {
-			return err
-		}
-		// Remote access rights are checked at delivery (the responder side),
-		// but the target range must at least be a plausible address. (Memory
-		// bounds are immutable, so reading them from here is safe even when
-		// the peer runs concurrently.)
-		return qp.peer.node.mem.CheckRange(wr.RemoteAddr, total)
-	case verbs.OpRDMARead:
-		_, err := qp.validateSGL(wr.SGL)
-		return err
 	default:
 		return fmt.Errorf("bad opcode %v", wr.Op)
 	}
-}
-
-// validateSGL checks every SGE against the local registration table and
-// returns the total byte length.
-func (qp *QP) validateSGL(sgl []verbs.SGE) (int64, error) {
-	n := qp.node
 	var total int64
-	for _, s := range sgl {
+	for i := range wr.SGL {
+		s := &wr.SGL[i]
 		if s.Len < 0 {
-			return 0, fmt.Errorf("%s %s: negative SGE length", n.fab.name, n.name)
+			return fmt.Errorf("negative SGE length")
 		}
-		if s.Len == 0 {
-			continue
-		}
-		if err := n.mem.Reg().CheckAccess(s.Key, s.Addr, s.Len); err != nil {
-			return 0, err
+		if s.Len > 0 && !(*reg).Grants(s.Key, s.Addr, s.Len) {
+			if *reg, err = table.CheckAccess(s.Key, s.Addr, s.Len); err != nil {
+				return err
+			}
 		}
 		total += s.Len
 	}
-	return total, nil
+	if wr.Op == verbs.OpRDMARead {
+		return nil
+	}
+	return remote.CheckRange(wr.RemoteAddr, total)
 }

@@ -15,16 +15,16 @@ func TestRegisterAndCheckAccess(t *testing.T) {
 	if r.Pages != PageSpan(a, 10000) {
 		t.Fatalf("Pages = %d, want %d", r.Pages, PageSpan(a, 10000))
 	}
-	if err := m.Reg().CheckAccess(r.RKey, a, 10000); err != nil {
+	if _, err := m.Reg().CheckAccess(r.RKey, a, 10000); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Reg().CheckAccess(r.RKey, a+100, 500); err != nil {
+	if _, err := m.Reg().CheckAccess(r.RKey, a+100, 500); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Reg().CheckAccess(r.RKey, a, 10001); err == nil {
+	if _, err := m.Reg().CheckAccess(r.RKey, a, 10001); err == nil {
 		t.Fatal("access past region accepted")
 	}
-	if err := m.Reg().CheckAccess(r.RKey+99, a, 8); err == nil {
+	if _, err := m.Reg().CheckAccess(r.RKey+99, a, 8); err == nil {
 		t.Fatal("bogus key accepted")
 	}
 }
@@ -42,7 +42,7 @@ func TestDeregister(t *testing.T) {
 	if m.Reg().PinnedBytes != 0 {
 		t.Fatalf("PinnedBytes after dereg = %d", m.Reg().PinnedBytes)
 	}
-	if err := m.Reg().CheckAccess(r.RKey, a, 8); err == nil {
+	if _, err := m.Reg().CheckAccess(r.RKey, a, 8); err == nil {
 		t.Fatal("access through deregistered key accepted")
 	}
 	if err := m.Reg().Deregister(r); err == nil {
@@ -77,6 +77,93 @@ func TestCovered(t *testing.T) {
 	m.Reg().Deregister(r)
 	if m.Reg().Covered(a+10, 100) {
 		t.Fatal("coverage survived deregistration")
+	}
+}
+
+// Keys are a slot and a generation: a freed slot is reused by the next
+// registration, under a key the old one never equals, so a key kept past its
+// deregistration authorizes nothing; reuse allocates only the Region; and a
+// slot whose generations are used up is retired rather than wrapped.
+func TestKeysAreDenseAndNeverReissued(t *testing.T) {
+	m := NewMemory("n0", 1<<20)
+	tab := m.Reg()
+	a, _ := m.Alloc(4 * 4096)
+	var regs [4]*Region
+	for i := range regs {
+		regs[i], _ = tab.Register(a+Addr(i*4096), 4096)
+		if regs[i].LKey != uint32(i+1) || regs[i].RKey != regs[i].LKey {
+			t.Fatalf("registration %d got key %d/%d, want the next slot", i, regs[i].LKey, regs[i].RKey)
+		}
+	}
+	stale := regs[1].RKey
+	if err := tab.Deregister(regs[1]); err != nil {
+		t.Fatal(err)
+	}
+	again, _ := tab.Register(a+4096, 4096)
+	if again.LKey&keySlotMask != stale&keySlotMask || again.LKey == stale {
+		t.Fatalf("re-registration got key %#x, want slot %d under a new generation", again.LKey, stale&keySlotMask)
+	}
+	if _, err := tab.CheckAccess(stale, a+4096, 8); err == nil {
+		t.Fatal("a stale key authorizes access to its reused slot")
+	}
+	if r, err := tab.CheckAccess(again.RKey, a+4096, 8); err != nil || r != again {
+		t.Fatalf("CheckAccess under the live key = %v, %v", r, err)
+	}
+	if _, err := tab.CheckAccess(0, a, 8); err == nil {
+		t.Fatal("key 0 accepted")
+	}
+	var none *Region
+	if none.Grants(again.RKey, a+4096, 8) || regs[1].Grants(stale, a+4096, 8) || again.Grants(stale, a+4096, 8) ||
+		again.Grants(again.RKey, a, 8) || !again.Grants(again.RKey, a+4096, 8) {
+		t.Fatal("Grants disagrees with CheckAccess on a nil, a stale or a live region")
+	}
+	if err := tab.Deregister(regs[1]); err == nil {
+		t.Fatal("deregistering through a stale region accepted")
+	}
+	if got := tab.Find(a+2*4096+8, 100); got != regs[2] {
+		t.Fatalf("Find = %+v, want the third region", got)
+	}
+	if tab.Find(a+4000, 200) != nil {
+		t.Fatal("Find returned a region for a range no single one covers")
+	}
+	if tab.RegionCount() != 4 {
+		t.Fatalf("RegionCount = %d, want 4", tab.RegionCount())
+	}
+
+	// Churn through one slot: no table growth, one object (the Region) per
+	// registration.
+	slots := len(tab.slots)
+	churn := func() {
+		r, err := tab.Register(a, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.Deregister(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.Deregister(again); err != nil {
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(100, churn); avg != 1 {
+		t.Fatalf("%.1f allocations per register/deregister cycle, want 1 (the Region)", avg)
+	}
+	seen := map[uint32]bool{}
+	for i := 0; i < 2*(keyLastGen+1); i++ {
+		r, err := tab.Register(a, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[r.LKey] || r.LKey == 0 {
+			t.Fatalf("key %#x issued twice", r.LKey)
+		}
+		seen[r.LKey] = true
+		if err := tab.Deregister(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := len(tab.slots) - slots; grew < 1 || grew > 3 {
+		t.Fatalf("table grew by %d slots over %d cycles, want the retired slots' replacements only", grew, 2*(keyLastGen+1))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datatype"
+	"repro/internal/fabric"
 	"repro/internal/fault"
 )
 
@@ -89,5 +90,13 @@ func warmMessageEvents(t *testing.T, backend string, scheme core.Scheme, dt *dat
 	// The eager frame; or the RTS and one write per 512-byte run.
 	if wantDescs := dt.Size()/512 + 1; descs != wantDescs {
 		t.Errorf("a warm message posted %d descriptors, want %d with or without an injector", descs, wantDescs)
+	}
+	// A flight record is a train's, not a descriptor's: what three messages
+	// leave on a node's free list follows the posts one had in flight (8
+	// doorbells and a few control sends), not its 513 descriptors.
+	for _, h := range w.hcas {
+		if live, free := h.(*fabric.Node).Flights(); live != 0 || free > 64 {
+			t.Errorf("node %s: %d flight records out, %d on the free list, want 0 and at most 64", h.Name(), live, free)
+		}
 	}
 }

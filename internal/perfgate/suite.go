@@ -231,11 +231,14 @@ func descriptorRows() []Row {
 // one warm list post of 64 one-SGE 512-byte writes (a Multi-W doorbell),
 // driven until its last completion handler has run — every descriptor
 // signaled (write64), and as core posts it, signaled at the tail alone
-// (write64u: one delivery event and one completion for the whole list).
-// Every descriptor rides a recycled in-flight record through the fabric
-// kernel, so the rows are pinned at zero allocations.
+// (write64u: one delivery event and one completion for the whole list) — and
+// a whole Multi-W message's worth, eight such doorbells back to back
+// (write512u), where what the kernel touches per descriptor no longer fits
+// the first-level cache. Every train rides a recycled in-flight record
+// through the fabric kernel, so the rows are pinned at zero allocations.
 func fabricRows() ([]Row, error) {
-	const n, blk, memBytes = 64, 512, 1 << 20
+	const n, doorbells, blk, memBytes = 64, 8, 512, 1 << 20
+	const span = doorbells * n * blk // the bytes a whole message moves
 	var rows []Row
 	for _, backend := range []string{mpi.BackendSim, mpi.BackendSHM} {
 		eng := simtime.NewEngine()
@@ -250,16 +253,16 @@ func fabricRows() ([]Row, error) {
 		}
 		sendCQ := a.NewCQ()
 		qa, _ := a.Connect(b, sendCQ, a.NewCQ(), b.NewCQ(), b.NewCQ())
-		src, dst := a.Mem().MustAlloc(n*blk), b.Mem().MustAlloc(n*blk)
-		sreg, err := a.Mem().Reg().Register(src, n*blk)
+		src, dst := a.Mem().MustAlloc(span), b.Mem().MustAlloc(span)
+		sreg, err := a.Mem().Reg().Register(src, span)
 		if err != nil {
 			return nil, err
 		}
-		dreg, err := b.Mem().Reg().Register(dst, n*blk)
+		dreg, err := b.Mem().Reg().Register(dst, span)
 		if err != nil {
 			return nil, err
 		}
-		wrs := make([]verbs.SendWR, n)
+		wrs := make([]verbs.SendWR, doorbells*n)
 		for i := range wrs {
 			off := mem.Addr(i * blk)
 			wrs[i] = verbs.SendWR{Op: verbs.OpRDMAWrite, SGL: []verbs.SGE{{Addr: src + off, Len: blk, Key: sreg.LKey}},
@@ -273,20 +276,22 @@ func fabricRows() ([]Row, error) {
 			done++
 		})
 		for _, v := range []struct {
-			name     string
-			signaled int
-		}{{"write64", n}, {"write64u", 1}} {
-			name, signaled := "fabric/"+backend+"/"+v.name, v.signaled
-			for i := range wrs[:n-signaled] {
-				wrs[i].Unsignaled = true
+			name            string
+			lists, signaled int // doorbells a run rings, and signaled descriptors at the end of each
+		}{{"write64", 1, n}, {"write64u", 1, 1}, {"write512u", doorbells, 1}} {
+			name, lists, signaled := "fabric/"+backend+"/"+v.name, v.lists, v.signaled
+			for i := range wrs {
+				wrs[i].Unsignaled = i%n < n-signaled
 			}
 			rows = append(rows, wallRow(name, true, func() {
 				done = 0
-				if err := qa.PostSendList(wrs); err != nil {
-					panic(err)
+				for l := 0; l < lists; l++ {
+					if err := qa.PostSendList(wrs[l*n : (l+1)*n]); err != nil {
+						panic(err)
+					}
 				}
-				if err := eng.Run(); err != nil || done != signaled {
-					panic(fmt.Sprintf("%s: %d of %d completions, err %v", name, done, signaled, err))
+				if err := eng.Run(); err != nil || done != lists*signaled {
+					panic(fmt.Sprintf("%s: %d of %d completions, err %v", name, done, lists*signaled, err))
 				}
 			}))
 		}

@@ -170,12 +170,23 @@ func TestChannelSend(t *testing.T) {
 			r.qb.PostRecv(verbs.RecvWR{WRID: uint64(100 + i)})
 		}
 		r.drive(func(p *simtime.Process) {
+			// The first half one by one, the second as one list: every send
+			// of a list carries its own captured payload.
+			var list []verbs.SendWR
 			for i := 0; i < n; i++ {
 				wr := verbs.SendWR{WRID: uint64(i + 1), Op: verbs.OpSend,
 					Inline: []byte(fmt.Sprintf("message %d", i)), Imm: uint32(40 + i)}
-				if err := r.qa.PostSend(wr); err != nil {
+				if i >= n/2 {
+					list = append(list, wr)
+				} else if err := r.qa.PostSend(wr); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if err := r.qa.PostSendList(list); err != nil {
+				t.Fatal(err)
+			}
+			for i := range list {
+				list[i].Inline[0] = 'X' // captured at post
 			}
 			r.await(p, aSend, n)
 		})
@@ -294,6 +305,62 @@ func TestRegistrationViolation(t *testing.T) {
 		}
 		if !bytes.Equal(r.a.Mem().Bytes(src, n), before) {
 			t.Fatal("a refused read overwrote its scatter list")
+		}
+	})
+}
+
+// A key dies with its registration. Deregistering a region and registering
+// the same bytes again reuses the region's slot of the table at once
+// (internal/mem pins that) under a key of a new generation, and the old key
+// names nothing: as a local key it is refused at post, as a remote key at
+// landing, with a "remote access error" and no byte moved.
+func TestStaleKey(t *testing.T) {
+	eachBackend(t, nil, func(t *testing.T, r *rig) {
+		const n = 512
+		src, sreg := r.region(r.a, n, 0x3c)
+		dst, dreg := r.region(r.b, n, 0)
+		renew := func(h verbs.HCA, addr mem.Addr, old *mem.Region) *mem.Region {
+			t.Helper()
+			if err := h.Mem().Reg().Deregister(old); err != nil {
+				t.Fatal(err)
+			}
+			reg, err := h.Mem().Reg().Register(addr, n)
+			if err != nil || reg.LKey == old.LKey || reg.RKey == old.RKey {
+				t.Fatalf("re-registration = %+v, %v, want keys of its own (old %+v)", reg, err, old)
+			}
+			return reg
+		}
+		sreg2, dreg2 := renew(r.a, src, sreg), renew(r.b, dst, dreg)
+		write := func(lkey, rkey uint32) verbs.SendWR {
+			return verbs.SendWR{Op: verbs.OpRDMAWrite, SGL: []verbs.SGE{{Addr: src, Len: n, Key: lkey}}, RemoteAddr: dst, RKey: rkey}
+		}
+		if err := r.qa.PostSend(write(sreg.LKey, dreg2.RKey)); err == nil {
+			t.Error("a post under a stale local key was accepted")
+		}
+		if err := r.qa.PostSendList([]verbs.SendWR{write(sreg2.LKey, dreg2.RKey), write(sreg.LKey, dreg2.RKey)}); err == nil {
+			t.Error("a list with a member under a stale local key was accepted")
+		}
+		r.drive(func(p *simtime.Process) {
+			if err := r.qa.PostSend(write(sreg2.LKey, dreg.RKey)); err != nil {
+				t.Fatalf("post: %v (a stale remote key is the responder's to report)", err)
+			}
+			r.await(p, aSend, 1)
+			if e := r.got[aSend][0]; e.Err == nil || !strings.Contains(e.Err.Error(), "remote access error") {
+				t.Errorf("completion = %+v, want a remote access error", e)
+			}
+			if !bytes.Equal(r.b.Mem().Bytes(dst, n), make([]byte, n)) {
+				t.Error("a write under a stale remote key moved bytes")
+			}
+			if err := r.qa.PostSend(write(sreg2.LKey, dreg2.RKey)); err != nil {
+				t.Fatal(err)
+			}
+			r.await(p, aSend, 2)
+			if e := r.got[aSend][1]; e.Err != nil {
+				t.Errorf("the write under the live keys completed with %v", e.Err)
+			}
+		})
+		if !bytes.Equal(r.b.Mem().Bytes(dst, n), r.a.Mem().Bytes(src, n)) {
+			t.Error("the write under the live keys did not land")
 		}
 	})
 }
@@ -696,9 +763,38 @@ func TestSelectiveSignalling(t *testing.T) {
 			r.quiet(1)
 		}},
 		{name: "member with a stale rkey", run: func(t *testing.T, r *rig, poll bool) {
+			// Member bad writes under a registration of its own block that is
+			// pulled before the post, its slot of b's table already handed to
+			// the next registration of the same bytes. Its error completion
+			// comes after everything ahead of it has landed and before the
+			// tail's; the list is a window of wrs until the tail completes,
+			// and the poster's to rewrite from that moment.
 			const bad = 20
 			wrs, src, dst := tailSignaled(r)
-			wrs[bad].RKey ^= 0x5a5a
+			tab := r.b.Mem().Reg()
+			own, err := tab.Register(wrs[bad].RemoteAddr, blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wrs[bad].RKey = own.RKey
+			if err := tab.Deregister(own); err != nil {
+				t.Fatal(err)
+			}
+			if again, err := tab.Register(wrs[bad].RemoteAddr, blk); err != nil || again.RKey == own.RKey {
+				t.Fatalf("re-registration = %+v, %v, want a key of its own", again, err)
+			}
+			scribble := func() {
+				for i := range wrs {
+					wrs[i] = verbs.SendWR{Op: verbs.OpRecv, WRID: 999, RKey: 999}
+				}
+			}
+			r.hook[aSend] = func(e verbs.CQE) { // handler mode: the moment the entry is seen
+				if e.WRID == n {
+					scribble()
+				} else if !bytes.Equal(dst[:bad*blk], src[:bad*blk]) {
+					t.Errorf("member %d's error seen with members ahead of it still in flight", e.WRID)
+				}
+			}
 			qp, _, wait := r.initiator(poll)
 			r.drive(func(p *simtime.Process) {
 				if err := qp.PostSendList(wrs); err != nil {
@@ -711,6 +807,7 @@ func TestSelectiveSignalling(t *testing.T) {
 				if e := got[1]; e.WRID != n || e.Err != nil {
 					t.Errorf("second completion = %+v, want the tail's, clean", e)
 				}
+				scribble()
 			})
 			for i := 0; i < n; i++ {
 				lo, hi := i*blk, (i+1)*blk
@@ -797,6 +894,41 @@ func TestSelectiveSignalling(t *testing.T) {
 				t.Error("a descriptor failed by CQE injection moved data")
 			}
 			r.quiet(1)
+		}},
+		{name: "every member signaled and delayed", run: func(t *testing.T, r *rig, poll bool) {
+			// Every member draws a completion delay and its train's tail
+			// serves it: each its own where every signaled descriptor ends a
+			// train, and then trains may finish out of order; all of them at
+			// the end where the whole post is one train, which completes in
+			// posting order. Either way every member completes once, clean.
+			wrs, src, dst := tailSignaled(r)
+			for i := range wrs {
+				wrs[i].Unsignaled = false
+			}
+			inj := fault.New(fault.Config{Seed: 5, DelayRate: 1, MaxDelay: 20 * simtime.Microsecond})
+			r.inject(inj)
+			qp, _, wait := r.initiator(poll)
+			r.drive(func(p *simtime.Process) {
+				if err := qp.PostSendList(wrs); err != nil {
+					t.Fatal(err)
+				}
+				seen := map[uint64]bool{}
+				for i, e := range wait(p, n) {
+					if e.WRID < 1 || e.WRID > n || seen[e.WRID] || e.Err != nil || e.Bytes != blk {
+						t.Fatalf("completion %d = %+v, want a member's, once and clean", i, e)
+					}
+					if seen[e.WRID] = true; !r.virtual && e.WRID != uint64(i+1) {
+						t.Fatalf("completion %d = %+v: one train completed out of posting order", i, e)
+					}
+				}
+				if !bytes.Equal(dst, src) {
+					t.Error("the list completed before every member had landed")
+				}
+			})
+			if got := inj.Stats().Delays; got != n {
+				t.Errorf("%d delays drawn for %d landed writes", got, n)
+			}
+			r.quiet(n)
 		}},
 		{name: "injected faults inside a list", run: func(t *testing.T, r *rig, poll bool) {
 			// Completion is in posting order for failures too: a member that

@@ -77,8 +77,13 @@ type SGE struct {
 // ends, exactly as on hardware — and, exactly as on hardware, the memory the
 // SGL names is read (write) or written (read) when the transfer is
 // delivered, not when it is posted: it must stay untouched from the post to
-// the send completion. The SendWR value is copied at post; the SGE array its
-// SGL points to is not, and must stay untouched just as long.
+// the send completion. Neither the SGE array its SGL points to nor, for a
+// list post, the descriptor array itself is copied: PostSend takes its SendWR
+// by value, but the slice handed to PostSendList is the post's, slot by slot,
+// until the slot's descriptor has completed — by its own completion entry, or,
+// unsignaled and successful, by that of a descriptor posted behind it — and
+// must stay untouched that long; all of it is the poster's again with the
+// post's last completion.
 type SendWR struct {
 	WRID uint64
 	Op   Opcode
@@ -162,7 +167,9 @@ type QP interface {
 	// descriptors after the first are cheaper to post (the extended
 	// interface the paper's Multi-W scheme evaluates in Figure 13). The
 	// list must not exceed Model.MaxPostBatch descriptors (when nonzero);
-	// callers chunk longer lists.
+	// callers chunk longer lists. The slice is read, not copied: it stays
+	// untouched until the post's last completion (see SendWR). A post that
+	// returns an error has kept nothing.
 	PostSendList([]SendWR) error
 	// PostRecv posts a receive credit.
 	PostRecv(RecvWR)
