@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/datatype"
 	"repro/internal/mem"
@@ -31,13 +32,13 @@ var ErrTruncate = errors.New("core: message truncated")
 const initialCredits = 1024
 
 // Request is a communication request (the MPI_Request analogue). It
-// completes through the simulation's event machinery; processes block on it
-// with Wait.
+// completes through the simulation's event machinery; a process waiting on it
+// (WaitAll, WaitAny) is its endpoint's waiter, which w points at meanwhile.
 type Request struct {
 	ep     *Endpoint
 	isRecv bool
 	done   bool
-	sig    simtime.Signal
+	w      *waiter
 
 	// Err is nil on success; ErrTruncate on a truncated receive.
 	Err error
@@ -67,13 +68,8 @@ type Request struct {
 // Done reports whether the request has completed.
 func (r *Request) Done() bool { guardRequest(r); return r.done }
 
-// Wait blocks the process until the request completes.
-func (r *Request) Wait(p *simtime.Process) {
-	guardRequest(r)
-	for !r.done {
-		p.Wait(&r.sig)
-	}
-}
+// Wait blocks the process until the request completes: WaitAll(p, r).
+func (r *Request) Wait(p *simtime.Process) { WaitAll(p, r) }
 
 func (r *Request) complete(err error) {
 	guardRequest(r)
@@ -84,38 +80,70 @@ func (r *Request) complete(err error) {
 	if err != nil && r.Err == nil {
 		r.Err = err
 	}
-	r.sig.Broadcast()
-	if r.ep != nil {
-		r.ep.reqSig.Broadcast()
+	if w := r.w; w != nil {
+		r.w = nil
+		if w.need--; w.need == 0 {
+			w.sig.Broadcast()
+		}
 	}
 }
 
-// WaitAll blocks until every request completes.
-func WaitAll(p *simtime.Process, reqs ...*Request) {
-	for _, r := range reqs {
-		r.Wait(p)
-	}
+// waiter is an endpoint's one waiting process (one rank is one process);
+// need counts the completions still due before it resumes.
+type waiter struct {
+	need   int
+	parked bool
+	sig    simtime.Signal
 }
+
+// WaitAll blocks until every request completes, parking the process once:
+// the completion that leaves none pending wakes it, at the virtual instant
+// the last of one-at-a-time waits would have (DESIGN.md §14). A request
+// listed twice counts once. Checked contract: the requests share an endpoint,
+// and at most one process waits on an endpoint at a time.
+func WaitAll(p *simtime.Process, reqs ...*Request) { wait(p, reqs, len(reqs)) }
 
 // WaitAny blocks until at least one request completes and returns its index
-// (the lowest, if several completed together). All requests must belong to
-// the same endpoint.
-func WaitAny(p *simtime.Process, reqs ...*Request) int {
+// (the lowest, if several completed together; -1, MPI_UNDEFINED, for none).
+// Only a completion in reqs wakes it; the contract is WaitAll's.
+func WaitAny(p *simtime.Process, reqs ...*Request) int { return wait(p, reqs, 1) }
+
+// wait parks p on its endpoint's waiter until want of reqs have completed
+// (want len(reqs): all of them) and returns the lowest completed index.
+func wait(p *simtime.Process, reqs []*Request, want int) int {
 	if len(reqs) == 0 {
-		panic("core: WaitAny with no requests")
+		return -1
 	}
 	ep := reqs[0].ep
-	for {
-		for i, r := range reqs {
-			if r.ep != ep {
-				panic("core: WaitAny across endpoints")
-			}
-			if r.done {
-				return i
-			}
+	for _, r := range reqs {
+		guardRequest(r)
+		if r.ep != ep {
+			panic("core: wait across endpoints")
 		}
-		p.Wait(&ep.reqSig)
 	}
+	w := &ep.w
+	if w.parked {
+		panic(fmt.Sprintf("core: rank %d: a second process waits on the endpoint (one rank is one process)", ep.rank))
+	}
+	if i := slices.IndexFunc(reqs, (*Request).Done); want == 1 && i >= 0 {
+		return i
+	}
+	for _, r := range reqs {
+		if !r.done && r.w == nil {
+			r.w = w
+			w.need++
+		}
+	}
+	w.need = min(w.need, want)
+	w.parked = true
+	for w.need > 0 {
+		p.Wait(&w.sig)
+	}
+	w.parked, w.need = false, 0
+	for _, r := range reqs {
+		r.w = nil // what WaitAny leaves pending
+	}
+	return slices.IndexFunc(reqs, (*Request).Done)
 }
 
 // inboundMsg is the per-message state of an arrival record.
@@ -192,7 +220,7 @@ type Endpoint struct {
 	recvQ      recvIndex      // posted receives, indexed per (ctx, src, tag)
 	unexp      unexpIndex     // unexpected arrivals, indexed per (ctx, src, tag)
 	arrivalSig simtime.Signal // broadcast when an unexpected message queues
-	reqSig     simtime.Signal // broadcast whenever any request completes
+	w          waiter         // the rank's process, while it waits on requests
 
 	nextOp uint32
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/fabric"
 	"repro/internal/fault"
+	"repro/internal/mem"
 )
 
 // A warm message costs engine events per post, not per descriptor: a
@@ -52,6 +53,63 @@ func TestEventsPerMessage(t *testing.T) {
 	} {
 		t.Run(c.backend+"/"+c.name+"/zero-rate injector", func(t *testing.T) {
 			warmMessageEvents(t, c.backend, c.scheme, c.dt, fault.New(fault.Config{Seed: 1}), c.want)
+		})
+	}
+}
+
+// A process resumes once per wait, not once per completion: a warm window of
+// 64 eager messages, each side waiting on its whole window with one WaitAll,
+// schedules its messages' four events each, the two process starts of
+// World.Run and one resume per WaitAll. Before the endpoint waiter each side
+// resumed at every one of its 64 completions — the pack ends on the sender,
+// the unpack ends on the receiver, each at an instant of its own — and the
+// window cost 386 events instead of 260.
+func TestEventsPerWindow(t *testing.T) {
+	const window, tags = 64, 16
+	eager := datatype.Must(datatype.TypeVector(64, 1, 4, datatype.Int32)) // 256 B
+	for _, backend := range []string{BackendSim, BackendSHM} {
+		t.Run(backend, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Ranks = 2
+			cfg.MemBytes = 64 << 20
+			cfg.Backend = backend
+			w, err := NewWorld(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var bufs [2][window]mem.Addr
+			for r := range bufs {
+				for j := range bufs[r] {
+					bufs[r][j] = w.eps[r].Mem().MustAlloc(eager.Extent())
+				}
+			}
+			var events int64
+			for i := 0; i < 3; i++ { // the third window is warm
+				e0 := w.eng.Scheduled()
+				err := w.Run(func(p *Proc) error {
+					reqs := make([]*core.Request, window)
+					for j := range reqs {
+						if p.Rank() == 0 {
+							reqs[j] = p.Isend(bufs[0][j], 1, eager, 1, j%tags)
+						} else {
+							reqs[j] = p.Irecv(bufs[1][j], 1, eager, 0, j%tags)
+						}
+					}
+					err := p.Wait(reqs...)
+					for _, r := range reqs {
+						r.Free()
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				events = w.eng.Scheduled() - e0
+			}
+			if want := int64(window*4 + 2 + 2); events != want {
+				t.Errorf("a warm 64-message window scheduled %d engine events, want %d (4 per message, 2 starts, 1 resume per WaitAll)",
+					events, want)
+			}
 		})
 	}
 }

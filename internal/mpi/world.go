@@ -336,7 +336,10 @@ func (p *Proc) Irecv(buf mem.Addr, count int, dt *datatype.Type, src, tag int) *
 	return p.ep.Irecv(buf, count, dt, src, tag)
 }
 
-// Wait blocks until every request completes and returns the first error.
+// Wait blocks until every request completes and returns the first error, in
+// list order. The rank parks once, whatever the number of requests, and
+// resumes when the last of them completes (core.WaitAll). The requests must
+// be this rank's.
 func (p *Proc) Wait(reqs ...*core.Request) error {
 	core.WaitAll(p.sp, reqs...)
 	for _, r := range reqs {
@@ -348,7 +351,9 @@ func (p *Proc) Wait(reqs ...*core.Request) error {
 }
 
 // WaitAny blocks until at least one of the requests completes and returns
-// its index (the lowest, if several completed together).
+// its index (the lowest, if several completed together; -1 for no
+// requests). Only a completion among reqs wakes the rank: a request posted
+// while it waits, from an event handler, is not in the set (core.WaitAny).
 func (p *Proc) WaitAny(reqs ...*core.Request) int {
 	return core.WaitAny(p.sp, reqs...)
 }

@@ -320,13 +320,17 @@ func tunerRow() Row {
 	})
 }
 
-// worldRow runs a pinned two-rank workload on a virtual-time backend and
-// measures per-message virtual latency and whole-process allocations between
-// barriers. The allocation column on these rows is whole-world (both ranks,
-// fabric, matching, the closing barrier) and carries the exact ceiling a
-// warm message is held to: MessageAllocs, its two request handles. (The
-// blocking calls used here hand the sender's back, so the reading is 1.)
-func worldRow(name, backend string, scheme core.Scheme, dt *datatype.Type, count int) (Row, error) {
+// worldRow runs a pinned two-rank workload on a virtual-time backend: build
+// returns, per rank, one operation of it, and a round is rndvIters operations
+// and the barrier that closes them. It measures per-operation virtual latency
+// over the first measured round and whole-process allocations per operation,
+// the lowest of wallBatches rounds (a stray runtime allocation lands in one
+// round, an allocation on the measured path in all of them). The allocation
+// column is whole-world (both ranks, fabric, matching, the closing barrier)
+// and carries the exact ceiling an operation is held to: maxAllocs, the
+// request handles its caller keeps — zero, pinned as a zero-alloc row, when
+// it frees them all.
+func worldRow(name, backend string, scheme core.Scheme, maxAllocs float64, build func(p *mpi.Proc) func() error) (Row, error) {
 	cfg := mpi.DefaultConfig()
 	cfg.Ranks = 2
 	cfg.MemBytes = 64 << 20
@@ -337,23 +341,15 @@ func worldRow(name, backend string, scheme core.Scheme, dt *datatype.Type, count
 		return Row{}, fmt.Errorf("%s: %w", name, err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var nsOp, allocsOp float64
+	nsOp, allocsOp := 0.0, math.Inf(1)
 	err = w.Run(func(p *mpi.Proc) error {
-		buf := p.Mem().MustAlloc(dt.Extent()*int64(count) + 64)
-		xfer := func() error {
-			if p.Rank() == 0 {
-				return p.Send(buf, count, dt, 1, 0)
-			}
-			_, err := p.Recv(buf, count, dt, 0, 0)
-			return err
-		}
-		// One round is rndvIters messages and the barrier that closes them.
+		op := build(p)
 		// The warm-up rounds have the measured round's shape, so every pool
 		// the round draws on — op records, buffers of each size, request
 		// handles — has reached its steady depth before the counter is read.
 		round := func() error {
 			for i := 0; i < rndvIters; i++ {
-				if err := xfer(); err != nil {
+				if err := op(); err != nil {
 					return err
 				}
 			}
@@ -364,13 +360,17 @@ func worldRow(name, backend string, scheme core.Scheme, dt *datatype.Type, count
 				return err
 			}
 		}
-		t0, m0 := w.ClockNs(), mallocCount()
-		if err := round(); err != nil {
-			return err
-		}
-		if p.Rank() == 0 {
-			nsOp = float64(w.ClockNs()-t0) / rndvIters
-			allocsOp = float64(mallocCount()-m0) / rndvIters
+		for b := 0; b < wallBatches; b++ {
+			t0, m0 := w.ClockNs(), mallocCount()
+			if err := round(); err != nil {
+				return err
+			}
+			if p.Rank() == 0 {
+				if b == 0 {
+					nsOp = float64(w.ClockNs()-t0) / rndvIters
+				}
+				allocsOp = min(allocsOp, float64(mallocCount()-m0)/rndvIters)
+			}
 		}
 		return nil
 	})
@@ -383,8 +383,55 @@ func worldRow(name, backend string, scheme core.Scheme, dt *datatype.Type, count
 		Backend:     backend,
 		NsPerOp:     nsOp,
 		AllocsPerOp: allocsOp,
-		MaxAllocs:   MessageAllocs,
+		ZeroAlloc:   maxAllocs == 0,
+		MaxAllocs:   maxAllocs,
 	}, nil
+}
+
+// messageRow is one blocking message per operation: MessageAllocs, its two
+// request handles, is its ceiling (the blocking send hands the sender's back,
+// so the reading is 1).
+func messageRow(name, backend string, scheme core.Scheme, dt *datatype.Type) (Row, error) {
+	return worldRow(name, backend, scheme, MessageAllocs, func(p *mpi.Proc) func() error {
+		buf := p.Mem().MustAlloc(dt.Extent() + 64)
+		return func() error {
+			if p.Rank() == 0 {
+				return p.Send(buf, 1, dt, 1, 0)
+			}
+			_, err := p.Recv(buf, 1, dt, 0, 0)
+			return err
+		}
+	})
+}
+
+// windowRow is a window of eager_stream's shape per operation: 64 256-byte
+// vector messages each way over 16 tags, both sides waiting on their 128
+// requests with one Wait and freeing every handle, so it allocates nothing.
+func windowRow(name, backend string) (Row, error) {
+	const window, tags = 64, 16
+	dt := datatype.Must(datatype.TypeVector(64, 1, 4, datatype.Int32))
+	return worldRow(name, backend, core.SchemeAuto, 0, func(p *mpi.Proc) func() error {
+		peer := 1 - p.Rank()
+		var sbuf, rbuf [window]mem.Addr
+		for j := range sbuf {
+			sbuf[j], rbuf[j] = p.Mem().MustAlloc(dt.Extent()), p.Mem().MustAlloc(dt.Extent())
+		}
+		reqs := make([]*core.Request, 0, 2*window)
+		return func() error {
+			reqs = reqs[:0]
+			for j := range rbuf {
+				reqs = append(reqs, p.Irecv(rbuf[j], 1, dt, peer, j%tags))
+			}
+			for j := range sbuf {
+				reqs = append(reqs, p.Isend(sbuf[j], 1, dt, peer, j%tags))
+			}
+			err := p.Wait(reqs...)
+			for _, r := range reqs {
+				r.Free()
+			}
+			return err
+		}
+	})
 }
 
 // Suite runs the full pinned micro-suite and returns the report.
@@ -409,7 +456,7 @@ func Suite() (Report, error) {
 		core.SchemePRRS, core.SchemeMultiW,
 	}
 	for _, s := range schemes {
-		row, err := worldRow("rndv/sim/"+s.String(), mpi.BackendSim, s, rndvVec, 1)
+		row, err := messageRow("rndv/sim/"+s.String(), mpi.BackendSim, s, rndvVec)
 		if err != nil {
 			return r, err
 		}
@@ -418,20 +465,25 @@ func Suite() (Report, error) {
 	// The intra-node fabric prices the same protocol differently; a subset
 	// of schemes pins its cost model too.
 	for _, s := range []core.Scheme{core.SchemeGeneric, core.SchemeBCSPUP, core.SchemeMultiW} {
-		row, err := worldRow("rndv/shm/"+s.String(), mpi.BackendSHM, s, rndvVec, 1)
+		row, err := messageRow("rndv/shm/"+s.String(), mpi.BackendSHM, s, rndvVec)
 		if err != nil {
 			return r, err
 		}
 		r.Rows = append(r.Rows, row)
 	}
-	// Small-message control: the eager path end to end.
+	// Small-message control: the eager path end to end, one message and a
+	// window of them.
 	eager := datatype.Must(datatype.TypeContiguous(256, datatype.Int32))
 	for _, backend := range []string{mpi.BackendSim, mpi.BackendSHM} {
-		row, err := worldRow("eager/"+backend+"/1k", backend, core.SchemeAuto, eager, 1)
+		row, err := messageRow("eager/"+backend+"/1k", backend, core.SchemeAuto, eager)
 		if err != nil {
 			return r, err
 		}
-		r.Rows = append(r.Rows, row)
+		win, err := windowRow("eager/"+backend+"/window64", backend)
+		if err != nil {
+			return r, err
+		}
+		r.Rows = append(r.Rows, row, win)
 	}
 
 	r.sortRows()
