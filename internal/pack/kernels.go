@@ -11,9 +11,18 @@ import (
 // length is switched on once per batch, outside the loop, so the common tiny
 // widths run as one fixed-width load and store per run (encoding/binary
 // accessors compile to single moves) instead of a memmove call per run.
-// Kernels index into span, the program's whole covering range that the
-// caller range-checked once; Go's own bounds checks keep a miscompiled
-// program from reaching outside it.
+// A strided batch has one kernel per direction: gather packs user runs into
+// the dense buffer, scatter unpacks them. Each reslices the dense side once to
+// the batch's k·w bytes and, at the fixed widths w of 1/2/4/8/16 B, walks it
+// four runs at a time through one array pointer (*[4w]byte): a group of four
+// costs one length check and moves at constant offsets, and the user side
+// keeps its check per run. The k mod 4 runs a group leaves over take the
+// same single moves one at a time. Runs move in cursor order, so a layout
+// that overlaps itself scatters as the interpreted Cursor does. An indexed
+// batch keeps one loop for both directions, copyIndexed. Kernels index into
+// span, the program's whole covering range that the caller range-checked
+// once; Go's own bounds checks keep a miscompiled program from reaching
+// outside it.
 
 var le = binary.LittleEndian
 
@@ -26,51 +35,144 @@ func copyBatch(span []byte, lo int64, buf []byte, b *datatype.RunBatch, scatter 
 	case b.Offs != nil:
 		return copyIndexed(span, lo, buf, b.Offs, b.Lens, w, scatter)
 	case scatter:
-		copyStrided(span, int(b.Base-lo), int(b.Stride), buf, 0, w, w, b.K)
+		scatterStrided(span, int(b.Base-lo), int(b.Stride), buf[:b.K*w], w)
 	default:
-		copyStrided(buf, 0, w, span, int(b.Base-lo), int(b.Stride), w, b.K)
+		gatherStrided(buf[:b.K*w], span, int(b.Base-lo), int(b.Stride), w)
 	}
 	return int64(b.K) * b.RunLen
 }
 
-// copyStrided copies k runs of w bytes, run j from src[so+j*ss:] to
-// dst[do+j*ds:]. Either side may be the strided user buffer; the dense side
-// passes its run length as its stride.
-func copyStrided(dst []byte, do, ds int, src []byte, so, ss, w, k int) {
+// gatherStrided packs the len(d)/w runs of w bytes at span[o], span[o+s],
+// span[o+2s], ... into d.
+func gatherStrided(d, span []byte, o, s, w int) {
 	switch w {
 	case 1:
-		for ; k > 0; k-- {
-			dst[do] = src[so]
-			do, so = do+ds, so+ss
+		for ; len(d) >= 4; d, o = d[4:], o+4*s {
+			g := (*[4]byte)(d)
+			g[0], g[1], g[2], g[3] = span[o], span[o+s], span[o+2*s], span[o+3*s]
+		}
+		for ; len(d) > 0; d, o = d[1:], o+s {
+			d[0] = span[o]
 		}
 	case 2:
-		for ; k > 0; k-- {
-			le.PutUint16(dst[do:], le.Uint16(src[so:]))
-			do, so = do+ds, so+ss
+		for ; len(d) >= 8; d, o = d[8:], o+4*s {
+			g := (*[8]byte)(d)
+			le.PutUint16(g[0:], le.Uint16(span[o:]))
+			le.PutUint16(g[2:], le.Uint16(span[o+s:]))
+			le.PutUint16(g[4:], le.Uint16(span[o+2*s:]))
+			le.PutUint16(g[6:], le.Uint16(span[o+3*s:]))
+		}
+		for ; len(d) > 0; d, o = d[2:], o+s {
+			le.PutUint16(d, le.Uint16(span[o:]))
 		}
 	case 4:
-		for ; k > 0; k-- {
-			le.PutUint32(dst[do:], le.Uint32(src[so:]))
-			do, so = do+ds, so+ss
+		for ; len(d) >= 16; d, o = d[16:], o+4*s {
+			g := (*[16]byte)(d)
+			le.PutUint32(g[0:], le.Uint32(span[o:]))
+			le.PutUint32(g[4:], le.Uint32(span[o+s:]))
+			le.PutUint32(g[8:], le.Uint32(span[o+2*s:]))
+			le.PutUint32(g[12:], le.Uint32(span[o+3*s:]))
+		}
+		for ; len(d) > 0; d, o = d[4:], o+s {
+			le.PutUint32(d, le.Uint32(span[o:]))
 		}
 	case 8:
-		for ; k > 0; k-- {
-			le.PutUint64(dst[do:], le.Uint64(src[so:]))
-			do, so = do+ds, so+ss
+		for ; len(d) >= 32; d, o = d[32:], o+4*s {
+			g := (*[32]byte)(d)
+			le.PutUint64(g[0:], le.Uint64(span[o:]))
+			le.PutUint64(g[8:], le.Uint64(span[o+s:]))
+			le.PutUint64(g[16:], le.Uint64(span[o+2*s:]))
+			le.PutUint64(g[24:], le.Uint64(span[o+3*s:]))
+		}
+		for ; len(d) > 0; d, o = d[8:], o+s {
+			le.PutUint64(d, le.Uint64(span[o:]))
 		}
 	case 16:
-		for ; k > 0; k-- {
-			d, s := dst[do:do+16], src[so:so+16]
-			le.PutUint64(d, le.Uint64(s))
-			le.PutUint64(d[8:], le.Uint64(s[8:]))
-			do, so = do+ds, so+ss
+		for ; len(d) >= 64; d, o = d[64:], o+4*s {
+			g := (*[64]byte)(d)
+			mov16(g[0:], span[o:])
+			mov16(g[16:], span[o+s:])
+			mov16(g[32:], span[o+2*s:])
+			mov16(g[48:], span[o+3*s:])
+		}
+		for ; len(d) > 0; d, o = d[16:], o+s {
+			mov16(d, span[o:])
 		}
 	default:
-		for ; k > 0; k-- {
-			copy(dst[do:do+w], src[so:so+w])
-			do, so = do+ds, so+ss
+		for ; len(d) > 0; d, o = d[w:], o+s {
+			copy(d[:w], span[o:o+w])
 		}
 	}
+}
+
+// scatterStrided unpacks d into the len(d)/w runs of w bytes at span[o],
+// span[o+s], span[o+2s], ...
+func scatterStrided(span []byte, o, s int, d []byte, w int) {
+	switch w {
+	case 1:
+		for ; len(d) >= 4; d, o = d[4:], o+4*s {
+			g := (*[4]byte)(d)
+			span[o], span[o+s], span[o+2*s], span[o+3*s] = g[0], g[1], g[2], g[3]
+		}
+		for ; len(d) > 0; d, o = d[1:], o+s {
+			span[o] = d[0]
+		}
+	case 2:
+		for ; len(d) >= 8; d, o = d[8:], o+4*s {
+			g := (*[8]byte)(d)
+			le.PutUint16(span[o:], le.Uint16(g[0:]))
+			le.PutUint16(span[o+s:], le.Uint16(g[2:]))
+			le.PutUint16(span[o+2*s:], le.Uint16(g[4:]))
+			le.PutUint16(span[o+3*s:], le.Uint16(g[6:]))
+		}
+		for ; len(d) > 0; d, o = d[2:], o+s {
+			le.PutUint16(span[o:], le.Uint16(d))
+		}
+	case 4:
+		for ; len(d) >= 16; d, o = d[16:], o+4*s {
+			g := (*[16]byte)(d)
+			le.PutUint32(span[o:], le.Uint32(g[0:]))
+			le.PutUint32(span[o+s:], le.Uint32(g[4:]))
+			le.PutUint32(span[o+2*s:], le.Uint32(g[8:]))
+			le.PutUint32(span[o+3*s:], le.Uint32(g[12:]))
+		}
+		for ; len(d) > 0; d, o = d[4:], o+s {
+			le.PutUint32(span[o:], le.Uint32(d))
+		}
+	case 8:
+		for ; len(d) >= 32; d, o = d[32:], o+4*s {
+			g := (*[32]byte)(d)
+			le.PutUint64(span[o:], le.Uint64(g[0:]))
+			le.PutUint64(span[o+s:], le.Uint64(g[8:]))
+			le.PutUint64(span[o+2*s:], le.Uint64(g[16:]))
+			le.PutUint64(span[o+3*s:], le.Uint64(g[24:]))
+		}
+		for ; len(d) > 0; d, o = d[8:], o+s {
+			le.PutUint64(span[o:], le.Uint64(d))
+		}
+	case 16:
+		for ; len(d) >= 64; d, o = d[64:], o+4*s {
+			g := (*[64]byte)(d)
+			mov16(span[o:], g[0:])
+			mov16(span[o+s:], g[16:])
+			mov16(span[o+2*s:], g[32:])
+			mov16(span[o+3*s:], g[48:])
+		}
+		for ; len(d) > 0; d, o = d[16:], o+s {
+			mov16(span[o:], d)
+		}
+	default:
+		for ; len(d) > 0; d, o = d[w:], o+s {
+			copy(span[o:o+w], d[:w])
+		}
+	}
+}
+
+// mov16 moves one 16-byte run as two 8-byte loads and stores.
+func mov16(dst, src []byte) {
+	dst, src = dst[:16], src[:16]
+	le.PutUint64(dst, le.Uint64(src))
+	le.PutUint64(dst[8:], le.Uint64(src[8:]))
 }
 
 // copyIndexed copies the runs of an indexed batch — run j at span[offs[j]-lo:],
@@ -109,9 +211,7 @@ func copyIndexed(span []byte, lo int64, buf []byte, offs, lens []int64, w int, s
 		}
 	case w == 16:
 		for j, o := range offs {
-			d, s := dir(scatter, buf[16*j:16*j+16], span[o-lo:o-lo+16])
-			le.PutUint64(d, le.Uint64(s))
-			le.PutUint64(d[8:], le.Uint64(s[8:]))
+			mov16(dir(scatter, buf[16*j:], span[o-lo:]))
 		}
 	default:
 		for j, o := range offs {

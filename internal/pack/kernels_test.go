@@ -282,13 +282,17 @@ func checkOutOfArena(t *testing.T, dt *datatype.Type, count int) {
 // neighbour of each that must take the copy() body, and a long one.
 var kernelWidths = []int{1, 2, 3, 4, 8, 12, 16, 64}
 
-// stridedShape nests dims stride levels over a w-byte block. sign flips the
+// innerCounts are the stride-level run counts that put a batch below, at and
+// past the strided kernels' groups of four, with every remainder.
+var innerCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17}
+
+// stridedShape nests dims stride levels over n w-byte blocks. sign flips the
 // innermost stride; gap is the hole between consecutive blocks.
-func stridedShape(w, dims int, sign, gap int64) *datatype.Type {
-	dt := datatype.Must(datatype.TypeHvector(3, w, sign*(int64(w)+gap), datatype.Byte))
+func stridedShape(w, n, dims int, sign, gap int64) *datatype.Type {
+	dt := datatype.Must(datatype.TypeHvector(n, w, sign*(int64(w)+gap), datatype.Byte))
 	for d := 1; d < dims; d++ {
 		// Outer levels step past everything the inner levels cover.
-		dt = datatype.Must(datatype.TypeHvector(2, 1, 4*int64(d)*(int64(w)+gap)+5, dt))
+		dt = datatype.Must(datatype.TypeHvector(2, 1, int64(n+1)*int64(d)*(int64(w)+gap)+5, dt))
 	}
 	return dt
 }
@@ -329,18 +333,25 @@ func TestKernelsMatchCursor(t *testing.T) {
 		splits []int // nil: every split
 	}
 	cases := []tc{
-		{name: "zero-count", dt: stridedShape(4, 1, 1, 4), count: 0},
+		{name: "zero-count", dt: stridedShape(4, 3, 1, 1, 4), count: 0},
 		{name: "past-cap", dt: pastCapShape(), count: 200, splits: []int{1, 2, 3, 384, 4096, 38401, 76800}},
 	}
 	for _, w := range kernelWidths {
 		for dims := 1; dims <= 3; dims++ {
 			cases = append(cases,
-				tc{name: fmt.Sprintf("w%d/dims%d/pos", w, dims), dt: stridedShape(w, dims, 1, 3), count: 2},
-				tc{name: fmt.Sprintf("w%d/dims%d/neg", w, dims), dt: stridedShape(w, dims, -1, 1), count: 1})
+				tc{name: fmt.Sprintf("w%d/dims%d/pos", w, dims), dt: stridedShape(w, 3, dims, 1, 3), count: 2},
+				tc{name: fmt.Sprintf("w%d/dims%d/neg", w, dims), dt: stridedShape(w, 3, dims, -1, 1), count: 1})
+		}
+		// Inner counts on both sides of the kernels' four-run groups, two
+		// stride levels deep so a batch both ends a level and is cut by a call.
+		for _, n := range innerCounts {
+			cases = append(cases,
+				tc{name: fmt.Sprintf("w%d/inner%d/pos", w, n), dt: stridedShape(w, n, 2, 1, 2), count: 1},
+				tc{name: fmt.Sprintf("w%d/inner%d/neg", w, n), dt: stridedShape(w, n, 2, -1, 1), count: 1})
 		}
 		cases = append(cases,
-			tc{name: fmt.Sprintf("w%d/huge", w), dt: stridedShape(w, 1, 1, 100<<10), count: 1},
-			tc{name: fmt.Sprintf("w%d/huge-neg", w), dt: stridedShape(w, 1, -1, 100<<10), count: 1},
+			tc{name: fmt.Sprintf("w%d/huge", w), dt: stridedShape(w, 3, 1, 1, 100<<10), count: 1},
+			tc{name: fmt.Sprintf("w%d/huge-neg", w), dt: stridedShape(w, 3, 1, -1, 100<<10), count: 1},
 			tc{name: fmt.Sprintf("w%d/indexed", w), dt: indexedShape(w, false), count: 2},
 			tc{name: fmt.Sprintf("w%d/indexed-varied", w), dt: indexedShape(w, true), count: 2})
 	}
@@ -371,9 +382,9 @@ func TestKernelsMatchCursor(t *testing.T) {
 // either end of the arena, on the strided and the indexed kernels.
 func TestKernelsOutOfArena(t *testing.T) {
 	for name, dt := range map[string]*datatype.Type{
-		"stride-above":  stridedShape(4, 1, 1, 1<<40),
-		"stride-below":  stridedShape(4, 1, -1, 1<<40),
-		"stride-past":   stridedShape(8, 2, 1, 200<<10),
+		"stride-above":  stridedShape(4, 3, 1, 1, 1<<40),
+		"stride-below":  stridedShape(4, 3, 1, -1, 1<<40),
+		"stride-past":   stridedShape(8, 3, 2, 1, 200<<10),
 		"indexed-above": datatype.Must(datatype.TypeHindexed([]int{4, 4}, []int64{0, 1 << 40}, datatype.Byte)),
 		"indexed-below": datatype.Must(datatype.TypeHindexed([]int{4, 4}, []int64{0, -(1 << 40)}, datatype.Byte)),
 		"varied-below":  datatype.Must(datatype.TypeHindexed([]int{4, 8}, []int64{0, -(1 << 20)}, datatype.Byte)),
@@ -456,4 +467,32 @@ func FuzzPackKernels(f *testing.F) {
 			checkOutOfArena(t, dt, count)
 		}
 	})
+}
+
+// BenchmarkKernels times the strided kernels alone — 16 384 runs of each
+// fixed width at a stride of four runs, the density of the perf floor's
+// vec4Bx16k — in each direction, beside a copy() of the same bytes:
+//
+//	go test -run '^$' -bench Kernels ./internal/pack
+func BenchmarkKernels(b *testing.B) {
+	const k = 16384
+	for _, w := range []int{1, 2, 4, 8, 16} {
+		span, buf := make([]byte, 4*w*k), make([]byte, w*k)
+		batch := datatype.RunBatch{K: k, RunLen: int64(w), Stride: int64(4 * w)}
+		for _, c := range []struct {
+			name string
+			f    func()
+		}{
+			{"gather", func() { copyBatch(span, 0, buf, &batch, false) }},
+			{"scatter", func() { copyBatch(span, 0, buf, &batch, true) }},
+			{"copy", func() { copy(buf, span) }},
+		} {
+			b.Run(fmt.Sprintf("w%d/%s", w, c.name), func(b *testing.B) {
+				b.SetBytes(int64(len(buf)))
+				for i := 0; i < b.N; i++ {
+					c.f()
+				}
+			})
+		}
+	}
 }
