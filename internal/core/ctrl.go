@@ -129,10 +129,6 @@ func (w *ctrlWriter) segRefs(refs []segRef) {
 	}
 }
 
-func (r *ctrlReader) segRefs() []segRef {
-	return r.segRefsInto(nil)
-}
-
 // segRefsInto parses a segment-reference list into buf (reusing its
 // capacity), so warm-path callers can feed an op-owned scratch slice instead
 // of allocating per message.
@@ -156,10 +152,6 @@ func (w *ctrlWriter) regRefs(refs []regRef) {
 		w.i64(s.len)
 		w.u32(s.key)
 	}
-}
-
-func (r *ctrlReader) regRefs() []regRef {
-	return r.regRefsInto(nil)
 }
 
 // regRefsInto is segRefsInto for region-reference lists.

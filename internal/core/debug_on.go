@@ -2,7 +2,12 @@
 
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/verbs"
+)
 
 // Use-after-recycle guard (go test -tags dtdebug). The pooled records of the
 // message path — send and receive ops, arrival records, request handles —
@@ -70,4 +75,34 @@ func poisonInbound(inb *inbound) bool {
 func poisonRequest(r *Request) bool {
 	r.stamp.freed, r.ep = true, nil
 	return true
+}
+
+// poisonWindow does the same to a plan's window before a rebuild: its
+// descriptors get an opcode no fabric posts and lose their keys and gather
+// lists, and the arrays are never built into again.
+func poisonWindow(s *wrSet) bool {
+	wrs := s.wrs[:cap(s.wrs)]
+	for i := range wrs {
+		wrs[i] = verbs.SendWR{Op: -1}
+	}
+	*s = wrSet{}
+	return true
+}
+
+// checkPlan rebuilds the window of a plan hit into scratch and panics unless
+// the plan's equals it field by field (but for those a post sets).
+func checkPlan(ep *Endpoint, op *sendOp) {
+	win := op.plan.set.wrs
+	op.cur.Reset(op.plan.key.lprog)
+	op.rcur.Reset(op.plan.key.rprog)
+	want, err := ep.dualWRs(&wrSet{}, verbs.OpRDMAWrite, &op.cur, op.buf, op.reg.refs, &op.rcur, op.rBase, op.ctsRegs, op.eff)
+	if err != nil || len(want) != len(win) {
+		panic(fmt.Sprintf("core rank %d: a plan holds %d descriptors, a rebuild gives %d (%v)", ep.rank, len(win), len(want), err))
+	}
+	want[len(want)-1].Op, want[len(want)-1].Imm = verbs.OpRDMAWriteImm, win[len(win)-1].Imm
+	for i := range want {
+		if a, b := want[i], win[i]; a.Op != b.Op || a.RemoteAddr != b.RemoteAddr || a.RKey != b.RKey || a.Imm != b.Imm || b.Inline != nil || !slices.Equal(a.SGL, b.SGL) {
+			panic(fmt.Sprintf("core rank %d: planned descriptor %d of %d is %+v, a rebuild gives %+v", ep.rank, i, len(win), b, a))
+		}
+	}
 }

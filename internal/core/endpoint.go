@@ -263,6 +263,7 @@ type Endpoint struct {
 	upk          pack.Unpacker
 	grouper      mem.Grouper
 	blockScratch []mem.Block
+	plans        planStore // OGR groupings and Multi-W windows kept for warm messages (plan.go)
 
 	// Service mode (cfg.QoS != nil): lanes arbitrates bulk descriptor
 	// posting per peer, gate parks whole bulk transfers under resource

@@ -29,38 +29,46 @@ func (ep *Endpoint) Program(t *datatype.Type, count int) *datatype.Program {
 	return p
 }
 
-// groupMessage runs Optimistic Group Registration over the contiguous blocks
-// of a message, appending the regions to register to out; blocks is how many
-// blocks the message has, which is what datatype processing is charged for.
-// A program whose runs ascend streams straight from its layout walk into the
-// grouper; any other is listed into the endpoint's scratch and sorted there.
-// A message with more than regFlattenLimit runs — by its program's count, or
-// by the listing itself where that count is an estimate — degrades explicitly
-// to its single covering span: one conservative region, never a silently
-// incomplete region set.
-func (ep *Endpoint) groupMessage(buf mem.Addr, t *datatype.Type, count int, out []mem.Block) (regions []mem.Block, blocks int) {
-	g := &ep.grouper
-	g.Reset(mem.RegCost{Base: int64(ep.model.RegBase), PerPage: int64(ep.model.RegPerPage)}, out)
+// groupMessage returns the Optimistic Group Registration of a message: the
+// regions to register, and how many blocks the message has, which is what
+// datatype processing is charged for. A (program, buffer) seen lately is not
+// walked again (plan.go). A program whose runs ascend streams straight from
+// its layout walk into the grouper; any other is listed into the endpoint's
+// scratch and sorted there. A message with more than regFlattenLimit runs —
+// by its program's count, or by the listing itself where that count is an
+// estimate — degrades explicitly to its single covering span: one
+// conservative region, never a silently incomplete region set.
+func (ep *Endpoint) groupMessage(buf mem.Addr, t *datatype.Type, count int) *groupEntry {
 	p := ep.Program(t, count)
+	e, hit := ep.plans.group(p, buf)
+	if hit {
+		return e
+	}
+	ep.plans.ogrWalks++
+	e.prog, e.buf, e.blocks = p, buf, 1
+	g := &ep.grouper
+	g.Reset(mem.RegCost{Base: int64(ep.model.RegBase), PerPage: int64(ep.model.RegPerPage)}, e.groups[:0])
 	tooMany := p.Runs() > regFlattenLimit
 	if !tooMany {
 		if p.Ascending() {
 			pack.GroupProgram(g, buf, p)
-			return g.Finish(), int(p.Runs())
+			e.groups, e.blocks = g.Finish(), int(p.Runs())
+			return e
 		}
 		ep.blockScratch, tooMany = pack.AppendProgramBlocks(ep.blockScratch[:0], buf, p, regFlattenLimit)
 	}
 	if tooMany {
 		span := t.TrueExtent() + int64(count-1)*t.Extent()
 		g.Add(mem.Addr(int64(buf)+t.TrueLB()), span)
-		return g.Finish(), 1
+	} else {
+		mem.SortBlocks(ep.blockScratch)
+		for _, b := range ep.blockScratch {
+			g.Add(b.Addr, b.Len)
+		}
+		e.blocks = len(ep.blockScratch)
 	}
-	list := ep.blockScratch
-	mem.SortBlocks(list)
-	for _, b := range list {
-		g.Add(b.Addr, b.Len)
-	}
-	return g.Finish(), len(list)
+	e.groups = g.Finish()
+	return e
 }
 
 // layoutSummary returns the maximal-run count and average run length of a

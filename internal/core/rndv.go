@@ -78,6 +78,7 @@ type sendMsg struct {
 	rBase   mem.Addr      // Multi-W: the receiver's buffer,
 	rLayout *cachedLayout // layout (its cache entry, which holds the programs)
 	rCount  int           // and count
+	plan    *wrPlan       // Multi-W: the plan whose window the op posted, busy until recycle
 
 	staging segRes // Generic whole-message pack buffer
 	wrsLeft int    // descriptors not yet finally resolved
@@ -289,9 +290,9 @@ func (w *regWalk) init(ep *Endpoint, done func(error)) {
 
 // start groups the message's blocks and begins acquiring the groups.
 func (w *regWalk) start(buf mem.Addr, dt *datatype.Type, count int) {
-	var blocks int
-	w.groups, blocks = w.ep.groupMessage(buf, dt, count, w.groups[:0])
-	w.ep.chargeTypeProc(blocks)
+	e := w.ep.groupMessage(buf, dt, count)
+	w.groups = append(w.groups[:0], e.groups...)
+	w.ep.chargeTypeProc(e.blocks)
 	w.drop()
 	w.i, w.attempt, w.total = 0, 0, mem.RegOps{}
 	w.step()

@@ -414,19 +414,36 @@ func (ep *Endpoint) packOneSeg(op *sendOp) {
 
 // sendMultiWData implements the Multi-W zero-copy transfer: walk the local
 // and remote layouts together (dualWRs), immediate data on the final
-// descriptor.
+// descriptor. The window is built into a plan (plan.go) if one is idle; the
+// next message with its key and registrations posts it as it is, only the
+// immediate rewritten, and one sent while it is in flight builds its own.
 func (ep *Endpoint) sendMultiWData(op *sendOp) {
-	op.cur.Reset(ep.Program(op.dt, op.count))
-	op.rcur.Reset(op.rLayout.program(op.rCount))
-	wrs, err := ep.dualWRs(&op.wrs, verbs.OpRDMAWrite, &op.cur, op.buf, op.reg.refs,
-		&op.rcur, op.rBase, op.ctsRegs, op.eff)
-	if err != nil {
-		ep.abortSend(op, err)
-		return
+	k := planKey{op.dst, ep.Program(op.dt, op.count), op.rLayout.program(op.rCount), op.buf, op.rBase, op.eff}
+	pl, wrs := ep.plans.plan(k, op)
+	if op.plan = pl; wrs != nil {
+		checkPlan(ep, op)
+	} else {
+		set := &op.wrs
+		if pl != nil { // its old window is recycled
+			if set, pl.key = &pl.set, (planKey{}); !poisonWindow(set) {
+				set.reset()
+			}
+		}
+		ep.plans.duals++
+		op.cur.Reset(k.lprog)
+		op.rcur.Reset(k.rprog)
+		var err error
+		if wrs, err = ep.dualWRs(set, verbs.OpRDMAWrite, &op.cur, op.buf, op.reg.refs,
+			&op.rcur, op.rBase, op.ctsRegs, op.eff); err != nil {
+			ep.abortSend(op, err)
+			return
+		}
+		wrs[len(wrs)-1].Op = verbs.OpRDMAWriteImm
+		if pl != nil {
+			pl.key, pl.sRefs, pl.rRefs = k, append(pl.sRefs[:0], op.reg.refs...), append(pl.rRefs[:0], op.ctsRegs...)
+		}
 	}
-	last := len(wrs) - 1
-	wrs[last].Op = verbs.OpRDMAWriteImm
-	wrs[last].Imm = op.id
+	wrs[len(wrs)-1].Imm = op.id
 	ep.chargeTypeProc(len(wrs))
 	ep.postWRs(op, op.dst, wrs, ep.cfg.ListPost)
 	ep.donePosting(op)

@@ -289,6 +289,9 @@ func (ep *Endpoint) handleSendCQE(e verbs.CQE) {
 		if rec.batch != nil {
 			rec.batch[rec.nfail] = rec.batch[idx]
 			rec.nfail++
+			if op := rec.sop; op != nil && op.plan != nil {
+				op.plan.key = planKey{} // the window is no longer what a build gives
+			}
 		}
 		if rec.err == nil || fault.IsTransient(rec.err) && !fault.IsTransient(e.Err) {
 			rec.err = e.Err

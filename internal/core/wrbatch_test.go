@@ -384,9 +384,10 @@ func TestBatchLaneAccounting(t *testing.T) {
 		w, s, _, _ := batchWorld(t, &pol, queued)
 		// The second doorbell's gather list loses its registration while it
 		// waits for window room: the post is refused, nothing of it reaches
-		// the NIC, and the op aborts with the post error.
+		// the NIC, and the op aborts with the post error. A first message
+		// builds its window into a plan, and posts it from there.
 		op := w.eps[0].peers[1].sends[0]
-		if err := w.eps[0].Mem().Reg().Deregister(regionAt(t, w.eps[0], op.wrs.wrs[4].SGL[0].Addr, 512)); err != nil {
+		if err := w.eps[0].Mem().Reg().Deregister(regionAt(t, w.eps[0], op.plan.set.wrs[4].SGL[0].Addr, 512)); err != nil {
 			t.Fatal(err)
 		}
 		stepAll(t, w)

@@ -440,6 +440,32 @@ func windowRow(name, backend string) (Row, error) {
 	})
 }
 
+// multiWRow measures one warm Multi-W message of dt on sim, 0 → 1, from
+// Isend and Irecv to both completions, the engine run dry with no process
+// around it: the OGR groups and the descriptor window are the ones the
+// previous message left in its plan, so the row is pinned at zero
+// allocations.
+func multiWRow(name string, dt *datatype.Type) (Row, error) {
+	cfg := mpi.DefaultConfig()
+	cfg.Ranks = 2
+	cfg.MemBytes = 64 << 20
+	cfg.Core.Scheme = core.SchemeMultiW
+	w, err := mpi.NewWorld(cfg)
+	if err != nil {
+		return Row{}, fmt.Errorf("%s: %w", name, err)
+	}
+	s, r := w.Endpoint(0), w.Endpoint(1)
+	sbuf, rbuf := s.Mem().MustAlloc(dt.Extent()), r.Mem().MustAlloc(dt.Extent())
+	return wallRow(name, true, func() {
+		rr, sr := r.Irecv(rbuf, 1, dt, 0, 0), s.Isend(sbuf, 1, dt, 1, 0)
+		if err := w.Engine().Run(); err != nil || !sr.Done() || !rr.Done() || sr.Err != nil || rr.Err != nil {
+			panic(fmt.Sprintf("%s: send %v, receive %v, run %v", name, sr.Err, rr.Err, err))
+		}
+		sr.Free()
+		rr.Free()
+	}), nil
+}
+
 // Suite runs the full pinned micro-suite and returns the report.
 func Suite() (Report, error) {
 	var r Report
@@ -477,6 +503,11 @@ func Suite() (Report, error) {
 		}
 		r.Rows = append(r.Rows, row)
 	}
+	warm, err := multiWRow("multiw/sim/warm256k", rndvVec)
+	if err != nil {
+		return r, err
+	}
+	r.Rows = append(r.Rows, warm)
 	// Small-message control: the eager path end to end, one message and a
 	// window of them.
 	eager := datatype.Must(datatype.TypeContiguous(256, datatype.Int32))
