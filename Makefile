@@ -70,7 +70,7 @@ fault-soak:
 	$(GO) run ./cmd/fabsim -fault-soak -perm-rate 1 -cqe-rate 1
 
 # One sweep of the table in internal/exper/sweep.go (backends, tuner,
-# parallel, compile, qos, soak, scale, zoo) on all its backends -> its
+# parallel, compile, soak, scale, zoo) on all its backends -> its
 # BENCH_*.json / SOAK_*.json. Wall-clock rows are machine-dependent:
 # regenerate them deliberately, on the machine the numbers are quoted for.
 # ARGS passes flags through, e.g.

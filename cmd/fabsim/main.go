@@ -15,9 +15,9 @@
 //	go run ./cmd/fabsim -fault-soak -perm-rate 1 -cqe-rate 1   # forced aborts
 //
 // With -qos-soak it runs the deterministic service-mode traffic mix
-// (internal/traffic) with the QoS layer on and reports per-class latency
-// plus the admission/lane counters; -no-qos disables the service layer for
-// an A/B comparison:
+// (internal/traffic) with the admission gate on and reports per-class
+// latency plus the admission counters; -no-qos disables the gate for an A/B
+// comparison:
 //
 //	go run ./cmd/fabsim -qos-soak
 //	go run ./cmd/fabsim -qos-soak -backend rt
@@ -63,8 +63,8 @@ var (
 	doTrace   = flag.Bool("trace", false, "record activity traces and print a busy-time summary at the end")
 	traceOut  = flag.String("trace-out", "", "with -trace: also write Chrome trace-event JSON here")
 	tunerSoak = flag.Bool("tuner", false, "with -fault-soak: add an Auto row driven by the adaptive tuner")
-	qosSoak   = flag.Bool("qos-soak", false, "run the service-mode traffic soak and report per-class latency + QoS counters")
-	noQoS     = flag.Bool("no-qos", false, "with -qos-soak: disable the QoS layer (A/B baseline)")
+	qosSoak   = flag.Bool("qos-soak", false, "run the service-mode traffic soak and report per-class latency + admission counters")
+	noQoS     = flag.Bool("no-qos", false, "with -qos-soak: disable the admission gate (A/B baseline)")
 	soakSeed  = flag.Int64("qos-seed", 1, "with -qos-soak: workload seed")
 )
 
@@ -171,7 +171,7 @@ func flushTrace() {
 
 // runQoSSoak drives the default service-mode traffic mix over an MPI world
 // on the selected backend and prints per-class latency quantiles plus the
-// aggregate counters (including the QoS admission/lane lines).
+// aggregate counters (including the QoS admission lines).
 func runQoSSoak() error {
 	spec := traffic.DefaultSpec()
 	spec.Seed = *soakSeed

@@ -93,12 +93,6 @@ type Config struct {
 	// Off, every registration is paid on every operation (Figure 14).
 	RegCache bool
 
-	// TypeProcBase and TypeProcPerRun model datatype-processing overhead on
-	// top of raw copy cost — the reason Manual packing slightly beats the
-	// Datatype scheme in the paper's Figure 2.
-	TypeProcBase   simtime.Duration
-	TypeProcPerRun simtime.Duration
-
 	// AutoGatherThreshold: with SchemeAuto, the smallest sender-side average
 	// run for which RDMA gather (RWG-UP) still beats packing.
 	AutoGatherThreshold int64
@@ -149,11 +143,10 @@ type Config struct {
 	// fan out.
 	ParShardBytes int64
 
-	// QoS enables service mode: traffic-class lanes with per-peer
-	// flow-control windows over bulk descriptor posting, and admission
-	// control that parks or rejects new bulk transfers while segment-pool or
-	// registration budgets are tight (internal/qos). Nil disables the whole
-	// layer — posting and admission behave exactly as without it.
+	// QoS enables service mode: admission control that parks new bulk
+	// transfers while the staging pool they draw from is tight
+	// (internal/qos). Nil disables it — admission behaves exactly as
+	// without it.
 	QoS *qos.Policy
 }
 
@@ -168,13 +161,20 @@ func DefaultConfig() Config {
 		SegmentUnpack:       true,
 		ListPost:            true,
 		RegCache:            true,
-		TypeProcBase:        300 * simtime.Nanosecond,
-		TypeProcPerRun:      25 * simtime.Nanosecond,
 		AutoGatherThreshold: 256,
 		BuffersReused:       true,
 		PackWorkers:         1,
 	}
 }
+
+// TypeProcBase and TypeProcPerRun model datatype-processing overhead on top
+// of raw copy cost — the reason Manual packing slightly beats the Datatype
+// scheme in the paper's Figure 2: a fixed charge per pack, unpack or
+// descriptor build, and one per run it handles.
+const (
+	TypeProcBase   = 300 * simtime.Nanosecond
+	TypeProcPerRun = 25 * simtime.Nanosecond
+)
 
 // minSegmented is the smallest rendezvous message split into at least two
 // segments (the paper's 16 KB rule).
@@ -196,7 +196,7 @@ func (c *Config) segSizeFor(size int64) int64 {
 // packCost prices a pack or unpack of the given bytes spread over runs,
 // including datatype-processing overhead.
 func (c *Config) packCost(m *verbs.Model, bytes int64, runs int) simtime.Duration {
-	return m.CopyTime(bytes, runs) + c.TypeProcBase + simtime.Duration(runs)*c.TypeProcPerRun
+	return m.CopyTime(bytes, runs) + TypeProcBase + simtime.Duration(runs)*TypeProcPerRun
 }
 
 // parPackCost prices a parallel pack/unpack step: the slowest shard's copy
@@ -214,7 +214,7 @@ func (c *Config) parPackCost(m *verbs.Model, st pack.ParStats) simtime.Duration 
 			slowest = d
 		}
 	}
-	return slowest + c.TypeProcBase + simtime.Duration(st.Runs)*c.TypeProcPerRun +
+	return slowest + TypeProcBase + simtime.Duration(st.Runs)*TypeProcPerRun +
 		simtime.Duration(len(st.Shards))*m.ParallelFanOut
 }
 

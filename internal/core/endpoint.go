@@ -265,12 +265,14 @@ type Endpoint struct {
 	blockScratch []mem.Block
 	plans        planStore // OGR groupings and Multi-W windows kept for warm messages (plan.go)
 
-	// Service mode (cfg.QoS != nil): lanes arbitrates bulk descriptor
-	// posting per peer, gate parks whole bulk transfers under resource
-	// pressure. Both are nil when QoS is disabled.
-	lanes  *qos.Arbiter
+	// Service mode (cfg.QoS != nil): gate parks whole bulk transfers under
+	// staging-pool pressure. Nil when QoS is disabled.
 	gate   *qos.Gate
 	qosPol qos.Policy
+
+	// chunkLimit is the longest doorbell batch: the adapter's limit, capped
+	// at what a WRID can index (wr.go).
+	chunkLimit int
 
 	// Completion records of posted descriptors (wr.go): wrTab is indexed by
 	// the low half of the work-request ID, wrFree holds the recycled ones.
@@ -335,9 +337,12 @@ func NewEndpoint(rank int, hca verbs.HCA, cfg Config) (*Endpoint, error) {
 		ep.userReg.SetFaultFn(inj.RegFault)
 		ep.stagingReg.SetFaultFn(inj.RegFault)
 	}
+	ep.chunkLimit = ep.model.MaxPostBatch
+	if ep.chunkLimit <= 0 || ep.chunkLimit > maxBatchWRs {
+		ep.chunkLimit = maxBatchWRs
+	}
 	if cfg.QoS != nil {
 		ep.qosPol = *cfg.QoS
-		ep.lanes = qos.NewArbiter(ep.qosPol)
 		ep.gate = qos.NewGate(ep.qosPol)
 	}
 	return ep, nil

@@ -2,24 +2,30 @@ package core
 
 import (
 	"go/ast"
-	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 )
 
-// postingPath names, for each call the one posting path is made of, the
-// functions (or the file) of this package that may make it (DESIGN.md §7): a
-// data descriptor reaches the fabric from (*wrRec).try and nowhere else —
-// sendCtrl's unsignaled control send is the one other post, it carries no
-// record — the lane arbiter is offered units by wr.go only, and release is
-// the one reader of faultMode. A scheme that grows a posting fork of its own
-// fails here.
+// postingPath names, for each selector the one posting path is made of, the
+// functions of this package that may call it or take it as a value
+// (DESIGN.md §7): a data descriptor reaches the fabric from (*wrRec).try and
+// nowhere else — sendCtrl's unsignaled control send is the one other post,
+// it carries no record — and release is the one reader of faultMode. A
+// record's posting attempt is started by release, or by resolveWR for the
+// unit held back behind the one it resolves, and rescheduled by retryWR
+// alone; getWR binds it as tryFn once per record and putWR keeps the binding.
+// stagingAcq's registration retry has a try of its own (rndv.go). A scheme
+// that grows a posting fork of its own, or a grant step that starts attempts
+// from anywhere else, fails here.
 var postingPath = map[string][]string{
 	"PostSend":     {"(*wrRec).try", "(*Endpoint).sendCtrl"},
 	"PostSendList": {"(*wrRec).try"},
-	"submitLane":   {"wr.go"},
 	"faultMode":    {"(*Endpoint).release"},
+	"try": {"(*Endpoint).release", "(*Endpoint).resolveWR", "(*Endpoint).getWR",
+		"(*stagingAcq).init", "(*stagingAcq).start"},
+	"tryFn": {"(*Endpoint).retryWR", "(*Endpoint).getWR", "(*Endpoint).putWR",
+		"(*stagingAcq).init", "(*stagingAcq).try"},
 }
 
 // funcName renders a declaration the way the table above spells it.
@@ -39,23 +45,19 @@ func funcName(d *ast.FuncDecl) string {
 }
 
 // TestOnePostingPath parses the non-test files of internal/core and fails on
-// a posting-path call made from anywhere but its one site.
+// a posting-path selector — called or taken as a value — used anywhere but
+// its sites.
 func TestOnePostingPath(t *testing.T) {
 	fset, files := parseNonTest(t, ".")
 	seen := map[string]bool{}
-	for name, f := range files {
-		file := filepath.Base(name)
+	for _, f := range files {
 		for _, decl := range f.Decls {
 			fn := "a package-level declaration"
 			if d, ok := decl.(*ast.FuncDecl); ok {
 				fn = funcName(d)
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				sel, ok := call.Fun.(*ast.SelectorExpr)
+				sel, ok := n.(*ast.SelectorExpr)
 				if !ok {
 					return true
 				}
@@ -64,8 +66,8 @@ func TestOnePostingPath(t *testing.T) {
 					return true
 				}
 				seen[sel.Sel.Name] = true
-				if !slices.Contains(sites, fn) && !slices.Contains(sites, file) {
-					t.Errorf("%s: %s calls %s; only %s may", fset.Position(call.Pos()), fn, sel.Sel.Name,
+				if !slices.Contains(sites, fn) {
+					t.Errorf("%s: %s uses %s; only %s may", fset.Position(sel.Pos()), fn, sel.Sel.Name,
 						strings.Join(sites, ", "))
 				}
 				return true
@@ -75,7 +77,7 @@ func TestOnePostingPath(t *testing.T) {
 	// A rename must not turn the test into one that checks nothing.
 	for name := range postingPath {
 		if !seen[name] {
-			t.Errorf("no call of %s found in internal/core: the table above is stale", name)
+			t.Errorf("no use of %s found in internal/core: the table above is stale", name)
 		}
 	}
 }

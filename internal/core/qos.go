@@ -5,83 +5,17 @@ import (
 
 	"repro/internal/qos"
 	"repro/internal/simtime"
-	"repro/internal/verbs"
 )
 
 // Service-mode glue: how the endpoint drives internal/qos.
 //
-// Lanes gate individual data-descriptor posts (the Arbiter's per-peer
-// windows); admission gates whole transfers (the Gate's pressure tests).
-// Both sit above the verbs boundary and below the protocol handshake, so
-// control traffic — eager payloads, RTS/CTS, failure notices — is never
-// delayed and announce order (MPI's non-overtaking guarantee) is never
-// perturbed: admission applies only to the data phase, after the RTS has
-// been matched, where stalling is exactly the paper's Section 4.3.3
-// "stall until buffers are available" policy.
-//
-// A fault injector changes nothing here: a unit is charged when the arbiter
-// grants it and keeps the charge across its retries, until the record that
-// carries it finally resolves (wr.go) — completed, failed, or abandoned
-// before it reached the NIC.
-
-// laneFor maps a transfer's effective size to its traffic class.
-func (ep *Endpoint) laneFor(bytes int64) qos.Lane {
-	if ep.lanes == nil {
-		return qos.LaneLatency
-	}
-	return ep.qosPol.ClassOf(bytes)
-}
-
-// wrPayload sums a descriptor's gather-list bytes (its window charge).
-func wrPayload(wr *verbs.SendWR) int64 {
-	var n int64
-	for _, s := range wr.SGL {
-		n += s.Len
-	}
-	return n
-}
-
-// submitLane offers one post unit (descs descriptors, bytes payload) for dst
-// to the lane arbiter; grant runs when the unit is admitted — immediately
-// with QoS off. Every grant must eventually return its charge through
-// laneRelease.
-func (ep *Endpoint) submitLane(dst int, lane qos.Lane, descs int, bytes int64, grant func()) {
-	if ep.lanes == nil {
-		grant()
-		return
-	}
-	busy := ep.lanes.Queued(dst) > 0
-	if ep.lanes.Submit(dst, lane, descs, bytes, grant) {
-		atomic.AddInt64(&ep.ctr.QoSLaneDeferrals, 1)
-	} else if lane == qos.LaneLatency && busy {
-		atomic.AddInt64(&ep.ctr.QoSLaneBypass, 1)
-	}
-}
-
-// laneRelease returns a granted unit's window charge (credit return),
-// draining dst's deferred bulk queue.
-func (ep *Endpoint) laneRelease(dst int, descs int, bytes int64) {
-	if ep.lanes == nil {
-		return
-	}
-	ep.lanes.Release(dst, descs, bytes)
-}
-
-// laneChunkLimit bounds a doorbell batch: at the adapter's limit (and what a
-// WRID can index, wr.go), and a bulk one at the descriptor window, so one
-// bulk list post never occupies more of the send queue than a window's
-// worth — the mechanism that keeps eager sends from waiting behind a whole
-// Multi-W flood on the real-time backend.
-func (ep *Endpoint) laneChunkLimit(lane qos.Lane) int {
-	limit := ep.model.MaxPostBatch
-	if limit <= 0 || limit > maxBatchWRs {
-		limit = maxBatchWRs
-	}
-	if w := ep.qosPol.DescWindow; ep.lanes != nil && lane == qos.LaneBulk && w > 0 && w < limit {
-		return w
-	}
-	return limit
-}
+// Admission gates whole transfers (the Gate's pool-pressure test). It sits
+// above the verbs boundary and below the protocol handshake, so control
+// traffic — eager payloads, RTS/CTS, failure notices — is never delayed and
+// announce order (MPI's non-overtaking guarantee) is never perturbed:
+// admission applies only to the data phase, after the RTS has been matched,
+// where stalling is exactly the paper's Section 4.3.3 "stall until buffers
+// are available" policy.
 
 // admittee is what admission control decides about: a send or receive op.
 type admittee interface {
@@ -89,8 +23,6 @@ type admittee interface {
 	dead() bool
 	// admitted starts the op's data phase.
 	admitted()
-	// rejected fails the op: the parking lot is full.
-	rejected(err error)
 	// unpinAdmission drops the pin the op holds for as long as the admission
 	// decision is unresolved.
 	unpinAdmission()
@@ -100,9 +32,8 @@ type admittee interface {
 // transfer needs to re-evaluate pressure and to resume, kept inside the op
 // record with the two functions the gate holds bound once, so admitting a
 // transfer builds no closure. The op is pinned from admit until the decision
-// has fully played out — the parked resume ran or was abandoned, or the
-// transfer was rejected — since a parked resume can outlive an abort and
-// must not touch a recycled op.
+// has fully played out — the resume ran, or was abandoned — since a parked
+// resume can outlive an abort and must not touch a recycled op.
 type admission struct {
 	ep    *Endpoint
 	owner admittee
@@ -126,8 +57,7 @@ func (a *admission) init(ep *Endpoint, owner admittee) {
 }
 
 // pressure is the live resource snapshot admission reads: the staging pool's
-// occupancy, the endpoint's pinned pages, and how many transfers are still
-// active to release them.
+// occupancy and how many transfers are still active to release it.
 func (a *admission) pressure() qos.Pressure {
 	ep := a.ep
 	active := ep.activeSends + ep.activeRecvs - ep.gate.Parked()
@@ -137,7 +67,6 @@ func (a *admission) pressure() qos.Pressure {
 	return qos.Pressure{
 		FreeSlots:   a.pool.available(),
 		PoolWaiters: a.pool.pendingWaiters(),
-		RegPages:    atomic.LoadInt64(&ep.ctr.RegisteredPages) - atomic.LoadInt64(&ep.ctr.DeregisteredPages),
 		ActiveOps:   active,
 	}
 }
@@ -159,11 +88,11 @@ func (a *admission) resume() {
 }
 
 // admit runs the admission state machine for one transfer's data phase:
-// resume immediately on admit, park with trace instants and a resume span
-// otherwise, fail the op with qos.ErrRejected when the parking lot is full.
+// resume immediately on admit, park with a trace instant and a resume span
+// otherwise.
 func (a *admission) admit(pool *segPool, opID uint32, bytes int64) {
 	ep := a.ep
-	lane := ep.laneFor(bytes)
+	lane := ep.qosPol.ClassOf(bytes)
 	a.pool, a.opID, a.bytes, a.parked, a.t0 = pool, opID, bytes, false, ep.tnow()
 	switch ep.gate.Admit(lane, a.pressureFn, a.resumeFn) {
 	case qos.Admit:
@@ -174,21 +103,14 @@ func (a *admission) admit(pool *segPool, opID uint32, bytes int64) {
 		a.parked = true
 		atomic.AddInt64(&ep.ctr.QoSParked, 1)
 		ep.mark("qos-park", "qos", opID)
-	case qos.Reject:
-		atomic.AddInt64(&ep.ctr.QoSRejected, 1)
-		ep.mark("qos-reject", "qos", opID)
-		a.owner.unpinAdmission()
-		a.owner.rejected(qos.ErrRejected)
 	}
 }
 
-func (op *recvOp) dead() bool         { return op.failed }
-func (op *recvOp) rejected(err error) { op.ep.abortRecv(op, err, true) }
-func (op *recvOp) unpinAdmission()    { op.ep.unpinRecv(op) }
+func (op *recvOp) dead() bool      { return op.failed }
+func (op *recvOp) unpinAdmission() { op.ep.unpinRecv(op) }
 
-func (op *sendOp) dead() bool         { return op.failed }
-func (op *sendOp) rejected(err error) { op.ep.abortSend(op, err) }
-func (op *sendOp) unpinAdmission()    { op.ep.unpinSend(op) }
+func (op *sendOp) dead() bool      { return op.failed }
+func (op *sendOp) unpinAdmission() { op.ep.unpinSend(op) }
 
 // admitRecv gates the receiver's scheme setup (segment allocation, user
 // registration, the CTS) behind admission control. Parking here delays only
@@ -214,8 +136,7 @@ func (ep *Endpoint) admitSend(op *sendOp) {
 }
 
 // qosDrain re-evaluates parked transfers. Called wherever admission pressure
-// releases: staging slots returning, registrations dropping, transfers
-// finishing or aborting.
+// releases: staging slots returning, transfers finishing or aborting.
 func (ep *Endpoint) qosDrain() {
 	if ep.gate != nil {
 		ep.gate.Drain()

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/mem"
-	"repro/internal/qos"
 	"repro/internal/verbs"
 )
 
@@ -136,7 +135,7 @@ func (ep *Endpoint) registerOrigin(buf mem.Addr, dt *datatype.Type, count int,
 // the records of wr.go — one per doorbell batch, or one per descriptor —
 // which retry transient faults themselves; every descriptor lands in a range
 // of its own and nothing is announced to the target, so the units go out
-// together, on the latency lane.
+// together.
 func (ep *Endpoint) postRMAWRs(dst int, wrs []verbs.SendWR, regions []*mem.Region, done func(error)) {
 	if len(wrs) == 0 {
 		ep.releaseUserRegions(regions)
@@ -156,10 +155,10 @@ func (ep *Endpoint) postRMAWRs(dst int, wrs []verbs.SendWR, regions []*mem.Regio
 		}
 	}
 	if ep.cfg.ListPost && len(wrs) > 1 {
-		batches := chunkBatches(wrs, ep.laneChunkLimit(qos.LaneLatency), nil)
+		batches := chunkBatches(wrs, ep.chunkLimit, nil)
 		left = len(batches)
 		for _, batch := range batches {
-			rec := ep.getBatchWR(wrCall, dst, batch, qos.LaneLatency)
+			rec := ep.getBatchWR(wrCall, dst, batch)
 			rec.done = resolve
 			ep.release(rec)
 		}
@@ -167,7 +166,7 @@ func (ep *Endpoint) postRMAWRs(dst int, wrs []verbs.SendWR, regions []*mem.Regio
 	}
 	left = len(wrs)
 	for i := range wrs {
-		rec := ep.getWR(wrCall, dst, wrPayload(&wrs[i]))
+		rec := ep.getWR(wrCall, dst)
 		rec.done = resolve
 		ep.postSingle(rec, &wrs[i])
 	}

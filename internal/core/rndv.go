@@ -255,7 +255,7 @@ func (ep *Endpoint) newOpID() uint32 {
 
 // chargeTypeProc charges datatype-processing CPU for handling runs runs.
 func (ep *Endpoint) chargeTypeProc(runs int) {
-	ep.hca.ChargeCPUNamed(ep.cfg.TypeProcBase+simtime.Duration(runs)*ep.cfg.TypeProcPerRun, "typeproc")
+	ep.hca.ChargeCPUNamed(TypeProcBase+simtime.Duration(runs)*TypeProcPerRun, "typeproc")
 }
 
 // regWalk registers the contiguous blocks of one message buffer using
@@ -361,7 +361,6 @@ func (ep *Endpoint) releaseUserRegions(regions []*mem.Region) {
 	if d := ep.model.RegOpsTime(total); d > 0 {
 		ep.hca.ChargeCPUNamed(d, "reg")
 	}
-	ep.qosDrain() // registration pressure just dropped
 }
 
 // stagingAcq allocates and registers a dynamic staging buffer (the Generic

@@ -118,11 +118,9 @@ func chunkBatches(wrs []verbs.SendWR, limit int, out [][]verbs.SendWR) [][]verbs
 // retried by the records (wr.go).
 func (ep *Endpoint) postWRs(op *sendOp, dst int, wrs []verbs.SendWR, list bool) {
 	op.drainArmed = true
-	lane := ep.laneFor(op.eff)
 	if !list || len(wrs) <= 1 {
 		for i := range wrs {
-			wrs[i].Lane = uint8(lane)
-			rec := ep.getWR(wrSendData, dst, wrPayload(&wrs[i]))
+			rec := ep.getWR(wrSendData, dst)
 			rec.sop = op
 			op.wrsLeft++
 			ep.postSingle(rec, &wrs[i])
@@ -130,17 +128,16 @@ func (ep *Endpoint) postWRs(op *sendOp, dst int, wrs []verbs.SendWR, list bool) 
 		return
 	}
 	op.wrsLeft += len(wrs)
-	// Bulk doorbells split at the lane window, not just the adapter limit,
-	// so each batch is one window-sized unit for the arbiter — and one
-	// completion record. The batch scratch is swapped out for the loop: lane
-	// grants can run synchronously and an abort inside one can reenter
-	// postWRs (abortSend → qosDrain → a parked transfer), which would
-	// otherwise clobber the shared backing mid-iteration.
+	// Each doorbell batch is one completion record. The batch scratch is
+	// swapped out for the loop: release posts synchronously, and a post
+	// refused for good aborts the op, whose gate drain can resume a parked
+	// transfer that reenters postWRs (abortSend → qosDrain → admitted), which
+	// would otherwise clobber the shared backing mid-iteration.
 	scratch := ep.batchScratch
 	ep.batchScratch = nil
-	batches := chunkBatches(wrs, ep.laneChunkLimit(lane), scratch[:0])
+	batches := chunkBatches(wrs, ep.chunkLimit, scratch[:0])
 	for _, batch := range batches {
-		rec := ep.getBatchWR(wrSendData, dst, batch, lane)
+		rec := ep.getBatchWR(wrSendData, dst, batch)
 		rec.sop = op
 		ep.release(rec)
 	}
@@ -394,16 +391,14 @@ func (ep *Endpoint) packOneSeg(op *sendOp) {
 	op.k++
 	n := segBytes(op.eff, op.segSize, idx)
 	ep.packSeg(op, s.addr, n)
-	lane := ep.laneFor(op.eff)
 	wr := verbs.SendWR{
 		Op:         verbs.OpRDMAWriteImm,
 		SGL:        op.wrs.sgl1(verbs.SGE{Addr: s.addr, Len: n, Key: s.key}),
 		RemoteAddr: op.ctsSegs[idx].addr, RKey: op.ctsSegs[idx].key, Imm: op.id,
-		Lane: uint8(lane),
 	}
 	op.wrsLeft++
 	ep.mark("seg-post", "segment", op.id)
-	rec := ep.getWR(wrSendSeg, op.dst, n)
+	rec := ep.getWR(wrSendSeg, op.dst)
 	rec.sop, rec.seg = op, s
 	ep.postSingle(rec, &wr)
 	if idx == op.nSegs-1 {
@@ -532,14 +527,22 @@ func (ep *Endpoint) handleSegReady(src int, r *ctrlReader) {
 		return
 	}
 	atomic.AddInt64(&ep.ctr.SegmentsPipelined, 1)
-	lane := ep.laneFor(op.eff)
 	for i := range wrs {
-		wrs[i].Lane = uint8(lane)
-		rec := ep.getWR(wrRecvRead, src, wrPayload(&wrs[i]))
-		rec.rop = op
+		rec := ep.getWR(wrRecvRead, src)
+		rec.rop, rec.bytes = op, wrPayload(&wrs[i])
 		op.wrsLeft++
 		ep.postSingle(rec, &wrs[i])
 	}
+}
+
+// wrPayload sums a descriptor's scatter-list bytes: what a P-RRS read adds
+// to its op's count of bytes read.
+func wrPayload(wr *verbs.SendWR) int64 {
+	var n int64
+	for _, s := range wr.SGL {
+		n += s.Len
+	}
+	return n
 }
 
 // handleDone is the sender half of P-RRS teardown: the receiver has read

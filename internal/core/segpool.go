@@ -152,5 +152,4 @@ func (ep *Endpoint) releaseSeg(pool *segPool, s seg) {
 		panic(err)
 	}
 	ep.hca.ChargeCPUNamed(ep.model.RegOpsTime(ops)+ep.model.FreeCost, "reg")
-	ep.qosDrain() // registration pressure just dropped
 }

@@ -123,9 +123,8 @@ func TestRandomTrafficSoak(t *testing.T) {
 // The fault soak: one short pass of random traffic under transient fault
 // injection runs by default with every `go test`. The retry machinery must
 // keep delivery byte-identical and resources balanced no matter where the
-// injector lands its faults — with the lane arbiter off and, since retries
-// and held-back units take and return window charges like any other post,
-// with it on.
+// injector lands its faults — with the admission gate off and, since an
+// abort must release what a parked transfer waits for, with it on.
 func TestRandomTrafficFaultSoak(t *testing.T) {
 	f := func(seed int64) bool {
 		return randomTrafficFaultSoak(t, seed, false) && randomTrafficFaultSoak(t, seed, true)
@@ -149,9 +148,9 @@ func TestSoakRegressionSeeds(t *testing.T) {
 }
 
 // randomTrafficFaultSoak is the soak property for one seed, named so a
-// failing input reported by testing/quick can be replayed directly. lanes
-// turns service mode on: a 4-descriptor bulk window from 16 KiB up.
-func randomTrafficFaultSoak(t *testing.T, seed int64, lanes bool) bool {
+// failing input reported by testing/quick can be replayed directly. gated
+// turns service mode on: the admission gate, for transfers from 16 KiB up.
+func randomTrafficFaultSoak(t *testing.T, seed int64, gated bool) bool {
 	{
 		rng := rand.New(rand.NewSource(seed))
 		schemes := []Scheme{SchemeGeneric, SchemeBCSPUP, SchemeRWGUP,
@@ -159,7 +158,7 @@ func randomTrafficFaultSoak(t *testing.T, seed int64, lanes bool) bool {
 		cfg := DefaultConfig()
 		cfg.Scheme = schemes[rng.Intn(len(schemes))]
 		cfg.PoolSize = int64(rng.Intn(3)+1) << 20
-		if lanes {
+		if gated {
 			pol := qos.DefaultPolicy()
 			pol.BulkThreshold = 16 << 10
 			cfg.QoS = &pol
@@ -240,10 +239,8 @@ func randomTrafficFaultSoak(t *testing.T, seed int64, lanes bool) bool {
 			if ep.unpackPool.enabled && ep.unpackPool.available() != ep.unpackPool.totalSlots() {
 				return false
 			}
-			if lanes {
-				if d, b := ep.lanes.Outstanding(1 - ep.Rank()); d != 0 || b != 0 || ep.lanes.QueuedTotal() != 0 {
-					return false
-				}
+			if gated && ep.gate.Parked() != 0 {
+				return false
 			}
 		}
 		return true

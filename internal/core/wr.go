@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fault"
-	"repro/internal/qos"
 	"repro/internal/simtime"
 	"repro/internal/verbs"
 )
@@ -27,14 +26,14 @@ import (
 // A doorbell batch is signaled at its tail only (verbs.SendWR.Unsignaled):
 // the connection completes in posting order, failures included, so the
 // tail's completion is the batch's, and the record settles the whole batch's
-// descriptor count and lane charge at once. A member ahead of the tail only
+// descriptor count at once. A member ahead of the tail only
 // ever completes to report its failure, and the record keeps that error —
 // and the member — for the tail to resolve or re-ring with, so an op aborts
 // once and no record is recycled under a completion still in flight.
 //
-// The records are also the one posting path (DESIGN.md §7): release → lane
-// arbiter → try → fabric → handleSendCQE → retry or resolveWR, for every
-// scheme and for RMA, with or without a fault injector attached.
+// The records are also the one posting path (DESIGN.md §7): release → try →
+// fabric → handleSendCQE → retry or resolveWR, for every scheme and for RMA,
+// with or without a fault injector attached.
 
 // wrKind says what resolving a post means.
 type wrKind uint8
@@ -79,16 +78,15 @@ type wrRec struct {
 	kind wrKind
 
 	peer  int
-	lane  qos.Lane
 	n     int   // descriptors the record settles: 1, or a batch's length
-	bytes int64 // their gather-list bytes: the lane charge to return
+	bytes int64 // a P-RRS read's scatter-list bytes
 	sop   *sendOp
 	rop   *recvOp
 	seg   seg
 	done  func(error)
 
-	// try (bound once per record as tryFn) is the record's lane grant and
-	// its retry timer: one posting attempt of what has not landed yet.
+	// try (bound once per record as tryFn for the retry timer) is one
+	// posting attempt of what has not landed yet.
 	attempt int
 	tryFn   func()
 
@@ -122,7 +120,7 @@ func (rec *wrRec) id() uint64 { return uint64(rec.gen&(1<<wrGenBits-1))<<32 | ui
 
 // getWR takes a completion record for one descriptor of the given kind
 // headed to peer.
-func (ep *Endpoint) getWR(kind wrKind, peer int, bytes int64) *wrRec {
+func (ep *Endpoint) getWR(kind wrKind, peer int) *wrRec {
 	var rec *wrRec
 	if n := len(ep.wrFree); n > 0 {
 		rec = ep.wrFree[n-1]
@@ -135,19 +133,15 @@ func (ep *Endpoint) getWR(kind wrKind, peer int, bytes int64) *wrRec {
 		rec.tryFn = rec.try
 		ep.wrTab = append(ep.wrTab, rec)
 	}
-	rec.kind, rec.peer, rec.n, rec.bytes = kind, peer, 1, bytes
+	rec.kind, rec.peer, rec.n = kind, peer, 1
 	return rec
 }
 
 // getBatchWR takes the one completion record of a doorbell batch (at most
-// laneChunkLimit descriptors) whose descriptors all ride the given lane.
-func (ep *Endpoint) getBatchWR(kind wrKind, peer int, batch []verbs.SendWR, lane qos.Lane) *wrRec {
-	rec := ep.getWR(kind, peer, 0)
-	rec.n, rec.batch, rec.lane = len(batch), batch, lane
-	for i := range batch {
-		rec.bytes += wrPayload(&batch[i])
-		batch[i].Lane = uint8(lane)
-	}
+// ep.chunkLimit descriptors).
+func (ep *Endpoint) getBatchWR(kind wrKind, peer int, batch []verbs.SendWR) *wrRec {
+	rec := ep.getWR(kind, peer)
+	rec.n, rec.batch = len(batch), batch
 	return rec
 }
 
@@ -184,13 +178,13 @@ func (rec *wrRec) cancelled() bool {
 // postSingle makes the record the post unit of one descriptor and releases
 // it.
 func (ep *Endpoint) postSingle(rec *wrRec, wr *verbs.SendWR) {
-	rec.wr, rec.lane = *wr, qos.Lane(wr.Lane)
+	rec.wr = *wr
 	ep.release(rec)
 }
 
-// release hands a sealed post unit — a single, or a doorbell batch — to the
-// lane arbiter, whose grant is the unit's first posting attempt. The unit
-// resolves exactly once: with nil after everything it carries has landed, or
+// release makes the first posting attempt of a sealed post unit — a single,
+// or a doorbell batch — unless it holds the unit back. The unit resolves
+// exactly once: with nil after everything it carries has landed, or
 // with the error that outlasted its retries.
 //
 // With a fault injector attached a retry can land a descriptor after ones
@@ -207,9 +201,9 @@ func (ep *Endpoint) release(rec *wrRec) {
 	if op := rec.sop; op != nil && ep.faultMode() {
 		if last := len(rec.batch) - 1; last > 0 && rec.batch[last].Op == verbs.OpRDMAWriteImm {
 			imm := &rec.batch[last]
-			tail := ep.getWR(rec.kind, rec.peer, wrPayload(imm))
+			tail := ep.getWR(rec.kind, rec.peer)
 			tail.sop = op
-			rec.n, rec.bytes, rec.batch = last, rec.bytes-tail.bytes, rec.batch[:last]
+			rec.n, rec.batch = last, rec.batch[:last]
 			ep.release(rec)
 			ep.postSingle(tail, imm)
 			return
@@ -221,14 +215,14 @@ func (ep *Endpoint) release(rec *wrRec) {
 			return
 		}
 	}
-	ep.submitLane(rec.peer, rec.lane, rec.n, rec.bytes, rec.tryFn)
+	rec.try()
 }
 
-// try is one posting attempt — the first, at the lane grant, or a retry — of
-// the record's single descriptor, or a ring of its batch's doorbell, under a
-// fresh WRID. A unit that does not reach the NIC (its op was aborted while it
-// waited, or the post was refused for good) resolves here, with its whole
-// count and charge.
+// try is one posting attempt — the first, from release or, for a unit held
+// back, from resolveWR, or a retry — of the record's single descriptor, or a
+// ring of its batch's doorbell, under a fresh WRID. A unit that does not
+// reach the NIC (its op was aborted while it waited, or the post was refused
+// for good) resolves here, with its whole count.
 func (rec *wrRec) try() {
 	ep := rec.ep
 	err := errOpAborted
@@ -306,18 +300,17 @@ func (ep *Endpoint) handleSendCQE(e verbs.CQE) {
 }
 
 // resolveWR is a post's final resolution — completed, failed past retry, or
-// abandoned: the record recycles, its lane charge returns, its kind's
-// continuation runs, and the unit release held back behind it, if any, goes. That one goes whether this one
+// abandoned: the record recycles, its kind's continuation runs, and the unit
+// release held back behind it, if any, goes. That one goes whether this one
 // failed or not: the failure has aborted the op, so the units behind it
-// resolve in try without reaching the NIC, each with its count and its lane
-// charge, one after the other.
+// resolve in try without reaching the NIC, each with its count, one after
+// the other.
 func (ep *Endpoint) resolveWR(rec *wrRec, err error) {
 	kind, peer, n, bytes, sop, rop, sg, done, next := rec.kind, rec.peer, rec.n, rec.bytes, rec.sop, rec.rop, rec.seg, rec.done, rec.next
 	if sop != nil && sop.unitTail == rec {
 		sop.unitTail = nil
 	}
 	ep.putWR(rec)
-	ep.laneRelease(peer, n, bytes)
 	switch kind {
 	case wrSendData:
 		if ep.sendWRResolved(sop, n, err) {
@@ -346,6 +339,6 @@ func (ep *Endpoint) resolveWR(rec *wrRec, err error) {
 		done(err)
 	}
 	if next != nil {
-		ep.submitLane(next.peer, next.lane, next.n, next.bytes, next.tryFn)
+		next.try()
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/datatype"
 	"repro/internal/fault"
 	"repro/internal/mem"
-	"repro/internal/qos"
 )
 
 // Doorbell batches resolve through one completion record signaled at the
@@ -30,11 +29,10 @@ var denseVec = datatype.Must(datatype.TypeVector(batchRuns, 128, 256, datatype.I
 
 // multiW starts one Multi-W message of dt, 0 → 1, in a fresh world on the
 // named backend with inj (nil: none) attached.
-func multiW(t *testing.T, backend string, dt *datatype.Type, pol *qos.Policy, inj *fault.Injector) (w *testWorld, s, r *Request, rbuf mem.Addr, sent []byte) {
+func multiW(t *testing.T, backend string, dt *datatype.Type, inj *fault.Injector) (w *testWorld, s, r *Request, rbuf mem.Addr, sent []byte) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Scheme = SchemeMultiW
-	cfg.QoS = pol
 	w = newWorldOn(t, backend, 2, cfg, dt.Extent()+(60<<20), inj)
 	sbuf := allocFor(w.eps[0], dt, 1)
 	rbuf = allocFor(w.eps[1], dt, 1)
@@ -45,11 +43,11 @@ func multiW(t *testing.T, backend string, dt *datatype.Type, pol *qos.Policy, in
 }
 
 // batchWorld starts one Multi-W message 0 → 1 and steps the engine until the
-// sender has rung its first doorbell (and ready, when given, holds).
-func batchWorld(t *testing.T, pol *qos.Policy, ready func(w *testWorld) bool) (w *testWorld, s, r *Request, rbuf mem.Addr) {
+// sender has rung its first doorbell.
+func batchWorld(t *testing.T) (w *testWorld, s, r *Request, rbuf mem.Addr) {
 	t.Helper()
-	w, s, r, rbuf, _ = multiW(t, "sim", batchVec, pol, nil)
-	for w.eps[0].wrLive() == 0 || ready != nil && !ready(w) {
+	w, s, r, rbuf, _ = multiW(t, "sim", batchVec, nil)
+	for w.eps[0].wrLive() == 0 {
 		if !w.eng.Step() {
 			t.Fatal("the engine ran dry before the sender posted")
 		}
@@ -80,12 +78,6 @@ func quiesced(t *testing.T, w *testWorld, failed ...int64) {
 		if got := ep.Counters().RequestsFailed; got != failed[i] {
 			t.Errorf("rank %d failed %d requests, want %d", ep.Rank(), got, failed[i])
 		}
-		if ep.lanes != nil {
-			if d, b := ep.lanes.Outstanding(1 - ep.Rank()); d != 0 || b != 0 || ep.lanes.QueuedTotal() != 0 {
-				t.Errorf("rank %d lane window: %d descriptors, %d bytes charged, %d units queued after the drain",
-					ep.Rank(), d, b, ep.lanes.QueuedTotal())
-			}
-		}
 	}
 }
 
@@ -103,7 +95,7 @@ func TestBatchMemberFailureAbortsOnce(t *testing.T) {
 }
 
 func batchMemberRefused(t *testing.T) {
-	w, s, r, rbuf := batchWorld(t, nil, nil)
+	w, s, r, rbuf := batchWorld(t)
 	const run, tail = 5, 63 // a member of the first doorbell's 64, and its tail
 	gone := regionAt(t, w.eps[1], rbuf+run*batchStride, 512)
 	if gone.Covers(rbuf+tail*batchStride, 512) {
@@ -170,8 +162,7 @@ var batchFaultRows = []batchFaultRow{
 	{name: "doorbell rejected once", fc: fault.Config{Seed: 11, PostFailRate: 0.5},
 		delivered: true, retries: 1, faults: fault.Stats{PostFaults: 1}, writes: batchRuns},
 	// The first doorbell's signaled tail fails after its 63 members landed:
-	// the record re-rings that one descriptor, under the count and the lane
-	// charge of all 64.
+	// the record re-rings that one descriptor, under the count of all 64.
 	{name: "tail fails once", fc: fault.Config{Seed: 193, CQEErrorRate: 0.02},
 		delivered: true, retries: 1, faults: fault.Stats{CQEFaults: 1}, writes: batchRuns + 1,
 		atRetry: func(t *testing.T, rec *wrRec, rbuf mem.Addr) {
@@ -191,7 +182,7 @@ var batchFaultRows = []batchFaultRow{
 
 func (row batchFaultRow) run(t *testing.T, backend string) {
 	inj := fault.New(row.fc)
-	w, s, r, rbuf, sent := multiW(t, backend, denseVec, nil, inj)
+	w, s, r, rbuf, sent := multiW(t, backend, denseVec, inj)
 	retried := false
 	for w.eng.Step() {
 		if !retried && row.atRetry != nil && w.eps[0].Counters().FaultRetries > 0 {
@@ -237,7 +228,7 @@ func TestImmediateWaitsForRerungMember(t *testing.T) {
 	for _, backend := range deterministic {
 		t.Run(backend, func(t *testing.T) {
 			inj := fault.New(fault.Config{Seed: seed, CQEErrorRate: 0.05})
-			w, s, r, rbuf, sent := multiW(t, backend, dt, nil, inj)
+			w, s, r, rbuf, sent := multiW(t, backend, dt, inj)
 			landed := func() bool { return bytes.Equal(readMsg(w.eps[1], rbuf, dt, 1), sent) }
 			c, retrying := w.eps[0].Counters(), false
 			for w.eng.Step() {
@@ -328,109 +319,6 @@ func retriedSegment(ep *Endpoint) int {
 		}
 	}
 	return -1
-}
-
-// With the lane arbiter on, a bulk transfer's doorbells are window-sized
-// batches that wait their turn. The window charge is taken per batch and
-// returned per batch, by the record that settles it, whether the batch
-// completed, was rejected at the doorbell, or was abandoned in the queue.
-func TestBatchLaneAccounting(t *testing.T) {
-	pol := qos.DefaultPolicy()
-	pol.BulkThreshold, pol.DescWindow, pol.ByteWindow = 1, 4, 0
-	queued := func(w *testWorld) bool { return w.eps[0].lanes.Queued(1) > 0 }
-	// stepAll runs the world dry, checking the window at every event.
-	stepAll := func(t *testing.T, w *testWorld) {
-		t.Helper()
-		for w.eng.Step() {
-			if d, _ := w.eps[0].lanes.Outstanding(1); d < 0 || d > pol.DescWindow {
-				t.Fatalf("%d bulk descriptors charged against a window of %d", d, pol.DescWindow)
-			}
-		}
-	}
-
-	t.Run("completed", func(t *testing.T) {
-		w, s, r, _ := batchWorld(t, &pol, queued)
-		stepAll(t, w)
-		if !s.Done() || !r.Done() || s.Err != nil || r.Err != nil {
-			t.Fatalf("send %v/%v recv %v/%v", s.Done(), s.Err, r.Done(), r.Err)
-		}
-		if d, b := w.eps[0].lanes.Outstanding(1); d != 0 || b != 0 || w.eps[0].wrLive() != 0 {
-			t.Fatalf("after a clean transfer: %d descriptors, %d bytes still charged, %d records out", d, b, w.eps[0].wrLive())
-		}
-		if c := w.eps[0].Counters(); c.QoSLaneDeferrals != batchRuns/4-1 {
-			t.Errorf("%d doorbells deferred, want all but the first of %d", c.QoSLaneDeferrals, batchRuns/4)
-		}
-	})
-
-	t.Run("aborted in the queue", func(t *testing.T) {
-		w, s, _, _ := batchWorld(t, &pol, queued)
-		op := w.eps[0].peers[1].sends[0]
-		if op.wrsLeft != batchRuns || w.eps[0].wrLive() != batchRuns/4 {
-			t.Fatalf("before the abort: wrsLeft %d, %d records out", op.wrsLeft, w.eps[0].wrLive())
-		}
-		cause := errors.New("pulled by the test")
-		w.eps[0].abortSend(op, cause)
-		stepAll(t, w)
-		if !errors.Is(s.Err, cause) {
-			t.Errorf("send completed with %v", s.Err)
-		}
-		if posted := w.eps[0].Counters().RDMAWritesPosted; posted != 4 {
-			t.Errorf("%d writes reached the NIC, want the first doorbell's 4", posted)
-		}
-		quiesced(t, w, 1, 1)
-	})
-
-	t.Run("doorbell rejected", func(t *testing.T) {
-		w, s, _, _ := batchWorld(t, &pol, queued)
-		// The second doorbell's gather list loses its registration while it
-		// waits for window room: the post is refused, nothing of it reaches
-		// the NIC, and the op aborts with the post error. A first message
-		// builds its window into a plan, and posts it from there.
-		op := w.eps[0].peers[1].sends[0]
-		if err := w.eps[0].Mem().Reg().Deregister(regionAt(t, w.eps[0], op.plan.set.wrs[4].SGL[0].Addr, 512)); err != nil {
-			t.Fatal(err)
-		}
-		stepAll(t, w)
-		if s.Err == nil || !strings.Contains(s.Err.Error(), "invalid key") {
-			t.Errorf("send completed with %v, want the refused post's error", s.Err)
-		}
-		if posted := w.eps[0].Counters().RDMAWritesPosted; posted != 4 {
-			t.Errorf("%d writes reached the NIC, want the first doorbell's 4", posted)
-		}
-		quiesced(t, w, 1, 1)
-	})
-
-	// With an injector attached the units pass the same arbiter: eighteen
-	// doorbells of four and the immediate's write, one out at a time. A unit
-	// keeps its charge across its retries; one that fails returns it, and
-	// the units held behind it take and return theirs without reaching the
-	// NIC.
-	for _, backend := range deterministic {
-		for _, tc := range []struct {
-			name   string
-			fc     fault.Config
-			failed int64
-		}{
-			{"retried under an injector", fault.Config{Seed: 1, PostFailRate: 0.1, CQEErrorRate: 0.1}, 0},
-			{"aborted under an injector", fault.Config{Seed: 1, CQEErrorRate: 0.1, PermanentRate: 1}, 1},
-		} {
-			t.Run(backend+"/"+tc.name, func(t *testing.T) {
-				w, s, r, _, _ := multiW(t, backend, denseVec, &pol, fault.New(tc.fc))
-				stepAll(t, w)
-				c := w.eps[0].Counters()
-				if (s.Err != nil) != (tc.failed == 1) || (r.Err != nil) != (tc.failed == 1) || !s.Done() || !r.Done() {
-					t.Fatalf("send %v/%v, receive %v/%v", s.Done(), s.Err, r.Done(), r.Err)
-				}
-				if tc.failed == 0 && (c.FaultRetries == 0 || c.LaneBulkDescs <= batchRuns) {
-					t.Fatalf("%d retries, %d bulk descriptors posted: the seed retried nothing", c.FaultRetries, c.LaneBulkDescs)
-				}
-				if tc.failed == 1 && c.RDMAWritesPosted >= batchRuns {
-					t.Fatalf("%d writes posted: the abort held nothing back", c.RDMAWritesPosted)
-				}
-				quiesced(t, w, tc.failed, tc.failed)
-			})
-		}
-	}
 }
 
 // A Put's list posts resolve through the same batch records: three writes

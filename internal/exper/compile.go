@@ -36,7 +36,7 @@ const (
 	// compiledPerRun is the modeled per-run datatype-processing cost of the
 	// compiled replay: the O(1) cursor advance (a counter increment and an
 	// add, or a table lookup) versus the interpreted cursor's stack walk
-	// priced at Config.TypeProcPerRun (25 ns). Generic programs replay the
+	// priced at core.TypeProcPerRun (25 ns). Generic programs replay the
 	// interpreted cursor and are priced at the interpreted rate.
 	compiledPerRun = 2 * simtime.Nanosecond
 
@@ -104,7 +104,6 @@ type CompileDoc struct {
 // machine-dependent).
 func compilerSweep(families []string, _ Options) (Doc, error) {
 	model := verbs.DefaultModel()
-	cfg := core.DefaultConfig()
 	doc := &CompileDoc{
 		Benchmark: "datatype-compiler",
 		Workload:  "pack throughput, compiled program replay vs interpreted cursor walk vs raw copy() upper bound, one shape per program kind",
@@ -133,13 +132,13 @@ func compilerSweep(families []string, _ Options) (Doc, error) {
 			// committed irregular-big sim row would re-price.)
 			perRunCompiled := compiledPerRun
 			if prog.Kind() == datatype.ProgGeneric {
-				perRunCompiled = cfg.TypeProcPerRun
+				perRunCompiled = core.TypeProcPerRun
 			} else if prog.Runs() != runs {
 				return nil, fmt.Errorf("compile sweep %s: program claims %d runs, cursor walked %d",
 					sh.name, prog.Runs(), runs)
 			}
 			price := func(perRun simtime.Duration, priceRuns int64) float64 {
-				return (model.CopyTime(bytes, int(priceRuns)) + cfg.TypeProcBase +
+				return (model.CopyTime(bytes, int(priceRuns)) + core.TypeProcBase +
 					simtime.Duration(priceRuns)*perRun).Micros()
 			}
 			sim := func(path string, us float64, kind string) CompileRow {
@@ -151,7 +150,7 @@ func compilerSweep(families []string, _ Options) (Doc, error) {
 				}
 			}
 			doc.SimRows = append(doc.SimRows,
-				sim("interpreted", price(cfg.TypeProcPerRun, runs), ""),
+				sim("interpreted", price(core.TypeProcPerRun, runs), ""),
 				sim("compiled", price(perRunCompiled, runs), prog.Kind().String()),
 				sim("copy", price(0, 1), ""),
 			)

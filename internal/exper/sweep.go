@@ -53,7 +53,6 @@ var Sweeps = []Sweep{
 	{Name: "tuner", Artifact: "BENCH_tuner.json", Backends: simOnly, DetBackends: simOnly, Run: tunerSweep},
 	{Name: "parallel", Artifact: "BENCH_parallel.json", Backends: simRT, DetKey: "sim_rows", DetBackends: simOnly, Run: parallelSweep},
 	{Name: "compile", Artifact: "BENCH_compile.json", Backends: []string{"sim", "host"}, DetKey: "sim_rows", DetBackends: simOnly, Run: compilerSweep},
-	{Name: "qos", Artifact: "BENCH_qos.json", Backends: simRT, DetKey: "sim_rows", DetBackends: simOnly, Run: qosSweep},
 	{Name: "soak", Artifact: "SOAK_traffic.json", Backends: simOnly, DetBackends: simOnly, Run: soakSweep},
 	{Name: "scale", Artifact: "BENCH_scale.json", Backends: simRT, DetKey: "sim_rows", DetBackends: simOnly, Run: scaleSweep},
 	{Name: "zoo", Artifact: "BENCH_zoo.json", Backends: zooBackends, DetKey: "modeled_rows", DetBackends: []string{mpi.BackendSim, mpi.BackendSHM}, Run: zooSweep},

@@ -160,14 +160,11 @@ func (qp *QP) post(wrs []verbs.SendWR, single *flight) error {
 	fl, start := single, 0 // the train being built, and where it begins in wrs
 	var due simtime.Time   // when it is delivered
 	moving := false        // whether it carries anything that lands
-	var sges, bulk int64
+	var sges int64
 	var ops [verbs.OpRecv]int64 // descriptors by opcode: validate admitted no other
 	for i := range wrs {
 		wr := &wrs[i]
 		sges += int64(len(wr.SGL))
-		if wr.Lane != 0 {
-			bulk++
-		}
 		ops[wr.Op]++
 		ready := n.ChargeCPUNamed(m.PostTime(i, len(wr.SGL), list), "doorbell")
 		if fl == nil {
@@ -210,7 +207,6 @@ func (qp *QP) post(wrs []verbs.SendWR, single *flight) error {
 	atomic.AddInt64(&c.ListPosts, 1) // a single post is a post operation of its own
 	atomic.AddInt64(&c.DescriptorsPosted, int64(len(wrs)))
 	atomic.AddInt64(&c.SGEsPosted, sges)
-	addNonzero(&c.LaneBulkDescs, bulk)
 	addNonzero(&c.SendsPosted, ops[verbs.OpSend])
 	addNonzero(&c.RDMAWritesPosted, ops[verbs.OpRDMAWrite]+ops[verbs.OpRDMAWriteImm])
 	addNonzero(&c.ImmediatesSent, ops[verbs.OpRDMAWriteImm])

@@ -2,7 +2,7 @@ package qos
 
 // Pressure is the resource snapshot an admission decision reads. The owning
 // endpoint supplies it through a closure so parked transfers re-evaluate
-// live state when credits return.
+// live state when pressure releases.
 type Pressure struct {
 	// FreeSlots is the free slot count of the staging pool the transfer
 	// would draw from.
@@ -10,8 +10,6 @@ type Pressure struct {
 	// PoolWaiters counts transfers already parked inside that pool waiting
 	// for slots.
 	PoolWaiters int
-	// RegPages is the endpoint's currently registered page count.
-	RegPages int64
 	// ActiveOps counts unfinished rendezvous operations on the endpoint,
 	// excluding parked ones. When it reaches zero nothing can ever release
 	// pressure, so the gate force-admits (the progress guarantee).
@@ -28,18 +26,12 @@ const (
 	// Park: the transfer waits FIFO; run fires from Drain once pressure
 	// releases.
 	Park
-	// Reject: the parking lot is full; run will never fire and the caller
-	// must fail the transfer (ErrRejected).
-	Reject
 )
 
 // String names the decision for traces and errors.
 func (d Decision) String() string {
-	switch d {
-	case Park:
+	if d == Park {
 		return "park"
-	case Reject:
-		return "reject"
 	}
 	return "admit"
 }
@@ -52,10 +44,10 @@ type parked struct {
 }
 
 // Gate is the admission controller: transfers whose class is bulk park
-// (FIFO) while resource budgets are tight and resume as pressure releases.
-// Single-threaded, like Arbiter. The parking lot is a head-indexed FIFO
-// with lazy compaction (like Arbiter's unitQueue), so a warm park/drain
-// cycle reuses retained capacity instead of allocating per transfer.
+// (FIFO) while the staging pool is tight and resume as pressure releases.
+// Single-threaded. The parking lot is a head-indexed FIFO with lazy
+// compaction, so a warm park/drain cycle reuses retained capacity instead of
+// allocating per transfer.
 type Gate struct {
 	pol      Policy
 	q        []parked
@@ -68,24 +60,19 @@ func NewGate(p Policy) *Gate {
 	return &Gate{pol: p}
 }
 
-// pressured reports whether pr's budgets are tight enough to park new bulk
-// work.
+// pressured reports whether pr is tight enough to park new bulk work.
 func (g *Gate) pressured(pr Pressure) bool {
 	if g.pol.MinFreeSlots > 0 && pr.FreeSlots < g.pol.MinFreeSlots {
-		return true
-	}
-	if g.pol.MaxRegisteredPages > 0 && pr.RegPages > g.pol.MaxRegisteredPages {
 		return true
 	}
 	return pr.PoolWaiters > 0
 }
 
 // Admit asks to start a transfer of the given lane. Latency-lane transfers
-// always run immediately. A bulk transfer runs immediately when budgets are
-// healthy (or nothing else is active to ever release them — the progress
-// guarantee), parks FIFO when they are tight, and is rejected when
-// MaxParked transfers are already waiting. run is called at most once:
-// synchronously on Admit, from a later Drain on Park, never on Reject.
+// always run immediately. A bulk transfer runs immediately when the pool is
+// healthy (or nothing else is active to ever release it — the progress
+// guarantee) and parks FIFO otherwise. run is called exactly once:
+// synchronously on Admit, from a later Drain on Park.
 func (g *Gate) Admit(lane Lane, pr func() Pressure, run func()) Decision {
 	if lane == LaneLatency {
 		run()
@@ -96,16 +83,13 @@ func (g *Gate) Admit(lane Lane, pr func() Pressure, run func()) Decision {
 		run()
 		return Admit
 	}
-	if g.pol.MaxParked > 0 && g.Parked() >= g.pol.MaxParked {
-		return Reject
-	}
 	g.q = append(g.q, parked{pr: pr, run: run})
 	return Park
 }
 
 // Drain resumes parked transfers in FIFO order while their budgets allow
 // (or nothing else is active). Call it wherever pressure releases — pool
-// slot returns, deregistrations, transfer completion. Reentrant calls
+// slot returns, transfer completion or abort. Reentrant calls
 // (a resumed transfer releasing more pressure) fold into the outer loop.
 func (g *Gate) Drain() {
 	if g.draining {

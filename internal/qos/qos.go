@@ -1,43 +1,23 @@
-// Package qos is the service-mode layer of the stack: traffic classes,
-// priority lanes with per-peer flow-control windows at the descriptor
-// boundary, and admission control for whole transfers.
+// Package qos is the service-mode layer of the stack: a traffic class per
+// transfer and admission control over whole bulk transfers.
 //
-// The paper tunes each rendezvous scheme for one message at a time; under a
-// service-shaped load — thousands of concurrent messages, mixed small
-// latency-sensitive and bulk traffic — the bulk schemes become a starvation
-// hazard: one Multi-W transfer can legally occupy the send queue with
-// hundreds of RDMA descriptors posted in a single doorbell, and every eager
-// send behind it waits. This package provides the two mechanisms that
-// prevent that, both modeled on InfiniBand's own service levels and
-// virtual-lane arbitration:
+// The paper's staging pools stall a transfer when they run dry (its
+// buffer-pool exhaustion fallback). Under a service-shaped load — many
+// concurrent messages, mixed small and bulk traffic — the Gate makes that
+// stall an explicit, FIFO decision taken before a bulk transfer's data phase
+// starts: while the staging pool it would draw from is tight, a new bulk
+// transfer parks and resumes as pressure releases. Latency-class transfers
+// are never parked, and a parked transfer is force-admitted when nothing else
+// is active, so admission can never deadlock the endpoint.
 //
-//   - Arbiter: per-peer flow-control windows over bulk data descriptors.
-//     Latency-lane work (eager payloads, control messages, small rendezvous
-//     data) always posts immediately; bulk-lane descriptor batches are
-//     admitted only while the peer's in-flight window has room, and queue
-//     FIFO otherwise. Credits return as completions arrive, draining the
-//     queue. Splitting a bulk message's doorbells at the window bound means
-//     an eager message never waits behind more than one window's worth of
-//     bulk bytes.
-//
-//   - Gate: admission control over whole transfers. When staging-pool or
-//     registration budgets are tight, new bulk transfers park (FIFO) until
-//     pressure releases, or are rejected outright once the parking lot is
-//     full. Latency-class transfers are never parked; a parked transfer is
-//     force-admitted when nothing else is active, so admission can never
-//     deadlock the endpoint.
-//
-// Both structures are deliberately single-threaded: every call happens in
-// the owning endpoint's simulation context (its engine goroutine), exactly
-// like the rest of the protocol state, so they need no locks and stay
-// deterministic on the simulator backend.
+// The Gate is deliberately single-threaded: every call happens in the owning
+// endpoint's simulation context (its engine goroutine), exactly like the
+// rest of the protocol state, so it needs no locks and stays deterministic on
+// the simulator backend.
 package qos
 
-import "errors"
-
-// Lane classifies traffic for the priority scheduler, mirroring an
-// InfiniBand service level: the latency lane is forwarded immediately, the
-// bulk lane is credit-gated.
+// Lane classifies a transfer, mirroring an InfiniBand service level: the
+// latency lane is admitted at once, the bulk lane passes the Gate.
 type Lane uint8
 
 // The two lanes.
@@ -58,10 +38,6 @@ func (l Lane) String() string {
 	return "latency"
 }
 
-// ErrRejected reports that admission control refused a transfer because the
-// parking lot was already full (Policy.MaxParked).
-var ErrRejected = errors.New("qos: transfer rejected by admission control")
-
 // Policy holds the service-mode knobs. The zero value disables every
 // mechanism it configures; DefaultPolicy returns working service defaults.
 type Policy struct {
@@ -69,44 +45,16 @@ type Policy struct {
 	// traffic. Messages below it ride the latency lane.
 	BulkThreshold int64
 
-	// DescWindow bounds the in-flight bulk data descriptors per peer. Bulk
-	// doorbells are split at this bound, so a latency-lane post never waits
-	// behind more than DescWindow bulk descriptors. <= 0 disables the
-	// descriptor window.
-	DescWindow int
-
-	// ByteWindow bounds the in-flight bulk payload bytes per peer.
-	// <= 0 disables the byte window.
-	ByteWindow int64
-
 	// MinFreeSlots parks new bulk transfers while the relevant staging pool
 	// has fewer free slots than this (and other transfers are active to
 	// release them). <= 0 disables the free-slot pressure test.
 	MinFreeSlots int
-
-	// MaxRegisteredPages parks new bulk transfers while the endpoint's
-	// currently registered page count exceeds this budget. <= 0 disables
-	// the registration pressure test.
-	MaxRegisteredPages int64
-
-	// MaxParked bounds the admission parking lot: a bulk transfer arriving
-	// with MaxParked transfers already waiting is rejected (ErrRejected)
-	// instead of parked. <= 0 means park without bound (never reject).
-	MaxParked int
 }
 
-// DefaultPolicy returns service-mode defaults: 64 KiB bulk threshold, a
-// 4-descriptor / 256 KiB per-peer window, pool- and registration-pressure
-// parking enabled, and an unbounded parking lot.
+// DefaultPolicy returns service-mode defaults: a 64 KiB bulk threshold and
+// parking while the staging pool has no free slot.
 func DefaultPolicy() Policy {
-	return Policy{
-		BulkThreshold:      64 << 10,
-		DescWindow:         4,
-		ByteWindow:         256 << 10,
-		MinFreeSlots:       1,
-		MaxRegisteredPages: 0,
-		MaxParked:          0,
-	}
+	return Policy{BulkThreshold: 64 << 10, MinFreeSlots: 1}
 }
 
 // ClassOf maps a message size to its lane.
@@ -115,167 +63,4 @@ func (p Policy) ClassOf(bytes int64) Lane {
 		return LaneBulk
 	}
 	return LaneLatency
-}
-
-// unit is one queued bulk post: a descriptor batch waiting for window room.
-type unit struct {
-	descs int
-	bytes int64
-	grant func()
-}
-
-// unitQueue is a FIFO of queued bulk units with an amortized-O(1) pop:
-// the head index advances on pop and the backing array compacts lazily, so
-// a warm queue cycles through retained capacity without allocating (the
-// `w.q = w.q[1:]` idiom it replaces leaked capacity on every pop).
-type unitQueue struct {
-	s    []unit
-	head int
-}
-
-func (q *unitQueue) len() int { return len(q.s) - q.head }
-
-func (q *unitQueue) push(u unit) { q.s = append(q.s, u) }
-
-func (q *unitQueue) peek() *unit { return &q.s[q.head] }
-
-func (q *unitQueue) pop() unit {
-	u := q.s[q.head]
-	q.s[q.head] = unit{}
-	q.head++
-	if q.head == len(q.s) {
-		q.s = q.s[:0]
-		q.head = 0
-	} else if q.head > 32 && q.head*2 >= len(q.s) {
-		n := copy(q.s, q.s[q.head:])
-		q.s = q.s[:n]
-		q.head = 0
-	}
-	return u
-}
-
-// peerWindow tracks one peer's in-flight charge and its FIFO bulk queue.
-type peerWindow struct {
-	descs int   // charged in-flight descriptors
-	bytes int64 // charged in-flight payload bytes
-	q     unitQueue
-}
-
-// Arbiter schedules data-descriptor posting across the two lanes with
-// per-peer flow-control windows. Latency submissions are charged and
-// granted immediately; bulk submissions wait for window room, FIFO per
-// peer. Single-threaded: all calls must come from the owning endpoint's
-// simulation context.
-type Arbiter struct {
-	pol      Policy
-	peers    []*peerWindow // indexed by peer rank, grown on demand
-	draining bool
-}
-
-// NewArbiter returns an arbiter enforcing p's windows.
-func NewArbiter(p Policy) *Arbiter {
-	return &Arbiter{pol: p}
-}
-
-func (a *Arbiter) peer(id int) *peerWindow {
-	for id >= len(a.peers) {
-		a.peers = append(a.peers, nil)
-	}
-	w := a.peers[id]
-	if w == nil {
-		w = &peerWindow{}
-		a.peers[id] = w
-	}
-	return w
-}
-
-// fits reports whether a unit of (descs, bytes) may be charged against w
-// now. An empty window always admits, so an oversize unit cannot wedge.
-func (a *Arbiter) fits(w *peerWindow, descs int, bytes int64) bool {
-	if w.descs == 0 && w.bytes == 0 {
-		return true
-	}
-	if a.pol.DescWindow > 0 && w.descs+descs > a.pol.DescWindow {
-		return false
-	}
-	if a.pol.ByteWindow > 0 && w.bytes+bytes > a.pol.ByteWindow {
-		return false
-	}
-	return true
-}
-
-// Submit offers one post unit (a descriptor batch of descs descriptors
-// carrying bytes payload bytes) for peer. The unit is charged against the
-// peer's window and grant runs — immediately for the latency lane and for
-// bulk units that fit, later (FIFO, as credits return) otherwise. Submit
-// reports whether the unit was deferred. The caller must return the unit's
-// charge with Release as its descriptors resolve.
-func (a *Arbiter) Submit(peer int, lane Lane, descs int, bytes int64, grant func()) bool {
-	w := a.peer(peer)
-	if lane == LaneLatency || (w.q.len() == 0 && a.fits(w, descs, bytes)) {
-		w.descs += descs
-		w.bytes += bytes
-		grant()
-		return false
-	}
-	w.q.push(unit{descs: descs, bytes: bytes, grant: grant})
-	return true
-}
-
-// Release returns charge for descs descriptors and bytes payload bytes of
-// peer's window (credit return), then drains the peer's bulk queue while
-// the head unit fits.
-func (a *Arbiter) Release(peer int, descs int, bytes int64) {
-	w := a.peer(peer)
-	w.descs -= descs
-	w.bytes -= bytes
-	if w.descs < 0 || w.bytes < 0 {
-		panic("qos: window release without matching charge")
-	}
-	a.drain(w)
-}
-
-// drain grants queued units in FIFO order while the window admits them.
-// A grant may recursively submit or release; the draining guard keeps one
-// outer loop in charge so FIFO order holds.
-func (a *Arbiter) drain(w *peerWindow) {
-	if a.draining {
-		return
-	}
-	a.draining = true
-	defer func() { a.draining = false }()
-	for w.q.len() > 0 && a.fits(w, w.q.peek().descs, w.q.peek().bytes) {
-		u := w.q.pop()
-		w.descs += u.descs
-		w.bytes += u.bytes
-		u.grant()
-	}
-}
-
-// Outstanding reports the peer's charged in-flight descriptors and bytes.
-func (a *Arbiter) Outstanding(peer int) (descs int, bytes int64) {
-	if peer < 0 || peer >= len(a.peers) || a.peers[peer] == nil {
-		return 0, 0
-	}
-	w := a.peers[peer]
-	return w.descs, w.bytes
-}
-
-// Queued reports the peer's deferred bulk units.
-func (a *Arbiter) Queued(peer int) int {
-	if peer < 0 || peer >= len(a.peers) || a.peers[peer] == nil {
-		return 0
-	}
-	return a.peers[peer].q.len()
-}
-
-// QueuedTotal reports deferred bulk units across all peers.
-func (a *Arbiter) QueuedTotal() int {
-	n := 0
-	for _, w := range a.peers {
-		if w != nil {
-			n += w.q.len()
-		}
-	}
-	return n
 }

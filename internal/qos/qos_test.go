@@ -16,79 +16,6 @@ func TestClassOf(t *testing.T) {
 	}
 }
 
-func TestArbiterWindowAndFIFO(t *testing.T) {
-	pol := Policy{DescWindow: 4, ByteWindow: 1 << 20}
-	a := NewArbiter(pol)
-	var order []int
-	grant := func(id int) func() { return func() { order = append(order, id) } }
-
-	// First bulk unit fills the window exactly.
-	if deferred := a.Submit(1, LaneBulk, 4, 100, grant(0)); deferred {
-		t.Fatal("first unit deferred with an empty window")
-	}
-	// Second and third bulk units must queue.
-	if deferred := a.Submit(1, LaneBulk, 4, 100, grant(1)); !deferred {
-		t.Fatal("second unit granted beyond the window")
-	}
-	if deferred := a.Submit(1, LaneBulk, 2, 100, grant(2)); !deferred {
-		t.Fatal("third unit granted beyond the window")
-	}
-	// Latency bypasses the full window entirely.
-	if deferred := a.Submit(1, LaneLatency, 1, 10, grant(3)); deferred {
-		t.Fatal("latency unit deferred")
-	}
-	if got, _ := a.Outstanding(1); got != 5 {
-		t.Fatalf("outstanding descs = %d, want 5 (bulk 4 + latency 1)", got)
-	}
-	if a.Queued(1) != 2 {
-		t.Fatalf("queued = %d, want 2", a.Queued(1))
-	}
-
-	// Returning the latency credit alone leaves no room for unit 1.
-	a.Release(1, 1, 10)
-	if len(order) != 2 {
-		t.Fatalf("granted %v before bulk credits returned", order)
-	}
-	// Returning the first bulk unit's credits admits unit 1 (FIFO), and
-	// unit 2 stays queued: 4 in flight again.
-	a.Release(1, 4, 100)
-	if len(order) != 3 || order[2] != 1 {
-		t.Fatalf("grant order = %v, want [0 3 1]", order)
-	}
-	a.Release(1, 4, 100)
-	if len(order) != 4 || order[3] != 2 {
-		t.Fatalf("grant order = %v, want [0 3 1 2]", order)
-	}
-	a.Release(1, 2, 100)
-	if d, b := a.Outstanding(1); d != 0 || b != 0 {
-		t.Fatalf("outstanding = (%d,%d) after full release", d, b)
-	}
-}
-
-func TestArbiterOversizeUnitAdmitsWhenIdle(t *testing.T) {
-	a := NewArbiter(Policy{DescWindow: 2, ByteWindow: 64})
-	ran := false
-	if deferred := a.Submit(0, LaneBulk, 10, 1<<20, func() { ran = true }); deferred || !ran {
-		t.Fatal("oversize unit must be admitted into an empty window")
-	}
-	// While it is in flight, everything else queues.
-	if deferred := a.Submit(0, LaneBulk, 1, 1, func() {}); !deferred {
-		t.Fatal("unit granted while an oversize unit holds the window")
-	}
-}
-
-func TestArbiterPerPeerIsolation(t *testing.T) {
-	a := NewArbiter(Policy{DescWindow: 1})
-	a.Submit(0, LaneBulk, 1, 0, func() {})
-	granted := false
-	if deferred := a.Submit(1, LaneBulk, 1, 0, func() { granted = true }); deferred || !granted {
-		t.Fatal("peer 1 blocked by peer 0's window")
-	}
-	if a.QueuedTotal() != 0 {
-		t.Fatalf("queued total = %d, want 0", a.QueuedTotal())
-	}
-}
-
 func TestGateParkResumeFIFO(t *testing.T) {
 	g := NewGate(Policy{MinFreeSlots: 2})
 	free, active := 4, 1
@@ -147,30 +74,5 @@ func TestGateProgressGuarantee(t *testing.T) {
 	g.Drain()
 	if !ran {
 		t.Fatal("drain left the only remaining transfer parked")
-	}
-}
-
-func TestGateReject(t *testing.T) {
-	g := NewGate(Policy{MinFreeSlots: 1, MaxParked: 1})
-	pr := func() Pressure { return Pressure{FreeSlots: 0, ActiveOps: 1} }
-	if d := g.Admit(LaneBulk, pr, func() {}); d != Park {
-		t.Fatalf("first = %v, want park", d)
-	}
-	if d := g.Admit(LaneBulk, pr, func() {}); d != Reject {
-		t.Fatalf("second = %v, want reject", d)
-	}
-}
-
-func TestGateRegistrationPressure(t *testing.T) {
-	g := NewGate(Policy{MaxRegisteredPages: 100})
-	pages := int64(200)
-	pr := func() Pressure { return Pressure{FreeSlots: 1 << 20, RegPages: pages, ActiveOps: 1} }
-	if d := g.Admit(LaneBulk, pr, func() {}); d != Park {
-		t.Fatalf("over reg budget = %v, want park", d)
-	}
-	pages = 50
-	g.Drain()
-	if g.Parked() != 0 {
-		t.Fatal("drain ignored released registration pressure")
 	}
 }

@@ -82,13 +82,9 @@ type Counters struct {
 	TunerExploitations int64 // decisions following the current best estimate
 	TunerRegretNs      int64 // summed latency paid above the best arm's estimate
 
-	// Service-mode QoS (internal/qos wired through the endpoint).
-	QoSAdmitted      int64 // bulk transfers admitted immediately
-	QoSParked        int64 // bulk transfers parked by admission control
-	QoSRejected      int64 // bulk transfers rejected (parking lot full)
-	QoSLaneDeferrals int64 // bulk descriptor batches deferred for window room
-	QoSLaneBypass    int64 // latency-lane posts that bypassed a busy bulk queue
-	LaneBulkDescs    int64 // descriptors posted tagged with the bulk lane
+	// Service-mode admission (internal/qos wired through the endpoint).
+	QoSAdmitted int64 // bulk transfers admitted immediately
+	QoSParked   int64 // bulk transfers parked by admission control
 }
 
 // field pairs a counter's name with a pointer to its value.
@@ -144,10 +140,6 @@ func (c *Counters) fields() []field {
 		{"TunerRegretNs", &c.TunerRegretNs},
 		{"QoSAdmitted", &c.QoSAdmitted},
 		{"QoSParked", &c.QoSParked},
-		{"QoSRejected", &c.QoSRejected},
-		{"QoSLaneDeferrals", &c.QoSLaneDeferrals},
-		{"QoSLaneBypass", &c.QoSLaneBypass},
-		{"LaneBulkDescs", &c.LaneBulkDescs},
 	}
 }
 

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,7 +60,23 @@ func TestCountersConcurrent(t *testing.T) {
 // miss a counter added later.
 func TestCountersSnapshotCoversAllFields(t *testing.T) {
 	var c Counters
-	for i, f := range c.fields() {
+	// The hand-kept list is the struct itself: same count, same order, each
+	// name its field's, each pointer aimed at that field.
+	v := reflect.ValueOf(&c).Elem()
+	fs := c.fields()
+	if len(fs) != v.NumField() {
+		t.Fatalf("fields() lists %d counters, the struct declares %d", len(fs), v.NumField())
+	}
+	for i, f := range fs {
+		sf := v.Type().Field(i)
+		if f.name != sf.Name {
+			t.Errorf("fields()[%d] is named %q, the struct's field %d is %s", i, f.name, i, sf.Name)
+		}
+		if f.p != v.Field(i).Addr().Interface().(*int64) {
+			t.Errorf("fields()[%d] (%s) does not point at the field %s", i, f.name, sf.Name)
+		}
+	}
+	for i, f := range fs {
 		*f.p = int64(i + 1)
 	}
 	snap := c.Snapshot()

@@ -143,12 +143,7 @@ func TestCrippledPoolAdmission(t *testing.T) {
 				// One 128 KiB slot: a second concurrent bulk transfer sees
 				// zero free slots and must park at admission.
 				c.Core.PoolSize = c.Core.SegmentSize
-				c.Core.QoS = &qos.Policy{
-					BulkThreshold: 64 << 10,
-					DescWindow:    4,
-					ByteWindow:    256 << 10,
-					MinFreeSlots:  1,
-				}
+				c.Core.QoS = &qos.Policy{BulkThreshold: 64 << 10, MinFreeSlots: 1}
 			})
 			r := NewRunner(spec, reg)
 			if err := r.Run(w); err != nil {

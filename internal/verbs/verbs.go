@@ -101,11 +101,6 @@ type SendWR struct {
 	// Imm is delivered to the remote CQ for OpSend and OpRDMAWriteImm.
 	Imm uint32
 
-	// Lane is an advisory traffic class (internal/qos.Lane), mirroring an
-	// InfiniBand service level: 0 latency-sensitive, 1 bulk. Scheduling
-	// happens above the verbs boundary — the fabric only accounts it.
-	Lane uint8
-
 	// Unsignaled asks for no send completion when the descriptor succeeds
 	// (selective signalling; the zero value is a signaled descriptor). The
 	// connection completes in posting order, so the completion of a later
