@@ -34,9 +34,14 @@ test:
 # the dtdebug tag a recycled op, arrival record or request is poisoned and
 # quarantined, so a continuation that outlives its record panics at the
 # access instead of corrupting a later message (internal/core/debug_on.go).
+# A request released by the wait that completed it is poisoned the same way,
+# so traffic (which keeps handles across WaitAny) and pario (whose server
+# loop lives on blocking receives' envelopes) run here too: a use after
+# release panics instead of reading a scrubbed Err as success.
+DEBUG_PKGS = ./internal/core/ ./internal/mpi/ ./internal/traffic/ ./internal/pario/
 debug-test:
-	$(GO) vet -tags dtdebug ./internal/core/ ./internal/mpi/
-	$(GO) test -tags dtdebug ./internal/core/ ./internal/mpi/
+	$(GO) vet -tags dtdebug $(DEBUG_PKGS)
+	$(GO) test -tags dtdebug $(DEBUG_PKGS)
 
 # The benchmark is a module of its own (repro/bench, nested under bench/), so
 # `./...` above never reaches it: vet and test it separately, or an API break
@@ -101,10 +106,10 @@ perf:
 	$(GO) run ./cmd/perfgate -update
 
 # CI-style guard: compare the current build against BENCH_perf.json.
-# Zero-alloc rows must stay at exactly zero allocs/op; whole-world rows (sim +
-# shm) must stay at or under their max_allocs ceiling — two objects per
-# message, its request handles — and within tolerance of their virtual-time
-# latency; wall-clock rows are advisory.
+# Zero-alloc rows must stay at exactly zero allocs/op — the whole-world rows
+# (sim + shm) among them, request handles included — and virtual-time rows
+# within tolerance of their latency; the cold-layout rows must stay at or
+# under their max_allocs ceiling; wall-clock rows are advisory.
 perf-guard:
 	@$(GO) run ./cmd/perfgate -check
 

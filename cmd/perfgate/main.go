@@ -9,7 +9,7 @@
 //	perfgate -file path ...   # use a different baseline artifact
 //
 // -check exits nonzero on any fatal finding: a zero-alloc row that
-// allocates, a whole-world row over its max_allocs ceiling, a virtual-time
+// allocates, a cold-layout row over its max_allocs ceiling, a virtual-time
 // latency regression, or a row missing from the current suite. Wall-clock
 // drift and rows not yet in the baseline are printed as advisory notes.
 package main

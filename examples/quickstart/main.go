@@ -55,7 +55,7 @@ func main() {
 				colType.Size(), p.Now().Sub(start))
 			return nil
 		}
-		req, err := p.Recv(matrix, 1, colType, 0, 0)
+		st, err := p.Recv(matrix, 1, colType, 0, 0)
 		if err != nil {
 			return err
 		}
@@ -63,7 +63,7 @@ func main() {
 		got := p.Mem().Bytes(matrix+mem.Addr(3*cols*4+2*4), 4)
 		v := uint32(got[0]) | uint32(got[1])<<8 | uint32(got[2])<<16 | uint32(got[3])<<24
 		fmt.Printf("rank 1: received %d bytes from rank %d; matrix[3][2] = %d (want 32)\n",
-			req.Bytes, req.Source, v)
+			st.Bytes, st.Source, v)
 		if v != 32 {
 			return fmt.Errorf("verification failed: got %d", v)
 		}

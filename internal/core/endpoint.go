@@ -99,37 +99,68 @@ type waiter struct {
 // WaitAll blocks until every request completes, parking the process once:
 // the completion that leaves none pending wakes it, at the virtual instant
 // the last of one-at-a-time waits would have (DESIGN.md §14). A request
-// listed twice counts once. Checked contract: the requests share an endpoint,
-// and at most one process waits on an endpoint at a time.
+// listed twice counts once; a nil entry (MPI_REQUEST_NULL) is skipped.
+// Checked contract: the requests share an endpoint, and at most one process
+// waits on an endpoint at a time.
 func WaitAll(p *simtime.Process, reqs ...*Request) { wait(p, reqs, len(reqs)) }
 
 // WaitAny blocks until at least one request completes and returns its index
-// (the lowest, if several completed together; -1, MPI_UNDEFINED, for none).
-// Only a completion in reqs wakes it; the contract is WaitAll's.
+// (the lowest, if several completed together; -1, MPI_UNDEFINED, when every
+// entry is nil). Only a completion in reqs wakes it; the contract is
+// WaitAll's.
 func WaitAny(p *simtime.Process, reqs ...*Request) int { return wait(p, reqs, 1) }
+
+// WaitRelease is WaitAll followed by MPI_Waitall's handle rule: every request
+// is handed back to its endpoint (Free) and its entry set to nil, and the
+// first error in list order is returned. A request listed twice is handed
+// back once. It is the tail of every blocking call and of mpi's Wait.
+func WaitRelease(p *simtime.Process, reqs ...*Request) error {
+	WaitAll(p, reqs...)
+	var err error
+	for i, r := range reqs {
+		// After WaitAll a request that is not done was listed earlier and
+		// handed back there: Free clears done.
+		if r != nil && r.done {
+			if err == nil {
+				err = r.Err
+			}
+			r.Free()
+		}
+		reqs[i] = nil
+	}
+	return err
+}
+
+// isDone is Done for a wait's list, where nil is a null request.
+func isDone(r *Request) bool { return r != nil && r.Done() }
 
 // wait parks p on its endpoint's waiter until want of reqs have completed
 // (want len(reqs): all of them) and returns the lowest completed index.
 func wait(p *simtime.Process, reqs []*Request, want int) int {
-	if len(reqs) == 0 {
-		return -1
-	}
-	ep := reqs[0].ep
+	var ep *Endpoint
 	for _, r := range reqs {
+		if r == nil {
+			continue
+		}
 		guardRequest(r)
-		if r.ep != ep {
+		if ep == nil {
+			ep = r.ep
+		} else if r.ep != ep {
 			panic("core: wait across endpoints")
 		}
+	}
+	if ep == nil {
+		return -1
 	}
 	w := &ep.w
 	if w.parked {
 		panic(fmt.Sprintf("core: rank %d: a second process waits on the endpoint (one rank is one process)", ep.rank))
 	}
-	if i := slices.IndexFunc(reqs, (*Request).Done); want == 1 && i >= 0 {
+	if i := slices.IndexFunc(reqs, isDone); want == 1 && i >= 0 {
 		return i
 	}
 	for _, r := range reqs {
-		if !r.done && r.w == nil {
+		if r != nil && !r.done && r.w == nil {
 			r.w = w
 			w.need++
 		}
@@ -141,9 +172,11 @@ func wait(p *simtime.Process, reqs []*Request, want int) int {
 	}
 	w.parked, w.need = false, 0
 	for _, r := range reqs {
-		r.w = nil // what WaitAny leaves pending
+		if r != nil {
+			r.w = nil // what WaitAny leaves pending
+		}
 	}
-	return slices.IndexFunc(reqs, (*Request).Done)
+	return slices.IndexFunc(reqs, isDone)
 }
 
 // inboundMsg is the per-message state of an arrival record.
@@ -537,17 +570,7 @@ func (ep *Endpoint) IssendCtx(ctx int, buf mem.Addr, count int, dt *datatype.Typ
 
 // Ssend is the blocking synchronous-mode send in the world context.
 func (ep *Endpoint) Ssend(p *simtime.Process, buf mem.Addr, count int, dt *datatype.Type, dst, tag int) error {
-	return ep.IssendCtx(0, buf, count, dt, dst, tag).waitFree(p)
-}
-
-// waitFree blocks until the request completes, hands it back to the
-// endpoint and returns its error: the tail of every blocking call whose
-// request the caller never sees.
-func (r *Request) waitFree(p *simtime.Process) error {
-	r.Wait(p)
-	err := r.Err
-	r.Free()
-	return err
+	return WaitRelease(p, ep.IssendCtx(0, buf, count, dt, dst, tag))
 }
 
 // Irecv posts a nonblocking receive into (buf, count, dt) from rank src
@@ -572,15 +595,29 @@ func (ep *Endpoint) IrecvCtx(ctx int, buf mem.Addr, count int, dt *datatype.Type
 
 // Send is the blocking form of Isend.
 func (ep *Endpoint) Send(p *simtime.Process, buf mem.Addr, count int, dt *datatype.Type, dst, tag int) error {
-	return ep.Isend(buf, count, dt, dst, tag).waitFree(p)
+	return ep.SendCtx(p, 0, buf, count, dt, dst, tag)
 }
 
-// Recv is the blocking form of Irecv; it returns the completed request for
-// its status fields.
-func (ep *Endpoint) Recv(p *simtime.Process, buf mem.Addr, count int, dt *datatype.Type, src, tag int) (*Request, error) {
-	r := ep.Irecv(buf, count, dt, src, tag)
+// SendCtx is the blocking form of IsendCtx. Its request never leaves the
+// call: it is handed back to the endpoint once complete.
+func (ep *Endpoint) SendCtx(p *simtime.Process, ctx int, buf mem.Addr, count int, dt *datatype.Type, dst, tag int) error {
+	return WaitRelease(p, ep.IsendCtx(ctx, buf, count, dt, dst, tag))
+}
+
+// Recv is the blocking form of Irecv; it returns the matched message's
+// envelope.
+func (ep *Endpoint) Recv(p *simtime.Process, buf mem.Addr, count int, dt *datatype.Type, src, tag int) (Status, error) {
+	return ep.RecvCtx(p, 0, buf, count, dt, src, tag)
+}
+
+// RecvCtx is the blocking form of IrecvCtx. Like SendCtx it hands its
+// request back to the endpoint; what the caller gets is the envelope.
+func (ep *Endpoint) RecvCtx(p *simtime.Process, ctx int, buf mem.Addr, count int, dt *datatype.Type, src, tag int) (Status, error) {
+	r := ep.IrecvCtx(ctx, buf, count, dt, src, tag)
 	r.Wait(p)
-	return r, r.Err
+	st, err := Status{Source: r.Source, Tag: r.Tag, Bytes: r.Bytes}, r.Err
+	r.Free()
+	return st, err
 }
 
 func matchWanted(wantCtx, wantSrc, wantTag, ctx, src, tag int) bool {

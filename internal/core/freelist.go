@@ -278,8 +278,8 @@ func (ep *Endpoint) putInbound(inb *inbound) {
 
 // --- Request handles ----------------------------------------------------------
 
-// newRequest takes a request handle off the free list, or makes one — the
-// one allocation a warm message is allowed.
+// newRequest takes a request handle off the free list, or makes one when
+// more are out than ever were before.
 func (ep *Endpoint) newRequest() *Request {
 	ep.liveReq++
 	if r := ep.reqFree; r != nil {
@@ -289,10 +289,11 @@ func (ep *Endpoint) newRequest() *Request {
 	return &Request{ep: ep}
 }
 
-// Free hands a completed request back to its endpoint for reuse: what a
-// caller that started the request itself and let nobody else see it — a
-// blocking send, a collective — does instead of leaving the handle to the
-// collector. The handle must not be used afterwards.
+// Free hands a completed request back to its endpoint for reuse, the way
+// MPI_Wait sets a handle to MPI_REQUEST_NULL. WaitRelease does it for every
+// blocking call and for mpi's waits; a caller of WaitAll or WaitAny does it
+// itself, or leaves the handle to the collector. The handle must not be used
+// afterwards.
 func (r *Request) Free() {
 	if !r.done {
 		panic("core: Free of a request that has not completed")

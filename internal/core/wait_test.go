@@ -137,7 +137,8 @@ func smallPools() Config {
 func idle(w *waiter) bool { return w.need == 0 && !w.parked && w.sig.Waiters() == 0 }
 
 // The wait contract is checked: one endpoint per wait, one parked process per
-// endpoint. A wait on no requests returns at once.
+// endpoint. A wait on no requests returns at once; a nil entry is a null
+// request, skipped.
 func TestWaitContract(t *testing.T) {
 	dt := datatype.Int32
 	mustPanic := func(t *testing.T, want string, f func()) {
@@ -185,8 +186,15 @@ func TestWaitContract(t *testing.T) {
 				WaitAll(p, s)
 				WaitAll(p, r)
 				WaitAll(p)
+				WaitAll(p, nil, s, nil)
 				if i := WaitAny(p); i != -1 {
 					t.Errorf("WaitAny with no requests = %d, want -1", i)
+				}
+				if i := WaitAny(p, nil, nil); i != -1 {
+					t.Errorf("WaitAny over nil entries = %d, want -1", i)
+				}
+				if i := WaitAny(p, nil, s, nil); i != 1 {
+					t.Errorf("WaitAny(nil, s, nil) = %d, want 1", i)
 				}
 			})
 			if err := w.eng.Run(); err != nil {

@@ -15,7 +15,7 @@ import (
 // messages that ride the same announce queues and matching index.
 // Afterwards every pooled record of every endpoint must be back on its free
 // list — send and receive ops, arrival records, eager buffers, completion
-// records, and the request handles, which the ranks hand back — so an object
+// records, and the request handles, which every Wait hands back — so an object
 // leaked by an abort continuation (a pin never released, a retire skipped,
 // a payload buffer dropped with its arrival) shows up here as a nonzero live
 // count. Run under -race this also pins that recycling never races the
@@ -60,11 +60,9 @@ func TestAbortPathPoolBalance(t *testing.T) {
 							}
 							// Injected faults legitimately fail either side of
 							// a rendezvous; the assertion is pool balance, not
-							// delivery.
+							// delivery. Wait releases every handle, failed
+							// ones included.
 							_ = p.Wait(reqs...)
-							for _, r := range reqs {
-								r.Free()
-							}
 						}
 						return nil
 					})

@@ -11,11 +11,13 @@ import (
 
 // TestWarmMessageAllocatesOnlyHandles pins the allocation discipline of the
 // whole message path (DESIGN.md §16): once an endpoint is warm, a message —
-// eager, self or rendezvous under any scheme — costs the heap exactly the
-// two *core.Request handles its caller holds, and a collective, whose
-// requests no caller ever sees, costs it nothing. The two-rank rows drive
-// the endpoints from outside the engine (post, then run the engine dry), so
-// one AllocsPerRun iteration is one message from post to both completions.
+// eager, self or rendezvous under any scheme — costs the heap nothing, its
+// two request handles included, which come off the endpoint's free list and
+// go back to it; a collective costs nothing either. The two-rank rows drive
+// the endpoints from outside the engine (post, run the engine dry, Free both
+// handles as a wait would), so one AllocsPerRun iteration is one message
+// from post to both completions. TestWarmWindowAllocatesNothing holds the
+// mpi waits to the same.
 func TestWarmMessageAllocatesOnlyHandles(t *testing.T) {
 	if core.DebugRecords {
 		t.Skip("the dtdebug build quarantines recycled records instead of reusing them")
@@ -88,15 +90,17 @@ func TestWarmMessageAllocatesOnlyHandles(t *testing.T) {
 						panic(fmt.Sprintf("message did not complete: send %v/%v recv %v/%v",
 							s.Done(), s.Err, r.Done(), r.Err))
 					}
+					s.Free()
+					r.Free()
 				}
 				for i := 0; i < warm; i++ {
 					one()
 				}
-				if got := testing.AllocsPerRun(runs, one); got > 2 {
-					t.Errorf("warm message allocates %.0f objects, want at most its 2 request handles", got)
+				if got := testing.AllocsPerRun(runs, one); got != 0 {
+					t.Errorf("warm message allocates %.0f objects, want 0", got)
 				}
 				for i, ep := range w.eps {
-					if ps := ep.PoolStats(); ps.LiveSendOps != 0 || ps.LiveRecvOps != 0 {
+					if ps := ep.PoolStats(); ps.LiveSendOps != 0 || ps.LiveRecvOps != 0 || ps.LiveRequests != 0 {
 						t.Errorf("rank %d not quiescent: %+v", i, ps)
 					}
 				}

@@ -135,7 +135,6 @@ func TestFreeTypeDuringTransfer(t *testing.T) {
 						if err := p.Wait(r); err != nil {
 							return err
 						}
-						r.Free()
 						if p.Rank() == 1 {
 							for i := range b {
 								want := byte(0)

@@ -69,18 +69,17 @@ func (c *Comm) worldOf(rank int) int {
 	return c.ranks[rank]
 }
 
-// Send sends within the communicator (dst is a comm rank).
+// Send sends within the communicator (dst is a comm rank). Like Proc.Send
+// it releases its request when it completes.
 func (c *Comm) Send(buf mem.Addr, count int, dt *datatype.Type, dst, tag int) error {
-	r := c.Isend(buf, count, dt, dst, tag)
-	r.Wait(c.p.sp)
-	return r.Err
+	return c.p.ep.SendCtx(c.p.sp, c.ctx, buf, count, dt, c.ranks[dst], tag)
 }
 
-// Recv receives within the communicator (src is a comm rank or AnySource).
-func (c *Comm) Recv(buf mem.Addr, count int, dt *datatype.Type, src, tag int) (*core.Request, error) {
-	r := c.Irecv(buf, count, dt, src, tag)
-	r.Wait(c.p.sp)
-	return r, r.Err
+// Recv receives within the communicator (src is a comm rank or AnySource)
+// and returns the message's envelope, its Source a world rank. Like
+// Proc.Recv it releases its request when it completes.
+func (c *Comm) Recv(buf mem.Addr, count int, dt *datatype.Type, src, tag int) (core.Status, error) {
+	return c.p.ep.RecvCtx(c.p.sp, c.ctx, buf, count, dt, c.worldOf(src), tag)
 }
 
 // Isend starts a nonblocking send within the communicator.
@@ -115,9 +114,9 @@ func (c *Comm) Iprobe(src, tag int) (core.Status, bool) {
 
 // Collective operations exchange their internal messages in the hidden
 // collCtx so that user receives and probes (including wildcards) never see
-// them. No caller ever sees their requests either, so each is handed back to
-// the endpoint (core.Request.Free) the moment the collective has read its
-// outcome: a warm collective allocates no request handles at all.
+// them. Their requests are released the moment the collective has read its
+// outcome, as every wait releases them: a warm collective allocates no
+// request handles at all.
 
 func (c *Comm) collIsend(buf mem.Addr, count int, dt *datatype.Type, dst, tag int) *core.Request {
 	return c.p.ep.IsendCtx(c.collCtx, buf, count, dt, c.ranks[dst], tag)
@@ -145,20 +144,11 @@ func (c *Comm) collSendrecv(
 }
 
 // collWait completes a collective's requests — reqs is the communicator's
-// scratch list, grown by the caller — frees them, and returns the first
+// scratch list, grown by the caller — releases them, and returns the first
 // error in list order.
 func (c *Comm) collWait(reqs []*core.Request) error {
-	core.WaitAll(c.p.sp, reqs...)
-	var err error
-	for i, r := range reqs {
-		if err == nil {
-			err = r.Err
-		}
-		r.Free()
-		reqs[i] = nil
-	}
 	c.reqs = reqs[:0]
-	return err
+	return core.WaitRelease(c.p.sp, reqs...)
 }
 
 // Undefined is the MPI_UNDEFINED color: the caller joins no new communicator.

@@ -95,11 +95,7 @@ func TestEventsPerWindow(t *testing.T) {
 							reqs[j] = p.Irecv(bufs[1][j], 1, eager, 0, j%tags)
 						}
 					}
-					err := p.Wait(reqs...)
-					for _, r := range reqs {
-						r.Free()
-					}
-					return err
+					return p.Wait(reqs...)
 				})
 				if err != nil {
 					t.Fatal(err)

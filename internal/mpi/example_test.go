@@ -26,11 +26,11 @@ func ExampleWorld() {
 		if p.Rank() == 0 {
 			return p.Send(buf, 1, vec, 1, 0)
 		}
-		req, err := p.Recv(buf, 1, vec, 0, 0)
+		st, err := p.Recv(buf, 1, vec, 0, 0)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("received %d bytes from rank %d\n", req.Bytes, req.Source)
+		fmt.Printf("received %d bytes from rank %d\n", st.Bytes, st.Source)
 		return nil
 	})
 	fmt.Println("err:", err)

@@ -11,20 +11,25 @@ import (
 	"repro/internal/mem"
 )
 
-// waitArm is how a rank waits on a list of its requests: with one WaitAll,
-// which parks once, or one request at a time, which is what WaitAll did
-// before the endpoint waiter and resumes once per completion.
+// waitArm is how a rank waits on a list of its requests: with one Wait,
+// which parks once, or one request at a time, which is what Wait did before
+// the endpoint waiter and resumes once per completion. Either way every
+// request is released, and the first error in list order returned.
 type waitArm struct {
 	name string
-	wait func(p *Proc, reqs []*core.Request)
+	wait func(p *Proc, reqs []*core.Request) error
 }
 
 var waitArms = []waitArm{
-	{"WaitAll", func(p *Proc, reqs []*core.Request) { core.WaitAll(p.sp, reqs...) }},
-	{"per-request", func(p *Proc, reqs []*core.Request) {
+	{"WaitAll", func(p *Proc, reqs []*core.Request) error { return p.Wait(reqs...) }},
+	{"per-request", func(p *Proc, reqs []*core.Request) error {
+		var err error
 		for _, r := range reqs {
-			core.WaitAll(p.sp, r)
+			if e := p.Wait(r); err == nil {
+				err = e
+			}
 		}
+		return err
 	}},
 }
 
@@ -99,7 +104,8 @@ func TestWaitArmsAgree(t *testing.T) {
 }
 
 // runWaitExchange runs x on a fresh world and checks that every endpoint is
-// drained afterwards: nothing live, nothing active, every handle freed.
+// drained afterwards: nothing live, nothing active, every handle released by
+// the wait that completed it.
 func runWaitExchange(t *testing.T, x waitExchange, backend string, arm waitArm) waitRun {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -133,18 +139,6 @@ func fillSeeded(m *mem.Memory, a mem.Addr, n int64, rng *rand.Rand) {
 	rng.Read(m.Bytes(a, n))
 }
 
-// finish checks and frees a round's requests.
-func finish(reqs []*core.Request) error {
-	var err error
-	for _, r := range reqs {
-		if err == nil {
-			err = r.Err
-		}
-		r.Free()
-	}
-	return err
-}
-
 // windowExchange: three windows of 64 eager 256-byte messages each way over
 // 16 tags. Half of each window's receives are posted before the sends and
 // waited on first; the other half is posted after that, so it finds its
@@ -169,12 +163,13 @@ func windowExchange(p *Proc, arm waitArm, data *[]byte, _ *[]int64) error {
 		for j := range sbuf {
 			rest = append(rest, p.Isend(sbuf[j], 1, dt, peer, j%tags))
 		}
-		arm.wait(p, first)
+		if err := arm.wait(p, first); err != nil {
+			return err
+		}
 		for j := window / 2; j < window; j++ {
 			rest = append(rest, p.Irecv(rbuf[j], 1, dt, peer, j%tags))
 		}
-		arm.wait(p, rest)
-		if err := finish(append(first, rest...)); err != nil {
+		if err := arm.wait(p, rest); err != nil {
 			return err
 		}
 		for _, a := range rbuf {
@@ -204,8 +199,7 @@ func alltoallExchange(p *Proc, arm waitArm, data *[]byte, _ *[]int64) error {
 			dst := (me + i) % n
 			reqs = append(reqs, p.Isend(at(sb, dst), 1, dt, dst, round))
 		}
-		arm.wait(p, reqs)
-		if err := finish(reqs); err != nil {
+		if err := arm.wait(p, reqs); err != nil {
 			return err
 		}
 		*data = append(*data, m.Bytes(rb, int64(n)*ext)...)
@@ -263,14 +257,18 @@ func soakExchange(p *Proc, arm waitArm, data *[]byte, anys *[]int64) error {
 				}
 			}
 		}
-		out := append([]*core.Request(nil), reqs...)
+		// WaitAny releases what it completed and leaves nil in its place,
+		// which is dropped; the arm releases the rest.
+		out := reqs
 		for len(out) > len(reqs)/2 {
-			i := p.WaitAny(out...)
+			i, err := p.WaitAny(out...)
+			if err != nil {
+				return err
+			}
 			*anys = append(*anys, p.w.ClockNs(), int64(i))
 			out = append(out[:i], out[i+1:]...)
 		}
-		arm.wait(p, out)
-		if err := finish(reqs); err != nil {
+		if err := arm.wait(p, out); err != nil {
 			return err
 		}
 		for i, a := range rbufs {

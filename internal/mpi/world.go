@@ -315,8 +315,10 @@ func (p *Proc) Send(buf mem.Addr, count int, dt *datatype.Type, dst, tag int) er
 	return p.ep.Send(p.sp, buf, count, dt, dst, tag)
 }
 
-// Recv blocks until a matching message lands in (buf, count, dt).
-func (p *Proc) Recv(buf mem.Addr, count int, dt *datatype.Type, src, tag int) (*core.Request, error) {
+// Recv blocks until a matching message lands in (buf, count, dt) and returns
+// its envelope. Like Send it never hands out a request: the one it posts is
+// released when it completes.
+func (p *Proc) Recv(buf mem.Addr, count int, dt *datatype.Type, src, tag int) (core.Status, error) {
 	return p.ep.Recv(p.sp, buf, count, dt, src, tag)
 }
 
@@ -339,23 +341,35 @@ func (p *Proc) Irecv(buf mem.Addr, count int, dt *datatype.Type, src, tag int) *
 // Wait blocks until every request completes and returns the first error, in
 // list order. The rank parks once, whatever the number of requests, and
 // resumes when the last of them completes (core.WaitAll). The requests must
-// be this rank's.
+// be this rank's; nil entries are skipped. As MPI_Waitall sets every handle
+// to MPI_REQUEST_NULL, Wait releases every request to its endpoint and sets
+// its entry to nil (core.WaitRelease): a handle must not be used after the
+// Wait that completed it, and a handle listed twice is released once.
 func (p *Proc) Wait(reqs ...*core.Request) error {
-	core.WaitAll(p.sp, reqs...)
-	for _, r := range reqs {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
+	return core.WaitRelease(p.sp, reqs...)
 }
 
 // WaitAny blocks until at least one of the requests completes and returns
-// its index (the lowest, if several completed together; -1 for no
-// requests). Only a completion among reqs wakes the rank: a request posted
-// while it waits, from an event handler, is not in the set (core.WaitAny).
-func (p *Proc) WaitAny(reqs ...*core.Request) int {
-	return core.WaitAny(p.sp, reqs...)
+// its index (the lowest, if several completed together) and its error; -1
+// when every entry is nil. Only a completion among reqs wakes the rank: a
+// request posted while it waits, from an event handler, is not in the set
+// (core.WaitAny). As MPI_Waitany does, it releases the completed request and
+// sets reqs[i] to nil (every entry holding it, if it is listed twice); the
+// other requests stay live.
+func (p *Proc) WaitAny(reqs ...*core.Request) (int, error) {
+	i := core.WaitAny(p.sp, reqs...)
+	if i < 0 {
+		return i, nil
+	}
+	r := reqs[i]
+	for j := i; j < len(reqs); j++ {
+		if reqs[j] == r {
+			reqs[j] = nil
+		}
+	}
+	err := r.Err
+	r.Free()
+	return i, err
 }
 
 // Sendrecv runs a send and a receive concurrently and waits for both.

@@ -8,16 +8,16 @@
 //
 //   - allocs/op on a zero-alloc row must be exactly zero. These rows pin
 //     the invariant one layer at a time — the warm pack, descriptor, fabric
-//     and tuner paths do not allocate — and any nonzero value is a
-//     regression regardless of magnitude.
-//   - allocs/op on a whole-world row must not exceed the row's committed
-//     max_allocs ceiling: two objects per message, the request handles of
-//     its two sides, which is all a warm message may allocate. The ceiling
-//     is exact, not a tolerance around the last reading: headroom wide
-//     enough to absorb a map rehash would also hide a path that went from
-//     two objects per message to ten. The cold-layout rows (constructor,
-//     compile, decode of a 4 096-block indexed type) carry a ceiling the
-//     same way: their object counts are constants whatever the block count.
+//     and tuner paths do not allocate — and, on the whole-world rows, for
+//     the message path end to end: both ranks, the fabric, matching and
+//     the request handles, which every wait hands back. Any nonzero value
+//     is a regression regardless of magnitude.
+//   - allocs/op on a row with a max_allocs ceiling must not exceed it. The
+//     cold-layout rows (constructor, compile, decode of a 4 096-block
+//     indexed type) carry one: their object counts are constants whatever
+//     the block count. The ceiling is exact, not a tolerance around the last
+//     reading: headroom wide enough to absorb a map rehash would also hide a
+//     step that went from one object per layout to one per block.
 //   - ns/op on a virtual-time row (sim/shm backends) fails past NsSlack:
 //     virtual clocks are deterministic, so drift there is a real cost-model
 //     or scheduling change.
@@ -54,15 +54,10 @@ const (
 	KindRatio = "ratio"
 )
 
-// Comparison tolerances. Exported so the gate's policy is inspectable and
-// testable rather than buried in the comparator.
-const (
-	// NsSlack is the fractional ns/op headroom on virtual rows.
-	NsSlack = 0.10
-	// MessageAllocs is the allocs/op ceiling of a whole-world row, per
-	// message it moves: the sender's and the receiver's request handle.
-	MessageAllocs = 2.0
-)
+// NsSlack is the fractional ns/op headroom on virtual rows. Exported so the
+// gate's policy is inspectable and testable rather than buried in the
+// comparator.
+const NsSlack = 0.10
 
 // Row is one pinned measurement of the micro-suite.
 type Row struct {

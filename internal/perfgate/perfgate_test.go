@@ -36,24 +36,24 @@ func TestCompareZeroAllocViolationIsFatal(t *testing.T) {
 	}
 }
 
-// A whole-world row is held to its committed ceiling exactly: a reading at
-// the ceiling passes, anything over it fails, whatever the baseline read and
+// A row with a ceiling is held to the committed one exactly: a reading at the
+// ceiling passes, anything over it fails, whatever the baseline read and
 // whatever ceiling the current run claims for itself.
 func TestCompareAllocCeilingIsExact(t *testing.T) {
-	base := Report{Rows: []Row{{Name: "rndv/sim/X", Kind: KindVirtual, NsPerOp: 1000, AllocsPerOp: 1, MaxAllocs: 2}}}
-	cur := Report{Rows: []Row{{Name: "rndv/sim/X", Kind: KindVirtual, NsPerOp: 1000, AllocsPerOp: 2, MaxAllocs: 50}}}
+	base := Report{Rows: []Row{{Name: "cold/X", Kind: KindWall, NsPerOp: 1000, AllocsPerOp: 3, MaxAllocs: 4}}}
+	cur := Report{Rows: []Row{{Name: "cold/X", Kind: KindWall, NsPerOp: 1000, AllocsPerOp: 4, MaxAllocs: 50}}}
 	if ps := Compare(base, cur); len(ps) != 0 {
 		t.Fatalf("a reading at the ceiling flagged: %v", ps)
 	}
-	cur.Rows[0].AllocsPerOp = 2.125 // one stray object in eight messages
-	p := findProblem(t, Compare(base, cur), "rndv/sim/X")
+	cur.Rows[0].AllocsPerOp = 4.125 // one stray object in eight layouts
+	p := findProblem(t, Compare(base, cur), "cold/X")
 	if !p.Fatal || !strings.Contains(p.Msg, "ceiling") {
 		t.Fatalf("a reading over the ceiling not fatal: %+v", p)
 	}
-	// The old +10 % +8 headroom would have let this one through.
-	cur.Rows[0].AllocsPerOp = 9
+	// A +10 % +8 headroom would have let this one through.
+	cur.Rows[0].AllocsPerOp = 11
 	if !Fatal(Compare(base, cur)) {
-		t.Fatal("two objects per message grew to nine and the gate passed")
+		t.Fatal("four objects per layout grew to eleven and the gate passed")
 	}
 }
 

@@ -333,10 +333,8 @@ func tunerRow() Row {
 // the lowest of wallBatches rounds (a stray runtime allocation lands in one
 // round, an allocation on the measured path in all of them). The allocation
 // column is whole-world (both ranks, fabric, matching, the closing barrier)
-// and carries the exact ceiling an operation is held to: maxAllocs, the
-// request handles its caller keeps — zero, pinned as a zero-alloc row, when
-// it frees them all.
-func worldRow(name, backend string, scheme core.Scheme, maxAllocs float64, build func(p *mpi.Proc) func() error) (Row, error) {
+// and pinned at zero: every wait hands its request handles back.
+func worldRow(name, backend string, scheme core.Scheme, build func(p *mpi.Proc) func() error) (Row, error) {
 	cfg := mpi.DefaultConfig()
 	cfg.Ranks = 2
 	cfg.MemBytes = 64 << 20
@@ -389,16 +387,13 @@ func worldRow(name, backend string, scheme core.Scheme, maxAllocs float64, build
 		Backend:     backend,
 		NsPerOp:     nsOp,
 		AllocsPerOp: allocsOp,
-		ZeroAlloc:   maxAllocs == 0,
-		MaxAllocs:   maxAllocs,
+		ZeroAlloc:   true,
 	}, nil
 }
 
-// messageRow is one blocking message per operation: MessageAllocs, its two
-// request handles, is its ceiling (the blocking send hands the sender's back,
-// so the reading is 1).
+// messageRow is one blocking message per operation.
 func messageRow(name, backend string, scheme core.Scheme, dt *datatype.Type) (Row, error) {
-	return worldRow(name, backend, scheme, MessageAllocs, func(p *mpi.Proc) func() error {
+	return worldRow(name, backend, scheme, func(p *mpi.Proc) func() error {
 		buf := p.Mem().MustAlloc(dt.Extent() + 64)
 		return func() error {
 			if p.Rank() == 0 {
@@ -412,11 +407,11 @@ func messageRow(name, backend string, scheme core.Scheme, dt *datatype.Type) (Ro
 
 // windowRow is a window of eager_stream's shape per operation: 64 256-byte
 // vector messages each way over 16 tags, both sides waiting on their 128
-// requests with one Wait and freeing every handle, so it allocates nothing.
+// requests with one Wait, which releases them all.
 func windowRow(name, backend string) (Row, error) {
 	const window, tags = 64, 16
 	dt := datatype.Must(datatype.TypeVector(64, 1, 4, datatype.Int32))
-	return worldRow(name, backend, core.SchemeAuto, 0, func(p *mpi.Proc) func() error {
+	return worldRow(name, backend, core.SchemeAuto, func(p *mpi.Proc) func() error {
 		peer := 1 - p.Rank()
 		var sbuf, rbuf [window]mem.Addr
 		for j := range sbuf {
@@ -431,11 +426,7 @@ func windowRow(name, backend string) (Row, error) {
 			for j := range sbuf {
 				reqs = append(reqs, p.Isend(sbuf[j], 1, dt, peer, j%tags))
 			}
-			err := p.Wait(reqs...)
-			for _, r := range reqs {
-				r.Free()
-			}
-			return err
+			return p.Wait(reqs...)
 		}
 	})
 }

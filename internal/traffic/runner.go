@@ -236,14 +236,15 @@ func (r *Runner) rank(w *mpi.World, p *mpi.Proc) error {
 		for _, o := range outs {
 			reqs = append(reqs, o.req)
 		}
-		i := p.WaitAny(reqs...)
+		// WaitAny releases the request it completed: o.req is dead from here.
+		i, err := p.WaitAny(reqs...)
 		o := outs[i]
 		outs = append(outs[:i], outs[i+1:]...)
-		if o.req.Err != nil {
+		if err != nil {
 			classFail(o.fs.f)
 		}
 		if o.isRecv {
-			if o.req.Err == nil {
+			if err == nil {
 				if o.k >= o.fs.f.Warmup {
 					t0 := atomic.LoadInt64(&r.stamps[o.fs.f.ID][o.k])
 					lat := w.ClockNs() - t0

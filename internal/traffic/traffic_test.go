@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/mpi"
 	"repro/internal/qos"
 	"repro/internal/stats"
@@ -164,6 +165,40 @@ func TestCrippledPoolAdmission(t *testing.T) {
 			}
 			if parks == 0 {
 				t.Fatalf("no qos-park trace instants recorded (QoSParked=%d)", ctr.QoSParked)
+			}
+		})
+	}
+}
+
+// A transfer that dies under injected faults still counts against its class:
+// the runner reads the error WaitAny returns, because the request it
+// completed has been released by then. Every RDMA completion fails for good,
+// so every bulk message fails on both sides and records no latency, while
+// the eager flow beside it, which posts no RDMA, delivers everything.
+func TestFailedFlowsAreCounted(t *testing.T) {
+	const bulkMsgs, eagerMsgs = 3, 4
+	spec := Spec{Ranks: 2, Explicit: []Flow{
+		{ID: 0, Src: 0, Dst: 1, Count: bulkMsgs, Bytes: 64 << 10, Bulk: true, Closed: true},
+		{ID: 1, Src: 1, Dst: 0, Count: eagerMsgs, Bytes: 512, Closed: true},
+	}}
+	for _, backend := range mpi.AllBackends {
+		t.Run(backend, func(t *testing.T) {
+			w := testWorld(t, backend, 2, func(c *mpi.Config) {
+				c.Fault = fault.New(fault.Config{Seed: 1, CQEErrorRate: 1, PermanentRate: 1})
+			})
+			reg := stats.NewRegistry()
+			r := NewRunner(spec, reg)
+			if err := r.Run(w); err != nil {
+				t.Fatalf("faulted soak on %s: %v", backend, err)
+			}
+			if ef, bf := r.Failures(); ef != 0 || bf != 2*bulkMsgs {
+				t.Errorf("failures: eager %d bulk %d, want 0 and %d (both sides of every bulk message)", ef, bf, 2*bulkMsgs)
+			}
+			if n := reg.Histogram(HistBulk).Count(); n != 0 {
+				t.Errorf("%d bulk latencies recorded, want none: every bulk message failed", n)
+			}
+			if n := reg.Histogram(HistEager).Count(); n != eagerMsgs {
+				t.Errorf("%d eager latencies recorded, want %d", n, eagerMsgs)
 			}
 		})
 	}
