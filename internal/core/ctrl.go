@@ -121,6 +121,12 @@ type regRef struct {
 	key  uint32
 }
 
+// stagedCTSMax bounds a staged CTS naming n segments: kind, op, scheme,
+// size, segment size and count, then an address and a key per segment.
+func stagedCTSMax(n int) int {
+	return 2 + binary.MaxVarintLen32 + 3*binary.MaxVarintLen64 + n*(binary.MaxVarintLen64+binary.MaxVarintLen32)
+}
+
 func (w *ctrlWriter) segRefs(refs []segRef) {
 	w.u64(uint64(len(refs)))
 	for _, s := range refs {

@@ -271,19 +271,14 @@ type Endpoint struct {
 
 	// Warm-path free-lists and scratch (freelist.go): per-message protocol
 	// objects recycle through the endpoint instead of the allocator.
-	sendFree      []*sendOp
-	recvFree      []*recvOp
-	inbFree       []*inbound
-	reqFree       *Request // handles handed back with Free, linked through next
-	liveSend      int
-	liveRecv      int
-	liveInb       int
-	liveReq       int
-	liveBufs      int
-	bufFree       [numBufClass][][]byte
-	bufBytes      int64            // bytes parked in bufFree
+	sendOps       mem.FreeList[sendOp]
+	recvOps       mem.FreeList[recvOp]
+	inbs          mem.FreeList[inbound]
+	reqs          mem.FreeList[Request]
+	bufs          mem.BufPool      // eager frames and parked payloads
 	ctrlw         ctrlWriter       // synchronous build→send control frames
 	batchScratch  [][]verbs.SendWR // postWRs doorbell-split scratch
+	ctsRefs       []segRef         // staged-CTS build scratch
 	ctsSegScratch []segRef         // dead-CTS parse scratch
 	ctsRegScratch []regRef         // dead-CTS parse scratch
 	mc            metricCache      // lazily bound metric handles (observe.go)
@@ -308,9 +303,9 @@ type Endpoint struct {
 	chunkLimit int
 
 	// Completion records of posted descriptors (wr.go): wrTab is indexed by
-	// the low half of the work-request ID, wrFree holds the recycled ones.
-	wrTab  []*wrRec
-	wrFree []*wrRec
+	// the low half of the work-request ID, wrs holds the recycled ones.
+	wrTab []*wrRec
+	wrs   mem.FreeList[wrRec]
 
 	types   *typeRegistry
 	layouts *layoutCache
@@ -341,8 +336,6 @@ func NewEndpoint(rank int, hca verbs.HCA, cfg Config) (*Endpoint, error) {
 		layouts: newLayoutCache(),
 		progs:   &programCache{},
 	}
-	ep.recvQ.init()
-	ep.unexp.init()
 	ep.sendCQ = hca.NewCQ()
 	ep.recvCQ = hca.NewCQ()
 	ep.sendCQ.SetHandler(ep.handleSendCQE)
@@ -357,6 +350,10 @@ func NewEndpoint(rank int, hca verbs.HCA, cfg Config) (*Endpoint, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The largest staged CTS names every slot of the unpack pool: its
+	// scratch and the control writer are sized for it now, not by a message.
+	ep.ctsRefs = make([]segRef, 0, ep.unpackPool.totalSlots())
+	ep.ctrlw.buf = make([]byte, 0, stagedCTSMax(ep.unpackPool.totalSlots()))
 	// Observability: pool park counting and occupancy/registration gauges.
 	// A nil Metrics registry hands out nil gauges, which are no-op sinks.
 	ep.packPool.ctr = ep.ctr
@@ -494,7 +491,7 @@ func (ep *Endpoint) announceReady(op *sendOp) {
 			// PostSend copies the frame inline, so its buffer is free again
 			// as soon as sendCtrl returns.
 			ep.sendCtrl(h.dst, h.frame)
-			ep.putBuf(h.frame)
+			ep.bufs.Put(h.frame)
 			h.frame = nil
 		default:
 			ep.sendRTS(h)
@@ -673,7 +670,7 @@ func (ep *Endpoint) eagerSend(req *Request, ctx int, buf mem.Addr, count int, dt
 	// scratch: the announce may be queued behind an earlier message's
 	// delayed RTS and posted later, so it needs its own storage. It returns
 	// to the pool once the fabric has copied it inline (announceReady).
-	w := ctrlWriter{buf: ep.getBuf(eagerHeaderMax + size)[:0]}
+	w := ctrlWriter{buf: ep.bufs.Get(eagerHeaderMax + size)[:0]}
 	w.u8(kindEager)
 	w.u32(uint32(ctx))
 	w.u32(uint32(tag))
@@ -759,7 +756,7 @@ func (ep *Endpoint) handleCtrl(src int, data []byte) {
 		}
 		// Unexpected: MPICH copies the payload aside into an unexpected-
 		// message buffer; make that staging copy, and charge it.
-		inb.data, inb.ownsData = ep.getBuf(int64(len(payload))), true
+		inb.data, inb.ownsData = ep.bufs.Get(int64(len(payload))), true
 		copy(inb.data, payload)
 		atomic.AddInt64(&ep.ctr.BytesStaged, size)
 		ep.hca.ChargeCPU(ep.model.CopyTime(size, 1))
@@ -855,7 +852,7 @@ func (ep *Endpoint) selfSend(req *Request, ctx int, buf mem.Addr, count int, dt 
 	size := dt.Size() * int64(count)
 	inb := ep.getInbound()
 	inb.kind, inb.ctx, inb.src, inb.tag, inb.size = kindEager, ctx, ep.rank, tag, size
-	inb.data, inb.ownsData = ep.getBuf(size), true
+	inb.data, inb.ownsData = ep.bufs.Get(size), true
 	inb.sreq = req
 	ep.pk.Bind(ep.memory, buf, ep.Program(dt, count))
 	_, runs := ep.pk.PackTo(inb.data)

@@ -12,12 +12,13 @@ import (
 // Every per-message object the protocol needs — the send and receive op
 // records with their RDMA descriptor and scatter/gather arenas, pack state
 // and layout cursors, the arrival records of the matching queues, eager
-// frame and payload buffers, and the request handles a caller hands back —
-// is drawn from an endpoint-owned free-list and returned when the message
-// retires, so a warm endpoint moves messages allocating nothing but the
-// request handles its callers keep. The lists are plain slices, not
-// sync.Pools: a GC cycle must not be able to empty them, or allocs/op would
-// become nondeterministic and the perf gate (cmd/perfgate) could not pin it.
+// frame and payload buffers, and request handles — is drawn from an
+// endpoint-owned free-list (mem.FreeList, mem.BufPool) and returned when the
+// message retires or, for a handle, when a wait releases it or its caller
+// frees it. So a warm endpoint moves messages allocating nothing; only a
+// handle its caller keeps is left to the collector. A list that runs dry
+// makes as many records as are live, so it grows about log₂(peak) times,
+// almost all of them during warm-up.
 //
 // Ownership protocol:
 //
@@ -143,27 +144,9 @@ func (ep *Endpoint) removeRecvOp(op *recvOp) bool {
 
 // --- Op free-lists and pinning ------------------------------------------------
 
-func (ep *Endpoint) getSendOp() *sendOp {
-	ep.liveSend++
-	if n := len(ep.sendFree); n > 0 {
-		op := ep.sendFree[n-1]
-		ep.sendFree[n-1] = nil
-		ep.sendFree = ep.sendFree[:n-1]
-		return op
-	}
-	return newSendOp(ep)
-}
+func (ep *Endpoint) getSendOp() *sendOp { return ep.sendOps.Get(ep.newSendOp) }
 
-func (ep *Endpoint) getRecvOp() *recvOp {
-	ep.liveRecv++
-	if n := len(ep.recvFree); n > 0 {
-		op := ep.recvFree[n-1]
-		ep.recvFree[n-1] = nil
-		ep.recvFree = ep.recvFree[:n-1]
-		return op
-	}
-	return newRecvOp(ep)
-}
+func (ep *Endpoint) getRecvOp() *recvOp { return ep.recvOps.Get(ep.newRecvOp) }
 
 // pinSend keeps op's state alive for a step that may fire after the op
 // retires. Every pin must be balanced by exactly one unpinSend.
@@ -218,7 +201,6 @@ func (ep *Endpoint) retireRecv(op *recvOp) {
 }
 
 func (ep *Endpoint) recycleSend(op *sendOp) {
-	ep.liveSend--
 	op.wrs.reset()
 	clear(op.segs)
 	op.segs = op.segs[:0]
@@ -227,67 +209,55 @@ func (ep *Endpoint) recycleSend(op *sendOp) {
 	op.sendMsg = sendMsg{}
 	op.gen++
 	if poisonSend(op) {
+		ep.sendOps.Drop()
 		return
 	}
-	ep.sendFree = append(ep.sendFree, op)
+	ep.sendOps.Put(op)
 }
 
 func (ep *Endpoint) recycleRecv(op *recvOp) {
-	ep.liveRecv--
 	op.wrs.reset()
 	clear(op.segs)
-	op.segs, op.ctsRefs = op.segs[:0], op.ctsRefs[:0]
+	op.segs = op.segs[:0]
 	op.reg.drop()
 	op.recvMsg = recvMsg{}
 	op.gen++
 	if poisonRecv(op) {
+		ep.recvOps.Drop()
 		return
 	}
-	ep.recvFree = append(ep.recvFree, op)
+	ep.recvOps.Put(op)
 }
 
 // --- Arrival records ----------------------------------------------------------
 
-func (ep *Endpoint) getInbound() *inbound {
-	ep.liveInb++
-	if n := len(ep.inbFree); n > 0 {
-		inb := ep.inbFree[n-1]
-		ep.inbFree[n-1] = nil
-		ep.inbFree = ep.inbFree[:n-1]
-		return inb
-	}
-	inb := &inbound{ep: ep}
-	inb.deliveredFn, inb.selfArrivedFn = inb.delivered, inb.selfArrived
-	return inb
+func (ep *Endpoint) getInbound() *inbound { return ep.inbs.Get(ep.newInbound) }
+
+func (ep *Endpoint) newInbound(inb *inbound) {
+	inb.ep, inb.deliveredFn, inb.selfArrivedFn = ep, inb.delivered, inb.selfArrived
 }
 
 // putInbound recycles an arrival record that has been matched and consumed,
 // and the payload buffer it owns.
 func (ep *Endpoint) putInbound(inb *inbound) {
-	ep.liveInb--
 	if inb.ownsData {
-		ep.putBuf(inb.data)
+		ep.bufs.Put(inb.data)
 	}
 	inb.inboundMsg = inboundMsg{}
 	inb.gen++
 	if poisonInbound(inb) {
+		ep.inbs.Drop()
 		return
 	}
-	ep.inbFree = append(ep.inbFree, inb)
+	ep.inbs.Put(inb)
 }
 
 // --- Request handles ----------------------------------------------------------
 
-// newRequest takes a request handle off the free list, or makes one when
-// more are out than ever were before.
-func (ep *Endpoint) newRequest() *Request {
-	ep.liveReq++
-	if r := ep.reqFree; r != nil {
-		ep.reqFree, r.next = r.next, nil
-		return r
-	}
-	return &Request{ep: ep}
-}
+// newRequest takes a request handle off the free list.
+func (ep *Endpoint) newRequest() *Request { return ep.reqs.Get(ep.makeRequest) }
+
+func (ep *Endpoint) makeRequest(r *Request) { r.ep = ep }
 
 // Free hands a completed request back to its endpoint for reuse, the way
 // MPI_Wait sets a handle to MPI_REQUEST_NULL. WaitRelease does it for every
@@ -299,12 +269,12 @@ func (r *Request) Free() {
 		panic("core: Free of a request that has not completed")
 	}
 	ep := r.ep
-	ep.liveReq--
 	*r = Request{ep: ep, gen: r.gen + 1}
 	if poisonRequest(r) {
+		ep.reqs.Drop()
 		return
 	}
-	r.next, ep.reqFree = ep.reqFree, r
+	ep.reqs.Put(r)
 }
 
 // PoolStats reports the endpoint's warm-path free-list accounting. At world
@@ -339,15 +309,15 @@ type PoolStats struct {
 // PoolStats returns the current free-list accounting snapshot.
 func (ep *Endpoint) PoolStats() PoolStats {
 	return PoolStats{
-		LiveSendOps:  ep.liveSend,
-		LiveRecvOps:  ep.liveRecv,
-		FreeSendOps:  len(ep.sendFree),
-		FreeRecvOps:  len(ep.recvFree),
+		LiveSendOps:  ep.sendOps.Live(),
+		LiveRecvOps:  ep.recvOps.Live(),
+		FreeSendOps:  len(ep.sendOps.Parked()),
+		FreeRecvOps:  len(ep.recvOps.Parked()),
 		ActiveSends:  ep.activeSends,
 		ActiveRecvs:  ep.activeRecvs,
-		LiveInbound:  ep.liveInb,
-		LiveBufs:     ep.liveBufs,
-		LiveRequests: ep.liveReq,
+		LiveInbound:  ep.inbs.Live(),
+		LiveBufs:     ep.bufs.Live(),
+		LiveRequests: ep.reqs.Live(),
 		LiveWRs:      ep.wrLive(),
 	}
 }
@@ -403,72 +373,13 @@ func (s *wrSet) one(opc verbs.Opcode, e verbs.SGE, rAddr mem.Addr, rKey, imm uin
 	return s.wrs[n-1 : n : n]
 }
 
-// --- Eager frame and payload buffers -------------------------------------------
-
-// Eager frames, parked unexpected payloads and self-send payloads come from
-// one per-endpoint buffer pool, in power-of-two size classes from 64 B up
-// (so a get is a pop, never a search). What bounds the pool is the bytes it
-// retains, not a buffer count: a stream of small messages may keep hundreds
-// of parked payloads cycling without ever allocating, while a burst of huge
-// ones cannot pin its buffers forever.
-const (
-	minBufShift = 6       // the smallest class holds 64 B buffers
-	numBufClass = 12      // the largest, 128 KiB ones
-	maxBufBytes = 1 << 20 // retained (parked) bytes per endpoint
-	maxBufCap   = 1 << (minBufShift + numBufClass - 1)
-)
-
-// bufClass returns the class whose buffers hold at least n bytes.
-func bufClass(n int64) int {
-	c := 0
-	for int64(1)<<(minBufShift+c) < n {
-		c++
-	}
-	return c
-}
-
-// getBuf returns a length-n byte buffer, a parked one when its class has
-// one. A buffer larger than the largest class is simply allocated.
-func (ep *Endpoint) getBuf(n int64) []byte {
-	ep.liveBufs++
-	if n > maxBufCap {
-		return make([]byte, n)
-	}
-	c := bufClass(n)
-	if k := len(ep.bufFree[c]); k > 0 {
-		b := ep.bufFree[c][k-1]
-		ep.bufFree[c][k-1] = nil
-		ep.bufFree[c] = ep.bufFree[c][:k-1]
-		ep.bufBytes -= int64(cap(b))
-		return b[:n]
-	}
-	return make([]byte, n, 1<<(minBufShift+c))
-}
-
-// putBuf parks a buffer for reuse once nothing references it (the fabric
-// copies an Inline payload synchronously inside PostSend), unless the pool
-// already retains its fill.
-func (ep *Endpoint) putBuf(b []byte) {
-	ep.liveBufs--
-	n := int64(cap(b))
-	if n > maxBufCap || n < 1<<minBufShift || ep.bufBytes+n > maxBufBytes {
-		return
-	}
-	c := bufClass(n)
-	if n != 1<<(minBufShift+c) {
-		return // not one of ours
-	}
-	ep.bufBytes += n
-	ep.bufFree[c] = append(ep.bufFree[c], b)
-}
-
 // --- Control scratch ----------------------------------------------------------
 
 // ctrlW hands out the endpoint's reusable control-frame writer. Safe for any
 // build-then-sendCtrl sequence that completes synchronously (every backend
 // copies Inline before PostSend returns); frames that are built now but
 // posted later (eager messages riding the announce queue) are built in a
-// getBuf buffer instead.
+// buffer of ep.bufs instead.
 func (ep *Endpoint) ctrlW() *ctrlWriter {
 	ep.ctrlw.buf = ep.ctrlw.buf[:0]
 	return &ep.ctrlw
@@ -478,5 +389,5 @@ func (ep *Endpoint) ctrlW() *ctrlWriter {
 // diagnosis output.
 func (ep *Endpoint) poolStatsString() string {
 	return fmt.Sprintf("liveOps(send=%d recv=%d) freeOps(send=%d recv=%d) live(inbound=%d bufs=%d requests=%d)",
-		ep.liveSend, ep.liveRecv, len(ep.sendFree), len(ep.recvFree), ep.liveInb, ep.liveBufs, ep.liveReq)
+		ep.sendOps.Live(), ep.recvOps.Live(), len(ep.sendOps.Parked()), len(ep.recvOps.Parked()), ep.inbs.Live(), ep.bufs.Live(), ep.reqs.Live())
 }

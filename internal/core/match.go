@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // Indexed message matching.
 //
 // The original engine kept posted receives and unexpected arrivals in flat
@@ -22,24 +24,102 @@ type matchKey struct {
 	ctx, src, tag int
 }
 
+// --- Bucket table ------------------------------------------------------------
+
+// bucketTable maps exact keys to their FIFOs by open addressing: linear
+// probing, and backward-shift deletion, so an emptied bucket leaves no
+// tombstone and a table whose live keys churn at a steady count never
+// rehashes (a Go map's deletes leave tombstones, and churn over them
+// rebuilds its table: warm-path allocations that the hash seed counted). At
+// most half full, its size follows the peak of live keys, not the number of
+// distinct keys ever seen. The zero value is empty.
+type bucketTable[L any] struct {
+	slots []bucket[L] // a power of two of them
+	shift uint        // 64 − log₂(len(slots)): a hash's top bits pick the home slot
+	n     int
+}
+
+type bucket[L any] struct {
+	key  matchKey
+	used bool
+	list L
+}
+
+func (t *bucketTable[L]) home(k matchKey) int {
+	h := (uint64(k.ctx)*0x9E3779B97F4A7C15 + uint64(k.src)*0xC2B2AE3D27D4EB4F + uint64(k.tag)) * 0x165667B19E3779F9
+	return int(h >> t.shift)
+}
+
+// slot returns where k's bucket is, or would go.
+func (t *bucketTable[L]) slot(k matchKey) int {
+	i := t.home(k)
+	for t.slots[i].used && t.slots[i].key != k {
+		i = (i + 1) & (len(t.slots) - 1)
+	}
+	return i
+}
+
+// find returns k's list, or nil when k has no bucket.
+func (t *bucketTable[L]) find(k matchKey) *L {
+	if t.n > 0 {
+		if b := &t.slots[t.slot(k)]; b.used {
+			return &b.list
+		}
+	}
+	return nil
+}
+
+// insert returns k's list, making an empty bucket for it when it has none.
+// The pointer is good until the table's next insert or remove.
+func (t *bucketTable[L]) insert(k matchKey) *L {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		size := max(16, 2*len(old))
+		t.slots, t.shift = make([]bucket[L], size), uint(64-bits.TrailingZeros(uint(size)))
+		for _, b := range old {
+			if b.used {
+				t.slots[t.slot(b.key)] = b
+			}
+		}
+	}
+	b := &t.slots[t.slot(k)]
+	if !b.used {
+		*b = bucket[L]{key: k, used: true}
+		t.n++
+	}
+	return &b.list
+}
+
+// remove deletes k's bucket, which must exist, moving back into the hole
+// each later entry of its probe run whose path passes it.
+func (t *bucketTable[L]) remove(k matchKey) {
+	mask := len(t.slots) - 1
+	i := t.slot(k)
+	for j := (i + 1) & mask; t.slots[j].used; j = (j + 1) & mask {
+		if (j-t.home(t.slots[j].key))&mask >= (j-i)&mask {
+			t.slots[i], i = t.slots[j], j
+		}
+	}
+	t.slots[i] = bucket[L]{}
+	t.n--
+}
+
 // --- Posted-receive index ---------------------------------------------------
 
 // reqList is the FIFO of posted receives sharing one exact key: an intrusive
-// list through Request.next, held by value in the index's map, so posting a
-// receive links one pointer and builds no queue object.
+// list through Request.next, held by value in the index's table, so posting
+// a receive links one pointer and builds no queue object.
 type reqList struct{ head, tail *Request }
 
 // recvIndex holds posted receives: exact receives bucketed per
 // (ctx, src, tag), wildcard receives (AnySource and/or AnyTag) in a small
 // ordered side list. seq stamps give a total post order across both.
 type recvIndex struct {
-	exact map[matchKey]reqList
+	exact bucketTable[reqList]
 	wild  []*Request
 	seq   uint64
 	n     int
 }
-
-func (ri *recvIndex) init() { ri.exact = make(map[matchKey]reqList) }
 
 func (ri *recvIndex) len() int { return ri.n }
 
@@ -52,15 +132,13 @@ func (ri *recvIndex) post(r *Request) {
 		ri.wild = append(ri.wild, r)
 		return
 	}
-	k := matchKey{ctx: r.ctxWant, src: r.srcWant, tag: r.tagWant}
-	l := ri.exact[k]
+	l := ri.exact.insert(matchKey{ctx: r.ctxWant, src: r.srcWant, tag: r.tagWant})
 	if l.tail == nil {
 		l.head = r
 	} else {
 		l.tail.next = r
 	}
 	l.tail = r
-	ri.exact[k] = l
 }
 
 // match finds and removes the earliest-posted receive matching the arrival
@@ -70,8 +148,11 @@ func (ri *recvIndex) post(r *Request) {
 // first-posted semantics).
 func (ri *recvIndex) match(ctx, src, tag int) *Request {
 	k := matchKey{ctx: ctx, src: src, tag: tag}
-	l := ri.exact[k]
-	exact := l.head
+	l := ri.exact.find(k)
+	var exact *Request
+	if l != nil {
+		exact = l.head
+	}
 	wildIdx := -1
 	for i, r := range ri.wild {
 		if matchWanted(r.ctxWant, r.srcWant, r.tagWant, ctx, src, tag) {
@@ -84,9 +165,7 @@ func (ri *recvIndex) match(ctx, src, tag int) *Request {
 		return nil
 	case exact != nil && (wildIdx < 0 || exact.seq < ri.wild[wildIdx].seq):
 		if l.head = exact.next; l.head == nil {
-			delete(ri.exact, k) // an emptied bucket leaves the map, so it tracks live keys only
-		} else {
-			ri.exact[k] = l
+			ri.exact.remove(k) // an emptied bucket leaves the table, so it tracks live keys only
 		}
 		exact.next = nil
 		ri.n--
@@ -112,12 +191,10 @@ type inbList struct{ head, tail *inbound }
 // doubly linked intrusive list, so a claimed arrival unlinks in O(1) — for
 // wildcard receives and probes.
 type unexpIndex struct {
-	exact       map[matchKey]inbList
+	exact       bucketTable[inbList]
 	first, last *inbound // arrival order
 	n           int
 }
-
-func (ui *unexpIndex) init() { ui.exact = make(map[matchKey]inbList) }
 
 func (ui *unexpIndex) len() int { return ui.n }
 
@@ -130,15 +207,13 @@ func (ui *unexpIndex) add(inb *inbound) {
 		ui.last.nextArr = inb
 	}
 	ui.last = inb
-	k := matchKey{ctx: inb.ctx, src: inb.src, tag: inb.tag}
-	l := ui.exact[k]
+	l := ui.exact.insert(matchKey{ctx: inb.ctx, src: inb.src, tag: inb.tag})
 	if l.tail == nil {
 		l.head = inb
 	} else {
 		l.tail.next = inb
 	}
 	l.tail = inb
-	ui.exact[k] = l
 }
 
 // take finds and removes the earliest arrival matching a receive's wants
@@ -152,14 +227,12 @@ func (ui *unexpIndex) take(ctx, src, tag int) *inbound {
 	// entry sharing one exact key matches the same patterns, so an earlier
 	// same-key arrival would have been found first.
 	k := matchKey{ctx: inb.ctx, src: inb.src, tag: inb.tag}
-	l := ui.exact[k]
-	if l.head != inb {
+	l := ui.exact.find(k)
+	if l == nil || l.head != inb {
 		panic("core: matching invariant violated: claimed arrival is not its bucket head")
 	}
 	if l.head = inb.next; l.head == nil {
-		delete(ui.exact, k)
-	} else {
-		ui.exact[k] = l
+		ui.exact.remove(k)
 	}
 	if inb.prevArr == nil {
 		ui.first = inb.nextArr
@@ -181,8 +254,10 @@ func (ui *unexpIndex) take(ctx, src, tag int) *inbound {
 // order.
 func (ui *unexpIndex) peek(ctx, src, tag int) (*inbound, bool) {
 	if src != AnySource && tag != AnyTag {
-		inb := ui.exact[matchKey{ctx: ctx, src: src, tag: tag}].head
-		return inb, inb != nil
+		if l := ui.exact.find(matchKey{ctx: ctx, src: src, tag: tag}); l != nil {
+			return l.head, true
+		}
+		return nil, false
 	}
 	for inb := ui.first; inb != nil; inb = inb.nextArr {
 		if matchWanted(ctx, src, tag, inb.ctx, inb.src, inb.tag) {

@@ -75,7 +75,6 @@ func TestRecvIndexMatchesLinearReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var ref refRecvQ
 		var idx recvIndex
-		idx.init()
 		nextID := 0
 		for op := 0; op < ops; op++ {
 			if rng.Intn(2) == 0 {
@@ -114,7 +113,6 @@ func TestUnexpIndexMatchesLinearReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var ref refUnexpQ
 		var idx unexpIndex
-		idx.init()
 		nextOp := uint32(0)
 		for op := 0; op < ops; op++ {
 			switch rng.Intn(3) {
@@ -221,7 +219,7 @@ func TestAnnounceQueuePrune(t *testing.T) {
 				t.Errorf("rank %d -> %d: undrained announce queue", ep.Rank(), dst)
 			}
 		}
-		for _, op := range ep.sendFree {
+		for _, op := range ep.sendOps.Parked() {
 			if op.annNext != nil || op.frame != nil {
 				t.Errorf("rank %d: a recycled send op still holds its queue link or frame", ep.Rank())
 			}

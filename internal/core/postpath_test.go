@@ -14,7 +14,7 @@ import (
 // it carries no record — and release is the one reader of faultMode. A
 // record's posting attempt is started by release, or by resolveWR for the
 // unit held back behind the one it resolves, and rescheduled by retryWR
-// alone; getWR binds it as tryFn once per record and putWR keeps the binding.
+// alone; newWR binds it as tryFn once per record and putWR keeps the binding.
 // stagingAcq's registration retry has a try of its own (rndv.go). A scheme
 // that grows a posting fork of its own, or a grant step that starts attempts
 // from anywhere else, fails here.
@@ -22,9 +22,9 @@ var postingPath = map[string][]string{
 	"PostSend":     {"(*wrRec).try", "(*Endpoint).sendCtrl"},
 	"PostSendList": {"(*wrRec).try"},
 	"faultMode":    {"(*Endpoint).release"},
-	"try": {"(*Endpoint).release", "(*Endpoint).resolveWR", "(*Endpoint).getWR",
+	"try": {"(*Endpoint).release", "(*Endpoint).resolveWR", "(*Endpoint).newWR",
 		"(*stagingAcq).init", "(*stagingAcq).start"},
-	"tryFn": {"(*Endpoint).retryWR", "(*Endpoint).getWR", "(*Endpoint).putWR",
+	"tryFn": {"(*Endpoint).retryWR", "(*Endpoint).newWR", "(*Endpoint).putWR",
 		"(*stagingAcq).init", "(*stagingAcq).try"},
 }
 

@@ -137,14 +137,13 @@ type sendOp struct {
 	eagerDoneFn, poolReadyFn func()
 }
 
-func newSendOp(ep *Endpoint) *sendOp {
-	op := &sendOp{ep: ep}
+func (ep *Endpoint) newSendOp(op *sendOp) {
+	op.ep = ep
 	op.reg.init(ep, op.regDone)
 	op.stage.init(ep, op.stageDone)
 	op.adm.init(ep, op)
 	op.packer.SetPar(ep.cfg.par())
 	op.eagerDoneFn, op.poolReadyFn = op.eagerDone, op.poolReady
-	return op
 }
 
 // segRes couples a staging segment with the byte count it carries. held
@@ -228,24 +227,20 @@ type recvOp struct {
 	unpacker pack.ParallelUnpacker
 	cur      datatype.ProgCursor // P-RRS scatter-read walk
 
-	segs []segRes
+	segs []segRes // sized for the whole unpack pool when the op is made
 
-	// Op-owned arenas: the scatter-read descriptor arena (P-RRS) and the
-	// segment refs assembled for the CTS reply.
-	wrs     wrSet
-	ctsRefs []segRef
+	wrs wrSet // op-owned scatter-read descriptor arena (P-RRS)
 
 	poolReadyFn, unpackDoneFn func()
 }
 
-func newRecvOp(ep *Endpoint) *recvOp {
-	op := &recvOp{ep: ep}
+func (ep *Endpoint) newRecvOp(op *recvOp) {
+	op.ep, op.segs = ep, make([]segRes, 0, ep.unpackPool.totalSlots())
 	op.reg.init(ep, op.regDone)
 	op.stage.init(ep, op.stageDone)
 	op.adm.init(ep, op)
 	op.unpacker.SetPar(ep.cfg.par())
 	op.poolReadyFn, op.unpackDoneFn = op.poolReady, op.unpackDone
-	return op
 }
 
 func (ep *Endpoint) newOpID() uint32 {
@@ -626,7 +621,7 @@ func (ep *Endpoint) recvStagedSetup(op *recvOp, segSize int64) {
 }
 
 // sendStagedCTS replies to a staged-scheme RTS with the segment refs
-// assembled in op.ctsRefs.
+// assembled in ep.ctsRefs.
 func (ep *Endpoint) sendStagedCTS(op *recvOp) {
 	w := ep.ctrlW()
 	w.u8(kindCTS)
@@ -634,7 +629,7 @@ func (ep *Endpoint) sendStagedCTS(op *recvOp) {
 	w.u8(uint8(op.scheme))
 	w.i64(op.eff)
 	w.i64(op.segSize)
-	w.segRefs(op.ctsRefs)
+	w.segRefs(ep.ctsRefs)
 	ep.sendCtrl(op.key.src, w.buf)
 	ep.span(schemeName(&ctsSpanName, op.scheme), "handshake", op.key.op, op.eff, op.tStart)
 }
@@ -648,7 +643,7 @@ func (op *recvOp) poolReady() {
 		return // aborted while parked; slots stay with the pool
 	}
 	pool := ep.unpackPool
-	refs := op.ctsRefs[:0]
+	refs := ep.ctsRefs[:0]
 	for k := 0; k < op.nSegs; k++ {
 		s, ok := pool.tryAcquire()
 		if !ok {
@@ -657,7 +652,7 @@ func (op *recvOp) poolReady() {
 		op.segs = append(op.segs, segRes{seg: s, bytes: segBytes(op.eff, op.segSize, k), held: true})
 		refs = append(refs, segRef{addr: s.addr, key: s.key})
 	}
-	op.ctsRefs = refs
+	ep.ctsRefs = refs
 	ep.sendStagedCTS(op)
 }
 
@@ -677,12 +672,12 @@ func (op *recvOp) stageDone(s seg, err error) {
 	}
 	if op.next == rstepGeneric {
 		op.segs = append(op.segs[:0], segRes{seg: s, bytes: op.eff, held: true})
-		op.ctsRefs = append(op.ctsRefs[:0], segRef{addr: s.addr, key: s.key})
+		ep.ctsRefs = append(ep.ctsRefs[:0], segRef{addr: s.addr, key: s.key})
 		ep.sendStagedCTS(op)
 		return
 	}
 	op.wholeSeg, op.haveWhole = s, true
-	refs := op.ctsRefs[:0]
+	refs := ep.ctsRefs[:0]
 	for k := 0; k < op.nSegs; k++ {
 		addr := s.addr + mem.Addr(int64(k)*op.segSize)
 		// Views onto wholeSeg: not individually held, the backing buffer is
@@ -693,7 +688,7 @@ func (op *recvOp) stageDone(s seg, err error) {
 		})
 		refs = append(refs, segRef{addr: addr, key: s.key})
 	}
-	op.ctsRefs = refs
+	ep.ctsRefs = refs
 	ep.sendStagedCTS(op)
 }
 
@@ -715,11 +710,11 @@ func (op *recvOp) regDone(err error) {
 	switch op.next {
 	case rstepDirect:
 		base := mem.Addr(int64(op.req.buf) + op.req.dt.TrueLB())
-		refs := op.ctsRefs[:0]
+		refs := ep.ctsRefs[:0]
 		for k := 0; k < op.nSegs; k++ {
 			refs = append(refs, segRef{addr: base + mem.Addr(int64(k)*op.segSize), key: op.reg.refs[0].key})
 		}
-		op.ctsRefs = refs
+		ep.ctsRefs = refs
 		ep.sendStagedCTS(op)
 
 	case rstepMultiW:

@@ -121,20 +121,18 @@ func (rec *wrRec) id() uint64 { return uint64(rec.gen&(1<<wrGenBits-1))<<32 | ui
 // getWR takes a completion record for one descriptor of the given kind
 // headed to peer.
 func (ep *Endpoint) getWR(kind wrKind, peer int) *wrRec {
-	var rec *wrRec
-	if n := len(ep.wrFree); n > 0 {
-		rec = ep.wrFree[n-1]
-		ep.wrFree = ep.wrFree[:n-1]
-	} else {
-		if len(ep.wrTab) == 0 {
-			ep.wrTab = append(ep.wrTab, nil) // slot 0 is "no record"
-		}
-		rec = &wrRec{ep: ep, slot: uint32(len(ep.wrTab))}
-		rec.tryFn = rec.try
-		ep.wrTab = append(ep.wrTab, rec)
-	}
+	rec := ep.wrs.Get(ep.newWR)
 	rec.kind, rec.peer, rec.n = kind, peer, 1
 	return rec
+}
+
+// newWR makes a record and gives it the next slot of the table.
+func (ep *Endpoint) newWR(rec *wrRec) {
+	if len(ep.wrTab) == 0 {
+		ep.wrTab = append(ep.wrTab, nil) // slot 0 is "no record"
+	}
+	rec.ep, rec.slot, rec.tryFn = ep, uint32(len(ep.wrTab)), rec.try
+	ep.wrTab = append(ep.wrTab, rec)
 }
 
 // getBatchWR takes the one completion record of a doorbell batch (at most
@@ -162,12 +160,12 @@ func (ep *Endpoint) lookupWR(wrid uint64) *wrRec {
 // putWR recycles a record; its old WRID is dead from here on.
 func (ep *Endpoint) putWR(rec *wrRec) {
 	*rec = wrRec{ep: ep, slot: rec.slot, gen: rec.gen + 1, tryFn: rec.tryFn}
-	ep.wrFree = append(ep.wrFree, rec)
+	ep.wrs.Put(rec)
 }
 
 // wrLive counts the completion records out with posted descriptors; zero
 // when the endpoint is quiet.
-func (ep *Endpoint) wrLive() int { return max(len(ep.wrTab)-1, 0) - len(ep.wrFree) }
+func (ep *Endpoint) wrLive() int { return ep.wrs.Live() }
 
 // cancelled reports whether the record's op has failed, so an abandoned
 // descriptor stops re-posting into memory that is about to be released.

@@ -154,11 +154,10 @@ type Node struct {
 	counters *stats.Counters
 	nextQP   int
 
-	free []*flight // recycled records; owned by this node's context
-	made int       // records ever created
-
-	payloads     [][]byte // channel-send payload buffers (flight.go); this node's context
-	payloadBytes int      // bytes parked in payloads
+	// Owned by this node's context: the flight records, and the buffers
+	// channel-send payloads are copied into (flight.go).
+	flights  mem.FreeList[flight]
+	payloads mem.BufPool
 }
 
 // Attach adds a node running on eng. counters may be nil.
@@ -231,7 +230,7 @@ func (n *Node) Trace(lane trace.Lane, name string, start, end simtime.Time) {
 // Flights reports how many flight records this node has handed out and not
 // yet taken back, and how many sit on its free list. With nothing in flight
 // live is zero: every record ever made is back on the list.
-func (n *Node) Flights() (live, free int) { return n.made - len(n.free), len(n.free) }
+func (n *Node) Flights() (live, free int) { return n.flights.Live(), len(n.flights.Parked()) }
 
 // NewCQ creates a completion queue on this node (verbs.HCA).
 func (n *Node) NewCQ() verbs.CQ { return NewCQ(n) }

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/allocsite"
+	"repro/internal/mem"
+	"repro/internal/simtime"
 	"repro/internal/verbs"
 )
 
@@ -87,5 +90,71 @@ func TestRecycledFlightIsPoisoned(t *testing.T) {
 	}
 	if again := n.getFlight(stagePosted); again != fl {
 		t.Fatal("the free list did not hand the recycled record back")
+	}
+}
+
+// instant is a pricing under which every stage is due at once.
+type instant struct{}
+
+func (instant) Launch(_ *QP, _ *verbs.SendWR, _ int64, ready simtime.Time) Plan {
+	return Plan{Deliver: ready}
+}
+
+func (instant) Fault(_ *QP, _ *verbs.SendWR, ready simtime.Time) simtime.Time { return ready }
+
+// Channel sends of 8-byte done frames and 2 KiB CTS frames, interleaved
+// through one node in rounds of changing depth, allocate nothing once warm:
+// each payload is copied into a buffer of its own size class, on the sender
+// at post and on the receiver at arrival, so a small buffer is never popped
+// for a large payload and dropped.
+func TestMixedChannelSendsAllocateNothing(t *testing.T) {
+	eng := simtime.NewEngine()
+	f := New("test", verbs.DefaultModel(), instant{}, Shared{})
+	a := f.Attach("a", eng, mem.NewMemory("a", 1<<16), nil)
+	b := f.Attach("b", eng, mem.NewMemory("b", 1<<16), nil)
+	asend, arecv, bsend, brecv := NewCQ(a), NewCQ(a), NewCQ(b), NewCQ(b)
+	qa, qb := Connect(a, b, asend, arecv, bsend, brecv)
+	asend.SetHandler(func(verbs.CQE) {})
+	got := 0
+	brecv.SetHandler(func(e verbs.CQE) {
+		got += len(e.Data)
+		qb.PostRecv(verbs.RecvWR{})
+	})
+	for i := 0; i < 8; i++ {
+		qb.PostRecv(verbs.RecvWR{})
+	}
+	done, cts := make([]byte, 8), make([]byte, 2<<10)
+	burst := func(n int, p []byte) (r [][]byte) {
+		for i := 0; i < n; i++ {
+			r = append(r, p)
+		}
+		return r
+	}
+	rounds := [][][]byte{burst(16, done), {cts}, {cts, done, cts}}
+	k, sent := 0, 0
+	round := func() {
+		for _, p := range rounds[k%len(rounds)] {
+			if err := qa.PostSend(verbs.SendWR{Op: verbs.OpSend, Inline: p}); err != nil {
+				t.Fatal(err)
+			}
+			sent += len(p)
+		}
+		k++
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range rounds {
+		round()
+	}
+	win := allocsite.Open()
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	if n, sites := win.Close(10); n != 0 {
+		t.Errorf("100 warm rounds of mixed channel sends allocate %d objects, want 0; at\n%s", n, sites)
+	}
+	if got != sent {
+		t.Errorf("%d payload bytes arrived, want %d", got, sent)
 	}
 }

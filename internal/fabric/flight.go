@@ -64,58 +64,37 @@ func (fl *flight) step(from, to stage) {
 	fl.stage = to
 }
 
-// getFlight takes a record off the node's free list, or makes one.
+// getFlight takes a record off the node's free list.
 func (n *Node) getFlight(to stage) *flight {
-	var fl *flight
-	if k := len(n.free); k > 0 {
-		fl, n.free = n.free[k-1], n.free[:k-1]
-	} else {
-		n.made++
-		fl = &flight{}
-		fl.deliverFn, fl.ackFn, fl.dispatchFn = fl.deliver, fl.ack, fl.dispatch
-	}
+	fl := n.flights.Get(newFlight)
 	fl.step(stageFree, to)
 	return fl
 }
+
+func newFlight(fl *flight) { fl.deliverFn, fl.ackFn, fl.dispatchFn = fl.deliver, fl.ack, fl.dispatch }
 
 // putFlight poisons a record and returns it, and the payload buffer it
 // holds, to the node's free lists.
 func (n *Node) putFlight(fl *flight) {
 	if fl.data != nil {
-		n.putPayload(fl.data)
+		n.payloads.Put(fl.data)
 	}
 	clear(fl.fails)
 	fails, deliver, ack, dispatch := fl.fails[:0], fl.deliverFn, fl.ackFn, fl.dispatchFn
 	*fl = flight{} // in place: a literal with the kept fields is built aside and copied in
 	fl.fails, fl.deliverFn, fl.ackFn, fl.dispatchFn = fails, deliver, ack, dispatch
-	n.free = append(n.free, fl)
+	n.flights.Put(fl)
 }
 
-// maxPayloadBytes bounds the bytes a node's payload pool retains, so a burst
-// of large channel sends does not pin its buffers forever.
-const maxPayloadBytes = 1 << 20
-
-// payloadBuf returns a pooled buffer holding a copy of src, or nil for an
-// empty payload.
+// payloadBuf returns a buffer of the node's pool holding a copy of src, or
+// nil for an empty payload.
 func (n *Node) payloadBuf(src []byte) []byte {
 	if len(src) == 0 {
 		return nil
 	}
-	var b []byte
-	if k := len(n.payloads); k > 0 {
-		b, n.payloads = n.payloads[k-1], n.payloads[:k-1]
-		n.payloadBytes -= cap(b)
-	}
-	return append(b[:0], src...)
-}
-
-// putPayload returns a payload buffer to the node's pool.
-func (n *Node) putPayload(b []byte) {
-	if n.payloadBytes+cap(b) > maxPayloadBytes {
-		return
-	}
-	n.payloadBytes += cap(b)
-	n.payloads = append(n.payloads, b)
+	b := n.payloads.Get(int64(len(src)))
+	copy(b, src)
+	return b
 }
 
 // sglBytes is the payload length of a gather/scatter list.

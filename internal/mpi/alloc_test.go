@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/core"
@@ -147,6 +148,58 @@ func TestWarmMessageAllocatesOnlyHandles(t *testing.T) {
 			}
 			if got != 0 {
 				t.Errorf("warm 8-rank Alltoall+Barrier allocates %.0f objects per op, want 0", got)
+			}
+		})
+	}
+}
+
+// A warm 8-rank Alltoall+Barrier of the Figure 10 struct under Auto — the
+// benchmark's struct_alltoall, 56 rendezvous transfers at once — allocates
+// nothing on the backends whose ranks run concurrently or share one arena:
+// staged CTS frames of every size through one fabric buffer pool, arrival
+// records and descriptor records whose lists grew during warm-up, and on rt
+// drivers that park on a primed sudog cache.
+func TestWarmAlltoallAllocatesNothing(t *testing.T) {
+	if core.DebugRecords {
+		t.Skip("the dtdebug build quarantines recycled records instead of reusing them")
+	}
+	const warm, ops, batches = 50, 200, 3
+	fig10 := fig10Struct()
+	for _, backend := range []string{BackendSHM, BackendRT} {
+		t.Run(backend, func(t *testing.T) {
+			cfg := ScaledConfig(8)
+			cfg.Backend = backend
+			cfg.Core.Scheme = core.SchemeAuto
+			w, err := NewWorld(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best, sites := uint64(math.MaxUint64), ""
+			err = w.Run(func(p *Proc) error {
+				n := p.Size()
+				sb := p.Mem().MustAlloc(int64(n) * fig10.Extent())
+				rb := p.Mem().MustAlloc(int64(n) * fig10.Extent())
+				run := func(k int) error {
+					for i := 0; i < k; i++ {
+						if err := p.Alltoall(sb, 1, fig10, rb, 1, fig10); err != nil {
+							return err
+						}
+						if err := p.Barrier(); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+				if err := run(warm); err != nil {
+					return err
+				}
+				return bestBatch(p, batches, func() error { return run(ops) }, &best, &sites)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if best != 0 {
+				t.Errorf("%d warm Alltoall+Barriers allocate %d objects, want 0; at\n%s", ops, best, sites)
 			}
 		})
 	}

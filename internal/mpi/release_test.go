@@ -3,10 +3,10 @@ package mpi
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/allocsite"
 	"repro/internal/core"
 	"repro/internal/datatype"
 	"repro/internal/mem"
@@ -76,11 +76,7 @@ func eagerWindowOp(p *Proc, c *Comm) func() error {
 // A warm eager window allocates nothing on any backend: the 65 handles a
 // side takes per window come off its endpoint's free list and go back to it
 // in the Wait that completes them. The count is process-wide and the lowest
-// of three batches. On rt the free lists keep growing for a while —
-// goroutine timing decides how many ops, flight records and handles are out
-// at once, and a new high-water mark allocates — so a batch there may read a
-// stray object or two; rt is held to less than one object a window, which
-// anything the window itself allocates would reach.
+// of three batches; a batch that allocates names the call sites.
 func TestWarmWindowAllocatesNothing(t *testing.T) {
 	if core.DebugRecords {
 		t.Skip("the dtdebug build quarantines recycled records instead of reusing them")
@@ -89,7 +85,7 @@ func TestWarmWindowAllocatesNothing(t *testing.T) {
 	for _, backend := range AllBackends {
 		t.Run(backend, func(t *testing.T) {
 			w := releaseWorld(t, backend)
-			best := math.Inf(1)
+			best, sites := uint64(math.MaxUint64), ""
 			err := w.Run(func(p *Proc) error {
 				c, err := p.World().Dup()
 				if err != nil {
@@ -109,33 +105,40 @@ func TestWarmWindowAllocatesNothing(t *testing.T) {
 						return err
 					}
 				}
-				for b := 0; b < batches; b++ {
-					m0 := mallocs()
-					if err := batch(); err != nil {
-						return err
-					}
-					if p.Rank() == 0 {
-						best = min(best, float64(mallocs()-m0)/windows)
-					}
-				}
-				return nil
+				return bestBatch(p, batches, batch, &best, &sites)
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ok := best == 0 || backend == BackendRT && best < 1; !ok {
-				t.Errorf("a warm 64-message window allocates %.3f objects, want 0", best)
+			if best != 0 {
+				t.Errorf("a warm batch of %d 64-message windows allocates %d objects, want 0; at\n%s", windows, best, sites)
 			}
 			checkReleased(t, w)
 		})
 	}
 }
 
-// mallocs reads the process-wide cumulative allocation count.
-func mallocs() uint64 {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return ms.Mallocs
+// bestBatch runs batch n times on every rank and, on rank 0, keeps the
+// lowest process-wide allocation count of a run and the call sites of the
+// last run that allocated.
+func bestBatch(p *Proc, n int, batch func() error, best *uint64, sites *string) error {
+	for b := 0; b < n; b++ {
+		var win *allocsite.Window
+		if p.Rank() == 0 {
+			win = allocsite.Open()
+		}
+		if err := batch(); err != nil {
+			return err
+		}
+		if p.Rank() == 0 {
+			got, at := win.Close(10)
+			*best = min(*best, got)
+			if got > 0 {
+				*sites = at
+			}
+		}
+	}
+	return nil
 }
 
 // checkReleased fails unless every handle every endpoint handed out has come

@@ -206,8 +206,12 @@ type parEngine struct {
 }
 
 // SetPar sets the fan-out configuration of an engine that lives by value in
-// a longer-lived record and is re-armed per message with Bind.
-func (p *parEngine) SetPar(opt Par) { p.opt = opt }
+// a longer-lived record and is re-armed per message with Bind, and sizes the
+// per-shard statistics for it, so a step's first use does not grow them.
+func (p *parEngine) SetPar(opt Par) {
+	p.opt = opt
+	p.stats = make([]ShardStat, 0, max(opt.Workers, 1))
+}
 
 // task returns the reusable copy closure for shard index i, creating the
 // missing closures on first use of that fan-out width.

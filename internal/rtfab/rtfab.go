@@ -35,6 +35,7 @@ package rtfab
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -72,6 +73,11 @@ func (b *inbox) put(fn func()) {
 	b.mu.Lock()
 	b.q.Push(fn)
 	b.mu.Unlock()
+	b.nudge()
+}
+
+// nudge leaves a wake token unless one is already waiting.
+func (b *inbox) nudge() {
 	select {
 	case b.wake <- struct{}{}:
 	default:
@@ -119,7 +125,7 @@ type Fabric struct {
 	epoch   time.Time
 
 	started bool
-	quit    chan struct{}
+	quit    atomic.Bool // set before Run wakes every driver to stop it
 	wg      sync.WaitGroup
 
 	// inflight counts enqueued-but-not-yet-executed cross-node closures;
@@ -141,7 +147,7 @@ type driver struct {
 // New creates a fabric with the given cost model (used for structural limits
 // and host-side accounting; timing is the wall clock).
 func New(model verbs.Model) *Fabric {
-	f := &Fabric{quit: make(chan struct{}), epoch: time.Now()}
+	f := &Fabric{epoch: time.Now()}
 	f.Fabric = fabric.New("rtfab", model, unpriced{}, (*hops)(f))
 	return f
 }
@@ -236,13 +242,13 @@ func (d *driver) drive() {
 			d.fab.inflight.Add(-1)
 			continue
 		}
-		select {
-		case <-d.inbox.wake:
-			d.fab.activity.Add(1)
-			d.idle.Store(false)
-		case <-d.fab.quit:
+		// One channel, so a park takes one sudog, not the two of a select.
+		<-d.inbox.wake
+		if d.fab.quit.Load() {
 			return
 		}
+		d.fab.activity.Add(1)
+		d.idle.Store(false)
 	}
 }
 
@@ -261,12 +267,16 @@ func (f *Fabric) Run(timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = DefaultTimeout
 	}
+	primeSudogs()
 	for _, d := range f.drivers {
 		f.wg.Add(1)
 		go d.drive()
 	}
 	err := f.awaitQuiesce(time.Now().Add(timeout))
-	close(f.quit)
+	f.quit.Store(true)
+	for _, d := range f.drivers {
+		d.inbox.nudge()
+	}
 	f.wg.Wait()
 	if err != nil {
 		return err
@@ -283,6 +293,32 @@ func (f *Fabric) Run(timeout time.Duration) error {
 			strings.Join(blocked, ", "))
 	}
 	return nil
+}
+
+// primeSudogs fills the per-P caches of sudogs, the records a goroutine
+// parks on a channel or a contended lock with, before the drivers start. Go
+// 1.24 keeps up to 128 per P and passes overflow to a central list that every
+// collection drops (runtime/proc.go acquireSudog, releaseSudog; mgc.go
+// clearpools), so a driver parking after a collection on a drained P would
+// allocate mid-run. Parking many goroutines at once makes the sudogs; their
+// release leaves them in per-P caches, which a collection keeps.
+func primeSudogs() {
+	const perP = 256 // two caches' worth per P
+	n := perP * runtime.GOMAXPROCS(0)
+	var parked, done sync.WaitGroup
+	parked.Add(n)
+	done.Add(n)
+	gate := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func() {
+			parked.Done()
+			<-gate
+			done.Done()
+		}()
+	}
+	parked.Wait()
+	close(gate)
+	done.Wait()
 }
 
 // awaitQuiesce polls until the fabric is quiescent or the deadline passes.

@@ -123,9 +123,11 @@ func TestRecordsAllComeHome(t *testing.T) {
 			}
 			// A record is a train's: a round has at most one train per
 			// signaled member of its list and its four single posts in
-			// flight, plus b's three arrivals — not its 68 descriptors.
-			if free == 0 || free > signaled+8 {
-				t.Errorf("node %s: %d records on the free list, want 1..%d (one round's posts, reused)", h.Name(), free, signaled+8)
+			// flight, plus b's three arrivals — not its 68 descriptors. A
+			// free list that runs dry makes as many records as are out, so
+			// it holds at most twice that peak.
+			if peak := signaled + 8; free == 0 || free > 2*peak {
+				t.Errorf("node %s: %d records on the free list, want 1..%d (twice one round's posts, reused)", h.Name(), free, 2*peak)
 			}
 		}
 	})
