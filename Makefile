@@ -34,7 +34,7 @@ test:
 # warm path allocates nothing holds on every run or it fails here, not in a
 # benchmark verdict.
 allocs:
-	$(GO) test -run 'AllocatesNothing|AllocateNothing' -count=10 ./internal/core/ ./internal/fabric/ ./internal/mpi/
+	$(GO) test -run 'AllocatesNothing|AllocateNothing|AllocatesOnly' -count=10 ./internal/core/ ./internal/fabric/ ./internal/mpi/
 
 # The message path's pooled records, under the use-after-recycle guard: with
 # the dtdebug tag a recycled op, arrival record or request is poisoned and

@@ -18,9 +18,12 @@ const regFlattenLimit = 1 << 20
 
 // Program returns the cached compiled layout program for (t, count),
 // compiling and caching on first use — the one lookup every layout walk of
-// this rank's own types goes through, MPI_Pack's included.
+// this rank's own types goes through, MPI_Pack's included (count 1: t.Unit()).
 func (ep *Endpoint) Program(t *datatype.Type, count int) *datatype.Program {
 	idx := ep.types.commit(t)
+	if count == 1 {
+		return t.Unit()
+	}
 	if p := ep.progs.get(idx, count); p != nil {
 		return p
 	}

@@ -52,13 +52,14 @@ func TestProgramCacheVersionInvalidation(t *testing.T) {
 // TestProgramCacheFreeDropsPrograms checks that short-lived types leave
 // nothing behind: through 10 000 commit -> compile -> free cycles the cache
 // never holds more than the one live type's program, and its slot storage
-// is reused rather than regrown.
+// is reused rather than regrown. The cycles compile count 2: a count-1
+// program is the type's own (Type.Unit) and never enters the cache.
 func TestProgramCacheFreeDropsPrograms(t *testing.T) {
 	w := newTestWorld(t, 1, DefaultConfig(), 48<<20)
 	ep := w.eps[0]
 	for i := 0; i < 10000; i++ {
 		v := datatype.Must(datatype.TypeVector(4+i%7, 1, 3, datatype.Int32))
-		if p := ep.Program(v, 1); p.Type() != v {
+		if p := ep.Program(v, 2); p.Type() != v {
 			t.Fatalf("cycle %d: program compiled for the wrong type: %s", i, p)
 		}
 		if ep.progs.n != 1 {
@@ -74,15 +75,22 @@ func TestProgramCacheFreeDropsPrograms(t *testing.T) {
 	}
 	ep.FreeType(datatype.Int32) // never committed: a no-op
 
-	// Several counts of one type are all dropped with it.
+	// Several counts of one type are all dropped with it; count 1 is the
+	// type's and stays with it.
 	v := datatype.Must(datatype.TypeVector(4, 1, 3, datatype.Int32))
-	p1, p2, p3 := ep.Program(v, 1), ep.Program(v, 2), ep.Program(v, 3)
-	if ep.progs.n != 3 || ep.Program(v, 1) != p1 || ep.Program(v, 2) != p2 || ep.Program(v, 3) != p3 {
+	p1, p2, p3, p4 := ep.Program(v, 1), ep.Program(v, 2), ep.Program(v, 3), ep.Program(v, 4)
+	if ep.progs.n != 3 || ep.Program(v, 2) != p2 || ep.Program(v, 3) != p3 || ep.Program(v, 4) != p4 {
 		t.Fatalf("three counts of one type: %d programs cached, or a miss", ep.progs.n)
 	}
+	if p1 != v.Unit() {
+		t.Fatal("count 1 is not the type's own program")
+	}
 	ep.FreeType(v)
-	if ep.progs.n != 0 || ep.progs.get(0, 1) != nil || ep.progs.get(0, 2) != nil {
+	if ep.progs.n != 0 || ep.progs.get(0, 2) != nil || ep.progs.get(0, 3) != nil {
 		t.Fatalf("FreeType left %d programs of a multi-count type", ep.progs.n)
+	}
+	if ep.Program(v, 1) != p1 {
+		t.Fatal("a recommitted type compiled its count-1 program again")
 	}
 }
 

@@ -845,14 +845,13 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 			if r.err != nil {
 				panic(r.err)
 			}
-			t, err := datatype.Decode(enc)
-			if err != nil {
-				panic(err)
-			}
 			if _, had := ep.layouts.got[layoutKey{src, idx}]; had {
 				atomic.AddInt64(&ep.ctr.TypeCacheReplaced, 1)
 			}
-			layout = ep.layouts.store(src, idx, version, t)
+			layout = ep.layouts.store(src, idx, version)
+			if err := datatype.DecodeInto(&layout.t, enc); err != nil {
+				panic(err)
+			}
 		}
 		if dead {
 			ep.ctsRegScratch = r.regRefsInto(ep.ctsRegScratch[:0])
@@ -875,7 +874,7 @@ func (ep *Endpoint) handleCTS(src int, r *ctrlReader) {
 		// The count is the peer's claim. One that no buffer could hold is
 		// refused here, before a program is compiled or a run walked from
 		// it; the layout above is already absorbed either way.
-		if !countFits(layout.t, rCount) {
+		if !countFits(&layout.t, rCount) {
 			ep.abortSend(op, fmt.Errorf("core rank %d: receiver count %d out of range for its layout (size %d, extent %d)",
 				ep.rank, int64(rCount), layout.t.Size(), layout.t.Extent()))
 			return

@@ -56,9 +56,10 @@ func (tr *typeRegistry) free(t *datatype.Type) (idx int, ok bool) {
 }
 
 // TypeStats sizes the endpoint's datatype tables: type indices ever assigned,
-// types holding one now, and compiled programs cached for them. Only this
-// rank's own types enter them (a peer's layout and its programs live in the
-// layout cache), so all three are bounded by the types committed and not freed.
+// types holding one now, and programs cached for them at counts above 1 (a
+// type holds its count-1 program). Only this rank's own types enter them (a
+// peer's layout and its programs live in the layout cache), so all three are
+// bounded by the types committed and not freed.
 type TypeStats struct{ Slots, Committed, Programs int }
 
 // TypeStats returns the current sizes of the type registry and program cache.
@@ -71,19 +72,17 @@ func (ep *Endpoint) TypeStats() TypeStats {
 // path).
 const progCacheCap = 1024
 
-// cachedProg is one compiled layout program of a type. Counts are cached
-// exactly — the count-classes of interest (1 and the application's
-// steady-state counts) are few, and an exact key keeps programs byte-exact
-// replays.
+// cachedProg is one compiled layout program of a type at a count above 1.
+// Counts are cached exactly — an application's steady-state counts are few,
+// and an exact key keeps programs byte-exact replays.
 type cachedProg struct {
 	count int
 	p     *datatype.Program
 }
 
-// progSlot holds the compiled programs of one layout: a local type index's,
-// or a peer layout's in its cache entry. Most types are only ever used at
-// one count, so the first program sits inline and costs the slot no
-// allocation; further counts go to the list.
+// progSlot holds the compiled programs of one layout above count 1: a local
+// type index's, or a peer layout's in its cache entry. The first sits inline
+// and costs the slot no allocation; further counts go to the list.
 type progSlot struct {
 	one  cachedProg
 	more []cachedProg
@@ -169,24 +168,27 @@ type layoutKey struct {
 const peerProgCap = 16
 
 // cachedLayout is a sender-side cache entry: a peer's datatype layout as
-// received in a rendezvous reply, and the programs compiled from it. The
-// entry owns both — a peer's layout never takes a local type index — so
-// replacing a stale entry drops its programs with it; an op that bound the
-// old entry keeps it alive until it is done.
+// received in a rendezvous reply, decoded into the entry itself, and the
+// programs compiled from it. The entry owns both — a peer's layout never
+// takes a local type index — so replacing a stale entry drops its programs
+// with it; an op that bound the old entry keeps it alive until it is done.
 type cachedLayout struct {
 	version uint32
-	t       *datatype.Type
-	progs   progSlot
+	t       datatype.Type
+	progs   progSlot // counts above 1; count 1 is t.Unit()
 }
 
 // program returns the entry's compiled program for count instances.
 func (l *cachedLayout) program(count int) *datatype.Program {
+	if count == 1 {
+		return l.t.Unit()
+	}
 	p := l.progs.get(count)
 	if p == nil {
 		if len(l.progs.more) >= peerProgCap {
 			l.progs = progSlot{}
 		}
-		p = datatype.Compile(l.t, count)
+		p = datatype.Compile(&l.t, count)
 		l.progs.put(count, p)
 	}
 	return p
@@ -230,9 +232,10 @@ func (lc *layoutCache) lookup(peer, idx int, version uint32) *cachedLayout {
 	return nil
 }
 
-// store records (replacing any stale version) a layout received from peer.
-func (lc *layoutCache) store(peer, idx int, version uint32, t *datatype.Type) *cachedLayout {
-	l := &cachedLayout{version: version, t: t}
+// store records (replacing any stale version) the entry of a layout received
+// from peer, for the caller to decode into.
+func (lc *layoutCache) store(peer, idx int, version uint32) *cachedLayout {
+	l := &cachedLayout{version: version}
 	lc.got[layoutKey{peer, idx}] = l
 	return l
 }

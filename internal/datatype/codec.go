@@ -118,45 +118,70 @@ func (d *decoder) byte() (byte, error) {
 
 // Decode reconstructs a Type from Encode's output.
 func Decode(data []byte) (*Type, error) {
+	t := new(Type)
+	if err := DecodeInto(t, data); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// DecodeInto is Decode into a zero Type the caller holds (t is unusable
+// after an error), so a record embedding the type allocates it with itself.
+func DecodeInto(t *Type, data []byte) error {
 	d := decoder{buf: data}
 	size, err := d.varint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	lb, err := d.varint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ub, err := d.varint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tlb, err := d.varint()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	tub, err := d.varint()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	lp, err := d.loop(0)
+	lp, err := d.loop(0, &t.root)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if d.pos != len(data) {
-		return nil, fmt.Errorf("datatype: %d trailing bytes", len(data)-d.pos)
+		return fmt.Errorf("datatype: %d trailing bytes", len(data)-d.pos)
 	}
 	if lp.dataBytes != size {
-		return nil, fmt.Errorf("datatype: loop bytes %d != declared size %d", lp.dataBytes, size)
+		return fmt.Errorf("datatype: loop bytes %d != declared size %d", lp.dataBytes, size)
 	}
-	return &Type{
-		kind: KindHindexed, name: "decoded",
-		size: size, lb: lb, ub: ub, trueLB: tlb, trueUB: tub,
-		loop: lp, nblocks: lp.blocks,
-	}, nil
+	t.kind, t.name, t.loop, t.nblocks = KindHindexed, "decoded", lp, lp.blocks
+	t.size, t.lb, t.ub, t.trueLB, t.trueUB = size, lb, ub, tlb, tub
+	return nil
 }
 
-func (d *decoder) loop(depth int) (*loop, error) {
+// varied reads a copy of d: do the n parts ahead hold leaves of two lengths
+// before any other part? (A wire table is maximal already.)
+func (d decoder) varied(n uint64) bool {
+	for first := int64(-1); n > 0; n-- {
+		_, err := d.uvarint()
+		if tag, _ := d.byte(); err != nil || tag != wireContig {
+			return false
+		}
+		l, err := d.varint()
+		if err != nil || first >= 0 && l != first {
+			return err == nil
+		}
+		first = l
+	}
+	return false
+}
+
+func (d *decoder) loop(depth int, into *loop) (*loop, error) {
 	if depth > maxWireDepth {
 		return nil, fmt.Errorf("datatype: loop nesting exceeds %d", maxWireDepth)
 	}
@@ -186,7 +211,7 @@ func (d *decoder) loop(depth int) (*loop, error) {
 		if err != nil {
 			return nil, err
 		}
-		child, err := d.loop(depth + 1)
+		child, err := d.loop(depth+1, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -208,7 +233,7 @@ func (d *decoder) loop(depth int) (*loop, error) {
 		if n == 0 || n > maxWireParts || n > uint64(len(d.buf)-d.pos)/minWirePart {
 			return nil, fmt.Errorf("datatype: bad indexed part count %d", n)
 		}
-		b := newIndexedBuilder(int(n))
+		b := newIndexedBuilder(int(n), d.varied(n))
 		for i := uint64(0); i < n; i++ {
 			off, err := d.varint()
 			if err != nil {
@@ -223,7 +248,7 @@ func (d *decoder) loop(depth int) (*loop, error) {
 				}
 				b.leaf(off, bytes)
 			} else {
-				child, err := d.loop(depth + 1)
+				child, err := d.loop(depth+1, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -233,7 +258,7 @@ func (d *decoder) loop(depth int) (*loop, error) {
 				return nil, fmt.Errorf("datatype: indexed part %d overflows the layout totals", i)
 			}
 		}
-		return b.finish(), nil
+		return b.finish(into), nil
 	default:
 		return nil, fmt.Errorf("datatype: unknown loop tag %d", tag)
 	}

@@ -39,16 +39,20 @@ func TestColdLayoutObjects(t *testing.T) {
 			most float64
 			f    func()
 		}{
-			// The type, its loop node and the two tables.
-			{"TypeIndexed", 4, func() { Must(TypeIndexed(lens, displs, Int32)) }},
+			// The type, which holds its loop node, and one slab for both
+			// tables (the arguments show varied lengths).
+			{"TypeIndexed", 2, func() { Must(TypeIndexed(lens, displs, Int32)) }},
 			// Sent once, the program shares the type's tables.
 			{"Compile count 1", 1, func() { Compile(dt, 1) }},
+			// The type holds its count-1 program once compiled.
+			{"Unit", 0, func() { dt.Unit() }},
 			// Sent three times it owns its tables (and the message loop).
 			{"Compile count 3", 4, func() { Compile(dt, 3) }},
 			{"AppendEncode", 0, func() { buf = AppendEncode(buf[:0], dt) }},
 			// Encode grows a private buffer: logarithmic, from 64 bytes.
 			{"Encode", 12, func() { Encode(dt) }},
-			{"Decode", 5, func() {
+			// The type and one slab, as from the constructor.
+			{"Decode", 2, func() {
 				if _, err := Decode(enc); err != nil {
 					t.Fatal(err)
 				}

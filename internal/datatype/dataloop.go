@@ -40,30 +40,6 @@ func (rt *runTable) lenAt(i int) int64 {
 	return rt.runLen
 }
 
-// push appends a run. The per-run length table is only materialized by the
-// first run whose length differs from its predecessors'.
-func (rt *runTable) push(off, n int64) {
-	if len(rt.offs) == 0 {
-		rt.runLen, rt.ascending, rt.lo, rt.hi = n, true, off, off+n
-	} else {
-		if off < rt.offs[len(rt.offs)-1] {
-			rt.ascending = false
-		}
-		rt.lo, rt.hi = min(rt.lo, off), max(rt.hi, off+n)
-		if rt.lens == nil && n != rt.runLen {
-			rt.lens = make([]int64, len(rt.offs), cap(rt.offs))
-			for i := range rt.lens {
-				rt.lens[i] = rt.runLen
-			}
-			rt.runLen = 0
-		}
-	}
-	rt.offs = append(rt.offs, off)
-	if rt.lens != nil {
-		rt.lens = append(rt.lens, n)
-	}
-}
-
 // runBuilder feeds raw runs into a table under the Cursor's coalescing rule:
 // an empty run is dropped and a run that starts where the previous one ends
 // extends it, so the table holds maximal runs. The newest run is held back
@@ -71,10 +47,44 @@ func (rt *runTable) push(off, n int64) {
 type runBuilder struct {
 	runTable
 	pendOff, pendLen int64
+	spare            []int64 // room for lens, cut from one slab with offs
 }
 
-func newRunBuilder(capacity int) runBuilder {
-	return runBuilder{runTable: runTable{offs: make([]int64, 0, capacity)}}
+// newRunBuilder sizes the table for capacity runs, and reserves lens too
+// when the caller knows lengths will vary: a uniform table holds offs alone.
+func newRunBuilder(capacity int, varied bool) runBuilder {
+	if !varied {
+		return runBuilder{runTable: runTable{offs: make([]int64, 0, capacity)}}
+	}
+	slab := make([]int64, 2*capacity)
+	return runBuilder{runTable: runTable{offs: slab[:0:capacity]}, spare: slab[capacity:capacity]}
+}
+
+// push appends a run. The per-run length table is only materialized by the
+// first run whose length differs from its predecessors'.
+func (b *runBuilder) push(off, n int64) {
+	if len(b.offs) == 0 {
+		b.runLen, b.ascending, b.lo, b.hi = n, true, off, off+n
+	} else {
+		if off < b.offs[len(b.offs)-1] {
+			b.ascending = false
+		}
+		b.lo, b.hi = min(b.lo, off), max(b.hi, off+n)
+		if b.lens == nil && n != b.runLen {
+			if b.spare == nil {
+				b.spare = make([]int64, 0, cap(b.offs))
+			}
+			b.lens = b.spare[:len(b.offs)]
+			for i := range b.lens {
+				b.lens[i] = b.runLen
+			}
+			b.runLen = 0
+		}
+	}
+	b.offs = append(b.offs, off)
+	if b.lens != nil {
+		b.lens = append(b.lens, n)
+	}
 }
 
 func (b *runBuilder) add(off, n int64) {
@@ -206,8 +216,8 @@ type indexedBuilder struct {
 }
 
 // newIndexedBuilder sizes the table for up to parts parts.
-func newIndexedBuilder(parts int) indexedBuilder {
-	return indexedBuilder{runBuilder: newRunBuilder(parts)}
+func newIndexedBuilder(parts int, varied bool) indexedBuilder {
+	return indexedBuilder{runBuilder: newRunBuilder(parts, varied)}
 }
 
 // leaf adds a contiguous part of n bytes at off.
@@ -236,7 +246,8 @@ func (b *indexedBuilder) part(off int64, lp *loop) {
 	}
 }
 
-func (b *indexedBuilder) finish() *loop {
+// finish returns the loop; a new indexed node goes to into unless it is nil.
+func (b *indexedBuilder) finish(into *loop) *loop {
 	b.flush()
 	switch {
 	case len(b.offs) == 0:
@@ -249,10 +260,14 @@ func (b *indexedBuilder) finish() *loop {
 	if b.kids != nil {
 		b.kids = b.kids[:len(b.offs)]
 	}
-	return &loop{
+	if into == nil {
+		into = new(loop)
+	}
+	*into = loop{
 		kind: loopIndexed, runTable: b.runTable, kids: b.kids,
 		dataBytes: b.dataBytes, blocks: int64(len(b.offs)-b.nKids) + b.kidBlocks,
 	}
+	return into
 }
 
 // messageLoop returns the loop for count instances of t, consecutive

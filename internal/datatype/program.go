@@ -92,16 +92,24 @@ type Program struct {
 // Compile canonicalizes count instances of t into a layout program. It never
 // fails: shapes the compiler cannot canonicalize compile to a ProgGeneric
 // program whose cursor replays the interpreted walk. Compile is pure and
-// deterministic; callers cache programs keyed by (type, count).
+// deterministic; callers cache programs keyed by (type, count) — Type.Unit
+// holds count 1's.
 func Compile(t *Type, count int) *Program {
-	p := &Program{t: t, count: count}
+	p := new(Program)
+	p.compile(t, count)
+	return p
+}
+
+// compile fills the zero program p with count instances of t.
+func (p *Program) compile(t *Type, count int) {
+	p.t, p.count = t, count
 	lp := messageLoop(t, count)
 	p.bytes = lp.dataBytes
 	if p.bytes == 0 {
 		// Empty message: a contig program of zero runs.
 		p.kind = ProgContig
 		p.ascending = true
-		return p
+		return
 	}
 	if off, block, dims, ok := stridedShape(lp, 0); ok {
 		dims = foldDims(dims)
@@ -124,7 +132,7 @@ func Compile(t *Type, count int) *Program {
 			} else {
 				p.kind = ProgStrided
 			}
-			return p
+			return
 		}
 	}
 	if lp.kind == loopIndexed && lp.kids == nil {
@@ -137,7 +145,7 @@ func Compile(t *Type, count int) *Program {
 		if n < 0 || n > maxProgRuns {
 			n = maxProgRuns + 1
 		}
-		b := newRunBuilder(int(n))
+		b := newRunBuilder(int(n), false)
 		b.emit(lp, 0)
 		b.flush()
 		if len(b.offs) > maxProgRuns {
@@ -150,13 +158,12 @@ func Compile(t *Type, count int) *Program {
 			}
 			p.kind = ProgGeneric
 			p.runs = int64(float64(p.bytes) * float64(len(b.offs)) / float64(covered))
-			return p
+			return
 		}
 		p.runTable = b.runTable
 	}
 	p.kind = ProgIndexed
 	p.runs = int64(len(p.offs))
-	return p
 }
 
 // emit feeds b the raw runs of lp displaced by base in traversal order — the

@@ -369,3 +369,82 @@ func TestRunAtMatchesSequence(t *testing.T) {
 		}
 	}
 }
+
+// sameProgram fails unless p and q answer every question alike: kind, runs,
+// bytes, bounds, order and the whole RunAt sequence.
+func sameProgram(t *testing.T, what string, p, q *Program) {
+	t.Helper()
+	plo, phi := p.Bounds()
+	qlo, qhi := q.Bounds()
+	if p.Kind() != q.Kind() || p.Runs() != q.Runs() || p.Bytes() != q.Bytes() ||
+		plo != qlo || phi != qhi || p.Ascending() != q.Ascending() {
+		t.Fatalf("%s: %s (%d runs, %d bytes, [%d,%d), ascending %v) != %s (%d runs, %d bytes, [%d,%d), ascending %v)",
+			what, p, p.Runs(), p.Bytes(), plo, phi, p.Ascending(), q, q.Runs(), q.Bytes(), qlo, qhi, q.Ascending())
+	}
+	if p.Kind() == ProgGeneric {
+		return
+	}
+	for i := int64(0); i < p.Runs(); i++ {
+		po, pn := p.RunAt(i)
+		if qo, qn := q.RunAt(i); po != qo || pn != qn {
+			t.Fatalf("%s: run %d is (%d,%d), want (%d,%d)", what, i, po, pn, qo, qn)
+		}
+	}
+}
+
+// TestUnitIsTheTypesProgram holds Type.Unit to Compile(t, 1) for every
+// program kind, and to one program per type however many goroutines ask for
+// it first (the rt backend's ranks share types such as Int32; run under
+// -race).
+func TestUnitIsTheTypesProgram(t *testing.T) {
+	for _, sh := range testShapes(t) {
+		sameProgram(t, sh.name, sh.dt.Unit(), Compile(sh.dt, 1))
+	}
+	lens, displs := coldBlocks(rand.New(rand.NewSource(3)), 256, 16)
+	for _, dt := range []*Type{Must(TypeIndexed(lens, displs, Int32)), Int32} {
+		var got [8]*Program
+		done := make(chan int)
+		for g := range got {
+			go func() {
+				got[g] = dt.Unit()
+				done <- g
+			}()
+		}
+		for range got {
+			<-done
+		}
+		for g, p := range got {
+			if p != got[0] || p.Type() != dt {
+				t.Fatalf("%s: goroutine %d got program %p of %v, goroutine 0 %p", dt, g, p, p.Type(), got[0])
+			}
+		}
+		sameProgram(t, dt.String(), got[0], Compile(dt, 1))
+	}
+}
+
+// TestDerivedTypesOwnTheirUnit checks that a type made from another — resized,
+// wrapped in a struct, or decoded from its wire form — compiles a count-1
+// program of its own rather than inheriting its source's.
+func TestDerivedTypesOwnTheirUnit(t *testing.T) {
+	old := Must(TypeIndexed([]int{3, 1, 7}, []int{0, 5, 10}, Int32))
+	src := old.Unit()
+	resized := Must(TypeResized(old, -8, 96))
+	wrapped := Must(TypeStruct([]int{1}, []int64{0}, []*Type{old}))
+	decoded, err := Decode(Encode(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		dt   *Type
+	}{{"resized", resized}, {"struct", wrapped}, {"decoded", decoded}} {
+		p := c.dt.Unit()
+		if p == src || p.Type() != c.dt || c.dt.Unit() != p {
+			t.Fatalf("%s: Unit() is %p of %v, source's %p", c.name, p, p.Type(), src)
+		}
+		sameProgram(t, c.name, p, Compile(c.dt, 1))
+	}
+	if old.Unit() != src {
+		t.Fatal("deriving types changed the source's program")
+	}
+}

@@ -10,6 +10,8 @@ package datatype
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 )
 
 // Kind discriminates the datatype constructors.
@@ -59,8 +61,11 @@ type Type struct {
 	trueLB int64 // first byte of actual data
 	trueUB int64 // one past the last byte of actual data
 
-	loop    *loop // normalized dataloop (traversal form)
-	nblocks int64 // contiguous blocks per instance
+	loop     *loop     // normalized dataloop (traversal form)
+	nblocks  int64     // contiguous blocks per instance
+	root     loop      // loop's node, when the constructor built a new one
+	unitOnce sync.Once // compiles unit, the count-1 program, on first use
+	unit     Program
 }
 
 // Predefined base types, mirroring the MPI named types used in the paper's
@@ -103,6 +108,14 @@ func (t *Type) TrueLB() int64 { return t.trueLB }
 
 // TrueExtent returns the span of actual data bytes.
 func (t *Type) TrueExtent() int64 { return t.trueUB - t.trueLB }
+
+// Unit returns Compile(t, 1), compiled on first use and held by the type for
+// as long as it lives, so every endpoint shares it and a program key stays as
+// unique as its type. Safe for concurrent use.
+func (t *Type) Unit() *Program {
+	t.unitOnce.Do(func() { t.unit.compile(t, 1) })
+	return &t.unit
+}
 
 // Blocks returns the number of contiguous blocks in one instance after
 // dataloop normalization (adjacent pieces coalesce).
@@ -185,7 +198,7 @@ func TypeIndexed(blocklens []int, displs []int, old *Type) (*Type, error) {
 	if len(blocklens) != len(displs) {
 		return nil, fmt.Errorf("datatype: indexed lens %d != displs %d", len(blocklens), len(displs))
 	}
-	b := newTypeBuilder(len(displs))
+	b := newTypeBuilder(len(displs), blocklens)
 	ext := old.Extent()
 	for i, d := range displs {
 		if err := b.block(blocklens[i], int64(d)*ext, old); err != nil {
@@ -203,7 +216,7 @@ func TypeHindexed(blocklens []int, displs []int64, old *Type) (*Type, error) {
 	if len(blocklens) != len(displs) {
 		return nil, fmt.Errorf("datatype: hindexed lens %d != displs %d", len(blocklens), len(displs))
 	}
-	b := newTypeBuilder(len(displs))
+	b := newTypeBuilder(len(displs), blocklens)
 	for i, d := range displs {
 		if err := b.block(blocklens[i], d, old); err != nil {
 			return nil, err
@@ -217,7 +230,7 @@ func TypeIndexedBlock(blocklen int, displs []int, old *Type) (*Type, error) {
 	if old == nil {
 		return nil, errNilType
 	}
-	b := newTypeBuilder(len(displs))
+	b := newTypeBuilder(len(displs), nil)
 	ext := old.Extent()
 	for _, d := range displs {
 		if err := b.block(blocklen, int64(d)*ext, old); err != nil {
@@ -238,7 +251,7 @@ func TypeStruct(blocklens []int, displs []int64, types []*Type) (*Type, error) {
 	if n == 0 {
 		return nil, errors.New("datatype: empty struct")
 	}
-	b := newTypeBuilder(n)
+	b := newTypeBuilder(n, blocklens)
 	for i, old := range types {
 		if old == nil {
 			return nil, errNilType
@@ -251,16 +264,16 @@ func TypeStruct(blocklens []int, displs []int64, types []*Type) (*Type, error) {
 }
 
 // TypeResized mirrors MPI_Type_create_resized: overrides lb and extent
-// without changing the data layout.
+// without changing the data layout (and compiles its own Unit).
 func TypeResized(old *Type, lb, extent int64) (*Type, error) {
 	if old == nil {
 		return nil, errNilType
 	}
-	t := *old
-	t.kind = KindResized
-	t.lb = lb
-	t.ub = lb + extent
-	return &t, nil
+	return &Type{
+		kind: KindResized, name: old.name, size: old.size,
+		lb: lb, ub: lb + extent, trueLB: old.trueLB, trueUB: old.trueUB,
+		loop: old.loop, nblocks: old.nblocks,
+	}, nil
 }
 
 // typeBuilder is the one pass the indexed-family constructors make over their
@@ -274,8 +287,10 @@ type typeBuilder struct {
 	lb, ub, tlb, tub int64
 }
 
-func newTypeBuilder(blocks int) typeBuilder {
-	return typeBuilder{indexedBuilder: newIndexedBuilder(blocks)}
+// newTypeBuilder sizes the table, with its lens if the block lengths differ.
+func newTypeBuilder(blocks int, lens []int) typeBuilder {
+	varied := slices.ContainsFunc(lens, func(l int) bool { return l != lens[0] })
+	return typeBuilder{indexedBuilder: newIndexedBuilder(blocks, varied)}
 }
 
 // bound widens the bounds to cover blocklen (> 0) olds at byte displacement d.
@@ -313,12 +328,13 @@ func (b *typeBuilder) finish(kind Kind) *Type {
 		// All blocks empty.
 		return &Type{kind: kind, loop: emptyLoop()}
 	}
-	lp := b.indexedBuilder.finish()
-	return &Type{
+	t := &Type{
 		kind: kind, size: b.size,
 		lb: b.lb, ub: b.ub, trueLB: b.tlb, trueUB: b.tub,
-		loop: lp, nblocks: lp.blocks,
 	}
+	t.loop = b.indexedBuilder.finish(&t.root)
+	t.nblocks = t.loop.blocks
+	return t
 }
 
 // Must panics if err is non-nil; intended for static type construction in

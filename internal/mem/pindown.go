@@ -41,7 +41,8 @@ type cacheEntry struct {
 type RegCache struct {
 	tab      *RegTable
 	capBytes int64
-	entries  []*cacheEntry
+	entries  []cacheEntry // values: an entry is found by its region
+	idle     int64        // pinned bytes of the unreferenced entries
 	stamp    int64
 	enabled  bool
 	faultFn  func() error // sampled before real registrations (fault injection)
@@ -73,8 +74,11 @@ func (c *RegCache) SetFaultFn(fn func() error) { c.faultFn = fn }
 func (c *RegCache) Acquire(a Addr, n int64) (*Region, RegOps, error) {
 	var ops RegOps
 	if c.enabled {
-		for _, e := range c.entries {
-			if e.region.Covers(a, n) {
+		for i := range c.entries {
+			if e := &c.entries[i]; e.region.Covers(a, n) {
+				if e.refs == 0 {
+					c.idle -= e.region.Len
+				}
 				e.refs++
 				c.stamp++
 				e.lru = c.stamp
@@ -97,7 +101,7 @@ func (c *RegCache) Acquire(a Addr, n int64) (*Region, RegOps, error) {
 	ops.RegisteredPages = r.Pages
 	ops.RegisteredBytes = n
 	c.stamp++
-	c.entries = append(c.entries, &cacheEntry{region: r, refs: 1, lru: c.stamp})
+	c.entries = append(c.entries, cacheEntry{region: r, refs: 1, lru: c.stamp})
 	return r, ops, nil
 }
 
@@ -116,7 +120,7 @@ func (c *RegCache) Release(r *Region) (RegOps, error) {
 	if idx < 0 {
 		return ops, fmt.Errorf("regcache: release of unknown region [%#x,+%d)", r.Addr, r.Len)
 	}
-	e := c.entries[idx]
+	e := &c.entries[idx]
 	if e.refs <= 0 {
 		return ops, fmt.Errorf("regcache: over-release of region [%#x,+%d)", r.Addr, r.Len)
 	}
@@ -127,52 +131,40 @@ func (c *RegCache) Release(r *Region) (RegOps, error) {
 	if !c.enabled {
 		c.entries = append(c.entries[:idx], c.entries[idx+1:]...)
 		ops.Dereg = 1
-		ops.DeregPages = e.region.Pages
-		if err := c.tab.Deregister(e.region); err != nil {
+		ops.DeregPages = r.Pages
+		if err := c.tab.Deregister(r); err != nil {
 			return ops, err
 		}
 		return ops, nil
 	}
+	c.idle += r.Len
 	evicted, err := c.evictOver(c.capBytes)
 	ops.Add(evicted)
 	return ops, err
-}
-
-// cachedIdleBytes reports pinned bytes held by unreferenced entries.
-func (c *RegCache) cachedIdleBytes() int64 {
-	var t int64
-	for _, e := range c.entries {
-		if e.refs == 0 {
-			t += e.region.Len
-		}
-	}
-	return t
 }
 
 // evictOver deregisters unreferenced LRU entries until idle pinned bytes are
 // within limit.
 func (c *RegCache) evictOver(limit int64) (RegOps, error) {
 	var ops RegOps
-	for c.cachedIdleBytes() > limit {
+	for c.idle > limit {
 		// Find LRU unreferenced entry.
 		best := -1
-		for i, e := range c.entries {
-			if e.refs != 0 {
-				continue
-			}
-			if best < 0 || e.lru < c.entries[best].lru {
+		for i := range c.entries {
+			if e := &c.entries[i]; e.refs == 0 && (best < 0 || e.lru < c.entries[best].lru) {
 				best = i
 			}
 		}
 		if best < 0 {
 			break
 		}
-		e := c.entries[best]
+		r := c.entries[best].region
 		c.entries = append(c.entries[:best], c.entries[best+1:]...)
+		c.idle -= r.Len
 		ops.Evictions++
 		ops.Dereg++
-		ops.DeregPages += e.region.Pages
-		if err := c.tab.Deregister(e.region); err != nil {
+		ops.DeregPages += r.Pages
+		if err := c.tab.Deregister(r); err != nil {
 			return ops, err
 		}
 	}

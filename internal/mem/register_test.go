@@ -251,7 +251,7 @@ func TestRegCacheEviction(t *testing.T) {
 	}
 	// Idle pinned bytes must now be within capacity (<= 3 pages => at most
 	// one 2-page entry cached).
-	if got := c.cachedIdleBytes(); got > 3*PageSize {
+	if got := c.idle; got > 3*PageSize {
 		t.Fatalf("idle pinned bytes %d exceed capacity", got)
 	}
 	if totalEvict == 0 {

@@ -168,9 +168,11 @@ func packRows() []Row {
 // the constructor, the compile and the wire decode — on the 4 096-block class
 // of the benchmark's cold_layouts generator: 64 Ki integers in blocks of 8 to
 // 23, in pairs summing to 32, every gap at least one integer. Each step's
-// object count is a small constant and pinned exactly (the type, its loop
-// node and two tables; a program sharing those tables; the same four again
-// from the wire): one object per block anywhere would read in the thousands.
+// object count is a small constant and pinned exactly (the type, which holds
+// its loop node, and one slab for both tables; a program sharing those
+// tables; the same two again from the wire; nothing for the count-1 program
+// a type already holds): one object per block anywhere would read in the
+// thousands.
 func coldRows() []Row {
 	const blocks, mean = 4096, 16
 	rng := rand.New(rand.NewSource(1))
@@ -190,13 +192,13 @@ func coldRows() []Row {
 		maxAllocs float64
 		f         func()
 	}{
-		{"cold/typeindexed4k", 4, func() { datatype.Must(datatype.TypeIndexed(lens, displs, datatype.Int32)) }},
+		{"cold/typeindexed4k", 2, func() { datatype.Must(datatype.TypeIndexed(lens, displs, datatype.Int32)) }},
 		{"cold/compile4k", 1, func() {
 			if datatype.Compile(dt, 1).Runs() != blocks {
 				panic("cold/compile4k: run count drifted")
 			}
 		}},
-		{"cold/decode4k", 4, func() {
+		{"cold/decode4k", 2, func() {
 			if _, err := datatype.Decode(enc); err != nil {
 				panic(err)
 			}
@@ -206,7 +208,11 @@ func coldRows() []Row {
 		row.MaxAllocs = c.maxAllocs
 		rows = append(rows, row)
 	}
-	return rows
+	return append(rows, wallRow("cold/unit4k", true, func() {
+		if dt.Unit().Runs() != blocks {
+			panic("cold/unit4k: run count drifted")
+		}
+	}))
 }
 
 // descriptorRows measures the warm descriptor-builder path: chunkWRs over
