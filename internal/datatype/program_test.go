@@ -235,72 +235,77 @@ func drain(w *ProgCursor) ([]Block, int64) {
 	}
 }
 
+// randProgType draws a random nested type for the compiler's differential
+// and digest tests: vectors, indexed types whose blocks are empty, touch,
+// overlap or go below zero, and structs packed tight enough that runs
+// coalesce across part boundaries.
+func randProgType(rng *rand.Rand) *Type {
+	dt := Int32
+	depth := 1 + rng.Intn(3)
+	for d := 0; d < depth; d++ {
+		switch rng.Intn(5) {
+		case 0:
+			dt = Must(TypeContiguous(1+rng.Intn(4), dt))
+		case 1:
+			cnt := 1 + rng.Intn(5)
+			bl := 1 + rng.Intn(3)
+			stride := bl + rng.Intn(4) // >= blocklen: no overlap
+			dt = Must(TypeVector(cnt, bl, stride, dt))
+		case 2:
+			n := 1 + rng.Intn(3)
+			lens := make([]int, n)
+			displs := make([]int, n)
+			pos := 0
+			for i := 0; i < n; i++ {
+				lens[i] = 1 + rng.Intn(3)
+				displs[i] = pos + rng.Intn(3)
+				pos = displs[i] + lens[i] + rng.Intn(2)
+			}
+			dt = Must(TypeIndexed(lens, displs, dt))
+		case 3:
+			// What the one-pass constructor has to normalize: empty
+			// blocks, neighbours that touch, displacements that go
+			// back and below zero (blocks may overlap).
+			n := 1 + rng.Intn(5)
+			lens := make([]int, n)
+			displs := make([]int, n)
+			pos := rng.Intn(7) - 3
+			for i := 0; i < n; i++ {
+				lens[i] = rng.Intn(3)
+				if rng.Intn(3) == 0 {
+					pos -= rng.Intn(6)
+				} else if rng.Intn(2) == 0 {
+					pos += rng.Intn(3)
+				}
+				displs[i] = pos
+				pos += lens[i]
+			}
+			dt = Must(TypeIndexed(lens, displs, dt))
+		case 4:
+			// A struct mixing leaves with the nested type as a child,
+			// packed tight so runs coalesce across the part boundaries.
+			ext := dt.Extent()
+			lens := []int{1 + rng.Intn(2), 1 + rng.Intn(2), rng.Intn(2), 1}
+			types := []*Type{Int32, dt, Float64, Byte}
+			displs := make([]int64, len(lens))
+			pos := int64(rng.Intn(3)) * 4
+			for i := range lens {
+				displs[i] = pos - types[i].TrueLB()
+				pos += int64(lens[i]-1)*types[i].Extent() + types[i].TrueExtent() + int64(rng.Intn(2))*ext
+			}
+			dt = Must(TypeStruct(lens, displs, types))
+		}
+	}
+	return dt
+}
+
 // TestCompileRandomDifferential fuzzes random nested types against the
 // cursor: whatever the compiler decides, the replay must match — through
 // Next, through NextBatch, and through any interleaving of the two.
 func TestCompileRandomDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	randType := func() *Type {
-		dt := Int32
-		depth := 1 + rng.Intn(3)
-		for d := 0; d < depth; d++ {
-			switch rng.Intn(5) {
-			case 0:
-				dt = Must(TypeContiguous(1+rng.Intn(4), dt))
-			case 1:
-				cnt := 1 + rng.Intn(5)
-				bl := 1 + rng.Intn(3)
-				stride := bl + rng.Intn(4) // >= blocklen: no overlap
-				dt = Must(TypeVector(cnt, bl, stride, dt))
-			case 2:
-				n := 1 + rng.Intn(3)
-				lens := make([]int, n)
-				displs := make([]int, n)
-				pos := 0
-				for i := 0; i < n; i++ {
-					lens[i] = 1 + rng.Intn(3)
-					displs[i] = pos + rng.Intn(3)
-					pos = displs[i] + lens[i] + rng.Intn(2)
-				}
-				dt = Must(TypeIndexed(lens, displs, dt))
-			case 3:
-				// What the one-pass constructor has to normalize: empty
-				// blocks, neighbours that touch, displacements that go
-				// back and below zero (blocks may overlap).
-				n := 1 + rng.Intn(5)
-				lens := make([]int, n)
-				displs := make([]int, n)
-				pos := rng.Intn(7) - 3
-				for i := 0; i < n; i++ {
-					lens[i] = rng.Intn(3)
-					if rng.Intn(3) == 0 {
-						pos -= rng.Intn(6)
-					} else if rng.Intn(2) == 0 {
-						pos += rng.Intn(3)
-					}
-					displs[i] = pos
-					pos += lens[i]
-				}
-				dt = Must(TypeIndexed(lens, displs, dt))
-			case 4:
-				// A struct mixing leaves with the nested type as a child,
-				// packed tight so runs coalesce across the part boundaries.
-				ext := dt.Extent()
-				lens := []int{1 + rng.Intn(2), 1 + rng.Intn(2), rng.Intn(2), 1}
-				types := []*Type{Int32, dt, Float64, Byte}
-				displs := make([]int64, len(lens))
-				pos := int64(rng.Intn(3)) * 4
-				for i := range lens {
-					displs[i] = pos - types[i].TrueLB()
-					pos += int64(lens[i]-1)*types[i].Extent() + types[i].TrueExtent() + int64(rng.Intn(2))*ext
-				}
-				dt = Must(TypeStruct(lens, displs, types))
-			}
-		}
-		return dt
-	}
 	for trial := 0; trial < 600; trial++ {
-		dt := randType()
+		dt := randProgType(rng)
 		count := rng.Intn(4) // includes zero-count
 		p := Compile(dt, count)
 		pc := p.Cursor()
