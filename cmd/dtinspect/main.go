@@ -55,8 +55,12 @@ func main() {
 	sig := tuner.SignatureOf(s.Runs, int64(s.AvgRun), s.Bytes)
 	fmt.Printf("tuner sig:   %s\n", sig)
 
-	prog := datatype.Compile(dt, *count)
-	fmt.Printf("compiled:    %s\n", prog)
+	// The program of a count is the type's unit repeated, one extent apart.
+	fmt.Printf("compiled:    %s", dt.Unit())
+	if *count != 1 {
+		fmt.Printf(" × %d @ %d", *count, dt.Extent())
+	}
+	fmt.Println()
 
 	enc := datatype.Encode(dt)
 	fmt.Printf("wire layout: %d bytes encoded\n", len(enc))

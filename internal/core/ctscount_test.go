@@ -9,11 +9,12 @@ import (
 )
 
 // TestCTSCountOutOfRange forges the Multi-W reply of a receiver whose count
-// no buffer could hold — the one number in the frame that went unchecked into
-// Compile, whose count × size product then wrapped. The send must fail with
-// an error before anything is compiled or walked from the claim, the layout
-// the frame carried must still be cached (the receiver has marked it shipped
-// and will not send it again), and every pooled record must come back.
+// no buffer could hold — the one number in the frame that once went
+// unchecked into Compile, whose count × size product then wrapped. The send
+// must fail with an error before anything is walked from the claim, the
+// layout the frame carried must still be cached (the receiver has marked it
+// shipped and will not send it again), a program at the claimed count must
+// cost nothing, and every pooled record must come back.
 func TestCTSCountOutOfRange(t *testing.T) {
 	dt := datatype.Must(datatype.TypeIndexed([]int{1, 1, 1}, []int{0, 3, 7}, datatype.Int32)) // 12 B in a 32 B extent
 	const count = 1000
@@ -71,10 +72,18 @@ func TestCTSCountOutOfRange(t *testing.T) {
 				r.Wait(p)
 				sendErr = r.Err
 				r.Free()
-				if l := ep.layouts.lookup(1, 0, 1); l == nil {
+				l := ep.layouts.lookup(1, 0, 1)
+				if l == nil {
 					t.Error("the refused frame's layout was not absorbed into the cache")
-				} else if l.progs.one.p != nil {
-					t.Errorf("a program was compiled from the refused count: %s", l.progs.one.p)
+					return
+				}
+				// A count only scales the unit the entry's type holds, so
+				// even the refused claim builds nothing.
+				var prog datatype.Program
+				for _, n := range []int{int(tc.rCount), 1 << 30} {
+					if got := testing.AllocsPerRun(5, func() { prog = l.t.Program(n) }); got != 0 {
+						t.Errorf("Program(%d) of the refused layout allocates %.0f objects (%s)", n, got, &prog)
+					}
 				}
 			})
 			if sendErr == nil || recvErr == nil {

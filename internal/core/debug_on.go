@@ -93,8 +93,8 @@ func poisonWindow(s *wrSet) bool {
 // the plan's equals it field by field (but for those a post sets).
 func checkPlan(ep *Endpoint, op *sendOp) {
 	win := op.plan.set.wrs
-	op.cur.Reset(op.plan.key.lprog)
-	op.rcur.Reset(op.plan.key.rprog)
+	op.cur.ResetTo(op.plan.key.lt, op.plan.key.lcount)
+	op.rcur.ResetTo(op.plan.key.rt, op.plan.key.rcount)
 	want, err := ep.dualWRs(&wrSet{}, verbs.OpRDMAWrite, &op.cur, op.buf, op.reg.refs, &op.rcur, op.rBase, op.ctsRegs, op.eff)
 	if err != nil || len(want) != len(win) {
 		panic(fmt.Sprintf("core rank %d: a plan holds %d descriptors, a rebuild gives %d (%v)", ep.rank, len(win), len(want), err))

@@ -286,12 +286,13 @@ type Endpoint struct {
 
 	// Synchronous pack state: an eager message is packed, and a matched one
 	// unpacked, inside one call, so the endpoint's own engines serve them all.
-	// grouper and blockScratch are the same for user-buffer registration
-	// (program.go).
+	// grouper, blockScratch and the program the walk holds are the same for
+	// user-buffer registration (program.go).
 	pk           pack.Packer
 	upk          pack.Unpacker
 	grouper      mem.Grouper
 	blockScratch []mem.Block
+	groupProg    datatype.Program
 	plans        planStore // OGR groupings and Multi-W windows kept for warm messages (plan.go)
 
 	// Service mode (cfg.QoS != nil): gate parks whole bulk transfers under
@@ -310,7 +311,6 @@ type Endpoint struct {
 
 	types   *typeRegistry
 	layouts *layoutCache
-	progs   *programCache
 }
 
 type opKey struct {
@@ -335,7 +335,6 @@ func NewEndpoint(rank int, hca verbs.HCA, cfg Config) (*Endpoint, error) {
 		ctr:     hca.Counters(),
 		types:   newTypeRegistry(),
 		layouts: newLayoutCache(),
-		progs:   &programCache{},
 	}
 	ep.sendCQ = hca.NewCQ()
 	ep.recvCQ = hca.NewCQ()
@@ -427,14 +426,9 @@ func (ep *Endpoint) Engine() *simtime.Engine { return ep.eng }
 // identity shipped in Multi-W layout exchanges.
 func (ep *Endpoint) CommitType(t *datatype.Type) int { return ep.types.commit(t) }
 
-// FreeType releases a datatype's index for reuse and drops the index's
-// compiled programs; the next type committed to the same index gets a bumped
-// version so peers' caches detect staleness.
-func (ep *Endpoint) FreeType(t *datatype.Type) {
-	if idx, ok := ep.types.free(t); ok {
-		ep.progs.free(idx)
-	}
-}
+// FreeType releases a datatype's index for reuse; the next type committed to
+// the same index gets a bumped version so peers' caches detect staleness.
+func (ep *Endpoint) FreeType(t *datatype.Type) { ep.types.free(t) }
 
 func (ep *Endpoint) accountReg(ops mem.RegOps) {
 	atomic.AddInt64(&ep.ctr.Registrations, ops.Registrations)
@@ -680,7 +674,7 @@ func (ep *Endpoint) eagerSend(req *Request, ctx int, buf mem.Addr, count int, dt
 	w.u64(uint64(size)) // the payload's length prefix (ctrlReader.bytes)
 	hdr := len(w.buf)
 	w.buf = w.buf[:hdr+int(size)]
-	ep.pk.Bind(ep.memory, buf, ep.Program(dt, count))
+	ep.pk.Bind(ep.memory, buf, dt, count)
 	n, runs := ep.pk.PackTo(w.buf[hdr:])
 	if n != size {
 		panic("core: short pack")
@@ -808,7 +802,7 @@ func (ep *Endpoint) eagerDeliver(inb *inbound, req *Request) {
 		n = capacity
 		err = ErrTruncate
 	}
-	ep.upk.Bind(ep.memory, req.buf, ep.Program(req.dt, req.count))
+	ep.upk.Bind(ep.memory, req.buf, req.dt, req.count)
 	got, runs := ep.upk.UnpackFrom(inb.data[:n])
 	if got != n {
 		panic("core: short unpack")
@@ -856,7 +850,7 @@ func (ep *Endpoint) selfSend(req *Request, ctx int, buf mem.Addr, count int, dt 
 	inb.kind, inb.ctx, inb.src, inb.tag, inb.size = kindEager, ctx, ep.rank, tag, size
 	inb.data, inb.ownsData = ep.bufs.Get(size), true
 	inb.sreq = req
-	ep.pk.Bind(ep.memory, buf, ep.Program(dt, count))
+	ep.pk.Bind(ep.memory, buf, dt, count)
 	_, runs := ep.pk.PackTo(inb.data)
 	atomic.AddInt64(&ep.ctr.BytesPacked, size)
 	cost := ep.cfg.packCost(ep.model, size, runs)

@@ -17,8 +17,8 @@ import (
 type PerfProbe struct {
 	ep    Endpoint // only model/rank are consulted by chunkWRs
 	set   wrSet
-	prog  *datatype.Program
-	cur   *datatype.ProgCursor
+	prog  datatype.Program
+	cur   datatype.ProgCursor
 	refs  []regRef
 	wrBuf []verbs.SendWR
 	out   [][]verbs.SendWR
@@ -30,12 +30,11 @@ type PerfProbe struct {
 func NewPerfProbe(dt *datatype.Type, count int) *PerfProbe {
 	m := verbs.DefaultModel()
 	p := &PerfProbe{
-		prog:  datatype.Compile(dt, count),
+		prog:  dt.Program(count),
 		refs:  []regRef{{addr: 0, len: 1 << 40, key: 1}},
 		bytes: dt.Size() * int64(count),
 	}
 	p.ep.model = &m
-	p.cur = p.prog.Cursor()
 	return p
 }
 
@@ -44,8 +43,8 @@ func NewPerfProbe(dt *datatype.Type, count int) *PerfProbe {
 // the first) must not allocate — the perf gate pins that.
 func (p *PerfProbe) ChunkWRs() int {
 	p.set.reset()
-	p.cur.Reset(p.prog)
-	wrs, err := p.ep.chunkWRs(&p.set, verbs.OpRDMAWrite, p.cur, 0, p.refs, p.bytes, 0, 1)
+	p.cur.Reset(&p.prog)
+	wrs, err := p.ep.chunkWRs(&p.set, verbs.OpRDMAWrite, &p.cur, 0, p.refs, p.bytes, 0, 1)
 	if err != nil {
 		panic(err)
 	}

@@ -13,21 +13,26 @@ import (
 // skips host work; its charges stay.
 const planSlots = 8
 
-// groupEntry is a message's OGR grouping: a pure function of its program (held,
-// so FreeType and index reuse cannot resurrect it), buffer base and RegCost.
+// groupEntry is a message's OGR grouping: a pure function of its type and
+// count (the type held, so FreeType and index reuse cannot resurrect it),
+// buffer base and RegCost.
 type groupEntry struct {
-	prog   *datatype.Program
+	t      *datatype.Type
+	count  int
 	buf    mem.Addr
 	blocks int
 	groups []mem.Block
 }
 
-// planKey is what a Multi-W window is built from, beside the registrations.
+// planKey is what a Multi-W window is built from, beside the registrations:
+// the local layout, the receiver's (its cache entry's type, so a replaced
+// entry cannot match), the buffers and the bytes.
 type planKey struct {
-	peer         int
-	lprog, rprog *datatype.Program
-	buf, rBase   mem.Addr
-	eff          int64
+	peer           int
+	lt, rt         *datatype.Type
+	lcount, rcount int
+	buf, rBase     mem.Addr
+	eff            int64
 }
 
 // wrPlan is a Multi-W window (all of set) kept with its key and the
@@ -50,11 +55,11 @@ type planStore struct {
 	ogrWalks, duals int
 }
 
-// group returns the entry holding (p, buf)'s grouping, or else the next one
-// round the store to walk it into (hit false).
-func (s *planStore) group(p *datatype.Program, buf mem.Addr) (e *groupEntry, hit bool) {
+// group returns the entry holding (t, count, buf)'s grouping, or else the
+// next one round the store to walk it into (hit false).
+func (s *planStore) group(t *datatype.Type, count int, buf mem.Addr) (e *groupEntry, hit bool) {
 	for i := range s.groups {
-		if e = &s.groups[i]; e.prog == p && e.buf == buf {
+		if e = &s.groups[i]; e.t == t && e.count == count && e.buf == buf {
 			return e, true
 		}
 	}

@@ -50,6 +50,8 @@ type rmaArgs struct {
 	tWinHi mem.Addr
 	tCount int
 	tType  *datatype.Type
+
+	oCur, tCur datatype.ProgCursor // the dual-layout walk's two cursors
 }
 
 func (a *rmaArgs) validate() error {
@@ -107,8 +109,10 @@ func (ep *Endpoint) rma(opc verbs.Opcode, a *rmaArgs, done func(error)) {
 		}
 		var set wrSet // one-shot: RMA ops have no pooled op to own an arena
 		window := []regRef{{addr: a.tWinLo, len: int64(a.tWinHi - a.tWinLo), key: a.tKey}}
-		wrs, err := ep.dualWRs(&set, opc, ep.Program(a.oType, a.oCount).Cursor(), a.oBuf, refs,
-			ep.Program(a.tType, a.tCount).Cursor(), a.tBase, window, a.oType.Size()*int64(a.oCount))
+		a.oCur.ResetTo(a.oType, a.oCount)
+		a.tCur.ResetTo(a.tType, a.tCount)
+		wrs, err := ep.dualWRs(&set, opc, &a.oCur, a.oBuf, refs,
+			&a.tCur, a.tBase, window, a.oType.Size()*int64(a.oCount))
 		if err != nil {
 			ep.releaseUserRegions(regions)
 			done(err)
@@ -184,9 +188,9 @@ func (ep *Endpoint) rmaLocal(a *rmaArgs, put bool, done func(error)) {
 	if !put {
 		pBuf, pCount, pType, uBuf, uCount, uType = uBuf, uCount, uType, pBuf, pCount, pType
 	}
-	ep.pk.Bind(ep.memory, pBuf, ep.Program(pType, pCount))
+	ep.pk.Bind(ep.memory, pBuf, pType, pCount)
 	_, r1 := ep.pk.PackTo(tmp)
-	ep.upk.Bind(ep.memory, uBuf, ep.Program(uType, uCount))
+	ep.upk.Bind(ep.memory, uBuf, uType, uCount)
 	_, r2 := ep.upk.UnpackFrom(tmp)
 	runs := r1 + r2
 	atomic.AddInt64(&ep.ctr.BytesPacked, bytes)

@@ -76,7 +76,7 @@ type sendMsg struct {
 	nSegs   int
 	k       int           // next segment to pack
 	rBase   mem.Addr      // Multi-W: the receiver's buffer,
-	rLayout *cachedLayout // layout (its cache entry, which holds the programs)
+	rLayout *cachedLayout // layout (its cache entry, which holds the type)
 	rCount  int           // and count
 	plan    *wrPlan       // Multi-W: the plan whose window the op posted, busy until recycle
 
@@ -588,7 +588,7 @@ func (ep *Endpoint) recvStagedSetup(op *recvOp, segSize int64) {
 		return
 	}
 
-	op.unpacker.Bind(ep.memory, op.req.buf, ep.Program(op.req.dt, op.req.count))
+	op.unpacker.Bind(ep.memory, op.req.buf, op.req.dt, op.req.count)
 
 	if op.scheme == SchemeGeneric {
 		// The basic scheme's dynamically allocated whole-message unpack
@@ -745,7 +745,7 @@ func (op *recvOp) regDone(err error) {
 		// Tell the sender to start producing segments for scatter reads.
 		op.segSize = ep.cfg.segSizeFor(op.eff)
 		op.nSegs = int((op.eff + op.segSize - 1) / op.segSize)
-		op.cur.Reset(ep.Program(op.req.dt, op.req.count))
+		op.cur.ResetTo(op.req.dt, op.req.count)
 
 		w := ep.ctrlW()
 		w.u8(kindCTS)

@@ -226,7 +226,7 @@ func (ep *Endpoint) sendStagedData(op *sendOp) {
 // (The shared completion countdown may touch zero between segments: the op
 // drains only after donePosting.)
 func (ep *Endpoint) sendGatherData(op *sendOp) {
-	op.cur.Reset(ep.Program(op.dt, op.count))
+	op.cur.ResetTo(op.dt, op.count)
 	refs := op.ctsSegs
 	for k := 0; k < op.nSegs; k++ {
 		wrs, err := ep.chunkWRs(&op.wrs, verbs.OpRDMAWrite, &op.cur, op.buf, op.reg.refs,
@@ -262,7 +262,7 @@ func (op *sendOp) stageDone(s seg, err error) {
 	op.staging = segRes{seg: s, bytes: op.eff, held: true}
 	switch op.next {
 	case stepGenericData:
-		op.packer.Bind(ep.memory, op.buf, ep.Program(op.dt, op.count))
+		op.packer.Bind(ep.memory, op.buf, op.dt, op.count)
 		st := op.packer.Pack(ep.memory.Bytes(s.addr, op.eff))
 		if st.Bytes != op.eff {
 			panic("core: generic pack shortfall")
@@ -322,7 +322,7 @@ func (ep *Endpoint) packStagedSeg(op *sendOp, k int) []verbs.SendWR {
 // while the CPU packs segment k+1. When the pack pool runs dry the sender
 // stalls until a slot's send completes (Section 4.3.3).
 func (ep *Endpoint) sendBCSPUPData(op *sendOp) {
-	op.packer.Bind(ep.memory, op.buf, ep.Program(op.dt, op.count))
+	op.packer.Bind(ep.memory, op.buf, op.dt, op.count)
 
 	if !ep.packPool.enabled {
 		// Worst case (Figure 14): one on-the-fly pack buffer of the real data
@@ -413,7 +413,7 @@ func (ep *Endpoint) packOneSeg(op *sendOp) {
 // next message with its key and registrations posts it as it is, only the
 // immediate rewritten, and one sent while it is in flight builds its own.
 func (ep *Endpoint) sendMultiWData(op *sendOp) {
-	k := planKey{op.dst, ep.Program(op.dt, op.count), op.rLayout.program(op.rCount), op.buf, op.rBase, op.eff}
+	k := planKey{op.dst, op.dt, &op.rLayout.t, op.count, op.rCount, op.buf, op.rBase, op.eff}
 	pl, wrs := ep.plans.plan(k, op)
 	if op.plan = pl; wrs != nil {
 		checkPlan(ep, op)
@@ -425,8 +425,8 @@ func (ep *Endpoint) sendMultiWData(op *sendOp) {
 			}
 		}
 		ep.plans.duals++
-		op.cur.Reset(k.lprog)
-		op.rcur.Reset(k.rprog)
+		op.cur.ResetTo(k.lt, k.lcount)
+		op.rcur.ResetTo(k.rt, k.rcount)
 		var err error
 		if wrs, err = ep.dualWRs(set, verbs.OpRDMAWrite, &op.cur, op.buf, op.reg.refs,
 			&op.rcur, op.rBase, op.ctsRegs, op.eff); err != nil {
@@ -461,7 +461,7 @@ func (ep *Endpoint) sendPRRSData(op *sendOp) {
 	}
 
 	// P-RRS pack segments stay occupied until the receiver's Done.
-	op.packer.Bind(ep.memory, op.buf, ep.Program(op.dt, op.count))
+	op.packer.Bind(ep.memory, op.buf, op.dt, op.count)
 	if !ep.packPool.enabled || op.nSegs > ep.packPool.totalSlots() {
 		// Worst case or message larger than the pool: one on-the-fly pack
 		// buffer of the real data size, carved into segment views.

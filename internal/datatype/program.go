@@ -2,19 +2,19 @@ package datatype
 
 import "fmt"
 
-// This file is the datatype compiler: Compile canonicalizes a (type, count)
-// message into a layout *program* — a handful of nested-stride descriptors or
-// an explicit run table — that pack/unpack engines replay instead of
-// re-walking the dataloop tree through the interpreted Cursor. TEMPI
-// (Pearson et al.) showed order-of-magnitude pack gains from exactly this
-// canonicalization; the contract here is stricter than TEMPI's: a compiled
-// program must emit the *identical* maximal-run sequence the Cursor emits
-// (same offsets, same lengths, same order), so staging bytes, run counts and
-// therefore the simulator's virtual cost are bit-for-bit unchanged. Shapes
-// whose run sequence the compiler cannot reproduce exactly (cross-boundary
-// run coalescing, very deep nesting with very many runs) fall back to
-// ProgGeneric, which replays through the interpreted Cursor behind the same
-// ProgCursor every other kind is walked with.
+// This file is the datatype compiler: it canonicalizes a type's layout into
+// a *program* — a handful of nested-stride descriptors or an explicit run
+// table — that pack/unpack engines replay instead of re-walking the dataloop
+// tree through the interpreted Cursor. TEMPI (Pearson et al.) showed
+// order-of-magnitude pack gains from exactly this canonicalization, and keeps
+// the count as an outer dimension over the type's own form; so does this
+// compiler: a type compiles once, into its unit (Type.Unit), and a count
+// repeats it (Type.Program). The contract is stricter than TEMPI's: a program
+// must emit the *identical* maximal-run sequence the Cursor emits, so staging
+// bytes, run counts and therefore the simulator's virtual cost are
+// bit-for-bit unchanged. A unit whose runs the compiler does not materialize
+// falls back to ProgGeneric, which replays through the interpreted Cursor
+// behind the same ProgCursor every other kind is walked with.
 
 // ProgKind classifies a compiled layout program.
 type ProgKind int
@@ -25,14 +25,15 @@ const (
 	ProgContig ProgKind = iota
 	// ProgStrided is a fixed-length block replicated under up to
 	// maxProgDims nested uniform strides (1D vectors, 2D matrix columns,
-	// deeper subarray nests). Run i's offset is a mixed-radix sum; the
-	// sequential cursor advances with two integer adds per run.
+	// deeper subarray nests), plus one for a message's repeat. Run i's
+	// offset is a mixed-radix sum; the sequential cursor advances with two
+	// integer adds per run.
 	ProgStrided
 	// ProgIndexed is an explicit run table (offset, length), the
 	// canonical form of indexed/struct layouts; a uniform block length is
 	// detected so fixed-block replay needs no length lookup.
 	ProgIndexed
-	// ProgGeneric is the bounded fallback for a shape with more runs than
+	// ProgGeneric is the bounded fallback for a unit with more runs than
 	// the compiler materializes: its cursor wraps the interpreted Cursor and
 	// its run count is an estimate; it is otherwise asked what every kind is.
 	ProgGeneric
@@ -53,13 +54,14 @@ func (k ProgKind) String() string {
 }
 
 const (
-	// maxProgDims bounds the stride nesting a ProgStrided program carries;
-	// deeper nests are materialized into a run table or left generic.
+	// maxProgDims bounds the stride nesting a unit's ProgStrided program
+	// carries; deeper nests are materialized into a run table or left
+	// generic. A message's repeat may add one level above them.
 	maxProgDims = 8
-	// maxProgRuns bounds the run table the compiler materializes; beyond it
-	// the shape stays generic (the table would cost more memory than the walk
-	// it saves, and a peer's layout can claim any count). A table the type
-	// already holds is shared at any length.
+	// maxProgRuns bounds the run table the compiler materializes for a
+	// unit; beyond it the shape stays generic (the table would cost more
+	// memory than the walk it saves). A table the type already holds is
+	// shared at any length, and a count never builds one.
 	maxProgRuns = 1 << 16
 )
 
@@ -70,40 +72,108 @@ type progDim struct {
 }
 
 // Program is a compiled layout: the canonical replay form of one
-// (type, count) message. Programs are immutable and safe to share; obtain a
-// cursor per concurrent walk. The zero value is not valid — use Compile.
+// (type, count) message. A Program is a value that shares its tables with the
+// type's unit: copy it freely, hold it by value, and obtain a cursor per
+// concurrent walk. The zero value is not valid — use Type.Program or Compile.
 type Program struct {
-	kind  ProgKind
-	t     *Type
-	count int
+	kind ProgKind
+	t    *Type
 
 	bytes int64 // total data bytes of the message
 	runs  int64 // maximal contiguous runs; estimated when ProgGeneric
 
-	off0 int64     // first-run offset (ProgContig / ProgStrided)
-	dims []progDim // ProgStrided stride levels, outermost first
+	off0 int64                    // first-run offset (ProgContig / ProgStrided)
+	nd   int                      // ProgStrided stride levels in dims
+	dims [maxProgDims + 1]progDim // ProgStrided stride levels, outermost first
 
 	// The ProgIndexed run table in traversal order — the type's own when
-	// that already is the message's maximal-run sequence. Every kind uses
-	// its runLen (the uniform run length), ascending and lo/hi.
+	// that already is the unit's maximal-run sequence. Every kind uses its
+	// runLen (the uniform run length), ascending and lo/hi, which cover the
+	// whole message.
 	runTable
+
+	// The repeat level of a message of count > 1: its unit's runs count
+	// times over, copy i displaced by i × the type's extent. Where a copy's
+	// last run ends where the next copy's first begins, the Cursor merges the
+	// two and so does the program: a unit of one run becomes one run, and a
+	// stride nest whose seams do not merge gains one more level, outermost
+	// (reps is then 1, as for a unit). Any other message keeps reps copies of
+	// unitRuns runs, ext bytes apart, the seams joined by the unit's first
+	// run length join when they merge. A ProgGeneric message's reps is its
+	// count.
+	reps, ext, unitRuns, join int64
 }
 
-// Compile canonicalizes count instances of t into a layout program. It never
-// fails: shapes the compiler cannot canonicalize compile to a ProgGeneric
-// program whose cursor replays the interpreted walk. Compile is pure and
-// deterministic; callers cache programs keyed by (type, count) — Type.Unit
-// holds count 1's.
+// Compile returns Type.Program behind a pointer, which is all it allocates
+// once the type holds its unit. It never fails: a unit the compiler cannot
+// canonicalize compiles to a ProgGeneric program whose cursor replays the
+// interpreted walk.
 func Compile(t *Type, count int) *Program {
-	p := new(Program)
-	p.compile(t, count)
+	p := t.Program(count)
+	return &p
+}
+
+// Program returns the layout program of count instances of t: its unit
+// (Unit) repeated count times, one extent apart. It is built in O(1) from the
+// unit and shares the unit's tables, so it allocates nothing at any count.
+// Safe for concurrent use.
+func (t *Type) Program(count int) Program {
+	u := t.Unit()
+	if count == 1 {
+		return *u
+	}
+	return u.repeat(count, t.Extent())
+}
+
+// repeat returns n copies of the unit u, ext bytes apart, in the form that
+// emits the Cursor's run sequence (see Program.reps).
+func (u *Program) repeat(n int, ext int64) Program {
+	if n <= 0 || u.bytes == 0 {
+		return Program{kind: ProgContig, t: u.t, reps: 1, runTable: runTable{ascending: true}}
+	}
+	p := *u
+	p.bytes = int64(n) * u.bytes
+	p.runs = int64(n) * u.runs // still an estimate when ProgGeneric
+	if u.kind == ProgGeneric {
+		p.reps, p.ext = int64(n), ext
+		return p
+	}
+	if reach := int64(n-1) * ext; reach < 0 {
+		p.lo += reach
+	} else {
+		p.hi += reach
+	}
+	firstOff, firstLen := u.RunAt(0)
+	lastOff, lastLen := u.RunAt(u.runs - 1)
+	p.ascending = u.ascending && firstOff+ext >= lastOff
+	join := lastOff+lastLen == firstOff+ext
+	switch {
+	case join && u.runs == 1:
+		// The copies tile one run.
+		p.kind, p.off0, p.runs, p.unitRuns = ProgContig, firstOff, 1, 1
+		p.runTable = runTable{runLen: p.bytes, ascending: true, lo: p.lo, hi: p.hi}
+	case !join && u.kind != ProgIndexed:
+		// The repeat is one more stride level, outermost; it cannot make
+		// the nest's runs abut, since the seams do not merge.
+		p.kind = ProgStrided
+		copy(p.dims[1:], u.dims[:u.nd])
+		p.dims[0] = progDim{n: int64(n), stride: ext}
+		p.nd++
+		p.unitRuns = p.runs
+	default:
+		p.reps, p.ext = int64(n), ext
+		if join {
+			p.join = firstLen
+			p.runs -= int64(n - 1)
+		}
+	}
 	return p
 }
 
-// compile fills the zero program p with count instances of t.
-func (p *Program) compile(t *Type, count int) {
-	p.t, p.count = t, count
-	lp := messageLoop(t, count)
+// compile fills the zero program p with t's unit: one instance.
+func (p *Program) compile(t *Type) {
+	p.t, p.reps = t, 1
+	lp := messageLoop(t, 1)
 	p.bytes = lp.dataBytes
 	if p.bytes == 0 {
 		// Empty message: a contig program of zero runs.
@@ -111,14 +181,11 @@ func (p *Program) compile(t *Type, count int) {
 		p.ascending = true
 		return
 	}
-	if off, block, dims, ok := stridedShape(lp, 0); ok {
-		dims = foldDims(dims)
-		if runs, fits := dimRuns(dims); fits && stridedCanonical(dims, block) {
-			p.off0 = off
-			p.runLen = block
-			p.dims = dims
-			p.runs = runs
-			p.ascending = stridedAscending(dims, block)
+	if off, block, nd, ok := stridedShape(lp, &p.dims); ok {
+		dims := p.dims[:nd]
+		runs, fits := dimRuns(dims)
+		if canonical, ascending := strideSteps(dims, block); fits && canonical {
+			p.off0, p.runLen, p.nd, p.runs, p.ascending = off, block, nd, runs, ascending
 			p.lo, p.hi = off, off+block
 			for _, d := range dims {
 				if reach := (d.n - 1) * d.stride; reach < 0 {
@@ -127,18 +194,18 @@ func (p *Program) compile(t *Type, count int) {
 					p.hi += reach
 				}
 			}
-			if len(dims) == 0 {
+			p.kind, p.unitRuns = ProgStrided, runs
+			if nd == 0 {
 				p.kind = ProgContig
-			} else {
-				p.kind = ProgStrided
 			}
 			return
 		}
 	}
+	p.dims = [maxProgDims + 1]progDim{}
 	if lp.kind == loopIndexed && lp.kids == nil {
-		// An indexed type of leaves, sent once: its table already is the
-		// maximal-run sequence, so the program shares it, whatever its
-		// length — the cap bounds what is built here, not what exists.
+		// An indexed type of leaves: its table already is the maximal-run
+		// sequence, so the program shares it, whatever its length — the cap
+		// bounds what is built here, not what exists.
 		p.runTable = lp.runTable
 	} else {
 		n := lp.blocks
@@ -150,7 +217,7 @@ func (p *Program) compile(t *Type, count int) {
 		b.flush()
 		if len(b.offs) > maxProgRuns {
 			// Past the cap. The runs in hand and the bytes they cover price
-			// the rest of the message: the run count scheme selection and
+			// the rest of the unit: the run count scheme selection and
 			// registration ask for, without a walk per message.
 			covered := int64(len(b.offs)) * b.runLen
 			for _, n := range b.lens {
@@ -158,12 +225,14 @@ func (p *Program) compile(t *Type, count int) {
 			}
 			p.kind = ProgGeneric
 			p.runs = int64(float64(p.bytes) * float64(len(b.offs)) / float64(covered))
+			p.unitRuns = p.runs
 			return
 		}
 		p.runTable = b.runTable
 	}
 	p.kind = ProgIndexed
 	p.runs = int64(len(p.offs))
+	p.unitRuns = p.runs
 }
 
 // emit feeds b the raw runs of lp displaced by base in traversal order — the
@@ -191,57 +260,44 @@ func (b *runBuilder) emit(lp *loop, base int64) bool {
 	return len(b.offs) <= maxProgRuns
 }
 
-// stridedShape extracts (origin offset, block length, stride dims) from a
+// stridedShape extracts (origin offset, block length, stride levels) from a
 // dataloop that is a pure nest of vectors over one contiguous block,
 // tolerating single-part indexed wrappers (which only displace the origin).
-func stridedShape(lp *loop, depth int) (off, block int64, dims []progDim, ok bool) {
-	if depth > maxProgDims {
-		return 0, 0, nil, false
+// The levels go to dims, outermost first, without the single-iteration ones,
+// which contribute nothing to run enumeration; nd is how many there are.
+func stridedShape(lp *loop, dims *[maxProgDims + 1]progDim) (off, block int64, nd int, ok bool) {
+	for depth := 0; depth <= maxProgDims; depth++ {
+		switch lp.kind {
+		case loopContig:
+			return off, lp.bytes, nd, true
+		case loopVector:
+			if lp.count > 1 {
+				dims[nd] = progDim{n: int64(lp.count), stride: lp.stride}
+				nd++
+			}
+			lp = lp.child
+		case loopIndexed:
+			if len(lp.offs) != 1 {
+				return 0, 0, 0, false
+			}
+			off += lp.offs[0]
+			if lp.kids == nil {
+				return off, lp.runLen, nd, true
+			}
+			lp = lp.kids[0]
+		default:
+			return 0, 0, 0, false
+		}
 	}
-	switch lp.kind {
-	case loopContig:
-		return 0, lp.bytes, nil, true
-	case loopVector:
-		cOff, cBlock, cDims, cOK := stridedShape(lp.child, depth+1)
-		if !cOK {
-			return 0, 0, nil, false
-		}
-		dims = append([]progDim{{n: int64(lp.count), stride: lp.stride}}, cDims...)
-		return cOff, cBlock, dims, true
-	case loopIndexed:
-		if len(lp.offs) != 1 {
-			return 0, 0, nil, false
-		}
-		if lp.kids == nil {
-			return lp.offs[0], lp.runLen, nil, true
-		}
-		cOff, cBlock, cDims, cOK := stridedShape(lp.kids[0], depth+1)
-		if !cOK {
-			return 0, 0, nil, false
-		}
-		return lp.offs[0] + cOff, cBlock, cDims, true
-	}
-	return 0, 0, nil, false
+	return 0, 0, 0, false
 }
 
-// foldDims drops degenerate single-iteration levels; they contribute nothing
-// to run enumeration.
-func foldDims(dims []progDim) []progDim {
-	out := dims[:0]
-	for _, d := range dims {
-		if d.n > 1 {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// dimRuns returns the total run count of a stride nest, refusing degenerate
-// or absurdly large products.
+// dimRuns returns the total run count of a stride nest, refusing absurdly
+// large products.
 func dimRuns(dims []progDim) (int64, bool) {
 	runs := int64(1)
 	for _, d := range dims {
-		if d.n <= 0 || runs > maxRunProduct/d.n {
+		if runs > maxRunProduct/d.n {
 			return 0, false
 		}
 		runs *= d.n
@@ -251,35 +307,23 @@ func dimRuns(dims []progDim) (int64, bool) {
 
 const maxRunProduct = int64(1) << 40
 
-// stridedCanonical reports whether the stride nest emits exactly the
-// cursor's maximal runs — i.e. no two consecutive runs abut. Consecutive
-// runs that increment level j (all deeper levels wrapping) are separated by
-// stride_j minus the span the deeper levels walked; they abut exactly when
-// that delta equals the block length, in which case the cursor would
-// coalesce them and the program must not claim the shape.
-func stridedCanonical(dims []progDim, block int64) bool {
+// strideSteps reports whether the stride nest emits exactly the cursor's
+// maximal runs — no two consecutive runs abut — and whether it emits them in
+// non-decreasing offset order. Consecutive runs that increment level j (all
+// deeper levels wrapping) are separated by stride_j minus the span the deeper
+// levels walked: they abut exactly when that delta equals the block length,
+// in which case the cursor would coalesce them and the program must not
+// claim the shape, and they ascend when it is non-negative.
+func strideSteps(dims []progDim, block int64) (canonical, ascending bool) {
+	canonical, ascending = true, true
 	sumInner := int64(0)
 	for j := len(dims) - 1; j >= 0; j-- {
-		if dims[j].stride-sumInner == block {
-			return false
-		}
+		delta := dims[j].stride - sumInner
+		canonical = canonical && delta != block
+		ascending = ascending && delta >= 0
 		sumInner += (dims[j].n - 1) * dims[j].stride
 	}
-	return true
-}
-
-// stridedAscending reports whether the mixed-radix enumeration emits runs in
-// non-decreasing offset order: every consecutive-run delta must be
-// non-negative.
-func stridedAscending(dims []progDim, block int64) bool {
-	sumInner := int64(0)
-	for j := len(dims) - 1; j >= 0; j-- {
-		if dims[j].stride-sumInner < 0 {
-			return false
-		}
-		sumInner += (dims[j].n - 1) * dims[j].stride
-	}
-	return true
+	return canonical, ascending
 }
 
 // Kind returns the program's canonical class.
@@ -312,61 +356,88 @@ func (p *Program) RunAt(i int64) (off, length int64) {
 	if i < 0 || i >= p.runs {
 		panic("datatype: Program.RunAt out of range")
 	}
+	if p.reps == 1 {
+		return p.unitRun(i)
+	}
+	rep, k := i/p.unitRuns, i%p.unitRuns
+	if p.join > 0 && i > 0 {
+		// After the first run, each copy adds its runs 1 to unitRuns-1, the
+		// last of them merged with the next copy's first.
+		rep, k = (i-1)/(p.unitRuns-1), (i-1)%(p.unitRuns-1)+1
+	}
+	off, length = p.unitRun(k)
+	if p.join > 0 && k == p.unitRuns-1 && rep < p.reps-1 {
+		length += p.join
+	}
+	return off + rep*p.ext, length
+}
+
+// unitRun returns run k of one copy.
+func (p *Program) unitRun(k int64) (off, length int64) {
 	switch p.kind {
 	case ProgContig:
 		return p.off0, p.runLen
 	case ProgStrided:
 		off = p.off0
-		q := i
-		for j := len(p.dims) - 1; j >= 0; j-- {
+		q := k
+		for j := p.nd - 1; j >= 0; j-- {
 			d := p.dims[j]
 			off += (q % d.n) * d.stride
 			q /= d.n
 		}
 		return off, p.runLen
 	case ProgIndexed:
-		return p.offs[i], p.lenAt(int(i))
+		return p.offs[k], p.lenAt(int(k))
 	}
 	panic("datatype: RunAt on generic program")
 }
 
-// String renders the program compactly (dtinspect's view).
+// String renders the program compactly (dtinspect's view): its form, and a
+// repeat the form does not absorb as "× count @ extent".
 func (p *Program) String() string {
+	var s string
 	switch p.kind {
 	case ProgContig:
+		s = fmt.Sprintf("contig [%d,+%d)", p.off0, p.runLen)
 		if p.runs == 0 {
-			return "contig empty"
+			s = "contig empty"
 		}
-		return fmt.Sprintf("contig [%d,+%d)", p.off0, p.runLen)
 	case ProgStrided:
-		s := fmt.Sprintf("strided block=%dB off=%d runs=%d", p.runLen, p.off0, p.runs)
-		for _, d := range p.dims {
+		s = fmt.Sprintf("strided block=%dB off=%d runs=%d", p.runLen, p.off0, p.runs)
+		for _, d := range p.dims[:p.nd] {
 			s += fmt.Sprintf(" [n=%d stride=%d]", d.n, d.stride)
 		}
-		return s
 	case ProgIndexed:
-		if p.lens == nil {
-			return fmt.Sprintf("indexed fixed-block runs=%d block=%dB", p.runs, p.runLen)
+		s = fmt.Sprintf("indexed fixed-block runs=%d block=%dB", p.runs, p.runLen)
+		if p.lens != nil {
+			s = fmt.Sprintf("indexed runs=%d (varied lengths)", p.runs)
 		}
-		return fmt.Sprintf("indexed runs=%d (varied lengths)", p.runs)
 	case ProgGeneric:
-		return "generic (interpreted cursor walk)"
+		s = "generic (interpreted cursor walk)"
 	}
-	return "unknown"
+	if p.reps > 1 {
+		s += fmt.Sprintf(" × %d @ %d", p.reps, p.ext)
+	}
+	return s
 }
 
 // ProgCursor replays a compiled program with the Cursor's streaming
 // contract. For canonical programs the advance is O(1) with no allocation;
-// for ProgGeneric it wraps an interpreted Cursor. The zero value is not
-// valid — use Program.Cursor or Reset.
+// for ProgGeneric it wraps an interpreted Cursor. A cursor reset by ResetTo
+// holds a message's repeat itself, so it must not be copied once reset. The
+// zero value is not valid — use Program.Cursor, Reset or ResetTo.
 type ProgCursor struct {
 	p         *Program
+	own       Program // the repeat ResetTo built, when p is not a unit
 	remaining int64
-	runIdx    int64
+	runIdx    int64 // the current run's index within its copy
+	end       int64 // the runIdx past which a copy's walk takes turn
+	rep       int64 // the current copy
+	disp      int64 // its displacement, rep × ext
 	pos       int64 // next byte's offset within the current run
 	left      int64 // bytes left in the current run
 	base      int64 // current run's start offset (ProgStrided bookkeeping)
-	idx       [maxProgDims]int64
+	idx       [maxProgDims + 1]int64
 	gen       *Cursor // ProgGeneric fallback
 }
 
@@ -377,22 +448,42 @@ func (p *Program) Cursor() *ProgCursor {
 	return c
 }
 
-// Reset rewinds the cursor to the start of prog. Resetting onto a canonical
-// program allocates nothing, which is what makes warm packers
-// allocation-free; resetting onto a ProgGeneric program rebuilds the
-// interpreted cursor.
+// ResetTo rewinds the cursor to the start of count instances of t: the
+// type's unit itself for count 1, else the repeat built into the cursor. It
+// allocates nothing for a canonical unit, which is what lets a pooled record
+// keep its packers and cursors by value and bind them per message.
+func (c *ProgCursor) ResetTo(t *Type, count int) {
+	if count == 1 {
+		c.Reset(t.Unit())
+		return
+	}
+	c.own = t.Program(count)
+	c.Reset(&c.own)
+}
+
+// Reset rewinds the cursor to the start of prog, which it walks in place:
+// prog must outlive the walk. Resetting onto a canonical program allocates
+// nothing; resetting onto a ProgGeneric program rebuilds the interpreted
+// cursor.
 func (c *ProgCursor) Reset(prog *Program) {
-	*c = ProgCursor{p: prog, remaining: prog.bytes}
+	c.p, c.remaining, c.runIdx, c.end = prog, prog.bytes, 0, prog.unitRuns
+	c.rep, c.disp, c.pos, c.left, c.base, c.idx, c.gen = 0, 0, 0, 0, 0, [maxProgDims + 1]int64{}, nil
 	if prog.kind == ProgGeneric {
-		c.gen = NewCursor(prog.t, prog.count)
+		c.gen = NewCursor(prog.t, int(prog.reps))
 		return
 	}
 	if prog.runs == 0 {
 		return
 	}
-	off, n := prog.RunAt(0)
+	if prog.join > 0 {
+		c.end-- // the first copy's last run is a seam
+	}
+	off, n := prog.unitRun(0)
 	c.pos, c.left, c.base = off, n, off
 }
+
+// Program returns the program the cursor walks.
+func (c *ProgCursor) Program() *Program { return c.p }
 
 // Remaining reports the data bytes not yet returned by Next.
 func (c *ProgCursor) Remaining() int64 { return c.remaining }
@@ -414,8 +505,12 @@ func (c *ProgCursor) Next(max int64) (off, n int64, ok bool) {
 	if c.remaining == 0 {
 		return 0, 0, false
 	}
-	if c.left == 0 && !c.advance() {
-		return 0, 0, false
+	if c.left == 0 { // onto the next run: a step within a copy, a turn at its end
+		if c.runIdx++; c.runIdx < c.end {
+			c.step()
+		} else if !c.turn() {
+			return 0, 0, false
+		}
 	}
 	off = c.pos
 	n = c.left
@@ -428,48 +523,65 @@ func (c *ProgCursor) Next(max int64) (off, n int64, ok bool) {
 	return off, n, true
 }
 
-// advance steps to the next run. The ProgStrided path is the compiled inner
-// loop: one counter increment and one add per run, with wrap propagation
-// amortizing to O(1).
-func (c *ProgCursor) advance() bool {
-	c.runIdx++
-	if c.runIdx >= c.p.runs {
-		return false
-	}
-	switch c.p.kind {
+// step moves onto run runIdx of the current copy, the one after the current
+// run: the compiled inner loop, for ProgStrided one counter increment and
+// one add per run, with wrap propagation amortizing to O(1), for ProgIndexed
+// one table read. Each copy's end takes turn instead, once or twice a copy.
+func (c *ProgCursor) step() {
+	p := c.p
+	switch p.kind {
 	case ProgStrided:
-		d := c.p.dims
-		for j := len(d) - 1; ; j-- {
+		for j := p.nd - 1; ; j-- {
 			c.idx[j]++
-			c.base += d[j].stride
-			if c.idx[j] < d[j].n {
+			c.base += p.dims[j].stride
+			if c.idx[j] < p.dims[j].n {
 				break
 			}
 			c.idx[j] = 0
-			c.base -= d[j].n * d[j].stride
-			if j == 0 {
-				return false // unreachable: runIdx guard fires first
-			}
+			c.base -= p.dims[j].n * p.dims[j].stride
 		}
-		c.pos, c.left = c.base, c.p.runLen
-		return true
+		c.pos, c.left = c.base, p.runLen
 	case ProgIndexed:
-		c.pos = c.p.offs[c.runIdx]
-		if c.p.lens != nil {
-			c.left = c.p.lens[c.runIdx]
+		c.pos = p.offs[c.runIdx] + c.disp
+		if p.lens != nil {
+			c.left = p.lens[c.runIdx]
 		} else {
-			c.left = c.p.runLen
+			c.left = p.runLen
 		}
-		return true
 	}
-	return false // ProgContig has a single run
+}
+
+// turn takes the walk past the end of a copy, reporting false when none is
+// left. Seams joined, it is reached at the copy's last run, which it steps
+// onto and extends by the next copy's first, leaving the walk on that copy's
+// run 0, spent; otherwise it steps onto the next copy's run 0.
+func (c *ProgCursor) turn() bool {
+	p := c.p
+	if c.rep+1 >= p.reps {
+		return false
+	}
+	if p.join > 0 {
+		c.step()
+		c.left += p.join
+	}
+	c.rep++
+	c.disp += p.ext
+	c.idx, c.base = [maxProgDims + 1]int64{}, p.off0+c.disp
+	c.runIdx, c.end = 0, p.unitRuns
+	if p.join == 0 {
+		c.step() // run 0 of an indexed unit: the only kind repeated unjoined
+	} else if c.rep < p.reps-1 {
+		c.end--
+	}
+	return true
 }
 
 // RunBatch is a stretch of whole runs handed out in one cursor step. Run j
-// (0 <= j < K) starts at Offs[j] when Offs is set (indexed programs; the
-// slices alias the program's tables and are read-only), else at
-// Base + j*Stride (one stride level of a strided program). Every run is
-// RunLen bytes unless Lens gives per-run lengths (varied indexed tables).
+// (0 <= j < K) starts at Base + Offs[j] when Offs is set (indexed programs;
+// the slices alias the unit's tables and are read-only, and Base is the
+// copy's displacement), else at Base + j*Stride (one stride level of a
+// strided program). Every run is RunLen bytes unless Lens gives per-run
+// lengths (varied indexed tables).
 type RunBatch struct {
 	K            int
 	RunLen       int64
@@ -484,18 +596,18 @@ func (b *RunBatch) Run(j int) (off, n int64) {
 		n = b.Lens[j]
 	}
 	if b.Offs != nil {
-		return b.Offs[j], n
+		return b.Base + b.Offs[j], n
 	}
 	return b.Base + int64(j)*b.Stride, n
 }
 
 // NextBatch consumes as many whole runs as fit in max bytes without leaving
-// the current stride level (strided) or run table (indexed) and returns them
-// as one batch; the runs, their order and the bytes consumed are exactly
-// what that many Next calls would yield. K is 0 — and the cursor untouched —
-// when no whole run is available: the cursor stands inside a run, max is
-// shorter than the next run, the message is done, or the program is
-// ProgGeneric. Callers then take one Next step and retry.
+// the current stride level (strided) or run table (indexed) of the current
+// copy, and returns them as one batch; the runs, their order and the bytes
+// consumed are exactly what that many Next calls would yield. K is 0 when no
+// whole run is available: the cursor stands inside a run, max is shorter
+// than the next run, the next run joins two copies, the message is done, or
+// the program is ProgGeneric. Callers then take one Next step and retry.
 func (c *ProgCursor) NextBatch(max int64) (b RunBatch) {
 	p := c.p
 	if c.gen != nil || c.remaining == 0 {
@@ -505,6 +617,12 @@ func (c *ProgCursor) NextBatch(max int64) (b RunBatch) {
 	first := c.runIdx
 	if fresh {
 		first++
+		if first >= c.end {
+			// The next run is a seam or another copy's: turn onto it.
+			c.runIdx = first
+			c.turn() // cannot fail: remaining > 0
+			fresh, first = false, c.runIdx
+		}
 	}
 	switch {
 	case p.lens != nil:
@@ -513,13 +631,13 @@ func (c *ProgCursor) NextBatch(max int64) (b RunBatch) {
 		}
 		var bytes int64
 		last := first
-		for ; last < p.runs && bytes+p.lens[last] <= max; last++ {
+		for ; last < c.end && bytes+p.lens[last] <= max; last++ {
 			bytes += p.lens[last]
 		}
 		if last == first {
 			return b
 		}
-		b = RunBatch{K: int(last - first), Offs: p.offs[first:last], Lens: p.lens[first:last]}
+		b = RunBatch{K: int(last - first), Base: c.disp, Offs: p.offs[first:last], Lens: p.lens[first:last]}
 		c.remaining -= bytes
 	case !fresh && c.left != p.runLen, max < p.runLen:
 		return b
@@ -527,16 +645,17 @@ func (c *ProgCursor) NextBatch(max int64) (b RunBatch) {
 		b = RunBatch{K: 1, RunLen: p.runLen, Base: p.off0}
 		c.remaining = 0
 	case p.kind == ProgIndexed:
-		k := min(max/p.runLen, p.runs-first)
-		b = RunBatch{K: int(k), RunLen: p.runLen, Offs: p.offs[first : first+k]}
+		k := min(max/p.runLen, c.end-first)
+		b = RunBatch{K: int(k), RunLen: p.runLen, Base: c.disp, Offs: p.offs[first : first+k]}
 		c.remaining -= k * p.runLen
 	default:
 		if fresh {
-			c.advance() // cannot fail: remaining > 0
+			c.runIdx = first
+			c.step()
 		}
-		d := p.dims[len(p.dims)-1]
-		j := &c.idx[len(p.dims)-1]
-		k := min(max/p.runLen, d.n-*j)
+		d := p.dims[p.nd-1]
+		j := &c.idx[p.nd-1]
+		k := min(max/p.runLen, d.n-*j, c.end-first)
 		b = RunBatch{K: int(k), RunLen: p.runLen, Base: c.base, Stride: d.stride}
 		*j += k - 1
 		c.base += (k - 1) * d.stride

@@ -44,8 +44,9 @@ func testShapes(t *testing.T) []struct {
 		{"vector-2d", Must(TypeHvector(8, 1, 16384, v1)), 1, ProgStrided},
 		// An unpadded counted vector abuts at every instance boundary (its
 		// extent ends at the last block), so the cursor coalesces across the
-		// wrap and a strided program would over-count runs: must be indexed.
-		{"vector-counted-abut", Must(TypeVector(8, 2, 16, Int32)), 3, ProgIndexed},
+		// seam: the repeat stays its own level, with the seams joined, since
+		// one more stride level would over-count runs.
+		{"vector-counted-abut", Must(TypeVector(8, 2, 16, Int32)), 3, ProgStrided},
 		// Padding the extent restores the gap: a true counted 2D shape.
 		{"vector-2d-counted", Must(TypeResized(Must(TypeVector(8, 2, 16, Int32)), 0, 512)), 3, ProgStrided},
 		{"vector-abutting", Must(TypeVector(4, 8, 8, Int32)), 2, ProgContig},
@@ -53,8 +54,8 @@ func testShapes(t *testing.T) []struct {
 		{"indexed-block", Must(TypeIndexedBlock(4, []int{0, 16, 40}, Int32)), 2, ProgIndexed},
 		{"struct", mustFig10(t), 4, ProgIndexed},
 		// A single-part indexed type coalesces into one maximal run per
-		// message; the compiler materializes it rather than claiming strided.
-		{"single-part-indexed", Must(TypeIndexed([]int{2}, []int{5}, Int32)), 3, ProgIndexed},
+		// message: its copies tile one run.
+		{"single-part-indexed", Must(TypeIndexed([]int{2}, []int{5}, Int32)), 3, ProgContig},
 		// One displaced part is a contiguous run wherever it sits.
 		{"single-part-displaced", Must(TypeIndexed([]int{2}, []int{5}, Int32)), 1, ProgContig},
 		// The last block ends at the extent, where the next instance's
@@ -107,33 +108,51 @@ func TestCompileKinds(t *testing.T) {
 	}
 }
 
-// TestCompileGenericFallback drives the materialization cap: more maximal
-// runs than maxProgRuns on a non-strided shape must fall back to generic.
+// TestCompileGenericFallback drives the materialization cap: a unit with more
+// maximal runs than maxProgRuns on a non-strided shape falls back to generic,
+// while a count never does — the message repeats its unit, here one whose
+// copies' seams merge, so that 200 copies of 384 runs are 76 601.
 func TestCompileGenericFallback(t *testing.T) {
-	idx := Must(TypeIndexed([]int{1, 1, 1}, []int{0, 3, 7}, Int32))
-	v := Must(TypeVector(128, 1, 2, idx))
-	p := Compile(v, 200) // 76800 runs > maxProgRuns, indexed child blocks strided form
+	var past *Type
+	for _, sh := range testShapes(t) {
+		if sh.name == "over-max-runs-nested" {
+			past = sh.dt
+		}
+	}
+	p := Compile(past, 1)
 	if p.Kind() != ProgGeneric {
 		t.Fatalf("kind = %v, want generic", p.Kind())
 	}
-	// Runs() is the compile-time estimate: the 65 537 runs the emitter saw,
-	// scaled to the message. A few runs coalesce at instance seams, so it is
-	// not exact, but it must be within 1% of the walked count.
-	walked := LayoutStats(v, 200, 0).Runs
+	// Runs() is the compile-time estimate: the runs the emitter saw, scaled
+	// to the unit; it must be within 1% of the walked count.
+	walked := LayoutStats(past, 1, 0).Runs
 	if diff := p.Runs() - walked; diff < -walked/100 || diff > walked/100 {
 		t.Fatalf("generic Runs() = %d, walked %d", p.Runs(), walked)
 	}
-	// The generic cursor must still replay the exact cursor sequence.
-	pc := p.Cursor()
-	cur := NewCursor(v, 200)
-	for {
-		o1, n1, ok1 := pc.Next(1 << 20)
-		o2, n2, ok2 := cur.Next(1 << 20)
-		if o1 != o2 || n1 != n2 || ok1 != ok2 {
-			t.Fatalf("generic replay diverged: (%d,%d,%v) vs (%d,%d,%v)", o1, n1, ok1, o2, n2, ok2)
-		}
-		if !ok1 {
-			break
+	idx := Must(TypeIndexed([]int{1, 1, 1}, []int{0, 3, 7}, Int32))
+	big := Must(TypeVector(128, 1, 2, idx))
+	q := Compile(big, 200)
+	if q.Kind() == ProgGeneric || q.Runs() != 76601 || LayoutStats(big, 200, 0).Runs != q.Runs() {
+		t.Fatalf("200 copies of a 384-run unit: %s with %d runs, walked %d, want 76601",
+			q, q.Runs(), LayoutStats(big, 200, 0).Runs)
+	}
+	// Both cursors must still replay the exact cursor sequence.
+	for _, c := range []struct {
+		p     *Program
+		dt    *Type
+		count int
+	}{{p, past, 1}, {q, big, 200}} {
+		pc := c.p.Cursor()
+		cur := NewCursor(c.dt, c.count)
+		for {
+			o1, n1, ok1 := pc.Next(1 << 20)
+			o2, n2, ok2 := cur.Next(1 << 20)
+			if o1 != o2 || n1 != n2 || ok1 != ok2 {
+				t.Fatalf("%s: replay diverged: (%d,%d,%v) vs (%d,%d,%v)", c.p, o1, n1, ok1, o2, n2, ok2)
+			}
+			if !ok1 {
+				break
+			}
 		}
 	}
 }
@@ -305,8 +324,10 @@ func randProgType(rng *rand.Rand) *Type {
 func TestCompileRandomDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 600; trial++ {
-		dt := randProgType(rng)
-		count := rng.Intn(4) // includes zero-count
+		// Any count from zero up, and the digest's extents: seams that
+		// merge, seams that do not, and copies that overlap.
+		dt := extentVariants(randProgType(rng))[rng.Intn(5)]
+		count := rng.Intn(65)
 		p := Compile(dt, count)
 		pc := p.Cursor()
 		cur := NewCursor(dt, count)
@@ -373,6 +394,25 @@ func TestRunAtMatchesSequence(t *testing.T) {
 			t.Errorf("%s: Bounds() = [%d,%d), runs cover [%d,%d)", sh.name, gotLo, gotHi, lo, hi)
 		}
 	}
+}
+
+// TestTypeProgramAllocatesNothing holds a message's program to a value built
+// from its type's unit: no object at any count, whatever the unit's form,
+// and a Compile that adds only the pointer it returns.
+func TestTypeProgramAllocatesNothing(t *testing.T) {
+	var p Program
+	for _, sh := range testShapes(t) {
+		sh.dt.Unit()
+		for _, n := range []int{2, 17, 1000} {
+			if got := testing.AllocsPerRun(10, func() { p = sh.dt.Program(n) }); got != 0 {
+				t.Errorf("%s: Program(%d) allocates %.0f objects", sh.name, n, got)
+			}
+			if got := testing.AllocsPerRun(10, func() { Compile(sh.dt, n) }); got > 1 {
+				t.Errorf("%s: Compile(t, %d) allocates %.0f objects", sh.name, n, got)
+			}
+		}
+	}
+	_ = p
 }
 
 // sameProgram fails unless p and q answer every question alike: kind, runs,

@@ -109,11 +109,12 @@ func (t *Type) TrueLB() int64 { return t.trueLB }
 // TrueExtent returns the span of actual data bytes.
 func (t *Type) TrueExtent() int64 { return t.trueUB - t.trueLB }
 
-// Unit returns Compile(t, 1), compiled on first use and held by the type for
-// as long as it lives, so every endpoint shares it and a program key stays as
-// unique as its type. Safe for concurrent use.
+// Unit returns the type's unit: the program of one instance, compiled on
+// first use and held by the type for as long as it lives, so every endpoint
+// shares it and every count's Program is built from it. Safe for concurrent
+// use.
 func (t *Type) Unit() *Program {
-	t.unitOnce.Do(func() { t.unit.compile(t, 1) })
+	t.unitOnce.Do(func() { t.unit.compile(t) })
 	return &t.unit
 }
 

@@ -70,8 +70,10 @@ type compileShape struct {
 }
 
 // compileShapes spans every program kind: contig memcpy, 1D vector, 2D
-// nested vector, fixed-block indexed, the Figure 10 varied-block struct,
-// and an irregular shape past the materialization cap (generic fallback).
+// nested vector, fixed-block indexed, the Figure 10 varied-block struct, an
+// irregular indexed unit sent 200 times (its copies' seams merge), and the
+// same 200 instances as one type, a unit past the materialization cap
+// (generic fallback).
 func compileShapes() []compileShape {
 	v1 := datatype.Must(datatype.TypeVector(32, 512, 1024, datatype.Int32))
 	idx := datatype.Must(datatype.TypeIndexed([]int{1, 1, 1}, []int{0, 3, 7}, datatype.Int32))
@@ -86,6 +88,7 @@ func compileShapes() []compileShape {
 		{"indexed-block", datatype.Must(datatype.TypeIndexedBlock(32, displs, datatype.Int32)), 8},
 		{"struct-fig10", StructType(256), 16},
 		{"irregular-big", datatype.Must(datatype.TypeVector(128, 1, 2, idx)), 200},
+		{"past-cap-unit", datatype.Must(datatype.TypeContiguous(200, datatype.Must(datatype.TypeVector(128, 1, 2, idx)))), 1},
 	}
 }
 
@@ -129,7 +132,7 @@ func compilerSweep(families []string, _ Options) (Doc, error) {
 			// programs advance in O(1) and know their run count exactly; a
 			// generic program replays the cursor and estimates it. (The one
 			// kind test outside internal/datatype: without the generic rate the
-			// committed irregular-big sim row would re-price.)
+			// past-cap-unit sim row would price a walk as a replay.)
 			perRunCompiled := compiledPerRun
 			if prog.Kind() == datatype.ProgGeneric {
 				perRunCompiled = core.TypeProcPerRun

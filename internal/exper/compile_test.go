@@ -44,7 +44,7 @@ func TestCompilerSweepOrdering(t *testing.T) {
 		return r
 	}
 
-	for _, shape := range []string{"contig-256k", "vector-1d", "vector-2d", "indexed-block", "struct-fig10"} {
+	for _, shape := range []string{"contig-256k", "vector-1d", "vector-2d", "indexed-block", "struct-fig10", "irregular-big"} {
 		ip, cp, raw := get(shape, "interpreted"), get(shape, "compiled"), get(shape, "copy")
 		if !(cp.VirtualUS < ip.VirtualUS) {
 			t.Errorf("%s: compiled %.2f us not under interpreted %.2f us", shape, cp.VirtualUS, ip.VirtualUS)
@@ -60,12 +60,12 @@ func TestCompilerSweepOrdering(t *testing.T) {
 
 	// The generic fallback replays the interpreted cursor, so its modeled
 	// cost is identical by construction.
-	ip, cp := get("irregular-big", "interpreted"), get("irregular-big", "compiled")
+	ip, cp := get("past-cap-unit", "interpreted"), get("past-cap-unit", "compiled")
 	if cp.VirtualUS != ip.VirtualUS {
-		t.Errorf("irregular-big: generic path %.2f us, interpreted %.2f us (want parity)",
+		t.Errorf("past-cap-unit: generic path %.2f us, interpreted %.2f us (want parity)",
 			cp.VirtualUS, ip.VirtualUS)
 	}
 	if cp.Kind != "generic" {
-		t.Errorf("irregular-big compiled row kind = %q, want generic", cp.Kind)
+		t.Errorf("past-cap-unit compiled row kind = %q, want generic", cp.Kind)
 	}
 }

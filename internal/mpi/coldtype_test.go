@@ -14,11 +14,9 @@ import (
 // commits and frees a fresh datatype for every one of them, so the sender
 // decodes a never-seen peer layout per message. Those layouts belong to the
 // sender's layout cache, which replaces the entry of a reused index: they
-// must not take type indices, registry entries or program-cache slots on the
-// sender, whose tables stay as small as its one live type needs. The payload
-// check pins that a program compiled from a cache entry walks the layout the
-// receiver meant. The sender's one type is sent at count 1, whose program
-// the type holds itself, so its program cache stays empty.
+// must not take type indices or registry entries on the sender, which holds
+// none — its own type needs no index to be sent. The payload check pins that
+// a program built from a cache entry walks the layout the receiver meant.
 func TestPeerLayoutsDoNotLeak(t *testing.T) {
 	const msgs, blocks, blockInts = 200, 32, 512 // 64 KiB a message: rendezvous
 	sendType := datatype.Must(datatype.TypeContiguous(blocks*blockInts, datatype.Int32))
@@ -80,7 +78,7 @@ func TestPeerLayoutsDoNotLeak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := w.Endpoint(0).TypeStats(), (core.TypeStats{Slots: 1, Committed: 1}); got != want {
+			if got, want := w.Endpoint(0).TypeStats(), (core.TypeStats{}); got != want {
 				t.Errorf("sender tables after %d peer layouts: %+v, want %+v", msgs, got, want)
 			}
 			if got, want := w.Endpoint(1).TypeStats(), (core.TypeStats{Slots: 1}); got != want {
@@ -96,8 +94,8 @@ func TestPeerLayoutsDoNotLeak(t *testing.T) {
 // TestFreeTypeDuringTransfer frees a datatype on both sides while its message
 // is still in flight. A count-1 program of an indexed type shares the type's
 // own run table rather than copying it; the table is immutable and the
-// program keeps it reachable, so dropping the endpoint's index and cached
-// programs must not disturb the walk an op already bound (under -tags dtdebug
+// program keeps it reachable, so dropping the endpoint's index must not
+// disturb the walk an op already bound (under -tags dtdebug
 // a recycled record would panic, a disturbed table would corrupt the payload).
 func TestFreeTypeDuringTransfer(t *testing.T) {
 	const blocks, blockInts, gap = 256, 64, 3 // 64 KiB: rendezvous

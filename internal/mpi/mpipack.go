@@ -26,9 +26,10 @@ func (p *Proc) Pack(buf mem.Addr, count int, dt *datatype.Type, out []byte, pos 
 	if int64(pos)+n > int64(len(out)) {
 		return pos, fmt.Errorf("mpi: Pack needs %d bytes at %d, have %d", n, pos, len(out))
 	}
-	// The endpoint's cached program for (dt, count) — the lookup the transfer
-	// schemes use, so packing by hand compiles a layout once, not per call.
-	pk := pack.NewProgramPacker(p.Mem(), buf, p.Endpoint().Program(dt, count))
+	// Bound as the transfer schemes bind theirs: the packer walks the unit
+	// the type holds, repeated count times.
+	var pk pack.Packer
+	pk.Bind(p.Mem(), buf, dt, count)
 	got, runs := pk.PackTo(out[pos : int64(pos)+n])
 	if got != n {
 		return pos, fmt.Errorf("mpi: Pack short: %d of %d", got, n)
@@ -44,7 +45,8 @@ func (p *Proc) Unpack(in []byte, pos int, buf mem.Addr, count int, dt *datatype.
 	if int64(pos)+n > int64(len(in)) {
 		return pos, fmt.Errorf("mpi: Unpack needs %d bytes at %d, have %d", n, pos, len(in))
 	}
-	u := pack.NewProgramUnpacker(p.Mem(), buf, p.Endpoint().Program(dt, count))
+	var u pack.Unpacker
+	u.Bind(p.Mem(), buf, dt, count)
 	got, runs := u.UnpackFrom(in[pos : int64(pos)+n])
 	if got != n {
 		return pos, fmt.Errorf("mpi: Unpack short: %d of %d", got, n)

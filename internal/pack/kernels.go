@@ -28,12 +28,13 @@ var le = binary.LittleEndian
 
 // copyBatch moves batch b between span — the user memory covering layout
 // offsets [lo, lo+len(span)) — and the dense buffer buf, out of span when
-// packing and into it when scatter is set. It returns the bytes moved.
+// packing and into it when scatter is set. It returns the bytes moved. An
+// indexed batch's base moves the span's origin instead of each run.
 func copyBatch(span []byte, lo int64, buf []byte, b *datatype.RunBatch, scatter bool) int64 {
 	w := int(b.RunLen)
 	switch {
 	case b.Offs != nil:
-		return copyIndexed(span, lo, buf, b.Offs, b.Lens, w, scatter)
+		return copyIndexed(span, lo-b.Base, buf, b.Offs, b.Lens, w, scatter)
 	case scatter:
 		scatterStrided(span, int(b.Base-lo), int(b.Stride), buf[:b.K*w], w)
 	default:

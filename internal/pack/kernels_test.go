@@ -226,7 +226,7 @@ func checkKernels(t *testing.T, dt *datatype.Type, count int, sizes []int) {
 		wantRefs = append(wantRefs, runRef{addr: addrAt(kernelOrigin, off), n: n})
 	})
 	var e engine
-	e.Bind(m, kernelOrigin, prog)
+	e.bind(m, kernelOrigin, prog)
 	for i := range steps {
 		refs, n := e.collectRuns(int64(max(sizes[i%len(sizes)], 1)), nil)
 		var sum int64
@@ -311,20 +311,27 @@ func indexedShape(w int, varied bool) *datatype.Type {
 	return datatype.Must(datatype.TypeHindexed(lens, displs, datatype.Byte))
 }
 
-// pastCapShape is vector(128,1,2,idx3) over bytes: sent 200 times it has
-// 76 601 maximal runs (instances abut at their seams), more than the compiler
-// materializes, in 76 800 bytes that fit the arena.
-func pastCapShape() *datatype.Type {
+// seamShape is vector(128,1,2,idx3) over bytes: 384 runs whose last ends
+// where the next instance's first begins, so sent 200 times it has 76 601
+// maximal runs in 76 800 bytes that fit the arena — a repeat of its unit with
+// every seam merged.
+func seamShape() *datatype.Type {
 	idx := datatype.Must(datatype.TypeIndexed([]int{1, 1, 1}, []int{0, 3, 7}, datatype.Byte))
 	return datatype.Must(datatype.TypeVector(128, 1, 2, idx))
+}
+
+// pastCapShape is the same 200 instances as one type: a unit of 76 601
+// runs, more than the compiler materializes, so its program walks its layout.
+func pastCapShape() *datatype.Type {
+	return datatype.Must(datatype.TypeContiguous(200, seamShape()))
 }
 
 // TestKernelsMatchCursor is the differential table: every width, positive,
 // negative and huge strides, one to three stride levels, uniform and varied
 // run tables, zero count — each at every destination split from 1 B to the
-// whole message — and one shape past the run cap, whose program walks its
-// layout, at a spread of splits (every split of 76 800 bytes would take
-// hours).
+// whole message — and one unit past the run cap, whose program walks its
+// layout, beside the same bytes sent as 200 copies of a unit, at a spread of
+// splits (every split of 76 800 bytes would take hours).
 func TestKernelsMatchCursor(t *testing.T) {
 	type tc struct {
 		name   string
@@ -334,7 +341,8 @@ func TestKernelsMatchCursor(t *testing.T) {
 	}
 	cases := []tc{
 		{name: "zero-count", dt: stridedShape(4, 3, 1, 1, 4), count: 0},
-		{name: "past-cap", dt: pastCapShape(), count: 200, splits: []int{1, 2, 3, 384, 4096, 38401, 76800}},
+		{name: "past-cap", dt: pastCapShape(), count: 1, splits: []int{1, 2, 3, 384, 4096, 38401, 76800}},
+		{name: "seam-repeat", dt: seamShape(), count: 200, splits: []int{1, 2, 3, 384, 4096, 38401, 76800}},
 	}
 	for _, w := range kernelWidths {
 		for dims := 1; dims <= 3; dims++ {

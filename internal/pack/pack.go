@@ -35,22 +35,29 @@ import (
 type engine struct {
 	mem  *mem.Memory
 	base mem.Addr
-	prog *datatype.Program
 	pc   datatype.ProgCursor
 }
 
-// Bind re-arms the engine for another message: the one at base in m that
-// prog lays out, from its start. It is what lets a pooled record keep its
-// packer or unpacker by value and reuse it for every message it carries;
-// binding to a canonical program allocates nothing.
-func (e *engine) Bind(m *mem.Memory, base mem.Addr, prog *datatype.Program) {
-	e.mem, e.base, e.prog = m, base, prog
+// Bind re-arms the engine for another message: count instances of t at
+// base in m, from the start. It is what lets a pooled record keep its packer
+// or unpacker by value and reuse it for every message it carries: the
+// engine's cursor walks the type's unit in place, or holds the message's
+// repeat of it, so binding to a canonical program allocates nothing.
+func (e *engine) Bind(m *mem.Memory, base mem.Addr, t *datatype.Type, count int) {
+	e.mem, e.base = m, base
+	e.pc.ResetTo(t, count)
+}
+
+// bind arms the engine for the message at base in m that prog lays out;
+// prog must outlive the walk.
+func (e *engine) bind(m *mem.Memory, base mem.Addr, prog *datatype.Program) {
+	e.mem, e.base = m, base
 	e.pc.Reset(prog)
 }
 
 // Reset rewinds the engine to the start of its message so it can be reused.
 // Resetting an engine over a canonical program allocates nothing.
-func (e *engine) Reset() { e.pc.Reset(e.prog) }
+func (e *engine) Reset() { e.pc.Reset(e.pc.Program()) }
 
 // Done reports whether the whole message has been packed or unpacked.
 func (e *engine) Done() bool { return e.pc.Done() }
@@ -70,7 +77,7 @@ func (e *engine) transfer(buf []byte, scatter bool) (n int64, runs int) {
 		if b := e.pc.NextBatch(int64(len(rest))); b.K > 0 {
 			if span == nil {
 				var hi int64
-				lo, hi = e.prog.Bounds()
+				lo, hi = e.pc.Program().Bounds()
 				span = e.mem.Bytes(addrAt(e.base, lo), hi-lo)
 			}
 			n += copyBatch(span, lo, rest, &b, scatter)
@@ -98,7 +105,7 @@ type Packer struct{ engine }
 // program is shared and immutable; the packer keeps private cursor state.
 func NewProgramPacker(m *mem.Memory, base mem.Addr, prog *datatype.Program) *Packer {
 	p := &Packer{}
-	p.Bind(m, base, prog)
+	p.bind(m, base, prog)
 	return p
 }
 
@@ -115,7 +122,7 @@ type Unpacker struct{ engine }
 // NewProgramUnpacker creates an unpacker over the message (base, prog) in m.
 func NewProgramUnpacker(m *mem.Memory, base mem.Addr, prog *datatype.Program) *Unpacker {
 	u := &Unpacker{}
-	u.Bind(m, base, prog)
+	u.bind(m, base, prog)
 	return u
 }
 

@@ -265,7 +265,7 @@ type ParallelPacker struct{ parEngine }
 func NewParallelProgramPacker(m *mem.Memory, base mem.Addr, prog *datatype.Program, opt Par) *ParallelPacker {
 	p := &ParallelPacker{}
 	p.SetPar(opt)
-	p.Bind(m, base, prog)
+	p.bind(m, base, prog)
 	return p
 }
 
@@ -282,7 +282,7 @@ type ParallelUnpacker struct{ parEngine }
 func NewParallelProgramUnpacker(m *mem.Memory, base mem.Addr, prog *datatype.Program, opt Par) *ParallelUnpacker {
 	u := &ParallelUnpacker{}
 	u.SetPar(opt)
-	u.Bind(m, base, prog)
+	u.bind(m, base, prog)
 	return u
 }
 

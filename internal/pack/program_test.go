@@ -11,8 +11,9 @@ import (
 )
 
 // progTestShapes covers every program kind the compiler emits: contiguous,
-// 1D and 2D strided, fixed-block and varied-length indexed, and the generic
-// fallback for shapes that exceed the materialization cap.
+// 1D and 2D strided, fixed-block and varied-length indexed, a repeat whose
+// seams merge, and the generic fallback for a unit that exceeds the
+// materialization cap.
 func progTestShapes(t *testing.T) map[string]struct {
 	dt    *datatype.Type
 	count int
@@ -25,13 +26,14 @@ func progTestShapes(t *testing.T) map[string]struct {
 		dt    *datatype.Type
 		count int
 	}{
-		"contig":     {must(datatype.TypeContiguous(4096, datatype.Int32)), 1},
-		"vector-1d":  {must(datatype.TypeVector(128, 2, 32, datatype.Int32)), 1},
-		"vector-2d":  {must(datatype.TypeHvector(8, 1, 4096, v1)), 1},
-		"indexed":    {must(datatype.TypeIndexed([]int{3, 1, 7}, []int{0, 5, 10}, datatype.Int32)), 8},
-		"idx-block":  {must(datatype.TypeIndexedBlock(4, []int{0, 16, 40}, datatype.Int32)), 6},
-		"generic":    {must(datatype.TypeVector(128, 1, 2, idx)), 200},
-		"zero-count": {datatype.Int32, 0},
+		"contig":      {must(datatype.TypeContiguous(4096, datatype.Int32)), 1},
+		"vector-1d":   {must(datatype.TypeVector(128, 2, 32, datatype.Int32)), 1},
+		"vector-2d":   {must(datatype.TypeHvector(8, 1, 4096, v1)), 1},
+		"indexed":     {must(datatype.TypeIndexed([]int{3, 1, 7}, []int{0, 5, 10}, datatype.Int32)), 8},
+		"idx-block":   {must(datatype.TypeIndexedBlock(4, []int{0, 16, 40}, datatype.Int32)), 6},
+		"generic":     {must(datatype.TypeContiguous(200, must(datatype.TypeVector(128, 1, 2, idx)))), 1},
+		"seam-repeat": {must(datatype.TypeVector(128, 1, 2, idx)), 200},
+		"zero-count":  {datatype.Int32, 0},
 	}
 }
 

@@ -131,37 +131,69 @@ func suiteShapes() []shape {
 func packRows() []Row {
 	var rows []Row
 	for _, sh := range suiteShapes() {
-		prog := datatype.Compile(sh.dt, sh.count)
-		total := sh.dt.Size() * int64(sh.count)
-		extent := sh.dt.Extent()*int64(sh.count) + 64
-		m := mem.NewMemory("perfgate", extent+total+(4<<10))
-		base := m.MustAlloc(extent)
-		stage := make([]byte, total)
-
-		p := pack.NewProgramPacker(m, base, prog)
-		name := sh.name
-		packOnce := func() {
-			p.Reset()
-			if n, _ := p.PackTo(stage); n != total {
-				panic(fmt.Sprintf("pack/%s: packed %d of %d bytes", name, n, total))
-			}
-		}
-		u := pack.NewProgramUnpacker(m, base, prog)
-		unpackOnce := func() {
-			u.Reset()
-			if n, _ := u.UnpackFrom(stage); n != total {
-				panic(fmt.Sprintf("unpack/%s: unpacked %d of %d bytes", name, n, total))
-			}
-		}
-		raw := make([]byte, total)
-		copyOnce := func() { copy(raw, stage) }
+		packOnce, unpackOnce, copyOnce := messageOps(sh.name, sh.dt, sh.count)
 		rows = append(rows,
-			wallRow("pack/"+name, true, packOnce),
-			ratioRow("packratio/"+name, sh.ratioCeil, packOnce, copyOnce),
-			wallRow("unpack/"+name, true, unpackOnce),
-			ratioRow("unpackratio/"+name, sh.ratioCeil, unpackOnce, copyOnce))
+			wallRow("pack/"+sh.name, true, packOnce),
+			ratioRow("packratio/"+sh.name, sh.ratioCeil, packOnce, copyOnce),
+			wallRow("unpack/"+sh.name, true, unpackOnce),
+			ratioRow("unpackratio/"+sh.name, sh.ratioCeil, unpackOnce, copyOnce))
 	}
-	return rows
+	return append(rows, countRows()...)
+}
+
+// messageOps returns a warm whole-message pack and unpack of count
+// instances of dt through the compiled-program replay, and a raw copy() of
+// the same bytes.
+func messageOps(name string, dt *datatype.Type, count int) (packOnce, unpackOnce, copyOnce func()) {
+	prog := datatype.Compile(dt, count)
+	total := dt.Size() * int64(count)
+	extent := dt.Extent()*int64(count) + 64
+	m := mem.NewMemory("perfgate", extent+total+(4<<10))
+	base := m.MustAlloc(extent)
+	stage := make([]byte, total)
+
+	p := pack.NewProgramPacker(m, base, prog)
+	packOnce = func() {
+		p.Reset()
+		if n, _ := p.PackTo(stage); n != total {
+			panic(fmt.Sprintf("pack/%s: packed %d of %d bytes", name, n, total))
+		}
+	}
+	u := pack.NewProgramUnpacker(m, base, prog)
+	unpackOnce = func() {
+		u.Reset()
+		if n, _ := u.UnpackFrom(stage); n != total {
+			panic(fmt.Sprintf("unpack/%s: unpacked %d of %d bytes", name, n, total))
+		}
+	}
+	raw := make([]byte, total)
+	return packOnce, unpackOnce, func() { copy(raw, stage) }
+}
+
+// countRows hold a count to what MPI defines it as, that many instances of
+// the type: a 4 096-run irregular indexed type of 4-byte blocks (one integer
+// in every two to five) packs at count 32 within 1.1× of its count-1 time
+// per run. The count-1 twin is priced against copy() like the suite's
+// shapes; count 32 against 32 count-1 packs, the same runs but for the 31
+// copy seams that merge.
+func countRows() []Row {
+	rng := rand.New(rand.NewSource(4))
+	displs := make([]int, 4096)
+	for i, pos := 0, 0; i < len(displs); i++ {
+		displs[i] = pos
+		pos += 2 + rng.Intn(4)
+	}
+	dt := datatype.Must(datatype.TypeIndexedBlock(1, displs, datatype.Int32))
+	one, _, copyOnce := messageOps("idx4k", dt, 1)
+	many, _, _ := messageOps("idx4k_count32", dt, 32)
+	return []Row{
+		ratioRow("packratio/idx4k", 200, one, copyOnce),
+		ratioRow("packratio/idx4k_count32", 1.1, many, func() {
+			for i := 0; i < 32; i++ {
+				one()
+			}
+		}),
+	}
 }
 
 // coldRows price what a never-seen layout pays before its first byte moves —
