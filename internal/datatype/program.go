@@ -152,10 +152,10 @@ func (u *Program) repeat(n int, ext int64) Program {
 		// The copies tile one run.
 		p.kind, p.off0, p.runs, p.unitRuns = ProgContig, firstOff, 1, 1
 		p.runTable = runTable{runLen: p.bytes, ascending: true, lo: p.lo, hi: p.hi}
-	case !join && u.kind != ProgIndexed:
-		// The repeat is one more stride level, outermost; it cannot make
-		// the nest's runs abut, since the seams do not merge.
-		p.kind = ProgStrided
+	case !join && (u.kind != ProgIndexed || u.runs == 1):
+		// A run or a stride nest: the repeat is one more stride level,
+		// outermost; it cannot make runs abut, since the seams do not merge.
+		p.kind, p.off0, p.runLen, p.offs, p.lens = ProgStrided, firstOff, firstLen, nil, nil
 		copy(p.dims[1:], u.dims[:u.nd])
 		p.dims[0] = progDim{n: int64(n), stride: ext}
 		p.nd++
