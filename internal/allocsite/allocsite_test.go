@@ -5,6 +5,7 @@ import (
 	"runtime/pprof"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -32,12 +33,42 @@ func TestWindowNamesTheSite(t *testing.T) {
 	if own < 100 || n < own {
 		t.Fatalf("window counted %d objects, %d of them the program's, want at least 100 of those", n, own)
 	}
+	if n != own {
+		t.Logf("window counted %d objects, %d of them the program's; all sites:\n%s", n, own, sites)
+	}
 	first, _, _ := strings.Cut(sites, "\n")
 	if !strings.Contains(first, "allocateSome") || !strings.HasPrefix(strings.TrimSpace(first), "100 ") {
 		t.Fatalf("top site is %q, want 100 objects in allocateSome:\n%s", first, sites)
 	}
 	sink = nil
 }
+
+// An object another goroutine allocates while the window's collections run
+// is in both of its counts or in neither: the program's never exceed the
+// total however the allocations fall.
+func TestWindowCountsWhatItNames(t *testing.T) {
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			noise = new([48]byte)
+		}
+	}()
+	defer func() { stop.Store(true); wg.Wait() }()
+	for i := 0; i < 20; i++ {
+		w := Open()
+		allocateSome(10)
+		if n, own, sites := w.Close(5); own < 10 || n < own {
+			t.Fatalf("window counted %d objects, %d of them the program's, want at least 10 of those; at\n%s", n, own, sites)
+		}
+		sink = sink[:0]
+	}
+	sink = nil
+}
+
+var noise *[48]byte
 
 var (
 	gate           chan struct{}

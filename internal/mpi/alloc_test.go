@@ -284,3 +284,51 @@ func fig10Struct() *datatype.Type {
 	}
 	return datatype.Must(datatype.TypeStruct(lens, displs, types))
 }
+
+// Hand packing, MPI_Pack and MPI_Unpack, allocates nothing once warm, at
+// count 1 (the packer walks the type's unit in place) and at count 3 (its
+// cursor holds the repeat): a process keeps one packer and one unpacker and
+// binds them per call. The count is process-wide, the lowest of three
+// batches; a batch that allocates names the call sites.
+func TestHandPackAllocatesNothing(t *testing.T) {
+	const warm, calls, batches = 4, 64, 3
+	dt := datatype.Must(datatype.TypeVector(256, 1, 4, datatype.Int32))
+	for _, backend := range AllBackends {
+		for _, count := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/count%d", backend, count), func(t *testing.T) {
+				w := releaseWorld(t, backend)
+				best, sites := uint64(math.MaxUint64), ""
+				err := w.Run(func(p *Proc) error {
+					if p.Rank() != 0 {
+						return nil
+					}
+					src, dst := allocFor(p, dt, count), allocFor(p, dt, count)
+					buf := make([]byte, PackSize(count, dt))
+					batch := func() error {
+						for i := 0; i < calls; i++ {
+							if _, err := p.Pack(src, count, dt, buf, 0); err != nil {
+								return err
+							}
+							if _, err := p.Unpack(buf, 0, dst, count, dt); err != nil {
+								return err
+							}
+						}
+						return nil
+					}
+					for i := 0; i < warm; i++ {
+						if err := batch(); err != nil {
+							return err
+						}
+					}
+					return bestBatch(p, batches, batch, &best, &sites)
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if best != 0 {
+					t.Errorf("a warm batch of %d packs and unpacks allocates %d objects, want 0; at\n%s", calls, best, sites)
+				}
+			})
+		}
+	}
+}

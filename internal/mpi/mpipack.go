@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/datatype"
 	"repro/internal/mem"
-	"repro/internal/pack"
 )
 
 // Explicit pack/unpack, the MPI_Pack/MPI_Unpack user API — what applications
@@ -28,9 +27,8 @@ func (p *Proc) Pack(buf mem.Addr, count int, dt *datatype.Type, out []byte, pos 
 	}
 	// Bound as the transfer schemes bind theirs: the packer walks the unit
 	// the type holds, repeated count times.
-	var pk pack.Packer
-	pk.Bind(p.Mem(), buf, dt, count)
-	got, runs := pk.PackTo(out[pos : int64(pos)+n])
+	p.packer.Bind(p.Mem(), buf, dt, count)
+	got, runs := p.packer.PackTo(out[pos : int64(pos)+n])
 	if got != n {
 		return pos, fmt.Errorf("mpi: Pack short: %d of %d", got, n)
 	}
@@ -45,9 +43,8 @@ func (p *Proc) Unpack(in []byte, pos int, buf mem.Addr, count int, dt *datatype.
 	if int64(pos)+n > int64(len(in)) {
 		return pos, fmt.Errorf("mpi: Unpack needs %d bytes at %d, have %d", n, pos, len(in))
 	}
-	var u pack.Unpacker
-	u.Bind(p.Mem(), buf, dt, count)
-	got, runs := u.UnpackFrom(in[pos : int64(pos)+n])
+	p.unpacker.Bind(p.Mem(), buf, dt, count)
+	got, runs := p.unpacker.UnpackFrom(in[pos : int64(pos)+n])
 	if got != n {
 		return pos, fmt.Errorf("mpi: Unpack short: %d of %d", got, n)
 	}

@@ -315,6 +315,12 @@ type Proc struct {
 
 	worldComm *Comm
 	nextCtx   int
+
+	// packer and unpacker serve Pack and Unpack, bound per call: a cursor
+	// walking count > 1 instances points at the repeat it holds, so one
+	// declared per call would move to the heap.
+	packer   pack.Packer
+	unpacker pack.Unpacker
 }
 
 // Rank returns this process's rank.

@@ -283,8 +283,8 @@ func checkOutOfArena(t *testing.T, dt *datatype.Type, count int) {
 var kernelWidths = []int{1, 2, 3, 4, 8, 12, 16, 64}
 
 // innerCounts are the stride-level run counts that put a batch below, at and
-// past the strided kernels' groups of four, with every remainder.
-var innerCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17}
+// past the kernels' groups of eight (and of four), with every remainder.
+var innerCounts = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 25}
 
 // stridedShape nests dims stride levels over n w-byte blocks. sign flips the
 // innermost stride; gap is the hole between consecutive blocks.
@@ -307,6 +307,16 @@ func indexedShape(w int, varied bool) *datatype.Type {
 		if varied {
 			lens[i] = w * (1 + i%3)
 		}
+	}
+	return datatype.Must(datatype.TypeHindexed(lens, displs, datatype.Byte))
+}
+
+// descendingShape is a table of n w-byte runs whose offsets descend, a
+// run's width and a few bytes apart.
+func descendingShape(w, n int) *datatype.Type {
+	lens, displs := make([]int, n), make([]int64, n)
+	for i := range lens {
+		lens[i], displs[i] = w, int64(n-i)*int64(w+3)
 	}
 	return datatype.Must(datatype.TypeHindexed(lens, displs, datatype.Byte))
 }
@@ -350,12 +360,14 @@ func TestKernelsMatchCursor(t *testing.T) {
 				tc{name: fmt.Sprintf("w%d/dims%d/pos", w, dims), dt: stridedShape(w, 3, dims, 1, 3), count: 2},
 				tc{name: fmt.Sprintf("w%d/dims%d/neg", w, dims), dt: stridedShape(w, 3, dims, -1, 1), count: 1})
 		}
-		// Inner counts on both sides of the kernels' four-run groups, two
+		// Inner counts on both sides of the kernels' eight-run groups, two
 		// stride levels deep so a batch both ends a level and is cut by a call.
+		// The same counts as one indexed table whose offsets descend.
 		for _, n := range innerCounts {
 			cases = append(cases,
 				tc{name: fmt.Sprintf("w%d/inner%d/pos", w, n), dt: stridedShape(w, n, 2, 1, 2), count: 1},
-				tc{name: fmt.Sprintf("w%d/inner%d/neg", w, n), dt: stridedShape(w, n, 2, -1, 1), count: 1})
+				tc{name: fmt.Sprintf("w%d/inner%d/neg", w, n), dt: stridedShape(w, n, 2, -1, 1), count: 1},
+				tc{name: fmt.Sprintf("w%d/inner%d/indexed", w, n), dt: descendingShape(w, n), count: 1})
 		}
 		cases = append(cases,
 			tc{name: fmt.Sprintf("w%d/huge", w), dt: stridedShape(w, 3, 1, 1, 100<<10), count: 1},
@@ -477,25 +489,51 @@ func FuzzPackKernels(f *testing.F) {
 	})
 }
 
-// BenchmarkKernels times the strided kernels alone — 16 384 runs of each
-// fixed width at a stride of four runs, the density of the perf floor's
-// vec4Bx16k — in each direction, beside a copy() of the same bytes:
+// BenchmarkKernels times the batch kernels alone, in each direction, beside
+// a copy() of the same bytes: 16 384 runs of each fixed width at a stride of
+// four runs (the density of the perf floor's vec4Bx16k), 4 096 runs of 4 and
+// 8 B a page apart (a column of a 1024-wide int matrix, bound by memory and
+// the TLB), and a 4 096-entry table of 4-byte runs, one integer in every two
+// to five (the perf floor's idx4k). The user side is filled before timing: a
+// span fresh from make is the zero page, which a gather reads from cache.
 //
 //	go test -run '^$' -bench Kernels ./internal/pack
 func BenchmarkKernels(b *testing.B) {
-	const k = 16384
+	type row struct {
+		name  string
+		w     int
+		batch datatype.RunBatch
+		span  int // bytes of user memory the batch covers
+	}
+	var rows []row
 	for _, w := range []int{1, 2, 4, 8, 16} {
-		span, buf := make([]byte, 4*w*k), make([]byte, w*k)
-		batch := datatype.RunBatch{K: k, RunLen: int64(w), Stride: int64(4 * w)}
+		const k = 16384
+		rows = append(rows, row{fmt.Sprintf("w%d", w), w, datatype.RunBatch{K: k, RunLen: int64(w), Stride: int64(4 * w)}, 4 * w * k})
+	}
+	for _, w := range []int{4, 8} {
+		const k, page = 4096, 4096
+		rows = append(rows, row{fmt.Sprintf("w%d/page", w), w, datatype.RunBatch{K: k, RunLen: int64(w), Stride: page}, page * k})
+	}
+	rng := rand.New(rand.NewSource(4))
+	offs := make([]int64, 4096)
+	for i, pos := 0, int64(0); i < len(offs); i++ {
+		offs[i], pos = pos, pos+4*int64(2+rng.Intn(4))
+	}
+	rows = append(rows, row{"idx4k", 4, datatype.RunBatch{K: len(offs), RunLen: 4, Offs: offs}, int(offs[len(offs)-1]) + 4})
+	for _, r := range rows {
+		span, buf := make([]byte, r.span), make([]byte, r.w*r.batch.K)
+		for i := range span {
+			span[i] = byte(i)
+		}
 		for _, c := range []struct {
 			name string
 			f    func()
 		}{
-			{"gather", func() { copyBatch(span, 0, buf, &batch, false) }},
-			{"scatter", func() { copyBatch(span, 0, buf, &batch, true) }},
+			{"gather", func() { copyBatch(span, 0, buf, &r.batch, false) }},
+			{"scatter", func() { copyBatch(span, 0, buf, &r.batch, true) }},
 			{"copy", func() { copy(buf, span) }},
 		} {
-			b.Run(fmt.Sprintf("w%d/%s", w, c.name), func(b *testing.B) {
+			b.Run(r.name+"/"+c.name, func(b *testing.B) {
 				b.SetBytes(int64(len(buf)))
 				for i := 0; i < b.N; i++ {
 					c.f()

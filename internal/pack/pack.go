@@ -11,8 +11,9 @@
 //     or run-table window at a time by ProgCursor.NextBatch, range-checked
 //     once against the program's bounds and copied by a loop specialised on
 //     the run length (fixed-width moves for 1/2/4/8/16 B runs, copy()
-//     otherwise) — for a strided batch, one loop per direction that moves
-//     four runs per length check of the packed buffer;
+//     otherwise) — one loop per direction, which moves a strided batch
+//     eight runs per length check of the packed buffer (four at 1 and
+//     16 B) and each user run through one full-slice expression;
 //   - the split-run step: when NextBatch has no whole run to give — the head
 //     or tail of the caller's buffer splits one, or the program is past the
 //     compiler's run cap and walks its layout — one Next + mem.Bytes + copy().

@@ -77,7 +77,7 @@ func wallRow(name string, zero bool, f func()) Row {
 // Ratio rows retake a reading that is over its ceiling: for seconds at a
 // time the reference box runs the 4-byte pack and unpack loops about twice
 // as slowly while copy() keeps its speed (in about one perfgate run in
-// eight, a 4-byte row reads twice its usual 8, which is its ceiling of 16).
+// eight, a 4-byte row reads twice its usual 5, which is its ceiling of 10).
 // Such interference only ever raises the quotient, so the lowest reading is
 // the measurement, and a build that is really over its ceiling stays over it
 // on every retake.
@@ -117,7 +117,7 @@ type shape struct {
 // control. Each carries 64 KiB of payload.
 func suiteShapes() []shape {
 	return []shape{
-		{"vec4Bx16k", datatype.Must(datatype.TypeVector(16384, 1, 4, datatype.Int32)), 1, 16},
+		{"vec4Bx16k", datatype.Must(datatype.TypeVector(16384, 1, 4, datatype.Int32)), 1, 10},
 		{"vec256Bx256", datatype.Must(datatype.TypeVector(256, 64, 128, datatype.Int32)), 1, 5},
 		{"contig64k", datatype.Must(datatype.TypeContiguous(16384, datatype.Int32)), 1, 2},
 	}
@@ -173,9 +173,9 @@ func messageOps(name string, dt *datatype.Type, count int) (packOnce, unpackOnce
 // countRows hold a count to what MPI defines it as, that many instances of
 // the type: a 4 096-run irregular indexed type of 4-byte blocks (one integer
 // in every two to five) packs at count 32 within 1.1× of its count-1 time
-// per run. The count-1 twin is priced against copy() like the suite's
-// shapes; count 32 against 32 count-1 packs, the same runs but for the 31
-// copy seams that merge.
+// per run. The count-1 twin's pack and unpack are priced against copy()
+// like the suite's shapes; count 32 against 32 count-1 packs, the same runs
+// but for the 31 copy seams that merge.
 func countRows() []Row {
 	rng := rand.New(rand.NewSource(4))
 	displs := make([]int, 4096)
@@ -184,10 +184,11 @@ func countRows() []Row {
 		pos += 2 + rng.Intn(4)
 	}
 	dt := datatype.Must(datatype.TypeIndexedBlock(1, displs, datatype.Int32))
-	one, _, copyOnce := messageOps("idx4k", dt, 1)
+	one, unpackOne, copyOnce := messageOps("idx4k", dt, 1)
 	many, _, _ := messageOps("idx4k_count32", dt, 32)
 	return []Row{
-		ratioRow("packratio/idx4k", 200, one, copyOnce),
+		ratioRow("packratio/idx4k", 100, one, copyOnce),
+		ratioRow("unpackratio/idx4k", 100, unpackOne, copyOnce),
 		ratioRow("packratio/idx4k_count32", 1.1, many, func() {
 			for i := 0; i < 32; i++ {
 				one()
